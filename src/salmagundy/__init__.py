@@ -60,7 +60,6 @@ from .mephisto import (
     Policy,
     RANDOM,
     blowup_transform,
-    canonical_blowup_board,
     respond,
 )
 from .quests import (
@@ -69,6 +68,7 @@ from .quests import (
     quotient_check,
     quotient_response,
     relaxation_check,
+    relaxation_response,
     transversality_check,
     transversality_response,
 )
@@ -89,6 +89,7 @@ from .scenario import (
 )
 from .transform import (
     QuestRelation,
+    capped_transport,
     child_survives,
     commutes,
     quotient_lifted_factor,

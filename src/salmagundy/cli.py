@@ -37,22 +37,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="salmagundy", description=__doc__)
-    p.add_argument("--config", help="JSON file with default option values")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--round-cap", type=int, default=None)
-    p.add_argument(
-        "--mephisto", default=None, help="canonical | random:<seed> | adversarial"
-    )
-    p.add_argument("--max-new-nodes", type=int, default=None)
-    p.add_argument("--max-order-steps", type=int, default=None)
-    sub = p.add_subparsers(dest="command", required=True)
+def _global_flags(default) -> argparse.ArgumentParser:
+    """The options every command accepts, before or after its name.
 
-    v = sub.add_parser("validate", parents=[], help="validate a board or scenario file")
+    The top-level copy defaults to None; the copies inside the subcommands
+    default to SUPPRESS, so a flag given before the command survives.
+    """
+    g = argparse.ArgumentParser(add_help=False, argument_default=default)
+    g.add_argument("--config", help="JSON file with default option values")
+    g.add_argument("--seed", type=int)
+    g.add_argument("--round-cap", type=int)
+    g.add_argument("--mephisto", help="canonical | random:<seed> | adversarial")
+    g.add_argument("--max-new-nodes", type=int)
+    g.add_argument("--max-order-steps", type=int)
+    return g
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="salmagundy", description=__doc__, parents=[_global_flags(None)])
+    sub = p.add_subparsers(dest="command", required=True)
+    common = [_global_flags(argparse.SUPPRESS)]
+
+    v = sub.add_parser("validate", parents=common, help="validate a board or scenario file")
     v.add_argument("file")
 
-    g = sub.add_parser("gen", help="generate a board or scenario")
+    g = sub.add_parser("gen", parents=common, help="generate a board or scenario")
     g.add_argument("what", choices=["board", "scenario"])
     g.add_argument("--max-nodes", type=int, default=8)
     g.add_argument("--n", type=int, default=None)
@@ -62,20 +71,22 @@ def _build_parser() -> _Parser:
     g.add_argument("--jib-count", type=int, default=None)
     g.add_argument("--out", help="write here instead of stdout")
 
-    pl = sub.add_parser("play", help="play one game on a scenario")
+    pl = sub.add_parser("play", parents=common, help="play one game on a scenario")
     pl.add_argument("--scenario", help="scenario file (default: generated from --seed)")
     pl.add_argument("--trace", help="write the NDJSON trace here")
 
-    e = sub.add_parser("explore", help="try every capped bundle against the strategy")
+    e = sub.add_parser(
+        "explore", parents=common, help="try every capped bundle against the strategy"
+    )
     e.add_argument("--scenario", help="scenario file (default: generated from --seed)")
     e.add_argument("--depth-cap", type=int, default=50)
 
-    x = sub.add_parser("export", help="export DOT")
+    x = sub.add_parser("export", parents=common, help="export DOT")
     x.add_argument("what", choices=["dot"])
     x.add_argument("--scenario", help="scenario file")
     x.add_argument("--board", help="board file")
 
-    r = sub.add_parser("replay", help="re-validate a recorded trace")
+    r = sub.add_parser("replay", parents=common, help="re-validate a recorded trace")
     r.add_argument("file")
     return p
 

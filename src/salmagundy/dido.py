@@ -225,7 +225,7 @@ class DidoStrategy:
         c = quest.scenario
         resid: Dict[NodeId, Value] = {}
         for s in c.S:
-            ext = extend_factor(c, plan.m, s)
+            ext = extend_factor(c.board, plan.m, s)
             v = c.ord[s]
             if not is_finite(v):
                 resid[s] = INF
@@ -262,7 +262,7 @@ class DidoStrategy:
     def _elementary(self, quest: Quest, plan: _LoopPlan) -> Move:
         c = quest.scenario
         for s in c.S:
-            if extend_factor(c, plan.m, s) != c.ord[s]:
+            if extend_factor(c.board, plan.m, s) != c.ord[s]:
                 raise StrategyError(
                     f"tracked factor is not complete at {s}; the response rules "
                     "should have preserved completeness"

@@ -24,7 +24,6 @@ from .board import (
     Violation,
     board_from_json,
     board_to_json,
-    trivial_refinement,
     validate_board,
     validate_board_transform,
 )
@@ -35,7 +34,6 @@ from .quests import (
     transversality_check,
 )
 from .scenario import (
-    MonomialFactor,
     Scenario,
     admissible_centers,
     factor_from_json,
@@ -116,17 +114,6 @@ class GameState:
     def strict(self) -> bool:
         """No quest was ever discarded (closed quests stay in the tree)."""
         return all(q.status != DISCARDED for q in self.quests.values())
-
-    def descendants(self, quest_id: int) -> List[int]:
-        out = []
-        frontier = [quest_id]
-        while frontier:
-            qid = frontier.pop()
-            for q in self.quests.values():
-                if q.parent_id == qid:
-                    out.append(q.quest_id)
-                    frontier.append(q.quest_id)
-        return out
 
     def clone(self) -> "GameState":
         return GameState(

@@ -28,14 +28,14 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
 from .board import BLOWUP, Board, BoardTransform, NodeId, Violation, trivial_refinement
 from .game import BLOWUP_MOVE, Bundle, CALL, GameState, Move, OPEN, validate_bundle
-from .quests import quotient_response, transversality_response
+from .quests import quotient_response, relaxation_response, transversality_response
 from .scenario import (
     FactorSet,
     MonomialFactor,
     Scenario,
     complete_factor,
+    extend_factor,
     is_tight,
-    validate_scenario,
     zero_factor,
 )
 from .transform import (
@@ -44,6 +44,7 @@ from .transform import (
     QuestRelation,
     RELAXATION,
     TRANSVERSALITY,
+    capped_transport,
     child_survives,
     transport_relation,
     validate_blowup_transform,
@@ -59,7 +60,6 @@ __all__ = [
     "Policy",
     "blowup_uppers",
     "blowup_transform",
-    "canonical_blowup_board",
     "respond",
     "respond_call",
     "respond_blowup",
@@ -193,32 +193,7 @@ def blowup_transform(
     )
 
 
-def canonical_blowup_board(
-    board: Board, z: NodeId, max_new: Optional[int] = None
-) -> BoardTransform:
-    """The full blowup: every eligible upper gets its fresh node."""
-    return blowup_transform(board, z, None, max_new)
-
-
 # ---- free order assignment ---------------------------------------------------
-
-
-def _vmax(a: Value, b: Value) -> Value:
-    if not is_finite(a):
-        return a
-    if not is_finite(b):
-        return b
-    return a if a >= b else b
-
-
-def _extension(board: Board, m: MonomialFactor, f: NodeId) -> Value:
-    total = Fraction(0)
-    for h, w in m.weights:
-        if board.leq(f, h):
-            if not is_finite(w):
-                return INF
-            total += w
-    return total
 
 
 def _order_floor(
@@ -232,7 +207,7 @@ def _order_floor(
     """
     floor: Value = Fraction(1)
     for g in gens:
-        floor = _vmax(floor, _extension(board, g, f))
+        floor = max(floor, extend_factor(board, g, f))
     for t, vt in assigned.items():
         if t == f or not board.leq(f, t):
             continue
@@ -246,7 +221,7 @@ def _order_floor(
                         break
                     sep += w
             bound = INF if (inf or not is_finite(vt)) else vt + sep
-            floor = _vmax(floor, bound)
+            floor = max(floor, bound)
     return floor
 
 
@@ -264,7 +239,7 @@ def _assign_orders(
     ords: Dict[NodeId, Value] = {}
     for f in sorted(keep, key=lambda s: (-board.dim(s), s)):
         if override is not None:
-            v = _extension(board, override, f)
+            v = extend_factor(board, override, f)
             if f in pinned and pinned[f] != v:
                 return None
             if board.dim(f) == d and is_finite(v):
@@ -276,7 +251,7 @@ def _assign_orders(
         else:
             floor = _order_floor(board, gens, ords, f)
             if is_finite(floor) and bump:
-                v = _vmax(floor, Fraction(1) + bump)
+                v = max(floor, Fraction(1) + bump)
             else:
                 v = floor
         if force_one and v != Fraction(1):
@@ -292,27 +267,7 @@ def _assign_orders(
     return ords
 
 
-# ---- the main quest's blowup response -----------------------------------------
-
-
-def _capped_transport(g: MonomialFactor, c: Scenario, bt: BoardTransform) -> MonomialFactor:
-    z = bt.center
-    cap = (c.ord[z] - Fraction(1)) if z in c.S else Fraction(0)
-    weights = {bt.embed[h]: w for h, w in g.weights}
-    weights[bt.exceptional] = cap  # a blown-up jib's weight gives way to the cap
-    return MonomialFactor.of(weights)
-
-
-def _fresh_nodes(bt: BoardTransform) -> FrozenSet[NodeId]:
-    return frozenset(bt.target.ids) - frozenset(bt.embed.values())
-
-
-def _blowup_parts(c: Scenario, bt: BoardTransform):
-    e = bt.exceptional
-    H1 = frozenset(bt.embed[h] for h in c.H) | {e}
-    T1 = frozenset(bt.embed[s] for s in c.T) | _fresh_nodes(bt)
-    gens1 = tuple(_capped_transport(g, c, bt) for g in c.M.generators)
-    return e, H1, T1, gens1
+# ---- blowup responses ------------------------------------------------------------
 
 
 def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
@@ -325,7 +280,7 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     """
     board0, board1 = c.board, bt.target
     z = bt.center
-    e, H1, _, gens1 = _blowup_parts(c, bt)
+    e = bt.exceptional
     keep = {x for x in board1.ids if bt.retract[x] in c.S}
 
     if e in keep:
@@ -352,15 +307,11 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
 
     cf = complete_factor(c)
     if cf is not None:
-        cf1 = _capped_transport(cf, c, bt)
-        keep -= {
-            x
-            for x in keep
-            if is_finite(_extension(board1, cf1, x))
-            and _extension(board1, cf1, x) < 1
-        }
+        cf1 = capped_transport(c, bt, cf)
+        keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
 
     if is_tight(c):
+        gens1 = tuple(capped_transport(c, bt, g) for g in c.M.generators)
         changed = True
         while changed:
             changed = False
@@ -387,73 +338,45 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     return frozenset(keep)
 
 
-def _root_response(
-    c: Scenario, bt: BoardTransform, keep: FrozenSet[NodeId], bump: Fraction
+def _blowup_response(
+    c: Scenario,
+    bt: BoardTransform,
+    S1: FrozenSet[NodeId],
+    T1: FrozenSet[NodeId],
+    bump: Fraction,
 ) -> Optional[Scenario]:
+    """Carry c through the blowup onto the singular set S1 and transversal
+    set T1: handicap i(H) + e, the capped transports of the factors, orders
+    pinned where items 9, 10 and 15 pin them and chosen elsewhere."""
     board1 = bt.target
-    z = bt.center
-    e, H1, T1, gens1 = _blowup_parts(c, bt)
-    pinned: Dict[NodeId, Value] = {}
-    for x in keep:
-        if not board1.leq(x, e):
-            pinned[x] = c.ord[bt.retract[x]]
-    if e in keep:
-        pinned[e] = c.ord[z] - Fraction(1)
+    e = bt.exceptional
+    gens1 = tuple(capped_transport(c, bt, g) for g in c.M.generators)
+    pinned: Dict[NodeId, Value] = {
+        x: c.ord[bt.retract[x]] for x in S1 if not board1.leq(x, e)
+    }
+    if e in S1:
+        pinned[e] = c.ord[bt.center] - Fraction(1)
     cf = complete_factor(c)
-    override = _capped_transport(cf, c, bt) if cf is not None else None
+    override = capped_transport(c, bt, cf) if cf is not None else None
     ords = _assign_orders(
-        board1, c.d, keep, gens1, pinned, bump,
+        board1, c.d, S1, gens1, pinned, bump,
         force_one=is_tight(c), override=override,
     )
     if ords is None:
         return None
+    H1 = frozenset(bt.embed[h] for h in c.H) | {e}
     return Scenario.make(
-        board=board1, d=c.d, B=c.B, H=H1, S=keep, T=T1, ord=ords,
-        M=FactorSet.of(gens1),
+        board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=FactorSet.of(gens1),
     )
 
 
-# ---- child responses ----------------------------------------------------------
-
-
-def _relaxation_child(parent: Scenario, J: FrozenSet[NodeId]) -> Scenario:
-    want_M = FactorSet.of(
-        MonomialFactor.of({h: w for h, w in g.weights if h in parent.H - J})
-        for g in parent.M.generators
-    )
-    return Scenario.make(
-        board=parent.board, d=parent.d, B=parent.B, H=parent.H - J,
-        S=parent.S, T=parent.T, ord=dict(parent.ord), M=want_M,
-    )
-
-
-def _descent_child_blowup(
-    child_old: Scenario, parent_new: Scenario, bt: BoardTransform, bump: Fraction
+def _root_response(
+    c: Scenario, bt: BoardTransform, keep: FrozenSet[NodeId], bump: Fraction
 ) -> Optional[Scenario]:
-    board1 = bt.target
-    z = bt.center
-    e = bt.exceptional
-    H1 = frozenset(bt.embed[h] for h in child_old.H) | {e}
-    gens1 = tuple(_capped_transport(g, child_old, bt) for g in child_old.M.generators)
-    S1 = parent_new.S
-    pinned: Dict[NodeId, Value] = {}
-    for x in S1:
-        if not board1.leq(x, e):
-            pinned[x] = child_old.ord[bt.retract[x]]
-    if e in S1:
-        pinned[e] = child_old.ord[z] - Fraction(1)
-    cf = complete_factor(child_old)
-    override = _capped_transport(cf, child_old, bt) if cf is not None else None
-    ords = _assign_orders(
-        board1, child_old.d, S1, gens1, pinned, bump,
-        force_one=is_tight(child_old), override=override,
-    )
-    if ords is None:
-        return None
-    return Scenario.make(
-        board=board1, d=child_old.d, B=child_old.B, H=H1, S=S1,
-        T=parent_new.T, ord=ords, M=FactorSet.of(gens1),
-    )
+    """The main quest keeps ``keep`` singular; every fresh node is transversal."""
+    fresh = frozenset(bt.target.ids) - frozenset(bt.embed.values())
+    T1 = frozenset(bt.embed[s] for s in c.T) | fresh
+    return _blowup_response(c, bt, keep, T1, bump)
 
 
 def _child_blowup_response(
@@ -471,9 +394,9 @@ def _child_blowup_response(
         except ValueError:
             return None
     if rel_new.kind == RELAXATION:
-        return _relaxation_child(parent_new, rel_new.jibs)
+        return relaxation_response(parent_new, rel_new.jibs)
     if rel_new.kind == DESCENT:
-        return _descent_child_blowup(child_old, parent_new, bt, bump)
+        return _blowup_response(child_old, bt, parent_new.S, parent_new.T, bump)
     raise ValueError(f"unknown relation kind {rel_new.kind!r}")
 
 
@@ -481,16 +404,8 @@ def _child_blowup_response(
 
 
 def _assemble_blowup(
-    state: GameState,
-    bt: BoardTransform,
-    keep: FrozenSet[NodeId],
-    bump: Fraction,
-    root_new: Optional[Scenario] = None,
+    state: GameState, bt: BoardTransform, root_new: Scenario, bump: Fraction
 ) -> Optional[Bundle]:
-    if root_new is None:
-        root_new = _root_response(state.root.scenario, bt, keep, bump)
-    if root_new is None:
-        return None
     responses: Dict[int, Scenario] = {0: root_new}
     discards = set()
     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
@@ -513,29 +428,19 @@ def _assemble_blowup(
     return Bundle(transform=bt, responses=responses, discards=frozenset(discards))
 
 
-def _fingerprint(bundle: Bundle) -> str:
-    import json
-
-    from .game import bundle_to_json
-
-    return json.dumps(bundle_to_json(bundle), sort_keys=True)
-
-
 def _down_closed_keeps(board1: Board, keep_max: FrozenSet[NodeId]) -> List[FrozenSet[NodeId]]:
-    """All down-closed subsets of keep_max, largest first (then lexicographic)."""
-    elems = sorted(keep_max)
-    if len(elems) > _KEEP_ENUM_LIMIT:
+    """All down-closed subsets of keep_max, largest first (then lexicographic).
+
+    Nodes join in order of dimension, which rises strictly along the order of
+    a valid board, and each one extends exactly the subsets built so far that
+    already hold everything of keep_max below it.
+    """
+    if len(keep_max) > _KEEP_ENUM_LIMIT:
         return [keep_max]
-    out = []
-    for mask in range(1 << len(elems)):
-        sub = frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        if all(
-            y in sub
-            for x in sub
-            for y in keep_max
-            if board1.leq(y, x)
-        ):
-            out.append(sub)
+    out = [frozenset()]
+    for x in sorted(keep_max, key=lambda s: (board1.dim(s), s)):
+        below = (board1.down_set(x) - {x}) & keep_max
+        out += [sub | {x} for sub in out if below <= sub]
     out.sort(key=lambda s: (-len(s), tuple(sorted(s))))
     return out
 
@@ -568,6 +473,7 @@ def enumerate_blowup_bundles(
     nodes is tried, largest first, which is how the explorer branches.
     """
     board = state.board
+    root = state.root.scenario
     ts = blowup_uppers(board, z)
     cap = policy.max_new_nodes
     if enumerate_boards:
@@ -582,34 +488,31 @@ def enumerate_blowup_bundles(
     else:
         subsets = [ts]  # may raise CapError below
     examined = 0
-    seen = set()
     for sub in subsets:
         bt = blowup_transform(board, z, sub, cap)
-        keep_max = _root_keep_max(state.root.scenario, bt)
+        keep_max = _root_keep_max(root, bt)
         keeps = _down_closed_keeps(bt.target, keep_max)
         repair = len(keep_max) > _KEEP_ENUM_LIMIT
         tried = set(keeps)
         while keeps:
             keep = keeps.pop(0)
+            # The root's singular set is the keep, so bundles can only repeat
+            # within one keep, when two bump levels settle on the same orders.
+            yielded: List[Dict[int, Scenario]] = []
             for level in policy.bump_levels():
                 examined += 1
                 if examined > _CANDIDATE_CAP:
                     return
-                bump = Fraction(level, state.root.scenario.B)
-                root_new = _root_response(state.root.scenario, bt, keep, bump)
+                bump = Fraction(level, root.B)
+                root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
-                if not repair and validate_blowup_transform(
-                    state.root.scenario, bt, root_new
-                ):
+                if not repair and validate_blowup_transform(root, bt, root_new):
                     # The full bundle check starts with exactly this test, so
                     # a failing root sinks the candidate; skip the assembly.
                     continue
-                bundle = _assemble_blowup(state, bt, keep, bump, root_new)
-                if bundle is None:
-                    continue
-                key = _fingerprint(bundle)
-                if key in seen:
+                bundle = _assemble_blowup(state, bt, root_new, bump)
+                if bundle is None or bundle.responses in yielded:
                     continue
                 # While enumerating, only emptiness matters; the repair loop
                 # instead wants every witness, so it takes the full scan.
@@ -617,7 +520,7 @@ def enumerate_blowup_bundles(
                     state, Move.blowup(z), bundle, first_only=not repair
                 )
                 if not violations:
-                    seen.add(key)
+                    yielded.append(bundle.responses)
                     yield bundle
                 elif repair:
                     # Too many keepable nodes to enumerate subsets: shed the
@@ -670,7 +573,7 @@ def enumerate_call_bundles(
     elif rel.kind == QUOTIENT:
         child = quotient_response(parent, rel.factor, rel.scale)
     elif rel.kind == RELAXATION:
-        child = _relaxation_child(parent, rel.jibs)
+        child = relaxation_response(parent, rel.jibs)
     else:
         raise ValueError(f"unknown relation kind {rel.kind!r}")
     bundle = bundle_with(child)

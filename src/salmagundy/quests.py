@@ -2,19 +2,20 @@
 
 Transversality and quotient are one-way: the response is a deterministic
 construction from the parent scenario (``*_response``), and the paired
-``*_check`` verifies a claimed response item by item. Relaxation and descent
-leave Mephisto freedom (enlarging T, choosing orders after the dimension
-drop), so they only have checkers over his choice space.
+``*_check`` verifies a claimed response item by item. Relaxation leaves
+Mephisto one freedom, enlarging T: ``relaxation_response`` is the answer
+that declines it, and ``relaxation_check`` accepts any legal enlargement.
+Descent leaves him the orders after the dimension drop, so it only has a
+checker over his choice space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List
 
-from .board import Board, BoardTransform, NodeId, Violation, REFINEMENT
+from .board import BoardTransform, NodeId, Violation, REFINEMENT
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -24,7 +25,7 @@ from .scenario import (
     validate_scenario,
     zero_factor,
 )
-from .values import INF, Value, format_value
+from .values import INF, format_value
 
 __all__ = [
     "transversality_response",
@@ -32,6 +33,7 @@ __all__ = [
     "quotient_bound",
     "quotient_response",
     "quotient_check",
+    "relaxation_response",
     "relaxation_check",
     "descent_check",
 ]
@@ -99,7 +101,9 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Fraction) -> Scenario:
         raise ValueError(f"scale must be positive, got {q}")
     if not c.M.contains(m):
         raise ValueError("quotient factor is not a member of the scenario's factor set")
-    resid = {s: c.ord[s] - extend_factor(c, m, s) for s in c.S}
+    if any(h not in c.board for h in m.domain):
+        raise ValueError("quotient factor has weights at unknown nodes")
+    resid = {s: c.ord[s] - extend_factor(c.board, m, s) for s in c.S}
     S1 = frozenset(s for s in c.S if resid[s] >= q)
     ord1 = {}
     for s in S1:
@@ -166,6 +170,19 @@ def _compare_one_way(rule: str, want: Scenario, got: Scenario) -> List[Violation
 # ---- relaxation ------------------------------------------------------------
 
 
+def relaxation_response(c: Scenario, J: Iterable[NodeId]) -> Scenario:
+    """Release J without enlarging T: the jibs of J leave the handicap and
+    every factor is restricted to the jibs that remain."""
+    Js = frozenset(J)
+    if not Js <= c.H:
+        raise ValueError(f"released jibs {sorted(Js - c.H)} are not jibs of the scenario")
+    H1 = c.H - Js
+    M1 = FactorSet.of(
+        MonomialFactor.of({h: w for h, w in g.weights if h in H1}) for g in c.M.generators
+    )
+    return Scenario(c.board, c.d, c.B, H1, c.S, c.T, c.ord, M1)
+
+
 def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Violation]:
     """Check a response to "release J": jibs of J disappear, T may grow.
 
@@ -175,8 +192,7 @@ def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Vio
     release, so admitting them would smuggle in unearned centers.
     """
     Js = frozenset(J)
-    if not Js <= c.H:
-        raise ValueError(f"released jibs {sorted(Js - c.H)} are not jibs of the scenario")
+    want = relaxation_response(c, Js)
     rule = "relaxation"
     out: List[Violation] = []
     b = c.board
@@ -190,10 +206,8 @@ def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Vio
     elif dict(c1.ord) != dict(c.ord):
         bad = tuple(s for s in sorted(c.S) if c1.ord[s] != c.ord[s])
         out.append(Violation(rule, 2, bad, "orders changed"))
-    if c1.H != c.H - Js:
-        out.append(
-            Violation(rule, 3, tuple(sorted(c1.H ^ (c.H - Js))), "handicap is not H minus J")
-        )
+    if c1.H != want.H:
+        out.append(Violation(rule, 3, tuple(sorted(c1.H ^ want.H)), "handicap is not H minus J"))
     if not c.T <= c1.T:
         out.append(Violation(rule, 4, tuple(sorted(c.T - c1.T)), "transversal nodes were dropped"))
     for z in sorted(c1.T - c.T):
@@ -206,11 +220,7 @@ def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Vio
                     f"{z} added to T but meets no released jib partially",
                 )
             )
-    want_M = FactorSet.of(
-        MonomialFactor.of({h: w for h, w in g.weights if h in c.H - Js})
-        for g in c.M.generators
-    )
-    if c1.M != want_M:
+    if c1.M != want.M:
         out.append(Violation(rule, 5, (), "factors are not the restrictions of the parent factors"))
     return out
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .board import Board, NodeId, Violation
-from .values import INF, Value, format_value, is_finite, parse_value
+from .values import INF, Value, format_value, parse_value
 
 __all__ = [
     "MonomialFactor",
@@ -159,9 +159,6 @@ class Scenario:
             fixed[s] = v
         return cls(board, d, B, frozenset(H), frozenset(S), frozenset(T), fixed, M)
 
-    def ord_of(self, s: NodeId) -> Value:
-        return self.ord[s]
-
     def jib_uppers(self, s: NodeId) -> Tuple[NodeId, ...]:
         """The jibs lying above s, sorted."""
         return tuple(h for h in sorted(self.H) if self.board.leq(s, h))
@@ -181,15 +178,15 @@ class Scenario:
         )
 
 
-def extend_factor(c: Scenario, m: MonomialFactor, s: NodeId) -> Value:
-    """The factor's value at an arbitrary node: sum of weights of jibs above it."""
-    if s not in c.board:
-        raise KeyError(f"unknown node id {s!r}")
-    total: Value = Fraction(0)
-    w = m.as_dict()
-    for h in c.H:
-        if c.board.leq(s, h) and h in w:
-            total = total + w[h]
+def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
+    """The factor's value at an arbitrary node: the sum of its weights at the
+    jibs above s, INF as soon as one of them is uncapped."""
+    total = Fraction(0)
+    for h, w in m.weights:
+        if board.leq(s, h):
+            if w is INF:
+                return INF
+            total += w
     return total
 
 
@@ -224,6 +221,10 @@ def validate_scenario(c: Scenario) -> List[Violation]:
         if stray:
             out.append(Violation(rule, "structure", tuple(stray), f"{name} contains unknown nodes"))
             return out
+    stray = sorted({h for g in c.M.generators for h in g.domain if h not in b})
+    if stray:
+        out.append(Violation(rule, "structure", tuple(stray), "M has weights at unknown nodes"))
+        return out
     if set(c.ord) != set(c.S):
         diff = sorted(set(c.ord) ^ set(c.S))
         out.append(Violation(rule, "structure", tuple(diff), "ord domain differs from S"))
@@ -324,7 +325,7 @@ def validate_scenario(c: Scenario) -> List[Violation]:
     # Issue 6: orders dominate every factor of M (generators suffice).
     for s in sorted(c.S):
         for g in gens:
-            ext = extend_factor(c, g, s)
+            ext = extend_factor(b, g, s)
             if not c.ord[s] >= ext:
                 out.append(
                     Violation(
@@ -416,7 +417,7 @@ def complete_factor(c: Scenario) -> Optional[MonomialFactor]:
     if not c.S:
         return c.M.generators[-1] if c.M.generators else None
     for g in c.M.generators:
-        if all(extend_factor(c, g, s) == c.ord[s] for s in c.S):
+        if all(extend_factor(c.board, g, s) == c.ord[s] for s in c.S):
             return g
     return None
 

@@ -3,10 +3,12 @@
 A board move (refinement or blowup) forces every open quest's scenario to
 evolve. ``validate_refinement_transform`` and ``validate_blowup_transform``
 check one quest's old/new scenario pair against the fifteen transform items.
-``commutes`` checks the square linking a parent quest and a child created by
-an earlier call: after a blowup, the child's new scenario must simultaneously
-be the call-construction applied to the parent's new scenario and a legal
-transform of the child's old scenario.
+``capped_transport`` is the formula of items 14-15 that carries a factor
+through a blowup; Mephisto builds his responses with it and the validator
+compares against it. ``commutes`` checks the square linking a parent quest
+and a child created by an earlier call: after a blowup, the child's new
+scenario must simultaneously be the call-construction applied to the
+parent's new scenario and a legal transform of the child's old scenario.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
 from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation
 from .quests import (
-    descent_check,
     quotient_check,
     relaxation_check,
     transversality_check,
@@ -33,7 +34,7 @@ from .scenario import (
     is_tight,
     validate_scenario,
 )
-from .values import INF, Value, format_value
+from .values import Value, format_value
 
 __all__ = [
     "QuestRelation",
@@ -43,7 +44,7 @@ __all__ = [
     "QUOTIENT",
     "validate_refinement_transform",
     "validate_blowup_transform",
-    "transported_complete_factor",
+    "capped_transport",
     "quotient_lifted_factor",
     "transport_relation",
     "child_survives",
@@ -152,15 +153,20 @@ def validate_refinement_transform(
     return out
 
 
-def transported_complete_factor(
-    c: Scenario, z: NodeId, bt: BoardTransform, m: MonomialFactor
-) -> MonomialFactor:
-    """Item 15's candidate: weight ord(z) - 1 at the exceptional node (0 for
-    a center outside S), parent weights carried over by the embedding."""
-    e = bt.exceptional
-    cap: Value = c.ord[z] - 1 if z in c.S else Fraction(0)
+def _exceptional_cap(c: Scenario, z: NodeId) -> Value:
+    """The weight every factor takes at the exceptional node of a blowup at
+    z: ord(z) - 1, or 0 for a center outside S."""
+    return c.ord[z] - 1 if z in c.S else Fraction(0)
+
+
+def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> MonomialFactor:
+    """Items 14-15: carry a factor of c through the blowup ``bt``.
+
+    Weights ride along the embedding; the exceptional node takes the cap
+    (a blown-up jib's own weight gives way to it).
+    """
     weights: Dict[NodeId, Value] = {bt.embed[h]: w for h, w in m.weights}
-    weights[e] = cap
+    weights[bt.exceptional] = _exceptional_cap(c, bt.center)
     return MonomialFactor.of(weights)
 
 
@@ -261,8 +267,8 @@ def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> 
 
     # Item 14: factor generators gain the coordinate e, capped by ord(z) - 1
     # (0 for a center outside S).
-    cap: Value = c.ord[z] - 1 if z in c.S else Fraction(0)
-    if cap is not INF and cap < 0:
+    cap = _exceptional_cap(c, z)
+    if cap < 0:
         out.append(
             Violation(
                 RULE,
@@ -272,20 +278,16 @@ def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> 
             )
         )
     else:
-        want_gens = FactorSet.of(
-            MonomialFactor.of({**{bt.embed[h]: w for h, w in g.weights}, e: cap})
-            for g in c.M.generators
-        )
+        want_gens = FactorSet.of(capped_transport(c, bt, g) for g in c.M.generators)
         if c1.M != want_gens:
             out.append(Violation(RULE, 14, (e,), "factor generators are not the capped transports"))
 
     # Item 15: a complete factor stays complete after transport.
     m = complete_factor(c)
-    cap_ok = cap is INF or cap >= 0
-    if m is not None and cap_ok:
-        m1 = transported_complete_factor(c, z, bt, m)
+    if m is not None and not cap < 0:
+        m1 = capped_transport(c, bt, m)
         for s1 in sorted(c1.S):
-            want = extend_factor(c1, m1, s1)
+            want = extend_factor(b1, m1, s1)
             if c1.ord[s1] != want:
                 out.append(
                     Violation(
@@ -316,7 +318,7 @@ def quotient_lifted_factor(
     clamp such centers would strand the quotient quest with no response at
     all, and the scale would stop shrinking between quotient calls.
     """
-    e_weight = max(Fraction(0), extend_factor(c, m, z) + q - 1)
+    e_weight = max(Fraction(0), extend_factor(c.board, m, z) + q - 1)
     weights: Dict[NodeId, Value] = {bt.embed[h]: w for h, w in m.weights}
     weights[bt.exceptional] = e_weight
     return MonomialFactor.of(weights)
@@ -360,8 +362,7 @@ def child_survives(rel: QuestRelation, c: Scenario, c1: Scenario, bt: BoardTrans
         return False
     if rel.kind == QUOTIENT:
         lifted = quotient_lifted_factor(rel.factor, z, rel.scale, c, bt)
-        cap = c.ord[z] - 1 if z in c.S else Fraction(0)
-        if dict(lifted.weights)[bt.exceptional] > cap:
+        if lifted.weight(bt.exceptional) > _exceptional_cap(c, z):
             return False
     return True
 

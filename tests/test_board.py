@@ -17,7 +17,7 @@ from salmagundy.board import (
     validate_board_transform,
 )
 from salmagundy.harness import gen_board
-from salmagundy.mephisto import blowup_transform, blowup_uppers, canonical_blowup_board
+from salmagundy.mephisto import blowup_transform, blowup_uppers
 
 
 # ---- construction -----------------------------------------------------------
@@ -172,7 +172,7 @@ def test_blowup_keep_subset(crossing_board):
 
 
 def test_canonical_blowup_keeps_every_upper(crossing_board):
-    t = canonical_blowup_board(crossing_board, "s")
+    t = blowup_transform(crossing_board, "s")
     assert t.target.n == crossing_board.n
     assert len(t.target.ids) == len(crossing_board.ids) + 2
     assert validate_board_transform(t) == []
@@ -186,7 +186,7 @@ def test_generated_blowups_are_valid():
         if not centers:
             continue
         z = rng.choice(sorted(centers))
-        t = canonical_blowup_board(b, z)
+        t = blowup_transform(b, z)
         assert validate_board(t.target) == []
         assert validate_board_transform(t) == []
 

@@ -1,0 +1,173 @@
+"""The command line, driven through ``cli.main``: every subcommand and exit code.
+
+Exit codes: 0 success, 1 violations, 2 a cap was hit, 3 usage errors.
+"""
+
+import json
+
+from salmagundy import cli, scenario_to_json
+
+
+def run(capsys, *argv):
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# ---- gen and validate -------------------------------------------------------
+
+
+def test_gen_then_validate_board_and_scenario(capsys, tmp_path):
+    board, scen = tmp_path / "board.json", tmp_path / "scenario.json"
+    assert run(capsys, "--seed", 4, "gen", "board", "--out", board)[0] == cli.EXIT_OK
+    assert run(capsys, "validate", board)[:2] == (cli.EXIT_OK, "board ok\n")
+    code, _, _ = run(capsys, "gen", "scenario", "--board", board, "--out", scen)
+    assert code == cli.EXIT_OK
+    assert run(capsys, "validate", scen)[:2] == (cli.EXIT_OK, "scenario ok\n")
+
+
+def test_gen_writes_json_to_stdout(capsys):
+    code, out, _ = run(capsys, "gen", "scenario", "--seed", 2)
+    assert code == cli.EXIT_OK
+    assert set(json.loads(out)) >= {"board", "d", "B", "H", "S", "T", "ord", "M"}
+
+
+def test_validate_reports_violations(capsys, tmp_path, chain_scenario):
+    data = scenario_to_json(chain_scenario)
+    data["ord"]["p"] = "1/2"  # off the 1/B grid, B = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "validate", path)
+    assert code == cli.EXIT_VIOLATIONS
+    assert "multiple of 1/1" in err
+
+
+def test_validate_reports_factor_weight_off_the_board(capsys, tmp_path, chain_scenario):
+    data = scenario_to_json(chain_scenario)
+    data["M"] = [{"ghost": "1"}]
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "validate", path)
+    assert code == cli.EXIT_VIOLATIONS
+    assert "M has weights at unknown nodes (witness: ghost)" in err
+
+
+def test_validate_usage_errors(capsys, tmp_path):
+    assert run(capsys, "validate", tmp_path / "missing.json")[0] == cli.EXIT_USAGE
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert run(capsys, "validate", garbled)[0] == cli.EXIT_USAGE
+
+
+# ---- play ---------------------------------------------------------------------
+
+
+def test_global_flags_work_after_the_subcommand(capsys):
+    before = run(capsys, "--seed", 3, "play")
+    after = run(capsys, "play", "--seed", 3)
+    assert before[0] == after[0] == cli.EXIT_OK
+    assert before[1] == after[1]
+
+
+def test_every_global_flag_in_either_position(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3}))
+    flags = [
+        "--config", config, "--mephisto", "adversarial", "--round-cap", 500,
+        "--max-new-nodes", 20, "--max-order-steps", 1,
+    ]
+    before = run(capsys, *flags, "play")
+    after = run(capsys, "play", *flags)
+    assert before[0] == after[0] == cli.EXIT_OK
+    assert before[1] == after[1] == run(capsys, "--seed", 3, "play")[1]
+
+
+def test_command_line_flag_overrides_config(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 0, "round_cap": 1}))
+    assert run(capsys, "play", "--config", config)[0] == cli.EXIT_CAP
+    assert run(capsys, "play", "--config", config, "--round-cap", 100)[0] == cli.EXIT_OK
+
+
+def test_play_caps(capsys):
+    code, _, err = run(capsys, "play", "--round-cap", 1)
+    assert code == cli.EXIT_CAP and "round cap" in err
+    code, _, err = run(capsys, "play", "--max-new-nodes", 1)
+    assert code == cli.EXIT_CAP and "cap is 1" in err
+
+
+def test_play_usage_errors(capsys, tmp_path):
+    assert run(capsys, "play", "--mephisto", "clairvoyant")[0] == cli.EXIT_USAGE
+    assert run(capsys, "play", "--seed", "three")[0] == cli.EXIT_USAGE
+    assert run(capsys, "play", "--scenario", tmp_path / "missing.json")[0] == cli.EXIT_USAGE
+    assert run(capsys, "shuffle")[0] == cli.EXIT_USAGE
+    assert run(capsys)[0] == cli.EXIT_USAGE
+
+
+# ---- replay ---------------------------------------------------------------------
+
+
+def test_play_trace_then_replay(capsys, tmp_path):
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 3, "--trace", trace)[0] == cli.EXIT_OK
+    code, out, _ = run(capsys, "replay", trace)
+    assert code == cli.EXIT_OK
+    assert out == "replayed 1 rounds; won=true\n"
+
+    header, round_line = trace.read_text().splitlines()
+    record = json.loads(round_line)
+    record["bundle"]["responses"]["0"]["d"] -= 1  # items 1 and 14 must now fail
+    tampered = tmp_path / "tampered.ndjson"
+    tampered.write_text(header + "\n" + json.dumps(record) + "\n")
+    assert run(capsys, "replay", tampered)[0] == cli.EXIT_VIOLATIONS
+
+
+def test_replay_reports_factor_weights_off_the_board(capsys, tmp_path):
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 3, "--trace", trace)[0] == cli.EXIT_OK
+    header, round_line = trace.read_text().splitlines()
+    bad_header, bad_round = json.loads(header), json.loads(round_line)
+    bad_header["header"]["scenario"]["M"] = [{"ghost": "0"}]
+    bad_round["bundle"]["responses"]["0"]["M"][0]["ghost"] = "1"
+    for name, lines in (
+        ("header.ndjson", (json.dumps(bad_header), round_line)),
+        ("response.ndjson", (header, json.dumps(bad_round))),
+    ):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "replay", path)
+        assert code == cli.EXIT_VIOLATIONS
+        assert "M has weights at unknown nodes (witness: ghost)" in err
+
+
+def test_replay_usage_error(capsys, tmp_path):
+    assert run(capsys, "replay", tmp_path / "missing.ndjson")[0] == cli.EXIT_USAGE
+
+
+# ---- explore ------------------------------------------------------------------
+
+
+def test_explore(capsys):
+    code, out, _ = run(capsys, "explore", "--seed", 3)
+    assert code == cli.EXIT_OK
+    assert out.startswith("all_won=true ")
+    code, _, _ = run(capsys, "explore", "--seed", 0, "--depth-cap", 1)
+    assert code == cli.EXIT_CAP
+
+
+# ---- export --------------------------------------------------------------------
+
+
+def test_export_dot(capsys, tmp_path):
+    board, scen = tmp_path / "board.json", tmp_path / "scenario.json"
+    run(capsys, "gen", "board", "--out", board)
+    run(capsys, "gen", "scenario", "--board", board, "--out", scen)
+    for flag, path in (("--board", board), ("--scenario", scen)):
+        code, out, _ = run(capsys, "export", "dot", flag, path)
+        assert code == cli.EXIT_OK
+        assert out.startswith("digraph")
+    assert run(capsys, "export", "dot")[0] == cli.EXIT_USAGE
+    assert run(capsys, "export", "svg", "--board", board)[0] == cli.EXIT_USAGE

@@ -4,17 +4,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from salmagundy.board import Violation, trivial_refinement
+from salmagundy.board import Board, Violation
 from salmagundy.game import GameState, Move, Quest, validate_bundle
+from salmagundy.harness import gen_board
 from salmagundy.mephisto import (
+    _KEEP_ENUM_LIMIT,
     CapError,
     NoValidBundle,
     Policy,
     _bundle_score,
     _down_closed_keeps,
     _shrink_keep,
-    blowup_transform,
     enumerate_blowup_bundles,
     respond,
 )
@@ -138,6 +141,64 @@ def test_down_closed_keeps(blown_chain_board):
         frozenset({"q1"}),
         frozenset(),
     ]
+
+
+def _mask_scan_keeps(board1, keep_max):
+    """Reference: scan all 2^k subsets and keep the down-closed ones."""
+    elems = sorted(keep_max)
+    if len(elems) > _KEEP_ENUM_LIMIT:
+        return [keep_max]
+    out = []
+    for mask in range(1 << len(elems)):
+        sub = frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
+        if all(y in sub for x in sub for y in keep_max if board1.leq(y, x)):
+            out.append(sub)
+    out.sort(key=lambda s: (-len(s), tuple(sorted(s))))
+    return out
+
+
+def _down_closure(board, nodes):
+    return frozenset().union(*(board.down_set(s) for s in nodes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    max_nodes=st.integers(1, 10),
+    n=st.integers(1, 3),
+    data=st.data(),
+)
+def test_down_closed_keeps_match_mask_scan(seed, max_nodes, n, data):
+    board = gen_board(seed, max_nodes=max_nodes, n=n)
+    picks = data.draw(st.sets(st.sampled_from(board.ids)))
+    keep_max = _down_closure(board, picks)
+    assert _down_closed_keeps(board, keep_max) == _mask_scan_keeps(board, keep_max)
+
+
+def test_down_closed_keeps_match_mask_scan_on_wide_sets():
+    # five points under three curves under the top: every node but the top
+    # is keepable, and the ideals are far fewer than the 2^11 masks
+    points = [f"p{i}" for i in range(5)]
+    curves = {"c0": points[:2], "c1": points[1:4], "c2": points[3:], "c3": [], "c4": [], "c5": []}
+    dims = {"w": 2, **{p: 0 for p in points}, **{c: 1 for c in curves}}
+    covers = [(p, c) for c, ps in curves.items() for p in ps] + [(c, "w") for c in curves]
+    board = Board(dims, covers)
+    keep_max = frozenset(board.ids) - {"w"}
+    assert len(keep_max) == 11
+    keeps = _down_closed_keeps(board, keep_max)
+    assert keeps == _mask_scan_keeps(board, keep_max)
+    assert keeps[0] == keep_max and keeps[-1] == frozenset()
+
+
+@pytest.mark.parametrize("seed, max_nodes, width", [(19, 16, 11), (0, 16, 14), (6, 20, 19)])
+def test_down_closed_keeps_on_generated_wide_boards(seed, max_nodes, width):
+    board = gen_board(seed, max_nodes=max_nodes, n=3)
+    keep_max = _down_closure(board, [s for s in board.ids if s != board.top])
+    assert len(keep_max) == width
+    keeps = _down_closed_keeps(board, keep_max)
+    assert keeps == _mask_scan_keeps(board, keep_max)
+    if width > _KEEP_ENUM_LIMIT:
+        assert keeps == [keep_max]
 
 
 def test_shrink_keep(blown_chain_board):

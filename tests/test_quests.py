@@ -1,5 +1,6 @@
 """The four quest calls: responses, checks, and their numbered items."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from salmagundy.quests import (
     quotient_check,
     quotient_response,
     relaxation_check,
+    relaxation_response,
     transversality_check,
     transversality_response,
 )
@@ -124,6 +126,9 @@ def test_quotient_rejects_bad_arguments(crossing_scenario):
         quotient_response(c, zero_factor(c.H), Fraction(0))
     with pytest.raises(ValueError):
         quotient_response(c, MonomialFactor.of({"h1": 2, "h2": 0}), Fraction(1))
+    with pytest.raises(ValueError, match="unknown nodes"):
+        # A zero weight off the board still passes membership.
+        quotient_response(c, MonomialFactor.of({"h1": 0, "h2": 0, "ghost": 0}), Fraction(1))
 
 
 def test_quotient_check_items(crossing_scenario):
@@ -283,6 +288,28 @@ def test_relaxation_check_items(forked_scenario):
     ) == {5}
     with pytest.raises(ValueError):
         relaxation_check(c, ["nope"], c)
+
+
+def test_relaxation_response_passes_its_check(
+    forked_scenario, crossing_scenario, chain_scenario, blown_chain_response
+):
+    for c in (forked_scenario, crossing_scenario, chain_scenario, blown_chain_response):
+        jibs = sorted(c.H)
+        for k in range(len(jibs) + 1):
+            for J in itertools.combinations(jibs, k):
+                c1 = relaxation_response(c, J)
+                assert relaxation_check(c, J, c1) == []
+                assert (c1.H, c1.T, c1.S) == (c.H - set(J), c.T, c.S)
+    with pytest.raises(ValueError):
+        relaxation_response(forked_scenario, ["nope"])
+
+
+def test_relaxation_response_restricts_factors(crossing_scenario):
+    c1 = relaxation_response(crossing_scenario, ["h1"])
+    assert c1.M == FactorSet.of([MonomialFactor.of({"h2": Fraction(7, 10)})])
+    assert validate_scenario(c1) == validate_scenario(
+        _remake(crossing_scenario, H={"h2"}, M=c1.M)
+    )
 
 
 # ---- descent ----------------------------------------------------------------

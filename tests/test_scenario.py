@@ -86,11 +86,15 @@ def test_factor_set_max_sum_over():
 
 def test_extend_factor_sums_jibs_above(crossing_scenario):
     (g,) = crossing_scenario.M.generators
-    assert extend_factor(crossing_scenario, g, "s") == Fraction(13, 10)
-    assert extend_factor(crossing_scenario, g, "h1") == Fraction(3, 5)
-    assert extend_factor(crossing_scenario, g, "w") == 0
+    b = crossing_scenario.board
+    assert extend_factor(b, g, "s") == Fraction(13, 10)
+    assert extend_factor(b, g, "h1") == Fraction(3, 5)
+    assert extend_factor(b, g, "w") == 0
     with pytest.raises(KeyError):
-        extend_factor(crossing_scenario, g, "nope")
+        extend_factor(b, g, "nope")
+    uncapped = MonomialFactor.of({"h1": INF, "h2": Fraction(7, 10)})
+    assert extend_factor(b, uncapped, "s") is INF
+    assert extend_factor(b, uncapped, "h2") == Fraction(7, 10)
 
 
 # ---- structural checks ------------------------------------------------------
@@ -113,6 +117,12 @@ def test_structure_d_out_of_range(chain_scenario):
 def test_structure_unknown_nodes(chain_scenario):
     bad = _remake(chain_scenario, T=chain_scenario.T | {"ghost"})
     assert _issues(bad) == {"structure"}
+
+
+def test_structure_factor_weight_at_unknown_node(crossing_scenario):
+    ghost = MonomialFactor.of({"h1": Fraction(3, 5), "h2": Fraction(7, 10), "ghost": 1})
+    vs = validate_scenario(_remake(crossing_scenario, M=FactorSet((ghost,))))
+    assert [(v.issue, v.witness) for v in vs] == [("structure", ("ghost",))]
 
 
 def test_structure_ord_domain_mismatch(chain_scenario):

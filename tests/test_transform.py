@@ -17,11 +17,11 @@ from salmagundy.scenario import (
 from salmagundy.transform import (
     RULE,
     QuestRelation,
+    capped_transport,
     child_survives,
     commutes,
     quotient_lifted_factor,
     transport_relation,
-    transported_complete_factor,
     validate_blowup_transform,
     validate_refinement_transform,
 )
@@ -257,10 +257,10 @@ def test_blowup_item_15_complete_factor_stays_complete(crossing_scenario, crossi
 # ---- transported factors ----------------------------------------------------
 
 
-def test_transported_complete_factor_weights(crossing_scenario):
+def test_capped_transport_weights(crossing_scenario):
     bt = blowup_transform(crossing_scenario.board, "s")
     (m,) = crossing_scenario.M.generators
-    m1 = transported_complete_factor(crossing_scenario, "s", bt, m)
+    m1 = capped_transport(crossing_scenario, bt, m)
     assert m1.as_dict() == {
         "h1": Fraction(3, 5),
         "h2": Fraction(7, 10),
