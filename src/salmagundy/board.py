@@ -306,7 +306,22 @@ def validate_board_transform(t: BoardTransform) -> List[Violation]:
     embedding, 3 retract weakly monotone, 4 refinement dims, 5 blowup center,
     6 blowup dims off-center, 7 blowup dims on-center. Structural defects
     (non-total maps, bad kind) are reported as issue "structure".
+
+    The checks read only the transform, so each instance is checked once:
+    Mephisto validates every candidate bundle of one blown-up board against
+    the same transform. ``dataclasses.replace`` builds a new instance, which
+    is checked afresh; the maps must not be mutated after the first call.
+    Every call returns a fresh list.
     """
+    cached = getattr(t, "_violations_memo", None)
+    if cached is None:
+        cached = tuple(_check_board_transform(t))
+        # BoardTransform is frozen; stash the answer on the instance.
+        object.__setattr__(t, "_violations_memo", cached)
+    return list(cached)
+
+
+def _check_board_transform(t: BoardTransform) -> List[Violation]:
     out: List[Violation] = []
     src, tgt = t.source, t.target
     rule = "board-transform"

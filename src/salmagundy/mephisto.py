@@ -35,6 +35,7 @@ from .scenario import (
     Scenario,
     complete_factor,
     extend_factor,
+    heavy_jib_violations,
     is_tight,
     zero_factor,
 )
@@ -338,6 +339,15 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     return frozenset(keep)
 
 
+def _blowup_jibs(
+    c: Scenario, bt: BoardTransform
+) -> Tuple[FrozenSet[NodeId], Tuple[MonomialFactor, ...]]:
+    """Items 12 and 14: the handicap i(H) + e and the capped transports of
+    c's factor generators. Neither depends on the new S, T or orders."""
+    H1 = frozenset(bt.embed[h] for h in c.H) | {bt.exceptional}
+    return H1, tuple(capped_transport(c, bt, g) for g in c.M.generators)
+
+
 def _blowup_response(
     c: Scenario,
     bt: BoardTransform,
@@ -350,7 +360,7 @@ def _blowup_response(
     pinned where items 9, 10 and 15 pin them and chosen elsewhere."""
     board1 = bt.target
     e = bt.exceptional
-    gens1 = tuple(capped_transport(c, bt, g) for g in c.M.generators)
+    H1, gens1 = _blowup_jibs(c, bt)
     pinned: Dict[NodeId, Value] = {
         x: c.ord[bt.retract[x]] for x in S1 if not board1.leq(x, e)
     }
@@ -364,7 +374,6 @@ def _blowup_response(
     )
     if ords is None:
         return None
-    H1 = frozenset(bt.embed[h] for h in c.H) | {e}
     return Scenario.make(
         board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=FactorSet.of(gens1),
     )
@@ -471,6 +480,16 @@ def enumerate_blowup_bundles(
     Policies answer on the full blowup board (raising CapError when it busts
     max_new_nodes); with ``enumerate_boards`` every fitting subset of fresh
     nodes is tried, largest first, which is how the explorer branches.
+
+    Each keep is sieved once on scenario issue 9 before any orders are
+    assigned. That check reads only the root response's board, d, H, S and M;
+    S is the keep, and H and M are fixed by the blowup, so a keep that fails
+    it fails at every bump level and is skipped whole. The skip is exact: it
+    drops only candidates the per-candidate sieve would reject, and still
+    counts them against ``_CANDIDATE_CAP``, so the yield sequence and the
+    point where the cap stops the search are unchanged. The repair path
+    (keeps wider than ``_KEEP_ENUM_LIMIT``) keeps the full check, because it
+    learns which nodes to shed from the issue-9 witnesses.
     """
     board = state.board
     root = state.root.scenario
@@ -487,19 +506,30 @@ def enumerate_blowup_bundles(
             raise CapError(f"no blowup at {z} fits inside max_new_nodes={cap}")
     else:
         subsets = [ts]  # may raise CapError below
+    levels = policy.bump_levels()
     examined = 0
     for sub in subsets:
         bt = blowup_transform(board, z, sub, cap)
         keep_max = _root_keep_max(root, bt)
         keeps = _down_closed_keeps(bt.target, keep_max)
         repair = len(keep_max) > _KEEP_ENUM_LIMIT
+        H1, gens1 = _blowup_jibs(root, bt)
+        M1 = FactorSet.of(gens1)
         tried = set(keeps)
         while keeps:
             keep = keeps.pop(0)
+            if not repair and heavy_jib_violations(bt.target, root.d, H1, keep, M1):
+                # Every level's root response has S = keep, H = H1 and M = M1,
+                # so the sieve below would reject each one on scenario issue 9.
+                # Count them as examined, so the cap fires where it did.
+                examined += len(levels)
+                if examined > _CANDIDATE_CAP:
+                    return
+                continue
             # The root's singular set is the keep, so bundles can only repeat
             # within one keep, when two bump levels settle on the same orders.
             yielded: List[Dict[int, Scenario]] = []
-            for level in policy.bump_levels():
+            for level in levels:
                 examined += 1
                 if examined > _CANDIDATE_CAP:
                     return

@@ -29,6 +29,7 @@ __all__ = [
     "zero_factor",
     "extend_factor",
     "validate_scenario",
+    "heavy_jib_violations",
     "is_tight",
     "is_resolved",
     "complete_factor",
@@ -175,6 +176,13 @@ class Scenario:
             and self.T == other.T
             and dict(self.ord) == dict(other.ord)
             and self.M == other.M
+        )
+
+    def __hash__(self) -> int:
+        # ord is a dict, so hash its items as a set, as __eq__ compares them.
+        return hash(
+            (self.board, self.d, self.B, self.H, self.S, self.T,
+             frozenset(self.ord.items()), self.M)
         )
 
 
@@ -365,33 +373,48 @@ def validate_scenario(c: Scenario) -> List[Violation]:
                     out.append(Violation(rule, 8, (s, t), detail))
                     break
 
-    # Issue 9: heavy jib sets pin down a unique top-dimensional singular
-    # node above each singular node they cover.
-    for s in sorted(c.S):
-        uppers = c.jib_uppers(s)
+    out.extend(heavy_jib_violations(b, c.d, c.H, c.S, c.M))
+    return out
+
+
+def heavy_jib_violations(
+    board: Board, d: int, H: FrozenSet[NodeId], S: FrozenSet[NodeId], M: FactorSet
+) -> List[Violation]:
+    """Scenario issue 9: heavy jib sets pin down a unique singular node of
+    dimension d - |K| above each singular node they cover.
+
+    The check reads the board, d, H, S and M, never the orders, so a caller
+    that knows those parts of a scenario can run it before choosing orders.
+    ``validate_scenario`` reports exactly this list as its issue-9 findings.
+    """
+    out: List[Violation] = []
+    singular = sorted(S)
+    jibs = sorted(H)
+    for s in singular:
+        uppers = tuple(h for h in jibs if board.leq(s, h))
         # Weights are nonnegative, so no subset can reach mass 1 unless the
         # whole upper set does; skip the exponential scan when it cannot.
-        if not c.M.max_sum_over(uppers) >= 1:
+        if not M.max_sum_over(uppers) >= 1:
             continue
         for K in _subsets(uppers):
             if not K:
                 continue
-            if not c.M.max_sum_over(K) >= 1:
+            if not M.max_sum_over(K) >= 1:
                 continue
             hits = [
                 t
-                for t in sorted(c.S)
-                if b.leq(s, t)
-                and all(b.leq(t, h) for h in K)
-                and b.dim(t) == c.d - len(K)
+                for t in singular
+                if board.leq(s, t)
+                and all(board.leq(t, h) for h in K)
+                and board.dim(t) == d - len(K)
             ]
             if len(hits) != 1:
                 out.append(
                     Violation(
-                        rule,
+                        "scenario",
                         9,
                         (s,) + K,
-                        f"expected exactly one dim-{c.d - len(K)} singular node above {s} "
+                        f"expected exactly one dim-{d - len(K)} singular node above {s} "
                         f"below {{{', '.join(K)}}}, found {len(hits)}",
                     )
                 )

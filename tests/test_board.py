@@ -1,5 +1,6 @@
 """Boards: construction, order queries, invariants, transforms, JSON, DOT."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from salmagundy.board import (
     REFINEMENT,
     Board,
     BoardTransform,
+    Violation,
     board_from_json,
     board_to_dot,
     board_to_json,
@@ -230,6 +232,23 @@ def test_transform_issue_1_embed_outside_fiber(chain_board):
     embed = dict(t.embed, p="q1")  # u(q1) is p, but q1 does not dominate e0
     got = _issues(_swap(t, embed=embed))
     assert 1 in got
+
+
+def test_transform_check_is_memoized_per_instance(chain_board):
+    t = _chain_blowup(chain_board)
+    clean = validate_board_transform(t)
+    assert clean == []
+    clean.append(Violation("board-transform", 1, (), "added by the caller"))
+    assert validate_board_transform(t) == []
+    # replace() builds a new instance, so the broken embedding is checked
+    # afresh rather than answered from the clean original's memo
+    broken = dataclasses.replace(t, embed=dict(t.embed, p="q1"))
+    found = validate_board_transform(broken)
+    assert 1 in {v.issue for v in found}
+    want = list(found)
+    found.clear()
+    assert validate_board_transform(broken) == want
+    assert validate_board_transform(t) == []
 
 
 def test_transform_issue_1_retract_disagrees(chain_board):

@@ -7,23 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salmagundy import mephisto
 from salmagundy.board import Board, Violation
-from salmagundy.game import GameState, Move, Quest, validate_bundle
-from salmagundy.harness import gen_board
+from salmagundy.dido import DidoStrategy
+from salmagundy.game import GameState, Move, Quest, apply_round, new_game, validate_bundle
+from salmagundy.harness import gen_board, gen_scenario
 from salmagundy.mephisto import (
     _KEEP_ENUM_LIMIT,
     CapError,
     NoValidBundle,
     Policy,
+    _assemble_blowup,
+    _blowup_jibs,
     _bundle_score,
     _down_closed_keeps,
+    _root_keep_max,
+    _root_response,
     _shrink_keep,
+    blowup_transform,
+    blowup_uppers,
     enumerate_blowup_bundles,
     respond,
 )
 from salmagundy.quests import quotient_response, transversality_response
-from salmagundy.scenario import zero_factor
-from salmagundy.transform import QuestRelation
+from salmagundy.scenario import FactorSet, heavy_jib_violations, zero_factor
+from salmagundy.transform import QuestRelation, validate_blowup_transform
 
 
 def _root_state(scenario):
@@ -209,6 +217,111 @@ def test_shrink_keep(blown_chain_board):
     assert _shrink_keep(blown_chain_board, keep, graze) == frozenset({"q1"})
     miss = [Violation("scenario", 9, ("w",), "")]
     assert _shrink_keep(blown_chain_board, keep, miss) is None
+
+
+# ---- the issue-9 sieve per keep set ---------------------------------------------
+
+
+def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
+    """Reference: build, order-assign and sieve every keep at every bump
+    level, reading the candidate cap at call time."""
+    board = state.board
+    root = state.root.scenario
+    ts = blowup_uppers(board, z)
+    cap = policy.max_new_nodes
+    if enumerate_boards:
+        subsets = [
+            list(sub)
+            for size in range(len(ts), -1, -1)
+            for sub in itertools.combinations(ts, size)
+        ]
+        subsets = [sub for sub in subsets if cap is None or 1 + len(sub) <= cap]
+    else:
+        subsets = [ts]
+    examined = 0
+    for sub in subsets:
+        bt = blowup_transform(board, z, sub, cap)
+        keep_max = _root_keep_max(root, bt)
+        keeps = _down_closed_keeps(bt.target, keep_max)
+        repair = len(keep_max) > _KEEP_ENUM_LIMIT
+        tried = set(keeps)
+        while keeps:
+            keep = keeps.pop(0)
+            yielded = []
+            for level in policy.bump_levels():
+                examined += 1
+                if examined > mephisto._CANDIDATE_CAP:
+                    return
+                bump = Fraction(level, root.B)
+                root_new = _root_response(root, bt, keep, bump)
+                if root_new is None:
+                    continue
+                if not repair and validate_blowup_transform(root, bt, root_new):
+                    continue
+                bundle = _assemble_blowup(state, bt, root_new, bump)
+                if bundle is None or bundle.responses in yielded:
+                    continue
+                violations = validate_bundle(
+                    state, Move.blowup(z), bundle, first_only=not repair
+                )
+                if not violations:
+                    yielded.append(bundle.responses)
+                    yield bundle
+                elif repair:
+                    smaller = _shrink_keep(bt.target, keep, violations)
+                    if smaller is not None and smaller not in tried:
+                        tried.add(smaller)
+                        keeps.append(smaller)
+
+
+def _adversarial_state(seed, rounds):
+    """The state of an adversarial game after ``rounds`` rounds, and Dido's
+    next move there."""
+    policy = Policy.parse("adversarial")
+    state = new_game(gen_scenario(seed))
+    dido = DidoStrategy()
+    while state.round_no < rounds:
+        move = dido.decide(state)
+        bundle = respond(state, move, policy)
+        dido.observe(state, move, bundle, apply_round(state, move, bundle))
+    return state, dido.decide(state)
+
+
+def _issue_9_keeps(state, z):
+    """Indices of the full blowup's keeps whose root response fails issue 9."""
+    root = state.root.scenario
+    bt = blowup_transform(state.board, z)
+    H1, gens1 = _blowup_jibs(root, bt)
+    M1 = FactorSet.of(gens1)
+    keeps = _down_closed_keeps(bt.target, _root_keep_max(root, bt))
+    return [
+        i for i, keep in enumerate(keeps)
+        if heavy_jib_violations(bt.target, root.d, H1, keep, M1)
+    ]
+
+
+@pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11), (24, 16)])
+@pytest.mark.parametrize("kind", ["adversarial", "canonical"])
+def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
+    monkeypatch, seed, rounds, kind
+):
+    state, move = _adversarial_state(seed, rounds)
+    assert move.kind == "blowup"
+    z = move.center
+    policy = Policy.parse(kind)
+    levels = len(policy.bump_levels())
+    failing = _issue_9_keeps(state, z)
+    assert failing
+    # caps on both edges of, and inside, the first failing keeps' levels
+    caps = {0, 1, 10**6}
+    for i in failing[:3]:
+        caps |= set(range(levels * i - 1, levels * (i + 1) + 2))
+    for cap in sorted(c for c in caps if c >= 0):
+        monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", cap)
+        for boards in (False, True):
+            got = list(enumerate_blowup_bundles(state, z, policy, boards))
+            want = list(_per_candidate_blowup_bundles(state, z, policy, boards))
+            assert got == want, (cap, boards)
 
 
 # ---- call responses -----------------------------------------------------------

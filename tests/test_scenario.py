@@ -1,11 +1,20 @@
 """Scenarios: factors, the nine validity checks, predicates, JSON."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from salmagundy.board import Board
 from salmagundy.harness import gen_scenario
+from salmagundy.mephisto import (
+    _down_closed_keeps,
+    _root_keep_max,
+    _root_response,
+    blowup_transform,
+)
 from salmagundy.scenario import (
     FactorSet,
     MonomialFactor,
@@ -15,6 +24,7 @@ from salmagundy.scenario import (
     extend_factor,
     factor_from_json,
     factor_to_json,
+    heavy_jib_violations,
     is_monomial,
     is_resolved,
     is_tight,
@@ -23,6 +33,7 @@ from salmagundy.scenario import (
     validate_scenario,
     zero_factor,
 )
+from salmagundy.transform import validate_blowup_transform
 from salmagundy.values import INF
 
 
@@ -232,6 +243,64 @@ def test_issue_9_heavy_jib_set_without_witness(crossing_scenario):
     assert _issues(c) == {9}
 
 
+def _issue_9(c):
+    return [v for v in validate_scenario(c) if v.issue == 9]
+
+
+def _heavy(c):
+    return heavy_jib_violations(c.board, c.d, c.H, c.S, c.M)
+
+
+def _blowup_walk(seed, steps=4):
+    """A generated scenario and its root blowup responses over a few rounds:
+    every keep set at every bump level, valid or not, each round continuing
+    from a randomly picked valid response."""
+    rng = random.Random(seed)
+    c = gen_scenario(seed)
+    yield c
+    for _ in range(steps):
+        centers = sorted(admissible_centers(c))
+        if not centers:
+            return
+        bt = blowup_transform(c.board, rng.choice(centers))
+        valid = []
+        for keep in _down_closed_keeps(bt.target, _root_keep_max(c, bt)):
+            for level in range(3):
+                c1 = _root_response(c, bt, keep, Fraction(level, c.B))
+                if c1 is None:
+                    continue
+                yield c1
+                if not validate_blowup_transform(c, bt, c1):
+                    valid.append(c1)
+        if not valid:
+            return
+        c = rng.choice(valid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**4), data=st.data())
+@example(seed=6, data=None)
+@example(seed=26, data=None)
+def test_heavy_jib_violations_are_issue_9_and_ignore_orders(seed, data):
+    for c in _blowup_walk(seed):
+        assert not [v for v in validate_scenario(c) if v.issue == "structure"]
+        found = _heavy(c)
+        assert found == _issue_9(c)
+        # replacing every order leaves the issue-9 findings alone
+        values = [INF, Fraction(0), Fraction(1), 1 + Fraction(1, c.B), Fraction(5)]
+        if data is None:
+            new = {s: values[i % len(values)] for i, s in enumerate(sorted(c.S))}
+        else:
+            new = {s: data.draw(st.sampled_from(values)) for s in sorted(c.S)}
+        assert _issue_9(_remake(c, ord=new)) == found
+
+
+def test_blowup_walks_reach_issue_9():
+    # the property above is not vacuous: seeds 6 and 26 meet heavy jib sets
+    for seed in (6, 26):
+        assert any(_heavy(c) for c in _blowup_walk(seed))
+
+
 # ---- predicates -------------------------------------------------------------
 
 
@@ -273,6 +342,14 @@ def test_generated_scenarios_are_valid():
     for seed in range(40):
         c = gen_scenario(seed)
         assert validate_scenario(c) == [], f"seed {seed}"
+
+
+def test_equal_scenarios_hash_alike():
+    c = next(c for c in map(gen_scenario, range(40)) if len(c.S) >= 2)
+    swapped = _remake(c, ord=dict(reversed(list(c.ord.items()))))
+    assert list(swapped.ord) != list(c.ord)
+    assert swapped == c and hash(swapped) == hash(c)
+    assert len({c, swapped, _remake(c, ord={s: Fraction(7) for s in c.S})}) == 2
 
 
 # ---- serialization ----------------------------------------------------------
