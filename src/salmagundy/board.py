@@ -6,19 +6,23 @@ two kinds, refinement and blowup, each given by an embedding ``i`` of the
 source into the target and a retract ``u`` back; the seven numbered checks
 of ``validate_board_transform`` police them.
 
-Everything here is immutable after construction and safe to share.
+Everything here is immutable after construction and safe to share. That is
+what lets a check be answered once: ``_memo`` stores a check's verdict on the
+value it describes, and the package's rule checks use it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "NodeId",
     "Violation",
+    "FrozenDict",
     "Board",
     "BoardTransform",
     "validate_board",
@@ -55,6 +59,62 @@ class Violation:
     def __str__(self) -> str:
         w = ", ".join(self.witness)
         return f"[{self.rule} / issue {self.issue}] {self.detail} (witness: {w})"
+
+
+class FrozenDict(dict):
+    """A dict that refuses every change after construction.
+
+    It hashes like the frozenset of its items, so it agrees with ``==``.
+    ``copy`` and ``deepcopy`` share it instead of rebuilding it, which also
+    keeps the identity of the ``INF`` values it holds.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __copy__(self) -> "FrozenDict":
+        return self
+
+    def __deepcopy__(self, memo) -> "FrozenDict":
+        return self
+
+
+def _memo(owner, others: tuple, check: Callable, *args):
+    """``check(*args)``, evaluated once per identical ``owner`` and ``others``.
+
+    The verdict is stored on ``owner``, an immutable value the check
+    describes, one per ``check``, together with the identity of ``others``:
+    it answers only a call with those very objects, and an equal but
+    distinct input is checked afresh. ``others`` are held by weak reference,
+    so a memo never keeps another object (say, the scenario of an earlier
+    round) alive. A list of violations is stored as a tuple and every call
+    gets a fresh list; any other verdict must be immutable and is returned
+    as it is.
+    """
+    # object.__setattr__, not owner.__dict__: reading __dict__ would turn the
+    # instance's inline attribute values into a dict and slow every later
+    # attribute read of the scenario.
+    memo = getattr(owner, "_memo", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(owner, "_memo", memo)
+    hit = memo.get(check)
+    if hit is not None and all(ref() is x for ref, x in zip(hit[0], others)):
+        verdict = hit[1]
+    else:
+        verdict = check(*args)
+        if isinstance(verdict, list):
+            verdict = tuple(verdict)
+        memo[check] = (tuple(map(weakref.ref, others)), verdict)
+    return list(verdict) if isinstance(verdict, tuple) else verdict
 
 
 _FRESH_RE = re.compile(r"^[eq](\d+)$")
@@ -265,7 +325,8 @@ class BoardTransform:
     """A refinement or blowup: target board plus the (i, u) map pair.
 
     For blowups, ``center`` is the blown-up source node and the exceptional
-    node is its image ``embed[center]``.
+    node is its image ``embed[center]``. The maps are frozen on construction,
+    so a transform is a hashable value that never changes.
     """
 
     kind: str
@@ -274,6 +335,12 @@ class BoardTransform:
     embed: Mapping[NodeId, NodeId]
     retract: Mapping[NodeId, NodeId]
     center: Optional[NodeId] = None
+
+    def __post_init__(self) -> None:
+        for name in ("embed", "retract"):
+            m = getattr(self, name)
+            if not isinstance(m, FrozenDict):
+                object.__setattr__(self, name, FrozenDict(m))
 
     @property
     def exceptional(self) -> NodeId:
@@ -295,8 +362,8 @@ class BoardTransform:
 
 def trivial_refinement(b: Board) -> BoardTransform:
     """The identity transform on b."""
-    ident = {s: s for s in b.ids}
-    return BoardTransform(REFINEMENT, b, b, dict(ident), dict(ident))
+    ident = FrozenDict((s, s) for s in b.ids)
+    return BoardTransform(REFINEMENT, b, b, ident, ident)
 
 
 def validate_board_transform(t: BoardTransform) -> List[Violation]:
@@ -310,15 +377,9 @@ def validate_board_transform(t: BoardTransform) -> List[Violation]:
     The checks read only the transform, so each instance is checked once:
     Mephisto validates every candidate bundle of one blown-up board against
     the same transform. ``dataclasses.replace`` builds a new instance, which
-    is checked afresh; the maps must not be mutated after the first call.
-    Every call returns a fresh list.
+    is checked afresh. Every call returns a fresh list.
     """
-    cached = getattr(t, "_violations_memo", None)
-    if cached is None:
-        cached = tuple(_check_board_transform(t))
-        # BoardTransform is frozen; stash the answer on the instance.
-        object.__setattr__(t, "_violations_memo", cached)
-    return list(cached)
+    return _memo(t, (), _check_board_transform, t)
 
 
 def _check_board_transform(t: BoardTransform) -> List[Violation]:

@@ -230,8 +230,10 @@ def _cmd_explore(args) -> int:
         f"leaves={report.leaf_count} wins={report.win_count} "
         f"max_depth={report.max_depth}"
     )
+    for reason in report.truncated:
+        print(f"truncated: {reason}")
     if report.all_won:
-        return EXIT_OK
+        return EXIT_CAP if report.truncated else EXIT_OK
     if report.counterexample:
         sys.stderr.write("\n".join(report.counterexample) + "\n")
     return EXIT_CAP if report.max_depth >= args.depth_cap else EXIT_VIOLATIONS

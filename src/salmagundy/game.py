@@ -7,6 +7,11 @@ discard where the center closed the quest). ``validate_bundle`` is the single
 gate: a round is applied only when every response satisfies its transform
 rules and every parent/child pair still satisfies the relation created by
 the original call.
+
+Checks are pure functions of immutable objects, and each is answered once per
+identical inputs. Mephisto sieves candidates with ``validate_bundle``, and
+``apply_round`` checks the chosen bundle again, with the very same scenario
+and transform objects; the second check finds every verdict stored.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .board import (
     board_to_json,
     validate_board,
     validate_board_transform,
+    _memo,
 )
 from .quests import (
     descent_check,
@@ -190,6 +196,12 @@ def validate_bundle(
 
     ``first_only`` stops at the first offending quest; policies use it while
     sieving candidates, where only emptiness matters.
+
+    Every rule check behind this gate is a pure function of immutable
+    objects, answered once per identical inputs: the verdicts are stored on
+    the responses (and on a call round's child), keyed by the identity of
+    the other inputs. Checking a bundle again costs a lookup per quest;
+    an equal but distinct object is checked afresh.
     """
     if move.kind == CALL:
         return _validate_call(state, move, bundle)
@@ -233,6 +245,18 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
 
     parent_sc = quest.scenario
     child_sc = bundle.child
+    out.extend(
+        _memo(child_sc, (parent_sc, rel, bt), _check_call_child, parent_sc, rel, bt, child_sc)
+    )
+    return out
+
+
+def _check_call_child(
+    parent_sc: Scenario, rel: QuestRelation, bt: BoardTransform, child_sc: Scenario
+) -> List[Violation]:
+    """The call's relation between the parent's scenario and the child's,
+    and the child's own validity."""
+    out: List[Violation] = []
     try:
         if rel.kind == TRANSVERSALITY:
             out.extend(transversality_check(parent_sc, rel.jibs, child_sc))

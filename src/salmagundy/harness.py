@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -268,6 +268,9 @@ class ExploreReport:
     win_count: int
     max_depth: int
     counterexample: Optional[List[str]] = None  # trace of the first bad leaf
+    # Why the search was not exhaustive: one reason per capped or repaired
+    # blowup enumeration. Empty when every bundle in the capped space was tried.
+    truncated: List[str] = field(default_factory=list)
 
 
 def explore(
@@ -281,6 +284,9 @@ def explore(
     Dido's move is a function of the state, so each tree node has one move
     and branches only on Mephisto's answer. Bundles come out of the
     enumerators in a deterministic order; the counts are reproducible.
+    ``truncated`` lists every place where the blowup enumeration was cut
+    short, so ``all_won`` speaks for the whole capped space only when it is
+    empty.
     """
     policy = Policy(
         kind="explore", max_new_nodes=max_new_nodes, max_order_steps=max_order_steps
@@ -312,7 +318,8 @@ def explore(
             variants = enumerate_call_bundles(state, move, policy)
         else:
             variants = enumerate_blowup_bundles(
-                state, move.center, policy, enumerate_boards=True
+                state, move.center, policy, enumerate_boards=True,
+                truncated=report.truncated,
             )
         any_bundle = False
         for bundle in variants:

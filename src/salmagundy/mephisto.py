@@ -473,13 +473,22 @@ def _shrink_keep(
 
 
 def enumerate_blowup_bundles(
-    state: GameState, z: NodeId, policy: Policy, enumerate_boards: bool = False
+    state: GameState,
+    z: NodeId,
+    policy: Policy,
+    enumerate_boards: bool = False,
+    truncated: Optional[List[str]] = None,
 ) -> Iterator[Bundle]:
     """Valid bundles for a blowup at z, largest-keep and lowest-orders first.
 
     Policies answer on the full blowup board (raising CapError when it busts
     max_new_nodes); with ``enumerate_boards`` every fitting subset of fresh
     nodes is tried, largest first, which is how the explorer branches.
+
+    The stream is not exhaustive when it stops at ``_CANDIDATE_CAP`` or when
+    a keep set is too wide to enumerate and is repaired instead. When that
+    happens, a reason is added to ``truncated`` (if given and not already
+    there).
 
     Each keep is sieved once on scenario issue 9 before any orders are
     assigned. That check reads only the root response's board, d, H, S and M;
@@ -508,11 +517,28 @@ def enumerate_blowup_bundles(
         subsets = [ts]  # may raise CapError below
     levels = policy.bump_levels()
     examined = 0
+
+    def note(reason: str) -> None:
+        reason = f"round {state.round_no + 1}, blowup at {z}: {reason}"
+        if truncated is not None and reason not in truncated:
+            truncated.append(reason)
+
+    def capped() -> bool:
+        if examined > _CANDIDATE_CAP:
+            note(f"stopped after {_CANDIDATE_CAP} candidates")
+            return True
+        return False
+
     for sub in subsets:
         bt = blowup_transform(board, z, sub, cap)
         keep_max = _root_keep_max(root, bt)
         keeps = _down_closed_keeps(bt.target, keep_max)
         repair = len(keep_max) > _KEEP_ENUM_LIMIT
+        if repair:
+            note(
+                f"{len(keep_max)} keepable nodes exceed {_KEEP_ENUM_LIMIT}; keep sets "
+                "were repaired, not enumerated"
+            )
         H1, gens1 = _blowup_jibs(root, bt)
         M1 = FactorSet.of(gens1)
         tried = set(keeps)
@@ -523,7 +549,7 @@ def enumerate_blowup_bundles(
                 # so the sieve below would reject each one on scenario issue 9.
                 # Count them as examined, so the cap fires where it did.
                 examined += len(levels)
-                if examined > _CANDIDATE_CAP:
+                if capped():
                     return
                 continue
             # The root's singular set is the keep, so bundles can only repeat
@@ -531,7 +557,7 @@ def enumerate_blowup_bundles(
             yielded: List[Dict[int, Scenario]] = []
             for level in levels:
                 examined += 1
-                if examined > _CANDIDATE_CAP:
+                if capped():
                     return
                 bump = Fraction(level, root.B)
                 root_new = _root_response(root, bt, keep, bump)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .board import Board, NodeId, Violation
+from .board import Board, FrozenDict, NodeId, Violation, _memo
 from .values import INF, Value, format_value, parse_value
 
 __all__ = [
@@ -114,21 +114,28 @@ class FactorSet:
 
     def max_sum_over(self, K: Iterable[NodeId]) -> Value:
         """max over generators of the total weight on K (0 when K is empty)."""
-        Kl = list(K)
-        best: Value = Fraction(0)
-        for g in self.generators:
-            w = g.as_dict()
-            total: Value = Fraction(0)
-            for h in Kl:
-                total = total + w.get(h, Fraction(0))
-            if total > best:
-                best = total
-        return best
+        return _max_mass([g.as_dict() for g in self.generators], list(K))
+
+
+def _max_mass(weights: List[Dict[NodeId, Value]], K: Iterable[NodeId]) -> Value:
+    """max over the weight maps of their total on K (0 when K is empty)."""
+    best: Value = Fraction(0)
+    for w in weights:
+        total: Value = Fraction(0)
+        for h in K:
+            total = total + w.get(h, Fraction(0))
+        if total > best:
+            best = total
+    return best
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One quest's state: (d, B, H, S, T, ord, M) on a board."""
+    """One quest's state: (d, B, H, S, T, ord, M) on a board.
+
+    ``ord`` is frozen on construction, so a scenario is a hashable value that
+    never changes, and checks may memoize their verdicts on it.
+    """
 
     board: Board
     d: int
@@ -158,32 +165,15 @@ class Scenario:
             if v is not INF and not isinstance(v, Fraction):
                 v = Fraction(v)
             fixed[s] = v
-        return cls(board, d, B, frozenset(H), frozenset(S), frozenset(T), fixed, M)
+        return cls(board, d, B, frozenset(H), frozenset(S), frozenset(T), FrozenDict(fixed), M)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.ord, FrozenDict):
+            object.__setattr__(self, "ord", FrozenDict(self.ord))
 
     def jib_uppers(self, s: NodeId) -> Tuple[NodeId, ...]:
         """The jibs lying above s, sorted."""
         return tuple(h for h in sorted(self.H) if self.board.leq(s, h))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.board == other.board
-            and self.d == other.d
-            and self.B == other.B
-            and self.H == other.H
-            and self.S == other.S
-            and self.T == other.T
-            and dict(self.ord) == dict(other.ord)
-            and self.M == other.M
-        )
-
-    def __hash__(self) -> int:
-        # ord is a dict, so hash its items as a set, as __eq__ compares them.
-        return hash(
-            (self.board, self.d, self.B, self.H, self.S, self.T,
-             frozenset(self.ord.items()), self.M)
-        )
 
 
 def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
@@ -212,7 +202,14 @@ def validate_scenario(c: Scenario) -> List[Violation]:
     drop below jib sets (with forced transversality at equality), 6 orders
     dominate factors, 7 factor-set representation, 8 residual order weakly
     decreasing, 9 unique maximal node under heavy jib sets.
+
+    The checks read only the scenario, so each instance is checked once.
+    Every call returns a fresh list.
     """
+    return _memo(c, (), _check_scenario, c)
+
+
+def _check_scenario(c: Scenario) -> List[Violation]:
     out: List[Violation] = []
     b = c.board
     rule = "scenario"
@@ -390,16 +387,17 @@ def heavy_jib_violations(
     out: List[Violation] = []
     singular = sorted(S)
     jibs = sorted(H)
+    weights = [g.as_dict() for g in M.generators]
     for s in singular:
         uppers = tuple(h for h in jibs if board.leq(s, h))
         # Weights are nonnegative, so no subset can reach mass 1 unless the
         # whole upper set does; skip the exponential scan when it cannot.
-        if not M.max_sum_over(uppers) >= 1:
+        if not _max_mass(weights, uppers) >= 1:
             continue
         for K in _subsets(uppers):
             if not K:
                 continue
-            if not M.max_sum_over(K) >= 1:
+            if not _max_mass(weights, K) >= 1:
                 continue
             hits = [
                 t
@@ -451,10 +449,14 @@ def is_monomial(c: Scenario) -> bool:
 
 def admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
     """Nodes Dido may blow up for this scenario: transversal, not the top,
-    and either singular or remote from everything singular."""
-    cached = getattr(c, "_admissible_memo", None)
-    if cached is not None:
-        return cached
+    and either singular or remote from everything singular.
+
+    Validation asks for the same scenario's centers once per candidate
+    bundle, so each instance computes them once."""
+    return _memo(c, (), _admissible_centers, c)
+
+
+def _admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
     b = c.board
     top = b.top
     out = set()
@@ -463,11 +465,7 @@ def admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
             continue
         if z in c.S or all(b.remote(z, s) for s in c.S):
             out.add(z)
-    result = frozenset(out)
-    # Scenario is frozen; stash the answer on the instance since validation
-    # asks for the same scenario's centers once per candidate bundle.
-    object.__setattr__(c, "_admissible_memo", result)
-    return result
+    return frozenset(out)
 
 
 # ---- serialization -----------------------------------------------------

@@ -9,6 +9,12 @@ compares against it. ``commutes`` checks the square linking a parent quest
 and a child created by an earlier call: after a blowup, the child's new
 scenario must simultaneously be the call-construction applied to the
 parent's new scenario and a legal transform of the child's old scenario.
+
+Checks are pure functions of immutable objects, and each is answered once per
+identical inputs: ``validate_blowup_transform`` stores its verdict on the new
+scenario and ``commutes`` on the child's new scenario, keyed by the identity
+of the other arguments (``board._memo``). Mephisto's sieve and the umpire
+check the same bundle objects, so the umpire's second look is a lookup.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional
 
-from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation
+from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation, _memo
 from .quests import (
     quotient_check,
     relaxation_check,
@@ -171,9 +177,17 @@ def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> Mono
 
 
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
-    """Joint items 1-2 and blowup items 7-15, plus validity of the result."""
+    """Joint items 1-2 and blowup items 7-15, plus validity of the result.
+
+    The verdict is stored on ``c1`` for this very ``c`` and ``bt``; every
+    call returns a fresh list.
+    """
     if bt.kind != BLOWUP:
         raise ValueError("expected a blowup transform")
+    return _memo(c1, (c, bt), _check_blowup_transform, c, bt, c1)
+
+
+def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
     out = _joint_items(c, bt, c1)
     if any(v.issue == "structure" for v in out):
         return out
@@ -382,7 +396,26 @@ def commutes(
     when the child is discarded). Relation-side failures are reported under
     rule "commutativity" with the call kind's issue number; transform-side
     failures keep their own rule tags.
+
+    The verdict is stored on ``c1_prime`` for these very other arguments;
+    without a child response it is computed directly. Every call returns a
+    fresh list.
     """
+    if c1_prime is None:
+        return _check_commutes(rel, c, c1, c_prime, c1_prime, bt)
+    return _memo(
+        c1_prime, (rel, c, c1, c_prime, bt), _check_commutes, rel, c, c1, c_prime, c1_prime, bt
+    )
+
+
+def _check_commutes(
+    rel: QuestRelation,
+    c: Scenario,
+    c1: Scenario,
+    c_prime: Scenario,
+    c1_prime: Optional[Scenario],
+    bt: BoardTransform,
+) -> List[Violation]:
     if c.board != bt.source or c1.board != bt.source or c_prime.board != bt.target:
         raise ValueError("commutativity check: boards do not line up")
     issue = _COMM_ISSUE[rel.kind]

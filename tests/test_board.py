@@ -1,5 +1,6 @@
 """Boards: construction, order queries, invariants, transforms, JSON, DOT."""
 
+import copy
 import dataclasses
 import random
 
@@ -249,6 +250,29 @@ def test_transform_check_is_memoized_per_instance(chain_board):
     found.clear()
     assert validate_board_transform(broken) == want
     assert validate_board_transform(t) == []
+
+
+def test_transform_maps_are_read_only_and_hashable():
+    board = gen_board(1)
+    z = next(s for s in board.ids if s != board.top)
+    t = blowup_transform(board, z)
+    with pytest.raises(TypeError):
+        t.embed[z] = "zzz"
+    with pytest.raises(TypeError):
+        t.retract.update({z: z})
+    with pytest.raises(TypeError):
+        del t.embed[z]
+    twin = blowup_transform(board, z)
+    assert twin == t and twin is not t and hash(twin) == hash(t)
+    assert len({t, twin, trivial_refinement(board)}) == 2
+    # a transform built from plain dicts freezes them too
+    plain = _swap(t)
+    assert plain == t and hash(plain) == hash(t)
+    with pytest.raises(TypeError):
+        plain.embed[z] = "zzz"
+    # copies share the frozen maps rather than rebuilding them
+    assert copy.deepcopy(t.embed) is t.embed and copy.copy(t.retract) is t.retract
+    assert copy.deepcopy({"plan": [t.embed]})["plan"][0] is t.embed
 
 
 def test_transform_issue_1_retract_disagrees(chain_board):

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 violations, 2 a cap was hit, 3 usage errors.
 
 import json
 
-from salmagundy import cli, scenario_to_json
+from salmagundy import cli, mephisto, scenario_to_json
 
 
 def run(capsys, *argv):
@@ -156,6 +156,25 @@ def test_explore(capsys):
     assert out.startswith("all_won=true ")
     code, _, _ = run(capsys, "explore", "--seed", 0, "--depth-cap", 1)
     assert code == cli.EXIT_CAP
+
+
+def test_explore_reports_a_capped_search(capsys, monkeypatch):
+    code, full, _ = run(capsys, "explore", "--seed", 4)
+    assert code == cli.EXIT_OK and "truncated" not in full
+    monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", 5)
+    code, out, _ = run(capsys, "explore", "--seed", 4)
+    assert code == cli.EXIT_CAP
+    summary, *reasons = out.splitlines()
+    assert summary.startswith("all_won=true ")
+    assert reasons and all(r.startswith("truncated: round ") for r in reasons)
+    assert any("stopped after 5 candidates" in r for r in reasons)
+
+
+def test_explore_reports_repaired_keep_sets(capsys, monkeypatch):
+    monkeypatch.setattr(mephisto, "_KEEP_ENUM_LIMIT", 0)
+    code, out, _ = run(capsys, "explore", "--seed", 4)
+    assert code == cli.EXIT_CAP
+    assert "keep sets were repaired, not enumerated" in out
 
 
 # ---- export --------------------------------------------------------------------

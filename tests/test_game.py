@@ -1,10 +1,14 @@
 """The umpire: bundle validation, round application, traces, replay."""
 
+import dataclasses
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from salmagundy import harness, transform
 from salmagundy.board import trivial_refinement
 from salmagundy.game import (
     Bundle,
@@ -25,11 +29,19 @@ from salmagundy.game import (
     trace_header,
     validate_bundle,
 )
-from salmagundy.harness import play_game
-from salmagundy.mephisto import Policy, blowup_transform, respond
+from salmagundy.dido import DidoStrategy
+from salmagundy.harness import gen_scenario, play_game
+from salmagundy.mephisto import (
+    Policy,
+    blowup_transform,
+    enumerate_blowup_bundles,
+    enumerate_call_bundles,
+    respond,
+)
 from salmagundy.quests import transversality_response
 from salmagundy.scenario import zero_factor
-from salmagundy.transform import QuestRelation
+from salmagundy.transform import QuestRelation, validate_blowup_transform
+from salmagundy.values import is_finite
 
 
 def _bundle_tags(violations):
@@ -312,3 +324,97 @@ def test_trace_header_contents(chain_scenario):
     assert data["header"]["policy"] == "random"
     assert data["header"]["seed"] == 5
     assert data["header"]["scenario"]["d"] == chain_scenario.d
+
+
+# ---- memoized checks ----------------------------------------------------------------
+
+
+def _raised(c, s):
+    """An equal copy of c, except that ord(s) is one grid step higher."""
+    ords = dict(c.ord)
+    ords[s] = ords[s] + Fraction(1, c.B)
+    return dataclasses.replace(c, ord=ords)
+
+
+def _seed9_first_blowup():
+    """Seed 9 opens with a blowup whose canonical root response has a finite
+    order pinned by transform item 10."""
+    st = new_game(gen_scenario(9))
+    mv = DidoStrategy().decide(st)
+    assert mv.kind == "blowup"
+    bundle = next(enumerate_blowup_bundles(st, mv.center, Policy()))
+    return st, mv, bundle
+
+
+def test_sieved_verdicts_never_pass_to_a_distinct_response():
+    st, mv, bundle = _seed9_first_blowup()
+    root = bundle.responses[0]
+    assert validate_bundle(st, mv, bundle) == []  # the sieve's verdicts, reused
+    s = min(x for x in root.S if is_finite(root.ord[x]))
+    swapped = dataclasses.replace(bundle, responses={**bundle.responses, 0: _raised(root, s)})
+    got = validate_bundle(st, mv, swapped)
+    assert ("scenario-transform", 10) in {(v.rule, v.issue) for v in got}
+    with pytest.raises(BundleError):
+        apply_round(st, mv, swapped)
+    assert validate_bundle(st, mv, bundle) == []
+
+
+def test_call_verdicts_never_pass_to_a_distinct_child(crossing_scenario):
+    st = new_game(crossing_scenario)
+    mv = Move.call(0, QuestRelation.transversality({"h1", "h2"}))
+    bundle = next(enumerate_call_bundles(st, mv, Policy()))
+    assert validate_bundle(st, mv, bundle) == []
+    swapped = dataclasses.replace(bundle, child=_raised(bundle.child, "s"))
+    assert validate_bundle(st, mv, swapped) != []
+    assert validate_bundle(st, mv, bundle) == []
+
+
+def test_equal_but_distinct_response_is_checked_afresh(monkeypatch):
+    st, _, bundle = _seed9_first_blowup()
+    root, bt = st.root.scenario, bundle.transform
+    new = bundle.responses[0]
+    seen = []
+    check = transform.validate_scenario
+    monkeypatch.setattr(transform, "validate_scenario", lambda c: seen.append(c) or check(c))
+    assert validate_blowup_transform(root, bt, new) == []
+    assert seen == []  # the sieve already checked this very response
+    twin = dataclasses.replace(new)
+    assert twin == new and twin is not new
+    assert validate_blowup_transform(root, bt, twin) == []
+    assert len(seen) == 1 and seen[0] is twin
+    assert validate_blowup_transform(root, bt, twin) == []
+    assert len(seen) == 1
+    # an equal but distinct old scenario is a different input as well
+    assert validate_blowup_transform(dataclasses.replace(root), bt, twin) == []
+    assert len(seen) == 2
+
+
+def test_mutating_a_returned_verdict_changes_nothing():
+    st, mv, bundle = _seed9_first_blowup()
+    root = bundle.responses[0]
+    s = min(x for x in root.S if is_finite(root.ord[x]))
+    swapped = dataclasses.replace(bundle, responses={**bundle.responses, 0: _raised(root, s)})
+    first = validate_bundle(st, mv, swapped)
+    want = list(first)
+    first.clear()
+    assert validate_bundle(st, mv, swapped) == want
+    ok = validate_bundle(st, mv, bundle)
+    ok.append(want[0])
+    assert validate_bundle(st, mv, bundle) == []
+
+
+def test_memos_do_not_keep_earlier_rounds_alive(monkeypatch):
+    first_round = []
+
+    def respond_and_watch(state, move, policy):
+        bundle = respond(state, move, policy)
+        if state.round_no == 0:
+            first_round.extend(weakref.ref(sc) for sc in bundle.responses.values())
+        return bundle
+
+    monkeypatch.setattr(harness, "respond", respond_and_watch)
+    result = play_game(gen_scenario(9), Policy())
+    assert result.won and result.rounds > 2 and first_round
+    gc.collect()
+    assert all(ref() is None for ref in first_round)
+    assert result.state.root.scenario is not None

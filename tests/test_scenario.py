@@ -352,6 +352,27 @@ def test_equal_scenarios_hash_alike():
     assert len({c, swapped, _remake(c, ord={s: Fraction(7) for s in c.S})}) == 2
 
 
+def test_scenario_orders_are_read_only(chain_scenario):
+    c = chain_scenario
+    for change in (
+        lambda o: o.__setitem__("p", Fraction(3)),
+        lambda o: o.__delitem__("p"),
+        lambda o: o.update(p=Fraction(3)),
+        lambda o: o.setdefault("q", Fraction(1)),
+        lambda o: o.pop("p"),
+        lambda o: o.popitem(),
+        lambda o: o.clear(),
+    ):
+        with pytest.raises(TypeError):
+            change(c.ord)
+    assert c.ord == {"p": 2}
+    # a scenario built from a plain dict freezes it too
+    raw = Scenario(c.board, c.d, c.B, c.H, c.S, c.T, {"p": Fraction(2)}, c.M)
+    with pytest.raises(TypeError):
+        raw.ord["p"] = Fraction(3)
+    assert raw == c and hash(raw) == hash(c)
+
+
 # ---- serialization ----------------------------------------------------------
 
 
