@@ -63,6 +63,7 @@ from .mephisto import (
     respond,
 )
 from .quests import (
+    QuestRelation,
     descent_check,
     quotient_bound,
     quotient_check,
@@ -88,7 +89,6 @@ from .scenario import (
     zero_factor,
 )
 from .transform import (
-    QuestRelation,
     capped_transport,
     child_survives,
     commutes,

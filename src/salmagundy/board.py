@@ -86,6 +86,9 @@ class FrozenDict(dict):
     def __deepcopy__(self, memo) -> "FrozenDict":
         return self
 
+    def __reduce__(self):
+        return (FrozenDict, (dict(self),))
+
 
 def _memo(owner, others: tuple, check: Callable, *args):
     """``check(*args)``, evaluated once per identical ``owner`` and ``others``.
@@ -115,6 +118,15 @@ def _memo(owner, others: tuple, check: Callable, *args):
             verdict = tuple(verdict)
         memo[check] = (tuple(map(weakref.ref, others)), verdict)
     return list(verdict) if isinstance(verdict, tuple) else verdict
+
+
+def _state_without_memo(owner) -> dict:
+    """``__getstate__`` of a ``_memo`` owner: its fields without the stored
+    verdicts, which hold weak references and describe this very instance, so
+    that no verdict crosses a pickle or a deep copy."""
+    state = dict(owner.__dict__)
+    state.pop("_memo", None)
+    return state
 
 
 _FRESH_RE = re.compile(r"^[eq](\d+)$")
@@ -191,6 +203,16 @@ class Board:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Board is immutable")
+
+    # Immutable: a copy is the board itself, a pickle rebuilds it from dims and covers.
+    def __copy__(self) -> "Board":
+        return self
+
+    def __deepcopy__(self, memo) -> "Board":
+        return self
+
+    def __reduce__(self):
+        return (Board, (self._dims, self._covers))
 
     # ---- basic queries -------------------------------------------------
 
@@ -341,6 +363,8 @@ class BoardTransform:
             m = getattr(self, name)
             if not isinstance(m, FrozenDict):
                 object.__setattr__(self, name, FrozenDict(m))
+
+    __getstate__ = _state_without_memo
 
     @property
     def exceptional(self) -> NodeId:

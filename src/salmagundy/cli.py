@@ -13,14 +13,7 @@ from typing import List, Optional
 
 from .board import Board, board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
-from .harness import (
-    explore,
-    gen_board,
-    gen_scenario,
-    play_game,
-    scenario_to_dot,
-    state_to_dot,
-)
+from .harness import explore, gen_board, gen_scenario, play_game, scenario_to_dot
 from .mephisto import CapError, NoValidBundle, Policy
 from .scenario import scenario_from_json, scenario_to_json, validate_scenario
 

@@ -31,15 +31,18 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .board import BoardTransform, NodeId
 from .game import Bundle, CALL, DISCARDED, GameState, Move, OPEN, Quest
+from .quests import DESCENT, QUOTIENT, RELAXATION, TRANSVERSALITY, QuestRelation
 from .scenario import (
     MonomialFactor,
     Scenario,
+    _max_mass,
+    _subsets,
     complete_factor,
     extend_factor,
     is_tight,
     zero_factor,
 )
-from .transform import QuestRelation, QUOTIENT, TRANSVERSALITY, RELAXATION, DESCENT
+from .transform import lift_factor
 from .values import INF, Value, is_finite
 
 __all__ = ["DidoStrategy", "StrategyError", "measure_of", "dms_less"]
@@ -57,23 +60,10 @@ class StrategyError(RuntimeError):
 def _critical_sets(c: Scenario, m: MonomialFactor) -> List[Tuple[NodeId, ...]]:
     """Jib sets with factor mass >= 1 that have a singular node below all of
     them; these are the obstructions the elementary steps burn down."""
-    md = m.as_dict()
-    out = set()
-    for s in c.S:
-        uppers = c.jib_uppers(s)
-        for mask in range(1, 1 << len(uppers)):
-            K = tuple(uppers[i] for i in range(len(uppers)) if mask >> i & 1)
-            mass = Fraction(0)
-            infinite = False
-            for h in K:
-                w = md.get(h, Fraction(0))
-                if not is_finite(w):
-                    infinite = True
-                    break
-                mass += w
-            if infinite or mass >= 1:
-                out.add(K)
-    return sorted(out)
+    weights = [m.as_dict()]
+    return sorted(
+        {K for s in c.S for K in _subsets(c.jib_uppers(s)) if K and _max_mass(weights, K) >= 1}
+    )
 
 
 def _minimal_sets(sets: List[Tuple[NodeId, ...]]) -> List[Tuple[NodeId, ...]]:
@@ -85,22 +75,11 @@ def _minimal_sets(sets: List[Tuple[NodeId, ...]]) -> List[Tuple[NodeId, ...]]:
     return out
 
 
-def _mass(m: MonomialFactor, K: Tuple[NodeId, ...]) -> Value:
-    md = m.as_dict()
-    total = Fraction(0)
-    for h in K:
-        w = md.get(h, Fraction(0))
-        if not is_finite(w):
-            return INF
-        total += w
-    return total
-
-
 def measure_of(c: Scenario, m: MonomialFactor) -> Tuple[Fraction, ...]:
     """Multiset (as a sorted tuple, largest first) of the masses of the
     inclusion-minimal critical sets; empty when nothing is critical."""
-    minimal = _minimal_sets(_critical_sets(c, m))
-    masses = [_mass(m, K) for K in minimal]
+    weights = [m.as_dict()]
+    masses = [_max_mass(weights, K) for K in _minimal_sets(_critical_sets(c, m))]
     if any(not is_finite(x) for x in masses):
         raise StrategyError("infinite factor mass in a monomial measure")
     return tuple(sorted(masses, reverse=True))
@@ -172,11 +151,7 @@ class DidoStrategy:
 
     @staticmethod
     def _driver_items(c: Scenario) -> List[_DriverItem]:
-        sets = set()
-        for s in c.S:
-            uppers = c.jib_uppers(s)
-            for mask in range(1 << len(uppers)):
-                sets.add(tuple(uppers[i] for i in range(len(uppers)) if mask >> i & 1))
+        sets = {K for s in c.S for K in _subsets(c.jib_uppers(s))}
         if len(sets) > _DRIVER_SET_CAP:
             raise StrategyError(
                 f"{len(sets)} critical jib sets; the driver handles at most "
@@ -339,8 +314,6 @@ class DidoStrategy:
 
     def _observe_blowup(self, state: GameState, bt: BoardTransform) -> None:
         z = bt.center
-        e = bt.exceptional
-        board0 = bt.source
         for qid, plan in self.plans.items():
             quest = state.quests.get(qid)
             if quest is None or quest.status == DISCARDED:
@@ -348,16 +321,9 @@ class DidoStrategy:
             if isinstance(plan, _DriverPlan):
                 plan.L = frozenset(bt.embed[h] for h in plan.L)
                 continue
-            ext_z = Fraction(0)
-            infinite = False
-            for h, w in plan.m.weights:
-                if board0.leq(z, h):
-                    if not is_finite(w):
-                        infinite = True
-                    else:
-                        ext_z += w
+            ext_z = extend_factor(bt.source, plan.m, z)
             if plan.monomial:
-                if infinite:
+                if not is_finite(ext_z):
                     raise StrategyError("infinite tracked weight in the monomial phase")
                 e_weight: Value = ext_z - 1
                 if e_weight < 0:
@@ -368,12 +334,11 @@ class DidoStrategy:
                 # Same clamp as the transported relation factor: at an
                 # order-1 center with residual above the scale the raw lift
                 # dips below zero, and zero is the weight the cap allows.
-                e_weight = INF if infinite else max(Fraction(0), ext_z + plan.q - 1)
+                # An infinite ext_z lifts to an infinite weight.
+                e_weight = max(Fraction(0), ext_z + plan.q - 1)
             else:
                 e_weight = Fraction(0)
-            weights = {bt.embed[h]: w for h, w in plan.m.weights}
-            weights[e] = e_weight  # a blown-up jib's weight gives way to the lift
-            plan.m = MonomialFactor.of(weights)
+            plan.m = lift_factor(plan.m, bt, e_weight)
             plan.pending = [
                 bt.embed[t]
                 for t in plan.pending

@@ -33,12 +33,7 @@ from .board import (
     validate_board_transform,
     _memo,
 )
-from .quests import (
-    descent_check,
-    quotient_check,
-    relaxation_check,
-    transversality_check,
-)
+from .quests import DESCENT, QuestRelation, call_check, descent_check
 from .scenario import (
     Scenario,
     admissible_centers,
@@ -49,11 +44,6 @@ from .scenario import (
     validate_scenario,
 )
 from .transform import (
-    DESCENT,
-    QUOTIENT,
-    QuestRelation,
-    RELAXATION,
-    TRANSVERSALITY,
     child_survives,
     commutes,
     transport_relation,
@@ -70,6 +60,7 @@ __all__ = [
     "Bundle",
     "BundleError",
     "validate_bundle",
+    "blowup_discards",
     "apply_round",
     "new_game",
     "relation_to_json",
@@ -256,26 +247,14 @@ def _check_call_child(
 ) -> List[Violation]:
     """The call's relation between the parent's scenario and the child's,
     and the child's own validity."""
-    out: List[Violation] = []
     try:
-        if rel.kind == TRANSVERSALITY:
-            out.extend(transversality_check(parent_sc, rel.jibs, child_sc))
-        elif rel.kind == QUOTIENT:
-            out.extend(quotient_check(parent_sc, rel.factor, rel.scale, child_sc))
-        elif rel.kind == RELAXATION:
-            out.extend(relaxation_check(parent_sc, rel.jibs, child_sc))
-        elif rel.kind == DESCENT:
-            out.extend(descent_check(parent_sc, bt, child_sc))
-        else:
-            out.append(_bundle_violation(f"unknown call kind {rel.kind!r}"))
-            return out
+        if rel.kind == DESCENT:
+            # descent_check also validates the child (its orders are free)
+            return descent_check(parent_sc, bt, child_sc)
+        out = call_check(parent_sc, rel, child_sc)
     except ValueError as exc:
-        out.append(_bundle_violation(f"illegal call: {exc}"))
-        return out
-    if rel.kind != DESCENT:
-        # descent_check already validates the child (its orders are free)
-        out.extend(validate_scenario(child_sc))
-    return out
+        return [_bundle_violation(f"illegal call: {exc}")]
+    return out + validate_scenario(child_sc)
 
 
 def _validate_blowup(
@@ -300,21 +279,7 @@ def _validate_blowup(
         )
         return out
 
-    open_ids = [q.quest_id for q in state.open_quests()]
-    survivors: Dict[int, bool] = {}
-    for qid in sorted(open_ids):
-        quest = state.quests[qid]
-        if quest.parent_id is None:
-            survivors[qid] = True
-            continue
-        parent = state.quests[quest.parent_id]
-        if not survivors.get(parent.quest_id, False):
-            survivors[qid] = False  # discarded parents take the subtree down
-            continue
-        survivors[qid] = child_survives(
-            quest.relation, parent.scenario, quest.scenario, bt
-        )
-    want_discards = frozenset(qid for qid in open_ids if not survivors[qid])
+    want_discards = blowup_discards(state, bt)
     if frozenset(bundle.discards) != want_discards:
         out.append(
             _bundle_violation(
@@ -323,7 +288,7 @@ def _validate_blowup(
             )
         )
         return out
-    want_responses = {qid for qid in open_ids if survivors[qid]}
+    want_responses = {q.quest_id for q in state.open_quests()} - want_discards
     if set(bundle.responses) != want_responses:
         out.append(
             _bundle_violation(
@@ -353,6 +318,28 @@ def _validate_blowup(
         if first_only and out:
             return out
     return out
+
+
+def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
+    """The open quests a blowup closes.
+
+    A child quest is closed when its parent is not open or is closed by this
+    blowup (a closed parent takes its subtree down), or when the center
+    closes it itself (``transform.child_survives``). The main quest is never
+    closed.
+    """
+    closed = set()
+    for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
+        if quest.parent_id is None:
+            continue
+        parent = state.quests[quest.parent_id]
+        if (
+            parent.status != OPEN
+            or parent.quest_id in closed
+            or not child_survives(quest.relation, parent.scenario, quest.scenario, bt)
+        ):
+            closed.add(quest.quest_id)
+    return frozenset(closed)
 
 
 def apply_round(

@@ -20,6 +20,7 @@ from .game import (
     trace_header,
 )
 from .mephisto import (
+    EXPLORE,
     NoValidBundle,
     Policy,
     enumerate_blowup_bundles,
@@ -286,15 +287,17 @@ def explore(
     enumerators in a deterministic order; the counts are reproducible.
     ``truncated`` lists every place where the blowup enumeration was cut
     short, so ``all_won`` speaks for the whole capped space only when it is
-    empty.
+    empty. A blowup cut short before its first valid bundle adds a reason
+    and no leaf; one that found no valid bundle in a complete search raises
+    ``NoValidBundle``.
     """
     policy = Policy(
-        kind="explore", max_new_nodes=max_new_nodes, max_order_steps=max_order_steps
+        kind=EXPLORE, max_new_nodes=max_new_nodes, max_order_steps=max_order_steps
     )
     report = ExploreReport(
         all_won=True, branch_count=0, leaf_count=0, win_count=0, max_depth=0
     )
-    header = round_to_json(trace_header(scenario, "explore"))
+    header = round_to_json(trace_header(scenario, EXPLORE))
 
     def leaf(state: GameState, depth: int, lines: List[str], won: bool) -> None:
         report.leaf_count += 1
@@ -314,12 +317,12 @@ def explore(
         if depth >= depth_cap:
             leaf(state, depth, lines, False)
             return
+        cut: List[str] = []  # this blowup's own reasons; note() de-duplicates
         if move.kind == CALL:
             variants = enumerate_call_bundles(state, move, policy)
         else:
             variants = enumerate_blowup_bundles(
-                state, move.center, policy, enumerate_boards=True,
-                truncated=report.truncated,
+                state, move.center, policy, enumerate_boards=True, truncated=cut,
             )
         any_bundle = False
         for bundle in variants:
@@ -330,7 +333,8 @@ def explore(
             record = apply_round(child_state, move, bundle)
             child_strategy.observe(child_state, move, bundle, record)
             dfs(child_state, child_strategy, depth + 1, lines + [round_to_json(record)])
-        if not any_bundle:
+        report.truncated += [r for r in cut if r not in report.truncated]
+        if not any_bundle and not cut:
             raise NoValidBundle(
                 f"no valid bundle for {move.kind} at depth {depth}"
             )

@@ -12,6 +12,11 @@ free. The policies differ only in how they spend that freedom:
 * ``adversarial``    scores the leading valid bundles and plays the one with
                      the most singular nodes and the largest finite orders.
 
+Mephisto owns no rule formula: a call's child comes from
+``quests.call_response`` (descent orders aside), a blowup response's handicap
+and factors from ``transform.blowup_jibs``, and its discards from
+``game.blowup_discards``, which the umpire checks against.
+
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
 never made, and orders below 1 are never chosen (nodes are dropped instead),
@@ -27,8 +32,17 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .board import BLOWUP, Board, BoardTransform, NodeId, Violation, trivial_refinement
-from .game import BLOWUP_MOVE, Bundle, CALL, GameState, Move, OPEN, validate_bundle
-from .quests import quotient_response, relaxation_response, transversality_response
+from .game import (
+    BLOWUP_MOVE,
+    Bundle,
+    CALL,
+    GameState,
+    Move,
+    OPEN,
+    blowup_discards,
+    validate_bundle,
+)
+from .quests import DESCENT, QuestRelation, call_response
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -40,13 +54,8 @@ from .scenario import (
     zero_factor,
 )
 from .transform import (
-    DESCENT,
-    QUOTIENT,
-    QuestRelation,
-    RELAXATION,
-    TRANSVERSALITY,
+    blowup_jibs,
     capped_transport,
-    child_survives,
     transport_relation,
     validate_blowup_transform,
 )
@@ -56,6 +65,7 @@ __all__ = [
     "CANONICAL",
     "RANDOM",
     "ADVERSARIAL",
+    "EXPLORE",
     "CapError",
     "NoValidBundle",
     "Policy",
@@ -71,6 +81,7 @@ __all__ = [
 CANONICAL = "canonical"
 RANDOM = "random"
 ADVERSARIAL = "adversarial"
+EXPLORE = "explore"  # harness.explore walks every bundle; it never chooses one
 
 _RANDOM_POOL = 16  # random picks among this many leading valid bundles
 _ADVERSARIAL_POOL = 64  # adversarial scores this many leading valid bundles
@@ -312,7 +323,7 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
         keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
 
     if is_tight(c):
-        gens1 = tuple(capped_transport(c, bt, g) for g in c.M.generators)
+        gens1 = blowup_jibs(c, bt)[1].generators
         changed = True
         while changed:
             changed = False
@@ -339,15 +350,6 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     return frozenset(keep)
 
 
-def _blowup_jibs(
-    c: Scenario, bt: BoardTransform
-) -> Tuple[FrozenSet[NodeId], Tuple[MonomialFactor, ...]]:
-    """Items 12 and 14: the handicap i(H) + e and the capped transports of
-    c's factor generators. Neither depends on the new S, T or orders."""
-    H1 = frozenset(bt.embed[h] for h in c.H) | {bt.exceptional}
-    return H1, tuple(capped_transport(c, bt, g) for g in c.M.generators)
-
-
 def _blowup_response(
     c: Scenario,
     bt: BoardTransform,
@@ -360,7 +362,7 @@ def _blowup_response(
     pinned where items 9, 10 and 15 pin them and chosen elsewhere."""
     board1 = bt.target
     e = bt.exceptional
-    H1, gens1 = _blowup_jibs(c, bt)
+    H1, M1 = blowup_jibs(c, bt)
     pinned: Dict[NodeId, Value] = {
         x: c.ord[bt.retract[x]] for x in S1 if not board1.leq(x, e)
     }
@@ -369,14 +371,12 @@ def _blowup_response(
     cf = complete_factor(c)
     override = capped_transport(c, bt, cf) if cf is not None else None
     ords = _assign_orders(
-        board1, c.d, S1, gens1, pinned, bump,
+        board1, c.d, S1, M1.generators, pinned, bump,
         force_one=is_tight(c), override=override,
     )
     if ords is None:
         return None
-    return Scenario.make(
-        board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=FactorSet.of(gens1),
-    )
+    return Scenario.make(board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
 
 
 def _root_response(
@@ -395,18 +395,12 @@ def _child_blowup_response(
     bt: BoardTransform,
     bump: Fraction,
 ) -> Optional[Scenario]:
-    if rel_new.kind == TRANSVERSALITY:
-        return transversality_response(parent_new, rel_new.jibs)
-    if rel_new.kind == QUOTIENT:
-        try:
-            return quotient_response(parent_new, rel_new.factor, rel_new.scale)
-        except ValueError:
-            return None
-    if rel_new.kind == RELAXATION:
-        return relaxation_response(parent_new, rel_new.jibs)
     if rel_new.kind == DESCENT:
         return _blowup_response(child_old, bt, parent_new.S, parent_new.T, bump)
-    raise ValueError(f"unknown relation kind {rel_new.kind!r}")
+    try:
+        return call_response(parent_new, rel_new)
+    except ValueError:  # a lifted quotient factor outside the parent's factors
+        return None
 
 
 # ---- bundle assembly -----------------------------------------------------------
@@ -416,17 +410,11 @@ def _assemble_blowup(
     state: GameState, bt: BoardTransform, root_new: Scenario, bump: Fraction
 ) -> Optional[Bundle]:
     responses: Dict[int, Scenario] = {0: root_new}
-    discards = set()
+    discards = blowup_discards(state, bt)
     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
-        if quest.parent_id is None:
-            continue
-        if quest.parent_id in discards:
-            discards.add(quest.quest_id)
+        if quest.parent_id is None or quest.quest_id in discards:
             continue
         parent = state.quests[quest.parent_id]
-        if not child_survives(quest.relation, parent.scenario, quest.scenario, bt):
-            discards.add(quest.quest_id)
-            continue
         rel_new = transport_relation(quest.relation, parent.scenario, bt)
         resp = _child_blowup_response(
             rel_new, responses[quest.parent_id], quest.scenario, bt, bump
@@ -434,7 +422,7 @@ def _assemble_blowup(
         if resp is None:
             return None
         responses[quest.quest_id] = resp
-    return Bundle(transform=bt, responses=responses, discards=frozenset(discards))
+    return Bundle(transform=bt, responses=responses, discards=discards)
 
 
 def _down_closed_keeps(board1: Board, keep_max: FrozenSet[NodeId]) -> List[FrozenSet[NodeId]]:
@@ -539,8 +527,7 @@ def enumerate_blowup_bundles(
                 f"{len(keep_max)} keepable nodes exceed {_KEEP_ENUM_LIMIT}; keep sets "
                 "were repaired, not enumerated"
             )
-        H1, gens1 = _blowup_jibs(root, bt)
-        M1 = FactorSet.of(gens1)
+        H1, M1 = blowup_jibs(root, bt)
         tried = set(keeps)
         while keeps:
             keep = keeps.pop(0)
@@ -609,32 +596,24 @@ def enumerate_call_bundles(
     bt = trivial_refinement(state.board)
     responses = {q.quest_id: q.scenario for q in state.open_quests()}
 
-    def bundle_with(child: Scenario) -> Optional[Bundle]:
-        bundle = Bundle(transform=bt, responses=dict(responses), child=child)
-        ok = not validate_bundle(state, move, bundle, first_only=True)
-        return bundle if ok else None
-
     if rel.kind == DESCENT:
-        seen = []
-        for level in policy.bump_levels():
-            child = _descent_call_child(parent, Fraction(level, parent.B))
-            if child is not None and child not in seen:
-                seen.append(child)
-                bundle = bundle_with(child)
-                if bundle is not None:
-                    yield bundle
-        return
-    if rel.kind == TRANSVERSALITY:
-        child = transversality_response(parent, rel.jibs)
-    elif rel.kind == QUOTIENT:
-        child = quotient_response(parent, rel.factor, rel.scale)
-    elif rel.kind == RELAXATION:
-        child = relaxation_response(parent, rel.jibs)
+        children = (
+            _descent_call_child(parent, Fraction(level, parent.B))
+            for level in policy.bump_levels()
+        )
     else:
-        raise ValueError(f"unknown relation kind {rel.kind!r}")
-    bundle = bundle_with(child)
-    if bundle is not None:
-        yield bundle
+        try:
+            children = [call_response(parent, rel)]
+        except ValueError as exc:
+            raise NoValidBundle(f"illegal call: {exc}") from exc
+    seen: List[Scenario] = []
+    for child in children:
+        if child is None or child in seen:
+            continue
+        seen.append(child)
+        bundle = Bundle(transform=bt, responses=dict(responses), child=child)
+        if not validate_bundle(state, move, bundle, first_only=True):
+            yield bundle
 
 
 # ---- the policy front door -----------------------------------------------------
@@ -647,6 +626,8 @@ def _choose(
         for bundle in stream:
             return bundle
         raise NoValidBundle(f"no valid bundle for {what}")
+    if policy.kind not in (RANDOM, ADVERSARIAL):
+        raise ValueError(f"policy {policy.kind!r} does not choose a bundle")
     pool_size = _RANDOM_POOL if policy.kind == RANDOM else _ADVERSARIAL_POOL
     pool: List[Bundle] = []
     for bundle in stream:
@@ -675,13 +656,8 @@ def _bundle_score(bundle: Bundle) -> Tuple[int, Fraction]:
 
 
 def respond_call(state: GameState, move: Move, policy: Policy) -> Bundle:
-    try:
-        stream = enumerate_call_bundles(state, move, policy)
-        return _choose(state, policy, stream, f"call on quest {move.quest_id}")
-    except ValueError as exc:
-        if isinstance(exc, NoValidBundle):
-            raise
-        raise NoValidBundle(f"illegal call: {exc}") from exc
+    stream = enumerate_call_bundles(state, move, policy)
+    return _choose(state, policy, stream, f"call on quest {move.quest_id}")
 
 
 def respond_blowup(state: GameState, z: NodeId, policy: Policy) -> Bundle:

@@ -1,19 +1,24 @@
 """The four quest calls: transversality, quotient, relaxation, descent.
 
-Transversality and quotient are one-way: the response is a deterministic
-construction from the parent scenario (``*_response``), and the paired
-``*_check`` verifies a claimed response item by item. Relaxation leaves
-Mephisto one freedom, enlarging T: ``relaxation_response`` is the answer
-that declines it, and ``relaxation_check`` accepts any legal enlargement.
-Descent leaves him the orders after the dimension drop, so it only has a
-checker over his choice space.
+This module owns each call's formula; ``QuestRelation`` records a call and
+its parameters. Transversality and quotient are one-way: the response is a
+deterministic construction from the parent scenario (``*_response``), and
+the paired ``*_check`` verifies a claimed response item by item. Relaxation
+leaves Mephisto one freedom, enlarging T: ``relaxation_response`` is the
+answer that declines it, and ``relaxation_check`` accepts any legal
+enlargement. Descent leaves him the orders after the dimension drop, so it
+only has a checker over his choice space. ``call_response`` and
+``call_check`` are the one dispatch over the other three: Mephisto answers
+and the umpire checks through them, on the call round and again after every
+blowup (``transform.commutes``), and branch only on ``DESCENT``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List
+from typing import FrozenSet, Iterable, List, Optional
 
 from .board import BoardTransform, NodeId, Violation, REFINEMENT
 from .scenario import (
@@ -28,6 +33,13 @@ from .scenario import (
 from .values import INF, format_value
 
 __all__ = [
+    "QuestRelation",
+    "RELAXATION",
+    "DESCENT",
+    "TRANSVERSALITY",
+    "QUOTIENT",
+    "call_response",
+    "call_check",
     "transversality_response",
     "transversality_check",
     "quotient_bound",
@@ -37,6 +49,67 @@ __all__ = [
     "relaxation_check",
     "descent_check",
 ]
+
+RELAXATION = "relaxation"
+DESCENT = "descent"
+TRANSVERSALITY = "transversality"
+QUOTIENT = "quotient"
+
+
+@dataclass(frozen=True)
+class QuestRelation:
+    """The persistent link between a quest and a child created by a call.
+
+    ``jibs`` carries J (relaxation) or K (transversality) as current-board
+    node ids; ``factor``/``scale`` carry the quotient parameters. Parameters
+    are re-expressed on the new board after every blowup
+    (``transform.transport_relation``).
+    """
+
+    kind: str
+    jibs: FrozenSet[NodeId] = frozenset()
+    factor: Optional[MonomialFactor] = None
+    scale: Optional[Fraction] = None
+
+    @classmethod
+    def relaxation(cls, J) -> "QuestRelation":
+        return cls(RELAXATION, jibs=frozenset(J))
+
+    @classmethod
+    def descent(cls) -> "QuestRelation":
+        return cls(DESCENT)
+
+    @classmethod
+    def transversality(cls, K) -> "QuestRelation":
+        return cls(TRANSVERSALITY, jibs=frozenset(K))
+
+    @classmethod
+    def quotient(cls, m: MonomialFactor, q: Fraction) -> "QuestRelation":
+        return cls(QUOTIENT, factor=m, scale=Fraction(q))
+
+
+def call_response(c: Scenario, rel: QuestRelation) -> Scenario:
+    """The child scenario a transversality, quotient or relaxation call pins
+    on the parent scenario ``c``.
+
+    Raises ValueError for descent (its orders are Mephisto's choice), for an
+    unknown kind, and for parameters the parent does not admit.
+    """
+    if rel.kind == TRANSVERSALITY:
+        return transversality_response(c, rel.jibs)
+    if rel.kind == QUOTIENT:
+        return quotient_response(c, rel.factor, rel.scale)
+    if rel.kind == RELAXATION:
+        return relaxation_response(c, rel.jibs)
+    raise ValueError(f"no fixed response to a {rel.kind!r} call")
+
+
+def call_check(c: Scenario, rel: QuestRelation, c1: Scenario) -> List[Violation]:
+    """Check a claimed child ``c1`` of a transversality, quotient or
+    relaxation call on ``c``; raises ValueError as ``call_response`` does."""
+    if rel.kind == RELAXATION:
+        return relaxation_check(c, rel.jibs, c1)
+    return _compare_one_way(rel.kind, call_response(c, rel), c1)
 
 
 # ---- transversality ------------------------------------------------------
@@ -71,8 +144,7 @@ def transversality_response(c: Scenario, K: Iterable[NodeId]) -> Scenario:
 
 def transversality_check(c: Scenario, K: Iterable[NodeId], c1: Scenario) -> List[Violation]:
     """Compare a claimed response with the construction, item by item."""
-    want = transversality_response(c, K)
-    return _compare_one_way("transversality", want, c1)
+    return call_check(c, QuestRelation.transversality(K), c1)
 
 
 # ---- quotient ------------------------------------------------------------
@@ -126,8 +198,7 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Fraction) -> Scenario:
 
 
 def quotient_check(c: Scenario, m: MonomialFactor, q: Fraction, c1: Scenario) -> List[Violation]:
-    want = quotient_response(c, m, q)
-    return _compare_one_way("quotient", want, c1)
+    return call_check(c, QuestRelation.quotient(m, q), c1)
 
 
 def _compare_one_way(rule: str, want: Scenario, got: Scenario) -> List[Violation]:

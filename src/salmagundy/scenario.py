@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from .board import Board, FrozenDict, NodeId, Violation, _memo
+from .board import Board, FrozenDict, NodeId, Violation, _memo, _state_without_memo
 from .values import INF, Value, format_value, parse_value
 
 __all__ = [
@@ -170,6 +170,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.ord, FrozenDict):
             object.__setattr__(self, "ord", FrozenDict(self.ord))
+
+    __getstate__ = _state_without_memo
 
     def jib_uppers(self, s: NodeId) -> Tuple[NodeId, ...]:
         """The jibs lying above s, sorted."""

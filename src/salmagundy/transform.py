@@ -3,12 +3,15 @@
 A board move (refinement or blowup) forces every open quest's scenario to
 evolve. ``validate_refinement_transform`` and ``validate_blowup_transform``
 check one quest's old/new scenario pair against the fifteen transform items.
-``capped_transport`` is the formula of items 14-15 that carries a factor
-through a blowup; Mephisto builds his responses with it and the validator
-compares against it. ``commutes`` checks the square linking a parent quest
-and a child created by an earlier call: after a blowup, the child's new
-scenario must simultaneously be the call-construction applied to the
-parent's new scenario and a legal transform of the child's old scenario.
+This module owns the formulas of a blowup, which Mephisto builds with and the
+validator compares against: ``lift_factor`` carries a factor through it,
+weighted at the exceptional node by ``capped_transport`` (items 14-15) or
+``quotient_lifted_factor`` (a quotient call's factor), and ``blowup_jibs`` is
+the handicap and factor set of every response (items 12 and 14).
+``commutes`` checks the square linking a parent quest and a child created by
+an earlier call: after a blowup, the child's new scenario must
+simultaneously be the call-construction applied to the parent's new scenario
+(``quests.call_check``) and a legal transform of the child's old scenario.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
@@ -19,16 +22,18 @@ check the same bundle objects, so the umpire's second look is a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation, _memo
 from .quests import (
-    quotient_check,
-    relaxation_check,
-    transversality_check,
+    DESCENT,
+    QUOTIENT,
+    RELAXATION,
+    TRANSVERSALITY,
+    QuestRelation,
+    call_check,
 )
 from .scenario import (
     FactorSet,
@@ -44,13 +49,11 @@ from .values import Value, format_value
 
 __all__ = [
     "QuestRelation",
-    "RELAXATION",
-    "DESCENT",
-    "TRANSVERSALITY",
-    "QUOTIENT",
     "validate_refinement_transform",
     "validate_blowup_transform",
+    "lift_factor",
     "capped_transport",
+    "blowup_jibs",
     "quotient_lifted_factor",
     "transport_relation",
     "child_survives",
@@ -59,44 +62,8 @@ __all__ = [
 
 RULE = "scenario-transform"
 
-RELAXATION = "relaxation"
-DESCENT = "descent"
-TRANSVERSALITY = "transversality"
-QUOTIENT = "quotient"
-
 # Commutativity issue numbers by call kind.
 _COMM_ISSUE = {RELAXATION: 1, DESCENT: 2, TRANSVERSALITY: 3, QUOTIENT: 4}
-
-
-@dataclass(frozen=True)
-class QuestRelation:
-    """The persistent link between a quest and a child created by a call.
-
-    ``jibs`` carries J (relaxation) or K (transversality) as current-board
-    node ids; ``factor``/``scale`` carry the quotient parameters. Parameters
-    are re-expressed on the new board after every blowup (transport_relation).
-    """
-
-    kind: str
-    jibs: FrozenSet[NodeId] = frozenset()
-    factor: Optional[MonomialFactor] = None
-    scale: Optional[Fraction] = None
-
-    @classmethod
-    def relaxation(cls, J) -> "QuestRelation":
-        return cls(RELAXATION, jibs=frozenset(J))
-
-    @classmethod
-    def descent(cls) -> "QuestRelation":
-        return cls(DESCENT)
-
-    @classmethod
-    def transversality(cls, K) -> "QuestRelation":
-        return cls(TRANSVERSALITY, jibs=frozenset(K))
-
-    @classmethod
-    def quotient(cls, m: MonomialFactor, q: Fraction) -> "QuestRelation":
-        return cls(QUOTIENT, factor=m, scale=Fraction(q))
 
 
 # ---- transforms of a single quest ---------------------------------------
@@ -165,15 +132,27 @@ def _exceptional_cap(c: Scenario, z: NodeId) -> Value:
     return c.ord[z] - 1 if z in c.S else Fraction(0)
 
 
-def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> MonomialFactor:
-    """Items 14-15: carry a factor of c through the blowup ``bt``.
-
-    Weights ride along the embedding; the exceptional node takes the cap
-    (a blown-up jib's own weight gives way to it).
-    """
+def lift_factor(m: MonomialFactor, bt: BoardTransform, e_weight: Value) -> MonomialFactor:
+    """Carry a factor through the blowup ``bt``: weights ride along the
+    embedding and the exceptional node takes ``e_weight`` (a blown-up jib's
+    own weight gives way to it)."""
     weights: Dict[NodeId, Value] = {bt.embed[h]: w for h, w in m.weights}
-    weights[bt.exceptional] = _exceptional_cap(c, bt.center)
+    weights[bt.exceptional] = e_weight
     return MonomialFactor.of(weights)
+
+
+def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> MonomialFactor:
+    """Items 14-15: carry a factor of c through the blowup ``bt``, the
+    exceptional node taking the cap."""
+    return lift_factor(m, bt, _exceptional_cap(c, bt.center))
+
+
+def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
+    """Items 12 and 14: the handicap i(H) + e and the capped transports of
+    c's factor generators that every response to the blowup carries. Neither
+    depends on the new S, T or orders."""
+    H1 = frozenset(bt.embed[h] for h in c.H) | {bt.exceptional}
+    return H1, FactorSet.of(capped_transport(c, bt, g) for g in c.M.generators)
 
 
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
@@ -253,7 +232,7 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
         out.append(Violation(RULE, 11, bad, "tight scenario transformed into a non-tight one"))
 
     # Item 12: the handicap picks up the exceptional node.
-    want_H = frozenset(bt.embed[h] for h in c.H) | {e}
+    want_H, want_M = blowup_jibs(c, bt)
     if c1.H != want_H:
         out.append(Violation(RULE, 12, tuple(sorted(c1.H ^ want_H)), "handicap is not i(H) + e"))
 
@@ -291,10 +270,8 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
                 f"no legal factor set: the cap at {e} would be {format_value(cap)} < 0",
             )
         )
-    else:
-        want_gens = FactorSet.of(capped_transport(c, bt, g) for g in c.M.generators)
-        if c1.M != want_gens:
-            out.append(Violation(RULE, 14, (e,), "factor generators are not the capped transports"))
+    elif c1.M != want_M:
+        out.append(Violation(RULE, 14, (e,), "factor generators are not the capped transports"))
 
     # Item 15: a complete factor stays complete after transport.
     m = complete_factor(c)
@@ -332,10 +309,7 @@ def quotient_lifted_factor(
     clamp such centers would strand the quotient quest with no response at
     all, and the scale would stop shrinking between quotient calls.
     """
-    e_weight = max(Fraction(0), extend_factor(c.board, m, z) + q - 1)
-    weights: Dict[NodeId, Value] = {bt.embed[h]: w for h, w in m.weights}
-    weights[bt.exceptional] = e_weight
-    return MonomialFactor.of(weights)
+    return lift_factor(m, bt, max(Fraction(0), extend_factor(c.board, m, z) + q - 1))
 
 
 def transport_relation(
@@ -443,23 +417,7 @@ def _check_commutes(
 
     out: List[Violation] = []
     rel1 = transport_relation(rel, c, bt)
-    if rel.kind == TRANSVERSALITY:
-        sub = transversality_check(c_prime, rel1.jibs, c1_prime)
-    elif rel.kind == QUOTIENT:
-        if not c_prime.M.contains(rel1.factor):
-            sub = [
-                Violation(
-                    QUOTIENT,
-                    "structure",
-                    (bt.exceptional,),
-                    "lifted factor is not a factor of the parent response",
-                )
-            ]
-        else:
-            sub = quotient_check(c_prime, rel1.factor, rel1.scale, c1_prime)
-    elif rel.kind == RELAXATION:
-        sub = relaxation_check(c_prime, rel1.jibs, c1_prime)
-    else:  # descent: same-board relation after the call round
+    if rel.kind == DESCENT:  # same-board relation after the call round
         sub = []
         if (c1_prime.d, c1_prime.B) != (c_prime.d - 1, c_prime.B):
             sub.append(
@@ -484,6 +442,17 @@ def _check_commutes(
                         f"descent child's {name} differs from the parent's",
                     )
                 )
+    elif rel.kind == QUOTIENT and not c_prime.M.contains(rel1.factor):
+        sub = [
+            Violation(
+                QUOTIENT,
+                "structure",
+                (bt.exceptional,),
+                "lifted factor is not a factor of the parent response",
+            )
+        ]
+    else:
+        sub = call_check(c_prime, rel1, c1_prime)
     for v in sub:
         out.append(
             Violation("commutativity", issue, v.witness, f"(call side) {v.detail}")

@@ -42,6 +42,10 @@ class _Extended:
     def __hash__(self) -> int:
         return hash(("salmagundy.extended", self._positive))
 
+    def __reduce__(self) -> str:
+        # Copies and pickles resolve to the module's own instance.
+        return "INF" if self._positive else "NEG_INF"
+
     def __lt__(self, other: object) -> bool:
         if isinstance(other, _Extended):
             return (not self._positive) and other._positive

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from salmagundy.board import (
     REFINEMENT,
     Board,
     BoardTransform,
+    FrozenDict,
     Violation,
     board_from_json,
     board_to_dot,
@@ -273,6 +275,21 @@ def test_transform_maps_are_read_only_and_hashable():
     # copies share the frozen maps rather than rebuilding them
     assert copy.deepcopy(t.embed) is t.embed and copy.copy(t.retract) is t.retract
     assert copy.deepcopy({"plan": [t.embed]})["plan"][0] is t.embed
+
+
+def test_boards_copy_as_themselves_and_pickle_by_value():
+    board = gen_board(1)
+    assert copy.copy(board) is board and copy.deepcopy(board) is board
+    loaded = pickle.loads(pickle.dumps(board))
+    assert loaded == board and hash(loaded) == hash(board)
+    assert loaded.covers == board.covers and validate_board(loaded) == []
+    z = next(s for s in board.ids if s != board.top)
+    t = blowup_transform(board, z)
+    assert validate_board_transform(t) == []  # leaves a verdict on t
+    loaded = pickle.loads(pickle.dumps(t))
+    assert loaded == t and "_memo" not in vars(loaded)
+    assert isinstance(loaded.embed, FrozenDict) and validate_board_transform(loaded) == []
+    assert "_memo" not in vars(copy.deepcopy(t))
 
 
 def test_transform_issue_1_retract_disagrees(chain_board):

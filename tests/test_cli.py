@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 violations, 2 a cap was hit, 3 usage errors.
 
 import json
 
-from salmagundy import cli, mephisto, scenario_to_json
+import pytest
+
+from salmagundy import cli, harness, mephisto, scenario_to_json
 
 
 def run(capsys, *argv):
@@ -168,6 +170,29 @@ def test_explore_reports_a_capped_search(capsys, monkeypatch):
     assert summary.startswith("all_won=true ")
     assert reasons and all(r.startswith("truncated: round ") for r in reasons)
     assert any("stopped after 5 candidates" in r for r in reasons)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_explore_reports_a_cap_that_cuts_a_blowup_before_its_first_bundle(
+    capsys, monkeypatch, seed, cap
+):
+    monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", cap)
+    code, out, err = run(capsys, "explore", "--seed", seed)
+    assert code == cli.EXIT_CAP, err
+    summary, *reasons = out.splitlines()
+    assert summary.startswith("all_won=true ")
+    # the blowup the cap stops before any valid bundle of it was found
+    first_cut = {0: "round 8, blowup at v1", 9: "round 1, blowup at v4"}[seed]
+    assert f"truncated: {first_cut}: stopped after {cap} candidates" in reasons
+    assert "no valid bundle" not in err
+
+
+def test_explore_without_a_bundle_in_a_complete_search_is_a_violation(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "enumerate_blowup_bundles", lambda *args, **kwargs: iter(()))
+    code, _, err = run(capsys, "explore", "--seed", 0)
+    assert code == cli.EXIT_VIOLATIONS
+    assert "no valid bundle for blowup at depth" in err
 
 
 def test_explore_reports_repaired_keep_sets(capsys, monkeypatch):

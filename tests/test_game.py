@@ -1,22 +1,26 @@
 """The umpire: bundle validation, round application, traces, replay."""
 
+import copy
 import dataclasses
 import gc
 import json
+import pickle
 import weakref
 from fractions import Fraction
 
 import pytest
 
 from salmagundy import harness, transform
-from salmagundy.board import trivial_refinement
+from salmagundy.board import Board, trivial_refinement
 from salmagundy.game import (
+    WON,
     Bundle,
     BundleError,
     GameState,
     Move,
     Quest,
     apply_round,
+    blowup_discards,
     bundle_from_json,
     bundle_to_json,
     move_from_json,
@@ -39,9 +43,9 @@ from salmagundy.mephisto import (
     respond,
 )
 from salmagundy.quests import transversality_response
-from salmagundy.scenario import zero_factor
+from salmagundy.scenario import Scenario, validate_scenario, zero_factor
 from salmagundy.transform import QuestRelation, validate_blowup_transform
-from salmagundy.values import is_finite
+from salmagundy.values import INF, is_finite
 
 
 def _bundle_tags(violations):
@@ -418,3 +422,72 @@ def test_memos_do_not_keep_earlier_rounds_alive(monkeypatch):
     gc.collect()
     assert all(ref() is None for ref in first_round)
     assert result.state.root.scenario is not None
+
+
+# ---- the quests a blowup closes ----------------------------------------------------
+
+
+@pytest.fixture
+def layered_state():
+    """On the chain p < a < w, a quotient child (quest 1) keeps p but drops
+    a, so a blowup at a, admissible for the main quest, closes it; quest 2 is
+    a call on quest 1."""
+    b = Board({"p": 0, "a": 1, "w": 2}, [("p", "a"), ("a", "w")])
+    c = Scenario.make(
+        board=b, d=2, B=1, H=(), S={"p", "a"}, T=b.ids, ord={"p": 2, "a": 1},
+        M=[zero_factor(())],
+    )
+    st = new_game(c)
+    for move in (
+        Move.call(0, QuestRelation.quotient(zero_factor(()), 2)),
+        Move.call(1, QuestRelation.transversality(())),
+    ):
+        apply_round(st, move, respond(st, move, Policy()))
+    assert st.quests[1].scenario.S == {"p"}
+    return st
+
+
+def test_blowup_discards_close_the_subtree_of_a_closed_quest(layered_state):
+    st = layered_state
+    c = st.root.scenario
+    bt = blowup_transform(st.board, "a")
+    # quest 2 survives the center on its own, but its parent does not
+    st.quests[2].scenario = c
+    assert transform.child_survives(st.quests[2].relation, st.quests[1].scenario, c, bt)
+    # quest 4 would survive too, but its parent (quest 3) is no longer open
+    st.quests[3] = Quest(3, 0, QuestRelation.transversality(()), c, status=WON)
+    st.quests[4] = Quest(4, 3, QuestRelation.transversality(()), c)
+    assert blowup_discards(st, bt) == {1, 2, 4}
+
+
+@pytest.mark.parametrize("policy", ["canonical", "random:3", "adversarial"])
+def test_respond_discards_what_the_umpire_closes(layered_state, policy):
+    st = layered_state
+    move = Move.blowup("a")
+    bundle = respond(st, move, Policy.parse(policy))
+    assert bundle.discards == blowup_discards(st, bundle.transform) == {1, 2}
+    assert validate_bundle(st, move, bundle) == []
+    # a quest whose parent is closed is discarded, not answered
+    st.quests[1].status = WON
+    st.quests[2].scenario = st.root.scenario
+    bundle = respond(st, move, Policy.parse(policy))
+    assert bundle.discards == blowup_discards(st, bundle.transform) == {2}
+    assert set(bundle.responses) == {0}
+    assert validate_bundle(st, move, bundle) == []
+
+
+# ---- copies and pickles ------------------------------------------------------------
+
+
+def test_played_state_survives_a_pickle_round_trip():
+    start = gen_scenario(3)  # its orders hold INF
+    state = play_game(start, Policy.parse("canonical")).state
+    assert state.round_no > 0 and hasattr(start, "_memo")
+    loaded, loaded_start = pickle.loads(pickle.dumps((state, start)))
+    assert loaded == state and loaded_start == start
+    assert copy.deepcopy(state) == state and copy.deepcopy(start) == start
+    for sc in [loaded_start] + [q.scenario for q in loaded.quests.values()]:
+        assert not hasattr(sc, "_memo")
+        assert validate_scenario(sc) == []
+    assert INF in loaded_start.ord.values()
+    assert all(v is INF for v in loaded_start.ord.values() if not is_finite(v))

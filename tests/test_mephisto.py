@@ -18,7 +18,6 @@ from salmagundy.mephisto import (
     NoValidBundle,
     Policy,
     _assemble_blowup,
-    _blowup_jibs,
     _bundle_score,
     _down_closed_keeps,
     _root_keep_max,
@@ -30,8 +29,8 @@ from salmagundy.mephisto import (
     respond,
 )
 from salmagundy.quests import quotient_response, transversality_response
-from salmagundy.scenario import FactorSet, heavy_jib_violations, zero_factor
-from salmagundy.transform import QuestRelation, validate_blowup_transform
+from salmagundy.scenario import heavy_jib_violations, zero_factor
+from salmagundy.transform import QuestRelation, blowup_jibs, validate_blowup_transform
 
 
 def _root_state(scenario):
@@ -57,6 +56,19 @@ def test_policy_parse():
         Policy.parse("random:x")
     with pytest.raises(ValueError):
         Policy.parse("clairvoyant")
+    with pytest.raises(ValueError):
+        Policy.parse(mephisto.EXPLORE)
+
+
+def test_explore_mode_enumerates_but_never_chooses(crossing_scenario):
+    st = _root_state(crossing_scenario)
+    explore = Policy(kind=mephisto.EXPLORE)
+    call = Move.call(0, QuestRelation.transversality({"h1"}))
+    assert list(mephisto.enumerate_call_bundles(st, call, explore))
+    assert list(enumerate_blowup_bundles(st, "s", explore))
+    for move in (call, Move.blowup("s")):
+        with pytest.raises(ValueError, match="does not choose"):
+            respond(st, move, explore)
 
 
 def test_policy_rng_depends_on_seed_and_round():
@@ -291,8 +303,7 @@ def _issue_9_keeps(state, z):
     """Indices of the full blowup's keeps whose root response fails issue 9."""
     root = state.root.scenario
     bt = blowup_transform(state.board, z)
-    H1, gens1 = _blowup_jibs(root, bt)
-    M1 = FactorSet.of(gens1)
+    H1, M1 = blowup_jibs(root, bt)
     keeps = _down_closed_keeps(bt.target, _root_keep_max(root, bt))
     return [
         i for i, keep in enumerate(keeps)

@@ -9,6 +9,9 @@ import pytest
 from salmagundy.board import BLOWUP, Board, BoardTransform, trivial_refinement
 from salmagundy.mephisto import blowup_transform
 from salmagundy.quests import (
+    QuestRelation,
+    call_check,
+    call_response,
     descent_check,
     quotient_bound,
     quotient_check,
@@ -383,3 +386,50 @@ def test_descent_response_must_be_valid_scenario(tight_bare_scenario, chain_boar
     )
     got = descent_check(c, bt, sloppy)
     assert any(v.rule == "scenario" and v.issue == 4 for v in got)
+
+
+# ---- the one dispatch over the fixed-response calls ----------------------------
+
+
+def _fixed_calls(c):
+    """Every transversality and relaxation call on c, and a quotient call by
+    each generator and by zero at each residual order."""
+    jib_sets = [
+        K for k in range(len(c.H) + 1) for K in itertools.combinations(sorted(c.H), k)
+    ]
+    out = [(QuestRelation.transversality(K), transversality_response, transversality_check)
+           for K in jib_sets]
+    out += [(QuestRelation.relaxation(J), relaxation_response, relaxation_check)
+            for J in jib_sets]
+    for m in c.M.generators + (zero_factor(c.H),):
+        for q in sorted({v for v in c.ord.values() if v is not INF} | {Fraction(1)}):
+            out.append((QuestRelation.quotient(m, q), quotient_response, quotient_check))
+    return out
+
+
+def _args(rel):
+    return (rel.factor, rel.scale) if rel.kind == "quotient" else (rel.jibs,)
+
+
+def test_call_response_and_check_are_the_per_kind_functions(
+    crossing_scenario, jib_heavy_scenario, forked_scenario, chain_scenario
+):
+    parents = [crossing_scenario, jib_heavy_scenario, forked_scenario, chain_scenario]
+    kinds = set()
+    for c in parents:
+        for rel, response, check in _fixed_calls(c):
+            want = response(c, *_args(rel))
+            assert call_response(c, rel) == want
+            for claimed in (want, c, _remake(want, T=[])):
+                assert call_check(c, rel, claimed) == check(c, *_args(rel), claimed)
+            kinds.add(rel.kind)
+    assert kinds == {"transversality", "relaxation", "quotient"}
+
+
+def test_call_dispatch_rejects_descent_and_unknown_kinds(crossing_scenario):
+    c = crossing_scenario
+    for rel in (QuestRelation.descent(), QuestRelation("shuffle")):
+        with pytest.raises(ValueError):
+            call_response(c, rel)
+        with pytest.raises(ValueError):
+            call_check(c, rel, c)
