@@ -97,6 +97,6 @@ from .transform import (
     validate_blowup_transform,
     validate_refinement_transform,
 )
-from .values import INF, NEG_INF, Value, format_value, is_finite, parse_value
+from .values import INF, Value, format_value, is_finite, parse_value
 
 __version__ = "0.1.0"

@@ -48,14 +48,6 @@ class Violation:
     witness: Tuple[NodeId, ...]
     detail: str
 
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "issue": self.issue,
-            "witness": list(self.witness),
-            "detail": self.detail,
-        }
-
     def __str__(self) -> str:
         w = ", ".join(self.witness)
         return f"[{self.rule} / issue {self.issue}] {self.detail} (witness: {w})"
@@ -262,6 +254,11 @@ class Board:
     def remote(self, s: NodeId, t: NodeId) -> bool:
         """True iff no node lies below both s and t. Never true for s = t."""
         return not (self.down_set(s) & self.down_set(t))
+
+    def maximal_among(self, nodes: Iterable[NodeId]) -> List[NodeId]:
+        """The members of ``nodes`` with no other member above them, sorted."""
+        nodes = frozenset(nodes)
+        return sorted(s for s in nodes if len(self.up_set(s) & nodes) == 1)
 
     @property
     def maximal_nodes(self) -> Tuple[NodeId, ...]:

@@ -199,7 +199,7 @@ def _cmd_play(args) -> int:
             fh.write("\n".join(result.trace) + "\n")
     print(
         f"{'won' if result.won else 'not won'} in {result.rounds} rounds "
-        f"({result.blowups} blowups); strict={str(result.strict).lower()}"
+        f"({result.blowups} blowups); strict={str(result.singular_centers).lower()}"
     )
     if not result.won:
         if result.note:
@@ -225,10 +225,9 @@ def _cmd_explore(args) -> int:
     )
     for reason in report.truncated:
         print(f"truncated: {reason}")
-    if report.all_won:
+    if report.counterexample is None:  # no leaf was lost
         return EXIT_CAP if report.truncated else EXIT_OK
-    if report.counterexample:
-        sys.stderr.write("\n".join(report.counterexample) + "\n")
+    sys.stderr.write("\n".join(report.counterexample) + "\n")
     return EXIT_CAP if report.max_depth >= args.depth_cap else EXIT_VIOLATIONS
 
 

@@ -13,14 +13,20 @@ One plan per quest, created lazily when the quest is first reached:
   set empties.
 
 * driver plan (tight quests above dimension 0 with no jibs... or with jibs,
-  after which it releases them): for every critical jib set K, in decreasing
-  size, call transversality at K, release every jib on that child, and call
+  after which it releases them): for every set K of jibs above some
+  singular node, in decreasing size, call transversality at K, release every jib on that child, and call
   descent on the grandchild; then win the descent quests in order. The empty
   K comes last and its descent quest shares the parent's singular set, so
   its win resolves the parent.
 
 All decisions are functions of the visible game state, so equal seeds on
 Mephisto's side reproduce equal games.
+
+Dido owns no rule formula: the critical sets are ``scenario.heavy_jib_sets``
+under the tracked factor, maximal nodes come from ``Board.maximal_among``,
+and m rides through a blowup by ``transform.lift_factor``, or, while a
+quotient child is open, by ``transform.quotient_lifted_factor``, the lift
+of that child's relation factor.
 """
 
 from __future__ import annotations
@@ -39,15 +45,14 @@ from .scenario import (
     _subsets,
     complete_factor,
     extend_factor,
+    heavy_jib_sets,
     is_tight,
     zero_factor,
 )
-from .transform import lift_factor
+from .transform import lift_factor, quotient_lifted_factor
 from .values import INF, Value, is_finite
 
 __all__ = ["DidoStrategy", "StrategyError", "measure_of", "dms_less"]
-
-_DRIVER_SET_CAP = 64
 
 
 class StrategyError(RuntimeError):
@@ -61,9 +66,7 @@ def _critical_sets(c: Scenario, m: MonomialFactor) -> List[Tuple[NodeId, ...]]:
     """Jib sets with factor mass >= 1 that have a singular node below all of
     them; these are the obstructions the elementary steps burn down."""
     weights = [m.as_dict()]
-    return sorted(
-        {K for s in c.S for K in _subsets(c.jib_uppers(s)) if K and _max_mass(weights, K) >= 1}
-    )
+    return sorted({K for s in c.S for K in heavy_jib_sets(c.jib_uppers(s), weights)})
 
 
 def _minimal_sets(sets: List[Tuple[NodeId, ...]]) -> List[Tuple[NodeId, ...]]:
@@ -152,11 +155,6 @@ class DidoStrategy:
     @staticmethod
     def _driver_items(c: Scenario) -> List[_DriverItem]:
         sets = {K for s in c.S for K in _subsets(c.jib_uppers(s))}
-        if len(sets) > _DRIVER_SET_CAP:
-            raise StrategyError(
-                f"{len(sets)} critical jib sets; the driver handles at most "
-                f"{_DRIVER_SET_CAP}"
-            )
         ordered = sorted(sets, key=lambda K: (-len(K), K))
         return [_DriverItem(K=K) for K in ordered]
 
@@ -215,13 +213,9 @@ class DidoStrategy:
             return self._elementary(quest, plan)
         if plan.child_id is not None and state.quests[plan.child_id].status == OPEN:
             return self._decide_quest(state, plan.child_id)
-        infinite = [s for s in sorted(resid) if not is_finite(resid[s])]
+        infinite = [s for s in resid if not is_finite(resid[s])]
         if infinite:
-            tops = [
-                s
-                for s in infinite
-                if not any(t != s and c.board.leq(s, t) for t in infinite)
-            ]
+            tops = c.board.maximal_among(infinite)
             for s in tops:
                 if c.board.dim(s) != c.d:
                     raise StrategyError(
@@ -249,12 +243,7 @@ class DidoStrategy:
         if not minimal:
             raise StrategyError("no critical set although singular nodes remain")
         K = min(minimal, key=lambda t: (len(t), t))
-        below = [s for s in c.S if all(c.board.leq(s, h) for h in K)]
-        N = sorted(
-            s
-            for s in below
-            if not any(t != s and c.board.leq(s, t) for t in below)
-        )
+        N = c.board.maximal_among(s for s in c.S if all(c.board.leq(s, h) for h in K))
         if not N:
             raise StrategyError(f"critical set {K} has no singular node below it")
         for s in N:
@@ -321,24 +310,21 @@ class DidoStrategy:
             if isinstance(plan, _DriverPlan):
                 plan.L = frozenset(bt.embed[h] for h in plan.L)
                 continue
-            ext_z = extend_factor(bt.source, plan.m, z)
             if plan.monomial:
+                ext_z = extend_factor(bt.source, plan.m, z)
                 if not is_finite(ext_z):
                     raise StrategyError("infinite tracked weight in the monomial phase")
-                e_weight: Value = ext_z - 1
+                e_weight = ext_z - 1
                 if e_weight < 0:
                     raise StrategyError(
                         f"monomial lift at {z} went negative ({e_weight})"
                     )
+                plan.m = lift_factor(plan.m, bt, e_weight)
             elif plan.child_id is not None:
-                # Same clamp as the transported relation factor: at an
-                # order-1 center with residual above the scale the raw lift
-                # dips below zero, and zero is the weight the cap allows.
-                # An infinite ext_z lifts to an infinite weight.
-                e_weight = max(Fraction(0), ext_z + plan.q - 1)
+                # m rides along as the quotient child's relation factor does.
+                plan.m = quotient_lifted_factor(plan.m, plan.q, bt)
             else:
-                e_weight = Fraction(0)
-            plan.m = lift_factor(plan.m, bt, e_weight)
+                plan.m = lift_factor(plan.m, bt, Fraction(0))
             plan.pending = [
                 bt.embed[t]
                 for t in plan.pending

@@ -367,15 +367,13 @@ def apply_round(
             newly_won.append(child_id)
     else:
         bt = bundle.transform
-        old_scs = {qid: q.scenario for qid, q in state.quests.items()}
         for qid in sorted(bundle.discards):
             state.quests[qid].status = DISCARDED
         for qid, new_sc in bundle.responses.items():
             quest = state.quests[qid]
             quest.scenario = new_sc
             if quest.relation is not None:
-                parent_old = old_scs[quest.parent_id]
-                quest.relation = transport_relation(quest.relation, parent_old, bt)
+                quest.relation = transport_relation(quest.relation, bt)
             if not new_sc.S and quest.status == OPEN:
                 quest.status = WON
                 newly_won.append(qid)

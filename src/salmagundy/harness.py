@@ -216,7 +216,7 @@ class GameResult:
     won: bool
     rounds: int
     blowups: int
-    strict: bool  # every blowup center was singular for the main quest
+    singular_centers: bool  # every blowup center was singular for the main quest
     no_discards: bool
     state: GameState
     trace: List[str]
@@ -233,13 +233,13 @@ def play_game(
     strategy = DidoStrategy()
     lines = [round_to_json(trace_header(scenario, policy.kind, policy.seed))]
     blowups = 0
-    strict = True
+    singular_centers = True
 
     def result(won: bool, note: str = "") -> GameResult:
         return GameResult(
-            won=won, rounds=state.round_no, blowups=blowups, strict=strict,
-            no_discards=state.strict, state=state, trace=lines,
-            measure_log=strategy.measure_log, note=note,
+            won=won, rounds=state.round_no, blowups=blowups,
+            singular_centers=singular_centers, no_discards=state.strict, state=state,
+            trace=lines, measure_log=strategy.measure_log, note=note,
         )
 
     while True:
@@ -251,7 +251,7 @@ def play_game(
         if move.kind == BLOWUP_MOVE:
             blowups += 1
             if move.center not in state.root.scenario.S:
-                strict = False
+                singular_centers = False
         bundle = respond(state, move, policy)
         record = apply_round(state, move, bundle)
         strategy.observe(state, move, bundle, record)
@@ -263,7 +263,7 @@ def play_game(
 
 @dataclass
 class ExploreReport:
-    all_won: bool
+    all_won: bool  # there was at least one leaf, and Dido won every leaf
     branch_count: int  # bundles applied: edges of the explored game tree
     leaf_count: int
     win_count: int
@@ -289,7 +289,7 @@ def explore(
     short, so ``all_won`` speaks for the whole capped space only when it is
     empty. A blowup cut short before its first valid bundle adds a reason
     and no leaf; one that found no valid bundle in a complete search raises
-    ``NoValidBundle``.
+    ``NoValidBundle``. A tree without leaves is not won.
     """
     policy = Policy(
         kind=EXPLORE, max_new_nodes=max_new_nodes, max_order_steps=max_order_steps
@@ -340,6 +340,7 @@ def explore(
             )
 
     dfs(new_game(scenario), DidoStrategy(), 0, [header])
+    report.all_won = report.all_won and report.leaf_count > 0
     return report
 
 

@@ -12,10 +12,15 @@ free. The policies differ only in how they spend that freedom:
 * ``adversarial``    scores the leading valid bundles and plays the one with
                      the most singular nodes and the largest finite orders.
 
-Mephisto owns no rule formula: a call's child comes from
-``quests.call_response`` (descent orders aside), a blowup response's handicap
-and factors from ``transform.blowup_jibs``, and its discards from
-``game.blowup_discards``, which the umpire checks against.
+Mephisto owns no rule formula; each lives with the validator that checks
+it. A call's child comes from ``quests.call_response`` (descent orders
+aside). A blowup response takes its handicap and factors from
+``transform.blowup_jibs``, the exceptional node's pinned order from
+``transform.exceptional_cap``, the nodes it must clear from
+``transform.cleared_nodes`` (item 13), and its discards from
+``game.blowup_discards``. Free orders are floored by ``scenario.extend_factor``
+and ``scenario.separation_mass`` (issues 6 and 8), and keeps are sieved by
+``scenario.heavy_jib_violations`` (issue 9).
 
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
@@ -51,11 +56,14 @@ from .scenario import (
     extend_factor,
     heavy_jib_violations,
     is_tight,
+    separation_mass,
     zero_factor,
 )
 from .transform import (
     blowup_jibs,
     capped_transport,
+    cleared_nodes,
+    exceptional_cap,
     transport_relation,
     validate_blowup_transform,
 )
@@ -86,7 +94,13 @@ EXPLORE = "explore"  # harness.explore walks every bundle; it never chooses one
 _RANDOM_POOL = 16  # random picks among this many leading valid bundles
 _ADVERSARIAL_POOL = 64  # adversarial scores this many leading valid bundles
 _CANDIDATE_CAP = 20000  # give up after examining this many raw candidates
-_KEEP_ENUM_LIMIT = 14  # widest singular set whose subsets are enumerated
+# Widest keepable set whose down-closed subsets are enumerated; a wider one
+# goes to the repair loop (_shrink_keep) instead. It is not a tunable: the
+# loop runs in recorded games (canonical seeds 68 and 817, 15 blowups with up
+# to 23 keepable nodes; adversarial seeds 68 and 92, 65 blowups with up to
+# 29), so another value changes their traces, and 2^29 subsets are out of
+# reach anyway.
+_KEEP_ENUM_LIMIT = 14
 
 
 class CapError(RuntimeError):
@@ -214,8 +228,9 @@ def _order_floor(
     assigned: Dict[NodeId, Value],
     f: NodeId,
 ) -> Value:
-    """Least order for f: at least 1, at least every factor extension, and at
-    least ord(t) plus the factor mass separating f from each assigned upper t.
+    """Least order for f: at least 1, at least every factor extension
+    (scenario issue 6), and at least ord(t) plus the factor mass separating f
+    from each assigned upper t (issue 8).
     """
     floor: Value = Fraction(1)
     for g in gens:
@@ -224,16 +239,7 @@ def _order_floor(
         if t == f or not board.leq(f, t):
             continue
         for g in gens:
-            sep = Fraction(0)
-            inf = False
-            for h, w in g.weights:
-                if board.leq(f, h) and not board.leq(t, h):
-                    if not is_finite(w):
-                        inf = True
-                        break
-                    sep += w
-            bound = INF if (inf or not is_finite(vt)) else vt + sep
-            floor = max(floor, bound)
+            floor = max(floor, vt + separation_mass(board, g, f, t))
     return floor
 
 
@@ -247,9 +253,16 @@ def _assign_orders(
     force_one: bool = False,
     override: Optional[MonomialFactor] = None,
 ) -> Optional[Dict[NodeId, Value]]:
-    """Choose orders on ``keep`` top-down; None when no legal choice exists."""
+    """Choose orders on ``keep`` top-down; None when no legal choice exists.
+
+    Each node's floor is taken once, when it is placed: every node above it
+    has a strictly higher dimension on a valid board, so it is already
+    placed and the floor is final. A pinned or overridden order below its
+    floor has no legal completion.
+    """
     ords: Dict[NodeId, Value] = {}
     for f in sorted(keep, key=lambda s: (-board.dim(s), s)):
+        floor = _order_floor(board, gens, ords, f)
         if override is not None:
             v = extend_factor(board, override, f)
             if f in pinned and pinned[f] != v:
@@ -260,22 +273,15 @@ def _assign_orders(
             v = pinned[f]
         elif board.dim(f) == d:
             v = INF
+        elif is_finite(floor) and bump:
+            v = max(floor, Fraction(1) + bump)
         else:
-            floor = _order_floor(board, gens, ords, f)
-            if is_finite(floor) and bump:
-                v = max(floor, Fraction(1) + bump)
-            else:
-                v = floor
+            v = floor
         if force_one and v != Fraction(1):
             return None
-        if is_finite(v) and v < 1:
+        if is_finite(v) and v < floor:  # the floor is at least 1
             return None
         ords[f] = v
-    for f, v in ords.items():
-        others = {t: w for t, w in ords.items() if t != f}
-        floor = _order_floor(board, gens, others, f)
-        if is_finite(v) and (not is_finite(floor) or v < floor):
-            return None
     return ords
 
 
@@ -296,7 +302,7 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     keep = {x for x in board1.ids if bt.retract[x] in c.S}
 
     if e in keep:
-        pe = c.ord[z] - Fraction(1)
+        pe = exceptional_cap(c, z)
         d_ok = (c.d == board0.n and is_finite(pe) and pe >= 1) or (
             c.d == board0.n - 1 and not is_finite(pe)
         )
@@ -305,17 +311,7 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
 
     keep -= {x for x in keep if board1.dim(x) > c.d}
 
-    k = c.d - board0.dim(z)
-    if k >= 0:
-        jibs_z = c.jib_uppers(z)
-        for K in combinations(jibs_z, k):
-            imgs = [bt.embed[h] for h in K]
-            keep -= {
-                x
-                for x in keep
-                if board0.leq(bt.retract[x], z)
-                and all(board1.leq(x, i) for i in imgs)
-            }
+    keep -= {x for _, hit in cleared_nodes(c, bt, keep) for x in hit}
 
     cf = complete_factor(c)
     if cf is not None:
@@ -339,15 +335,7 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
                     changed = True
 
     # down-closedness is absolute: a kept node needs every node below it kept
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(keep):
-            below = {y for y in board1.ids if y != x and board1.leq(y, x)}
-            if not below <= keep:
-                keep.discard(x)
-                changed = True
-    return frozenset(keep)
+    return frozenset(x for x in keep if board1.down_set(x) <= keep)
 
 
 def _blowup_response(
@@ -367,7 +355,7 @@ def _blowup_response(
         x: c.ord[bt.retract[x]] for x in S1 if not board1.leq(x, e)
     }
     if e in S1:
-        pinned[e] = c.ord[bt.center] - Fraction(1)
+        pinned[e] = exceptional_cap(c, bt.center)
     cf = complete_factor(c)
     override = capped_transport(c, bt, cf) if cf is not None else None
     ords = _assign_orders(
@@ -407,15 +395,19 @@ def _child_blowup_response(
 
 
 def _assemble_blowup(
-    state: GameState, bt: BoardTransform, root_new: Scenario, bump: Fraction
+    state: GameState,
+    bt: BoardTransform,
+    root_new: Scenario,
+    bump: Fraction,
+    discards: FrozenSet[int],
 ) -> Optional[Bundle]:
+    """The bundle around a root response; ``discards`` is
+    ``blowup_discards(state, bt)``, which depends on the board alone."""
     responses: Dict[int, Scenario] = {0: root_new}
-    discards = blowup_discards(state, bt)
     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
         if quest.parent_id is None or quest.quest_id in discards:
             continue
-        parent = state.quests[quest.parent_id]
-        rel_new = transport_relation(quest.relation, parent.scenario, bt)
+        rel_new = transport_relation(quest.relation, bt)
         resp = _child_blowup_response(
             rel_new, responses[quest.parent_id], quest.scenario, bt, bump
         )
@@ -528,6 +520,7 @@ def enumerate_blowup_bundles(
                 "were repaired, not enumerated"
             )
         H1, M1 = blowup_jibs(root, bt)
+        discards = blowup_discards(state, bt)
         tried = set(keeps)
         while keeps:
             keep = keeps.pop(0)
@@ -554,7 +547,7 @@ def enumerate_blowup_bundles(
                     # The full bundle check starts with exactly this test, so
                     # a failing root sinks the candidate; skip the assembly.
                     continue
-                bundle = _assemble_blowup(state, bt, root_new, bump)
+                bundle = _assemble_blowup(state, bt, root_new, bump, discards)
                 if bundle is None or bundle.responses in yielded:
                     continue
                 # While enumerating, only emptiness matters; the repair loop

@@ -175,7 +175,11 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Fraction) -> Scenario:
         raise ValueError("quotient factor is not a member of the scenario's factor set")
     if any(h not in c.board for h in m.domain):
         raise ValueError("quotient factor has weights at unknown nodes")
-    resid = {s: c.ord[s] - extend_factor(c.board, m, s) for s in c.S}
+    ext = {s: extend_factor(c.board, m, s) for s in c.S}
+    if any(ext[s] is INF and c.ord[s] is not INF for s in c.S):
+        # only a scenario failing issue 6 gets here; finite - INF is undefined
+        raise ValueError("quotient factor is uncapped below a finite order")
+    resid = {s: c.ord[s] - ext[s] for s in c.S}
     S1 = frozenset(s for s in c.S if resid[s] >= q)
     ord1 = {}
     for s in S1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .board import Board, FrozenDict, NodeId, Violation, _memo, _state_without_memo
 from .values import INF, Value, format_value, parse_value
@@ -28,7 +28,9 @@ __all__ = [
     "Scenario",
     "zero_factor",
     "extend_factor",
+    "separation_mass",
     "validate_scenario",
+    "heavy_jib_sets",
     "heavy_jib_violations",
     "is_tight",
     "is_resolved",
@@ -190,6 +192,19 @@ def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
     return total
 
 
+def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Value:
+    """The factor's weight that separates s from an upper t: the sum of its
+    weights at the jibs above s but not above t, INF as soon as one of them
+    is uncapped (scenario issue 8)."""
+    total = Fraction(0)
+    for h, w in m.weights:
+        if board.leq(s, h) and not board.leq(t, h):
+            if w is INF:
+                return INF
+            total += w
+    return total
+
+
 def _subsets(items: Tuple[NodeId, ...]):
     n = len(items)
     for mask in range(1 << n):
@@ -280,9 +295,7 @@ def _check_scenario(c: Scenario) -> List[Violation]:
                 out.append(Violation(rule, 2, (t, s), f"{t} <= {s} in S but {t} not in S"))
 
     # Issue 3: maximal infinite-order nodes.
-    infs = [s for s in c.S if c.ord[s] is INF]
-    max_inf = [s for s in infs if not any(t != s and b.lt(s, t) for t in infs)]
-    for s in sorted(max_inf):
+    for s in b.maximal_among(s for s in c.S if c.ord[s] is INF):
         if b.dim(s) != c.d:
             out.append(
                 Violation(
@@ -346,23 +359,18 @@ def _check_scenario(c: Scenario) -> List[Violation]:
     # Issue 8: residual orders ord - m weakly decrease upward, for every
     # member m of M. Evaluated per generator g over the member supremum:
     # only weights at jibs above s but not above t fail to cancel, so the
-    # exact condition for s <= t is
-    #   ord(s) - sum of g over D >= ord(t),  D = {h in H : h >= s, h !>= t},
-    # with an infinite weight in D forcing ord(s) = INF.
+    # exact condition for s <= t is ord(s) - separation_mass(g, s, t) >=
+    # ord(t), with an infinite separating weight forcing ord(s) = INF.
     for s in sorted(c.S):
         for t in sorted(c.S):
             if s == t or not b.leq(s, t):
                 continue
             for g in gens:
-                w = g.as_dict()
-                D = [h for h in c.H if b.leq(s, h) and not b.leq(t, h)]
-                if any(w.get(h, Fraction(0)) is INF for h in D):
+                spent = separation_mass(b, g, s, t)
+                if spent is INF:
                     ok = c.ord[s] is INF
                     detail = f"uncapped factor weight between {s} and {t} but ord({s}) finite"
                 else:
-                    spent: Value = Fraction(0)
-                    for h in D:
-                        spent = spent + w.get(h, Fraction(0))
                     ok = c.ord[s] - spent >= c.ord[t]
                     detail = (
                         f"residual order increases from {s} to {t}: "
@@ -374,6 +382,20 @@ def _check_scenario(c: Scenario) -> List[Violation]:
 
     out.extend(heavy_jib_violations(b, c.d, c.H, c.S, c.M))
     return out
+
+
+def heavy_jib_sets(
+    uppers: Tuple[NodeId, ...], weights: List[Dict[NodeId, Value]]
+) -> Iterator[Tuple[NodeId, ...]]:
+    """The heavy jib sets over one node: the non-empty subsets K of its jib
+    uppers on which some weight map has mass >= 1, in ``_subsets`` order."""
+    # Weights are nonnegative, so no subset can reach mass 1 unless the
+    # whole upper set does; skip the exponential scan when it cannot.
+    if not _max_mass(weights, uppers) >= 1:
+        return
+    for K in _subsets(uppers):
+        if K and _max_mass(weights, K) >= 1:
+            yield K
 
 
 def heavy_jib_violations(
@@ -391,16 +413,7 @@ def heavy_jib_violations(
     jibs = sorted(H)
     weights = [g.as_dict() for g in M.generators]
     for s in singular:
-        uppers = tuple(h for h in jibs if board.leq(s, h))
-        # Weights are nonnegative, so no subset can reach mass 1 unless the
-        # whole upper set does; skip the exponential scan when it cannot.
-        if not _max_mass(weights, uppers) >= 1:
-            continue
-        for K in _subsets(uppers):
-            if not K:
-                continue
-            if not _max_mass(weights, K) >= 1:
-                continue
+        for K in heavy_jib_sets(tuple(h for h in jibs if board.leq(s, h)), weights):
             hits = [
                 t
                 for t in singular

@@ -3,11 +3,13 @@
 A board move (refinement or blowup) forces every open quest's scenario to
 evolve. ``validate_refinement_transform`` and ``validate_blowup_transform``
 check one quest's old/new scenario pair against the fifteen transform items.
-This module owns the formulas of a blowup, which Mephisto builds with and the
-validator compares against: ``lift_factor`` carries a factor through it,
-weighted at the exceptional node by ``capped_transport`` (items 14-15) or
-``quotient_lifted_factor`` (a quotient call's factor), and ``blowup_jibs`` is
-the handicap and factor set of every response (items 12 and 14).
+This module owns the formulas of a blowup, which Mephisto and Dido build
+with and the validator compares against: ``lift_factor`` carries a factor
+through it, weighted at the exceptional node by ``capped_transport`` (items
+14-15, capped by ``exceptional_cap``, which is also item 9's pinned order)
+or ``quotient_lifted_factor`` (a quotient call's factor); ``blowup_jibs`` is
+the handicap and factor set of every response (items 12 and 14), and
+``cleared_nodes`` the nodes no response may keep singular (item 13).
 ``commutes`` checks the square linking a parent quest and a child created by
 an earlier call: after a blowup, the child's new scenario must
 simultaneously be the call-construction applied to the parent's new scenario
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation, _memo
 from .quests import (
@@ -51,8 +53,10 @@ __all__ = [
     "QuestRelation",
     "validate_refinement_transform",
     "validate_blowup_transform",
+    "exceptional_cap",
     "lift_factor",
     "capped_transport",
+    "cleared_nodes",
     "blowup_jibs",
     "quotient_lifted_factor",
     "transport_relation",
@@ -126,9 +130,10 @@ def validate_refinement_transform(
     return out
 
 
-def _exceptional_cap(c: Scenario, z: NodeId) -> Value:
+def exceptional_cap(c: Scenario, z: NodeId) -> Value:
     """The weight every factor takes at the exceptional node of a blowup at
-    z: ord(z) - 1, or 0 for a center outside S."""
+    z: ord(z) - 1, or 0 for a center outside S. For a singular center it is
+    also the order item 9 pins on the exceptional node."""
     return c.ord[z] - 1 if z in c.S else Fraction(0)
 
 
@@ -144,7 +149,7 @@ def lift_factor(m: MonomialFactor, bt: BoardTransform, e_weight: Value) -> Monom
 def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> MonomialFactor:
     """Items 14-15: carry a factor of c through the blowup ``bt``, the
     exceptional node taking the cap."""
-    return lift_factor(m, bt, _exceptional_cap(c, bt.center))
+    return lift_factor(m, bt, exceptional_cap(c, bt.center))
 
 
 def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
@@ -153,6 +158,23 @@ def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], Fac
     depends on the new S, T or orders."""
     H1 = frozenset(bt.embed[h] for h in c.H) | {bt.exceptional}
     return H1, FactorSet.of(capped_transport(c, bt, g) for g in c.M.generators)
+
+
+def cleared_nodes(
+    c: Scenario, bt: BoardTransform, nodes: Iterable[NodeId]
+) -> Iterator[Tuple[Tuple[NodeId, ...], Tuple[NodeId, ...]]]:
+    """Item 13: for each k-subset K of the center's jib uppers, k = d -
+    dim(z), the pair (K, the members of ``nodes`` over z below every i(h),
+    h in K, sorted). No node of a response may be singular there."""
+    z = bt.center
+    b1 = bt.target
+    k = c.d - c.board.dim(z)
+    if k < 0:
+        return
+    over_z = sorted(x for x in nodes if c.board.leq(bt.retract[x], z))
+    for K in combinations(c.jib_uppers(z), k):
+        imgs = [bt.embed[h] for h in K]
+        yield K, tuple(x for x in over_z if all(b1.leq(x, i) for i in imgs))
 
 
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
@@ -199,14 +221,14 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
                     "exceptional node kept singular although the center has order < 2 or is not singular",
                 )
             )
-        elif c1.ord[e] != c.ord[z] - 1:
+        elif c1.ord[e] != exceptional_cap(c, z):
             out.append(
                 Violation(
                     RULE,
                     9,
                     (e,),
                     f"ord({e}) = {format_value(c1.ord[e])}, expected "
-                    f"{format_value(c.ord[z] - 1)}",
+                    f"{format_value(exceptional_cap(c, z))}",
                 )
             )
 
@@ -238,29 +260,20 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
 
     # Item 13: blowing up a node of critical dimension empties its fiber of
     # singular content under the corresponding jibs.
-    uppers_z = tuple(h for h in sorted(c.H) if c.board.leq(z, h))
-    k = c.d - c.board.dim(z)
-    if 0 <= k <= len(uppers_z):
-        for K in combinations(uppers_z, k):
-            hit = tuple(
-                s1
-                for s1 in sorted(c1.S)
-                if c.board.leq(bt.retract[s1], z)
-                and all(b1.leq(s1, bt.embed[h]) for h in K)
-            )
-            if hit:
-                out.append(
-                    Violation(
-                        RULE,
-                        13,
-                        hit + K,
-                        f"singular nodes over the center survive below i(K), K = {set(K) or '{}'}",
-                    )
+    for K, hit in cleared_nodes(c, bt, c1.S):
+        if hit:
+            out.append(
+                Violation(
+                    RULE,
+                    13,
+                    hit + K,
+                    f"singular nodes over the center survive below i(K), K = {set(K) or '{}'}",
                 )
+            )
 
     # Item 14: factor generators gain the coordinate e, capped by ord(z) - 1
     # (0 for a center outside S).
-    cap = _exceptional_cap(c, z)
+    cap = exceptional_cap(c, z)
     if cap < 0:
         out.append(
             Violation(
@@ -296,10 +309,8 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
 # ---- commutativity across a blowup ---------------------------------------
 
 
-def quotient_lifted_factor(
-    m: MonomialFactor, z: NodeId, q: Fraction, c: Scenario, bt: BoardTransform
-) -> MonomialFactor:
-    """How a quotient call's factor rides through a blowup at z.
+def quotient_lifted_factor(m: MonomialFactor, q: Fraction, bt: BoardTransform) -> MonomialFactor:
+    """How a quotient call's factor rides through the blowup ``bt`` at z.
 
     The exceptional coordinate is m(z) + q - 1, evaluated via the factor's
     extension at the center; parent coordinates transport along the embedding.
@@ -309,12 +320,11 @@ def quotient_lifted_factor(
     clamp such centers would strand the quotient quest with no response at
     all, and the scale would stop shrinking between quotient calls.
     """
-    return lift_factor(m, bt, max(Fraction(0), extend_factor(c.board, m, z) + q - 1))
+    ext_z = extend_factor(bt.source, m, bt.center)
+    return lift_factor(m, bt, max(Fraction(0), ext_z + q - 1))
 
 
-def transport_relation(
-    rel: QuestRelation, c: Scenario, bt: BoardTransform
-) -> QuestRelation:
+def transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
     """Re-express a call's parameters on the blown-up board.
 
     Jib sets ride along the embedding. A released set additionally sheds the
@@ -331,7 +341,7 @@ def transport_relation(
     if rel.kind == TRANSVERSALITY:
         return QuestRelation(rel.kind, jibs=frozenset(bt.embed[h] for h in rel.jibs))
     if rel.kind == QUOTIENT:
-        lifted = quotient_lifted_factor(rel.factor, bt.center, rel.scale, c, bt)
+        lifted = quotient_lifted_factor(rel.factor, rel.scale, bt)
         return QuestRelation(QUOTIENT, factor=lifted, scale=rel.scale)
     return rel
 
@@ -349,8 +359,8 @@ def child_survives(rel: QuestRelation, c: Scenario, c1: Scenario, bt: BoardTrans
     if z not in admissible_centers(c1):
         return False
     if rel.kind == QUOTIENT:
-        lifted = quotient_lifted_factor(rel.factor, z, rel.scale, c, bt)
-        if lifted.weight(bt.exceptional) > _exceptional_cap(c, z):
+        lifted = quotient_lifted_factor(rel.factor, rel.scale, bt)
+        if lifted.weight(bt.exceptional) > exceptional_cap(c, z):
             return False
     return True
 
@@ -416,7 +426,7 @@ def _check_commutes(
         ]
 
     out: List[Violation] = []
-    rel1 = transport_relation(rel, c, bt)
+    rel1 = transport_relation(rel, bt)
     if rel.kind == DESCENT:  # same-board relation after the call round
         sub = []
         if (c1_prime.d, c1_prime.B) != (c_prime.d - 1, c_prime.B):

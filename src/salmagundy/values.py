@@ -1,17 +1,21 @@
-"""Exact order values: rationals extended with a signed infinity.
+"""Exact order values: rationals extended with one infinity.
 
 Finite orders live on a grid (1/B) * Z and are represented by
-:class:`fractions.Fraction`. Two sentinel objects extend the line:
-``INF`` (the order of a node that can never be resolved by finitely many
-steps) and ``NEG_INF`` (only ever produced as a residual, never stored).
+:class:`fractions.Fraction`. The sentinel ``INF`` extends the line: the
+order of a node that can never be resolved by finitely many steps, and the
+weight of an uncapped factor coordinate. It is the only infinite value;
+nothing in the game is negatively infinite.
 
-Subtraction follows the conventions the residual-order checks need:
+Arithmetic follows the conventions the order checks need:
 
-* ``INF - x == INF`` for every ``x`` (including ``INF`` itself),
-* ``finite - INF == NEG_INF``.
+* ``INF + x == x + INF == INF`` and ``INF - x == INF`` for every ``x``
+  (including ``INF`` itself), so a residual of an infinite order stays
+  infinite without special-casing infinite nodes at every call site;
+* ``INF / q == INF`` for a positive rational ``q``.
 
-These make "residual order is monotone" tests come out right without
-special-casing infinite nodes at every call site.
+Every other operation is undefined: ``finite - INF`` and ``INF / q`` for
+``q < 0`` raise ``ArithmeticError``, ``INF / 0`` raises
+``ZeroDivisionError``, and negation and multiplication are not provided.
 """
 
 from __future__ import annotations
@@ -19,120 +23,87 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-__all__ = ["INF", "NEG_INF", "Value", "is_finite", "parse_value", "format_value"]
+__all__ = ["INF", "Value", "is_finite", "parse_value", "format_value"]
 
 _FINITE = (int, Fraction)
 
 
-class _Extended:
-    """One of the two infinite order values. Do not instantiate; use INF / NEG_INF."""
+class _Infinity:
+    """The infinite order value. Do not instantiate; use INF."""
 
-    __slots__ = ("_positive",)
-
-    def __init__(self, positive: bool) -> None:
-        self._positive = positive
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return "INF" if self._positive else "NEG_INF"
+        return "INF"
 
-    # There are exactly two instances, so identity is equality.
+    # There is exactly one instance, so identity is equality.
     def __eq__(self, other: object) -> bool:
         return self is other
 
     def __hash__(self) -> int:
-        return hash(("salmagundy.extended", self._positive))
+        return hash("salmagundy.INF")
 
     def __reduce__(self) -> str:
         # Copies and pickles resolve to the module's own instance.
-        return "INF" if self._positive else "NEG_INF"
+        return "INF"
 
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, _Extended):
-            return (not self._positive) and other._positive
-        if isinstance(other, _FINITE):
-            return not self._positive
+        if isinstance(other, _FINITE) or other is self:
+            return False
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
-        if isinstance(other, _Extended):
-            return other._positive or not self._positive
         if isinstance(other, _FINITE):
-            return not self._positive
+            return False
+        if other is self:
+            return True
         return NotImplemented
 
     def __gt__(self, other: object) -> bool:
-        if isinstance(other, _Extended):
-            return self._positive and not other._positive
         if isinstance(other, _FINITE):
-            return self._positive
+            return True
+        if other is self:
+            return False
         return NotImplemented
 
     def __ge__(self, other: object) -> bool:
-        if isinstance(other, _Extended):
-            return self._positive or not other._positive
-        if isinstance(other, _FINITE):
-            return self._positive
+        if isinstance(other, _FINITE) or other is self:
+            return True
         return NotImplemented
 
-    def __neg__(self) -> "_Extended":
-        return NEG_INF if self._positive else INF
-
-    def __add__(self, other: object) -> "_Extended":
-        if isinstance(other, _FINITE):
+    def __add__(self, other: object) -> "_Infinity":
+        if isinstance(other, _FINITE) or other is self:
             return self
-        if isinstance(other, _Extended):
-            if other._positive == self._positive:
-                return self
-            raise ArithmeticError("INF + NEG_INF is undefined")
         return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other: object) -> "_Extended":
+    def __sub__(self, other: object) -> "_Infinity":
         # INF - anything (even INF) is INF by convention; see module docstring.
-        if self._positive:
+        if isinstance(other, _FINITE) or other is self:
             return self
-        if isinstance(other, _FINITE) or other is INF:
+        return NotImplemented
+
+    def __rsub__(self, other: object) -> "_Infinity":
+        if isinstance(other, _FINITE):
+            raise ArithmeticError("finite - INF is undefined")
+        return NotImplemented
+
+    def __truediv__(self, other: object) -> "_Infinity":
+        if isinstance(other, _FINITE) and other > 0:
             return self
-        raise ArithmeticError("NEG_INF - NEG_INF is undefined")
-
-    def __rsub__(self, other: object) -> "_Extended":
-        # finite - INF = NEG_INF, finite - NEG_INF = INF
-        if isinstance(other, _FINITE):
-            return NEG_INF if self._positive else INF
-        return NotImplemented
-
-    def __mul__(self, other: object) -> "_Extended":
-        if isinstance(other, _FINITE):
-            if other > 0:
-                return self
-            if other < 0:
-                return -self
-            raise ArithmeticError("0 * infinity is undefined")
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "_Extended":
-        if isinstance(other, _FINITE):
-            if other > 0:
-                return self
-            if other < 0:
-                return -self
-            raise ZeroDivisionError("infinity / 0")
-        if isinstance(other, _Extended):
-            raise ArithmeticError("infinity / infinity is undefined")
-        return NotImplemented
+        if other == 0:
+            raise ZeroDivisionError("INF / 0")
+        raise ArithmeticError(f"INF / {other!r} is undefined")
 
 
-INF = _Extended(True)
-NEG_INF = _Extended(False)
+INF = _Infinity()
 
-Value = Union[Fraction, _Extended]
+Value = Union[Fraction, _Infinity]
 
 
 def is_finite(v: Value) -> bool:
-    return not isinstance(v, _Extended)
+    return v is not INF
 
 
 def parse_value(text: str) -> Value:

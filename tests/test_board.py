@@ -95,6 +95,11 @@ def test_order_queries_match_closure_oracle():
         maximal = tuple(s for s in b.ids if reach[s] == {s} | set())
         maximal = tuple(s for s in b.ids if all(t == s or t not in reach[s] for t in b.ids))
         assert b.maximal_nodes == maximal
+        for k in range(len(b.ids) + 1):
+            nodes = b.ids[k // 2 : k]
+            assert b.maximal_among(iter(nodes)) == sorted(
+                s for s in nodes if all(t == s or t not in reach[s] for t in nodes)
+            )
         for s in b.ids:
             for t in b.ids:
                 common = b.down_set(s) & b.down_set(t)

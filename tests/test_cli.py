@@ -181,11 +181,22 @@ def test_explore_reports_a_cap_that_cuts_a_blowup_before_its_first_bundle(
     code, out, err = run(capsys, "explore", "--seed", seed)
     assert code == cli.EXIT_CAP, err
     summary, *reasons = out.splitlines()
-    assert summary.startswith("all_won=true ")
+    # at these caps the cut comes before the tree's first leaf
+    assert summary.startswith("all_won=false ") and " leaves=0 " in summary
     # the blowup the cap stops before any valid bundle of it was found
     first_cut = {0: "round 8, blowup at v1", 9: "round 1, blowup at v4"}[seed]
     assert f"truncated: {first_cut}: stopped after {cap} candidates" in reasons
     assert "no valid bundle" not in err
+
+
+def test_explore_without_leaves_is_not_a_win(capsys, monkeypatch):
+    monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", 1)
+    report = harness.explore(harness.gen_scenario(0))
+    assert (report.branch_count, report.leaf_count) == (7, 0)
+    assert report.truncated and not report.all_won
+    code, out, _ = run(capsys, "explore", "--seed", 0)
+    assert code == cli.EXIT_CAP
+    assert out.splitlines()[0].startswith("all_won=false branches=7 leaves=0 wins=0 ")
 
 
 def test_explore_without_a_bundle_in_a_complete_search_is_a_violation(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Dido's strategy: the monomial measure, its order, and two small games."""
+"""Dido's strategy: the monomial measure, its order, small games and a sweep."""
 
 import random
 from fractions import Fraction
@@ -94,7 +94,7 @@ def test_chain_game_canonical(chain_scenario):
     assert r.won
     assert r.rounds == 6
     assert r.blowups == 2
-    assert r.strict
+    assert r.singular_centers
     assert r.no_discards
     assert r.state.won
 
@@ -119,3 +119,18 @@ def test_monomial_measure_decreases_in_play():
             if qid in per_quest:
                 assert dms_less(m, per_quest[qid]), (seed, qid, m, per_quest[qid])
             per_quest[qid] = m
+
+
+# ---- the paper's claim over generated games ---------------------------------
+
+
+@pytest.mark.parametrize("policy", ["canonical", "random:1"])
+def test_dido_wins_every_generated_game_of_seeds_100_to_399(policy):
+    from salmagundy.harness import gen_scenario
+
+    lost = [
+        seed
+        for seed in range(100, 400)
+        if not play_game(gen_scenario(seed), Policy.parse(policy)).won
+    ]
+    assert lost == []

@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 from salmagundy import mephisto
 from salmagundy.board import Board, Violation
 from salmagundy.dido import DidoStrategy
-from salmagundy.game import GameState, Move, Quest, apply_round, new_game, validate_bundle
-from salmagundy.harness import gen_board, gen_scenario
+from salmagundy.game import (
+    GameState,
+    Move,
+    Quest,
+    apply_round,
+    blowup_discards,
+    new_game,
+    validate_bundle,
+)
+from salmagundy.harness import gen_board, gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import (
     _KEEP_ENUM_LIMIT,
     CapError,
@@ -29,8 +37,9 @@ from salmagundy.mephisto import (
     respond,
 )
 from salmagundy.quests import quotient_response, transversality_response
-from salmagundy.scenario import heavy_jib_violations, zero_factor
+from salmagundy.scenario import extend_factor, heavy_jib_violations, zero_factor
 from salmagundy.transform import QuestRelation, blowup_jibs, validate_blowup_transform
+from salmagundy.values import INF, is_finite
 
 
 def _root_state(scenario):
@@ -149,6 +158,86 @@ def test_bundle_score_counts_singular_mass(chain_scenario):
     total_s, mass = _bundle_score(bundle)
     assert total_s == sum(len(r.S) for r in bundle.responses.values())
     assert mass == Fraction(1)
+
+
+# ---- order assignment ---------------------------------------------------------
+
+
+def _two_pass_assign_orders(
+    board, d, keep, gens, pinned, bump, force_one=False, override=None
+):
+    """Reference: place every order top-down, then check each placed order
+    once more against the floor that all the other placed orders give it."""
+    ords = {}
+    for f in sorted(keep, key=lambda s: (-board.dim(s), s)):
+        if override is not None:
+            v = extend_factor(board, override, f)
+            if f in pinned and pinned[f] != v:
+                return None
+            if board.dim(f) == d and is_finite(v):
+                return None
+        elif f in pinned:
+            v = pinned[f]
+        elif board.dim(f) == d:
+            v = INF
+        else:
+            floor = mephisto._order_floor(board, gens, ords, f)
+            if is_finite(floor) and bump:
+                v = max(floor, Fraction(1) + bump)
+            else:
+                v = floor
+        if force_one and v != Fraction(1):
+            return None
+        if is_finite(v) and v < 1:
+            return None
+        ords[f] = v
+    for f, v in ords.items():
+        others = {t: w for t, w in ords.items() if t != f}
+        floor = mephisto._order_floor(board, gens, others, f)
+        if is_finite(v) and (not is_finite(floor) or v < floor):
+            return None
+    return ords
+
+
+def _pinned_variants(pinned):
+    """The pinned orders as given, and with each finite one moved to 1 and
+    up by 1: the first can sink below the node's floor, the second lifts
+    the floor of the pinned nodes below it."""
+    yield pinned
+    for f, v in sorted(pinned.items()):
+        if is_finite(v):
+            for w in (Fraction(1), v + 1):
+                yield {**pinned, f: w}
+
+
+def test_one_pass_order_assignment_matches_the_two_pass_reference(monkeypatch):
+    calls = []
+    one_pass = mephisto._assign_orders
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return one_pass(*args, **kwargs)
+
+    monkeypatch.setattr(mephisto, "_assign_orders", record)
+    games = [(gen_scenario(s), k) for s in range(20) for k in ("canonical", "adversarial")]
+    games += [(gen_monomial_scenario(s), k) for s in range(6) for k in ("canonical", "random:1")]
+    for scenario, kind in games:
+        play_game(scenario, Policy.parse(kind))
+    monkeypatch.undo()
+
+    shapes = {"override": 0, "pinned": 0, "descent": 0, "none": 0, "orders": 0}
+    for (board, d, keep, gens, pinned, bump, *rest), kwargs in calls:
+        override = kwargs.get("override")
+        shapes["override"] += override is not None
+        shapes["pinned"] += bool(pinned)
+        shapes["descent"] += not gens[0].weights  # blowup responses have jib e
+        for variant in _pinned_variants(pinned):
+            args = (board, d, keep, gens, variant, bump, *rest)
+            want = _two_pass_assign_orders(*args, **kwargs)
+            assert one_pass(*args, **kwargs) == want
+            shapes["none" if want is None else "orders"] += 1
+    # every kind of call, and both outcomes, were met
+    assert all(shapes.values()), shapes
 
 
 # ---- keep enumeration helpers -------------------------------------------------
@@ -270,7 +359,9 @@ def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
                     continue
                 if not repair and validate_blowup_transform(root, bt, root_new):
                     continue
-                bundle = _assemble_blowup(state, bt, root_new, bump)
+                bundle = _assemble_blowup(
+                    state, bt, root_new, bump, blowup_discards(state, bt)
+                )
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(

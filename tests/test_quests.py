@@ -132,6 +132,11 @@ def test_quotient_rejects_bad_arguments(crossing_scenario):
     with pytest.raises(ValueError, match="unknown nodes"):
         # A zero weight off the board still passes membership.
         quotient_response(c, MonomialFactor.of({"h1": 0, "h2": 0, "ghost": 0}), Fraction(1))
+    # A member uncapped above a finite order (the scenario fails issue 6):
+    # its residual finite - INF is undefined.
+    uncapped = MonomialFactor.of({"h1": INF, "h2": 0})
+    with pytest.raises(ValueError, match="uncapped below a finite order"):
+        quotient_response(_remake(c, M=[uncapped]), uncapped, Fraction(1))
 
 
 def test_quotient_check_items(crossing_scenario):

@@ -30,6 +30,7 @@ from salmagundy.scenario import (
     is_tight,
     scenario_from_json,
     scenario_to_json,
+    separation_mass,
     validate_scenario,
     zero_factor,
 )
@@ -236,6 +237,25 @@ def test_issue_8_residual_order_increases(chain_board):
     assert validate_scenario(good) == []
     bad = _remake(good, ord={"p": 2, "a": INF})
     assert _issues(bad) == {8}
+
+
+def test_issue_8_reads_the_weights_issue_7_rejects_off_the_handicap():
+    # p below a and b; the only generator weighs b, which is not a jib.
+    board = Board(
+        {"p": 0, "a": 1, "b": 1, "w": 2},
+        [("p", "a"), ("p", "b"), ("a", "w"), ("b", "w")],
+    )
+    c = Scenario.make(
+        board, d=2, B=1, H=[], S={"p", "a"}, T=board.ids,
+        ord={"p": 2, "a": 1}, M=[MonomialFactor.of({"b": 2})],
+    )
+    # Issue 8 sums the generator's own weights separating p from a, as
+    # issue 6 extends them: 2 - 2 < 1. Any such input already fails issue 7.
+    assert separation_mass(board, c.M.generators[0], "p", "a") == 2
+    assert [(v.issue, v.witness) for v in validate_scenario(c)] == [
+        (7, ("b",)),
+        (8, ("p", "a")),
+    ]
 
 
 def test_issue_9_heavy_jib_set_without_witness(crossing_scenario):

@@ -271,7 +271,7 @@ def test_capped_transport_weights(crossing_scenario):
 def test_quotient_lifted_factor_adds_scale_at_exceptional(crossing_scenario):
     bt = blowup_transform(crossing_scenario.board, "s")
     (m,) = crossing_scenario.M.generators
-    lifted = quotient_lifted_factor(m, "s", Fraction(1, 2), crossing_scenario, bt)
+    lifted = quotient_lifted_factor(m, Fraction(1, 2), bt)
     assert lifted.weight("e0") == Fraction(13, 10) + Fraction(1, 2) - 1
     assert lifted.weight("h1") == Fraction(3, 5)
 
@@ -279,34 +279,29 @@ def test_quotient_lifted_factor_adds_scale_at_exceptional(crossing_scenario):
 def test_quotient_lifted_factor_clamps_at_zero(crossing_scenario):
     bt = blowup_transform(crossing_scenario.board, "s")
     z = zero_factor(crossing_scenario.H)
-    lifted = quotient_lifted_factor(z, "s", Fraction(1, 2), crossing_scenario, bt)
+    lifted = quotient_lifted_factor(z, Fraction(1, 2), bt)
     assert lifted.weight("e0") == 0
 
 
 def test_transport_relation_kinds(crossing_scenario):
     bt = blowup_transform(crossing_scenario.board, "s")
     c = crossing_scenario
-    rel = transport_relation(QuestRelation.relaxation({"h1"}), c, bt)
+    rel = transport_relation(QuestRelation.relaxation({"h1"}), bt)
     assert rel.jibs == frozenset({"h1"})
-    rel = transport_relation(QuestRelation.transversality({"h2"}), c, bt)
+    rel = transport_relation(QuestRelation.transversality({"h2"}), bt)
     assert rel.jibs == frozenset({"h2"})
-    rel = transport_relation(QuestRelation.descent(), c, bt)
+    rel = transport_relation(QuestRelation.descent(), bt)
     assert rel == QuestRelation.descent()
     q = transport_relation(
-        QuestRelation.quotient(zero_factor(c.H), Fraction(1)), c, bt
+        QuestRelation.quotient(zero_factor(c.H), Fraction(1)), bt
     )
     assert q.scale == 1
     assert q.factor.domain == {"h1", "h2", "e0"}
 
 
 def test_transport_relation_sheds_exceptional_from_release(crossing_board):
-    heavy = Scenario.make(
-        crossing_board, d=2, B=10, H={"h1", "h2"}, S={"s", "h1"},
-        T={"s", "h1", "h2", "w"}, ord={"s": 2, "h1": 1},
-        M=[MonomialFactor.of({"h1": 1, "h2": Fraction(7, 10)})],
-    )
     bt = blowup_transform(crossing_board, "h1")
-    rel = transport_relation(QuestRelation.relaxation({"h1", "h2"}), heavy, bt)
+    rel = transport_relation(QuestRelation.relaxation({"h1", "h2"}), bt)
     assert bt.exceptional == "e0"
     assert rel.jibs == frozenset({"h2"})
 
