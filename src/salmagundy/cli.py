@@ -140,9 +140,22 @@ def _policy(args: argparse.Namespace) -> Policy:
         raise SystemExit(_usage(str(exc)))
 
 
-def _default_scenario(args: argparse.Namespace):
-    seed = args.seed if args.seed is not None else 0
-    return gen_scenario(seed)
+def _game_scenario(args: argparse.Namespace):
+    """The --scenario file, which must be valid, or the one generated from
+    --seed; an invalid file exits 1 with its violations."""
+    if not args.scenario:
+        return gen_scenario(args.seed if args.seed is not None else 0)
+    scenario = _load_scenario(args.scenario)
+    violations = validate_scenario(scenario)
+    if violations:
+        raise SystemExit(_report(violations))
+    return scenario
+
+
+def _report(violations) -> int:
+    for v in violations:
+        sys.stderr.write(f"{v}\n")
+    return EXIT_VIOLATIONS
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -170,9 +183,7 @@ def _cmd_validate(args) -> int:
         violations = validate_board(b)
         kind = "board"
     if violations:
-        for v in violations:
-            sys.stderr.write(f"{v}\n")
-        return EXIT_VIOLATIONS
+        return _report(violations)
     print(f"{kind} ok")
     return EXIT_OK
 
@@ -190,7 +201,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_play(args) -> int:
-    scenario = _load_scenario(args.scenario) if args.scenario else _default_scenario(args)
+    scenario = _game_scenario(args)
     policy = _policy(args)
     round_cap = args.round_cap if args.round_cap is not None else 10_000
     result = play_game(scenario, policy, round_cap=round_cap)
@@ -209,7 +220,7 @@ def _cmd_play(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    scenario = _load_scenario(args.scenario) if args.scenario else _default_scenario(args)
+    scenario = _game_scenario(args)
     report = explore(
         scenario,
         max_new_nodes=args.max_new_nodes,

@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .board import BoardTransform, NodeId
 from .game import Bundle, CALL, DISCARDED, GameState, Move, OPEN, Quest
-from .quests import DESCENT, QUOTIENT, RELAXATION, TRANSVERSALITY, QuestRelation
+from .quests import QuestRelation
 from .scenario import (
     MonomialFactor,
     Scenario,
@@ -135,6 +135,9 @@ class DidoStrategy:
     def __init__(self) -> None:
         self.plans: Dict[int, object] = {}
         self.measure_log: List[Tuple[int, Tuple[Fraction, ...]]] = []
+        # the plan or driver item, and its field, that the last call's
+        # quest fills once observed
+        self._slot: Optional[Tuple[object, str]] = None
 
     # -- planning --------------------------------------------------------------
 
@@ -177,12 +180,15 @@ class DidoStrategy:
     def _drive(self, state: GameState, quest: Quest, plan: _DriverPlan) -> Move:
         for item in plan.items:
             if item.p_id is None:
+                self._slot = (item, "p_id")
                 return Move.call(
                     quest.quest_id, QuestRelation.transversality(frozenset(item.K))
                 )
             if item.r_id is None:
+                self._slot = (item, "r_id")
                 return Move.call(item.p_id, QuestRelation.relaxation(plan.L))
             if item.q_id is None:
+                self._slot = (item, "q_id")
                 return Move.call(item.r_id, QuestRelation.descent())
         for item in plan.items:
             sub = state.quests[item.q_id]
@@ -226,6 +232,7 @@ class DidoStrategy:
         q = max(v for v in resid.values())
         if q <= 0:
             raise StrategyError("zero residuals did not enter the monomial phase")
+        self._slot = (plan, "child_id")
         return Move.call(quest.quest_id, QuestRelation.quotient(plan.m, q))
 
     def _elementary(self, quest: Quest, plan: _LoopPlan) -> Move:
@@ -264,42 +271,16 @@ class DidoStrategy:
         self, state: GameState, move: Move, bundle: Bundle, record: dict
     ) -> None:
         if move.kind == CALL:
-            self._observe_call(move, record["new_quest"])
+            holder, field_name = self._slot
+            setattr(holder, field_name, record["new_quest"])
+            if isinstance(holder, _LoopPlan):
+                holder.q = move.relation.scale
         else:
             self._observe_blowup(state, bundle.transform)
         for qid in list(self.plans):
             quest = state.quests.get(qid)
             if quest is None or quest.status != OPEN:
                 del self.plans[qid]
-
-    def _observe_call(self, move: Move, new_id: int) -> None:
-        rel = move.relation
-        plan = self.plans.get(move.quest_id)
-        if isinstance(plan, _LoopPlan) and rel.kind == QUOTIENT:
-            plan.child_id = new_id
-            plan.q = rel.scale
-            return
-        for plan in self.plans.values():
-            if not isinstance(plan, _DriverPlan):
-                continue
-            for item in plan.items:
-                if (
-                    rel.kind == TRANSVERSALITY
-                    and item.p_id is None
-                    and frozenset(item.K) == rel.jibs
-                    and self._owned(plan, move.quest_id)
-                ):
-                    item.p_id = new_id
-                    return
-                if rel.kind == RELAXATION and item.p_id == move.quest_id and item.r_id is None:
-                    item.r_id = new_id
-                    return
-                if rel.kind == DESCENT and item.r_id == move.quest_id and item.q_id is None:
-                    item.q_id = new_id
-                    return
-
-    def _owned(self, plan: _DriverPlan, qid: int) -> bool:
-        return self.plans.get(qid) is plan
 
     def _observe_blowup(self, state: GameState, bt: BoardTransform) -> None:
         z = bt.center

@@ -6,7 +6,10 @@ bundle: the board transform plus one response scenario per open quest (or a
 discard where the center closed the quest). ``validate_bundle`` is the single
 gate: a round is applied only when every response satisfies its transform
 rules and every parent/child pair still satisfies the relation created by
-the original call.
+the original call. ``blowup_discards`` alone decides which quests a blowup
+closes: the umpire rejects a bundle whose discards or responses disagree
+with it before it checks any square, so ``transform.commutes`` sees only
+surviving children.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs. Mephisto sieves candidates with ``validate_bundle``, and
@@ -491,25 +494,40 @@ def trace_header(scenario: Scenario, policy: str, seed: Optional[int] = None) ->
 
 
 def replay_trace(lines: Iterable[str]) -> GameState:
-    """Re-run a trace, re-validating every round; returns the final state."""
+    """Re-run a trace, re-validating every round; returns the final state.
+
+    Raises ValueError for a round the umpire rejects, an outcome that does
+    not match the replay, and a malformed line (named by its number).
+    """
     it = iter(lines)
     try:
-        header = json.loads(next(it))["header"]
+        first = next(it)
     except StopIteration:
         raise ValueError("empty trace") from None
-    state = new_game(scenario_from_json(header["scenario"]))
-    for line in it:
+    try:
+        scenario = scenario_from_json(json.loads(first)["header"]["scenario"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _malformed(1, exc) from exc
+    state = new_game(scenario)
+    for lineno, line in enumerate(it, 2):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
-        move = move_from_json(record["move"])
-        bundle = bundle_from_json(record["bundle"], state.board)
+        try:
+            record = json.loads(line)
+            move = move_from_json(record["move"])
+            bundle = bundle_from_json(record["bundle"], state.board)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise _malformed(lineno, exc) from exc
         applied = apply_round(state, move, bundle)
         for key in ("new_quest", "won", "discarded"):
             if applied.get(key) != record.get(key):
                 raise ValueError(
-                    f"round {record['round']}: recorded {key} {record.get(key)!r} "
+                    f"round {record.get('round')}: recorded {key} {record.get(key)!r} "
                     f"does not match the replay {applied.get(key)!r}"
                 )
     return state
+
+
+def _malformed(lineno: int, exc: Exception) -> ValueError:
+    return ValueError(f"line {lineno}: malformed trace record ({type(exc).__name__}: {exc})")

@@ -400,14 +400,15 @@ def _assemble_blowup(
     root_new: Scenario,
     bump: Fraction,
     discards: FrozenSet[int],
+    relations: Dict[int, QuestRelation],
 ) -> Optional[Bundle]:
-    """The bundle around a root response; ``discards`` is
-    ``blowup_discards(state, bt)``, which depends on the board alone."""
+    """The bundle around a root response. ``discards`` is
+    ``blowup_discards(state, bt)`` and ``relations`` maps each surviving
+    child, in id order, to its call transported onto the new board; both
+    depend on the board alone."""
     responses: Dict[int, Scenario] = {0: root_new}
-    for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
-        if quest.parent_id is None or quest.quest_id in discards:
-            continue
-        rel_new = transport_relation(quest.relation, bt)
+    for qid, rel_new in relations.items():
+        quest = state.quests[qid]
         resp = _child_blowup_response(
             rel_new, responses[quest.parent_id], quest.scenario, bt, bump
         )
@@ -521,6 +522,11 @@ def enumerate_blowup_bundles(
             )
         H1, M1 = blowup_jibs(root, bt)
         discards = blowup_discards(state, bt)
+        relations = {
+            quest.quest_id: transport_relation(quest.relation, bt)
+            for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
+            if quest.parent_id is not None and quest.quest_id not in discards
+        }
         tried = set(keeps)
         while keeps:
             keep = keeps.pop(0)
@@ -547,7 +553,7 @@ def enumerate_blowup_bundles(
                     # The full bundle check starts with exactly this test, so
                     # a failing root sinks the candidate; skip the assembly.
                     continue
-                bundle = _assemble_blowup(state, bt, root_new, bump, discards)
+                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations)
                 if bundle is None or bundle.responses in yielded:
                     continue
                 # While enumerating, only emptiness matters; the repair loop

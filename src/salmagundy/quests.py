@@ -7,10 +7,14 @@ the paired ``*_check`` verifies a claimed response item by item. Relaxation
 leaves Mephisto one freedom, enlarging T: ``relaxation_response`` is the
 answer that declines it, and ``relaxation_check`` accepts any legal
 enlargement. Descent leaves him the orders after the dimension drop, so it
-only has a checker over his choice space. ``call_response`` and
-``call_check`` are the one dispatch over the other three: Mephisto answers
-and the umpire checks through them, on the call round and again after every
-blowup (``transform.commutes``), and branch only on ``DESCENT``.
+has no fixed response: its relation asks only for d - 1, the same B, and
+the parent's S, H and T.
+
+``call_check`` is the one check of all four relations, on the call round
+and again after every blowup (``transform.commutes``); ``call_response`` is
+the one construction of the three fixed responses. ``descent_check`` adds
+what holds only when the descent call is made: its preconditions, the zero
+factor, and the validity of the child's free orders.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional
 
-from .board import BoardTransform, NodeId, Violation, REFINEMENT
+from .board import BoardTransform, NodeId, Violation
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -105,8 +109,11 @@ def call_response(c: Scenario, rel: QuestRelation) -> Scenario:
 
 
 def call_check(c: Scenario, rel: QuestRelation, c1: Scenario) -> List[Violation]:
-    """Check a claimed child ``c1`` of a transversality, quotient or
-    relaxation call on ``c``; raises ValueError as ``call_response`` does."""
+    """Check a claimed child ``c1`` of the call ``rel`` on ``c``. Raises
+    ValueError for an unknown kind, and as ``call_response`` does for
+    parameters the parent does not admit."""
+    if rel.kind == DESCENT:
+        return _descent_relation(c, c1)
     if rel.kind == RELAXATION:
         return relaxation_check(c, rel.jibs, c1)
     return _compare_one_way(rel.kind, call_response(c, rel), c1)
@@ -303,13 +310,37 @@ def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Vio
 # ---- descent ---------------------------------------------------------------
 
 
+def _descent_relation(c: Scenario, c1: Scenario) -> List[Violation]:
+    """Issue 1: one dimension lower, same bound; issue 2: the parent's S, H
+    and T. The orders are free."""
+    if c1.board != c.board:
+        return [Violation(DESCENT, "structure", (), "response lives on a different board")]
+    out: List[Violation] = []
+    if (c1.d, c1.B) != (c.d - 1, c.B):
+        out.append(
+            Violation(DESCENT, 1, (), f"expected d={c.d - 1}, B={c.B}; got d={c1.d}, B={c1.B}")
+        )
+    for name, mine, theirs in (("S", c1.S, c.S), ("H", c1.H, c.H), ("T", c1.T, c.T)):
+        if mine != theirs:
+            out.append(
+                Violation(
+                    DESCENT,
+                    2,
+                    tuple(sorted(mine ^ theirs)),
+                    f"descent child's {name} differs from the parent's",
+                )
+            )
+    return out
+
+
 def descent_check(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
-    """Check a response to "step down": dimension drops by one.
+    """Check a response to "step down" on the call round.
 
     Preconditions (raised, not reported): the parent must be tight with an
-    empty handicap, and above dimension 0. The response rides on a
-    refinement; its orders are Mephisto's choice, so scenario validity of
-    the response is part of the check.
+    empty handicap, above dimension 0, and the round rides on the identity
+    refinement. Beyond the relation (``call_check``), the child's factor set
+    is the zero factor, and its orders are Mephisto's choice, so scenario
+    validity of the response is part of the check.
     """
     if not is_tight(c):
         raise ValueError("descent requires a tight scenario")
@@ -317,30 +348,12 @@ def descent_check(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violati
         raise ValueError("descent requires an empty handicap")
     if c.d == 0:
         raise ValueError("cannot descend below dimension 0")
-    if bt.kind != REFINEMENT:
-        raise ValueError("descent responses ride on a refinement")
-    rule = "descent"
-    out: List[Violation] = []
-    if bt.source != c.board or c1.board != bt.target:
-        out.append(Violation(rule, "structure", (), "boards do not line up with the refinement"))
+    if bt.source != c.board or not bt.is_identity():
+        raise ValueError("descent responses ride on the identity refinement")
+    out = call_check(c, QuestRelation.descent(), c1)
+    if any(v.issue == "structure" for v in out):
         return out
-    if c1.d != c.d - 1 or c1.B != c.B:
-        out.append(
-            Violation(
-                rule, 1, (), f"expected d={c.d - 1}, B={c.B}; got d={c1.d}, B={c1.B}"
-            )
-        )
-    want_S = frozenset(x for x in bt.target.ids if bt.retract[x] in c.S)
-    if c1.S != want_S:
-        out.append(Violation(rule, 2, tuple(sorted(c1.S ^ want_S)), "singular set is not u^{-1}(S)"))
-    if c1.H != frozenset():
-        out.append(Violation(rule, 2, tuple(sorted(c1.H)), "handicap must stay empty"))
-    for s in c.board.ids:
-        if (bt.embed[s] in c1.T) != (s in c.T):
-            out.append(
-                Violation(rule, 2, (s,), f"transversality of {s} not transported to {bt.embed[s]}")
-            )
     if c1.M != FactorSet.of([zero_factor(frozenset())]):
-        out.append(Violation(rule, 2, (), "factor set must be the zero factor"))
+        out.append(Violation(DESCENT, 2, (), "factor set must be the zero factor"))
     out.extend(validate_scenario(c1))
     return out

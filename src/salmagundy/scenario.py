@@ -114,11 +114,6 @@ class FactorSet:
     def contains(self, m: MonomialFactor) -> bool:
         return any(g.dominates(m) for g in self.generators)
 
-    def max_sum_over(self, K: Iterable[NodeId]) -> Value:
-        """max over generators of the total weight on K (0 when K is empty)."""
-        return _max_mass([g.as_dict() for g in self.generators], list(K))
-
-
 def _max_mass(weights: List[Dict[NodeId, Value]], K: Iterable[NodeId]) -> Value:
     """max over the weight maps of their total on K (0 when K is empty)."""
     best: Value = Fraction(0)
@@ -526,5 +521,5 @@ def scenario_from_json(data: dict, board: Optional[Board] = None) -> Scenario:
             ord={s: parse_value(v) for s, v in data["ord"].items()},
             M=FactorSet.of(factor_from_json(g) for g in data["M"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed scenario JSON: {exc}") from exc

@@ -11,9 +11,12 @@ or ``quotient_lifted_factor`` (a quotient call's factor); ``blowup_jibs`` is
 the handicap and factor set of every response (items 12 and 14), and
 ``cleared_nodes`` the nodes no response may keep singular (item 13).
 ``commutes`` checks the square linking a parent quest and a child created by
-an earlier call: after a blowup, the child's new scenario must
-simultaneously be the call-construction applied to the parent's new scenario
-(``quests.call_check``) and a legal transform of the child's old scenario.
+an earlier call, for a child that survives the blowup: the child's new
+scenario must simultaneously answer the transported call on the parent's new
+scenario (``quests.call_check``, the one check of all four calls) and be a
+legal transform of the child's old scenario. Which children survive is
+``game.blowup_discards``'s decision alone; ``child_survives`` is its test of
+one child.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation, _memo
 from .quests import (
@@ -347,7 +350,8 @@ def transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
 
 
 def child_survives(rel: QuestRelation, c: Scenario, c1: Scenario, bt: BoardTransform) -> bool:
-    """Whether a child quest stays open through a blowup at bt.center.
+    """Whether a child quest stays open through a blowup at bt.center, as far
+    as the center decides it (``game.blowup_discards`` adds the parents).
 
     A child is discarded when the center is not admissible for its current
     scenario. A quotient child is additionally discarded when the lifted
@@ -370,23 +374,23 @@ def commutes(
     c: Scenario,
     c1: Scenario,
     c_prime: Scenario,
-    c1_prime: Optional[Scenario],
+    c1_prime: Scenario,
     bt: BoardTransform,
 ) -> List[Violation]:
-    """Check the parent/child square across a blowup.
+    """Check the parent/child square across a blowup, for a child that
+    survives it (``game.blowup_discards`` decides which do).
 
     ``c``/``c1`` are the parent and child scenarios before the move,
-    ``c_prime`` the parent's new scenario, ``c1_prime`` the child's (None
-    when the child is discarded). Relation-side failures are reported under
-    rule "commutativity" with the call kind's issue number; transform-side
-    failures keep their own rule tags.
+    ``c_prime`` and ``c1_prime`` their new ones. The call side is
+    ``quests.call_check`` of the transported relation between the two new
+    scenarios; its failures are reported under rule "commutativity" with the
+    call kind's issue number. Transform-side failures keep their own rule
+    tags. Boards that do not line up, and a new parent scenario that does
+    not admit the transported call, are reported, not raised.
 
     The verdict is stored on ``c1_prime`` for these very other arguments;
-    without a child response it is computed directly. Every call returns a
-    fresh list.
+    every call returns a fresh list.
     """
-    if c1_prime is None:
-        return _check_commutes(rel, c, c1, c_prime, c1_prime, bt)
     return _memo(
         c1_prime, (rel, c, c1, c_prime, bt), _check_commutes, rel, c, c1, c_prime, c1_prime, bt
     )
@@ -397,75 +401,19 @@ def _check_commutes(
     c: Scenario,
     c1: Scenario,
     c_prime: Scenario,
-    c1_prime: Optional[Scenario],
+    c1_prime: Scenario,
     bt: BoardTransform,
 ) -> List[Violation]:
     if c.board != bt.source or c1.board != bt.source or c_prime.board != bt.target:
-        raise ValueError("commutativity check: boards do not line up")
+        detail = "boards do not line up with the blowup"
+        return [Violation("commutativity", "structure", (), detail)]
+    try:
+        sub = call_check(c_prime, transport_relation(rel, bt), c1_prime)
+    except ValueError as exc:  # parameters the parent's new scenario does not admit
+        sub = [Violation(rel.kind, "structure", (bt.exceptional,), str(exc))]
     issue = _COMM_ISSUE[rel.kind]
-    survives = child_survives(rel, c, c1, bt)
-    if not survives:
-        if c1_prime is None:
-            return []
-        return [
-            Violation(
-                "commutativity",
-                issue,
-                (bt.center,),
-                "child keeps a response although the center closed it",
-            )
-        ]
-    if c1_prime is None:
-        return [
-            Violation(
-                "commutativity",
-                issue,
-                (bt.center,),
-                "open child received no response",
-            )
-        ]
-
-    out: List[Violation] = []
-    rel1 = transport_relation(rel, bt)
-    if rel.kind == DESCENT:  # same-board relation after the call round
-        sub = []
-        if (c1_prime.d, c1_prime.B) != (c_prime.d - 1, c_prime.B):
-            sub.append(
-                Violation(
-                    DESCENT,
-                    1,
-                    (),
-                    f"expected d={c_prime.d - 1}, B={c_prime.B}; got d={c1_prime.d}, B={c1_prime.B}",
-                )
-            )
-        for name, mine, theirs in (
-            ("S", c1_prime.S, c_prime.S),
-            ("H", c1_prime.H, c_prime.H),
-            ("T", c1_prime.T, c_prime.T),
-        ):
-            if mine != theirs:
-                sub.append(
-                    Violation(
-                        DESCENT,
-                        2,
-                        tuple(sorted(mine ^ theirs)),
-                        f"descent child's {name} differs from the parent's",
-                    )
-                )
-    elif rel.kind == QUOTIENT and not c_prime.M.contains(rel1.factor):
-        sub = [
-            Violation(
-                QUOTIENT,
-                "structure",
-                (bt.exceptional,),
-                "lifted factor is not a factor of the parent response",
-            )
-        ]
-    else:
-        sub = call_check(c_prime, rel1, c1_prime)
-    for v in sub:
-        out.append(
-            Violation("commutativity", issue, v.witness, f"(call side) {v.detail}")
-        )
+    out = [
+        Violation("commutativity", issue, v.witness, f"(call side) {v.detail}") for v in sub
+    ]
     out.extend(validate_blowup_transform(c1, bt, c1_prime))
     return out

@@ -64,6 +64,19 @@ def test_validate_usage_errors(capsys, tmp_path):
     assert run(capsys, "validate", garbled)[0] == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("field, value", [("ord", ["p"]), ("M", ["0"])], ids=["ord", "M"])
+def test_scenario_entries_that_are_not_objects_are_usage_errors(
+    capsys, tmp_path, chain_scenario, field, value
+):
+    data = scenario_to_json(chain_scenario)
+    data[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    for argv in (("validate", path), ("play", "--scenario", path)):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE and "malformed scenario JSON" in err
+
+
 # ---- play ---------------------------------------------------------------------
 
 
@@ -145,8 +158,40 @@ def test_replay_reports_factor_weights_off_the_board(capsys, tmp_path):
         assert "M has weights at unknown nodes (witness: ghost)" in err
 
 
+def test_replay_names_the_malformed_line(capsys, tmp_path):
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 3, "--trace", trace)[0] == cli.EXIT_OK
+    header, round_line = (json.loads(line) for line in trace.read_text().splitlines())
+    no_move = {k: v for k, v in round_line.items() if k != "move"}
+    no_bundle = {k: v for k, v in round_line.items() if k != "bundle"}
+    listed = json.loads(json.dumps(round_line))
+    listed["bundle"]["responses"] = [listed["bundle"]["responses"]["0"]]
+    for lineno, lines in (
+        (1, ({"scenario": header["header"]["scenario"]}, round_line)),
+        (2, (header, no_move)),
+        (2, (header, no_bundle)),
+        (2, (header, listed)),
+    ):
+        path = tmp_path / "malformed.ndjson"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code, _, err = run(capsys, "replay", path)
+        assert code == cli.EXIT_VIOLATIONS
+        assert err.startswith(f"line {lineno}: malformed trace record")
+
+
 def test_replay_usage_error(capsys, tmp_path):
     assert run(capsys, "replay", tmp_path / "missing.ndjson")[0] == cli.EXIT_USAGE
+
+
+def test_play_and_explore_report_an_invalid_scenario(capsys, tmp_path, chain_scenario):
+    data = scenario_to_json(chain_scenario)
+    data["ord"]["p"] = "1/2"  # off the 1/B grid, B = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for command in ("play", "explore"):
+        code, out, err = run(capsys, command, "--scenario", path)
+        assert code == cli.EXIT_VIOLATIONS and out == ""
+        assert "multiple of 1/1" in err
 
 
 # ---- explore ------------------------------------------------------------------

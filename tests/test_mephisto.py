@@ -38,7 +38,12 @@ from salmagundy.mephisto import (
 )
 from salmagundy.quests import quotient_response, transversality_response
 from salmagundy.scenario import extend_factor, heavy_jib_violations, zero_factor
-from salmagundy.transform import QuestRelation, blowup_jibs, validate_blowup_transform
+from salmagundy.transform import (
+    QuestRelation,
+    blowup_jibs,
+    transport_relation,
+    validate_blowup_transform,
+)
 from salmagundy.values import INF, is_finite
 
 
@@ -359,9 +364,13 @@ def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
                     continue
                 if not repair and validate_blowup_transform(root, bt, root_new):
                     continue
-                bundle = _assemble_blowup(
-                    state, bt, root_new, bump, blowup_discards(state, bt)
-                )
+                discards = blowup_discards(state, bt)
+                relations = {
+                    quest.quest_id: transport_relation(quest.relation, bt)
+                    for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
+                    if quest.parent_id is not None and quest.quest_id not in discards
+                }
+                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations)
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(

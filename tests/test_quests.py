@@ -431,10 +431,16 @@ def test_call_response_and_check_are_the_per_kind_functions(
     assert kinds == {"transversality", "relaxation", "quotient"}
 
 
-def test_call_dispatch_rejects_descent_and_unknown_kinds(crossing_scenario):
+def test_call_dispatch_checks_descent_and_rejects_unknown_kinds(crossing_scenario):
     c = crossing_scenario
-    for rel in (QuestRelation.descent(), QuestRelation("shuffle")):
-        with pytest.raises(ValueError):
-            call_response(c, rel)
-        with pytest.raises(ValueError):
-            call_check(c, rel, c)
+    descent = QuestRelation.descent()
+    with pytest.raises(ValueError):
+        call_response(c, descent)  # the orders are Mephisto's choice
+    assert call_check(c, descent, _remake(c, d=c.d - 1, ord={"s": INF})) == []
+    assert {v.issue for v in call_check(c, descent, c)} == {1}
+    assert {v.issue for v in call_check(c, descent, _remake(c, d=c.d - 1, H=["h1"]))} == {2}
+    shuffle = QuestRelation("shuffle")
+    with pytest.raises(ValueError):
+        call_response(c, shuffle)
+    with pytest.raises(ValueError):
+        call_check(c, shuffle, c)

@@ -19,6 +19,7 @@ from salmagundy.scenario import (
     FactorSet,
     MonomialFactor,
     Scenario,
+    _max_mass,
     admissible_centers,
     complete_factor,
     extend_factor,
@@ -84,16 +85,13 @@ def test_factor_set_prunes_to_antichain():
     assert not fs.contains(MonomialFactor.of({"a": 2, "b": 0}))
 
 
-def test_factor_set_max_sum_over():
-    fs = FactorSet.of(
-        [MonomialFactor.of({"a": 1, "b": 2}), MonomialFactor.of({"a": 3, "b": 0})]
-    )
-    assert fs.max_sum_over([]) == 0
-    assert fs.max_sum_over(["a"]) == 3
-    assert fs.max_sum_over(["a", "b"]) == 3
-    assert fs.max_sum_over(["b"]) == 2
-    uncapped = FactorSet.of([MonomialFactor.of({"a": INF, "b": 0})])
-    assert uncapped.max_sum_over(["a", "b"]) is INF
+def test_max_mass_over_weight_maps():
+    weights = [{"a": 1, "b": 2}, {"a": 3, "b": 0}]
+    assert _max_mass(weights, []) == 0
+    assert _max_mass(weights, ["a"]) == 3
+    assert _max_mass(weights, ["a", "b"]) == 3
+    assert _max_mass(weights, ["b"]) == 2
+    assert _max_mass([{"a": INF, "b": 0}], ["a", "b"]) is INF
 
 
 def test_extend_factor_sums_jibs_above(crossing_scenario):

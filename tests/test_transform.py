@@ -5,9 +5,18 @@ from fractions import Fraction
 import pytest
 
 from salmagundy.board import Board, BoardTransform, trivial_refinement
-from salmagundy.game import GameState, Move, Quest
+from salmagundy.dido import DidoStrategy
+from salmagundy.game import Bundle, GameState, Move, Quest, apply_round, new_game, validate_bundle
+from salmagundy.harness import gen_scenario
 from salmagundy.mephisto import Policy, blowup_transform, respond
-from salmagundy.quests import quotient_response, transversality_response
+from salmagundy.quests import (
+    DESCENT,
+    QUOTIENT,
+    RELAXATION,
+    TRANSVERSALITY,
+    quotient_response,
+    transversality_response,
+)
 from salmagundy.scenario import (
     FactorSet,
     MonomialFactor,
@@ -332,9 +341,52 @@ def test_quotient_child_discarded_when_lift_exceeds_cap(crossing_scenario):
 # ---- commutativity ----------------------------------------------------------
 
 
-def _square(parent, rel, child, center):
-    """Run the umpire for one blowup over parent+child; return its square."""
-    st = GameState(
+@pytest.fixture
+def squares(crossing_scenario, chain_board):
+    """Per call kind: a parent, the call, its child and a blowup center the
+    child survives."""
+    c = crossing_scenario
+    z = zero_factor(c.H)
+    tight = Scenario.make(
+        chain_board, d=1, B=1, H=[], S={"p"}, T={"p", "a", "w"},
+        ord={"p": 1}, M=[zero_factor([])],
+    )
+    return {
+        RELAXATION: (
+            c,
+            QuestRelation.relaxation({"h1"}),
+            Scenario.make(
+                c.board, 2, 10, {"h2"}, {"s"}, c.T, {"s": Fraction(13, 10)},
+                [MonomialFactor.of({"h2": Fraction(7, 10)})],
+            ),
+            "s",
+        ),
+        DESCENT: (
+            tight,
+            QuestRelation.descent(),
+            Scenario.make(
+                chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
+                ord={"p": INF}, M=[zero_factor([])],
+            ),
+            "p",
+        ),
+        TRANSVERSALITY: (
+            c,
+            QuestRelation.transversality({"h1", "h2"}),
+            transversality_response(c, {"h1", "h2"}),
+            "s",
+        ),
+        QUOTIENT: (
+            c,
+            QuestRelation.quotient(z, Fraction(1)),
+            quotient_response(c, z, Fraction(1)),
+            "s",
+        ),
+    }
+
+
+def _two_quests(parent, rel, child):
+    return GameState(
         board=parent.board,
         quests={
             0: Quest(0, None, None, parent),
@@ -342,6 +394,11 @@ def _square(parent, rel, child, center):
         },
         next_quest_id=2,
     )
+
+
+def _square(parent, rel, child, center):
+    """Run the umpire for one blowup over parent+child; return its square."""
+    st = _two_quests(parent, rel, child)
     bundle = respond(st, Move.blowup(center), Policy.parse("canonical"))
     return bundle.transform, bundle.responses.get(0), bundle.responses.get(1)
 
@@ -350,78 +407,116 @@ def _comm_tags(violations):
     return {v.issue for v in violations if v.rule == "commutativity"}
 
 
-def test_commutes_relaxation(crossing_scenario):
-    c = crossing_scenario
-    rel = QuestRelation.relaxation({"h1"})
-    child = Scenario.make(
-        c.board, 2, 10, {"h2"}, {"s"}, c.T, {"s": Fraction(13, 10)},
-        [MonomialFactor.of({"h2": Fraction(7, 10)})],
-    )
-    bt, cp, c1p = _square(c, rel, child, "s")
+def _bundle_structure(violations):
+    return any(v.rule == "bundle" and v.issue == "structure" for v in violations)
+
+
+def test_commutes_relaxation(squares):
+    c, rel, child, center = squares[RELAXATION]
+    bt, cp, c1p = _square(c, rel, child, center)
     assert commutes(rel, c, child, cp, c1p, bt) == []
-    assert _comm_tags(commutes(rel, c, child, cp, None, bt)) == {1}
     warped = _remake(c1p, H=c1p.H | {"h1"}, M=cp.M)
     assert 1 in _comm_tags(commutes(rel, c, child, cp, warped, bt))
 
 
-def test_commutes_descent(chain_board):
-    parent = Scenario.make(
-        chain_board, d=1, B=1, H=[], S={"p"}, T={"p", "a", "w"},
-        ord={"p": 1}, M=[zero_factor([])],
-    )
-    child = Scenario.make(
-        chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
-        ord={"p": INF}, M=[zero_factor([])],
-    )
-    rel = QuestRelation.descent()
-    bt, cp, c1p = _square(parent, rel, child, "p")
+def test_commutes_descent(squares):
+    parent, rel, child, center = squares[DESCENT]
+    bt, cp, c1p = _square(parent, rel, child, center)
     assert commutes(rel, parent, child, cp, c1p, bt) == []
-    assert _comm_tags(commutes(rel, parent, child, cp, None, bt)) == {2}
     assert 2 in _comm_tags(
         commutes(rel, parent, child, cp, _remake(c1p, d=cp.d), bt)
     )
 
 
-def test_commutes_transversality(crossing_scenario):
-    c = crossing_scenario
-    rel = QuestRelation.transversality({"h1", "h2"})
-    child = transversality_response(c, {"h1", "h2"})
-    bt, cp, c1p = _square(c, rel, child, "s")
+def test_commutes_transversality(squares):
+    c, rel, child, center = squares[TRANSVERSALITY]
+    bt, cp, c1p = _square(c, rel, child, center)
     assert commutes(rel, c, child, cp, c1p, bt) == []
-    assert _comm_tags(commutes(rel, c, child, cp, None, bt)) == {3}
     assert 3 in _comm_tags(
         commutes(rel, c, child, cp, _remake(c1p, T=c1p.T - {"w"}), bt)
     )
 
 
-def test_commutes_quotient(crossing_scenario):
-    c = crossing_scenario
-    z = zero_factor(c.H)
-    rel = QuestRelation.quotient(z, Fraction(1))
-    child = quotient_response(c, z, Fraction(1))
-    bt, cp, c1p = _square(c, rel, child, "s")
+def test_commutes_quotient(squares):
+    c, rel, child, center = squares[QUOTIENT]
+    bt, cp, c1p = _square(c, rel, child, center)
     assert commutes(rel, c, child, cp, c1p, bt) == []
-    assert _comm_tags(commutes(rel, c, child, cp, None, bt)) == {4}
     bad_ord = {s: v + 1 for s, v in c1p.ord.items()}
     assert 4 in _comm_tags(
         commutes(rel, c, child, cp, _remake(c1p, ord=bad_ord), bt)
     )
 
 
+@pytest.mark.parametrize("kind", [RELAXATION, DESCENT, TRANSVERSALITY, QUOTIENT])
+def test_umpire_rejects_responses_that_disagree_with_the_discards(squares, kind):
+    c, rel, child, center = squares[kind]
+    mv = Move.blowup(center)
+    st = _two_quests(c, rel, child)
+    bundle = respond(st, mv, Policy.parse("canonical"))
+    assert bundle.discards == frozenset() and set(bundle.responses) == {0, 1}
+    kept = bundle.responses[1]
+    missing = Bundle(bundle.transform, {0: bundle.responses[0]})
+    assert _bundle_structure(validate_bundle(st, mv, missing))
+    # without the center among its transversal nodes the child is discarded
+    st = _two_quests(c, rel, _remake(child, T=child.T - {center}))
+    bundle = respond(st, mv, Policy.parse("canonical"))
+    assert bundle.discards == {1} and set(bundle.responses) == {0}
+    for discards in (bundle.discards, frozenset()):
+        ghost = Bundle(bundle.transform, {**bundle.responses, 1: kept}, discards)
+        assert _bundle_structure(validate_bundle(st, mv, ghost))
+
+
 def test_commutes_discarded_child_must_stay_closed(crossing_scenario):
+    # the lifted quotient factor exceeds the exceptional cap, so the
+    # blowup closes the child, and the umpire refuses a response for it
     c = crossing_scenario
     z = zero_factor(c.H)
     rel = QuestRelation.quotient(z, Fraction(3, 2))
     child = quotient_response(c, z, Fraction(3, 2))
-    bt, cp, c1p = _square(c, rel, child, "s")
-    assert c1p is None
-    assert commutes(rel, c, child, cp, None, bt) == []
-    ghost = _remake(cp, B=child.B)
-    assert _comm_tags(commutes(rel, c, child, cp, ghost, bt)) == {4}
+    st = _two_quests(c, rel, child)
+    mv = Move.blowup("s")
+    bundle = respond(st, mv, Policy.parse("canonical"))
+    assert bundle.discards == {1} and 1 not in bundle.responses
+    assert validate_bundle(st, mv, bundle) == []
+    ghost = _remake(bundle.responses[0], B=child.B)
+    for discards in (bundle.discards, frozenset()):
+        kept = Bundle(bundle.transform, {**bundle.responses, 1: ghost}, discards)
+        assert _bundle_structure(validate_bundle(st, mv, kept))
 
 
-def test_commutes_requires_aligned_boards(crossing_scenario, chain_scenario):
-    c = crossing_scenario
-    bt = blowup_transform(c.board, "s")
-    with pytest.raises(ValueError):
-        commutes(QuestRelation.descent(), c, chain_scenario, c, None, bt)
+def test_commutes_requires_aligned_boards(squares, chain_scenario):
+    c, rel, child, center = squares[TRANSVERSALITY]
+    bt, cp, c1p = _square(c, rel, child, center)
+    assert commutes(rel, c, child, cp, c1p, bt) == []
+    for args in ((c, chain_scenario, cp), (c, child, c)):
+        got = commutes(rel, *args, c1p, bt)
+        assert [(v.rule, v.issue) for v in got] == [("commutativity", "structure")]
+    # a parent response off the new board is reported, not raised
+    stale_root = Bundle(bt, {0: c, 1: c1p})
+    got = validate_bundle(_two_quests(c, rel, child), Move.blowup(center), stale_root)
+    assert ("commutativity", "structure") in {(v.rule, v.issue) for v in got}
+
+
+def test_commutes_reports_a_call_the_new_parent_does_not_admit():
+    # gen_scenario(5), canonical: a blowup at a jib K of a transversality
+    # child carries K onto the exceptional node; a root response without
+    # that jib leaves the transported call nothing to answer
+    st = new_game(gen_scenario(5))
+    dido, policy = DidoStrategy(), Policy.parse("canonical")
+    while True:
+        mv = dido.decide(st)
+        bundle = respond(st, mv, policy)
+        if mv.kind == "blowup":
+            child = st.quests.get(1)
+            if child is not None and mv.center in child.relation.jibs and 1 in bundle.responses:
+                break
+        dido.observe(st, mv, bundle, apply_round(st, mv, bundle))
+    assert child.relation.kind == TRANSVERSALITY
+    bt = bundle.transform
+    root = bundle.responses[0]
+    crafted = _remake(root, H=root.H - {bt.exceptional})
+    got = validate_bundle(st, mv, Bundle(bt, {**bundle.responses, 0: crafted}, bundle.discards))
+    assert any(
+        v.rule == "commutativity" and v.issue == 3 and v.witness == (bt.exceptional,)
+        for v in got
+    )
