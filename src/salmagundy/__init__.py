@@ -50,7 +50,6 @@ from .harness import (
     gen_scenario,
     play_game,
     scenario_to_dot,
-    state_to_dot,
 )
 from .mephisto import (
     ADVERSARIAL,
@@ -66,11 +65,9 @@ from .quests import (
     QuestRelation,
     descent_check,
     quotient_bound,
-    quotient_check,
     quotient_response,
     relaxation_check,
     relaxation_response,
-    transversality_check,
     transversality_response,
 )
 from .scenario import (
@@ -80,8 +77,6 @@ from .scenario import (
     admissible_centers,
     complete_factor,
     extend_factor,
-    is_monomial,
-    is_resolved,
     is_tight,
     scenario_from_json,
     scenario_to_json,
@@ -90,7 +85,6 @@ from .scenario import (
 )
 from .transform import (
     capped_transport,
-    child_survives,
     commutes,
     quotient_lifted_factor,
     transport_relation,

@@ -8,7 +8,8 @@ of ``validate_board_transform`` police them.
 
 Everything here is immutable after construction and safe to share. That is
 what lets a check be answered once: ``_memo`` stores a check's verdict on the
-value it describes, and the package's rule checks use it.
+value it describes, and every rule check of the package, ``validate_board``
+included, is stored that way and no other.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
@@ -134,6 +134,7 @@ class Board:
 
     __slots__ = (
         "_dims", "_covers", "_ids", "_down", "_up", "_maximal", "_fresh_start", "_hash",
+        "_memo",
     )
 
     def __init__(self, dims: Mapping[NodeId, int], covers: Iterable[Tuple[NodeId, NodeId]]):
@@ -296,25 +297,25 @@ class Board:
 
 
 def validate_board(b: Board) -> List[Violation]:
-    """Check the three board invariants; returns violations, never raises."""
-    return list(_validate_board_cached(b))
+    """Check the three board invariants; returns violations, never raises.
+
+    The verdict is stored on ``b``; every call returns a fresh list.
+    """
+    return _memo(b, (), _check_board, b)
 
 
-@lru_cache(maxsize=1024)
-def _validate_board_cached(b: Board) -> Tuple[Violation, ...]:
+def _check_board(b: Board) -> List[Violation]:
     out: List[Violation] = []
 
     for s in b.ids:
         if b.dim(s) < 0:
             out.append(Violation("board", "dim-negative", (s,), f"dim({s}) = {b.dim(s)} < 0"))
 
-    # Acyclicity: a cycle makes two distinct nodes mutually reachable.
-    cyclic = sorted(s for s in b.ids for t in b.ids if s != t and b.leq(s, t) and b.leq(t, s))
+    # Acyclicity: a node on a cycle has another node both below and above it.
+    cyclic = tuple(s for s in b.ids if len(b.down_set(s) & b.up_set(s)) > 1)
     if cyclic:
-        out.append(
-            Violation("board", "acyclic", tuple(dict.fromkeys(cyclic)), "covers contain a cycle")
-        )
-        return tuple(out)  # dims along a cycle cannot be monotone; stop here
+        out.append(Violation("board", "acyclic", cyclic, "covers contain a cycle"))
+        return out  # dims along a cycle cannot be monotone; stop here
 
     for a, c in sorted(b.covers):
         if not b.dim(a) < b.dim(c):
@@ -336,7 +337,7 @@ def _validate_board_cached(b: Board) -> Tuple[Violation, ...]:
                 f"expected exactly one maximal node, found {len(b.maximal_nodes)}",
             )
         )
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)

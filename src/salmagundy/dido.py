@@ -112,8 +112,6 @@ class _LoopPlan:
     monomial: bool = False
     pending: List[NodeId] = field(default_factory=list)
 
-    mode: str = "loop"
-
 
 @dataclass
 class _DriverItem:
@@ -127,8 +125,6 @@ class _DriverItem:
 class _DriverPlan:
     L: FrozenSet[NodeId]
     items: List[_DriverItem]
-
-    mode: str = "driver"
 
 
 class DidoStrategy:
@@ -173,7 +169,7 @@ class DidoStrategy:
         if quest.status != OPEN:
             raise StrategyError(f"deciding on quest {qid} which is {quest.status}")
         plan = self._ensure_plan(quest)
-        if plan.mode == "driver":
+        if isinstance(plan, _DriverPlan):
             return self._drive(state, quest, plan)
         return self._loop(state, quest, plan)
 

@@ -4,17 +4,18 @@ A game is a tree of quests sharing one board. Dido moves by calling a new
 quest into existence or by naming a blowup center; Mephisto answers with a
 bundle: the board transform plus one response scenario per open quest (or a
 discard where the center closed the quest). ``validate_bundle`` is the single
-gate: a round is applied only when every response satisfies its transform
-rules and every parent/child pair still satisfies the relation created by
-the original call. ``blowup_discards`` alone decides which quests a blowup
+gate, and it takes no options: a round is applied only when every response
+satisfies its transform rules and every parent/child pair still satisfies
+the relation created by the original call. Each condition is checked once,
+in one place. ``blowup_discards`` alone decides which quests a blowup
 closes: the umpire rejects a bundle whose discards or responses disagree
 with it before it checks any square, so ``transform.commutes`` sees only
 surviving children.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs. Mephisto sieves candidates with ``validate_bundle``, and
-``apply_round`` checks the chosen bundle again, with the very same scenario
-and transform objects; the second check finds every verdict stored.
+``apply_round`` always checks the chosen bundle again, with the very same
+scenario and transform objects; the second check finds every verdict stored.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .board import (
     validate_board_transform,
     _memo,
 )
-from .quests import DESCENT, QuestRelation, call_check, descent_check
+from .quests import DESCENT, QUOTIENT, QuestRelation, call_check, descent_check
 from .scenario import (
     Scenario,
     admissible_centers,
@@ -47,8 +48,9 @@ from .scenario import (
     validate_scenario,
 )
 from .transform import (
-    child_survives,
     commutes,
+    exceptional_cap,
+    quotient_lifted_factor,
     transport_relation,
     validate_blowup_transform,
 )
@@ -183,13 +185,8 @@ def _bundle_violation(detail: str, witness: Tuple = ()) -> Violation:
     return Violation("bundle", "structure", witness, detail)
 
 
-def validate_bundle(
-    state: GameState, move: Move, bundle: Bundle, first_only: bool = False
-) -> List[Violation]:
+def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
     """All violations of the bundle, empty when it is legal.
-
-    ``first_only`` stops at the first offending quest; policies use it while
-    sieving candidates, where only emptiness matters.
 
     Every rule check behind this gate is a pure function of immutable
     objects, answered once per identical inputs: the verdicts are stored on
@@ -200,7 +197,7 @@ def validate_bundle(
     if move.kind == CALL:
         return _validate_call(state, move, bundle)
     if move.kind == BLOWUP_MOVE:
-        return _validate_blowup(state, move, bundle, first_only)
+        return _validate_blowup(state, move, bundle)
     return [_bundle_violation(f"unknown move kind {move.kind!r}")]
 
 
@@ -213,7 +210,7 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
     if rel is None:
         return [_bundle_violation("call move without a relation")]
     bt = bundle.transform
-    if bt.kind == BLOWUP or bt.source != state.board or not bt.is_identity():
+    if bt.source != state.board or not bt.is_identity():
         out.append(_bundle_violation("call rounds ride on the identity refinement"))
         return out
     open_ids = {q.quest_id for q in state.open_quests()}
@@ -240,29 +237,27 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
     parent_sc = quest.scenario
     child_sc = bundle.child
     out.extend(
-        _memo(child_sc, (parent_sc, rel, bt), _check_call_child, parent_sc, rel, bt, child_sc)
+        _memo(child_sc, (parent_sc, rel), _check_call_child, parent_sc, rel, child_sc)
     )
     return out
 
 
 def _check_call_child(
-    parent_sc: Scenario, rel: QuestRelation, bt: BoardTransform, child_sc: Scenario
+    parent_sc: Scenario, rel: QuestRelation, child_sc: Scenario
 ) -> List[Violation]:
     """The call's relation between the parent's scenario and the child's,
     and the child's own validity."""
     try:
         if rel.kind == DESCENT:
             # descent_check also validates the child (its orders are free)
-            return descent_check(parent_sc, bt, child_sc)
+            return descent_check(parent_sc, child_sc)
         out = call_check(parent_sc, rel, child_sc)
     except ValueError as exc:
         return [_bundle_violation(f"illegal call: {exc}")]
     return out + validate_scenario(child_sc)
 
 
-def _validate_blowup(
-    state: GameState, move: Move, bundle: Bundle, first_only: bool = False
-) -> List[Violation]:
+def _validate_blowup(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
     out: List[Violation] = []
     bt = bundle.transform
     z = move.center
@@ -318,8 +313,6 @@ def _validate_blowup(
                     bt,
                 )
             )
-        if first_only and out:
-            return out
     return out
 
 
@@ -328,31 +321,38 @@ def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
 
     A child quest is closed when its parent is not open or is closed by this
     blowup (a closed parent takes its subtree down), or when the center
-    closes it itself (``transform.child_survives``). The main quest is never
-    closed.
+    closes it itself: the center is not admissible for the child's scenario,
+    or the child is a quotient child whose lifted factor would weigh more at
+    the exceptional node than the cap every response family enforces there
+    (a corner only reachable at centers outside the child's singular set).
+    The main quest is never closed.
     """
+    z = bt.center
     closed = set()
     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
         if quest.parent_id is None:
             continue
         parent = state.quests[quest.parent_id]
+        rel = quest.relation
         if (
             parent.status != OPEN
             or parent.quest_id in closed
-            or not child_survives(quest.relation, parent.scenario, quest.scenario, bt)
+            or z not in admissible_centers(quest.scenario)
+            or (
+                rel.kind == QUOTIENT
+                and quotient_lifted_factor(rel.factor, rel.scale, bt).weight(bt.exceptional)
+                > exceptional_cap(parent.scenario, z)
+            )
         ):
             closed.add(quest.quest_id)
     return frozenset(closed)
 
 
-def apply_round(
-    state: GameState, move: Move, bundle: Bundle, validate: bool = True
-) -> dict:
+def apply_round(state: GameState, move: Move, bundle: Bundle) -> dict:
     """Validate and apply one round in place; returns the trace record."""
-    if validate:
-        vs = validate_bundle(state, move, bundle)
-        if vs:
-            raise BundleError(vs)
+    vs = validate_bundle(state, move, bundle)
+    if vs:
+        raise BundleError(vs)
     record: dict = {
         "round": state.round_no + 1,
         "move": move_to_json(move),

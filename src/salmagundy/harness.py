@@ -1,4 +1,4 @@
-"""Generators, the game loop, the bounded explorer, and DOT exporters."""
+"""Generators, the game loop, the bounded explorer, and a DOT exporter."""
 
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ __all__ = [
     "ExploreReport",
     "explore",
     "scenario_to_dot",
-    "state_to_dot",
 ]
 
 
@@ -344,7 +343,7 @@ def explore(
     return report
 
 
-# ---- DOT exporters ---------------------------------------------------------------
+# ---- DOT exporter ---------------------------------------------------------------
 
 
 def scenario_to_dot(c: Scenario) -> str:
@@ -366,22 +365,5 @@ def scenario_to_dot(c: Scenario) -> str:
         lines.append(f"  \"{s}\" [{', '.join(attrs)}];")
     for a, t in sorted(b.covers):
         lines.append(f'  "{a}" -> "{t}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def state_to_dot(state: GameState) -> str:
-    """The quest tree: one node per quest, edges labeled by their relation."""
-    lines = ["digraph quests {", "  rankdir=TB;"]
-    for qid in sorted(state.quests):
-        q = state.quests[qid]
-        label = f"quest {qid}\\n{q.status}\\n|S| = {len(q.scenario.S)}"
-        shape = "doublecircle" if qid == 0 else "ellipse"
-        lines.append(f'  q{qid} [label="{label}", shape="{shape}"];')
-    for qid in sorted(state.quests):
-        q = state.quests[qid]
-        if q.parent_id is not None:
-            kind = q.relation.kind if q.relation is not None else "?"
-            lines.append(f'  q{q.parent_id} -> q{qid} [label="{kind}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

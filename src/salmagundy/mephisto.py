@@ -19,8 +19,11 @@ aside). A blowup response takes its handicap and factors from
 ``transform.exceptional_cap``, the nodes it must clear from
 ``transform.cleared_nodes`` (item 13), and its discards from
 ``game.blowup_discards``. Free orders are floored by ``scenario.extend_factor``
-and ``scenario.separation_mass`` (issues 6 and 8), and keeps are sieved by
-``scenario.heavy_jib_violations`` (issue 9).
+and ``scenario.separation_mass`` (issues 6 and 8).
+
+The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
+shortcut: a keep set whose root response must fail scenario issue 9
+(``scenario.heavy_jib_violations``) is skipped before any bundle is built.
 
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
@@ -65,7 +68,6 @@ from .transform import (
     cleared_nodes,
     exceptional_cap,
     transport_relation,
-    validate_blowup_transform,
 )
 from .values import INF, Value, is_finite
 
@@ -320,19 +322,16 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
 
     if is_tight(c):
         gens1 = blowup_jibs(c, bt)[1].generators
-        changed = True
-        while changed:
-            changed = False
-            ones = {x: Fraction(1) for x in keep}
-            for x in sorted(keep):
-                if board1.dim(x) == c.d:
-                    bad = True
-                else:
-                    rest = {t: w for t, w in ones.items() if t != x}
-                    bad = _order_floor(board1, gens1, rest, x) != Fraction(1)
-                if bad:
-                    keep.discard(x)
-                    changed = True
+        # One pass: while every other kept node sits at order 1, a floor can
+        # only fall as nodes leave, so a second pass would remove nothing.
+        ones = {x: Fraction(1) for x in keep}
+        for x in sorted(keep):
+            if board1.dim(x) == c.d:
+                keep.discard(x)
+                continue
+            rest = {t: w for t, w in ones.items() if t != x}
+            if _order_floor(board1, gens1, rest, x) != Fraction(1):
+                keep.discard(x)
 
     # down-closedness is absolute: a kept node needs every node below it kept
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
@@ -549,18 +548,10 @@ def enumerate_blowup_bundles(
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
-                if not repair and validate_blowup_transform(root, bt, root_new):
-                    # The full bundle check starts with exactly this test, so
-                    # a failing root sinks the candidate; skip the assembly.
-                    continue
                 bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations)
                 if bundle is None or bundle.responses in yielded:
                     continue
-                # While enumerating, only emptiness matters; the repair loop
-                # instead wants every witness, so it takes the full scan.
-                violations = validate_bundle(
-                    state, Move.blowup(z), bundle, first_only=not repair
-                )
+                violations = validate_bundle(state, Move.blowup(z), bundle)
                 if not violations:
                     yielded.append(bundle.responses)
                     yield bundle
@@ -611,7 +602,7 @@ def enumerate_call_bundles(
             continue
         seen.append(child)
         bundle = Bundle(transform=bt, responses=dict(responses), child=child)
-        if not validate_bundle(state, move, bundle, first_only=True):
+        if not validate_bundle(state, move, bundle):
             yield bundle
 
 

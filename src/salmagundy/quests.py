@@ -3,7 +3,7 @@
 This module owns each call's formula; ``QuestRelation`` records a call and
 its parameters. Transversality and quotient are one-way: the response is a
 deterministic construction from the parent scenario (``*_response``), and
-the paired ``*_check`` verifies a claimed response item by item. Relaxation
+``call_check`` compares a claimed response with it item by item. Relaxation
 leaves Mephisto one freedom, enlarging T: ``relaxation_response`` is the
 answer that declines it, and ``relaxation_check`` accepts any legal
 enlargement. Descent leaves him the orders after the dimension drop, so it
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional
 
-from .board import BoardTransform, NodeId, Violation
+from .board import NodeId, Violation
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -45,10 +45,8 @@ __all__ = [
     "call_response",
     "call_check",
     "transversality_response",
-    "transversality_check",
     "quotient_bound",
     "quotient_response",
-    "quotient_check",
     "relaxation_response",
     "relaxation_check",
     "descent_check",
@@ -149,11 +147,6 @@ def transversality_response(c: Scenario, K: Iterable[NodeId]) -> Scenario:
     return Scenario(c.board, c.d, c.B, c.H, S1, c.T, ord1, M1)
 
 
-def transversality_check(c: Scenario, K: Iterable[NodeId], c1: Scenario) -> List[Violation]:
-    """Compare a claimed response with the construction, item by item."""
-    return call_check(c, QuestRelation.transversality(K), c1)
-
-
 # ---- quotient ------------------------------------------------------------
 
 
@@ -206,10 +199,6 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Fraction) -> Scenario:
     return Scenario(
         c.board, c.d, quotient_bound(c.B, q), c.H, S1, c.T, ord1, FactorSet.of(gens1)
     )
-
-
-def quotient_check(c: Scenario, m: MonomialFactor, q: Fraction, c1: Scenario) -> List[Violation]:
-    return call_check(c, QuestRelation.quotient(m, q), c1)
 
 
 def _compare_one_way(rule: str, want: Scenario, got: Scenario) -> List[Violation]:
@@ -333,14 +322,15 @@ def _descent_relation(c: Scenario, c1: Scenario) -> List[Violation]:
     return out
 
 
-def descent_check(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
+def descent_check(c: Scenario, c1: Scenario) -> List[Violation]:
     """Check a response to "step down" on the call round.
 
     Preconditions (raised, not reported): the parent must be tight with an
-    empty handicap, above dimension 0, and the round rides on the identity
-    refinement. Beyond the relation (``call_check``), the child's factor set
-    is the zero factor, and its orders are Mephisto's choice, so scenario
-    validity of the response is part of the check.
+    empty handicap and above dimension 0. That the round rides on the
+    identity refinement is the umpire's to check (``game.validate_bundle``).
+    Beyond the relation (``call_check``), the child's factor set is the zero
+    factor, and its orders are Mephisto's choice, so scenario validity of the
+    response is part of the check.
     """
     if not is_tight(c):
         raise ValueError("descent requires a tight scenario")
@@ -348,8 +338,6 @@ def descent_check(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violati
         raise ValueError("descent requires an empty handicap")
     if c.d == 0:
         raise ValueError("cannot descend below dimension 0")
-    if bt.source != c.board or not bt.is_identity():
-        raise ValueError("descent responses ride on the identity refinement")
     out = call_check(c, QuestRelation.descent(), c1)
     if any(v.issue == "structure" for v in out):
         return out

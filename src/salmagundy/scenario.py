@@ -33,9 +33,7 @@ __all__ = [
     "heavy_jib_sets",
     "heavy_jib_violations",
     "is_tight",
-    "is_resolved",
     "complete_factor",
-    "is_monomial",
     "admissible_centers",
     "scenario_to_json",
     "scenario_from_json",
@@ -435,10 +433,6 @@ def is_tight(c: Scenario) -> bool:
     return all(v == one for v in c.ord.values())
 
 
-def is_resolved(c: Scenario) -> bool:
-    return not c.S
-
-
 def complete_factor(c: Scenario) -> Optional[MonomialFactor]:
     """A generator whose extension matches ord on all of S, if any.
 
@@ -451,10 +445,6 @@ def complete_factor(c: Scenario) -> Optional[MonomialFactor]:
         if all(extend_factor(c.board, g, s) == c.ord[s] for s in c.S):
             return g
     return None
-
-
-def is_monomial(c: Scenario) -> bool:
-    return complete_factor(c) is not None
 
 
 def admissible_centers(c: Scenario) -> FrozenSet[NodeId]:

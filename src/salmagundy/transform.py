@@ -15,8 +15,7 @@ an earlier call, for a child that survives the blowup: the child's new
 scenario must simultaneously answer the transported call on the parent's new
 scenario (``quests.call_check``, the one check of all four calls) and be a
 legal transform of the child's old scenario. Which children survive is
-``game.blowup_discards``'s decision alone; ``child_survives`` is its test of
-one child.
+``game.blowup_discards``'s decision alone.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
@@ -63,7 +62,6 @@ __all__ = [
     "blowup_jibs",
     "quotient_lifted_factor",
     "transport_relation",
-    "child_survives",
     "commutes",
 ]
 
@@ -347,26 +345,6 @@ def transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
         lifted = quotient_lifted_factor(rel.factor, rel.scale, bt)
         return QuestRelation(QUOTIENT, factor=lifted, scale=rel.scale)
     return rel
-
-
-def child_survives(rel: QuestRelation, c: Scenario, c1: Scenario, bt: BoardTransform) -> bool:
-    """Whether a child quest stays open through a blowup at bt.center, as far
-    as the center decides it (``game.blowup_discards`` adds the parents).
-
-    A child is discarded when the center is not admissible for its current
-    scenario. A quotient child is additionally discarded when the lifted
-    factor's exceptional weight would exceed the cap every response family
-    enforces there (a corner only reachable at centers outside the child's
-    singular set).
-    """
-    z = bt.center
-    if z not in admissible_centers(c1):
-        return False
-    if rel.kind == QUOTIENT:
-        lifted = quotient_lifted_factor(rel.factor, rel.scale, bt)
-        if lifted.weight(bt.exceptional) > exceptional_cap(c, z):
-            return False
-    return True
 
 
 def commutes(

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from salmagundy import board as board_module
 from salmagundy.board import (
     BLOWUP,
     REFINEMENT,
@@ -130,6 +131,34 @@ def test_validate_flags_cycle():
     b = Board({"a": 0, "b": 1}, [("a", "b"), ("b", "a")])
     issues = [v.issue for v in validate_board(b)]
     assert issues == ["acyclic"]
+    # every node on the cycle is a witness, once; nodes off it are not
+    b = Board(
+        {"a": 0, "b": 1, "c": 2, "x": 0, "w": 3},
+        [("a", "b"), ("b", "c"), ("c", "a"), ("x", "w"), ("c", "w")],
+    )
+    (v,) = validate_board(b)
+    assert (v.issue, v.witness) == ("acyclic", ("a", "b", "c"))
+
+
+def test_board_check_is_memoized_per_instance(monkeypatch):
+    seen = []
+    check = board_module._check_board
+    monkeypatch.setattr(board_module, "_check_board", lambda b: seen.append(b) or check(b))
+    dims, covers = {"a": -1, "w": 1}, [("a", "w")]
+    b = Board(dims, covers)
+    first = validate_board(b)
+    want = list(first)
+    assert {v.issue for v in want} == {"dim-negative"}
+    first.clear()  # the caller owns the list it got
+    assert validate_board(b) == want and len(seen) == 1
+    # an equal but distinct board is checked afresh
+    twin = Board(dims, covers)
+    assert twin == b and validate_board(twin) == want
+    assert len(seen) == 2 and seen[1] is twin
+    # a pickle rebuilds the board without the verdict
+    loaded = pickle.loads(pickle.dumps(b))
+    assert not hasattr(loaded, "_memo")
+    assert validate_board(loaded) == want and len(seen) == 3
 
 
 def test_validate_flags_non_monotone_cover():

@@ -330,7 +330,10 @@ def test_shrink_keep(blown_chain_board):
 
 def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
     """Reference: build, order-assign and sieve every keep at every bump
-    level, reading the candidate cap at call time."""
+    level, reading the candidate cap at call time. Unlike
+    ``enumerate_blowup_bundles`` it drops a root response that fails its own
+    transform check before assembling the bundle, so equal streams also show
+    that this shortcut changes nothing."""
     board = state.board
     root = state.root.scenario
     ts = blowup_uppers(board, z)
@@ -373,9 +376,7 @@ def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
                 bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations)
                 if bundle is None or bundle.responses in yielded:
                     continue
-                violations = validate_bundle(
-                    state, Move.blowup(z), bundle, first_only=not repair
-                )
+                violations = validate_bundle(state, Move.blowup(z), bundle)
                 if not violations:
                     yielded.append(bundle.responses)
                     yield bundle

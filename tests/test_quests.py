@@ -1,5 +1,6 @@
 """The four quest calls: responses, checks, and their numbered items."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from salmagundy.board import BLOWUP, Board, BoardTransform, trivial_refinement
+from salmagundy.game import Bundle, Move, new_game, validate_bundle
 from salmagundy.mephisto import blowup_transform
 from salmagundy.quests import (
     QuestRelation,
@@ -14,11 +16,9 @@ from salmagundy.quests import (
     call_response,
     descent_check,
     quotient_bound,
-    quotient_check,
     quotient_response,
     relaxation_check,
     relaxation_response,
-    transversality_check,
     transversality_response,
 )
 from salmagundy.scenario import (
@@ -143,29 +143,30 @@ def test_quotient_check_items(crossing_scenario):
     c = crossing_scenario
     q = Fraction(13, 10)
     m = zero_factor(c.H)
+    rel = QuestRelation.quotient(m, q)
     want = quotient_response(c, m, q)
-    assert quotient_check(c, m, q, want) == []
+    assert call_check(c, rel, want) == []
     other_board = Board({"x": 0, "w": 1}, [("x", "w")])
     alien = Scenario.make(
         other_board, want.d, want.B, [], [], ["w"], {}, [zero_factor([])]
     )
-    assert _tags(quotient_check(c, m, q, alien), "quotient") == {"structure"}
-    assert _tags(quotient_check(c, m, q, _remake(want, d=0)), "quotient") == {1}
-    assert _tags(quotient_check(c, m, q, _remake(want, B=1)), "quotient") == {1}
+    assert _tags(call_check(c, rel, alien), "quotient") == {"structure"}
+    assert _tags(call_check(c, rel, _remake(want, d=0)), "quotient") == {1}
+    assert _tags(call_check(c, rel, _remake(want, B=1)), "quotient") == {1}
     assert _tags(
-        quotient_check(c, m, q, _remake(want, H=["h1"])), "quotient"
+        call_check(c, rel, _remake(want, H=["h1"])), "quotient"
     ) == {2}
     assert _tags(
-        quotient_check(c, m, q, _remake(want, S=[], ord={})), "quotient"
+        call_check(c, rel, _remake(want, S=[], ord={})), "quotient"
     ) == {3}
     assert _tags(
-        quotient_check(c, m, q, _remake(want, ord={"s": 2})), "quotient"
+        call_check(c, rel, _remake(want, ord={"s": 2})), "quotient"
     ) == {4}
     assert _tags(
-        quotient_check(c, m, q, _remake(want, T=want.T - {"w"})), "quotient"
+        call_check(c, rel, _remake(want, T=want.T - {"w"})), "quotient"
     ) == {5}
     assert _tags(
-        quotient_check(c, m, q, _remake(want, M=[zero_factor(want.H)])), "quotient"
+        call_check(c, rel, _remake(want, M=[zero_factor(want.H)])), "quotient"
     ) == {6}
 
 
@@ -219,25 +220,26 @@ def test_transversality_rejects_non_jibs(crossing_scenario):
 def test_transversality_check_items(crossing_scenario):
     c = crossing_scenario
     K = ["h1", "h2"]
+    rel = QuestRelation.transversality(K)
     want = transversality_response(c, K)
-    assert transversality_check(c, K, want) == []
+    assert call_check(c, rel, want) == []
     assert _tags(
-        transversality_check(c, K, _remake(want, d=1)), "transversality"
+        call_check(c, rel, _remake(want, d=1)), "transversality"
     ) == {1}
     assert _tags(
-        transversality_check(c, K, _remake(want, H=[])), "transversality"
+        call_check(c, rel, _remake(want, H=[])), "transversality"
     ) == {2}
-    got = transversality_check(c, K, _remake(want, S=[], ord={}))
+    got = call_check(c, rel, _remake(want, S=[], ord={}))
     assert _tags(got, "transversality") == {3}
     assert _tags(
-        transversality_check(c, K, _remake(want, ord={"s": 2})), "transversality"
+        call_check(c, rel, _remake(want, ord={"s": 2})), "transversality"
     ) == {4}
     assert _tags(
-        transversality_check(c, K, _remake(want, T=["s", "w"])), "transversality"
+        call_check(c, rel, _remake(want, T=["s", "w"])), "transversality"
     ) == {5}
     assert _tags(
-        transversality_check(
-            c, K, _remake(want, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
+        call_check(
+            c, rel, _remake(want, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
         ),
         "transversality",
     ) == {6}
@@ -334,41 +336,51 @@ def tight_bare_scenario(chain_board):
 def test_descent_happy_path(tight_bare_scenario, chain_board):
     c = tight_bare_scenario
     assert validate_scenario(c) == []
-    bt = trivial_refinement(chain_board)
     c1 = Scenario.make(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": INF}, M=[zero_factor([])],
     )
-    assert descent_check(c, bt, c1) == []
+    assert descent_check(c, c1) == []
 
 
-def test_descent_preconditions_raise(chain_scenario, crossing_scenario, tight_bare_scenario, chain_board):
-    bt = trivial_refinement(chain_board)
+def test_descent_preconditions_raise(chain_scenario, crossing_scenario, chain_board):
     with pytest.raises(ValueError):
-        descent_check(chain_scenario, bt, chain_scenario)  # not tight
+        descent_check(chain_scenario, chain_scenario)  # not tight
     jibbed = _remake(crossing_scenario, ord={"s": 1})
     with pytest.raises(ValueError):
-        descent_check(jibbed, trivial_refinement(jibbed.board), jibbed)  # H nonempty
+        descent_check(jibbed, jibbed)  # H nonempty
     floor = Scenario.make(
         chain_board, d=0, B=1, H=[], S=[], T={"w"}, ord={}, M=[zero_factor([])]
     )
     with pytest.raises(ValueError):
-        descent_check(floor, bt, floor)  # d = 0
-    blow = blowup_transform(chain_board, "p")
-    with pytest.raises(ValueError):
-        descent_check(tight_bare_scenario, blow, tight_bare_scenario)  # not a refinement
+        descent_check(floor, floor)  # d = 0
+
+
+def test_descent_call_on_a_blowup_is_a_bundle_violation(tight_bare_scenario, chain_board):
+    # the umpire, not descent_check, holds a call round to the identity refinement
+    c = tight_bare_scenario
+    st = new_game(c)
+    move = Move.call(0, QuestRelation.descent())
+    child = Scenario.make(
+        chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
+        ord={"p": INF}, M=[zero_factor([])],
+    )
+    ok = Bundle(transform=trivial_refinement(chain_board), responses={0: c}, child=child)
+    assert validate_bundle(st, move, ok) == []
+    blown = dataclasses.replace(ok, transform=blowup_transform(chain_board, "p"))
+    got = validate_bundle(st, move, blown)
+    assert [(v.rule, v.issue) for v in got] == [("bundle", "structure")]
 
 
 def test_descent_check_items(tight_bare_scenario, chain_board):
     c = tight_bare_scenario
-    bt = trivial_refinement(chain_board)
     good = Scenario.make(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": INF}, M=[zero_factor([])],
     )
 
     def descent_tags(c1):
-        return {v.issue for v in descent_check(c, bt, c1) if v.rule == "descent"}
+        return {v.issue for v in descent_check(c, c1) if v.rule == "descent"}
 
     other = Board({"x": 0, "w": 1}, [("x", "w")])
     alien = Scenario.make(other, 0, 1, [], [], ["w"], {}, [zero_factor([])])
@@ -384,12 +396,11 @@ def test_descent_response_must_be_valid_scenario(tight_bare_scenario, chain_boar
     # keeping a finite order at the new top dimension breaks scenario rules,
     # and the check surfaces those violations alongside its own items
     c = tight_bare_scenario
-    bt = trivial_refinement(chain_board)
     sloppy = Scenario.make(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": 1}, M=[zero_factor([])],
     )
-    got = descent_check(c, bt, sloppy)
+    got = descent_check(c, sloppy)
     assert any(v.rule == "scenario" and v.issue == 4 for v in got)
 
 
@@ -402,13 +413,11 @@ def _fixed_calls(c):
     jib_sets = [
         K for k in range(len(c.H) + 1) for K in itertools.combinations(sorted(c.H), k)
     ]
-    out = [(QuestRelation.transversality(K), transversality_response, transversality_check)
-           for K in jib_sets]
-    out += [(QuestRelation.relaxation(J), relaxation_response, relaxation_check)
-            for J in jib_sets]
+    out = [(QuestRelation.transversality(K), transversality_response) for K in jib_sets]
+    out += [(QuestRelation.relaxation(J), relaxation_response) for J in jib_sets]
     for m in c.M.generators + (zero_factor(c.H),):
         for q in sorted({v for v in c.ord.values() if v is not INF} | {Fraction(1)}):
-            out.append((QuestRelation.quotient(m, q), quotient_response, quotient_check))
+            out.append((QuestRelation.quotient(m, q), quotient_response))
     return out
 
 
@@ -422,11 +431,13 @@ def test_call_response_and_check_are_the_per_kind_functions(
     parents = [crossing_scenario, jib_heavy_scenario, forked_scenario, chain_scenario]
     kinds = set()
     for c in parents:
-        for rel, response, check in _fixed_calls(c):
+        for rel, response in _fixed_calls(c):
             want = response(c, *_args(rel))
             assert call_response(c, rel) == want
-            for claimed in (want, c, _remake(want, T=[])):
-                assert call_check(c, rel, claimed) == check(c, *_args(rel), claimed)
+            assert call_check(c, rel, want) == []
+            if rel.kind == "relaxation":
+                for claimed in (c, _remake(want, T=[])):
+                    assert call_check(c, rel, claimed) == relaxation_check(c, rel.jibs, claimed)
             kinds.add(rel.kind)
     assert kinds == {"transversality", "relaxation", "quotient"}
 

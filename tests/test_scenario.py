@@ -26,8 +26,6 @@ from salmagundy.scenario import (
     factor_from_json,
     factor_to_json,
     heavy_jib_violations,
-    is_monomial,
-    is_resolved,
     is_tight,
     scenario_from_json,
     scenario_to_json,
@@ -325,11 +323,10 @@ def test_blowup_walks_reach_issue_9():
 def test_tight_resolved_monomial(chain_scenario, crossing_scenario, blown_chain_response):
     assert not is_tight(chain_scenario)
     assert is_tight(blown_chain_response)
-    assert not is_resolved(chain_scenario)
-    assert is_resolved(_remake(chain_scenario, S=[], ord={}))
-    assert is_monomial(crossing_scenario)
+    assert chain_scenario.S
+    assert not _remake(chain_scenario, S=[], ord={}).S
     assert complete_factor(crossing_scenario) == crossing_scenario.M.generators[0]
-    assert not is_monomial(chain_scenario)
+    assert complete_factor(chain_scenario) is None
 
 
 def test_complete_factor_on_resolved_scenario(crossing_scenario):

@@ -6,7 +6,16 @@ import pytest
 
 from salmagundy.board import Board, BoardTransform, trivial_refinement
 from salmagundy.dido import DidoStrategy
-from salmagundy.game import Bundle, GameState, Move, Quest, apply_round, new_game, validate_bundle
+from salmagundy.game import (
+    Bundle,
+    GameState,
+    Move,
+    Quest,
+    apply_round,
+    blowup_discards,
+    new_game,
+    validate_bundle,
+)
 from salmagundy.harness import gen_scenario
 from salmagundy.mephisto import Policy, blowup_transform, respond
 from salmagundy.quests import (
@@ -21,13 +30,13 @@ from salmagundy.scenario import (
     FactorSet,
     MonomialFactor,
     Scenario,
+    admissible_centers,
     zero_factor,
 )
 from salmagundy.transform import (
     RULE,
     QuestRelation,
     capped_transport,
-    child_survives,
     commutes,
     quotient_lifted_factor,
     transport_relation,
@@ -318,12 +327,21 @@ def test_transport_relation_sheds_exceptional_from_release(crossing_board):
 # ---- child survival ---------------------------------------------------------
 
 
+def _children_of_root(root, *children):
+    """A game state whose main quest has the given (relation, scenario)
+    children, as quests 1, 2, ..."""
+    quests = {0: Quest(0, None, None, root)}
+    for qid, (rel, c1) in enumerate(children, 1):
+        quests[qid] = Quest(qid, 0, rel, c1)
+    return GameState(board=root.board, quests=quests)
+
+
 def test_child_survival_requires_admissible_center(chain_scenario):
     bt = blowup_transform(chain_scenario.board, "p")
     shy_child = _remake(chain_scenario, T={"a", "w"})
     rel = QuestRelation.descent()
-    assert child_survives(rel, chain_scenario, chain_scenario, bt)
-    assert not child_survives(rel, chain_scenario, shy_child, bt)
+    st = _children_of_root(chain_scenario, (rel, chain_scenario), (rel, shy_child))
+    assert blowup_discards(st, bt) == {2}
 
 
 def test_quotient_child_discarded_when_lift_exceeds_cap(crossing_scenario):
@@ -332,10 +350,12 @@ def test_quotient_child_discarded_when_lift_exceeds_cap(crossing_scenario):
     z = zero_factor(c.H)
     fine = QuestRelation.quotient(z, Fraction(13, 10))
     fine_child = quotient_response(c, z, Fraction(13, 10))
-    assert child_survives(fine, c, fine_child, bt)
     big = QuestRelation.quotient(z, Fraction(3, 2))
     big_child = quotient_response(c, z, Fraction(3, 2))
-    assert not child_survives(big, c, big_child, bt)
+    # the center is admissible for both children: only the cap tells them apart
+    assert "s" in admissible_centers(fine_child) and "s" in admissible_centers(big_child)
+    st = _children_of_root(c, (fine, fine_child), (big, big_child))
+    assert blowup_discards(st, bt) == {2}
 
 
 # ---- commutativity ----------------------------------------------------------
