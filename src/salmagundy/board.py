@@ -8,8 +8,9 @@ of ``validate_board_transform`` police them.
 
 Everything here is immutable after construction and safe to share. That is
 what lets a check be answered once: ``_memo`` stores a check's verdict on the
-value it describes, and every rule check of the package, ``validate_board``
-included, is stored that way and no other.
+value it describes, one slot per check and identity of the other inputs, and
+every rule check of the package, ``validate_board`` included, is stored that
+way and no other.
 """
 
 from __future__ import annotations
@@ -86,13 +87,15 @@ def _memo(owner, others: tuple, check: Callable, *args):
     """``check(*args)``, evaluated once per identical ``owner`` and ``others``.
 
     The verdict is stored on ``owner``, an immutable value the check
-    describes, one per ``check``, together with the identity of ``others``:
-    it answers only a call with those very objects, and an equal but
-    distinct input is checked afresh. ``others`` are held by weak reference,
-    so a memo never keeps another object (say, the scenario of an earlier
-    round) alive. A list of violations is stored as a tuple and every call
-    gets a fresh list; any other verdict must be immutable and is returned
-    as it is.
+    describes, in one slot per ``check`` and identity of ``others``: a slot
+    answers only a call with those very objects, so an equal but distinct
+    input is checked afresh, while one owner checked against several others
+    (a response under two parents, say) keeps every verdict. ``others`` are
+    held by weak reference, so a memo never keeps another object (say, the
+    scenario of an earlier round) alive, and a slot whose others have died
+    never answers, even for a new object at the same address. A list of
+    violations is stored as a tuple and every call gets a fresh list; any
+    other verdict must be immutable and is returned as it is.
     """
     # object.__setattr__, not owner.__dict__: reading __dict__ would turn the
     # instance's inline attribute values into a dict and slow every later
@@ -101,14 +104,18 @@ def _memo(owner, others: tuple, check: Callable, *args):
     if memo is None:
         memo = {}
         object.__setattr__(owner, "_memo", memo)
-    hit = memo.get(check)
+    # Keyed by id, not by the weak references: a live weak reference hashes
+    # and compares like its referent, so an equal but distinct input would
+    # land in the same slot and evict its verdict.
+    key = (check, *map(id, others))
+    hit = memo.get(key)
     if hit is not None and all(ref() is x for ref, x in zip(hit[0], others)):
         verdict = hit[1]
     else:
         verdict = check(*args)
         if isinstance(verdict, list):
             verdict = tuple(verdict)
-        memo[check] = (tuple(map(weakref.ref, others)), verdict)
+        memo[key] = (tuple(map(weakref.ref, others)), verdict)
     return list(verdict) if isinstance(verdict, tuple) else verdict
 
 

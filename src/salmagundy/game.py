@@ -13,9 +13,13 @@ with it before it checks any square, so ``transform.commutes`` sees only
 surviving children.
 
 Checks are pure functions of immutable objects, and each is answered once per
-identical inputs. Mephisto sieves candidates with ``validate_bundle``, and
-``apply_round`` always checks the chosen bundle again, with the very same
-scenario and transform objects; the second check finds every verdict stored.
+identical inputs: a verdict is stored on the object it describes, one slot
+per check and identity of the other inputs (``board._memo``). Mephisto
+sieves candidates with ``validate_bundle`` and shares each distinct response
+among the candidates of one blown-up board, so a response is checked once
+under each parent response it meets, not once per candidate. ``apply_round``
+always checks the chosen bundle again, with the very same scenario and
+transform objects; the second check finds every verdict stored.
 """
 
 from __future__ import annotations

@@ -25,6 +25,16 @@ The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
 shortcut: a keep set whose root response must fail scenario issue 9
 (``scenario.heavy_jib_violations``) is skipped before any bundle is built.
 
+Candidates on one blown-up board share their responses. Each response built
+there is interned: it is replaced by the first equal response built on that
+board, so equal responses are one object and the checks stored on it
+(``board._memo``) answer every later candidate. A child's response depends
+only on its transported call, its old scenario (both fixed per board), its
+parent's new response and, for descent, the bump level; it is built once per
+quest and parent response object, and a repeated root reuses its whole
+subtree. Likewise a call's child equal to an open quest's scenario is that
+scenario, so the two quests share their checks at the next blowup.
+
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
 never made, and orders below 1 are never chosen (nodes are dropped instead),
@@ -400,20 +410,36 @@ def _assemble_blowup(
     bump: Fraction,
     discards: FrozenSet[int],
     relations: Dict[int, QuestRelation],
+    interned: Dict[Scenario, Scenario],
+    children: Dict[tuple, Optional[Scenario]],
 ) -> Optional[Bundle]:
     """The bundle around a root response. ``discards`` is
     ``blowup_discards(state, bt)`` and ``relations`` maps each surviving
     child, in id order, to its call transported onto the new board; both
-    depend on the board alone."""
+    depend on the board alone.
+
+    ``interned`` and ``children`` are shared by the candidates of one board.
+    ``interned`` maps every response built to the first equal one, and
+    ``children`` maps (quest id, id of the parent's response, and the bump
+    for descent) to the child built for it, None when it has none. Every
+    parent response is held by ``interned``, so its id cannot pass to
+    another object."""
+    root_new = interned.setdefault(root_new, root_new)
     responses: Dict[int, Scenario] = {0: root_new}
     for qid, rel_new in relations.items():
         quest = state.quests[qid]
-        resp = _child_blowup_response(
-            rel_new, responses[quest.parent_id], quest.scenario, bt, bump
-        )
+        parent_new = responses[quest.parent_id]
+        key = (qid, id(parent_new), bump) if rel_new.kind == DESCENT else (qid, id(parent_new))
+        if key in children:
+            resp = children[key]
+        else:
+            resp = _child_blowup_response(rel_new, parent_new, quest.scenario, bt, bump)
+            if resp is not None:
+                resp = interned.setdefault(resp, resp)
+            children[key] = resp
         if resp is None:
             return None
-        responses[quest.quest_id] = resp
+        responses[qid] = resp
     return Bundle(transform=bt, responses=responses, discards=discards)
 
 
@@ -526,6 +552,8 @@ def enumerate_blowup_bundles(
             for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
             if quest.parent_id is not None and quest.quest_id not in discards
         }
+        interned: Dict[Scenario, Scenario] = {}
+        children: Dict[tuple, Optional[Scenario]] = {}
         tried = set(keeps)
         while keeps:
             keep = keeps.pop(0)
@@ -548,7 +576,9 @@ def enumerate_blowup_bundles(
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
-                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations)
+                bundle = _assemble_blowup(
+                    state, bt, root_new, bump, discards, relations, interned, children
+                )
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)
@@ -601,6 +631,9 @@ def enumerate_call_bundles(
         if child is None or child in seen:
             continue
         seen.append(child)
+        # A child equal to an open quest's scenario is that object, so at the
+        # next blowup the two quests share their checks as well.
+        child = next((sc for sc in responses.values() if sc == child), child)
         bundle = Bundle(transform=bt, responses=dict(responses), child=child)
         if not validate_bundle(state, move, bundle):
             yield bundle

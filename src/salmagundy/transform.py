@@ -19,9 +19,13 @@ legal transform of the child's old scenario. Which children survive is
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
-scenario and ``commutes`` on the child's new scenario, keyed by the identity
-of the other arguments (``board._memo``). Mephisto's sieve and the umpire
-check the same bundle objects, so the umpire's second look is a lookup.
+scenario and ``commutes`` on the child's new scenario, one slot per identity
+of the other arguments (``board._memo``), and ``transport_relation`` stores
+each transported relation on the blown-up board's transform. Mephisto builds
+each distinct response once per blown-up board and shares it among the
+candidates, so a response checked for one candidate is a lookup for the
+next; the umpire checks the same bundle objects, so its second look is a
+lookup too.
 """
 
 from __future__ import annotations
@@ -333,7 +337,14 @@ def transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
     itself among the released jibs (e = i(z)) the transported release must
     leave e handicapped or no child response could satisfy both sides of the
     square.
+
+    The result is stored on ``bt`` for this very ``rel``, so Mephisto's
+    candidates, ``commutes`` and ``game.apply_round`` share one object.
     """
+    return _memo(bt, (rel,), _transport_relation, rel, bt)
+
+
+def _transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
     if rel.kind == RELAXATION:
         jibs = frozenset(bt.embed[h] for h in rel.jibs)
         if bt.exceptional is not None:

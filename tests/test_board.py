@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from salmagundy.board import (
     BoardTransform,
     FrozenDict,
     Violation,
+    _memo,
     board_from_json,
     board_to_dot,
     board_to_json,
@@ -159,6 +162,77 @@ def test_board_check_is_memoized_per_instance(monkeypatch):
     loaded = pickle.loads(pickle.dumps(b))
     assert not hasattr(loaded, "_memo")
     assert validate_board(loaded) == want and len(seen) == 3
+
+
+class _Owner:
+    """Stands in for a value a check describes."""
+
+
+@dataclasses.dataclass(frozen=True)
+class _Input:
+    """Stands in for another input of a check; equal when its value is."""
+
+    value: int
+
+
+def _counting_check(calls):
+    def check(x):
+        calls.append(x)
+        return x.value
+
+    return check
+
+
+def test_memo_keeps_one_slot_per_identity_of_the_other_inputs():
+    owner, calls = _Owner(), []
+    check = _counting_check(calls)
+    a, b = _Input(1), _Input(2)
+    for _ in range(3):  # alternating inputs do not evict each other
+        assert _memo(owner, (a,), check, a) == 1
+        assert _memo(owner, (b,), check, b) == 2
+    assert calls == [a, b]
+    # an equal but distinct input is checked afresh, and keeps a's slot
+    twin = _Input(1)
+    assert twin == a and twin is not a
+    assert _memo(owner, (twin,), check, twin) == 1
+    assert _memo(owner, (a,), check, a) == 1
+    assert len(calls) == 3 and calls[2] is twin
+
+
+def test_memo_slot_of_a_dead_input_never_answers():
+    owner, calls = _Owner(), []
+    check = _counting_check(calls)
+    a = _Input(1)
+    assert _memo(owner, (a,), check, a) == 1
+    stale = id(a)
+    del a
+    calls.clear()
+    gc.collect()
+    held = []  # keep every miss alive, so each try gets a new address
+    for _ in range(100000):
+        b = _Input(2)
+        if id(b) == stale:
+            break
+        held.append(b)
+    else:
+        pytest.fail("no new input took the dead input's address")
+    assert _memo(owner, (b,), check, b) == 2
+    assert calls == [b]
+    assert len(owner._memo) == 1  # the stale slot was replaced
+
+
+def test_memo_keeps_no_other_input_alive():
+    owner, calls = _Owner(), []
+    check = _counting_check(calls)
+    a, b = _Input(1), _Input(2)
+    refs = [weakref.ref(a), weakref.ref(b)]
+    assert _memo(owner, (a, b), check, a) == 1
+    assert _memo(owner, (b,), check, b) == 2
+    del a, b
+    calls.clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(owner._memo) == 2
 
 
 def test_validate_flags_non_monotone_cover():

@@ -1,13 +1,14 @@
 """Response policies: enumeration, selection, caps, and determinism."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salmagundy import mephisto
+from salmagundy import mephisto, transform
 from salmagundy.board import Board, Violation
 from salmagundy.dido import DidoStrategy
 from salmagundy.game import (
@@ -332,8 +333,9 @@ def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
     """Reference: build, order-assign and sieve every keep at every bump
     level, reading the candidate cap at call time. Unlike
     ``enumerate_blowup_bundles`` it drops a root response that fails its own
-    transform check before assembling the bundle, so equal streams also show
-    that this shortcut changes nothing."""
+    transform check before assembling the bundle, and it builds every
+    candidate's responses afresh, so equal streams also show that neither
+    the shortcut nor sharing responses within a board changes anything."""
     board = state.board
     root = state.root.scenario
     ts = blowup_uppers(board, z)
@@ -373,7 +375,9 @@ def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
                     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
                     if quest.parent_id is not None and quest.quest_id not in discards
                 }
-                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations)
+                bundle = _assemble_blowup(
+                    state, bt, root_new, bump, discards, relations, {}, {}
+                )
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)
@@ -434,6 +438,41 @@ def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
             got = list(enumerate_blowup_bundles(state, z, policy, boards))
             want = list(_per_candidate_blowup_bundles(state, z, policy, boards))
             assert got == want, (cap, boards)
+
+
+# ---- responses shared within one blown-up board -------------------------------
+
+
+@pytest.mark.parametrize("boards", [False, True])
+def test_equal_responses_in_one_stream_are_one_object(boards):
+    state, move = _adversarial_state(0, 7)
+    stream = enumerate_blowup_bundles(
+        state, move.center, Policy.parse("adversarial"), boards
+    )
+    first = {}
+    seen = 0
+    for bundle in stream:
+        for sc in bundle.responses.values():
+            seen += 1
+            assert first.setdefault(sc, sc) is sc
+    assert seen > len(first)  # responses do repeat across candidates
+
+
+@pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11)])
+def test_each_blowup_transform_is_checked_once_per_value(monkeypatch, seed, rounds):
+    state, move = _adversarial_state(seed, rounds)
+    assert move.kind == "blowup"
+    checked = Counter()
+    check = transform._check_blowup_transform
+
+    def counting(c, bt, c1):
+        checked[c, bt, c1] += 1
+        return check(c, bt, c1)
+
+    monkeypatch.setattr(transform, "_check_blowup_transform", counting)
+    policy = Policy.parse("adversarial")
+    apply_round(state, move, respond(state, move, policy))
+    assert checked and max(checked.values()) == 1
 
 
 # ---- call responses -----------------------------------------------------------
