@@ -10,7 +10,10 @@ Everything here is immutable after construction and safe to share. That is
 what lets a check be answered once: ``_memo`` stores a check's verdict on the
 value it describes, one slot per check and identity of the other inputs, and
 every rule check of the package, ``validate_board`` included, is stored that
-way and no other.
+way and no other. A check that reuses part of its work across inputs (the
+issue-9 table of ``scenario.heavy_jib_violations``) keeps it in the same
+per-value dict, ``_memo_of``. Unlike a ``_memo`` verdict, such a table may
+hold its other inputs strongly (see ``_memo_of``).
 """
 
 from __future__ import annotations
@@ -83,6 +86,28 @@ class FrozenDict(dict):
         return (FrozenDict, (dict(self),))
 
 
+def _memo_of(owner) -> dict:
+    """The dict in which ``owner``, an immutable value, holds what has been
+    worked out about it: the verdicts of ``_memo`` and any table a check
+    fills in as it goes. It is never part of the owner's equality, hash,
+    pickle or deep copy (``_state_without_memo``).
+
+    A ``_memo`` verdict holds its other inputs weakly; a table need not. The
+    issue-9 table on a ``FactorSet`` M is keyed by its board and jib set H by
+    value, so it keeps them alive as long as M lives. Package code asks M
+    only about the board of the scenarios M belongs to, so the table keeps
+    alive nothing those scenarios do not; a caller that asks one M about
+    other boards keeps each of them alive with M."""
+    # object.__setattr__, not owner.__dict__: reading __dict__ would turn the
+    # instance's inline attribute values into a dict and slow every later
+    # attribute read of the scenario.
+    memo = getattr(owner, "_memo", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(owner, "_memo", memo)
+    return memo
+
+
 def _memo(owner, others: tuple, check: Callable, *args):
     """``check(*args)``, evaluated once per identical ``owner`` and ``others``.
 
@@ -93,36 +118,33 @@ def _memo(owner, others: tuple, check: Callable, *args):
     (a response under two parents, say) keeps every verdict. ``others`` are
     held by weak reference, so a memo never keeps another object (say, the
     scenario of an earlier round) alive, and a slot whose others have died
-    never answers, even for a new object at the same address. A list of
-    violations is stored as a tuple and every call gets a fresh list; any
-    other verdict must be immutable and is returned as it is.
+    never answers, even for a new object at the same address. A list verdict
+    (of violations) is stored as a tuple and every call gets a fresh list;
+    any other verdict, a tuple included, must be immutable and is returned
+    as it is.
     """
-    # object.__setattr__, not owner.__dict__: reading __dict__ would turn the
-    # instance's inline attribute values into a dict and slow every later
-    # attribute read of the scenario.
-    memo = getattr(owner, "_memo", None)
-    if memo is None:
-        memo = {}
-        object.__setattr__(owner, "_memo", memo)
+    memo = _memo_of(owner)
     # Keyed by id, not by the weak references: a live weak reference hashes
     # and compares like its referent, so an equal but distinct input would
     # land in the same slot and evict its verdict.
     key = (check, *map(id, others))
     hit = memo.get(key)
     if hit is not None and all(ref() is x for ref, x in zip(hit[0], others)):
-        verdict = hit[1]
+        verdict, listed = hit[1], hit[2]
     else:
         verdict = check(*args)
-        if isinstance(verdict, list):
+        listed = isinstance(verdict, list)
+        if listed:
             verdict = tuple(verdict)
-        memo[key] = (tuple(map(weakref.ref, others)), verdict)
-    return list(verdict) if isinstance(verdict, tuple) else verdict
+        memo[key] = (tuple(map(weakref.ref, others)), verdict, listed)
+    return list(verdict) if listed else verdict
 
 
 def _state_without_memo(owner) -> dict:
-    """``__getstate__`` of a ``_memo`` owner: its fields without the stored
-    verdicts, which hold weak references and describe this very instance, so
-    that no verdict crosses a pickle or a deep copy."""
+    """``__getstate__`` of a ``_memo`` owner: its fields without its
+    ``_memo_of`` dict, whose verdicts hold weak references and describe this
+    very instance, so that nothing stored there crosses a pickle or a deep
+    copy."""
     state = dict(owner.__dict__)
     state.pop("_memo", None)
     return state

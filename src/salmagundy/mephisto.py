@@ -24,6 +24,11 @@ and ``scenario.separation_mass`` (issues 6 and 8).
 The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
 shortcut: a keep set whose root response must fail scenario issue 9
 (``scenario.heavy_jib_violations``) is skipped before any bundle is built.
+Issue 9 reads one table per blown-up board: ``transform.blowup_jibs`` gives
+every keep the same handicap H1 and factor set M1, and M1 holds each node's
+heavy jib sets with their candidate nodes, so each keep costs set lookups.
+The root responses carry the same H1 and M1, so the umpire's issue-9 check
+of every candidate reads the same rows.
 
 Candidates on one blown-up board share their responses. Each response built
 there is interned: it is replaced by the first equal response built on that
@@ -499,7 +504,10 @@ def enumerate_blowup_bundles(
     Each keep is sieved once on scenario issue 9 before any orders are
     assigned. That check reads only the root response's board, d, H, S and M;
     S is the keep, and H and M are fixed by the blowup, so a keep that fails
-    it fails at every bump level and is skipped whole. The skip is exact: it
+    it fails at every bump level and is skipped whole. H1 and M1 are the one
+    pair ``blowup_jibs`` stores on ``bt``, so the heavy jib sets of each node
+    are worked out once, in M1's table, for all keeps and for the umpire's
+    check of every root response built here. The skip is exact: it
     drops only candidates the per-candidate sieve would reject, and still
     counts them against ``_CANDIDATE_CAP``, so the yield sequence and the
     point where the cap stops the search are unchanged. The repair path

@@ -11,6 +11,15 @@ generators). Generator weights may be infinite: blowing up a node of
 infinite order produces an unbounded family of factors, and the infinite
 coordinate encodes the missing cap. All checks quantified over members of
 ``M`` are evaluated exactly against this representation.
+
+Issue 9 does not read the orders and reads S only to count singular nodes in
+fixed candidate sets, so its per-node part (the heavy jib sets over a node,
+each with the nodes that could witness it) is a table of the board, d, H and
+M. The table is stored on M (``board._memo_of``) and filled node by node as
+nodes are asked about. It dies with M, never enters its equality, hash,
+pickle or deep copy, and serves every scenario and keep set that shares M:
+after a blowup, every response of a quest shares one M
+(``transform.blowup_jibs``).
 """
 
 from __future__ import annotations
@@ -19,7 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .board import Board, FrozenDict, NodeId, Violation, _memo, _state_without_memo
+from .board import (
+    Board,
+    FrozenDict,
+    NodeId,
+    Violation,
+    _memo,
+    _memo_of,
+    _state_without_memo,
+)
 from .values import INF, Value, format_value, parse_value
 
 __all__ = [
@@ -109,8 +126,11 @@ class FactorSet:
         keep.sort(key=lambda m: m._sort_key())
         return cls(tuple(keep))
 
+    __getstate__ = _state_without_memo
+
     def contains(self, m: MonomialFactor) -> bool:
         return any(g.dominates(m) for g in self.generators)
+
 
 def _max_mass(weights: List[Dict[NodeId, Value]], K: Iterable[NodeId]) -> Value:
     """max over the weight maps of their total on K (0 when K is empty)."""
@@ -400,31 +420,52 @@ def heavy_jib_violations(
     The check reads the board, d, H, S and M, never the orders, so a caller
     that knows those parts of a scenario can run it before choosing orders.
     ``validate_scenario`` reports exactly this list as its issue-9 findings.
+
+    Only the count of singular nodes in each candidate set depends on S, so
+    the rest is a table of (board, d, H, M), node -> its row (``_heavy_row``),
+    filled as nodes are asked about: every keep set Mephisto sieves on one
+    blown-up board, and every response built there, reads the same rows. The
+    table is stored on M (``board._memo_of``), so it dies with M and never
+    crosses a pickle or a deep copy of it. M keeps one table per value of
+    board, d and H; equal boards have the same order and dimensions, so they
+    may share one. The key holds the board and H strongly (see
+    ``board._memo_of``).
     """
     out: List[Violation] = []
-    singular = sorted(S)
-    jibs = sorted(H)
-    weights = [g.as_dict() for g in M.generators]
-    for s in singular:
-        for K in heavy_jib_sets(tuple(h for h in jibs if board.leq(s, h)), weights):
-            hits = [
-                t
-                for t in singular
-                if board.leq(s, t)
-                and all(board.leq(t, h) for h in K)
-                and board.dim(t) == d - len(K)
-            ]
-            if len(hits) != 1:
+    rows = _memo_of(M).setdefault((heavy_jib_violations, board, d, H), {})
+    for s in sorted(S):
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = _heavy_row(board, d, H, M, s)
+        for K, cands in row:
+            found = len(cands & S)
+            if found != 1:
                 out.append(
                     Violation(
                         "scenario",
                         9,
                         (s,) + K,
                         f"expected exactly one dim-{d - len(K)} singular node above {s} "
-                        f"below {{{', '.join(K)}}}, found {len(hits)}",
+                        f"below {{{', '.join(K)}}}, found {found}",
                     )
                 )
     return out
+
+
+def _heavy_row(
+    board: Board, d: int, H: FrozenSet[NodeId], M: FactorSet, s: NodeId
+) -> Tuple[Tuple[Tuple[NodeId, ...], FrozenSet[NodeId]], ...]:
+    """Issue 9's row of s: each heavy jib set K over s, in ``heavy_jib_sets``
+    order, with its candidates, the nodes t with s <= t <= every h in K and
+    dim t = d - |K|."""
+    weights = [g.as_dict() for g in M.generators]
+    row = []
+    for K in heavy_jib_sets(tuple(h for h in sorted(H) if board.leq(s, h)), weights):
+        cands = board.up_set(s)
+        for h in K:
+            cands = cands & board.down_set(h)
+        row.append((K, frozenset(t for t in cands if board.dim(t) == d - len(K))))
+    return tuple(row)
 
 
 def is_tight(c: Scenario) -> bool:

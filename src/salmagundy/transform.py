@@ -20,8 +20,10 @@ legal transform of the child's old scenario. Which children survive is
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
 scenario and ``commutes`` on the child's new scenario, one slot per identity
-of the other arguments (``board._memo``), and ``transport_relation`` stores
-each transported relation on the blown-up board's transform. Mephisto builds
+of the other arguments (``board._memo``), and ``transport_relation`` and
+``blowup_jibs`` store their results on the blown-up board's transform, so
+every response of one quest shares one factor set and with it one issue-9
+table (``scenario.heavy_jib_violations``). Mephisto builds
 each distinct response once per blown-up board and shares it among the
 candidates, so a response checked for one candidate is a lookup for the
 next; the umpire checks the same bundle objects, so its second look is a
@@ -160,7 +162,17 @@ def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> Mono
 def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
     """Items 12 and 14: the handicap i(H) + e and the capped transports of
     c's factor generators that every response to the blowup carries. Neither
-    depends on the new S, T or orders."""
+    depends on the new S, T or orders.
+
+    The pair is stored on ``bt`` for this very ``c``, so every response
+    Mephisto builds for c on the blown-up board, its keep sieve and the
+    validator share one H1 and one M1, and with them M1's issue-9 table
+    (``scenario.heavy_jib_violations``).
+    """
+    return _memo(bt, (c,), _blowup_jibs, c, bt)
+
+
+def _blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
     H1 = frozenset(bt.embed[h] for h in c.H) | {bt.exceptional}
     return H1, FactorSet.of(capped_transport(c, bt, g) for g in c.M.generators)
 

@@ -110,6 +110,14 @@ def parse_value(text: str) -> Value:
     """Parse an order or factor weight: 'a/b', an integer string, or 'inf'."""
     if text == "inf":
         return INF
+    # Nonnegative 'a' and 'a/b' in ASCII digits, the texts a trace holds, are
+    # read without Fraction's regular expression. Every other text goes to
+    # Fraction, so malformed text raises Fraction's own error.
+    if text.isascii() and text.isdigit():
+        return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+        return Fraction(int(num), int(den))
     return Fraction(text)
 
 

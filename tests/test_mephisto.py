@@ -1,6 +1,7 @@
 """Response policies: enumeration, selection, caps, and determinism."""
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salmagundy import mephisto, transform
+from salmagundy import mephisto, scenario, transform
 from salmagundy.board import Board, Violation
 from salmagundy.dido import DidoStrategy
 from salmagundy.game import (
@@ -473,6 +474,34 @@ def test_each_blowup_transform_is_checked_once_per_value(monkeypatch, seed, roun
     policy = Policy.parse("adversarial")
     apply_round(state, move, respond(state, move, policy))
     assert checked and max(checked.values()) == 1
+
+
+@pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11)])
+def test_each_heavy_jib_row_is_computed_once_per_value(monkeypatch, seed, rounds):
+    # Mephisto's keep sieve, its responses and the umpire's re-check all ask
+    # issue 9 about one blown-up board; each node's heavy jib sets over one
+    # (board, d, H, M) are worked out once among them.
+    state, move = _adversarial_state(seed, rounds)
+    assert move.kind == "blowup"
+    computed = Counter()
+    heavy = scenario.heavy_jib_sets
+
+    def counting(uppers, weights):
+        # The key is read from the caller's locals so that the same test runs
+        # against the per-node loop of heavy_jib_violations, where no table
+        # key exists, and against the table's row builder.
+        caller = sys._getframe(1)
+        assert caller.f_code.co_name in ("heavy_jib_violations", "_heavy_row"), (
+            f"heavy_jib_sets called from {caller.f_code.co_name}; update this test"
+        )
+        asked = caller.f_locals
+        computed[tuple(asked[k] for k in ("board", "d", "H", "M", "s"))] += 1
+        return heavy(uppers, weights)
+
+    monkeypatch.setattr(scenario, "heavy_jib_sets", counting)
+    policy = Policy.parse("adversarial")
+    apply_round(state, move, respond(state, move, policy))
+    assert computed and max(computed.values()) == 1
 
 
 # ---- call responses -----------------------------------------------------------

@@ -1,13 +1,17 @@
 """Scenarios: factors, the nine validity checks, predicates, JSON."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salmagundy.board import Board
+from salmagundy.board import Board, Violation
 from salmagundy.harness import gen_scenario
 from salmagundy.mephisto import (
     _down_closed_keeps,
@@ -25,6 +29,7 @@ from salmagundy.scenario import (
     extend_factor,
     factor_from_json,
     factor_to_json,
+    heavy_jib_sets,
     heavy_jib_violations,
     is_tight,
     scenario_from_json,
@@ -33,7 +38,7 @@ from salmagundy.scenario import (
     validate_scenario,
     zero_factor,
 )
-from salmagundy.transform import validate_blowup_transform
+from salmagundy.transform import blowup_jibs, validate_blowup_transform
 from salmagundy.values import INF
 
 
@@ -267,30 +272,36 @@ def _heavy(c):
     return heavy_jib_violations(c.board, c.d, c.H, c.S, c.M)
 
 
-def _blowup_walk(seed, steps=4):
-    """A generated scenario and its root blowup responses over a few rounds:
-    every keep set at every bump level, valid or not, each round continuing
-    from a randomly picked valid response."""
+def _walk_blowups(seed, steps=4):
+    """A generated scenario's root blowups over a few rounds: each scenario
+    c, its blowup bt, and every root response on bt (every keep set at every
+    bump level, valid or not). Each round continues from a randomly picked
+    valid response."""
     rng = random.Random(seed)
     c = gen_scenario(seed)
-    yield c
     for _ in range(steps):
         centers = sorted(admissible_centers(c))
         if not centers:
             return
         bt = blowup_transform(c.board, rng.choice(centers))
-        valid = []
-        for keep in _down_closed_keeps(bt.target, _root_keep_max(c, bt)):
-            for level in range(3):
-                c1 = _root_response(c, bt, keep, Fraction(level, c.B))
-                if c1 is None:
-                    continue
-                yield c1
-                if not validate_blowup_transform(c, bt, c1):
-                    valid.append(c1)
+        responses = [
+            c1
+            for keep in _down_closed_keeps(bt.target, _root_keep_max(c, bt))
+            for level in range(3)
+            if (c1 := _root_response(c, bt, keep, Fraction(level, c.B))) is not None
+        ]
+        yield c, bt, responses
+        valid = [c1 for c1 in responses if not validate_blowup_transform(c, bt, c1)]
         if not valid:
             return
         c = rng.choice(valid)
+
+
+def _blowup_walk(seed, steps=4):
+    """A generated scenario and its root blowup responses over a few rounds."""
+    yield gen_scenario(seed)
+    for _, _, responses in _walk_blowups(seed, steps):
+        yield from responses
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,6 +326,112 @@ def test_blowup_walks_reach_issue_9():
     # the property above is not vacuous: seeds 6 and 26 meet heavy jib sets
     for seed in (6, 26):
         assert any(_heavy(c) for c in _blowup_walk(seed))
+
+
+def _reference_heavy_jib_violations(board, d, H, S, M):
+    """Issue 9 by the per-node formula, with no table: the oracle for
+    ``heavy_jib_violations``."""
+    out = []
+    singular = sorted(S)
+    weights = [g.as_dict() for g in M.generators]
+    for s in singular:
+        for K in heavy_jib_sets(tuple(h for h in sorted(H) if board.leq(s, h)), weights):
+            hits = [
+                t
+                for t in singular
+                if board.leq(s, t)
+                and all(board.leq(t, h) for h in K)
+                and board.dim(t) == d - len(K)
+            ]
+            if len(hits) != 1:
+                out.append(
+                    Violation(
+                        "scenario",
+                        9,
+                        (s,) + K,
+                        f"expected exactly one dim-{d - len(K)} singular node above {s} "
+                        f"below {{{', '.join(K)}}}, found {len(hits)}",
+                    )
+                )
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**4))
+@example(seed=6)
+@example(seed=26)
+def test_heavy_jib_table_matches_the_per_node_formula_on_every_keep(seed):
+    found = 0
+    for c, bt, responses in _walk_blowups(seed):
+        b1 = bt.target
+        H1, M1 = blowup_jibs(c, bt)
+        assert blowup_jibs(c, bt)[1] is M1
+        assert all(c1.H is H1 and c1.M is M1 for c1 in responses)
+        for keep in _down_closed_keeps(b1, _root_keep_max(c, bt)):
+            want = _reference_heavy_jib_violations(b1, c.d, H1, keep, M1)
+            found += bool(want)
+            # every keep of the board reads the one table on M1 ...
+            assert heavy_jib_violations(b1, c.d, H1, keep, M1) == want
+            # ... and equal but fresh objects build their own
+            fresh_board = pickle.loads(pickle.dumps(b1))
+            fresh_M = FactorSet.of(M1.generators)
+            assert fresh_board is not b1 and fresh_M is not M1
+            got = heavy_jib_violations(fresh_board, c.d, frozenset(set(H1)), keep, fresh_M)
+            assert got == want
+    if seed in (6, 26):
+        assert found  # the walk meets keeps that fail issue 9
+
+
+def test_heavy_jib_table_is_keyed_by_board_d_and_H():
+    board = Board(
+        {"s": 0, "h1": 1, "h2": 1, "w": 2},
+        [("s", "h1"), ("s", "h2"), ("h1", "w"), ("h2", "w")],
+    )
+    # the same nodes, but s lies below h2 only
+    other = Board(
+        {"s": 0, "h1": 1, "h2": 1, "w": 2},
+        [("s", "h2"), ("h1", "w"), ("h2", "w")],
+    )
+    M = FactorSet.of([MonomialFactor.of({"h1": 1, "h2": 0})])
+    H = frozenset({"h1", "h2"})
+    asks = [
+        (board, 2, H, frozenset({"s"})),
+        (board, 2, H, frozenset({"s", "h1"})),
+        (board, 1, H, frozenset({"s"})),
+        (board, 2, frozenset({"h2"}), frozenset({"s"})),
+        (other, 2, H, frozenset({"s"})),
+        (board, 2, H, frozenset({"s"})),
+    ]
+    witnesses = []
+    for b, d, HH, S in asks:
+        want = _reference_heavy_jib_violations(b, d, HH, S, M)
+        assert heavy_jib_violations(b, d, HH, S, M) == want
+        witnesses.append([v.witness for v in want])
+    # asks 3-5 share S with the first and still answer differently, so a row
+    # kept from it would have shown
+    assert witnesses == [[("s", "h1")], [], [("s", "h1", "h2")], [], [], [("s", "h1")]]
+
+
+def test_heavy_jib_table_stays_off_equality_copies_and_pickles(crossing_scenario):
+    c = _remake(crossing_scenario, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
+    twin = _remake(c)
+    before = (hash(c), hash(c.M), repr(c))
+    assert _issue_9(c)
+    assert vars(c.M).get("_memo")  # the table is there to lose
+    assert (hash(c), hash(c.M), repr(c)) == before
+    assert c == twin and c.M == twin.M and hash(c.M) == hash(twin.M)
+    for copied in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert copied == c and "_memo" not in vars(copied.M)
+        assert _issue_9(copied) == _issue_9(c)
+    for copied in (copy.deepcopy(c.M), pickle.loads(pickle.dumps(c.M))):
+        assert copied == c.M and "_memo" not in vars(copied)
+    # the table dies with its factor set
+    M = FactorSet.of([MonomialFactor.of({"h1": 1, "h2": 0})])
+    assert heavy_jib_violations(c.board, c.d, c.H, c.S, M)
+    dead = weakref.ref(M)
+    del M
+    gc.collect()
+    assert dead() is None
 
 
 # ---- predicates -------------------------------------------------------------

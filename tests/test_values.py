@@ -1,6 +1,7 @@
 """Extended order values: ordering, arithmetic conventions, serialization."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -75,3 +76,20 @@ def test_parse_format_roundtrip():
     assert format_value(INF) == "inf"
     assert format_value(Fraction(4, 2)) == "2"
     assert parse_value("13/10") == Fraction(13, 10)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "1//2", "x", "1/0", "1/", "in f", "3/ 4", "3 /4", "1/-2", "\u00b2"]
+)
+def test_malformed_text_raises_fractions_own_error(text):
+    with pytest.raises((ValueError, ZeroDivisionError)) as want:
+        Fraction(text)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        parse_value(text)
+
+
+def test_parse_value_reads_every_text_fraction_reads():
+    texts = ["0", "3", "007", "4/6", "10/4", "-3", "+3", "-3/4", " 7/2 ", "0.5", "1e2"]
+    for text in texts + ["\u0663", "\u0663/\u0664"]:  # Arabic-Indic 3 and 3/4
+        got = parse_value(text)
+        assert got == Fraction(text) and type(got) is Fraction
