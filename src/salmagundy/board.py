@@ -7,13 +7,14 @@ source into the target and a retract ``u`` back; the seven numbered checks
 of ``validate_board_transform`` police them.
 
 Everything here is immutable after construction and safe to share. That is
-what lets a check be answered once: ``_memo`` stores a check's verdict on the
-value it describes, one slot per check and identity of the other inputs, and
-every rule check of the package, ``validate_board`` included, is stored that
-way and no other. A check that reuses part of its work across inputs (the
-issue-9 table of ``scenario.heavy_jib_violations``) keeps it in the same
-per-value dict, ``_memo_of``. Unlike a ``_memo`` verdict, such a table may
-hold its other inputs strongly (see ``_memo_of``).
+what lets a check be answered once: ``_memo(check, *args)`` stores the
+verdict on the last argument, the value the check describes, keyed by the
+check and the identities of the other arguments. Every rule check of the
+package, ``validate_board`` included, is stored that way and no other. A
+check that reuses part of its work across inputs (the issue-9 table of
+``scenario.heavy_jib_violations``) keeps it in the same per-value dict,
+``_memo_of``. Unlike a ``_memo`` verdict, such a table may hold its other
+inputs strongly (see ``_memo_of``).
 """
 
 from __future__ import annotations
@@ -108,22 +109,23 @@ def _memo_of(owner) -> dict:
     return memo
 
 
-def _memo(owner, others: tuple, check: Callable, *args):
-    """``check(*args)``, evaluated once per identical ``owner`` and ``others``.
+def _memo(check: Callable, *args):
+    """``check(*args)``, evaluated once per identical ``args``.
 
-    The verdict is stored on ``owner``, an immutable value the check
-    describes, in one slot per ``check`` and identity of ``others``: a slot
-    answers only a call with those very objects, so an equal but distinct
-    input is checked afresh, while one owner checked against several others
-    (a response under two parents, say) keeps every verdict. ``others`` are
-    held by weak reference, so a memo never keeps another object (say, the
-    scenario of an earlier round) alive, and a slot whose others have died
-    never answers, even for a new object at the same address. A list verdict
-    (of violations) is stored as a tuple and every call gets a fresh list;
-    any other verdict, a tuple included, must be immutable and is returned
-    as it is.
+    The verdict is stored on the last argument, an immutable value the check
+    describes, in one slot per ``check`` and identity of the other arguments:
+    a slot answers only a call with those very objects, so an equal but
+    distinct input is checked afresh, while one value checked against several
+    others (a response under two parents, say) keeps every verdict. The
+    other arguments are held by weak reference, so a memo never keeps
+    another object (say, the scenario of an earlier round) alive, and a slot
+    whose other arguments have died never answers, even for a new object at
+    the same address. A list verdict (of violations) is stored as a tuple
+    and every call gets a fresh list; any other verdict, a tuple included,
+    must be immutable and is returned as it is.
     """
-    memo = _memo_of(owner)
+    others = args[:-1]
+    memo = _memo_of(args[-1])
     # Keyed by id, not by the weak references: a live weak reference hashes
     # and compares like its referent, so an equal but distinct input would
     # land in the same slot and evict its verdict.
@@ -330,7 +332,7 @@ def validate_board(b: Board) -> List[Violation]:
 
     The verdict is stored on ``b``; every call returns a fresh list.
     """
-    return _memo(b, (), _check_board, b)
+    return _memo(_check_board, b)
 
 
 def _check_board(b: Board) -> List[Violation]:
@@ -430,7 +432,7 @@ def validate_board_transform(t: BoardTransform) -> List[Violation]:
     the same transform. ``dataclasses.replace`` builds a new instance, which
     is checked afresh. Every call returns a fresh list.
     """
-    return _memo(t, (), _check_board_transform, t)
+    return _memo(_check_board_transform, t)
 
 
 def _check_board_transform(t: BoardTransform) -> List[Violation]:

@@ -108,7 +108,6 @@ def dms_less(a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]) -> bool:
 class _LoopPlan:
     m: MonomialFactor
     child_id: Optional[int] = None
-    q: Optional[Fraction] = None
     monomial: bool = False
     pending: List[NodeId] = field(default_factory=list)
 
@@ -269,8 +268,6 @@ class DidoStrategy:
         if move.kind == CALL:
             holder, field_name = self._slot
             setattr(holder, field_name, record["new_quest"])
-            if isinstance(holder, _LoopPlan):
-                holder.q = move.relation.scale
         else:
             self._observe_blowup(state, bundle.transform)
         for qid in list(self.plans):
@@ -299,7 +296,8 @@ class DidoStrategy:
                 plan.m = lift_factor(plan.m, bt, e_weight)
             elif plan.child_id is not None:
                 # m rides along as the quotient child's relation factor does.
-                plan.m = quotient_lifted_factor(plan.m, plan.q, bt)
+                q = state.quests[plan.child_id].relation.scale
+                plan.m = quotient_lifted_factor(plan.m, q, bt)
             else:
                 plan.m = lift_factor(plan.m, bt, Fraction(0))
             plan.pending = [
@@ -311,4 +309,3 @@ class DidoStrategy:
                 child = state.quests.get(plan.child_id)
                 if child is None or child.status != OPEN:
                     plan.child_id = None
-                    plan.q = None

@@ -54,7 +54,6 @@ from .scenario import (
 from .transform import (
     commutes,
     exceptional_cap,
-    quotient_lifted_factor,
     transport_relation,
     validate_blowup_transform,
 )
@@ -240,9 +239,7 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
 
     parent_sc = quest.scenario
     child_sc = bundle.child
-    out.extend(
-        _memo(child_sc, (parent_sc, rel), _check_call_child, parent_sc, rel, child_sc)
-    )
+    out.extend(_memo(_check_call_child, parent_sc, rel, child_sc))
     return out
 
 
@@ -344,7 +341,7 @@ def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
             or z not in admissible_centers(quest.scenario)
             or (
                 rel.kind == QUOTIENT
-                and quotient_lifted_factor(rel.factor, rel.scale, bt).weight(bt.exceptional)
+                and transport_relation(rel, bt).factor.weight(bt.exceptional)
                 > exceptional_cap(parent.scenario, z)
             )
         ):
@@ -427,7 +424,9 @@ def move_to_json(move: Move) -> dict:
 def move_from_json(data: Mapping) -> Move:
     if data["type"] == CALL:
         return Move.call(data["quest"], relation_from_json(data["relation"]))
-    return Move.blowup(data["center"])
+    if data["type"] == BLOWUP_MOVE:
+        return Move.blowup(data["center"])
+    raise ValueError(f"unknown move type {data['type']!r}")
 
 
 def transform_to_json(bt: BoardTransform) -> dict:
@@ -521,7 +520,7 @@ def replay_trace(lines: Iterable[str]) -> GameState:
             record = json.loads(line)
             move = move_from_json(record["move"])
             bundle = bundle_from_json(record["bundle"], state.board)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
         applied = apply_round(state, move, bundle)
         for key in ("new_quest", "won", "discarded"):

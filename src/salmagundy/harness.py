@@ -282,7 +282,9 @@ def explore(
     """Play Dido against every bundle the capped choice space allows.
 
     Dido's move is a function of the state, so each tree node has one move
-    and branches only on Mephisto's answer. Bundles come out of the
+    and branches only on Mephisto's answer. The ``EXPLORE`` policy makes
+    ``enumerate_blowup_bundles`` try every blown-up board that fits inside
+    ``max_new_nodes``, not only the full one. Bundles come out of the
     enumerators in a deterministic order; the counts are reproducible.
     ``truncated`` lists every place where the blowup enumeration was cut
     short, so ``all_won`` speaks for the whole capped space only when it is
@@ -320,9 +322,7 @@ def explore(
         if move.kind == CALL:
             variants = enumerate_call_bundles(state, move, policy)
         else:
-            variants = enumerate_blowup_bundles(
-                state, move.center, policy, enumerate_boards=True, truncated=cut,
-            )
+            variants = enumerate_blowup_bundles(state, move.center, policy, cut)
         any_bundle = False
         for bundle in variants:
             any_bundle = True

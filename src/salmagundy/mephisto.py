@@ -51,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .board import BLOWUP, Board, BoardTransform, NodeId, Violation, trivial_refinement
@@ -121,7 +121,8 @@ _KEEP_ENUM_LIMIT = 14
 
 
 class CapError(RuntimeError):
-    """A blowup cannot fit inside max_new_nodes."""
+    """A cap cut the search short: no blowup fits inside max_new_nodes, or a
+    capped or repaired blowup stream ended before its first valid bundle."""
 
 
 class NoValidBundle(RuntimeError):
@@ -487,14 +488,14 @@ def enumerate_blowup_bundles(
     state: GameState,
     z: NodeId,
     policy: Policy,
-    enumerate_boards: bool = False,
     truncated: Optional[List[str]] = None,
 ) -> Iterator[Bundle]:
     """Valid bundles for a blowup at z, largest-keep and lowest-orders first.
 
-    Policies answer on the full blowup board (raising CapError when it busts
-    max_new_nodes); with ``enumerate_boards`` every fitting subset of fresh
-    nodes is tried, largest first, which is how the explorer branches.
+    The policy decides which boards are enumerated. The choosing policies
+    answer on the full blowup board (raising CapError when it busts
+    max_new_nodes); under ``EXPLORE`` every fitting subset of fresh nodes is
+    tried, largest first, which is how the explorer branches.
 
     The stream is not exhaustive when it stops at ``_CANDIDATE_CAP`` or when
     a keep set is too wide to enumerate and is repaired instead. When that
@@ -518,7 +519,7 @@ def enumerate_blowup_bundles(
     root = state.root.scenario
     ts = blowup_uppers(board, z)
     cap = policy.max_new_nodes
-    if enumerate_boards:
+    if policy.kind == EXPLORE:
         subsets = [
             list(sub)
             for size in range(len(ts), -1, -1)
@@ -651,25 +652,24 @@ def enumerate_call_bundles(
 
 
 def _choose(
-    state: GameState, policy: Policy, stream: Iterator[Bundle], what: str
+    state: GameState, policy: Policy, stream: Iterator[Bundle], what: str, truncated=()
 ) -> Bundle:
-    if policy.kind == CANONICAL:
-        for bundle in stream:
-            return bundle
-        raise NoValidBundle(f"no valid bundle for {what}")
-    if policy.kind not in (RANDOM, ADVERSARIAL):
+    """The policy's pick among the leading bundles of ``stream``. A stream
+    without one raises CapError if it reported itself cut short in
+    ``truncated``, and NoValidBundle if it was complete."""
+    size = {CANONICAL: 1, RANDOM: _RANDOM_POOL, ADVERSARIAL: _ADVERSARIAL_POOL}.get(policy.kind)
+    if size is None:
         raise ValueError(f"policy {policy.kind!r} does not choose a bundle")
-    pool_size = _RANDOM_POOL if policy.kind == RANDOM else _ADVERSARIAL_POOL
-    pool: List[Bundle] = []
-    for bundle in stream:
-        pool.append(bundle)
-        if len(pool) >= pool_size:
-            break
+    pool = list(islice(stream, size))
+    if not pool and truncated:
+        reasons = "; ".join(truncated)
+        raise CapError(f"search for {what} cut short before its first valid bundle: {reasons}")
     if not pool:
         raise NoValidBundle(f"no valid bundle for {what}")
     if policy.kind == RANDOM:
         return policy.rng(state.round_no).choice(pool)
-    return max(pool, key=_bundle_score)  # adversarial; max is stable on ties
+    # canonical plays its first bundle; adversarial the first of highest score
+    return pool[0] if policy.kind == CANONICAL else max(pool, key=_bundle_score)
 
 
 def _bundle_score(bundle: Bundle) -> Tuple[int, Fraction]:
@@ -692,8 +692,9 @@ def respond_call(state: GameState, move: Move, policy: Policy) -> Bundle:
 
 
 def respond_blowup(state: GameState, z: NodeId, policy: Policy) -> Bundle:
-    stream = enumerate_blowup_bundles(state, z, policy)
-    return _choose(state, policy, stream, f"blowup at {z}")
+    truncated: List[str] = []
+    stream = enumerate_blowup_bundles(state, z, policy, truncated)
+    return _choose(state, policy, stream, f"blowup at {z}", truncated)
 
 
 def respond(state: GameState, move: Move, policy: Policy) -> Bundle:

@@ -236,7 +236,7 @@ def validate_scenario(c: Scenario) -> List[Violation]:
     The checks read only the scenario, so each instance is checked once.
     Every call returns a fresh list.
     """
-    return _memo(c, (), _check_scenario, c)
+    return _memo(_check_scenario, c)
 
 
 def _check_scenario(c: Scenario) -> List[Violation]:
@@ -291,10 +291,8 @@ def _check_scenario(c: Scenario) -> List[Violation]:
         for gg in gens[i + 1 :]:
             if g.domain == gg.domain and (g.dominates(gg) or gg.dominates(g)):
                 out.append(Violation(rule, 7, (), "generators are not an antichain"))
-    if any(v.rule == rule and v.issue in ("structure", 7) for v in out):
-        # Numbered checks below assume clean structure.
-        if any(v.issue == "structure" for v in out):
-            return out
+    if any(v.issue == "structure" for v in out):
+        return out  # numbered checks below assume clean structure
 
     # Issue 1: jibs are hypersurface-dimensional.
     for h in sorted(c.H):
@@ -494,7 +492,7 @@ def admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
 
     Validation asks for the same scenario's centers once per candidate
     bundle, so each instance computes them once."""
-    return _memo(c, (), _admissible_centers, c)
+    return _memo(_admissible_centers, c)
 
 
 def _admissible_centers(c: Scenario) -> FrozenSet[NodeId]:

@@ -169,7 +169,7 @@ def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], Fac
     validator share one H1 and one M1, and with them M1's issue-9 table
     (``scenario.heavy_jib_violations``).
     """
-    return _memo(bt, (c,), _blowup_jibs, c, bt)
+    return _memo(_blowup_jibs, c, bt)
 
 
 def _blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
@@ -202,7 +202,7 @@ def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> 
     """
     if bt.kind != BLOWUP:
         raise ValueError("expected a blowup transform")
-    return _memo(c1, (c, bt), _check_blowup_transform, c, bt, c1)
+    return _memo(_check_blowup_transform, c, bt, c1)
 
 
 def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
@@ -351,16 +351,15 @@ def transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
     square.
 
     The result is stored on ``bt`` for this very ``rel``, so Mephisto's
-    candidates, ``commutes`` and ``game.apply_round`` share one object.
+    candidates, ``commutes``, ``game.blowup_discards`` and
+    ``game.apply_round`` share one object.
     """
-    return _memo(bt, (rel,), _transport_relation, rel, bt)
+    return _memo(_transport_relation, rel, bt)
 
 
 def _transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:
     if rel.kind == RELAXATION:
-        jibs = frozenset(bt.embed[h] for h in rel.jibs)
-        if bt.exceptional is not None:
-            jibs -= {bt.exceptional}
+        jibs = frozenset(bt.embed[h] for h in rel.jibs) - {bt.exceptional}
         return QuestRelation(rel.kind, jibs=jibs)
     if rel.kind == TRANSVERSALITY:
         return QuestRelation(rel.kind, jibs=frozenset(bt.embed[h] for h in rel.jibs))
@@ -392,9 +391,7 @@ def commutes(
     The verdict is stored on ``c1_prime`` for these very other arguments;
     every call returns a fresh list.
     """
-    return _memo(
-        c1_prime, (rel, c, c1, c_prime, bt), _check_commutes, rel, c, c1, c_prime, c1_prime, bt
-    )
+    return _memo(_check_commutes, rel, c, c1, c_prime, bt, c1_prime)
 
 
 def _check_commutes(
@@ -402,8 +399,8 @@ def _check_commutes(
     c: Scenario,
     c1: Scenario,
     c_prime: Scenario,
-    c1_prime: Scenario,
     bt: BoardTransform,
+    c1_prime: Scenario,
 ) -> List[Violation]:
     if c.board != bt.source or c1.board != bt.source or c_prime.board != bt.target:
         detail = "boards do not line up with the blowup"

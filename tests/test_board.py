@@ -176,7 +176,9 @@ class _Input:
 
 
 def _counting_check(calls):
-    def check(x):
+    """A check that reads its first argument and describes its last."""
+
+    def check(x, *rest):
         calls.append(x)
         return x.value
 
@@ -188,14 +190,14 @@ def test_memo_keeps_one_slot_per_identity_of_the_other_inputs():
     check = _counting_check(calls)
     a, b = _Input(1), _Input(2)
     for _ in range(3):  # alternating inputs do not evict each other
-        assert _memo(owner, (a,), check, a) == 1
-        assert _memo(owner, (b,), check, b) == 2
+        assert _memo(check, a, owner) == 1
+        assert _memo(check, b, owner) == 2
     assert calls == [a, b]
     # an equal but distinct input is checked afresh, and keeps a's slot
     twin = _Input(1)
     assert twin == a and twin is not a
-    assert _memo(owner, (twin,), check, twin) == 1
-    assert _memo(owner, (a,), check, a) == 1
+    assert _memo(check, twin, owner) == 1
+    assert _memo(check, a, owner) == 1
     assert len(calls) == 3 and calls[2] is twin
 
 
@@ -203,7 +205,7 @@ def test_memo_slot_of_a_dead_input_never_answers():
     owner, calls = _Owner(), []
     check = _counting_check(calls)
     a = _Input(1)
-    assert _memo(owner, (a,), check, a) == 1
+    assert _memo(check, a, owner) == 1
     stale = id(a)
     del a
     calls.clear()
@@ -216,7 +218,7 @@ def test_memo_slot_of_a_dead_input_never_answers():
         held.append(b)
     else:
         pytest.fail("no new input took the dead input's address")
-    assert _memo(owner, (b,), check, b) == 2
+    assert _memo(check, b, owner) == 2
     assert calls == [b]
     assert len(owner._memo) == 1  # the stale slot was replaced
 
@@ -226,8 +228,8 @@ def test_memo_keeps_no_other_input_alive():
     check = _counting_check(calls)
     a, b = _Input(1), _Input(2)
     refs = [weakref.ref(a), weakref.ref(b)]
-    assert _memo(owner, (a, b), check, a) == 1
-    assert _memo(owner, (b,), check, b) == 2
+    assert _memo(check, a, b, owner) == 1
+    assert _memo(check, b, owner) == 2
     del a, b
     calls.clear()
     gc.collect()

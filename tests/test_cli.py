@@ -107,11 +107,16 @@ def test_command_line_flag_overrides_config(capsys, tmp_path):
     assert run(capsys, "play", "--config", config, "--round-cap", 100)[0] == cli.EXIT_OK
 
 
-def test_play_caps(capsys):
+def test_play_caps(capsys, monkeypatch):
     code, _, err = run(capsys, "play", "--round-cap", 1)
     assert code == cli.EXIT_CAP and "round cap" in err
     code, _, err = run(capsys, "play", "--max-new-nodes", 1)
     assert code == cli.EXIT_CAP and "cap is 1" in err
+    # a candidate cap that cuts a blowup before its first valid bundle
+    monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", 0)
+    code, _, err = run(capsys, "play", "--seed", 3)
+    assert code == cli.EXIT_CAP and "no valid bundle" not in err
+    assert "round 1, blowup at v3: stopped after 0 candidates" in err
 
 
 def test_play_usage_errors(capsys, tmp_path):
@@ -166,11 +171,14 @@ def test_replay_names_the_malformed_line(capsys, tmp_path):
     no_bundle = {k: v for k, v in round_line.items() if k != "bundle"}
     listed = json.loads(json.dumps(round_line))
     listed["bundle"]["responses"] = [listed["bundle"]["responses"]["0"]]
+    bogus = json.loads(json.dumps(round_line))
+    bogus["move"]["type"] = "bogus"  # was "blowup"
     for lineno, lines in (
         (1, ({"scenario": header["header"]["scenario"]}, round_line)),
         (2, (header, no_move)),
         (2, (header, no_bundle)),
         (2, (header, listed)),
+        (2, (header, bogus)),
     ):
         path = tmp_path / "malformed.ndjson"
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))

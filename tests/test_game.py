@@ -304,6 +304,17 @@ def test_replay_rejects_tampered_bundle(chain_scenario):
         replay_trace(lines)
 
 
+def test_replay_rejects_an_unknown_move_type(chain_scenario):
+    lines = list(play_game(chain_scenario, Policy.parse("canonical")).trace)
+    records = [json.loads(line) for line in lines]
+    i = next(i for i, r in enumerate(records) if r.get("move", {}).get("type") == "blowup")
+    records[i]["move"]["type"] = "bogus"
+    lines[i] = round_to_json(records[i])
+    lineno = i + 1
+    with pytest.raises(ValueError, match=f"^line {lineno}: malformed trace record .*'bogus'"):
+        replay_trace(lines)
+
+
 def test_replay_rejects_empty_trace():
     with pytest.raises(ValueError):
         replay_trace([])

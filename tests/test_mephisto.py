@@ -124,10 +124,17 @@ def test_blowup_cap_raises(chain_scenario):
         respond(st, Move.blowup("p"), tight_cap)
 
 
+@pytest.mark.parametrize("kind", ["canonical", "random:1", "adversarial"])
+def test_a_candidate_cap_before_the_first_bundle_is_a_cap(monkeypatch, chain_scenario, kind):
+    monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", 0)
+    with pytest.raises(CapError, match="stopped after 0 candidates"):
+        respond(_root_state(chain_scenario), Move.blowup("p"), Policy.parse(kind))
+
+
 def test_enumerate_boards_respects_cap(crossing_scenario):
     st = _root_state(crossing_scenario)
-    pol = Policy.parse("canonical", max_new_nodes=2)
-    bundles = list(enumerate_blowup_bundles(st, "s", pol, enumerate_boards=True))
+    pol = Policy(kind=mephisto.EXPLORE, max_new_nodes=2)
+    bundles = list(enumerate_blowup_bundles(st, "s", pol))
     assert bundles
     for b in bundles:
         fresh = set(b.transform.target.ids) - set(crossing_scenario.board.ids)
@@ -330,7 +337,7 @@ def test_shrink_keep(blown_chain_board):
 # ---- the issue-9 sieve per keep set ---------------------------------------------
 
 
-def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
+def _per_candidate_blowup_bundles(state, z, policy):
     """Reference: build, order-assign and sieve every keep at every bump
     level, reading the candidate cap at call time. Unlike
     ``enumerate_blowup_bundles`` it drops a root response that fails its own
@@ -341,7 +348,7 @@ def _per_candidate_blowup_bundles(state, z, policy, enumerate_boards=False):
     root = state.root.scenario
     ts = blowup_uppers(board, z)
     cap = policy.max_new_nodes
-    if enumerate_boards:
+    if policy.kind == mephisto.EXPLORE:
         subsets = [
             list(sub)
             for size in range(len(ts), -1, -1)
@@ -418,14 +425,14 @@ def _issue_9_keeps(state, z):
 
 
 @pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11), (24, 16)])
-@pytest.mark.parametrize("kind", ["adversarial", "canonical"])
+@pytest.mark.parametrize("kind", ["adversarial", "canonical", mephisto.EXPLORE])
 def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
     monkeypatch, seed, rounds, kind
 ):
     state, move = _adversarial_state(seed, rounds)
     assert move.kind == "blowup"
     z = move.center
-    policy = Policy.parse(kind)
+    policy = Policy(kind=kind)
     levels = len(policy.bump_levels())
     failing = _issue_9_keeps(state, z)
     assert failing
@@ -435,21 +442,18 @@ def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
         caps |= set(range(levels * i - 1, levels * (i + 1) + 2))
     for cap in sorted(c for c in caps if c >= 0):
         monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", cap)
-        for boards in (False, True):
-            got = list(enumerate_blowup_bundles(state, z, policy, boards))
-            want = list(_per_candidate_blowup_bundles(state, z, policy, boards))
-            assert got == want, (cap, boards)
+        got = list(enumerate_blowup_bundles(state, z, policy))
+        want = list(_per_candidate_blowup_bundles(state, z, policy))
+        assert got == want, cap
 
 
 # ---- responses shared within one blown-up board -------------------------------
 
 
-@pytest.mark.parametrize("boards", [False, True])
-def test_equal_responses_in_one_stream_are_one_object(boards):
+@pytest.mark.parametrize("kind", ["adversarial", mephisto.EXPLORE])
+def test_equal_responses_in_one_stream_are_one_object(kind):
     state, move = _adversarial_state(0, 7)
-    stream = enumerate_blowup_bundles(
-        state, move.center, Policy.parse("adversarial"), boards
-    )
+    stream = enumerate_blowup_bundles(state, move.center, Policy(kind=kind))
     first = {}
     seen = 0
     for bundle in stream:
@@ -499,6 +503,31 @@ def test_each_heavy_jib_row_is_computed_once_per_value(monkeypatch, seed, rounds
         return heavy(uppers, weights)
 
     monkeypatch.setattr(scenario, "heavy_jib_sets", counting)
+    policy = Policy.parse("adversarial")
+    apply_round(state, move, respond(state, move, policy))
+    assert computed and max(computed.values()) == 1
+
+
+@pytest.mark.parametrize("seed, rounds", [(0, 7), (6, 5)])
+def test_each_quotient_lift_is_computed_once_per_value(monkeypatch, seed, rounds):
+    # The umpire's discards, Mephisto's transported relations and
+    # apply_round all lift an open quotient quest's factor through the
+    # blowup; they share one lift per relation and blown-up board.
+    state, move = _adversarial_state(seed, rounds)
+    assert move.kind == "blowup"
+    assert any(q.relation and q.relation.kind == "quotient" for q in state.open_quests())
+    computed = Counter()
+    lift = transform.lift_factor
+
+    def counting(m, bt, e_weight):
+        # q is read from the caller's frame, so the count covers every module
+        # that binds quotient_lifted_factor.
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "quotient_lifted_factor":
+            computed[m, caller.f_locals["q"], bt] += 1
+        return lift(m, bt, e_weight)
+
+    monkeypatch.setattr(transform, "lift_factor", counting)
     policy = Policy.parse("adversarial")
     apply_round(state, move, respond(state, move, policy))
     assert computed and max(computed.values()) == 1
