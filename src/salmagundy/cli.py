@@ -204,10 +204,13 @@ def _cmd_play(args) -> int:
     scenario = _game_scenario(args)
     policy = _policy(args)
     round_cap = args.round_cap if args.round_cap is not None else 10_000
-    result = play_game(scenario, policy, round_cap=round_cap)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write("\n".join(result.trace) + "\n")
+    trace: List[str] = []
+    try:
+        result = play_game(scenario, policy, round_cap=round_cap, trace=trace)
+    finally:  # a game stopped by a cap still leaves the rounds it played
+        if args.trace:
+            with open(args.trace, "w") as fh:
+                fh.write("\n".join(trace) + "\n")
     print(
         f"{'won' if result.won else 'not won'} in {result.rounds} rounds "
         f"({result.blowups} blowups); strict={str(result.singular_centers).lower()}"

@@ -227,10 +227,16 @@ def play_game(
     scenario: Scenario,
     policy: Policy,
     round_cap: int = 10_000,
+    trace: Optional[List[str]] = None,
 ) -> GameResult:
+    """Play Dido against ``policy`` on ``scenario``. The NDJSON lines of the
+    game are appended to ``trace`` (a fresh list if not given) as they are
+    played, so a caller holds the rounds already played even when a
+    CapError stops the game; the result's ``trace`` is that list."""
     state = new_game(scenario)
     strategy = DidoStrategy()
-    lines = [round_to_json(trace_header(scenario, policy.kind, policy.seed))]
+    lines = [] if trace is None else trace
+    lines.append(round_to_json(trace_header(scenario, policy.kind, policy.seed)))
     blowups = 0
     singular_centers = True
 

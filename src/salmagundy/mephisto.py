@@ -10,7 +10,9 @@ free. The policies differ only in how they spend that freedom:
                      legal orders; deterministic.
 * ``random:<seed>``  a seeded uniform pick among the leading valid bundles.
 * ``adversarial``    scores the leading valid bundles and plays the one with
-                     the most singular nodes and the largest finite orders.
+                     the most singular nodes and the largest finite orders;
+                     it stops the search once no keep set still to come can
+                     hold as many singular nodes as its incumbent.
 
 Mephisto owns no rule formula; each lives with the validator that checks
 it. A call's child comes from ``quests.call_response`` (descent orders
@@ -29,6 +31,16 @@ every keep the same handicap H1 and factor set M1, and M1 holds each node's
 heavy jib sets with their candidate nodes, so each keep costs set lookups.
 The root responses carry the same H1 and M1, so the umpire's issue-9 check
 of every candidate reads the same rows.
+
+The adversarial search is a branch and bound (Land and Doig, 1960). A
+bundle's first score component is its total |S|, and every response's S
+lies within the root's keep and within a node set D_q fixed per blown-up
+board (``_order_ceilings``), so UB(keep) = sum over quests of |keep & D_q|
+is admissible. Once the incumbent's total |S| is strictly greater than UB
+of every keep not yet started, no later bundle can be chosen and the stream
+stops. A tie does not stop it, because the mass can break the tie. The stop
+is exact: the chosen bundle, and so every trace, is the one the whole
+window of leading valid bundles gives.
 
 Candidates on one blown-up board share their responses. Each response built
 there is interned: it is replaced by the first equal response built on that
@@ -65,7 +77,7 @@ from .game import (
     blowup_discards,
     validate_bundle,
 )
-from .quests import DESCENT, QuestRelation, call_response
+from .quests import DESCENT, QUOTIENT, TRANSVERSALITY, QuestRelation, call_response
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -484,11 +496,87 @@ def _shrink_keep(
     return frozenset(keep - shed)
 
 
+# ---- the adversarial stop ------------------------------------------------------
+
+
+def _root_order_ceiling(
+    c: Scenario, bt: BoardTransform, nodes: Iterable[NodeId]
+) -> Dict[NodeId, Value]:
+    """An upper bound on the order of each of ``nodes`` in every root
+    response on ``bt``, whatever the keep and bump: the order
+    ``_blowup_response`` pins there, and INF where the order is free. The
+    nodes must lie over c's singular set."""
+    board1 = bt.target
+    e = bt.exceptional
+    cf = complete_factor(c)
+    if cf is not None:
+        cf1 = capped_transport(c, bt, cf)
+        return {x: extend_factor(board1, cf1, x) for x in nodes}
+    if is_tight(c):
+        return dict.fromkeys(nodes, Fraction(1))
+    return {
+        x: exceptional_cap(c, bt.center) if x == e
+        else INF if board1.leq(x, e)
+        else c.ord[bt.retract[x]]
+        for x in nodes
+    }
+
+
+def _order_ceilings(
+    state: GameState,
+    bt: BoardTransform,
+    keep_max: FrozenSet[NodeId],
+    relations: Dict[int, QuestRelation],
+) -> Dict[int, Dict[NodeId, Value]]:
+    """ω_q for the root (quest 0) and each child in ``relations``: the nodes
+    q's response can hold singular in any bundle on ``bt``, each with an
+    upper bound on its order there. The nodes are D_q, so S_q lies within
+    keep & D_q.
+
+    Every call gives S_child within S_parent: transversality keeps the nodes
+    below every jib of K, at order 1; quotient keeps x while ω_p(x) - ext(x)
+    can reach the scale (over an infinite ext, a finite order has no
+    response at all), and bounds its order by min(ω_p, (ω_p - ext)/q),
+    which rises with the parent's order; relaxation copies S and orders;
+    descent copies S and frees the orders."""
+    board1 = bt.target
+    ceilings = {0: _root_order_ceiling(state.root.scenario, bt, keep_max)}
+    for qid, rel in relations.items():  # parents come before their children
+        parent = ceilings[state.quests[qid].parent_id]
+        if rel.kind == TRANSVERSALITY and rel.jibs:
+            ceiling = {
+                x: Fraction(1) for x in parent if all(board1.leq(x, h) for h in rel.jibs)
+            }
+        elif rel.kind == QUOTIENT:
+            ceiling = {}
+            for x, w in parent.items():
+                ext = extend_factor(board1, rel.factor, x)
+                if ext is INF and w is not INF:
+                    continue  # quotient_response refuses x singular here
+                resid = w - ext
+                if resid >= rel.scale:
+                    scaled = resid / rel.scale
+                    ceiling[x] = w if w <= scaled else scaled
+        elif rel.kind == DESCENT:
+            ceiling = dict.fromkeys(parent, INF)
+        else:  # relaxation, and transversality with K empty, copy S and orders
+            ceiling = parent
+        ceilings[qid] = ceiling
+    return ceilings
+
+
+def _keep_bound(ceilings: Dict[int, Dict[NodeId, Value]], keep: FrozenSet[NodeId]) -> int:
+    """UB(keep): no bundle whose root keeps ``keep`` has a larger total |S|
+    than the sum over the quests of |keep & D_q|."""
+    return sum(len(keep & ceiling.keys()) for ceiling in ceilings.values())
+
+
 def enumerate_blowup_bundles(
     state: GameState,
     z: NodeId,
     policy: Policy,
     truncated: Optional[List[str]] = None,
+    pool: Optional[List[Bundle]] = None,
 ) -> Iterator[Bundle]:
     """Valid bundles for a blowup at z, largest-keep and lowest-orders first.
 
@@ -501,6 +589,23 @@ def enumerate_blowup_bundles(
     a keep set is too wide to enumerate and is repaired instead. When that
     happens, a reason is added to ``truncated`` (if given and not already
     there).
+
+    ``pool`` is the caller's list of the bundles it has taken from this
+    stream so far (``_choose`` fills it). Given one under the adversarial
+    policy, the stream stops before starting a keep once the incumbent, the
+    pool's largest total |S|, is strictly greater than UB(k) for every keep
+    k not yet started. UB(k) is ``_keep_bound``: the sum over the quests of
+    |k & D_q| (``_order_ceilings``). It is admissible: each response's S
+    lies within the keep and within its quest's D_q, and both are fixed per
+    blown-up board. Enumerated keeps are started in a fixed order, so the
+    stop reads a suffix maximum of their bounds; the repair path reads the
+    maximum over its live list, whose later keeps are subsets of the keeps
+    in it and so have no larger bound. No later bundle can then be the
+    first of highest ``_bundle_score`` in the pool, inside the 64-bundle
+    window or after it. A tie on total |S| does not stop the search,
+    because mass can still break it. The stop is exact, so it adds no
+    reason to ``truncated``; the other policies and a caller without a
+    pool get the whole stream.
 
     Each keep is sieved once on scenario issue 9 before any orders are
     assigned. That check reads only the root response's board, d, H, S and M;
@@ -532,6 +637,8 @@ def enumerate_blowup_bundles(
         subsets = [ts]  # may raise CapError below
     levels = policy.bump_levels()
     examined = 0
+    bounded = pool is not None and policy.kind == ADVERSARIAL
+    best, taken = -1, 0  # the incumbent's total |S|; bundles of pool scored
 
     def note(reason: str) -> None:
         reason = f"round {state.round_no + 1}, blowup at {z}: {reason}"
@@ -564,7 +671,21 @@ def enumerate_blowup_bundles(
         interned: Dict[Scenario, Scenario] = {}
         children: Dict[tuple, Optional[Scenario]] = {}
         tried = set(keeps)
+        if bounded:
+            ceilings = _order_ceilings(state, bt, keep_max, relations)
+            rest = [0]  # rest[j]: the largest bound among the last j keeps
+            for k in reversed(keeps):
+                rest.append(max(rest[-1], _keep_bound(ceilings, k)))
         while keeps:
+            if bounded and pool:
+                best = max([best] + [_bundle_score(b)[0] for b in pool[taken:]])
+                taken = len(pool)
+                beyond = (
+                    max(_keep_bound(ceilings, k) for k in keeps) if repair
+                    else rest[len(keeps)]
+                )
+                if best > beyond:
+                    break
             keep = keeps.pop(0)
             if not repair and heavy_jib_violations(bt.target, root.d, H1, keep, M1):
                 # Every level's root response has S = keep, H = H1 and M = M1,
@@ -652,15 +773,28 @@ def enumerate_call_bundles(
 
 
 def _choose(
-    state: GameState, policy: Policy, stream: Iterator[Bundle], what: str, truncated=()
+    state: GameState,
+    policy: Policy,
+    stream: Iterator[Bundle],
+    what: str,
+    truncated=(),
+    pool: Optional[List[Bundle]] = None,
 ) -> Bundle:
     """The policy's pick among the leading bundles of ``stream``. A stream
     without one raises CapError if it reported itself cut short in
-    ``truncated``, and NoValidBundle if it was complete."""
+    ``truncated``, and NoValidBundle if it was complete.
+
+    Each bundle taken is appended to ``pool`` before the next is asked for,
+    so a blowup stream given the same list sees the incumbent and may stop
+    once no bundle still to come can beat it: adversarial plays the first
+    bundle of highest ``_bundle_score``, and the stream stops only on a
+    strict win on total |S| (see ``enumerate_blowup_bundles``)."""
     size = {CANONICAL: 1, RANDOM: _RANDOM_POOL, ADVERSARIAL: _ADVERSARIAL_POOL}.get(policy.kind)
     if size is None:
         raise ValueError(f"policy {policy.kind!r} does not choose a bundle")
-    pool = list(islice(stream, size))
+    pool = [] if pool is None else pool
+    for bundle in islice(stream, size):
+        pool.append(bundle)
     if not pool and truncated:
         reasons = "; ".join(truncated)
         raise CapError(f"search for {what} cut short before its first valid bundle: {reasons}")
@@ -693,8 +827,9 @@ def respond_call(state: GameState, move: Move, policy: Policy) -> Bundle:
 
 def respond_blowup(state: GameState, z: NodeId, policy: Policy) -> Bundle:
     truncated: List[str] = []
-    stream = enumerate_blowup_bundles(state, z, policy, truncated)
-    return _choose(state, policy, stream, f"blowup at {z}", truncated)
+    pool: List[Bundle] = []
+    stream = enumerate_blowup_bundles(state, z, policy, truncated, pool)
+    return _choose(state, policy, stream, f"blowup at {z}", truncated, pool)
 
 
 def respond(state: GameState, move: Move, policy: Policy) -> Bundle:

@@ -107,11 +107,16 @@ def test_command_line_flag_overrides_config(capsys, tmp_path):
     assert run(capsys, "play", "--config", config, "--round-cap", 100)[0] == cli.EXIT_OK
 
 
-def test_play_caps(capsys, monkeypatch):
+def test_play_caps(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "play", "--round-cap", 1)
     assert code == cli.EXIT_CAP and "round cap" in err
-    code, _, err = run(capsys, "play", "--max-new-nodes", 1)
-    assert code == cli.EXIT_CAP and "cap is 1" in err
+    # a game stopped by a CapError still writes the rounds it played
+    trace = tmp_path / "capped.ndjson"
+    code, _, err = run(capsys, "play", "--max-new-nodes", 1, "--trace", trace)
+    assert code == cli.EXIT_CAP and err == "blowup at v1 needs 4 fresh nodes, cap is 1\n"
+    assert len(trace.read_text().splitlines()) == 8  # the header and 7 rounds
+    code, out, err = run(capsys, "replay", trace)
+    assert (code, out, err) == (cli.EXIT_OK, "replayed 7 rounds; won=false\n", "")
     # a candidate cap that cuts a blowup before its first valid bundle
     monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", 0)
     code, _, err = run(capsys, "play", "--seed", 3)

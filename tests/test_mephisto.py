@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from salmagundy.mephisto import (
     _assemble_blowup,
     _bundle_score,
     _down_closed_keeps,
+    _keep_bound,
+    _order_ceilings,
     _root_keep_max,
     _root_response,
     _shrink_keep,
@@ -47,6 +50,7 @@ from salmagundy.transform import (
     validate_blowup_transform,
 )
 from salmagundy.values import INF, is_finite
+from test_scenario import _walk_blowups
 
 
 def _root_state(scenario):
@@ -531,6 +535,140 @@ def test_each_quotient_lift_is_computed_once_per_value(monkeypatch, seed, rounds
     policy = Policy.parse("adversarial")
     apply_round(state, move, respond(state, move, policy))
     assert computed and max(computed.values()) == 1
+
+
+# ---- the adversarial stop -------------------------------------------------------
+
+
+def _adversarial_blowups(seed, rounds):
+    """Each blowup round among the first ``rounds`` rounds of an adversarial
+    game: the state, Dido's move and the bundle ``respond`` answers it with,
+    yielded before the round is applied."""
+    policy = Policy.parse("adversarial")
+    state = new_game(gen_scenario(seed))
+    dido = DidoStrategy()
+    while state.round_no < rounds and (move := dido.decide(state)) is not None:
+        bundle = respond(state, move, policy)
+        if move.kind == "blowup":
+            yield state, move, bundle
+        dido.observe(state, move, bundle, apply_round(state, move, bundle))
+
+
+def _stop_cases():
+    """Blowup states and centers: the root-only walks of seeds 6 and 26,
+    adversarial states with open child quests, and every blowup of
+    adversarial seeds 0-19. Each state is current only until the next one
+    is asked for."""
+    for seed in (6, 26):
+        for c, bt, _ in _walk_blowups(seed):
+            yield _root_state(c), bt.center
+    for seed, rounds in [(0, 7), (24, 11), (6, 5)]:
+        state, move = _adversarial_state(seed, rounds)
+        assert move.kind == "blowup"
+        yield state, move.center
+    for seed in range(20):
+        for state, move, _ in _adversarial_blowups(seed, 10**4):
+            yield state, move.center
+
+
+def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
+    # Without a pool the stop is off and every candidate is built. Valid or
+    # not, each response holds singular only nodes of its D_q, at orders no
+    # higher than its ceilings, so no total |S| exceeds UB(keep).
+    assembled = []
+    assemble = mephisto._assemble_blowup
+
+    def recording(state, bt, root_new, bump, discards, relations, interned, children):
+        bundle = assemble(state, bt, root_new, bump, discards, relations, interned, children)
+        if bundle is not None:
+            assembled.append((bt, relations, bundle))
+        return bundle
+
+    monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
+    policy = Policy.parse("adversarial")
+    checked = shrunk = 0
+    for state, z in _stop_cases():
+        assembled.clear()
+        list(enumerate_blowup_bundles(state, z, policy))
+        if not assembled:
+            continue
+        bt, relations, _ = assembled[0]
+        keep_max = _root_keep_max(state.root.scenario, bt)
+        ceilings = _order_ceilings(state, bt, keep_max, relations)
+        for _, _, bundle in assembled:
+            for qid, sc in bundle.responses.items():
+                assert sc.S <= set(ceilings[qid])
+                assert all(sc.ord[x] <= ceilings[qid][x] for x in sc.S)
+            assert _bundle_score(bundle)[0] <= _keep_bound(ceilings, bundle.responses[0].S)
+            checked += 1
+        # the ceilings bite: some quotient child holds fewer nodes than its parent
+        shrunk += sum(
+            rel.kind == "quotient"
+            and set(ceilings[qid]) < set(ceilings[state.quests[qid].parent_id])
+            for qid, rel in relations.items()
+        )
+    assert checked and shrunk
+
+
+def _incumbent(total_s):
+    """A stand-in pool entry with the given total |S|; ``_bundle_score``
+    reads only the responses' S and orders and the child."""
+    sc = types.SimpleNamespace(S=frozenset(range(total_s)), ord={})
+    return types.SimpleNamespace(responses={0: sc}, child=None)
+
+
+@pytest.mark.parametrize("limit", [_KEEP_ENUM_LIMIT, 0])
+def test_the_stop_cuts_only_bundles_below_the_incumbent(monkeypatch, limit):
+    # Given a pool, the stream is a prefix of the whole stream, and what it
+    # leaves out scores strictly less than the incumbent on total |S|: a
+    # tie never stops it. Limit 0 sends every keep set of these streams down
+    # the repair path; the games that lead to the states keep the real limit.
+    policy = Policy.parse("adversarial")
+    cut = 0
+    for state, z in _stop_cases():
+        with monkeypatch.context() as patch:
+            patch.setattr(mephisto, "_KEEP_ENUM_LIMIT", limit)
+            whole = list(enumerate_blowup_bundles(state, z, policy))
+            totals = {_bundle_score(b)[0] for b in whole}
+            for best in sorted(totals | {t + 1 for t in totals}):
+                pool = [_incumbent(best)]
+                got = list(enumerate_blowup_bundles(state, z, policy, pool=pool))
+                assert got == whole[: len(got)]
+                assert all(_bundle_score(b)[0] < best for b in whole[len(got):])
+                cut += len(got) < len(whole)
+    assert cut
+
+
+def test_adversarial_stop_keeps_the_choice_of_the_whole_window(monkeypatch):
+    # On every blowup of adversarial seeds 0-19, of the first 40 rounds of
+    # seed 361 and of the first 123 rounds of seed 68 (whose later blowups
+    # take the repair path), respond plays the bundle that the first 64
+    # bundles of the unstopped stream choose. Its pool is a prefix of that
+    # window, and the stop adds no truncation reason.
+    taken = []
+    choose = mephisto._choose
+
+    def recording(state, policy, stream, what, truncated=(), pool=None):
+        bundle = choose(state, policy, stream, what, truncated, pool)
+        taken.append((pool, list(truncated)))
+        return bundle
+
+    monkeypatch.setattr(mephisto, "_choose", recording)
+    policy = Policy.parse("adversarial")
+    fired = Counter()
+    games = [(seed, 10**4) for seed in range(20)] + [(361, 40), (68, 123)]
+    for seed, rounds in games:
+        for state, move, bundle in _adversarial_blowups(seed, rounds):
+            stream = enumerate_blowup_bundles(state, move.center, policy)
+            window = list(itertools.islice(stream, 64))
+            assert bundle == max(window, key=_bundle_score)
+            pool, truncated = taken[-1]
+            assert pool == window[: len(pool)]
+            if len(pool) < len(window):
+                repaired = [r for r in truncated if r.endswith("repaired, not enumerated")]
+                assert truncated == repaired
+                fired[bool(repaired)] += 1
+    assert fired[False] and fired[True]
 
 
 # ---- call responses -----------------------------------------------------------
