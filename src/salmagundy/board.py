@@ -14,11 +14,13 @@ package, ``validate_board`` included, is stored that way and no other. A
 check that reuses part of its work across inputs (the issue-9 table of
 ``scenario.heavy_jib_violations``) keeps it in the same per-value dict,
 ``_memo_of``. Unlike a ``_memo`` verdict, such a table may hold its other
-inputs strongly (see ``_memo_of``).
+inputs strongly (see ``_memo_of``). The same dict holds a value's JSON text
+(``_json_text``) and a board's identity transform (``trivial_refinement``).
 """
 
 from __future__ import annotations
 
+import json
 import re
 import weakref
 from dataclasses import dataclass
@@ -140,6 +142,18 @@ def _memo(check: Callable, *args):
             verdict = tuple(verdict)
         memo[key] = (tuple(map(weakref.ref, others)), verdict, listed)
     return list(verdict) if listed else verdict
+
+
+def _json_text(owner, to_json: Callable[[object], dict]) -> str:
+    """``json.dumps(to_json(owner), sort_keys=True)``, encoded once per
+    immutable ``owner`` and stored in its ``_memo_of`` dict, so the text dies
+    with its value. ``to_json`` must be the one formula of the owner's JSON
+    form; an owner stores one text."""
+    memo = _memo_of(owner)
+    text = memo.get(_json_text)
+    if text is None:
+        text = memo[_json_text] = json.dumps(to_json(owner), sort_keys=True)
+    return text
 
 
 def _state_without_memo(owner) -> dict:
@@ -414,9 +428,15 @@ class BoardTransform:
 
 
 def trivial_refinement(b: Board) -> BoardTransform:
-    """The identity transform on b."""
-    ident = FrozenDict((s, s) for s in b.ids)
-    return BoardTransform(REFINEMENT, b, b, ident, ident)
+    """The identity transform on b: one instance per board, stored on b
+    (``_memo_of``), so every call round on one board rides on the same
+    transform and shares its checks and its stored JSON text."""
+    memo = _memo_of(b)
+    t = memo.get(REFINEMENT)
+    if t is None:
+        ident = FrozenDict((s, s) for s in b.ids)
+        t = memo[REFINEMENT] = BoardTransform(REFINEMENT, b, b, ident, ident)
+    return t
 
 
 def validate_board_transform(t: BoardTransform) -> List[Violation]:

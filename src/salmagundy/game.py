@@ -20,6 +20,14 @@ among the candidates of one blown-up board, so a response is checked once
 under each parent response it meets, not once per candidate. ``apply_round``
 always checks the chosen bundle again, with the very same scenario and
 transform objects; the second check finds every verdict stored.
+
+The trace encodes each value once, too. A response scenario and a transform
+store their JSON text on themselves (``board._json_text``), and
+``round_to_json`` builds a played round's line from those texts plus one
+small ``json.dumps`` of the rest of the record. Each text is ``json.dumps``
+of the value's one JSON formula, so the line is byte-identical to encoding
+the record's dict form, and it dies with its value. The mutable ``Bundle``
+owns no text: its line is built from its current fields.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .board import (
     BoardTransform,
     NodeId,
     Violation,
+    _json_text,
     board_from_json,
     board_to_json,
     validate_board,
@@ -350,14 +359,18 @@ def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
 
 
 def apply_round(state: GameState, move: Move, bundle: Bundle) -> dict:
-    """Validate and apply one round in place; returns the trace record."""
+    """Validate and apply one round in place; returns the trace record.
+
+    The record holds the ``Bundle`` itself under ``"bundle"``, not its dict
+    form: only ``round_to_json`` encodes it, so the umpire and
+    ``replay_trace`` encode nothing."""
     vs = validate_bundle(state, move, bundle)
     if vs:
         raise BundleError(vs)
     record: dict = {
         "round": state.round_no + 1,
         "move": move_to_json(move),
-        "bundle": bundle_to_json(bundle),
+        "bundle": bundle,
     }
     newly_won: List[int] = []
     if move.kind == CALL:
@@ -485,8 +498,39 @@ def bundle_from_json(data: Mapping, source: Board) -> Bundle:
     )
 
 
+def _response_to_json(sc: Scenario) -> dict:
+    return scenario_to_json(sc, board="target")
+
+
+def _bundle_text(bundle: Bundle) -> str:
+    """``json.dumps(bundle_to_json(bundle), sort_keys=True)``, built from the
+    texts stored on the bundle's transform and scenarios. Keys come in sorted
+    order, and response ids sort as strings: "10" before "2"."""
+    parts = []
+    if bundle.child is not None:
+        parts.append('"child": ' + _json_text(bundle.child, _response_to_json))
+    parts.append('"discards": ' + json.dumps(sorted(bundle.discards)))
+    responses = sorted((str(qid), sc) for qid, sc in bundle.responses.items())
+    parts.append(
+        '"responses": {'
+        + ", ".join(f'"{qid}": {_json_text(sc, _response_to_json)}' for qid, sc in responses)
+        + "}"
+    )
+    parts.append('"transform": ' + _json_text(bundle.transform, transform_to_json))
+    return "{" + ", ".join(parts) + "}"
+
+
 def round_to_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+    """One NDJSON line: ``json.dumps(record, sort_keys=True)`` of the record's
+    dict form. A played round's record (``apply_round``) holds its Bundle,
+    whose text is built from stored texts (``_bundle_text``); "bundle" sorts
+    before every other key of a round record, so it leads the line."""
+    bundle = record.get("bundle")
+    if not isinstance(bundle, Bundle):
+        return json.dumps(record, sort_keys=True)
+    rest = {k: v for k, v in record.items() if k != "bundle"}
+    tail = ", " + json.dumps(rest, sort_keys=True)[1:] if rest else "}"
+    return '{"bundle": ' + _bundle_text(bundle) + tail
 
 
 def trace_header(scenario: Scenario, policy: str, seed: Optional[int] = None) -> dict:

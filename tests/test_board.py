@@ -255,6 +255,10 @@ def test_trivial_refinement_is_identity(chain_board):
     assert t.is_identity()
     assert validate_board_transform(t) == []
     assert t.fiber("a") == frozenset({"a"})
+    # one instance per board, so call rounds on it share its checks and text
+    assert trivial_refinement(chain_board) is t
+    twin = Board({"p": 0, "a": 1, "w": 2}, [("p", "a"), ("a", "w")])
+    assert trivial_refinement(twin) == t and trivial_refinement(twin) is not t
 
 
 def test_blowup_of_chain_matches_fixture(chain_board, blown_chain_board):

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from salmagundy import harness, transform
-from salmagundy.board import Board, trivial_refinement
+from salmagundy import board, game, harness, transform
+from salmagundy.board import Board, BoardTransform, trivial_refinement
 from salmagundy.game import (
     WON,
     Bundle,
@@ -43,7 +43,7 @@ from salmagundy.mephisto import (
     respond,
 )
 from salmagundy.quests import transversality_response
-from salmagundy.scenario import Scenario, validate_scenario, zero_factor
+from salmagundy.scenario import MonomialFactor, Scenario, validate_scenario, zero_factor
 from salmagundy.transform import QuestRelation, validate_blowup_transform
 from salmagundy.values import INF, is_finite
 
@@ -326,6 +326,183 @@ def test_trace_header_contents(chain_scenario):
     assert data["header"]["policy"] == "random"
     assert data["header"]["seed"] == 5
     assert data["header"]["scenario"]["d"] == chain_scenario.d
+
+
+# ---- trace lines from stored texts --------------------------------------------------
+
+
+def _dict_line(record):
+    """The line of a record encoded from its dict form, bundle included."""
+    bundle = record.get("bundle")
+    if isinstance(bundle, Bundle):
+        record = dict(record, bundle=bundle_to_json(bundle))
+    return json.dumps(record, sort_keys=True)
+
+
+def _recording_lines(monkeypatch):
+    """Every (record, line) pair the harness encodes from now on."""
+    seen = []
+
+    def record_and_encode(record):
+        line = round_to_json(record)
+        seen.append((record, line))
+        return line
+
+    monkeypatch.setattr(harness, "round_to_json", record_and_encode)
+    return seen
+
+
+def test_every_pinned_line_equals_its_dict_form(monkeypatch):
+    # the games of tests/test_trace_identity.py
+    seen = _recording_lines(monkeypatch)
+    for text, count in (("canonical", 40), ("random:1", 40), ("adversarial", 20)):
+        for seed in range(count):
+            play_game(gen_scenario(seed), Policy.parse(text))
+    for seed in range(6):
+        harness.explore(gen_scenario(seed))
+    played = [r["bundle"] for r, _ in seen if "bundle" in r]
+    assert len(played) > 900 and all(isinstance(b, Bundle) for b in played)
+    assert any(b.child for b in played)
+    # some line holds ids whose string order is not their integer order
+    assert any({2, 10} <= set(b.responses) for b in played)
+    # the call rounds on one board ride on one identity transform
+    calls = {}
+    for b in played:
+        if b.child is not None:
+            calls.setdefault(id(b.transform.source), []).append(id(b.transform))
+    assert any(len(ids) > 1 for ids in calls.values())
+    assert all(len(set(ids)) == 1 for ids in calls.values())
+    for record, line in seen:
+        assert line == _dict_line(record)
+
+
+def _id_board():
+    return Board({'a"b': 0, "c\\d": 1, "\u00e9": 2}, [('a"b', "c\\d"), ("c\\d", "\u00e9")])
+
+
+def _crafted_records(crossing_scenario):
+    """Two records no game plays: open quests 0, 2 and 10 with a call round's
+    child and discards, and a blowup of a board whose ids need escaping."""
+    c = crossing_scenario
+    other = dataclasses.replace(c, S=frozenset({"h1"}), ord={"h1": Fraction(1, 2)})
+    b = _id_board()
+    odd = Scenario.make(
+        board=b, d=1, B=2, H={"c\\d"}, S={'a"b'}, T=b.ids, ord={'a"b': Fraction(3, 2)},
+        M=[MonomialFactor.of({"c\\d": INF})],
+    )
+    ident = trivial_refinement(b)
+    blowup = BoardTransform("blowup", b, b, ident.embed, ident.retract, center='a"b')
+    return [
+        {
+            "round": 7,
+            "move": move_to_json(Move.call(2, QuestRelation.transversality({"h1"}))),
+            "bundle": Bundle(
+                transform=trivial_refinement(c.board),
+                responses={10: other, 0: c, 2: other},
+                discards=frozenset({11, 8, 3}),
+                child=c,
+            ),
+            "new_quest": 12,
+            "won": [],
+            "discarded": [3, 8, 11],
+        },
+        {
+            "round": 1,
+            "move": move_to_json(Move.blowup('a"b')),
+            "bundle": Bundle(transform=blowup, responses={0: odd, 1: odd}),
+            "new_quest": None,
+            "won": [1],
+            "discarded": [],
+        },
+    ]
+
+
+def test_crafted_lines_equal_their_dict_form(crossing_scenario):
+    quests, ids = _crafted_records(crossing_scenario)
+    line = round_to_json(quests)
+    assert line == _dict_line(quests)
+    # response ids sort as strings
+    assert line.index('"0": {') < line.index('"10": {') < line.index('"2": {')
+    line = round_to_json(ids)
+    assert line == _dict_line(ids)
+    assert line.isascii() and '"a\\"b"' in line and '"c\\\\d"' in line
+    assert '"\\u00e9"' in line
+    assert json.loads(line)["bundle"]["transform"]["center"] == 'a"b'
+    alone = {"bundle": ids["bundle"]}
+    assert round_to_json(alone) == _dict_line(alone)
+
+
+def test_stored_texts_stay_out_of_equality_hash_repr_pickle_and_copies(crossing_scenario):
+    record = _crafted_records(crossing_scenario)[1]
+    round_to_json(record)  # stores the texts
+    bundle = record["bundle"]
+    sc, bt, b = bundle.responses[0], bundle.transform, bundle.transform.source
+    ident = trivial_refinement(b)
+    round_to_json(dict(record, bundle=Bundle(transform=ident, responses={})))
+    assert all(hasattr(v, "_memo") for v in (sc, bt, ident, b))
+    fresh_b = _id_board()
+    fresh_sc = dataclasses.replace(sc, board=fresh_b)
+    fresh_bt = dataclasses.replace(bt, source=fresh_b, target=fresh_b)
+    for stored, fresh in ((sc, fresh_sc), (bt, fresh_bt), (ident, trivial_refinement(fresh_b)), (b, fresh_b)):
+        assert stored is not fresh
+        assert stored == fresh and hash(stored) == hash(fresh) and repr(stored) == repr(fresh)
+        assert pickle.dumps(stored) == pickle.dumps(fresh)
+        assert getattr(pickle.loads(pickle.dumps(stored)), "_memo", None) is None
+    for stored in (sc, bt, ident):
+        assert "_memo" not in vars(copy.deepcopy(stored))
+    assert copy.deepcopy(b) is b  # a board copies as itself
+
+
+def test_stored_texts_die_with_their_values(crossing_scenario):
+    record = _crafted_records(crossing_scenario)[1]
+    bundle = record["bundle"]
+    line = round_to_json(record)
+    texts = [v._memo for v in (bundle.responses[0], bundle.transform)]
+    assert all(any(isinstance(t, str) and t in line for t in m.values()) for m in texts)
+    refs = [weakref.ref(v) for v in (bundle.responses[0], bundle.transform)]
+    del record, bundle, texts
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # a board takes no weak reference; its identity transform holds a text
+    assert not [o for o in gc.get_objects() if isinstance(o, Board) and 'a"b' in o]
+
+
+def test_a_bundle_owns_no_text(crossing_scenario):
+    record = _crafted_records(crossing_scenario)[0]
+    bundle = record["bundle"]
+    before = round_to_json(record)
+    assert "_memo" not in vars(bundle)
+    bundle.responses[4] = bundle.responses.pop(10)
+    bundle.discards = frozenset()
+    after = round_to_json(record)
+    assert after != before and after == _dict_line(record)
+    assert sorted(json.loads(after)["bundle"]["responses"]) == ["0", "2", "4"]
+    assert "_memo" not in vars(bundle)
+
+
+def test_apply_round_and_replay_encode_nothing(monkeypatch):
+    result = play_game(gen_scenario(9), Policy.parse("canonical"))
+    assert result.won and result.rounds > 2
+
+    def boom(*args, **kwargs):
+        raise AssertionError("encoded during replay")
+
+    for owner, name in (
+        (game, "_json_text"),
+        (game, "_bundle_text"),
+        (game, "bundle_to_json"),
+        (game, "transform_to_json"),
+        (game, "scenario_to_json"),
+        (board, "_json_text"),
+        (board, "board_to_json"),
+        (json, "dumps"),
+    ):
+        monkeypatch.setattr(owner, name, boom)
+    st = replay_trace(result.trace)
+    assert st.won and st.round_no == result.state.round_no
+    for qid, q in st.quests.items():
+        assert q.scenario == result.state.quests[qid].scenario
+        assert q.status == result.state.quests[qid].status
 
 
 # ---- memoized checks ----------------------------------------------------------------
