@@ -92,9 +92,22 @@ def _apply_config(args: argparse.Namespace) -> None:
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(_usage(f"cannot read config {args.config}: {exc}"))
-    for key in ("seed", "round_cap", "mephisto", "max_new_nodes", "max_order_steps"):
-        if getattr(args, key, None) is None and key in conf:
-            setattr(args, key, conf[key])
+    if not isinstance(conf, dict):
+        raise SystemExit(_usage(f"bad config {args.config}: not a JSON object"))
+    for key, kind in (
+        ("seed", int), ("round_cap", int), ("mephisto", str),
+        ("max_new_nodes", int), ("max_order_steps", int),
+    ):
+        value = conf.get(key)
+        if value is None:
+            continue
+        if not isinstance(value, kind) or isinstance(value, bool):
+            want = "an integer" if kind is int else "a string"
+            raise SystemExit(
+                _usage(f"bad config {args.config}: {key} must be {want}, got {json.dumps(value)}")
+            )
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _usage(message: str) -> int:

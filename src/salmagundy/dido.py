@@ -12,10 +12,10 @@ One plan per quest, created lazily when the quest is first reached:
   blow up the maximal singular nodes below K, and repeat until the singular
   set empties.
 
-* driver plan (tight quests above dimension 0 with no jibs... or with jibs,
-  after which it releases them): for every set K of jibs above some
-  singular node, in decreasing size, call transversality at K, release every jib on that child, and call
-  descent on the grandchild; then win the descent quests in order. The empty
+* driver plan (every tight quest with d >= 1, whatever its jibs): for
+  every set K of jibs above some singular node, in decreasing size, call
+  transversality at K, release every jib on that child, and call descent
+  on the grandchild; then win the descent quests in order. The empty
   K comes last and its descent quest shares the parent's singular set, so
   its win resolves the parent.
 

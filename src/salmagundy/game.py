@@ -567,7 +567,7 @@ def replay_trace(lines: Iterable[str]) -> GameState:
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
         applied = apply_round(state, move, bundle)
-        for key in ("new_quest", "won", "discarded"):
+        for key in ("round", "new_quest", "won", "discarded"):
             if applied.get(key) != record.get(key):
                 raise ValueError(
                     f"round {record.get('round')}: recorded {key} {record.get(key)!r} "

@@ -33,14 +33,25 @@ The root responses carry the same H1 and M1, so the umpire's issue-9 check
 of every candidate reads the same rows.
 
 The adversarial search is a branch and bound (Land and Doig, 1960). A
-bundle's first score component is its total |S|, and every response's S
-lies within the root's keep and within a node set D_q fixed per blown-up
-board (``_order_ceilings``), so UB(keep) = sum over quests of |keep & D_q|
-is admissible. Once the incumbent's total |S| is strictly greater than UB
-of every keep not yet started, no later bundle can be chosen and the stream
-stops. A tie does not stop it, because the mass can break the tie. The stop
-is exact: the chosen bundle, and so every trace, is the one the whole
-window of leading valid bundles gives.
+bundle's first score component is its total |S|. On each blown-up board
+every quest q has a ceiling (``_order_ceilings``): a scenario whose S,
+called D_q, holds every node q's response can hold singular there, at
+orders no lower than the response's. The root's ceiling is the largest
+keep at the highest orders ``_pins`` allows. Each child's is
+``quests.call_response`` of its parent's ceiling, since a call's S and
+orders can only grow as its parent's do; where the call raises (descent,
+which frees the orders, or parameters the ceiling does not admit) the
+child's ceiling is its parent's S at order INF. Each response's S lies
+within the root's keep and within D_q, so UB(keep) = sum over quests of
+|keep & D_q| is admissible. The stream keeps its own incumbent, the largest
+total |S| it has yielded, and stops before starting a keep once the
+incumbent is strictly greater than UB of every keep not yet started.
+Enumerated keeps start in a fixed order, so the stop reads a suffix
+maximum of their bounds; the repair path reads the maximum over its live
+list, whose later keeps are subsets of keeps in it. A tie does not stop
+the stream, because the mass can break the tie. The stop is exact: the
+chosen bundle, and so every trace, is the one the whole window of leading
+valid bundles gives, and it adds no reason to ``truncated``.
 
 Candidates on one blown-up board share their responses. Each response built
 there is interned: it is replaced by the first equal response built on that
@@ -61,7 +72,7 @@ so every policy stays inside the regime the strategy layer relies on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -77,7 +88,7 @@ from .game import (
     blowup_discards,
     validate_bundle,
 )
-from .quests import DESCENT, QUOTIENT, TRANSVERSALITY, QuestRelation, call_response
+from .quests import DESCENT, QuestRelation, call_response
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -155,6 +166,8 @@ class Policy:
     @classmethod
     def parse(cls, text: str, max_new_nodes: Optional[int] = None,
               max_order_steps: int = 2) -> "Policy":
+        if max_order_steps < 0:
+            raise ValueError(f"max_order_steps must be at least 0, got {max_order_steps}")
         if text == CANONICAL or text == ADVERSARIAL:
             return cls(text, 0, max_new_nodes, max_order_steps)
         if text == RANDOM:
@@ -365,6 +378,26 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
 
 
+def _pins(
+    c: Scenario, bt: BoardTransform, nodes: Iterable[NodeId]
+) -> Tuple[Dict[NodeId, Value], Optional[MonomialFactor], bool]:
+    """What items 9, 10 and 15 fix of a blowup response holding ``nodes``
+    singular, whatever its keep and bump: the pinned orders (e at its cap,
+    each node off the exceptional locus at its source order), the
+    transported complete factor whose extension every order must equal, if
+    c has one, and whether c is tight, which forces every order to 1."""
+    board1 = bt.target
+    e = bt.exceptional
+    pinned: Dict[NodeId, Value] = {
+        x: c.ord[bt.retract[x]] for x in nodes if not board1.leq(x, e)
+    }
+    if e in nodes:
+        pinned[e] = exceptional_cap(c, bt.center)
+    cf = complete_factor(c)
+    override = capped_transport(c, bt, cf) if cf is not None else None
+    return pinned, override, is_tight(c)
+
+
 def _blowup_response(
     c: Scenario,
     bt: BoardTransform,
@@ -374,24 +407,16 @@ def _blowup_response(
 ) -> Optional[Scenario]:
     """Carry c through the blowup onto the singular set S1 and transversal
     set T1: handicap i(H) + e, the capped transports of the factors, orders
-    pinned where items 9, 10 and 15 pin them and chosen elsewhere."""
-    board1 = bt.target
-    e = bt.exceptional
+    pinned where ``_pins`` pins them and chosen elsewhere."""
     H1, M1 = blowup_jibs(c, bt)
-    pinned: Dict[NodeId, Value] = {
-        x: c.ord[bt.retract[x]] for x in S1 if not board1.leq(x, e)
-    }
-    if e in S1:
-        pinned[e] = exceptional_cap(c, bt.center)
-    cf = complete_factor(c)
-    override = capped_transport(c, bt, cf) if cf is not None else None
+    pinned, override, tight = _pins(c, bt, S1)
     ords = _assign_orders(
-        board1, c.d, S1, M1.generators, pinned, bump,
-        force_one=is_tight(c), override=override,
+        bt.target, c.d, S1, M1.generators, pinned, bump,
+        force_one=tight, override=override,
     )
     if ords is None:
         return None
-    return Scenario.make(board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
+    return Scenario.make(board=bt.target, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
 
 
 def _root_response(
@@ -499,76 +524,43 @@ def _shrink_keep(
 # ---- the adversarial stop ------------------------------------------------------
 
 
-def _root_order_ceiling(
-    c: Scenario, bt: BoardTransform, nodes: Iterable[NodeId]
-) -> Dict[NodeId, Value]:
-    """An upper bound on the order of each of ``nodes`` in every root
-    response on ``bt``, whatever the keep and bump: the order
-    ``_blowup_response`` pins there, and INF where the order is free. The
-    nodes must lie over c's singular set."""
-    board1 = bt.target
-    e = bt.exceptional
-    cf = complete_factor(c)
-    if cf is not None:
-        cf1 = capped_transport(c, bt, cf)
-        return {x: extend_factor(board1, cf1, x) for x in nodes}
-    if is_tight(c):
-        return dict.fromkeys(nodes, Fraction(1))
-    return {
-        x: exceptional_cap(c, bt.center) if x == e
-        else INF if board1.leq(x, e)
-        else c.ord[bt.retract[x]]
-        for x in nodes
-    }
-
-
 def _order_ceilings(
     state: GameState,
     bt: BoardTransform,
     keep_max: FrozenSet[NodeId],
     relations: Dict[int, QuestRelation],
-) -> Dict[int, Dict[NodeId, Value]]:
-    """ω_q for the root (quest 0) and each child in ``relations``: the nodes
-    q's response can hold singular in any bundle on ``bt``, each with an
-    upper bound on its order there. The nodes are D_q, so S_q lies within
-    keep & D_q.
-
-    Every call gives S_child within S_parent: transversality keeps the nodes
-    below every jib of K, at order 1; quotient keeps x while ω_p(x) - ext(x)
-    can reach the scale (over an infinite ext, a finite order has no
-    response at all), and bounds its order by min(ω_p, (ω_p - ext)/q),
-    which rises with the parent's order; relaxation copies S and orders;
-    descent copies S and frees the orders."""
+) -> Dict[int, Scenario]:
+    """The ceiling of the root (quest 0) and of each child in ``relations``
+    on ``bt``: a scenario whose S is D_q and whose orders bound q's response
+    in every bundle there (see the module docstring). T is left empty: no
+    call's S or orders depend on it."""
+    root = state.root.scenario
     board1 = bt.target
-    ceilings = {0: _root_order_ceiling(state.root.scenario, bt, keep_max)}
+    pinned, override, tight = _pins(root, bt, keep_max)
+    ords = {
+        x: extend_factor(board1, override, x) if override is not None
+        else Fraction(1) if tight
+        else pinned.get(x, INF)
+        for x in keep_max
+    }
+    H1, M1 = blowup_jibs(root, bt)
+    ceilings = {
+        0: Scenario.make(
+            board=board1, d=root.d, B=root.B, H=H1, S=keep_max, T=(), ord=ords, M=M1
+        )
+    }
     for qid, rel in relations.items():  # parents come before their children
         parent = ceilings[state.quests[qid].parent_id]
-        if rel.kind == TRANSVERSALITY and rel.jibs:
-            ceiling = {
-                x: Fraction(1) for x in parent if all(board1.leq(x, h) for h in rel.jibs)
-            }
-        elif rel.kind == QUOTIENT:
-            ceiling = {}
-            for x, w in parent.items():
-                ext = extend_factor(board1, rel.factor, x)
-                if ext is INF and w is not INF:
-                    continue  # quotient_response refuses x singular here
-                resid = w - ext
-                if resid >= rel.scale:
-                    scaled = resid / rel.scale
-                    ceiling[x] = w if w <= scaled else scaled
-        elif rel.kind == DESCENT:
-            ceiling = dict.fromkeys(parent, INF)
-        else:  # relaxation, and transversality with K empty, copy S and orders
-            ceiling = parent
-        ceilings[qid] = ceiling
+        try:
+            ceilings[qid] = call_response(parent, rel)
+        except ValueError:  # descent, or parameters the ceiling does not admit
+            ceilings[qid] = replace(parent, ord=dict.fromkeys(parent.S, INF))
     return ceilings
 
 
-def _keep_bound(ceilings: Dict[int, Dict[NodeId, Value]], keep: FrozenSet[NodeId]) -> int:
-    """UB(keep): no bundle whose root keeps ``keep`` has a larger total |S|
-    than the sum over the quests of |keep & D_q|."""
-    return sum(len(keep & ceiling.keys()) for ceiling in ceilings.values())
+def _keep_bound(ceilings: Dict[int, Scenario], keep: FrozenSet[NodeId]) -> int:
+    """UB(keep): no bundle whose root keeps ``keep`` has a larger total |S|."""
+    return sum(len(keep & ceiling.S) for ceiling in ceilings.values())
 
 
 def enumerate_blowup_bundles(
@@ -576,7 +568,6 @@ def enumerate_blowup_bundles(
     z: NodeId,
     policy: Policy,
     truncated: Optional[List[str]] = None,
-    pool: Optional[List[Bundle]] = None,
 ) -> Iterator[Bundle]:
     """Valid bundles for a blowup at z, largest-keep and lowest-orders first.
 
@@ -590,22 +581,9 @@ def enumerate_blowup_bundles(
     happens, a reason is added to ``truncated`` (if given and not already
     there).
 
-    ``pool`` is the caller's list of the bundles it has taken from this
-    stream so far (``_choose`` fills it). Given one under the adversarial
-    policy, the stream stops before starting a keep once the incumbent, the
-    pool's largest total |S|, is strictly greater than UB(k) for every keep
-    k not yet started. UB(k) is ``_keep_bound``: the sum over the quests of
-    |k & D_q| (``_order_ceilings``). It is admissible: each response's S
-    lies within the keep and within its quest's D_q, and both are fixed per
-    blown-up board. Enumerated keeps are started in a fixed order, so the
-    stop reads a suffix maximum of their bounds; the repair path reads the
-    maximum over its live list, whose later keeps are subsets of the keeps
-    in it and so have no larger bound. No later bundle can then be the
-    first of highest ``_bundle_score`` in the pool, inside the 64-bundle
-    window or after it. A tie on total |S| does not stop the search,
-    because mass can still break it. The stop is exact, so it adds no
-    reason to ``truncated``; the other policies and a caller without a
-    pool get the whole stream.
+    Under the adversarial policy the stream stops once no keep still to
+    come can beat the largest total |S| it has yielded (see the module
+    docstring).
 
     Each keep is sieved once on scenario issue 9 before any orders are
     assigned. That check reads only the root response's board, d, H, S and M;
@@ -637,8 +615,8 @@ def enumerate_blowup_bundles(
         subsets = [ts]  # may raise CapError below
     levels = policy.bump_levels()
     examined = 0
-    bounded = pool is not None and policy.kind == ADVERSARIAL
-    best, taken = -1, 0  # the incumbent's total |S|; bundles of pool scored
+    bounded = policy.kind == ADVERSARIAL
+    best = -1  # the incumbent: the largest total |S| yielded so far
 
     def note(reason: str) -> None:
         reason = f"round {state.round_no + 1}, blowup at {z}: {reason}"
@@ -677,15 +655,11 @@ def enumerate_blowup_bundles(
             for k in reversed(keeps):
                 rest.append(max(rest[-1], _keep_bound(ceilings, k)))
         while keeps:
-            if bounded and pool:
-                best = max([best] + [_bundle_score(b)[0] for b in pool[taken:]])
-                taken = len(pool)
-                beyond = (
-                    max(_keep_bound(ceilings, k) for k in keeps) if repair
-                    else rest[len(keeps)]
-                )
-                if best > beyond:
-                    break
+            if bounded and best > (
+                max(_keep_bound(ceilings, k) for k in keeps) if repair
+                else rest[len(keeps)]
+            ):
+                break
             keep = keeps.pop(0)
             if not repair and heavy_jib_violations(bt.target, root.d, H1, keep, M1):
                 # Every level's root response has S = keep, H = H1 and M = M1,
@@ -714,6 +688,8 @@ def enumerate_blowup_bundles(
                 violations = validate_bundle(state, Move.blowup(z), bundle)
                 if not violations:
                     yielded.append(bundle.responses)
+                    if bounded:
+                        best = max(best, _bundle_score(bundle)[0])
                     yield bundle
                 elif repair:
                     # Too many keepable nodes to enumerate subsets: shed the
@@ -778,23 +754,14 @@ def _choose(
     stream: Iterator[Bundle],
     what: str,
     truncated=(),
-    pool: Optional[List[Bundle]] = None,
 ) -> Bundle:
     """The policy's pick among the leading bundles of ``stream``. A stream
     without one raises CapError if it reported itself cut short in
-    ``truncated``, and NoValidBundle if it was complete.
-
-    Each bundle taken is appended to ``pool`` before the next is asked for,
-    so a blowup stream given the same list sees the incumbent and may stop
-    once no bundle still to come can beat it: adversarial plays the first
-    bundle of highest ``_bundle_score``, and the stream stops only on a
-    strict win on total |S| (see ``enumerate_blowup_bundles``)."""
+    ``truncated``, and NoValidBundle if it was complete."""
     size = {CANONICAL: 1, RANDOM: _RANDOM_POOL, ADVERSARIAL: _ADVERSARIAL_POOL}.get(policy.kind)
     if size is None:
         raise ValueError(f"policy {policy.kind!r} does not choose a bundle")
-    pool = [] if pool is None else pool
-    for bundle in islice(stream, size):
-        pool.append(bundle)
+    pool = list(islice(stream, size))
     if not pool and truncated:
         reasons = "; ".join(truncated)
         raise CapError(f"search for {what} cut short before its first valid bundle: {reasons}")
@@ -827,9 +794,8 @@ def respond_call(state: GameState, move: Move, policy: Policy) -> Bundle:
 
 def respond_blowup(state: GameState, z: NodeId, policy: Policy) -> Bundle:
     truncated: List[str] = []
-    pool: List[Bundle] = []
-    stream = enumerate_blowup_bundles(state, z, policy, truncated, pool)
-    return _choose(state, policy, stream, f"blowup at {z}", truncated, pool)
+    stream = enumerate_blowup_bundles(state, z, policy, truncated)
+    return _choose(state, policy, stream, f"blowup at {z}", truncated)
 
 
 def respond(state: GameState, move: Move, policy: Policy) -> Bundle:

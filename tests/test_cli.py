@@ -107,6 +107,34 @@ def test_command_line_flag_overrides_config(capsys, tmp_path):
     assert run(capsys, "play", "--config", config, "--round-cap", 100)[0] == cli.EXIT_OK
 
 
+def test_a_config_that_is_not_an_object_of_the_right_types_is_a_usage_error(
+    capsys, tmp_path
+):
+    config = tmp_path / "config.json"
+    for conf, says in (
+        ({"round_cap": "5"}, 'round_cap must be an integer, got "5"'),
+        ({"mephisto": 5}, "mephisto must be a string, got 5"),
+        ({"seed": True}, "seed must be an integer, got true"),
+        ({"max_order_steps": 1.5}, "max_order_steps must be an integer, got 1.5"),
+        ([{"seed": 3}], "not a JSON object"),
+    ):
+        config.write_text(json.dumps(conf))
+        code, out, err = run(capsys, "play", "--config", config)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: bad config {config}: {says}\n"
+    # null is no value: the default stands
+    config.write_text(json.dumps({"seed": 3, "max_new_nodes": None}))
+    assert run(capsys, "play", "--config", config)[:2] == run(capsys, "play", "--seed", 3)[:2]
+
+
+def test_a_negative_max_order_steps_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "play", "--seed", 1, "--mephisto", "adversarial", "--max-order-steps", -1
+    )
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: max_order_steps must be at least 0, got -1\n"
+
+
 def test_play_caps(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "play", "--round-cap", 1)
     assert code == cli.EXIT_CAP and "round cap" in err

@@ -289,6 +289,16 @@ def test_replay_rejects_tampered_outcome(chain_scenario):
         replay_trace(lines)
 
 
+def test_replay_rejects_a_recorded_round_number_that_is_not_the_replays(chain_scenario):
+    lines = list(play_game(chain_scenario, Policy.parse("canonical")).trace)
+    record = json.loads(lines[1])
+    assert record["round"] == 1
+    record["round"] = 99
+    lines[1] = round_to_json(record)
+    with pytest.raises(ValueError, match="^round 99: recorded round 99 does not match the replay 1$"):
+        replay_trace(lines)
+
+
 def test_replay_rejects_tampered_bundle(chain_scenario):
     result = play_game(chain_scenario, Policy.parse("canonical"))
     lines = list(result.trace)

@@ -2,7 +2,6 @@
 
 import itertools
 import sys
-import types
 from collections import Counter
 from fractions import Fraction
 
@@ -42,7 +41,13 @@ from salmagundy.mephisto import (
     respond,
 )
 from salmagundy.quests import quotient_response, transversality_response
-from salmagundy.scenario import extend_factor, heavy_jib_violations, zero_factor
+from salmagundy.scenario import (
+    MonomialFactor,
+    Scenario,
+    extend_factor,
+    heavy_jib_violations,
+    zero_factor,
+)
 from salmagundy.transform import (
     QuestRelation,
     blowup_jibs,
@@ -429,7 +434,7 @@ def _issue_9_keeps(state, z):
 
 
 @pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11), (24, 16)])
-@pytest.mark.parametrize("kind", ["adversarial", "canonical", mephisto.EXPLORE])
+@pytest.mark.parametrize("kind", ["random", "canonical", mephisto.EXPLORE])
 def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
     monkeypatch, seed, rounds, kind
 ):
@@ -572,9 +577,9 @@ def _stop_cases():
 
 
 def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
-    # Without a pool the stop is off and every candidate is built. Valid or
-    # not, each response holds singular only nodes of its D_q, at orders no
-    # higher than its ceilings, so no total |S| exceeds UB(keep).
+    # The random: stream has no stop, so every candidate is built. Valid or
+    # not, each response holds singular only nodes of its ceiling's S, at
+    # orders no higher than the ceiling's, so no total |S| exceeds UB(keep).
     assembled = []
     assemble = mephisto._assemble_blowup
 
@@ -585,7 +590,7 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
         return bundle
 
     monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
-    policy = Policy.parse("adversarial")
+    policy = Policy.parse("random:1")
     checked = shrunk = 0
     for state, z in _stop_cases():
         assembled.clear()
@@ -597,45 +602,80 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
         ceilings = _order_ceilings(state, bt, keep_max, relations)
         for _, _, bundle in assembled:
             for qid, sc in bundle.responses.items():
-                assert sc.S <= set(ceilings[qid])
-                assert all(sc.ord[x] <= ceilings[qid][x] for x in sc.S)
+                assert sc.S <= ceilings[qid].S
+                assert all(sc.ord[x] <= ceilings[qid].ord[x] for x in sc.S)
             assert _bundle_score(bundle)[0] <= _keep_bound(ceilings, bundle.responses[0].S)
             checked += 1
         # the ceilings bite: some quotient child holds fewer nodes than its parent
         shrunk += sum(
             rel.kind == "quotient"
-            and set(ceilings[qid]) < set(ceilings[state.quests[qid].parent_id])
+            and ceilings[qid].S < ceilings[state.quests[qid].parent_id].S
             for qid, rel in relations.items()
         )
     assert checked and shrunk
 
 
-def _incumbent(total_s):
-    """A stand-in pool entry with the given total |S|; ``_bundle_score``
-    reads only the responses' S and orders and the child."""
-    sc = types.SimpleNamespace(S=frozenset(range(total_s)), ord={})
-    return types.SimpleNamespace(responses={0: sc}, child=None)
+def test_a_ceiling_the_call_does_not_admit_keeps_the_parents_nodes_at_inf():
+    # No game reaches this: the root's factor is uncapped above s, whose
+    # order is finite, so the quotient of the root's ceiling raises, and the
+    # child's ceiling is the root's S at order INF.
+    board = Board({"s": 0, "u": 0, "h": 1, "w": 2}, [("s", "h"), ("u", "h"), ("h", "w")])
+    root = Scenario.make(
+        board=board, d=2, B=1, H={"h"}, S={"s"}, T=board.ids, ord={"s": 2},
+        M=[MonomialFactor.of({"h": INF})],
+    )
+    bt = blowup_transform(board, "u")
+    (uncapped,) = blowup_jibs(root, bt)[1].generators  # h at INF, e at 0
+    rel = QuestRelation.quotient(uncapped, Fraction(1))
+    state = GameState(
+        board=board,
+        quests={0: Quest(0, None, None, root), 1: Quest(1, 0, rel, root)},
+        next_quest_id=2,
+    )
+    ceilings = _order_ceilings(state, bt, frozenset({"s"}), {1: rel})
+    assert ceilings[0].ord == {"s": 2}
+    with pytest.raises(ValueError, match="uncapped below a finite order"):
+        quotient_response(ceilings[0], uncapped, Fraction(1))
+    assert ceilings[1].S == ceilings[0].S == {"s"}
+    assert ceilings[1].ord == {"s": INF}
 
 
 @pytest.mark.parametrize("limit", [_KEEP_ENUM_LIMIT, 0])
 def test_the_stop_cuts_only_bundles_below_the_incumbent(monkeypatch, limit):
-    # Given a pool, the stream is a prefix of the whole stream, and what it
-    # leaves out scores strictly less than the incumbent on total |S|: a
-    # tie never stops it. Limit 0 sends every keep set of these streams down
-    # the repair path; the games that lead to the states keep the real limit.
-    policy = Policy.parse("adversarial")
+    # The adversarial stream is a prefix of the random: stream, which has no
+    # stop, and what it leaves out scores strictly less on total |S| than
+    # its incumbent, the best bundle it yielded: a tie never stops it. A
+    # stream's first bundles are its best, so a later keep's bound seldom
+    # ties the incumbent. The stream is therefore also run with every bundle
+    # scored at each total |S| of the whole stream and one above, so the
+    # incumbent is that value once it has yielded, under its own bound and
+    # under the tightest admissible one, the best total |S| each keep
+    # reaches. Limit 0 sends every keep set of these streams down the repair
+    # path; the games that lead to the states keep the real limit.
+    adversarial = Policy.parse("adversarial")
     cut = 0
     for state, z in _stop_cases():
         with monkeypatch.context() as patch:
             patch.setattr(mephisto, "_KEEP_ENUM_LIMIT", limit)
-            whole = list(enumerate_blowup_bundles(state, z, policy))
-            totals = {_bundle_score(b)[0] for b in whole}
-            for best in sorted(totals | {t + 1 for t in totals}):
-                pool = [_incumbent(best)]
-                got = list(enumerate_blowup_bundles(state, z, policy, pool=pool))
-                assert got == whole[: len(got)]
-                assert all(_bundle_score(b)[0] < best for b in whole[len(got):])
-                cut += len(got) < len(whole)
+            whole = list(enumerate_blowup_bundles(state, z, Policy.parse("random:1")))
+            got = list(enumerate_blowup_bundles(state, z, adversarial))
+            runs = [(got, max((_bundle_score(b)[0] for b in got), default=None))]
+            reach = Counter()
+            for b in whole:
+                keep = b.responses[0].S
+                reach[keep] = max(reach[keep], _bundle_score(b)[0])
+            totals = set(reach.values())
+            for bound in (_keep_bound, lambda ceilings, keep: reach[keep]):
+                patch.setattr(mephisto, "_keep_bound", bound)
+                for v in sorted(totals | {t + 1 for t in totals}):
+                    patch.setattr(mephisto, "_bundle_score", lambda bundle, v=v: (v, 0))
+                    stopped = list(enumerate_blowup_bundles(state, z, adversarial))
+                    runs.append((stopped, v if stopped else None))
+        for stopped, best in runs:
+            assert stopped == whole[: len(stopped)]
+            if best is not None:
+                assert all(_bundle_score(b)[0] < best for b in whole[len(stopped):])
+        cut += len(got) < len(whole)
     assert cut
 
 
@@ -643,23 +683,25 @@ def test_adversarial_stop_keeps_the_choice_of_the_whole_window(monkeypatch):
     # On every blowup of adversarial seeds 0-19, of the first 40 rounds of
     # seed 361 and of the first 123 rounds of seed 68 (whose later blowups
     # take the repair path), respond plays the bundle that the first 64
-    # bundles of the unstopped stream choose. Its pool is a prefix of that
-    # window, and the stop adds no truncation reason.
+    # bundles of the random: stream, which has no stop, choose. What it
+    # takes from its own stream is a prefix of that window, and the stop
+    # adds no truncation reason.
     taken = []
     choose = mephisto._choose
 
-    def recording(state, policy, stream, what, truncated=(), pool=None):
-        bundle = choose(state, policy, stream, what, truncated, pool)
+    def recording(state, policy, stream, what, truncated=()):
+        pool = []
+        bundle = choose(state, policy, (pool.append(b) or b for b in stream), what, truncated)
         taken.append((pool, list(truncated)))
         return bundle
 
     monkeypatch.setattr(mephisto, "_choose", recording)
-    policy = Policy.parse("adversarial")
+    unstopped = Policy.parse("random:1")
     fired = Counter()
     games = [(seed, 10**4) for seed in range(20)] + [(361, 40), (68, 123)]
     for seed, rounds in games:
         for state, move, bundle in _adversarial_blowups(seed, rounds):
-            stream = enumerate_blowup_bundles(state, move.center, policy)
+            stream = enumerate_blowup_bundles(state, move.center, unstopped)
             window = list(itertools.islice(stream, 64))
             assert bundle == max(window, key=_bundle_score)
             pool, truncated = taken[-1]
