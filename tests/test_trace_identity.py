@@ -1,16 +1,19 @@
-"""Byte-identity pin: refactors must not change a single trace byte.
+"""Byte-identity pins: refactors must not change a single trace byte.
 
-The digest covers the NDJSON traces of a fixed set of games under all three
-policies plus the explorer's tree counts. A change that alters it changes
-behaviour, and must say why and re-pin the digest.
+The first digest covers the NDJSON traces of a fixed set of games under all
+three policies plus the explorer's tree counts. The second covers games the
+first misses: monomial scenarios, which take the complete-factor override
+path, and more ``random:1`` games, which use every bump level. A change that
+alters either digest changes behaviour, and must say why and re-pin it.
 """
 
 import hashlib
 
-from salmagundy.harness import explore, gen_scenario, play_game
+from salmagundy.harness import explore, gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import Policy
 
 PINNED = "dd8db96718aeeccf38f2bde2660de8edb6de26f0a45459579452ff33984472f1"
+PINNED_WIDE = "4eb1d9c29f0e813cfdab233147023d49c16888f8d70ef3a7dba9b295be3e2060"
 
 
 def test_traces_are_byte_identical():
@@ -25,3 +28,17 @@ def test_traces_are_byte_identical():
         counts = (r.all_won, r.branch_count, r.leaf_count, r.win_count, r.max_depth)
         h.update(repr(counts).encode())
     assert h.hexdigest() == PINNED
+
+
+def test_monomial_and_wider_random_traces_are_byte_identical():
+    h = hashlib.sha256()
+    for text in ("canonical", "random:1", "adversarial"):
+        policy = Policy.parse(text)
+        for seed in range(30):
+            trace = play_game(gen_monomial_scenario(seed), policy).trace
+            h.update(("\n".join(trace) + "\n").encode())
+    policy = Policy.parse("random:1")
+    for seed in range(40, 400):
+        trace = play_game(gen_scenario(seed), policy).trace
+        h.update(("\n".join(trace) + "\n").encode())
+    assert h.hexdigest() == PINNED_WIDE
