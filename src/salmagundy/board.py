@@ -123,8 +123,10 @@ def _memo(check: Callable, *args):
     another object (say, the scenario of an earlier round) alive, and a slot
     whose other arguments have died never answers, even for a new object at
     the same address. A list verdict (of violations) is stored as a tuple
-    and every call gets a fresh list; any other verdict, a tuple included,
-    must be immutable and is returned as it is.
+    and every call gets a fresh list; any other verdict (a tuple, a call's
+    child) must be immutable and is returned as it is. A slot lives as long
+    as its owner, so a stored value must sit on an owner the game owns, and
+    no owner may store itself.
     """
     others = args[:-1]
     memo = _memo_of(args[-1])

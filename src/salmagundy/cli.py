@@ -14,7 +14,7 @@ from typing import List, Optional
 from .board import Board, board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
 from .harness import explore, gen_board, gen_scenario, play_game, scenario_to_dot
-from .mephisto import CapError, NoValidBundle, Policy
+from .mephisto import EXPLORE, CapError, NoValidBundle, Policy
 from .scenario import scenario_from_json, scenario_to_json, validate_scenario
 
 EXIT_OK = 0
@@ -94,10 +94,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise SystemExit(_usage(f"cannot read config {args.config}: {exc}"))
     if not isinstance(conf, dict):
         raise SystemExit(_usage(f"bad config {args.config}: not a JSON object"))
-    for key, kind in (
-        ("seed", int), ("round_cap", int), ("mephisto", str),
-        ("max_new_nodes", int), ("max_order_steps", int),
-    ):
+    kinds = {
+        "seed": int, "round_cap": int, "mephisto": str,
+        "max_new_nodes": int, "max_order_steps": int,
+    }
+    unknown = sorted(set(conf) - set(kinds))
+    if unknown:
+        raise SystemExit(_usage(f"bad config {args.config}: unknown key {json.dumps(unknown[0])}"))
+    for key, kind in kinds.items():
         value = conf.get(key)
         if value is None:
             continue
@@ -139,16 +143,14 @@ def _load_board(path: str) -> Board:
         raise SystemExit(_usage(f"bad board in {path}: {exc}"))
 
 
-def _policy(args: argparse.Namespace) -> Policy:
-    text = args.mephisto or "canonical"
+def _policy(args: argparse.Namespace, text: str) -> Policy:
+    """The policy ``text`` names with the options' caps; a bad value is a
+    usage error. ``explore`` is no policy to play against: ``parse`` refuses it."""
+    steps = args.max_order_steps if args.max_order_steps is not None else 2
     try:
-        return Policy.parse(
-            text,
-            max_new_nodes=args.max_new_nodes,
-            max_order_steps=(
-                args.max_order_steps if args.max_order_steps is not None else 2
-            ),
-        )
+        if text == EXPLORE:
+            return Policy(EXPLORE, max_new_nodes=args.max_new_nodes, max_order_steps=steps)
+        return Policy.parse(text, max_new_nodes=args.max_new_nodes, max_order_steps=steps)
     except ValueError as exc:
         raise SystemExit(_usage(str(exc)))
 
@@ -215,7 +217,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_play(args) -> int:
     scenario = _game_scenario(args)
-    policy = _policy(args)
+    policy = _policy(args, args.mephisto or "canonical")
     round_cap = args.round_cap if args.round_cap is not None else 10_000
     trace: List[str] = []
     try:
@@ -237,12 +239,11 @@ def _cmd_play(args) -> int:
 
 def _cmd_explore(args) -> int:
     scenario = _game_scenario(args)
+    policy = _policy(args, EXPLORE)
     report = explore(
         scenario,
-        max_new_nodes=args.max_new_nodes,
-        max_order_steps=(
-            args.max_order_steps if args.max_order_steps is not None else 2
-        ),
+        max_new_nodes=policy.max_new_nodes,
+        max_order_steps=policy.max_order_steps,
         depth_cap=args.depth_cap,
     )
     print(

@@ -19,7 +19,10 @@ sieves candidates with ``validate_bundle`` and shares each distinct response
 among the candidates of one blown-up board, so a response is checked once
 under each parent response it meets, not once per candidate. ``apply_round``
 always checks the chosen bundle again, with the very same scenario and
-transform objects; the second check finds every verdict stored.
+transform objects; the second check finds every verdict stored. Values are
+stored too: a call's child sits on its parent scenario
+(``quests.call_response``). A slot lives as long as its owner, so the game
+owns its root scenario: ``new_game`` plays a copy of the caller's.
 
 The trace encodes each value once, too. A response scenario and a transform
 store their JSON text on themselves (``board._json_text``), and
@@ -139,7 +142,9 @@ class GameState:
 
 
 def new_game(scenario: Scenario) -> GameState:
-    """Start a game on the scenario's board; the root quest gets id 0."""
+    """Start a game on a copy of the scenario, which the game owns; the root
+    quest gets id 0."""
+    scenario = replace(scenario)  # nothing the game stores sits on the caller's
     vs = validate_scenario(scenario)
     if vs:
         raise ValueError("initial scenario is invalid: " + "; ".join(map(str, vs)))

@@ -56,12 +56,14 @@ valid bundles gives, and it adds no reason to ``truncated``.
 Candidates on one blown-up board share their responses. Each response built
 there is interned: it is replaced by the first equal response built on that
 board, so equal responses are one object and the checks stored on it
-(``board._memo``) answer every later candidate. A child's response depends
-only on its transported call, its old scenario (both fixed per board), its
-parent's new response and, for descent, the bump level; it is built once per
-quest and parent response object, and a repeated root reuses its whole
-subtree. Likewise a call's child equal to an open quest's scenario is that
-scenario, so the two quests share their checks at the next blowup.
+(``board._memo``) answer every later candidate. A fixed call's child is
+``quests.call_response`` of its parent's new response, which stores it on
+that parent: it is built once per parent response object, a repeated root
+reuses its whole subtree, and the umpire's ``quests.call_check`` reads the
+same child instead of building its own. A descent child's orders depend on
+the bump level, so it is built per candidate and interned. Likewise a call's
+child equal to an open quest's scenario is that scenario, so the two quests
+share their checks at the next blowup.
 
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
@@ -163,11 +165,13 @@ class Policy:
     max_new_nodes: Optional[int] = None
     max_order_steps: int = 2
 
+    def __post_init__(self) -> None:
+        if self.max_order_steps < 0:
+            raise ValueError(f"max_order_steps must be at least 0, got {self.max_order_steps}")
+
     @classmethod
     def parse(cls, text: str, max_new_nodes: Optional[int] = None,
               max_order_steps: int = 2) -> "Policy":
-        if max_order_steps < 0:
-            raise ValueError(f"max_order_steps must be at least 0, got {max_order_steps}")
         if text == CANONICAL or text == ADVERSARIAL:
             return cls(text, 0, max_new_nodes, max_order_steps)
         if text == RANDOM:
@@ -428,21 +432,6 @@ def _root_response(
     return _blowup_response(c, bt, keep, T1, bump)
 
 
-def _child_blowup_response(
-    rel_new: QuestRelation,
-    parent_new: Scenario,
-    child_old: Scenario,
-    bt: BoardTransform,
-    bump: Fraction,
-) -> Optional[Scenario]:
-    if rel_new.kind == DESCENT:
-        return _blowup_response(child_old, bt, parent_new.S, parent_new.T, bump)
-    try:
-        return call_response(parent_new, rel_new)
-    except ValueError:  # a lifted quotient factor outside the parent's factors
-        return None
-
-
 # ---- bundle assembly -----------------------------------------------------------
 
 
@@ -454,35 +443,27 @@ def _assemble_blowup(
     discards: FrozenSet[int],
     relations: Dict[int, QuestRelation],
     interned: Dict[Scenario, Scenario],
-    children: Dict[tuple, Optional[Scenario]],
 ) -> Optional[Bundle]:
     """The bundle around a root response. ``discards`` is
     ``blowup_discards(state, bt)`` and ``relations`` maps each surviving
     child, in id order, to its call transported onto the new board; both
-    depend on the board alone.
-
-    ``interned`` and ``children`` are shared by the candidates of one board.
-    ``interned`` maps every response built to the first equal one, and
-    ``children`` maps (quest id, id of the parent's response, and the bump
-    for descent) to the child built for it, None when it has none. Every
-    parent response is held by ``interned``, so its id cannot pass to
-    another object."""
+    depend on the board alone. ``interned`` is shared by the candidates of
+    one board and maps every response built to the first equal one."""
     root_new = interned.setdefault(root_new, root_new)
     responses: Dict[int, Scenario] = {0: root_new}
     for qid, rel_new in relations.items():
         quest = state.quests[qid]
         parent_new = responses[quest.parent_id]
-        key = (qid, id(parent_new), bump) if rel_new.kind == DESCENT else (qid, id(parent_new))
-        if key in children:
-            resp = children[key]
+        if rel_new.kind == DESCENT:
+            resp = _blowup_response(quest.scenario, bt, parent_new.S, parent_new.T, bump)
         else:
-            resp = _child_blowup_response(rel_new, parent_new, quest.scenario, bt, bump)
-            if resp is not None:
-                resp = interned.setdefault(resp, resp)
-            children[key] = resp
+            try:
+                resp = call_response(parent_new, rel_new)
+            except ValueError:  # a lifted quotient factor outside the parent's factors
+                resp = None
         if resp is None:
             return None
-        responses[qid] = resp
+        responses[qid] = interned.setdefault(resp, resp)
     return Bundle(transform=bt, responses=responses, discards=discards)
 
 
@@ -647,7 +628,6 @@ def enumerate_blowup_bundles(
             if quest.parent_id is not None and quest.quest_id not in discards
         }
         interned: Dict[Scenario, Scenario] = {}
-        children: Dict[tuple, Optional[Scenario]] = {}
         tried = set(keeps)
         if bounded:
             ceilings = _order_ceilings(state, bt, keep_max, relations)
@@ -681,7 +661,7 @@ def enumerate_blowup_bundles(
                 if root_new is None:
                     continue
                 bundle = _assemble_blowup(
-                    state, bt, root_new, bump, discards, relations, interned, children
+                    state, bt, root_new, bump, discards, relations, interned
                 )
                 if bundle is None or bundle.responses in yielded:
                     continue

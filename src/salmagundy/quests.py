@@ -12,7 +12,9 @@ the parent's S, H and T.
 
 ``call_check`` is the one check of all four relations, on the call round
 and again after every blowup (``transform.commutes``); ``call_response`` is
-the one construction of the three fixed responses. ``descent_check`` adds
+the one construction of the three fixed responses. It stores the child on
+the parent scenario for that very relation object, so the child Mephisto
+builds is the one ``call_check`` compares with. ``descent_check`` adds
 what holds only when the descent call is made: its preconditions, the zero
 factor, and the validity of the child's free orders.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional
 
-from .board import NodeId, Violation
+from .board import NodeId, Violation, _memo
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -94,9 +96,18 @@ def call_response(c: Scenario, rel: QuestRelation) -> Scenario:
     """The child scenario a transversality, quotient or relaxation call pins
     on the parent scenario ``c``.
 
+    It is stored on ``c`` for this very ``rel`` (``board._memo``), except
+    for an empty transversality set: that child is ``c`` itself, unstored.
+
     Raises ValueError for descent (its orders are Mephisto's choice), for an
     unknown kind, and for parameters the parent does not admit.
     """
+    if rel.kind == TRANSVERSALITY and not rel.jibs:
+        return c
+    return _memo(_call_response, rel, c)
+
+
+def _call_response(rel: QuestRelation, c: Scenario) -> Scenario:
     if rel.kind == TRANSVERSALITY:
         return transversality_response(c, rel.jibs)
     if rel.kind == QUOTIENT:

@@ -117,6 +117,7 @@ def test_a_config_that_is_not_an_object_of_the_right_types_is_a_usage_error(
         ({"seed": True}, "seed must be an integer, got true"),
         ({"max_order_steps": 1.5}, "max_order_steps must be an integer, got 1.5"),
         ([{"seed": 3}], "not a JSON object"),
+        ({"roundcap": 1}, 'unknown key "roundcap"'),
     ):
         config.write_text(json.dumps(conf))
         code, out, err = run(capsys, "play", "--config", config)
@@ -128,11 +129,13 @@ def test_a_config_that_is_not_an_object_of_the_right_types_is_a_usage_error(
 
 
 def test_a_negative_max_order_steps_is_a_usage_error(capsys):
-    code, out, err = run(
-        capsys, "play", "--seed", 1, "--mephisto", "adversarial", "--max-order-steps", -1
-    )
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "error: max_order_steps must be at least 0, got -1\n"
+    for argv in (
+        ("play", "--seed", 1, "--mephisto", "adversarial", "--max-order-steps", -1),
+        ("explore", "--seed", 1, "--max-order-steps", -1),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: max_order_steps must be at least 0, got -1\n"
 
 
 def test_play_caps(capsys, monkeypatch, tmp_path):

@@ -620,6 +620,46 @@ def test_finished_games_leave_no_board_alive():
     assert left == []
 
 
+def _stored_scenarios(owner):
+    """The scenarios ``owner``'s memo holds as values; the weak references a
+    verdict keeps to its other inputs do not count."""
+    todo = list(getattr(owner, "_memo", {}).values())
+    out = []
+    while todo:
+        value = todo.pop()
+        if isinstance(value, Scenario):
+            out.append(value)
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+    return out
+
+
+@pytest.mark.parametrize("play", ["canonical", "random:1", "adversarial", "explore"])
+def test_no_scenario_stores_the_callers_scenario_or_itself(monkeypatch, play):
+    # A memo slot lives as long as its owner. Nothing a game stores may sit
+    # on the caller's scenario, which outlives the game, and a scenario
+    # holding itself would be a cycle. Seed 0 calls transversality with an
+    # empty jib set, whose child is its parent.
+    played = []
+
+    def recording(state, move, bundle):
+        record = apply_round(state, move, bundle)
+        played.extend(q.scenario for q in state.quests.values())
+        return record
+
+    monkeypatch.setattr(harness, "apply_round", recording)
+    scenario = gen_scenario(0)
+    if play == "explore":
+        assert harness.explore(scenario).all_won
+    else:
+        assert play_game(scenario, Policy.parse(play)).won
+    assert played
+    assert _stored_scenarios(scenario) == []
+    stored = [_stored_scenarios(c) for c in played]
+    assert any(stored)  # call children sit on their parents
+    assert not any(c is s for c, held in zip(played, stored) for s in held)
+
+
 # ---- the quests a blowup closes ----------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salmagundy import mephisto, scenario, transform
+from salmagundy import mephisto, quests, scenario, transform
 from salmagundy.board import Board, Violation
 from salmagundy.dido import DidoStrategy
 from salmagundy.game import (
@@ -393,7 +393,7 @@ def _per_candidate_blowup_bundles(state, z, policy):
                     if quest.parent_id is not None and quest.quest_id not in discards
                 }
                 bundle = _assemble_blowup(
-                    state, bt, root_new, bump, discards, relations, {}, {}
+                    state, bt, root_new, bump, discards, relations, {}
                 )
                 if bundle is None or bundle.responses in yielded:
                     continue
@@ -470,6 +470,52 @@ def test_equal_responses_in_one_stream_are_one_object(kind):
             seen += 1
             assert first.setdefault(sc, sc) is sc
     assert seen > len(first)  # responses do repeat across candidates
+
+
+def test_the_umpire_builds_no_child_that_mephisto_built(monkeypatch):
+    # A transversality or quotient child is built once, by Mephisto's
+    # call_response, which stores it on its parent; the umpire's call_check
+    # reads it there, in the sieve, on the call round and in apply_round.
+    policy = Policy.parse("adversarial")
+    state = new_game(gen_scenario(0))
+    dido = DidoStrategy()
+    built = Counter()
+    where = ["mephisto"]
+    for name in ("transversality_response", "quotient_response"):
+
+        def counting(*args, _build=getattr(quests, name), _name=name):
+            built[where[0], _name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(quests, name, counting)
+
+    def umpire(check):
+        def checking(*args):
+            where[0] = "umpire"
+            try:
+                return check(*args)
+            finally:
+                where[0] = "mephisto"
+
+        return checking
+
+    monkeypatch.setattr(mephisto, "validate_bundle", umpire(validate_bundle))
+    rounds = Counter()
+    while (move := dido.decide(state)) is not None:
+        open_calls = {q.relation.kind for q in state.open_quests() if q.relation}
+        if move.kind == "blowup":
+            rounds["blowup", frozenset(open_calls & {"transversality", "quotient"})] += 1
+        else:
+            rounds["call", move.relation.kind, bool(move.relation.jibs)] += 1
+        bundle = respond(state, move, policy)
+        dido.observe(state, move, bundle, umpire(apply_round)(state, move, bundle))
+    assert state.won
+    assert rounds["blowup", frozenset({"transversality", "quotient"})]
+    assert rounds["call", "transversality", True] and rounds["call", "quotient", False]
+    assert built["mephisto", "transversality_response"]
+    assert built["mephisto", "quotient_response"]
+    assert built["umpire", "transversality_response"] == 0
+    assert built["umpire", "quotient_response"] == 0
 
 
 @pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11)])
@@ -583,8 +629,8 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
     assembled = []
     assemble = mephisto._assemble_blowup
 
-    def recording(state, bt, root_new, bump, discards, relations, interned, children):
-        bundle = assemble(state, bt, root_new, bump, discards, relations, interned, children)
+    def recording(state, bt, root_new, bump, discards, relations, interned):
+        bundle = assemble(state, bt, root_new, bump, discards, relations, interned)
         if bundle is not None:
             assembled.append((bt, relations, bundle))
         return bundle
