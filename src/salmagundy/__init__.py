@@ -89,7 +89,6 @@ from .transform import (
     quotient_lifted_factor,
     transport_relation,
     validate_blowup_transform,
-    validate_refinement_transform,
 )
 from .values import INF, Value, format_value, is_finite, parse_value
 

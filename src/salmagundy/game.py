@@ -49,6 +49,7 @@ from .board import (
     _json_text,
     board_from_json,
     board_to_json,
+    trivial_refinement,
     validate_board,
     validate_board_transform,
     _memo,
@@ -227,7 +228,7 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
     if rel is None:
         return [_bundle_violation("call move without a relation")]
     bt = bundle.transform
-    if bt.source != state.board or not bt.is_identity():
+    if bt != trivial_refinement(state.board):
         out.append(_bundle_violation("call rounds ride on the identity refinement"))
         return out
     open_ids = {q.quest_id for q in state.open_quests()}

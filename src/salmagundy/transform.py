@@ -1,13 +1,15 @@
 """Scenario transforms across board changes, and cross-quest consistency.
 
-A board move (refinement or blowup) forces every open quest's scenario to
-evolve. ``validate_refinement_transform`` and ``validate_blowup_transform``
-check one quest's old/new scenario pair against the fifteen transform items.
-This module owns the formulas of a blowup, which Mephisto and Dido build
-with and the validator compares against: ``lift_factor`` carries a factor
-through it, weighted at the exceptional node by ``capped_transport`` (items
-14-15, capped by ``exceptional_cap``, which is also item 9's pinned order)
-or ``quotient_lifted_factor`` (a quotient call's factor); ``blowup_jibs`` is
+A blowup forces every open quest's scenario to evolve; a call round leaves
+the board and every open scenario as they are. ``validate_blowup_transform``
+checks one quest's old/new scenario pair against the transform items 1-2 and
+7-15. Items 3-6 were those of a refinement, a move no round plays; the
+numbers stay free so that violation tags do not shift. This module owns the
+formulas of a blowup, which Mephisto and Dido build with and the validator
+compares against: ``lift_factor`` carries a factor through it, weighted at
+the exceptional node by ``capped_transport`` (items 14-15, capped by
+``exceptional_cap``, which is also item 9's pinned order) or
+``quotient_lifted_factor`` (a quotient call's factor); ``blowup_jibs`` is
 the handicap and factor set of every response (items 12 and 14), and
 ``cleared_nodes`` the nodes no response may keep singular (item 13).
 ``commutes`` checks the square linking a parent quest and a child created by
@@ -36,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from .board import BLOWUP, REFINEMENT, BoardTransform, NodeId, Violation, _memo
+from .board import BLOWUP, BoardTransform, NodeId, Violation, _memo
 from .quests import (
     DESCENT,
     QUOTIENT,
@@ -59,7 +61,6 @@ from .values import Value, format_value
 
 __all__ = [
     "QuestRelation",
-    "validate_refinement_transform",
     "validate_blowup_transform",
     "exceptional_cap",
     "lift_factor",
@@ -78,63 +79,6 @@ _COMM_ISSUE = {RELAXATION: 1, DESCENT: 2, TRANSVERSALITY: 3, QUOTIENT: 4}
 
 
 # ---- transforms of a single quest ---------------------------------------
-
-
-def _joint_items(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
-    out: List[Violation] = []
-    if c.board != bt.source or c1.board != bt.target:
-        out.append(Violation(RULE, "structure", (), "scenario boards do not match the transform"))
-        return out
-    if (c1.d, c1.B) != (c.d, c.B):
-        out.append(
-            Violation(RULE, 1, (), f"expected d={c.d}, B={c.B}; got d={c1.d}, B={c1.B}")
-        )
-    for s in c.board.ids:
-        if (bt.embed[s] in c1.T) != (s in c.T):
-            out.append(
-                Violation(
-                    RULE, 2, (s,), f"transversality of {s} not mirrored at {bt.embed[s]}"
-                )
-            )
-    return out
-
-
-def validate_refinement_transform(
-    c: Scenario, bt: BoardTransform, c1: Scenario
-) -> List[Violation]:
-    """Items 1-6: a refinement changes nothing up to fibers."""
-    if bt.kind != REFINEMENT:
-        raise ValueError("expected a refinement transform")
-    out = _joint_items(c, bt, c1)
-    if any(v.issue == "structure" for v in out):
-        return out
-    want_S = frozenset(x for x in bt.target.ids if bt.retract[x] in c.S)
-    if c1.S != want_S:
-        out.append(
-            Violation(RULE, 3, tuple(sorted(c1.S ^ want_S)), "singular set is not u^{-1}(S)")
-        )
-    for x in sorted(c1.S & want_S):
-        if c1.ord[x] != c.ord[bt.retract[x]]:
-            out.append(
-                Violation(
-                    RULE,
-                    4,
-                    (x,),
-                    f"ord({x}) = {format_value(c1.ord[x])} != ord({bt.retract[x]}) = "
-                    f"{format_value(c.ord[bt.retract[x]])}",
-                )
-            )
-    want_H = frozenset(bt.embed[h] for h in c.H)
-    if c1.H != want_H:
-        out.append(Violation(RULE, 5, tuple(sorted(c1.H ^ want_H)), "handicap is not i(H)"))
-    else:
-        want_M = FactorSet.of(
-            MonomialFactor.of({bt.embed[h]: w for h, w in g.weights}) for g in c.M.generators
-        )
-        if c1.M != want_M:
-            out.append(Violation(RULE, 6, (), "factors are not the transported generators"))
-    out.extend(validate_scenario(c1))
-    return out
 
 
 def exceptional_cap(c: Scenario, z: NodeId) -> Value:
@@ -195,7 +139,7 @@ def cleared_nodes(
 
 
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
-    """Joint items 1-2 and blowup items 7-15, plus validity of the result.
+    """Items 1-2 and 7-15, plus validity of the result.
 
     The verdict is stored on ``c1`` for this very ``c`` and ``bt``; every
     call returns a fresh list.
@@ -206,9 +150,24 @@ def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> 
 
 
 def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
-    out = _joint_items(c, bt, c1)
-    if any(v.issue == "structure" for v in out):
+    out: List[Violation] = []
+    if c.board != bt.source or c1.board != bt.target:
+        out.append(Violation(RULE, "structure", (), "scenario boards do not match the transform"))
         return out
+
+    # Items 1-2: d, B and transversality ride along unchanged.
+    if (c1.d, c1.B) != (c.d, c.B):
+        out.append(
+            Violation(RULE, 1, (), f"expected d={c.d}, B={c.B}; got d={c1.d}, B={c1.B}")
+        )
+    for s in c.board.ids:
+        if (bt.embed[s] in c1.T) != (s in c.T):
+            out.append(
+                Violation(
+                    RULE, 2, (s,), f"transversality of {s} not mirrored at {bt.embed[s]}"
+                )
+            )
+
     z = bt.center
     e = bt.exceptional
     b1 = bt.target

@@ -95,7 +95,6 @@ def test_order_queries_match_closure_oracle():
             assert b.down_set(s) == frozenset(x for x in b.ids if s in reach[x])
             for t in b.ids:
                 assert b.leq(s, t) == (t in reach[s])
-                assert b.lt(s, t) == (t in reach[s] and s != t)
         maximal = tuple(s for s in b.ids if reach[s] == {s} | set())
         maximal = tuple(s for s in b.ids if all(t == s or t not in reach[s] for t in b.ids))
         assert b.maximal_nodes == maximal
@@ -252,9 +251,11 @@ def test_validate_flags_two_maximal_nodes():
 
 def test_trivial_refinement_is_identity(chain_board):
     t = trivial_refinement(chain_board)
-    assert t.is_identity()
-    assert validate_board_transform(t) == []
-    assert t.fiber("a") == frozenset({"a"})
+    assert (t.kind, t.source, t.target, t.center) == (REFINEMENT, chain_board, chain_board, None)
+    assert dict(t.embed) == dict(t.retract) == {s: s for s in chain_board.ids}
+    # the board check knows blowups only; a call round compares its
+    # transform with this one by value instead
+    assert [v.issue for v in validate_board_transform(t)] == ["structure"]
     # one instance per board, so call rounds on it share its checks and text
     assert trivial_refinement(chain_board) is t
     twin = Board({"p": 0, "a": 1, "w": 2}, [("p", "a"), ("a", "w")])
@@ -268,7 +269,7 @@ def test_blowup_of_chain_matches_fixture(chain_board, blown_chain_board):
     assert t.exceptional == "e0"
     assert t.embed["p"] == "e0"
     assert t.retract["q1"] == "p" and t.retract["e0"] == "p"
-    assert t.fiber("p") == frozenset({"e0", "q1"})
+    assert {x for x in t.target.ids if t.retract[x] == "p"} == {"e0", "q1"}
     assert validate_board_transform(t) == []
 
 
@@ -341,7 +342,13 @@ def test_transform_structure_violations(chain_board):
     assert _issues(_swap(t, retract=retract)) == {"structure"}
     assert _issues(_swap(t, center=None)) == {"structure"}
     r = trivial_refinement(chain_board)
+    assert _issues(r) == {"structure"}
     assert _issues(_swap(r, center="p")) == {"structure"}
+    assert _issues(_swap(t, center="ghost")) == {"structure"}
+    # every key of a map is a node of its board, or a trace could carry
+    # entries that no check reads
+    assert _issues(_swap(t, retract=dict(t.retract, zz="p"))) == {"structure"}
+    assert _issues(_swap(t, embed=dict(t.embed, zz="e0"))) == {"structure"}
 
 
 def test_transform_issue_1_embed_outside_fiber(chain_board):
@@ -413,23 +420,19 @@ def test_transform_issue_1_retract_disagrees(chain_board):
     assert 1 in got
 
 
-def test_transform_issue_2_order_not_reflected():
-    # target adds a strict relation between images that the source lacks
-    src = Board({"a": 0, "b": 0, "w": 1}, [("a", "w"), ("b", "w")])
-    tgt = Board({"a": 0, "b": 1, "w": 2}, [("a", "b"), ("b", "w")])
-    ident = {s: s for s in src.ids}
-    t = BoardTransform(REFINEMENT, src, tgt, ident, dict(ident))
-    got = _issues(t)
-    assert 2 in got
+def test_transform_issue_2_order_not_reflected(chain_board):
+    # swapped images: i(w) = a lies below i(a) = w, but w < a fails
+    t = _chain_blowup(chain_board)
+    found = validate_board_transform(_swap(t, embed=dict(t.embed, a="w", w="a")))
+    assert ("w", "a") in {v.witness for v in found if v.detail.endswith("fails in source")}
 
 
-def test_transform_issue_2_order_not_preserved():
-    src = Board({"a": 0, "w": 1}, [("a", "w")])
-    tgt = Board({"a": 0, "w": 1}, [])
-    ident = {s: s for s in src.ids}
-    t = BoardTransform(REFINEMENT, src, tgt, ident, dict(ident))
-    got = _issues(t)
-    assert 2 in got
+def test_transform_issue_2_order_not_preserved(chain_board):
+    # a < w, neither below the center p, so no mixed-pair exemption; an
+    # embedding that sends both to w does not keep i(a) strictly below i(w)
+    t = _chain_blowup(chain_board)
+    found = validate_board_transform(_swap(t, embed=dict(t.embed, a="w")))
+    assert ("a", "w") in {v.witness for v in found if v.detail.endswith("fails in target")}
 
 
 def test_transform_issue_2_mixed_pairs_exempt_for_blowups(chain_board):
@@ -446,14 +449,6 @@ def test_transform_issue_3_retract_not_monotone(chain_board):
     retract = dict(t.retract, a="w", w="a")  # a < w in target but w !<= a
     got = _issues(_swap(t, retract=retract))
     assert 3 in got
-
-
-def test_transform_issue_4_refinement_dim_drift():
-    src = Board({"a": 0, "w": 1}, [("a", "w")])
-    tgt = Board({"a": 1, "w": 2}, [("a", "w")])
-    ident = {s: s for s in src.ids}
-    t = BoardTransform(REFINEMENT, src, tgt, ident, dict(ident))
-    assert _issues(t) == {4}
 
 
 def test_transform_issue_5_center_is_top():
@@ -481,6 +476,122 @@ def test_transform_issue_7_dim_on_center(chain_board):
     bad = Board(dims, covers)
     t2 = _swap(t, target=bad)
     assert 7 in _issues(t2)
+
+
+# ---- the row check against the pair loops -----------------------------------
+
+
+def _pairwise_check(t):
+    """The pair-by-pair form of the blowup check (issues 1-3 and 5-7), kept
+    as the reference that the row form of ``validate_board_transform`` must
+    reproduce violation for violation, in the same order."""
+    out = []
+    src, tgt, rule, z = t.source, t.target, "board-transform", t.center
+    for s in src.ids:
+        if s not in t.embed or t.embed[s] not in tgt:
+            return [Violation(rule, "structure", (s,), f"embed undefined or off-target at {s}")]
+    for x in tgt.ids:
+        if x not in t.retract or t.retract[x] not in src:
+            return [Violation(rule, "structure", (x,), f"retract undefined or off-source at {x}")]
+    if z not in src:
+        return [Violation(rule, "structure", (), "blowup without a source center")]
+
+    def lt(b, s, u):
+        return s != u and b.leq(s, u)
+
+    for s in src.ids:
+        img = t.embed[s]
+        if t.retract[img] != s:
+            out.append(Violation(rule, 1, (s, img), f"u(i({s})) = {t.retract[img]} != {s}"))
+            continue
+        for x in sorted(x for x, y in t.retract.items() if y == s):
+            if not tgt.leq(x, img):
+                out.append(
+                    Violation(rule, 1, (s, x), f"fiber node {x} of {s} not below i({s}) = {img}")
+                )
+    for s in src.ids:
+        for u in src.ids:
+            if s == u:
+                continue
+            fwd = lt(src, s, u)
+            img = lt(tgt, t.embed[s], t.embed[u])
+            if img and not fwd:
+                out.append(
+                    Violation(
+                        rule, 2, (s, u), f"i({s}) < i({u}) in target but {s} < {u} fails in source"
+                    )
+                )
+            if fwd and not img and not (src.leq(s, z) and not src.leq(u, z)):
+                out.append(
+                    Violation(
+                        rule, 2, (s, u), f"{s} < {u} in source but i({s}) < i({u}) fails in target"
+                    )
+                )
+    for x in tgt.ids:
+        for y in tgt.ids:
+            if lt(tgt, x, y) and not src.leq(t.retract[x], t.retract[y]):
+                out.append(
+                    Violation(
+                        rule, 3, (x, y), f"{x} < {y} in target but u({x}) !<= u({y}) in source"
+                    )
+                )
+    n = src.n
+    if z == src.top:
+        out.append(Violation(rule, 5, (z,), "the top node may not be a blowup center"))
+    shift = n - 1 - src.dim(z)
+    for s in src.ids:
+        want = src.dim(s) + shift if src.leq(s, z) else src.dim(s)
+        got = tgt.dim(t.embed[s])
+        if got != want:
+            issue = 7 if src.leq(s, z) else 6
+            out.append(
+                Violation(
+                    rule, issue, (s,),
+                    f"dim(i({s})) = {got}, expected {want} (center {z}, board dim {n})",
+                )
+            )
+    return out
+
+
+def _blowup_mutants(t, rng):
+    """``t`` and broken copies of it: swapped embed images, an embed that is
+    not injective, a moved and a swapped retract entry, and a wrong center."""
+    src, tgt = t.source.ids, t.target.ids
+    yield t
+    for _ in range(3):
+        a, b = rng.sample(src, 2)
+        yield _swap(t, embed=dict(t.embed, **{a: t.embed[b], b: t.embed[a]}))
+        yield _swap(t, embed=dict(t.embed, **{a: t.embed[b]}))
+        x, y = rng.sample(tgt, 2)
+        yield _swap(t, retract=dict(t.retract, **{x: rng.choice(src)}))
+        yield _swap(t, retract=dict(t.retract, **{x: t.retract[y], y: t.retract[x]}))
+        yield _swap(t, center=rng.choice(src))
+
+
+def test_row_check_matches_the_pair_loops():
+    rng = random.Random(16)
+    kinds = {"clean": 0, "broken": 0, "exempt": 0, "non-injective": 0}
+    for seed in range(60):
+        b = gen_board(seed)
+        for z in b.ids:
+            if z == b.top:
+                continue
+            uppers = blowup_uppers(b, z)
+            keeps = [None] + [rng.sample(uppers, k) for k in range(len(uppers))]
+            for keep in keeps:
+                for t in _blowup_mutants(blowup_transform(b, z, keep_uppers=keep), rng):
+                    want = _pairwise_check(t)
+                    assert validate_board_transform(t) == want, (seed, z, keep, t)
+                    kinds["broken" if want else "clean"] += 1
+                    kinds["non-injective"] += len(set(t.embed.values())) < len(t.embed)
+                    # clean only by the exemption: some s <= z < u whose
+                    # image i(s) is not below i(u)
+                    kinds["exempt"] += not want and any(
+                        t.embed[u] not in t.target.up_set(t.embed[s])
+                        for s in b.down_set(t.center) for u in b.up_set(s)
+                        if not b.leq(u, t.center)
+                    )
+    assert min(kinds.values()) > 100, kinds
 
 
 # ---- serialization ----------------------------------------------------------

@@ -314,6 +314,25 @@ def test_replay_rejects_tampered_bundle(chain_scenario):
         replay_trace(lines)
 
 
+@pytest.mark.parametrize("tamper", ["center", "retract"])
+def test_replay_rejects_a_call_transform_that_is_not_the_identity(tamper):
+    # round 2 of canonical seed 5 is a call; its transform must equal the
+    # board's identity refinement, not merely embed every node onto itself
+    lines = list(play_game(gen_scenario(5), Policy.parse("canonical")).trace)
+    record = json.loads(lines[2])
+    assert record["round"] == 2 and record["move"]["type"] == "call"
+    t = record["bundle"]["transform"]
+    ids = sorted(t["embed"])
+    if tamper == "center":
+        t["center"] = ids[0]
+    else:
+        t["retract"][ids[0]] = t["retract"][ids[1]]
+    assert all(t["embed"][s] == s for s in ids)
+    lines[2] = round_to_json(record)
+    with pytest.raises(ValueError, match="call rounds ride on the identity refinement"):
+        replay_trace(lines)
+
+
 def test_replay_rejects_an_unknown_move_type(chain_scenario):
     lines = list(play_game(chain_scenario, Policy.parse("canonical")).trace)
     records = [json.loads(line) for line in lines]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salmagundy import mephisto, quests, scenario, transform
-from salmagundy.board import Board, Violation
+from salmagundy.board import Board, Violation, trivial_refinement
 from salmagundy.dido import DidoStrategy
 from salmagundy.game import (
     GameState,
@@ -766,7 +766,7 @@ def test_call_bundle_shapes(crossing_scenario):
     st = _root_state(crossing_scenario)
     rel = QuestRelation.transversality({"h1", "h2"})
     bundle = respond(st, Move.call(0, rel), Policy.parse("canonical"))
-    assert bundle.transform.is_identity()
+    assert bundle.transform is trivial_refinement(st.board)
     assert bundle.child == transversality_response(crossing_scenario, {"h1", "h2"})
     assert bundle.responses[0] == crossing_scenario
     assert validate_bundle(st, Move.call(0, rel), bundle) == []

@@ -1,4 +1,4 @@
-"""Scenario transport across refinements and blowups, and commutativity."""
+"""Scenario transport across blowups, and commutativity."""
 
 from fractions import Fraction
 
@@ -41,7 +41,6 @@ from salmagundy.transform import (
     quotient_lifted_factor,
     transport_relation,
     validate_blowup_transform,
-    validate_refinement_transform,
 )
 from salmagundy.values import INF
 
@@ -58,49 +57,6 @@ def _rule_tags(violations):
     return {v.issue for v in violations if v.rule == RULE}
 
 
-# ---- refinements ------------------------------------------------------------
-
-
-def test_identity_refinement_accepts_same_scenario(chain_scenario):
-    bt = trivial_refinement(chain_scenario.board)
-    assert validate_refinement_transform(chain_scenario, bt, chain_scenario) == []
-
-
-def test_refinement_rejects_blowup_kind(chain_scenario, chain_board):
-    bt = blowup_transform(chain_board, "p")
-    with pytest.raises(ValueError):
-        validate_refinement_transform(chain_scenario, bt, chain_scenario)
-
-
-def test_refinement_items(chain_scenario, crossing_scenario):
-    bt = trivial_refinement(chain_scenario.board)
-    c = chain_scenario
-    alien = Scenario.make(
-        Board({"x": 0}, []), c.d, c.B, [], [], ["x"], {}, [zero_factor([])]
-    )
-    assert _rule_tags(validate_refinement_transform(c, bt, alien)) == {"structure"}
-    assert _rule_tags(validate_refinement_transform(c, bt, _remake(c, B=3))) == {1}
-    assert _rule_tags(
-        validate_refinement_transform(c, bt, _remake(c, T=["a", "w"]))
-    ) == {2}
-    assert _rule_tags(
-        validate_refinement_transform(c, bt, _remake(c, S=[], ord={}))
-    ) == {3}
-    assert _rule_tags(
-        validate_refinement_transform(c, bt, _remake(c, ord={"p": 3}))
-    ) == {4}
-    bt2 = trivial_refinement(crossing_scenario.board)
-    c2 = crossing_scenario
-    assert _rule_tags(
-        validate_refinement_transform(
-            c2, bt2, _remake(c2, H=["h1"], M=[zero_factor(["h1"])])
-        )
-    ) == {5}
-    assert _rule_tags(
-        validate_refinement_transform(c2, bt2, _remake(c2, M=[zero_factor(c2.H)]))
-    ) == {6}
-
-
 # ---- blowups: the fixture square --------------------------------------------
 
 
@@ -113,6 +69,16 @@ def test_blowup_rejects_refinement_kind(chain_scenario):
     bt = trivial_refinement(chain_scenario.board)
     with pytest.raises(ValueError):
         validate_blowup_transform(chain_scenario, bt, chain_scenario)
+
+
+def test_blowup_rejects_scenarios_on_other_boards(chain_scenario, blown_chain_response):
+    bt = blowup_transform(chain_scenario.board, "p")
+    c = chain_scenario
+    alien = Scenario.make(
+        Board({"x": 0}, []), c.d, c.B, [], [], ["x"], {}, [zero_factor([])]
+    )
+    assert _rule_tags(validate_blowup_transform(c, bt, alien)) == {"structure"}
+    assert _rule_tags(validate_blowup_transform(alien, bt, blown_chain_response)) == {"structure"}
 
 
 @pytest.fixture
