@@ -249,7 +249,7 @@ def _cmd_explore(args) -> int:
     print(
         f"all_won={str(report.all_won).lower()} branches={report.branch_count} "
         f"leaves={report.leaf_count} wins={report.win_count} "
-        f"max_depth={report.max_depth}"
+        f"max_depth={report.max_depth} states={report.states}"
     )
     for reason in report.truncated:
         print(f"truncated: {reason}")

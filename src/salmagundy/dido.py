@@ -19,8 +19,16 @@ One plan per quest, created lazily when the quest is first reached:
   K comes last and its descent quest shares the parent's singular set, so
   its win resolves the parent.
 
-All decisions are functions of the visible game state, so equal seeds on
-Mephisto's side reproduce equal games.
+All decisions are functions of the visible game state and of the plans,
+so equal seeds on Mephisto's side reproduce equal games. Two things serve
+the explorer, which branches the strategy once per Mephisto answer. A
+strategy copies itself field by field (``DidoStrategy.__deepcopy__``): it
+shares the immutable factors, frozensets and tuples the plans hold, copies
+only the plans and their lists, and points ``_slot`` at the copy's own
+holder. ``_plans_text`` is the canonical text of the plans, the strategy's
+half of the explorer's state key; it leaves out ``measure_log``, which no
+decision reads, and ``_slot``, which ``decide`` sets before it returns any
+call.
 
 Dido owns no rule formula: the critical sets are ``scenario.heavy_jib_sets``
 under the tracked factor, maximal nodes come from ``Board.maximal_among``,
@@ -31,7 +39,8 @@ of that child's relation factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -45,6 +54,7 @@ from .scenario import (
     _subsets,
     complete_factor,
     extend_factor,
+    factor_to_json,
     heavy_jib_sets,
     is_tight,
     zero_factor,
@@ -126,6 +136,22 @@ class _DriverPlan:
     items: List[_DriverItem]
 
 
+def _plans_text(plans: Dict[int, object]) -> str:
+    """The plans as one canonical text: equal plans, equal text."""
+    out = []
+    for qid in sorted(plans):
+        plan = plans[qid]
+        if isinstance(plan, _DriverPlan):
+            items = [[item.K, item.p_id, item.r_id, item.q_id] for item in plan.items]
+            out.append([qid, "driver", sorted(plan.L), items])
+        else:
+            out.append(
+                [qid, "loop", factor_to_json(plan.m), plan.child_id, plan.monomial,
+                 plan.pending]
+            )
+    return json.dumps(out)
+
+
 class DidoStrategy:
     def __init__(self) -> None:
         self.plans: Dict[int, object] = {}
@@ -133,6 +159,27 @@ class DidoStrategy:
         # the plan or driver item, and its field, that the last call's
         # quest fills once observed
         self._slot: Optional[Tuple[object, str]] = None
+
+    def __deepcopy__(self, memo) -> "DidoStrategy":
+        """A copy whose plans change apart from these. Every plan field but
+        the lists holds an immutable value, which the copy shares."""
+        copied: Dict[int, object] = {}  # id of an original plan or item -> its copy
+        plans: Dict[int, object] = {}
+        for qid, plan in self.plans.items():
+            if isinstance(plan, _DriverPlan):
+                items = [replace(item) for item in plan.items]
+                copied.update(zip(map(id, plan.items), items))
+                new = _DriverPlan(L=plan.L, items=items)
+            else:
+                new = replace(plan, pending=list(plan.pending))
+            plans[qid] = copied[id(plan)] = new
+        out = DidoStrategy()
+        out.plans = plans
+        out.measure_log = list(self.measure_log)
+        # a holder whose quest has closed is never filled again
+        if self._slot is not None and id(self._slot[0]) in copied:
+            out._slot = (copied[id(self._slot[0])], self._slot[1])
+        return out
 
     # -- planning --------------------------------------------------------------
 

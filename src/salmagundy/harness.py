@@ -8,14 +8,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .board import Board, NodeId
-from .dido import DidoStrategy
+from .board import Board, NodeId, _json_text, board_to_json
+from .dido import DidoStrategy, _plans_text
 from .game import (
     BLOWUP_MOVE,
     CALL,
+    OPEN,
     GameState,
+    _response_to_json,
     apply_round,
     new_game,
+    relation_to_json,
     round_to_json,
     trace_header,
 )
@@ -277,6 +280,34 @@ class ExploreReport:
     # Why the search was not exhaustive: one reason per capped or repaired
     # blowup enumeration. Empty when every bundle in the capped space was tried.
     truncated: List[str] = field(default_factory=list)
+    # States at which Dido decided: branch_count + 1 when the transposition
+    # table answers none, fewer by every node of the subtrees it answers.
+    states: int = 0
+
+
+def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
+    """The SHA-256 digest of what the rest of the game reads of ``state`` and
+    ``strategy``: the board, the round and next quest id, each quest's id,
+    parent, status and relation, each open quest's scenario, and Dido's
+    plans. Every text but the plans' is stored on its value."""
+    # imported here, not at the top: hashlib loads OpenSSL, which raised the
+    # peak RSS of a process that never explores by 3.6 MB (CPython 3.11, Linux)
+    from hashlib import sha256
+
+    parts = [
+        _json_text(state.board, board_to_json),
+        str(state.round_no),
+        str(state.next_quest_id),
+    ]
+    for qid, quest in sorted(state.quests.items()):
+        rel = quest.relation
+        parts.append(f"{qid} {quest.parent_id} {quest.status}")
+        parts.append("" if rel is None else _json_text(rel, relation_to_json))
+        parts.append(
+            _json_text(quest.scenario, _response_to_json) if quest.status == OPEN else ""
+        )
+    parts.append(_plans_text(strategy.plans))
+    return sha256("\n".join(parts).encode()).digest()
 
 
 def explore(
@@ -297,6 +328,26 @@ def explore(
     empty. A blowup cut short before its first valid bundle adds a reason
     and no leaf; one that found no valid bundle in a complete search raises
     ``NoValidBundle``. A tree without leaves is not won.
+
+    Two answers can lead to equal states, and equal states have equal
+    subtrees. So the search keeps a transposition table for the call: it
+    maps the key (``_state_key``) of each state that branched to its
+    subtree's (branches, leaves, wins), and a state found there adds those
+    counts and is not expanded again. Nothing else needs the subtree: the
+    key holds the round number, which is the depth, and the first visit,
+    earlier in depth-first order, has already recorded every lost leaf,
+    truncation reason and ``NoValidBundle`` the subtree holds. A leaf costs
+    one ``decide`` and is not stored. The key leaves out what no later
+    round reads: the strategy's ``measure_log`` and ``_slot`` (``decide``
+    sets it before it returns any call), and the scenarios of closed quests,
+    which nothing reads once Dido decides again; with those scenarios in
+    it, few states would ever meet. The key is a digest, so the table keeps
+    no scenario or board alive; its memory grows by one entry per stored
+    state.
+
+    A branch encodes no trace line: the search carries each record on a
+    (parent, record) chain and encodes the chain only for the first lost
+    leaf, as ``counterexample``.
     """
     policy = Policy(
         kind=EXPLORE, max_new_nodes=max_new_nodes, max_order_steps=max_order_steps
@@ -304,9 +355,9 @@ def explore(
     report = ExploreReport(
         all_won=True, branch_count=0, leaf_count=0, win_count=0, max_depth=0
     )
-    header = round_to_json(trace_header(scenario, EXPLORE))
+    table: Dict[object, Tuple[int, int, int]] = {}
 
-    def leaf(state: GameState, depth: int, lines: List[str], won: bool) -> None:
+    def leaf(state: GameState, depth: int, path: Optional[tuple], won: bool) -> None:
         report.leaf_count += 1
         report.max_depth = max(report.max_depth, depth)
         if won:
@@ -314,16 +365,29 @@ def explore(
         else:
             report.all_won = False
             if report.counterexample is None:
-                report.counterexample = lines
+                records = []
+                while path is not None:
+                    path, record = path
+                    records.append(record)
+                report.counterexample = [round_to_json(r) for r in reversed(records)]
 
-    def dfs(state: GameState, strategy: DidoStrategy, depth: int, lines: List[str]):
+    def dfs(state: GameState, strategy: DidoStrategy, depth: int, path: Optional[tuple]):
+        key = _state_key(state, strategy)
+        seen = table.get(key)
+        if seen is not None:
+            report.branch_count += seen[0]
+            report.leaf_count += seen[1]
+            report.win_count += seen[2]
+            return
+        report.states += 1
         move = strategy.decide(state)
         if move is None:
-            leaf(state, depth, lines, state.won)
+            leaf(state, depth, path, state.won)
             return
         if depth >= depth_cap:
-            leaf(state, depth, lines, False)
+            leaf(state, depth, path, False)
             return
+        before = (report.branch_count, report.leaf_count, report.win_count)
         cut: List[str] = []  # this blowup's own reasons; note() de-duplicates
         if move.kind == CALL:
             variants = enumerate_call_bundles(state, move, policy)
@@ -337,14 +401,19 @@ def explore(
             child_strategy = copy.deepcopy(strategy)
             record = apply_round(child_state, move, bundle)
             child_strategy.observe(child_state, move, bundle, record)
-            dfs(child_state, child_strategy, depth + 1, lines + [round_to_json(record)])
+            dfs(child_state, child_strategy, depth + 1, (path, record))
         report.truncated += [r for r in cut if r not in report.truncated]
         if not any_bundle and not cut:
             raise NoValidBundle(
                 f"no valid bundle for {move.kind} at depth {depth}"
             )
+        table[key] = (
+            report.branch_count - before[0],
+            report.leaf_count - before[1],
+            report.win_count - before[2],
+        )
 
-    dfs(new_game(scenario), DidoStrategy(), 0, [header])
+    dfs(new_game(scenario), DidoStrategy(), 0, (None, trace_header(scenario, EXPLORE)))
     report.all_won = report.all_won and report.leaf_count > 0
     return report
 

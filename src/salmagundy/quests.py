@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional
 
-from .board import NodeId, Violation, _memo
+from .board import NodeId, Violation, _memo, _state_without_memo
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -74,6 +74,8 @@ class QuestRelation:
     jibs: FrozenSet[NodeId] = frozenset()
     factor: Optional[MonomialFactor] = None
     scale: Optional[Fraction] = None
+
+    __getstate__ = _state_without_memo  # not its stored JSON text (``board._json_text``)
 
     @classmethod
     def relaxation(cls, J) -> "QuestRelation":

@@ -249,6 +249,13 @@ def test_explore(capsys):
     assert code == cli.EXIT_CAP
 
 
+def test_explore_reports_the_states_dido_decided_at(capsys):
+    # seed 16 meets 78 states it has already expanded: 236 nodes, 158 decisions
+    code, out, _ = run(capsys, "explore", "--seed", 16)
+    assert code == cli.EXIT_OK
+    assert out == "all_won=true branches=235 leaves=57 wins=57 max_depth=24 states=158\n"
+
+
 def test_explore_reports_a_capped_search(capsys, monkeypatch):
     code, full, _ = run(capsys, "explore", "--seed", 4)
     assert code == cli.EXIT_OK and "truncated" not in full

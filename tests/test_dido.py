@@ -1,13 +1,15 @@
 """Dido's strategy: the monomial measure, its order, small games and a sweep."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from salmagundy.dido import StrategyError, dms_less, measure_of
-from salmagundy.harness import play_game
-from salmagundy.mephisto import Policy
+from salmagundy.dido import DidoStrategy, StrategyError, _plans_text, dms_less, measure_of
+from salmagundy.game import CALL, apply_round, new_game
+from salmagundy.harness import gen_scenario, play_game
+from salmagundy.mephisto import Policy, respond
 from salmagundy.scenario import MonomialFactor, Scenario, zero_factor
 
 
@@ -134,3 +136,28 @@ def test_dido_wins_every_generated_game_of_seeds_100_to_399(policy):
         if not play_game(gen_scenario(seed), Policy.parse(policy)).won
     ]
     assert lost == []
+
+
+# ---- copies --------------------------------------------------------------------
+
+
+def test_a_copy_plans_apart_and_fills_its_own_slot():
+    # explore copies the strategy between decide and observe; a copy whose
+    # slot pointed at the original's plan would fill the wrong quest id
+    state, strategy = new_game(gen_scenario(16)), DidoStrategy()
+    policy = Policy.parse("canonical")
+    calls = 0
+    while (move := strategy.decide(state)) is not None:
+        twin = copy.deepcopy(strategy)
+        assert _plans_text(twin.plans) == _plans_text(strategy.plans)
+        assert twin.measure_log == strategy.measure_log
+        assert twin.measure_log is not strategy.measure_log
+        bundle = respond(state, move, policy)
+        untouched = _plans_text(strategy.plans)
+        branch = state.clone()
+        twin.observe(branch, move, bundle, apply_round(branch, move, bundle))
+        assert _plans_text(strategy.plans) == untouched
+        strategy.observe(state, move, bundle, apply_round(state, move, bundle))
+        assert _plans_text(twin.plans) == _plans_text(strategy.plans)
+        calls += move.kind == CALL
+    assert state.won and calls
