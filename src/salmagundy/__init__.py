@@ -18,6 +18,7 @@ from .board import (
     board_from_json,
     board_to_dot,
     board_to_json,
+    blowup_transform,
     trivial_refinement,
     validate_board,
     validate_board_transform,
@@ -58,7 +59,6 @@ from .mephisto import (
     NoValidBundle,
     Policy,
     RANDOM,
-    blowup_transform,
     respond,
 )
 from .quests import (

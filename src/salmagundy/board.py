@@ -3,10 +3,13 @@
 A board is the Hasse diagram of a finite poset together with a strictly
 monotone dimension label per node and a unique top node. A transform is an
 embedding ``i`` of the source into the target and a retract ``u`` back. The
-board changes only by a blowup at a center, which ``validate_board_transform``
-checks; a call round rides on the board's identity transform
-(``trivial_refinement``), which the umpire compares by value and checks no
-further.
+board changes only by a blowup at a center. This module builds it
+(``blowup_transform``) beside its check (``validate_board_transform``), and
+both read one dimension rule (``_blowup_dims``, issues 6-7). It alone names
+nodes: a blowup's fresh nodes are ``e<k>`` and ``q<k>``, numbered past every
+such id already on the board. A call round rides on the board's identity
+transform (``trivial_refinement``), which the umpire compares by value and
+checks no further.
 
 Everything here is immutable after construction and safe to share. That is
 what lets a check be answered once: ``_memo(check, *args)`` stores the
@@ -37,6 +40,8 @@ __all__ = [
     "validate_board",
     "validate_board_transform",
     "trivial_refinement",
+    "blowup_uppers",
+    "blowup_transform",
     "board_to_json",
     "board_from_json",
     "board_to_dot",
@@ -170,9 +175,6 @@ def _state_without_memo(owner) -> dict:
     return state
 
 
-_FRESH_RE = re.compile(r"^[eq](\d+)$")
-
-
 class Board:
     """Immutable annotated poset.
 
@@ -181,10 +183,7 @@ class Board:
     the transitive closure, precomputed here since boards stay small.
     """
 
-    __slots__ = (
-        "_dims", "_covers", "_ids", "_down", "_up", "_maximal", "_fresh_start", "_hash",
-        "_memo",
-    )
+    __slots__ = ("_dims", "_covers", "_ids", "_down", "_up", "_maximal", "_hash", "_memo")
 
     def __init__(self, dims: Mapping[NodeId, int], covers: Iterable[Tuple[NodeId, NodeId]]):
         dims = dict(dims)
@@ -221,12 +220,6 @@ class Board:
             self, "_maximal", tuple(s for s in self._ids if len(up[s]) == 1)
         )
 
-        fresh = 0
-        for s in dims:
-            m = _FRESH_RE.match(s)
-            if m:
-                fresh = max(fresh, int(m.group(1)) + 1)
-        object.__setattr__(self, "_fresh_start", fresh)
         object.__setattr__(
             self, "_hash", hash((tuple(sorted(dims.items())), self._covers))
         )
@@ -322,11 +315,6 @@ class Board:
     def n(self) -> int:
         """The board dimension: the dimension of the top node."""
         return self.dim(self.top)
-
-    @property
-    def fresh_start(self) -> int:
-        """First counter value whose 'e<k>'/'q<k>' ids are unused on this board."""
-        return self._fresh_start
 
     # ---- equality / hashing -------------------------------------------
 
@@ -428,6 +416,67 @@ def trivial_refinement(b: Board) -> BoardTransform:
         ident = FrozenDict((s, s) for s in b.ids)
         t = memo[REFINEMENT] = BoardTransform(REFINEMENT, b, b, ident, ident)
     return t
+
+
+# ---- blowups -------------------------------------------------------------
+
+_FRESH_RE = re.compile(r"^[eq](\d+)$")
+
+
+def blowup_uppers(board: Board, z: NodeId) -> List[NodeId]:
+    """The strict uppers of z that earn a fresh node (everything below top)."""
+    n = board.n
+    return sorted(t for t in board.up_set(z) if t != z and board.dim(t) < n)
+
+
+def _blowup_dims(board: Board, z: NodeId) -> Dict[NodeId, int]:
+    """Issues 6-7: the dimension of each source node's image under a blowup
+    at z. The down-set of z rises by n - 1 - dim(z), so the exceptional
+    node i(z) has dimension n - 1; every other node keeps its own."""
+    below = board.down_set(z)
+    shift = board.n - 1 - board.dim(z)
+    return {s: board.dim(s) + shift if s in below else board.dim(s) for s in board.ids}
+
+
+def blowup_transform(
+    board: Board, z: NodeId, keep_uppers: Optional[Iterable[NodeId]] = None
+) -> BoardTransform:
+    """Blow up z: the fiber collapses to one fresh node e of dimension n-1,
+    and each kept strict upper t below the top gains a fresh node x_t with
+    dim(x_t) = dim(t) - 1, squeezed between e and t. Node ids off the fiber
+    are reused, so only the fresh nodes are new.
+
+    The fresh ids are the only node names this package makes up: e is
+    ``e<k>`` and the x_t, in the order of t, are ``q<k+1>``, ``q<k+2>``, ...,
+    where k is one past the largest index of an ``e``/``q`` id on the board.
+    """
+    if z not in board:
+        raise ValueError(f"unknown center {z}")
+    top = board.top
+    if z == top:
+        raise ValueError("cannot blow up the top node")
+    ts = blowup_uppers(board, z)
+    if keep_uppers is not None:
+        keep = set(keep_uppers)
+        if not keep <= set(ts):
+            raise ValueError(f"kept uppers {sorted(keep - set(ts))} are not eligible")
+        ts = [t for t in ts if t in keep]
+    fresh = 1 + max((int(m.group(1)) for m in map(_FRESH_RE.match, board.ids) if m), default=-1)
+    e = f"e{fresh}"
+    xs = {t: f"q{fresh + 1 + k}" for k, t in enumerate(ts)}
+    embed = {s: s for s in board.ids}
+    embed[z] = e
+    dims = {embed[s]: d for s, d in _blowup_dims(board, z).items()}
+    dims.update((x, board.dim(t) - 1) for t, x in xs.items())
+    below = board.down_set(z)
+    # mixed pairs (a below z, b not) lose their edge
+    covers = [(embed[a], embed[b]) for a, b in board.covers if a not in below or b in below]
+    for t, x in xs.items():
+        covers += [(x, e), (x, t)]
+    covers.append((e, top))
+    retract = {embed[s]: s for s in board.ids}  # e = embed[z] retracts to z
+    retract.update(dict.fromkeys(xs.values(), z))
+    return BoardTransform(BLOWUP, board, Board(dims, covers), embed, retract, z)
 
 
 def validate_board_transform(t: BoardTransform) -> List[Violation]:
@@ -537,9 +586,7 @@ def _check_board_transform(t: BoardTransform) -> List[Violation]:
     n = src.n
     if z == src.top:
         out.append(Violation(rule, 5, (z,), "the top node may not be a blowup center"))
-    shift = n - 1 - src.dim(z)
-    for s in src.ids:
-        want = src.dim(s) + shift if s in below_z else src.dim(s)
+    for s, want in _blowup_dims(src, z).items():
         got = tgt.dim(i[s])
         if got != want:
             issue = 7 if s in below_z else 6

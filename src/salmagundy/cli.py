@@ -11,7 +11,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .board import Board, board_from_json, board_to_dot, board_to_json, validate_board
+from .board import board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
 from .harness import explore, gen_board, gen_scenario, play_game, scenario_to_dot
 from .mephisto import EXPLORE, CapError, NoValidBundle, Policy
@@ -127,20 +127,25 @@ def _load_json(path: str) -> dict:
         raise SystemExit(_usage(f"cannot read {path}: {exc}"))
 
 
-def _load_scenario(path: str):
-    data = _load_json(path)
-    try:
-        return scenario_from_json(data)
-    except ValueError as exc:
-        raise SystemExit(_usage(f"bad scenario in {path}: {exc}"))
+# What a JSON file may hold: its parser and its validator.
+_KINDS = {
+    "scenario": (scenario_from_json, validate_scenario),
+    "board": (board_from_json, validate_board),
+}
 
 
-def _load_board(path: str) -> Board:
-    data = _load_json(path)
+def _parse(path: str, kind: str, data):
+    """The ``kind`` value ``data``, read from ``path``, holds; one that does
+    not parse is a usage error."""
     try:
-        return board_from_json(data)
+        return _KINDS[kind][0](data)
     except (ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(_usage(f"bad board in {path}: {exc}"))
+        raise SystemExit(_usage(f"bad {kind} in {path}: {exc}"))
+
+
+def _load(path: str, kind: str):
+    """The ``kind`` value the JSON file ``path`` holds."""
+    return _parse(path, kind, _load_json(path))
 
 
 def _policy(args: argparse.Namespace, text: str) -> Policy:
@@ -160,7 +165,7 @@ def _game_scenario(args: argparse.Namespace):
     --seed; an invalid file exits 1 with its violations."""
     if not args.scenario:
         return gen_scenario(args.seed if args.seed is not None else 0)
-    scenario = _load_scenario(args.scenario)
+    scenario = _load(args.scenario, "scenario")
     violations = validate_scenario(scenario)
     if violations:
         raise SystemExit(_report(violations))
@@ -183,20 +188,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_validate(args) -> int:
     data = _load_json(args.file)
-    if "d" in data:
-        try:
-            c = scenario_from_json(data)
-        except ValueError as exc:
-            raise SystemExit(_usage(f"bad scenario in {args.file}: {exc}"))
-        violations = validate_scenario(c)
-        kind = "scenario"
-    else:
-        try:
-            b = board_from_json(data)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SystemExit(_usage(f"bad board in {args.file}: {exc}"))
-        violations = validate_board(b)
-        kind = "board"
+    kind = "scenario" if isinstance(data, dict) and "d" in data else "board"
+    violations = _KINDS[kind][1](_parse(args.file, kind, data))
     if violations:
         return _report(violations)
     print(f"{kind} ok")
@@ -209,7 +202,7 @@ def _cmd_gen(args) -> int:
         b = gen_board(seed, max_nodes=args.max_nodes, n=args.n)
         _emit(json.dumps(board_to_json(b), indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK
-    board = _load_board(args.board) if args.board else None
+    board = _load(args.board, "board") if args.board else None
     c = gen_scenario(seed, board=board, d=args.d, B=args.B, jib_count=args.jib_count)
     _emit(json.dumps(scenario_to_json(c), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -261,11 +254,11 @@ def _cmd_explore(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.scenario:
-        c = _load_scenario(args.scenario)
+        c = _load(args.scenario, "scenario")
         sys.stdout.write(scenario_to_dot(c))
         return EXIT_OK
     if args.board:
-        b = _load_board(args.board)
+        b = _load(args.board, "board")
         sys.stdout.write(board_to_dot(b))
         return EXIT_OK
     raise SystemExit(_usage("export dot needs --scenario or --board"))

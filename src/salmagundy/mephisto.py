@@ -15,13 +15,17 @@ free. The policies differ only in how they spend that freedom:
                      hold as many singular nodes as its incumbent.
 
 Mephisto owns no rule formula; each lives with the validator that checks
-it. A call's child comes from ``quests.call_response`` (descent orders
-aside). A blowup response takes its handicap and factors from
-``transform.blowup_jibs``, the exceptional node's pinned order from
+it. The blown-up board and its fresh node names come from
+``board.blowup_transform``, and a call's child from ``quests.call_response``
+(descent orders aside). A blowup response takes its handicap and factors
+from ``transform.blowup_jibs``, the exceptional node's pinned order from
 ``transform.exceptional_cap``, the nodes it must clear from
-``transform.cleared_nodes`` (item 13), and its discards from
-``game.blowup_discards``. Free orders are floored by ``scenario.extend_factor``
-and ``scenario.separation_mass`` (issues 6 and 8).
+``transform.cleared_nodes`` (item 13), the transported complete factor its
+orders must equal from ``transform.complete_transport`` (item 15), and its
+discards from ``game.blowup_discards``. Free orders are floored by
+``scenario.extend_factor`` and ``scenario.separation_mass`` (issues 6 and 8).
+The cap on fresh nodes, ``Policy.max_new_nodes``, is policy, not rule, so
+Mephisto applies it itself.
 
 The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
 shortcut: a keep set whose root response must fail scenario issue 9
@@ -79,7 +83,15 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .board import BLOWUP, Board, BoardTransform, NodeId, Violation, trivial_refinement
+from .board import (
+    Board,
+    BoardTransform,
+    NodeId,
+    Violation,
+    blowup_transform,
+    blowup_uppers,
+    trivial_refinement,
+)
 from .game import (
     BLOWUP_MOVE,
     Bundle,
@@ -95,7 +107,6 @@ from .scenario import (
     FactorSet,
     MonomialFactor,
     Scenario,
-    complete_factor,
     extend_factor,
     heavy_jib_violations,
     is_tight,
@@ -104,8 +115,8 @@ from .scenario import (
 )
 from .transform import (
     blowup_jibs,
-    capped_transport,
     cleared_nodes,
+    complete_transport,
     exceptional_cap,
     transport_relation,
 )
@@ -119,8 +130,6 @@ __all__ = [
     "CapError",
     "NoValidBundle",
     "Policy",
-    "blowup_uppers",
-    "blowup_transform",
     "respond",
     "respond_call",
     "respond_blowup",
@@ -151,11 +160,7 @@ class CapError(RuntimeError):
 
 
 class NoValidBundle(RuntimeError):
-    def __init__(self, message: str, violations: Sequence = ()):
-        self.violations = list(violations)
-        if self.violations:
-            message += ": " + "; ".join(str(v) for v in self.violations)
-        super().__init__(message)
+    """No valid bundle answers a move."""
 
 
 @dataclass(frozen=True)
@@ -191,79 +196,6 @@ class Policy:
         if self.kind == CANONICAL:
             return (0,)
         return tuple(range(self.max_order_steps + 1))
-
-
-# ---- blowup boards ----------------------------------------------------------
-
-
-def blowup_uppers(board: Board, z: NodeId) -> List[NodeId]:
-    """The strict uppers of z that earn a fresh node (everything below top)."""
-    n = board.n
-    return sorted(t for t in board.up_set(z) if t != z and board.dim(t) < n)
-
-
-def blowup_transform(
-    board: Board,
-    z: NodeId,
-    keep_uppers: Optional[Iterable[NodeId]] = None,
-    max_new: Optional[int] = None,
-) -> BoardTransform:
-    """Blow up z: the fiber collapses to one fresh node e of dimension n-1,
-    and each kept strict upper t below the top gains a fresh node x_t with
-    dim(x_t) = dim(t) - 1, squeezed between e and t. Node ids off the fiber
-    are reused, so only the fresh nodes are new.
-    """
-    if z not in board.ids:
-        raise ValueError(f"unknown center {z}")
-    n = board.n
-    top = board.top
-    if z == top:
-        raise ValueError("cannot blow up the top node")
-    ts = blowup_uppers(board, z)
-    if keep_uppers is not None:
-        keep = set(keep_uppers)
-        if not keep <= set(ts):
-            raise ValueError(f"kept uppers {sorted(keep - set(ts))} are not eligible")
-        ts = [t for t in ts if t in keep]
-    if max_new is not None and 1 + len(ts) > max_new:
-        raise CapError(
-            f"blowup at {z} needs {1 + len(ts)} fresh nodes, cap is {max_new}"
-        )
-    fresh = board.fresh_start
-    e = f"e{fresh}"
-    xs = {t: f"q{fresh + 1 + k}" for k, t in enumerate(ts)}
-    shift = n - 1 - board.dim(z)
-    embed = {s: s for s in board.ids}
-    embed[z] = e
-    dims: Dict[NodeId, int] = {}
-    for s in board.ids:
-        if board.leq(s, z):
-            dims[embed[s]] = board.dim(s) + shift
-        else:
-            dims[embed[s]] = board.dim(s)
-    for t, x in xs.items():
-        dims[x] = board.dim(t) - 1
-    covers = []
-    for a, b in board.covers:
-        if board.leq(a, z) and not board.leq(b, z):
-            continue  # mixed pairs lose their edge
-        covers.append((embed[a], embed[b]))
-    for t, x in xs.items():
-        covers.append((x, e))
-        covers.append((x, embed[t]))
-    covers.append((e, embed[top]))
-    retract = {embed[s]: s for s in board.ids}
-    retract[e] = z
-    for x in xs.values():
-        retract[x] = z
-    return BoardTransform(
-        kind=BLOWUP,
-        source=board,
-        target=Board(dims, covers),
-        embed=embed,
-        retract=retract,
-        center=z,
-    )
 
 
 # ---- free order assignment ---------------------------------------------------
@@ -360,9 +292,8 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
 
     keep -= {x for _, hit in cleared_nodes(c, bt, keep) for x in hit}
 
-    cf = complete_factor(c)
-    if cf is not None:
-        cf1 = capped_transport(c, bt, cf)
+    cf1 = complete_transport(c, bt)
+    if cf1 is not None:
         keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
 
     if is_tight(c):
@@ -397,9 +328,7 @@ def _pins(
     }
     if e in nodes:
         pinned[e] = exceptional_cap(c, bt.center)
-    cf = complete_factor(c)
-    override = capped_transport(c, bt, cf) if cf is not None else None
-    return pinned, override, is_tight(c)
+    return pinned, complete_transport(c, bt), is_tight(c)
 
 
 def _blowup_response(
@@ -592,8 +521,10 @@ def enumerate_blowup_bundles(
         subsets = [sub for sub in subsets if cap is None or 1 + len(sub) <= cap]
         if not subsets:
             raise CapError(f"no blowup at {z} fits inside max_new_nodes={cap}")
+    elif cap is not None and 1 + len(ts) > cap:
+        raise CapError(f"blowup at {z} needs {1 + len(ts)} fresh nodes, cap is {cap}")
     else:
-        subsets = [ts]  # may raise CapError below
+        subsets = [ts]
     levels = policy.bump_levels()
     examined = 0
     bounded = policy.kind == ADVERSARIAL
@@ -611,7 +542,7 @@ def enumerate_blowup_bundles(
         return False
 
     for sub in subsets:
-        bt = blowup_transform(board, z, sub, cap)
+        bt = blowup_transform(board, z, sub)
         keep_max = _root_keep_max(root, bt)
         keeps = _down_closed_keeps(bt.target, keep_max)
         repair = len(keep_max) > _KEEP_ENUM_LIMIT

@@ -14,7 +14,8 @@ the parent's S, H and T.
 and again after every blowup (``transform.commutes``); ``call_response`` is
 the one construction of the three fixed responses. It stores the child on
 the parent scenario for that very relation object, so the child Mephisto
-builds is the one ``call_check`` compares with. ``descent_check`` adds
+builds is the one ``call_check`` compares with, a relaxation child included.
+``descent_check`` adds
 what holds only when the descent call is made: its preconditions, the zero
 factor, and the validity of the child's free orders.
 """
@@ -125,9 +126,10 @@ def call_check(c: Scenario, rel: QuestRelation, c1: Scenario) -> List[Violation]
     parameters the parent does not admit."""
     if rel.kind == DESCENT:
         return _descent_relation(c, c1)
+    want = call_response(c, rel)
     if rel.kind == RELAXATION:
-        return relaxation_check(c, rel.jibs, c1)
-    return _compare_one_way(rel.kind, call_response(c, rel), c1)
+        return _check_relaxation(c, rel.jibs, want, c1)
+    return _compare_one_way(rel.kind, want, c1)
 
 
 # ---- transversality ------------------------------------------------------
@@ -276,7 +278,12 @@ def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Vio
     release, so admitting them would smuggle in unearned centers.
     """
     Js = frozenset(J)
-    want = relaxation_response(c, Js)
+    return _check_relaxation(c, Js, relaxation_response(c, Js), c1)
+
+
+def _check_relaxation(c: Scenario, Js: FrozenSet[NodeId], want: Scenario,
+                      c1: Scenario) -> List[Violation]:
+    """``relaxation_check`` against ``want``, the response declining more T."""
     rule = "relaxation"
     out: List[Violation] = []
     b = c.board

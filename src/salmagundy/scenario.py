@@ -36,6 +36,8 @@ from .board import (
     _memo,
     _memo_of,
     _state_without_memo,
+    board_from_json,
+    board_to_json,
 )
 from .values import INF, Value, format_value, parse_value
 
@@ -190,15 +192,21 @@ class Scenario:
 
     def jib_uppers(self, s: NodeId) -> Tuple[NodeId, ...]:
         """The jibs lying above s, sorted."""
-        return tuple(h for h in sorted(self.H) if self.board.leq(s, h))
+        return _jib_uppers(self.board, self.H, s)
+
+
+def _jib_uppers(board: Board, H: Iterable[NodeId], s: NodeId) -> Tuple[NodeId, ...]:
+    up = board.up_set(s)
+    return tuple(h for h in sorted(H) if h in up)
 
 
 def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
     """The factor's value at an arbitrary node: the sum of its weights at the
     jibs above s, INF as soon as one of them is uncapped."""
+    up = board.up_set(s)
     total = Fraction(0)
     for h, w in m.weights:
-        if board.leq(s, h):
+        if h in up:
             if w is INF:
                 return INF
             total += w
@@ -209,9 +217,10 @@ def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Va
     """The factor's weight that separates s from an upper t: the sum of its
     weights at the jibs above s but not above t, INF as soon as one of them
     is uncapped (scenario issue 8)."""
+    up_s, up_t = board.up_set(s), board.up_set(t)
     total = Fraction(0)
     for h, w in m.weights:
-        if board.leq(s, h) and not board.leq(t, h):
+        if h in up_s and h not in up_t:
             if w is INF:
                 return INF
             total += w
@@ -458,7 +467,7 @@ def _heavy_row(
     dim t = d - |K|."""
     weights = [g.as_dict() for g in M.generators]
     row = []
-    for K in heavy_jib_sets(tuple(h for h in sorted(H) if board.leq(s, h)), weights):
+    for K in heavy_jib_sets(_jib_uppers(board, H, s), weights):
         cands = board.up_set(s)
         for h in K:
             cands = cands & board.down_set(h)
@@ -520,8 +529,6 @@ def factor_from_json(data: Mapping[str, str]) -> MonomialFactor:
 
 def scenario_to_json(c: Scenario, board: object = None) -> dict:
     """Self-contained JSON; pass ``board`` to override the embedded board ref."""
-    from .board import board_to_json
-
     return {
         "board": board if board is not None else board_to_json(c.board),
         "d": c.d,
@@ -535,8 +542,6 @@ def scenario_to_json(c: Scenario, board: object = None) -> dict:
 
 
 def scenario_from_json(data: dict, board: Optional[Board] = None) -> Scenario:
-    from .board import board_from_json
-
     try:
         if board is None:
             board = board_from_json(data["board"])

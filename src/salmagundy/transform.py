@@ -10,33 +10,36 @@ compares against: ``lift_factor`` carries a factor through it, weighted at
 the exceptional node by ``capped_transport`` (items 14-15, capped by
 ``exceptional_cap``, which is also item 9's pinned order) or
 ``quotient_lifted_factor`` (a quotient call's factor); ``blowup_jibs`` is
-the handicap and factor set of every response (items 12 and 14), and
-``cleared_nodes`` the nodes no response may keep singular (item 13).
-``commutes`` checks the square linking a parent quest and a child created by
-an earlier call, for a child that survives the blowup: the child's new
-scenario must simultaneously answer the transported call on the parent's new
-scenario (``quests.call_check``, the one check of all four calls) and be a
-legal transform of the child's old scenario. Which children survive is
-``game.blowup_discards``'s decision alone.
+the handicap and factor set of every response (items 12 and 14),
+``complete_transport`` the one transport of a complete factor, which every
+response's orders must equal (item 15), and ``cleared_nodes`` the nodes no
+response may keep singular (item 13). The blown-up board itself is
+``board.blowup_transform``'s. ``commutes`` checks the square linking a
+parent quest and a child created by an earlier call, for a child that
+survives the blowup: the child's new scenario must simultaneously answer the
+transported call on the parent's new scenario (``quests.call_check``, the
+one check of all four calls) and be a legal transform of the child's old
+scenario. Which children survive is ``game.blowup_discards``'s decision
+alone.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
 scenario and ``commutes`` on the child's new scenario, one slot per identity
-of the other arguments (``board._memo``), and ``transport_relation`` and
-``blowup_jibs`` store their results on the blown-up board's transform, so
-every response of one quest shares one factor set and with it one issue-9
-table (``scenario.heavy_jib_violations``). Mephisto builds
-each distinct response once per blown-up board and shares it among the
-candidates, so a response checked for one candidate is a lookup for the
-next; the umpire checks the same bundle objects, so its second look is a
-lookup too.
+of the other arguments (``board._memo``), and ``transport_relation``,
+``blowup_jibs`` and ``complete_transport`` store their results on the
+blown-up board's transform, so every response of one quest shares one factor
+set and with it one issue-9 table (``scenario.heavy_jib_violations``).
+Mephisto builds each distinct response once per blown-up board and shares it
+among the candidates, so a response checked for one candidate is a lookup
+for the next; the umpire checks the same bundle objects, so its second look
+is a lookup too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .board import BLOWUP, BoardTransform, NodeId, Violation, _memo
 from .quests import (
@@ -65,6 +68,7 @@ __all__ = [
     "exceptional_cap",
     "lift_factor",
     "capped_transport",
+    "complete_transport",
     "cleared_nodes",
     "blowup_jibs",
     "quotient_lifted_factor",
@@ -101,6 +105,18 @@ def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> Mono
     """Items 14-15: carry a factor of c through the blowup ``bt``, the
     exceptional node taking the cap."""
     return lift_factor(m, bt, exceptional_cap(c, bt.center))
+
+
+def complete_transport(c: Scenario, bt: BoardTransform) -> Optional[MonomialFactor]:
+    """Item 15: the capped transport of c's complete factor, which every
+    order of a response to the blowup must equal; None when c has none.
+    Stored on ``bt`` for this very ``c``, like ``blowup_jibs``."""
+    return _memo(_complete_transport, c, bt)
+
+
+def _complete_transport(c: Scenario, bt: BoardTransform) -> Optional[MonomialFactor]:
+    m = complete_factor(c)
+    return None if m is None else capped_transport(c, bt, m)
 
 
 def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
@@ -263,9 +279,8 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
         out.append(Violation(RULE, 14, (e,), "factor generators are not the capped transports"))
 
     # Item 15: a complete factor stays complete after transport.
-    m = complete_factor(c)
-    if m is not None and not cap < 0:
-        m1 = capped_transport(c, bt, m)
+    m1 = None if cap < 0 else complete_transport(c, bt)
+    if m1 is not None:
         for s1 in sorted(c1.S):
             want = extend_factor(b1, m1, s1)
             if c1.ord[s1] != want:

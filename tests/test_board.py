@@ -20,13 +20,14 @@ from salmagundy.board import (
     _memo,
     board_from_json,
     board_to_dot,
+    blowup_transform,
+    blowup_uppers,
     board_to_json,
     trivial_refinement,
     validate_board,
     validate_board_transform,
 )
 from salmagundy.harness import gen_board
-from salmagundy.mephisto import blowup_transform, blowup_uppers
 
 
 # ---- construction -----------------------------------------------------------
@@ -56,9 +57,12 @@ def test_duplicate_covers_collapse():
 
 
 def test_fresh_start_skips_used_indices():
+    # A blowup numbers its fresh nodes past every e<k>/q<k> id on the board.
     b = Board({"e3": 1, "q7": 0, "w": 2}, [("q7", "e3"), ("e3", "w")])
-    assert b.fresh_start == 8
-    assert Board({"a": 0}, []).fresh_start == 0
+    t = blowup_transform(b, "q7")
+    assert t.exceptional == "e8"
+    assert set(t.target.ids) - set(b.ids) == {"e8", "q9"}
+    assert blowup_transform(Board({"a": 0, "w": 1}, [("a", "w")]), "a").exceptional == "e0"
 
 
 def test_equal_boards_hash_alike():

@@ -62,6 +62,10 @@ def test_validate_usage_errors(capsys, tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert run(capsys, "validate", garbled)[0] == cli.EXIT_USAGE
+    for text in ("3", "null", '"d"'):  # JSON, but no object
+        garbled.write_text(text)
+        code, _, err = run(capsys, "validate", garbled)
+        assert code == cli.EXIT_USAGE and "malformed board JSON" in err
 
 
 @pytest.mark.parametrize("field, value", [("ord", ["p"]), ("M", ["0"])], ids=["ord", "M"])
@@ -75,6 +79,25 @@ def test_scenario_entries_that_are_not_objects_are_usage_errors(
     for argv in (("validate", path), ("play", "--scenario", path)):
         code, _, err = run(capsys, *argv)
         assert code == cli.EXIT_USAGE and "malformed scenario JSON" in err
+
+
+def test_every_command_reports_a_file_that_does_not_parse_alike(capsys, tmp_path, chain_scenario):
+    # validate, gen, play and export read a board or scenario file through
+    # one path, so the message and exit code of a bad file are the same.
+    board = tmp_path / "board.json"
+    board.write_text(json.dumps({"nodes": [{"id": "a"}], "covers": []}))
+    scenario = tmp_path / "scenario.json"
+    data = scenario_to_json(chain_scenario)
+    del data["B"]
+    scenario.write_text(json.dumps(data))
+    for path, argvs, detail in (
+        (board, [("validate",), ("gen", "scenario", "--board"), ("export", "dot", "--board")],
+         "bad board in {}: malformed board JSON: 'dim'"),
+        (scenario, [("validate",), ("play", "--scenario"), ("export", "dot", "--scenario")],
+         "bad scenario in {}: malformed scenario JSON: 'B'"),
+    ):
+        for argv in argvs:
+            assert run(capsys, *argv, path) == (cli.EXIT_USAGE, "", f"error: {detail.format(path)}\n")
 
 
 # ---- play ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from salmagundy import board, game, harness, transform
-from salmagundy.board import Board, BoardTransform, trivial_refinement
+from salmagundy.board import Board, BoardTransform, blowup_transform, trivial_refinement
 from salmagundy.game import (
     WON,
     Bundle,
@@ -37,7 +37,6 @@ from salmagundy.dido import DidoStrategy
 from salmagundy.harness import gen_scenario, play_game
 from salmagundy.mephisto import (
     Policy,
-    blowup_transform,
     enumerate_blowup_bundles,
     enumerate_call_bundles,
     respond,

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salmagundy import mephisto, quests, scenario, transform
-from salmagundy.board import Board, Violation, trivial_refinement
+from salmagundy.board import (
+    Board,
+    Violation,
+    blowup_transform,
+    blowup_uppers,
+    trivial_refinement,
+)
 from salmagundy.dido import DidoStrategy
 from salmagundy.game import (
     GameState,
@@ -35,8 +41,6 @@ from salmagundy.mephisto import (
     _root_keep_max,
     _root_response,
     _shrink_keep,
-    blowup_transform,
-    blowup_uppers,
     enumerate_blowup_bundles,
     respond,
 )
@@ -364,11 +368,15 @@ def _per_candidate_blowup_bundles(state, z, policy):
             for sub in itertools.combinations(ts, size)
         ]
         subsets = [sub for sub in subsets if cap is None or 1 + len(sub) <= cap]
+        if not subsets:
+            raise CapError(f"no blowup at {z} fits inside max_new_nodes={cap}")
+    elif cap is not None and 1 + len(ts) > cap:
+        raise CapError(f"blowup at {z} needs {1 + len(ts)} fresh nodes, cap is {cap}")
     else:
         subsets = [ts]
     examined = 0
     for sub in subsets:
-        bt = blowup_transform(board, z, sub, cap)
+        bt = blowup_transform(board, z, sub)
         keep_max = _root_keep_max(root, bt)
         keeps = _down_closed_keeps(bt.target, keep_max)
         repair = len(keep_max) > _KEEP_ENUM_LIMIT
@@ -456,6 +464,30 @@ def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
         assert got == want, cap
 
 
+def _outcome(stream):
+    try:
+        return list(stream)
+    except CapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["canonical", mephisto.EXPLORE])
+def test_a_node_cap_stops_the_stream_as_it_stops_the_reference(kind):
+    state, move = _adversarial_state(0, 7)
+    z = move.center
+    width = 1 + len(blowup_uppers(state.board, z))
+    assert width > 2
+    for cap in (0, 1, width - 1, width):
+        policy = Policy(kind=kind, max_new_nodes=cap)
+        got = _outcome(enumerate_blowup_bundles(state, z, policy))
+        want = _outcome(_per_candidate_blowup_bundles(state, z, policy))
+        assert got == want, cap
+        if cap < (1 if kind == mephisto.EXPLORE else width):
+            assert isinstance(got, str) and str(cap) in got, cap
+        else:
+            assert got and not isinstance(got, str), cap
+
+
 # ---- responses shared within one blown-up board -------------------------------
 
 
@@ -473,15 +505,17 @@ def test_equal_responses_in_one_stream_are_one_object(kind):
 
 
 def test_the_umpire_builds_no_child_that_mephisto_built(monkeypatch):
-    # A transversality or quotient child is built once, by Mephisto's
-    # call_response, which stores it on its parent; the umpire's call_check
-    # reads it there, in the sieve, on the call round and in apply_round.
+    # A transversality, quotient or relaxation child is built once, by
+    # Mephisto's call_response, which stores it on its parent; the umpire's
+    # call_check reads it there, in the sieve, on the call round and in
+    # apply_round.
     policy = Policy.parse("adversarial")
     state = new_game(gen_scenario(0))
     dido = DidoStrategy()
     built = Counter()
     where = ["mephisto"]
-    for name in ("transversality_response", "quotient_response"):
+    kinds = ("transversality", "quotient", "relaxation")
+    for name in (f"{kind}_response" for kind in kinds):
 
         def counting(*args, _build=getattr(quests, name), _name=name):
             built[where[0], _name] += 1
@@ -504,18 +538,18 @@ def test_the_umpire_builds_no_child_that_mephisto_built(monkeypatch):
     while (move := dido.decide(state)) is not None:
         open_calls = {q.relation.kind for q in state.open_quests() if q.relation}
         if move.kind == "blowup":
-            rounds["blowup", frozenset(open_calls & {"transversality", "quotient"})] += 1
+            rounds["blowup", frozenset(open_calls.intersection(kinds))] += 1
         else:
             rounds["call", move.relation.kind, bool(move.relation.jibs)] += 1
         bundle = respond(state, move, policy)
         dido.observe(state, move, bundle, umpire(apply_round)(state, move, bundle))
     assert state.won
-    assert rounds["blowup", frozenset({"transversality", "quotient"})]
+    assert rounds["blowup", frozenset(kinds)]
     assert rounds["call", "transversality", True] and rounds["call", "quotient", False]
-    assert built["mephisto", "transversality_response"]
-    assert built["mephisto", "quotient_response"]
-    assert built["umpire", "transversality_response"] == 0
-    assert built["umpire", "quotient_response"] == 0
+    assert rounds["call", "relaxation", True]
+    for kind in kinds:
+        assert built["mephisto", f"{kind}_response"], kind
+        assert built["umpire", f"{kind}_response"] == 0, kind
 
 
 @pytest.mark.parametrize("seed, rounds", [(0, 7), (24, 11)])

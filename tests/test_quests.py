@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from salmagundy.board import BLOWUP, Board, BoardTransform, trivial_refinement
+from salmagundy.board import BLOWUP, Board, BoardTransform, blowup_transform, trivial_refinement
 from salmagundy.game import Bundle, Move, new_game, validate_bundle
-from salmagundy.mephisto import blowup_transform
 from salmagundy.quests import (
     QuestRelation,
     call_check,

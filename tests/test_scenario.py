@@ -11,14 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salmagundy.board import Board, Violation
+from salmagundy.board import Board, Violation, blowup_transform
 from salmagundy.harness import gen_scenario
-from salmagundy.mephisto import (
-    _down_closed_keeps,
-    _root_keep_max,
-    _root_response,
-    blowup_transform,
-)
+from salmagundy.mephisto import _down_closed_keeps, _root_keep_max, _root_response
 from salmagundy.scenario import (
     FactorSet,
     MonomialFactor,

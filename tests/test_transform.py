@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from salmagundy.board import Board, BoardTransform, trivial_refinement
+from salmagundy.board import Board, BoardTransform, blowup_transform, trivial_refinement
 from salmagundy.dido import DidoStrategy
 from salmagundy.game import (
     Bundle,
@@ -17,7 +17,7 @@ from salmagundy.game import (
     validate_bundle,
 )
 from salmagundy.harness import gen_scenario
-from salmagundy.mephisto import Policy, blowup_transform, respond
+from salmagundy.mephisto import Policy, respond
 from salmagundy.quests import (
     DESCENT,
     QUOTIENT,
