@@ -15,9 +15,8 @@ and again after every blowup (``transform.commutes``); ``call_response`` is
 the one construction of the three fixed responses. It stores the child on
 the parent scenario for that very relation object, so the child Mephisto
 builds is the one ``call_check`` compares with, a relaxation child included.
-``descent_check`` adds
-what holds only when the descent call is made: its preconditions, the zero
-factor, and the validity of the child's free orders.
+``descent_check`` adds what holds only when the descent call is made: its
+preconditions, the zero factor, and the validity of the child's free orders.
 """
 
 from __future__ import annotations
@@ -283,7 +282,7 @@ def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Vio
 
 def _check_relaxation(c: Scenario, Js: FrozenSet[NodeId], want: Scenario,
                       c1: Scenario) -> List[Violation]:
-    """``relaxation_check`` against ``want``, the response declining more T."""
+    """``relaxation_check`` against ``want``, the response that keeps T."""
     rule = "relaxation"
     out: List[Violation] = []
     b = c.board
