@@ -223,10 +223,10 @@ def _cmd_play(args) -> int:
         f"{'won' if result.won else 'not won'} in {result.rounds} rounds "
         f"({result.blowups} blowups); strict={str(result.singular_centers).lower()}"
     )
+    # Dido stops only once the root is won, so a game ends unwon only at the round cap.
     if not result.won:
-        if result.note:
-            sys.stderr.write(result.note + "\n")
-        return EXIT_CAP if "cap" in result.note else EXIT_VIOLATIONS
+        sys.stderr.write(result.note + "\n")
+        return EXIT_CAP
     return EXIT_OK
 
 

@@ -18,11 +18,12 @@ Mephisto owns no rule formula; each lives with the validator that checks
 it. The blown-up board and its fresh node names come from
 ``board.blowup_transform``, and a call's child from ``quests.call_response``
 (descent orders aside). A blowup response takes its handicap and factors
-from ``transform.blowup_jibs``, the exceptional node's pinned order from
-``transform.exceptional_cap``, the nodes it must clear from
-``transform.cleared_nodes`` (item 13), the transported complete factor its
-orders must equal from ``transform.complete_transport`` (item 15), and its
-discards from ``game.blowup_discards``. Free orders are floored by
+from ``transform.blowup_jibs``, the orders of the exceptional node and of
+every node off the exceptional locus from ``transform.pinned_orders``
+(items 9-10), the nodes it must clear from ``transform.cleared_nodes`` (item
+13), the transported complete factor its orders must equal from
+``transform.complete_transport`` (item 15), and its discards from
+``game.blowup_discards``. Free orders are floored by
 ``scenario.extend_factor`` and ``scenario.separation_mass`` (issues 6 and 8).
 The cap on fresh nodes, ``Policy.max_new_nodes``, is policy, not rule, so
 Mephisto applies it itself.
@@ -41,8 +42,8 @@ bundle's first score component is its total |S|. On each blown-up board
 every quest q has a ceiling (``_order_ceilings``): a scenario whose S,
 called D_q, holds every node q's response can hold singular there, at
 orders no lower than the response's. The root's ceiling is the largest
-keep at the highest orders ``_pins`` allows. Each child's is
-``quests.call_response`` of its parent's ceiling, since a call's S and
+keep at the highest orders ``transform.pinned_orders`` allows. Each child's
+is ``quests.call_response`` of its parent's ceiling, since a call's S and
 orders can only grow as its parent's do; where the call raises (descent,
 which frees the orders, or parameters the ceiling does not admit) the
 child's ceiling is its parent's S at order INF. Each response's S lies
@@ -117,7 +118,7 @@ from .transform import (
     blowup_jibs,
     cleared_nodes,
     complete_transport,
-    exceptional_cap,
+    pinned_orders,
     transport_relation,
 )
 from .values import INF, Value, is_finite
@@ -214,8 +215,9 @@ def _order_floor(
     floor: Value = Fraction(1)
     for g in gens:
         floor = max(floor, extend_factor(board, g, f))
+    above = board.up_set(f)
     for t, vt in assigned.items():
-        if t == f or not board.leq(f, t):
+        if t == f or t not in above:
             continue
         for g in gens:
             floor = max(floor, vt + separation_mass(board, g, f, t))
@@ -272,16 +274,18 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
 
     Forced removals: nodes above the target dimension, the exceptional node
     when its pinned order leaves the regime, the sets item 13 clears, nodes a
-    complete factor prices below 1, and (in a tight quest) nodes whose floor
-    already exceeds 1. Removals cascade upward to keep the set down-closed.
+    complete factor prices below 1, and (in a tight quest) nodes of dimension
+    d, whose order INF breaks tightness. Every other node of a tight quest
+    has floor 1 (issues 6 and 8 carry over from the source, and the cap 0
+    has removed e), so none goes for its floor. Removals cascade upward to
+    keep the set down-closed.
     """
     board0, board1 = c.board, bt.target
-    z = bt.center
     e = bt.exceptional
     keep = {x for x in board1.ids if bt.retract[x] in c.S}
 
     if e in keep:
-        pe = exceptional_cap(c, z)
+        pe = pinned_orders(c, bt)[e]
         d_ok = (c.d == board0.n and is_finite(pe) and pe >= 1) or (
             c.d == board0.n - 1 and not is_finite(pe)
         )
@@ -297,38 +301,10 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
         keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
 
     if is_tight(c):
-        gens1 = blowup_jibs(c, bt)[1].generators
-        # One pass: while every other kept node sits at order 1, a floor can
-        # only fall as nodes leave, so a second pass would remove nothing.
-        ones = {x: Fraction(1) for x in keep}
-        for x in sorted(keep):
-            if board1.dim(x) == c.d:
-                keep.discard(x)
-                continue
-            rest = {t: w for t, w in ones.items() if t != x}
-            if _order_floor(board1, gens1, rest, x) != Fraction(1):
-                keep.discard(x)
+        keep -= {x for x in keep if board1.dim(x) == c.d}
 
     # down-closedness is absolute: a kept node needs every node below it kept
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
-
-
-def _pins(
-    c: Scenario, bt: BoardTransform, nodes: Iterable[NodeId]
-) -> Tuple[Dict[NodeId, Value], Optional[MonomialFactor], bool]:
-    """What items 9, 10 and 15 fix of a blowup response holding ``nodes``
-    singular, whatever its keep and bump: the pinned orders (e at its cap,
-    each node off the exceptional locus at its source order), the
-    transported complete factor whose extension every order must equal, if
-    c has one, and whether c is tight, which forces every order to 1."""
-    board1 = bt.target
-    e = bt.exceptional
-    pinned: Dict[NodeId, Value] = {
-        x: c.ord[bt.retract[x]] for x in nodes if not board1.leq(x, e)
-    }
-    if e in nodes:
-        pinned[e] = exceptional_cap(c, bt.center)
-    return pinned, complete_transport(c, bt), is_tight(c)
 
 
 def _blowup_response(
@@ -340,12 +316,13 @@ def _blowup_response(
 ) -> Optional[Scenario]:
     """Carry c through the blowup onto the singular set S1 and transversal
     set T1: handicap i(H) + e, the capped transports of the factors, orders
-    pinned where ``_pins`` pins them and chosen elsewhere."""
+    pinned where ``transform.pinned_orders`` pins them and chosen elsewhere,
+    each equal to the transported complete factor's extension if c has one,
+    and each 1 if c is tight."""
     H1, M1 = blowup_jibs(c, bt)
-    pinned, override, tight = _pins(c, bt, S1)
     ords = _assign_orders(
-        bt.target, c.d, S1, M1.generators, pinned, bump,
-        force_one=tight, override=override,
+        bt.target, c.d, S1, M1.generators, pinned_orders(c, bt), bump,
+        force_one=is_tight(c), override=complete_transport(c, bt),
     )
     if ords is None:
         return None
@@ -446,10 +423,10 @@ def _order_ceilings(
     call's S or orders depend on it."""
     root = state.root.scenario
     board1 = bt.target
-    pinned, override, tight = _pins(root, bt, keep_max)
+    pinned, override = pinned_orders(root, bt), complete_transport(root, bt)
     ords = {
         x: extend_factor(board1, override, x) if override is not None
-        else Fraction(1) if tight
+        else Fraction(1) if is_tight(root)
         else pinned.get(x, INF)
         for x in keep_max
     }
@@ -611,11 +588,11 @@ def enumerate_blowup_bundles(
                         keeps.append(smaller)
 
 
-def _descent_call_child(c: Scenario, bump: Fraction) -> Optional[Scenario]:
+def _descent_call_child(c: Scenario, bump: Fraction) -> Scenario:
+    """The descent child at level ``bump``. Nothing is pinned or forced, so
+    every order is INF, the floor or above it, and one always exists."""
     gens = (zero_factor(frozenset()),)
     ords = _assign_orders(c.board, c.d - 1, c.S, gens, {}, bump)
-    if ords is None:
-        return None
     return Scenario.make(
         board=c.board, d=c.d - 1, B=c.B, H=frozenset(), S=c.S, T=c.T,
         ord=ords, M=FactorSet.of(gens),
@@ -645,7 +622,7 @@ def enumerate_call_bundles(
             raise NoValidBundle(f"illegal call: {exc}") from exc
     seen: List[Scenario] = []
     for child in children:
-        if child is None or child in seen:
+        if child in seen:
             continue
         seen.append(child)
         # A child equal to an open quest's scenario is that object, so at the

@@ -382,9 +382,7 @@ def _check_scenario(c: Scenario) -> List[Violation]:
     # exact condition for s <= t is ord(s) - separation_mass(g, s, t) >=
     # ord(t), with an infinite separating weight forcing ord(s) = INF.
     for s in sorted(c.S):
-        for t in sorted(c.S):
-            if s == t or not b.leq(s, t):
-                continue
+        for t in sorted((b.up_set(s) & c.S) - {s}):
             for g in gens:
                 spent = separation_mass(b, g, s, t)
                 if spent is INF:

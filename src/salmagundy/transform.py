@@ -8,9 +8,11 @@ numbers stay free so that violation tags do not shift. This module owns the
 formulas of a blowup, which Mephisto and Dido build with and the validator
 compares against: ``lift_factor`` carries a factor through it, weighted at
 the exceptional node by ``capped_transport`` (items 14-15, capped by
-``exceptional_cap``, which is also item 9's pinned order) or
-``quotient_lifted_factor`` (a quotient call's factor); ``blowup_jibs`` is
-the handicap and factor set of every response (items 12 and 14),
+``exceptional_cap``) or ``quotient_lifted_factor`` (a quotient call's
+factor); ``pinned_orders`` is the order every response must give each node
+it keeps singular at the exceptional node (item 9, the cap) or off the
+exceptional locus (item 10, the source's order), ``blowup_jibs`` the
+handicap and factor set of every response (items 12 and 14),
 ``complete_transport`` the one transport of a complete factor, which every
 response's orders must equal (item 15), and ``cleared_nodes`` the nodes no
 response may keep singular (item 13). The blown-up board itself is
@@ -26,9 +28,10 @@ Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
 scenario and ``commutes`` on the child's new scenario, one slot per identity
 of the other arguments (``board._memo``), and ``transport_relation``,
-``blowup_jibs`` and ``complete_transport`` store their results on the
-blown-up board's transform, so every response of one quest shares one factor
-set and with it one issue-9 table (``scenario.heavy_jib_violations``).
+``pinned_orders``, ``blowup_jibs`` and ``complete_transport`` store their
+results on the blown-up board's transform, so every response of one quest
+shares one pin map, one factor set and with it one issue-9 table
+(``scenario.heavy_jib_violations``).
 Mephisto builds each distinct response once per blown-up board and shares it
 among the candidates, so a response checked for one candidate is a lookup
 for the next; the umpire checks the same bundle objects, so its second look
@@ -41,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from .board import BLOWUP, BoardTransform, NodeId, Violation, _memo
+from .board import BLOWUP, BoardTransform, FrozenDict, NodeId, Violation, _memo
 from .quests import (
     DESCENT,
     QUOTIENT,
@@ -66,6 +69,7 @@ __all__ = [
     "QuestRelation",
     "validate_blowup_transform",
     "exceptional_cap",
+    "pinned_orders",
     "lift_factor",
     "capped_transport",
     "complete_transport",
@@ -90,6 +94,27 @@ def exceptional_cap(c: Scenario, z: NodeId) -> Value:
     z: ord(z) - 1, or 0 for a center outside S. For a singular center it is
     also the order item 9 pins on the exceptional node."""
     return c.ord[z] - 1 if z in c.S else Fraction(0)
+
+
+def pinned_orders(c: Scenario, bt: BoardTransform) -> FrozenDict:
+    """Items 9-10: the order a response to the blowup must give each node of
+    u^{-1}(S) it keeps singular, whatever its keep. The exceptional node e,
+    when the center is singular, sits at ``exceptional_cap``; every node not
+    below e keeps its source node's order; the other fresh nodes are free.
+    Stored on ``bt`` for this very ``c``, like ``blowup_jibs``."""
+    return _memo(_pinned_orders, c, bt)
+
+
+def _pinned_orders(c: Scenario, bt: BoardTransform) -> FrozenDict:
+    below_e = bt.target.down_set(bt.exceptional)
+    pins = {
+        x: c.ord[src]
+        for x, src in bt.retract.items()
+        if src in c.S and x not in below_e
+    }
+    if bt.center in c.S:
+        pins[bt.exceptional] = exceptional_cap(c, bt.center)
+    return FrozenDict(pins)
 
 
 def lift_factor(m: MonomialFactor, bt: BoardTransform, e_weight: Value) -> MonomialFactor:
@@ -203,6 +228,7 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
 
     # Item 9: the exceptional node needs a heavy singular center; its order
     # is pinned one below the center's.
+    pins = pinned_orders(c, bt)
     if e in c1.S:
         if z not in c.S or c.ord[z] < 2:
             out.append(
@@ -213,30 +239,26 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
                     "exceptional node kept singular although the center has order < 2 or is not singular",
                 )
             )
-        elif c1.ord[e] != exceptional_cap(c, z):
+        elif c1.ord[e] != pins[e]:
             out.append(
                 Violation(
                     RULE,
                     9,
                     (e,),
-                    f"ord({e}) = {format_value(c1.ord[e])}, expected "
-                    f"{format_value(exceptional_cap(c, z))}",
+                    f"ord({e}) = {format_value(c1.ord[e])}, expected {format_value(pins[e])}",
                 )
             )
 
     # Item 10: orders are carried over outside the exceptional locus.
     for s1 in sorted(c1.S):
-        if b1.leq(s1, e):
-            continue
-        src = bt.retract[s1]
-        if src in c.S and c1.ord[s1] != c.ord[src]:
+        if s1 != e and s1 in pins and c1.ord[s1] != pins[s1]:
             out.append(
                 Violation(
                     RULE,
                     10,
                     (s1,),
-                    f"ord({s1}) = {format_value(c1.ord[s1])} != ord({src}) = "
-                    f"{format_value(c.ord[src])}",
+                    f"ord({s1}) = {format_value(c1.ord[s1])} != ord({bt.retract[s1]}) = "
+                    f"{format_value(pins[s1])}",
                 )
             )
 

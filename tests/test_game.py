@@ -13,6 +13,7 @@ import pytest
 from salmagundy import board, game, harness, transform
 from salmagundy.board import Board, BoardTransform, blowup_transform, trivial_refinement
 from salmagundy.game import (
+    DISCARDED,
     WON,
     Bundle,
     BundleError,
@@ -685,23 +686,29 @@ def test_no_scenario_stores_the_callers_scenario_or_itself(monkeypatch, play):
 
 
 @pytest.fixture
-def layered_state():
+def layered_game():
     """On the chain p < a < w, a quotient child (quest 1) keeps p but drops
     a, so a blowup at a, admissible for the main quest, closes it; quest 2 is
-    a call on quest 1."""
+    a call on quest 1. The state, and the trace of its two rounds."""
     b = Board({"p": 0, "a": 1, "w": 2}, [("p", "a"), ("a", "w")])
     c = Scenario.make(
         board=b, d=2, B=1, H=(), S={"p", "a"}, T=b.ids, ord={"p": 2, "a": 1},
         M=[zero_factor(())],
     )
     st = new_game(c)
+    lines = [round_to_json(trace_header(c, "canonical"))]
     for move in (
         Move.call(0, QuestRelation.quotient(zero_factor(()), 2)),
         Move.call(1, QuestRelation.transversality(())),
     ):
-        apply_round(st, move, respond(st, move, Policy()))
+        lines.append(round_to_json(apply_round(st, move, respond(st, move, Policy()))))
     assert st.quests[1].scenario.S == {"p"}
-    return st
+    return st, lines
+
+
+@pytest.fixture
+def layered_state(layered_game):
+    return layered_game[0]
 
 
 def test_blowup_discards_close_the_subtree_of_a_closed_quest(layered_state):
@@ -720,12 +727,20 @@ def test_blowup_discards_close_the_subtree_of_a_closed_quest(layered_state):
 
 
 @pytest.mark.parametrize("policy", ["canonical", "random:3", "adversarial"])
-def test_respond_discards_what_the_umpire_closes(layered_state, policy):
-    st = layered_state
+def test_respond_discards_what_the_umpire_closes(layered_game, policy):
+    st, lines = layered_game
     move = Move.blowup("a")
     bundle = respond(st, move, Policy.parse(policy))
     assert bundle.discards == blowup_discards(st, bundle.transform) == {1, 2}
     assert validate_bundle(st, move, bundle) == []
+    # the round closes both quests, and its trace replays
+    played = st.clone()
+    record = apply_round(played, move, bundle)
+    assert played.quests[1].status == played.quests[2].status == DISCARDED
+    assert not played.strict and st.strict
+    assert record["discarded"] == [1, 2]
+    lines.append(round_to_json(record))
+    assert replay_trace(lines) == played
     # a quest whose parent is closed is discarded, not answered
     st.quests[1].status = WON
     st.quests[2].scenario = st.root.scenario

@@ -1,5 +1,6 @@
 """Response policies: enumeration, selection, caps, and determinism."""
 
+import dataclasses
 import itertools
 import sys
 from collections import Counter
@@ -34,6 +35,7 @@ from salmagundy.mephisto import (
     NoValidBundle,
     Policy,
     _assemble_blowup,
+    _assign_orders,
     _bundle_score,
     _down_closed_keeps,
     _keep_bound,
@@ -48,13 +50,19 @@ from salmagundy.quests import quotient_response, transversality_response
 from salmagundy.scenario import (
     MonomialFactor,
     Scenario,
+    admissible_centers,
     extend_factor,
     heavy_jib_violations,
+    is_tight,
+    validate_scenario,
     zero_factor,
 )
 from salmagundy.transform import (
     QuestRelation,
     blowup_jibs,
+    cleared_nodes,
+    complete_transport,
+    exceptional_cap,
     transport_relation,
     validate_blowup_transform,
 )
@@ -226,45 +234,110 @@ def _two_pass_assign_orders(
     return ords
 
 
-def _pinned_variants(pinned):
-    """The pinned orders as given, and with each finite one moved to 1 and
-    up by 1: the first can sink below the node's floor, the second lifts
-    the floor of the pinned nodes below it."""
+def _pinned_variants(pinned, keep):
+    """The pinned orders as given, and with the order of each finite pinned
+    node of ``keep`` moved to 1 and up by 1: the first can sink below the
+    node's floor, the second lifts the floor of the pinned nodes below it."""
     yield pinned
     for f, v in sorted(pinned.items()):
-        if is_finite(v):
+        if f in keep and is_finite(v):
             for w in (Fraction(1), v + 1):
                 yield {**pinned, f: w}
 
 
-def test_one_pass_order_assignment_matches_the_two_pass_reference(monkeypatch):
-    calls = []
-    one_pass = mephisto._assign_orders
+@pytest.fixture(scope="module")
+def recorded_calls():
+    """The arguments of every ``_assign_orders`` and ``_root_keep_max`` call
+    that canonical, adversarial and random:1 games make."""
+    calls = {"_assign_orders": [], "_root_keep_max": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, calls_of in calls.items():
+            def record(*args, _real=getattr(mephisto, name), _calls=calls_of, **kwargs):
+                _calls.append((args, kwargs))
+                return _real(*args, **kwargs)
 
-    def record(*args, **kwargs):
-        calls.append((args, kwargs))
-        return one_pass(*args, **kwargs)
+            mp.setattr(mephisto, name, record)
+        games = [(gen_scenario(s), k) for s in range(20) for k in ("canonical", "adversarial")]
+        games += [(gen_monomial_scenario(s), k) for s in range(6) for k in ("canonical", "random:1")]
+        for scenario, kind in games:
+            play_game(scenario, Policy.parse(kind))
+    return calls
 
-    monkeypatch.setattr(mephisto, "_assign_orders", record)
-    games = [(gen_scenario(s), k) for s in range(20) for k in ("canonical", "adversarial")]
-    games += [(gen_monomial_scenario(s), k) for s in range(6) for k in ("canonical", "random:1")]
-    for scenario, kind in games:
-        play_game(scenario, Policy.parse(kind))
-    monkeypatch.undo()
 
+def test_one_pass_order_assignment_matches_the_two_pass_reference(recorded_calls):
     shapes = {"override": 0, "pinned": 0, "descent": 0, "none": 0, "orders": 0}
-    for (board, d, keep, gens, pinned, bump, *rest), kwargs in calls:
+    for (board, d, keep, gens, pinned, bump, *rest), kwargs in recorded_calls["_assign_orders"]:
         override = kwargs.get("override")
         shapes["override"] += override is not None
-        shapes["pinned"] += bool(pinned)
+        shapes["pinned"] += any(f in pinned for f in keep)
         shapes["descent"] += not gens[0].weights  # blowup responses have jib e
-        for variant in _pinned_variants(pinned):
+        for variant in _pinned_variants(pinned, keep):
             args = (board, d, keep, gens, variant, bump, *rest)
             want = _two_pass_assign_orders(*args, **kwargs)
-            assert one_pass(*args, **kwargs) == want
+            assert _assign_orders(*args, **kwargs) == want
             shapes["none" if want is None else "orders"] += 1
     # every kind of call, and both outcomes, were met
     assert all(shapes.values()), shapes
+
+
+def _keep_max_with_tight_floor_pass(c, bt, examined):
+    """Reference: the largest keep as ``_root_keep_max`` once worked it out,
+    with a last pass in a tight quest that also dropped each node whose floor
+    exceeds 1 while every other kept node sits at order 1. Each node that
+    pass weighs is appended to ``examined``."""
+    board0, board1 = c.board, bt.target
+    z, e = bt.center, bt.exceptional
+    keep = {x for x in board1.ids if bt.retract[x] in c.S}
+    if e in keep:
+        pe = exceptional_cap(c, z)
+        d_ok = (c.d == board0.n and is_finite(pe) and pe >= 1) or (
+            c.d == board0.n - 1 and not is_finite(pe)
+        )
+        if not d_ok:
+            keep.discard(e)
+    keep -= {x for x in keep if board1.dim(x) > c.d}
+    keep -= {x for _, hit in cleared_nodes(c, bt, keep) for x in hit}
+    cf1 = complete_transport(c, bt)
+    if cf1 is not None:
+        keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
+    if is_tight(c):
+        gens1 = blowup_jibs(c, bt)[1].generators
+        ones = {x: Fraction(1) for x in keep}
+        for x in sorted(keep):
+            if board1.dim(x) == c.d:
+                keep.discard(x)
+                continue
+            examined.append(x)
+            rest = {t: w for t, w in ones.items() if t != x}
+            if mephisto._order_floor(board1, gens1, rest, x) != Fraction(1):
+                keep.discard(x)
+    return frozenset(x for x in keep if board1.down_set(x) <= keep)
+
+
+def _tight_valid_roots(seeds):
+    """``gen_scenario`` scenarios with every order set to 1, where that is
+    still a valid scenario with a singular node."""
+    for seed in seeds:
+        c = gen_scenario(seed)
+        tight = dataclasses.replace(c, ord=dict.fromkeys(c.S, Fraction(1)))
+        if tight.S and not validate_scenario(tight):
+            yield tight
+
+
+def test_a_tight_quest_drops_no_node_for_its_floor(recorded_calls):
+    cases = [args for args, _ in recorded_calls["_root_keep_max"]]
+    played = len(cases)
+    cases += [
+        (c, blowup_transform(c.board, z))
+        for c in _tight_valid_roots(range(300))
+        for z in sorted(admissible_centers(c))
+    ]
+    examined = []
+    for c, bt in cases:
+        assert _root_keep_max(c, bt) == _keep_max_with_tight_floor_pass(c, bt, examined)
+    # the games and the tight roots both reach the pass, and it weighs nodes
+    assert any(is_tight(c) for c, _ in cases[:played])
+    assert len(cases) - played > 100 and examined
 
 
 # ---- keep enumeration helpers -------------------------------------------------
