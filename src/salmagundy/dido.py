@@ -292,7 +292,7 @@ class DidoStrategy:
         if not minimal:
             raise StrategyError("no critical set although singular nodes remain")
         K = min(minimal, key=lambda t: (len(t), t))
-        N = c.board.maximal_among(s for s in c.S if all(c.board.leq(s, h) for h in K))
+        N = c.board.maximal_among(c.S.intersection(*(c.board.down_set(h) for h in K)))
         if not N:
             raise StrategyError(f"critical set {K} has no singular node below it")
         for s in N:

@@ -10,7 +10,9 @@ the relation created by the original call. Each condition is checked once,
 in one place. ``blowup_discards`` alone decides which quests a blowup
 closes: the umpire rejects a bundle whose discards or responses disagree
 with it before it checks any square, so ``transform.commutes`` sees only
-surviving children.
+surviving children. Quests are values: ``apply_round`` stores a new ``Quest``
+under the id of each quest it changes, so ``GameState`` is a game's one
+mutable object, and a clone copies the quest dict and shares every quest.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: a verdict is stored on the object it describes, one slot
@@ -99,7 +101,7 @@ WON = "won"
 DISCARDED = "discarded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Quest:
     """One quest: a scenario plus the call that created it (root: none)."""
 
@@ -136,7 +138,7 @@ class GameState:
     def clone(self) -> "GameState":
         return GameState(
             board=self.board,
-            quests={qid: replace(q) for qid, q in self.quests.items()},
+            quests=dict(self.quests),
             round_no=self.round_no,
             next_quest_id=self.next_quest_id,
         )
@@ -149,9 +151,7 @@ def new_game(scenario: Scenario) -> GameState:
     vs = validate_scenario(scenario)
     if vs:
         raise ValueError("initial scenario is invalid: " + "; ".join(map(str, vs)))
-    root = Quest(0, None, None, scenario)
-    if not scenario.S:
-        root.status = WON
+    root = Quest(0, None, None, scenario, OPEN if scenario.S else WON)
     return GameState(board=scenario.board, quests={0: root})
 
 
@@ -381,24 +381,22 @@ def apply_round(state: GameState, move: Move, bundle: Bundle) -> dict:
     newly_won: List[int] = []
     if move.kind == CALL:
         child_id = state.next_quest_id
-        child = Quest(child_id, move.quest_id, move.relation, bundle.child)
-        state.quests[child_id] = child
+        status = OPEN if bundle.child.S else WON
+        state.quests[child_id] = Quest(child_id, move.quest_id, move.relation, bundle.child, status)
         state.next_quest_id += 1
         record["new_quest"] = child_id
-        if not bundle.child.S:
-            child.status = WON
+        if status == WON:
             newly_won.append(child_id)
     else:
         bt = bundle.transform
         for qid in sorted(bundle.discards):
-            state.quests[qid].status = DISCARDED
-        for qid, new_sc in bundle.responses.items():
+            state.quests[qid] = replace(state.quests[qid], status=DISCARDED)
+        for qid, new_sc in bundle.responses.items():  # the gate admits open quests only
             quest = state.quests[qid]
-            quest.scenario = new_sc
-            if quest.relation is not None:
-                quest.relation = transport_relation(quest.relation, bt)
-            if not new_sc.S and quest.status == OPEN:
-                quest.status = WON
+            rel = quest.relation and transport_relation(quest.relation, bt)
+            status = OPEN if new_sc.S else WON
+            state.quests[qid] = Quest(qid, quest.parent_id, rel, new_sc, status)
+            if status == WON:
                 newly_won.append(qid)
         state.board = bt.target
         record["new_quest"] = None

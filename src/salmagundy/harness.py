@@ -345,9 +345,11 @@ def explore(
     no scenario or board alive; its memory grows by one entry per stored
     state.
 
-    A branch encodes no trace line: the search carries each record on a
-    (parent, record) chain and encodes the chain only for the first lost
-    leaf, as ``counterexample``.
+    A branch shares its parent's quests: ``GameState.clone`` copies only the
+    quest dict, and ``apply_round`` stores a new value for each quest it
+    changes. A branch encodes no trace line: the search carries each record
+    on a (parent, record) chain and encodes the chain only for the first
+    lost leaf, as ``counterexample``.
     """
     policy = Policy(
         kind=EXPLORE, max_new_nodes=max_new_nodes, max_order_steps=max_order_steps

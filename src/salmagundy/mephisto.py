@@ -402,10 +402,7 @@ def _shrink_keep(
     bad = {w for v in violations for w in v.witness if w in keep}
     if not bad:
         return None
-    shed = set()
-    for x in bad:
-        shed |= {y for y in keep if board1.leq(x, y)}
-    return frozenset(keep - shed)
+    return keep.difference(*(board1.up_set(x) for x in bad))
 
 
 # ---- the adversarial stop ------------------------------------------------------
@@ -512,12 +509,6 @@ def enumerate_blowup_bundles(
         if truncated is not None and reason not in truncated:
             truncated.append(reason)
 
-    def capped() -> bool:
-        if examined > _CANDIDATE_CAP:
-            note(f"stopped after {_CANDIDATE_CAP} candidates")
-            return True
-        return False
-
     for sub in subsets:
         bt = blowup_transform(board, z, sub)
         keep_max = _root_keep_max(root, bt)
@@ -536,7 +527,7 @@ def enumerate_blowup_bundles(
             if quest.parent_id is not None and quest.quest_id not in discards
         }
         interned: Dict[Scenario, Scenario] = {}
-        tried = set(keeps)
+        tried = {keep_max}  # read on the repair path only, where keeps == [keep_max]
         if bounded:
             ceilings = _order_ceilings(state, bt, keep_max, relations)
             rest = [0]  # rest[j]: the largest bound among the last j keeps
@@ -549,21 +540,20 @@ def enumerate_blowup_bundles(
             ):
                 break
             keep = keeps.pop(0)
-            if not repair and heavy_jib_violations(bt.target, root.d, H1, keep, M1):
-                # Every level's root response has S = keep, H = H1 and M = M1,
-                # so the sieve below would reject each one on scenario issue 9.
-                # Count them as examined, so the cap fires where it did.
-                examined += len(levels)
-                if capped():
-                    return
-                continue
+            # Every level's root response has S = keep, H = H1 and M = M1, so
+            # when this holds the sieve would reject each one on scenario
+            # issue 9. Its candidates still count, so the cap fires where it did.
+            skip = not repair and heavy_jib_violations(bt.target, root.d, H1, keep, M1)
             # The root's singular set is the keep, so bundles can only repeat
             # within one keep, when two bump levels settle on the same orders.
             yielded: List[Dict[int, Scenario]] = []
             for level in levels:
                 examined += 1
-                if capped():
+                if examined > _CANDIDATE_CAP:
+                    note(f"stopped after {_CANDIDATE_CAP} candidates")
                     return
+                if skip:
+                    continue
                 bump = Fraction(level, root.B)
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:

@@ -148,7 +148,7 @@ def transversality_response(c: Scenario, K: Iterable[NodeId]) -> Scenario:
     if not Ks:
         return c
     b = c.board
-    S1 = frozenset(s for s in c.S if all(b.leq(s, h) for h in Ks))
+    S1 = c.S.intersection(*(b.down_set(h) for h in Ks))
     ord1 = {s: Fraction(1) for s in S1}
     if len(Ks) == 1:
         (h,) = Ks
@@ -301,7 +301,7 @@ def _check_relaxation(c: Scenario, Js: FrozenSet[NodeId], want: Scenario,
     if not c.T <= c1.T:
         out.append(Violation(rule, 4, tuple(sorted(c.T - c1.T)), "transversal nodes were dropped"))
     for z in sorted(c1.T - c.T):
-        if not any(not b.leq(z, h) and not b.remote(z, h) for h in Js):
+        if not any(h not in b.up_set(z) and not b.remote(z, h) for h in Js):
             out.append(
                 Violation(
                     rule,

@@ -466,9 +466,7 @@ def _heavy_row(
     weights = [g.as_dict() for g in M.generators]
     row = []
     for K in heavy_jib_sets(_jib_uppers(board, H, s), weights):
-        cands = board.up_set(s)
-        for h in K:
-            cands = cands & board.down_set(h)
+        cands = board.up_set(s).intersection(*(board.down_set(h) for h in K))
         row.append((K, frozenset(t for t in cands if board.dim(t) == d - len(K))))
     return tuple(row)
 

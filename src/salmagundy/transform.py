@@ -173,10 +173,11 @@ def cleared_nodes(
     k = c.d - c.board.dim(z)
     if k < 0:
         return
-    over_z = sorted(x for x in nodes if c.board.leq(bt.retract[x], z))
+    below_z = c.board.down_set(z)
+    over_z = sorted(x for x in nodes if bt.retract[x] in below_z)
     for K in combinations(c.jib_uppers(z), k):
-        imgs = [bt.embed[h] for h in K]
-        yield K, tuple(x for x in over_z if all(b1.leq(x, i) for i in imgs))
+        rows = [b1.down_set(bt.embed[h]) for h in K]
+        yield K, tuple(x for x in over_z if all(x in row for row in rows))
 
 
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:

@@ -54,9 +54,9 @@ def _forget_closed_scenarios(monkeypatch):
     decide = DidoStrategy.decide
 
     def forgetting(self, state):
-        for quest in state.quests.values():
+        for qid, quest in state.quests.items():
             if quest.status != OPEN:
-                quest.scenario = None
+                state.quests[qid] = dataclasses.replace(quest, scenario=None)
         return decide(self, state)
 
     monkeypatch.setattr(DidoStrategy, "decide", forgetting)

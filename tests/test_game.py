@@ -43,7 +43,13 @@ from salmagundy.mephisto import (
     respond,
 )
 from salmagundy.quests import transversality_response
-from salmagundy.scenario import MonomialFactor, Scenario, validate_scenario, zero_factor
+from salmagundy.scenario import (
+    MonomialFactor,
+    Scenario,
+    scenario_from_json,
+    validate_scenario,
+    zero_factor,
+)
 from salmagundy.transform import QuestRelation, validate_blowup_transform
 from salmagundy.values import INF, is_finite
 
@@ -716,9 +722,9 @@ def test_blowup_discards_close_the_subtree_of_a_closed_quest(layered_state):
     c = st.root.scenario
     bt = blowup_transform(st.board, "a")
     # quest 2 survives the center on its own, but its parent does not
-    st.quests[2].scenario = c
+    st.quests[2] = dataclasses.replace(st.quests[2], scenario=c)
     alone = st.clone()
-    alone.quests[2].parent_id = 0
+    alone.quests[2] = dataclasses.replace(alone.quests[2], parent_id=0)
     assert 2 not in blowup_discards(alone, bt)
     # quest 4 would survive too, but its parent (quest 3) is no longer open
     st.quests[3] = Quest(3, 0, QuestRelation.transversality(()), c, status=WON)
@@ -742,12 +748,42 @@ def test_respond_discards_what_the_umpire_closes(layered_game, policy):
     lines.append(round_to_json(record))
     assert replay_trace(lines) == played
     # a quest whose parent is closed is discarded, not answered
-    st.quests[1].status = WON
-    st.quests[2].scenario = st.root.scenario
+    st.quests[1] = dataclasses.replace(st.quests[1], status=WON)
+    st.quests[2] = dataclasses.replace(st.quests[2], scenario=st.root.scenario)
     bundle = respond(st, move, Policy.parse(policy))
     assert bundle.discards == blowup_discards(st, bundle.transform) == {2}
     assert set(bundle.responses) == {0}
     assert validate_bundle(st, move, bundle) == []
+
+
+def test_a_round_on_a_clone_replaces_only_the_quests_it_changes(layered_game):
+    st, lines = layered_game
+    move = Move.blowup("a")
+    lines = lines + [round_to_json(apply_round(st.clone(), move, respond(st, move, Policy())))]
+    games = [lines, play_game(gen_scenario(11), Policy.parse("canonical")).trace]
+    shared_closed = 0
+    for trace in games:
+        state = new_game(scenario_from_json(json.loads(trace[0])["header"]["scenario"]))
+        for line in trace[1:]:
+            record = json.loads(line)
+            move = move_from_json(record["move"])
+            bundle = bundle_from_json(record["bundle"], state.board)
+            before = {qid: dict(vars(q)) for qid, q in state.quests.items()}
+            quests = dict(state.quests)
+            after = state.clone()
+            apply_round(after, move, bundle)
+            # the original state's quests are as they were
+            assert {qid: dict(vars(q)) for qid, q in state.quests.items()} == before
+            # a blowup replaces each quest it answers or discards; the clone
+            # shares every other quest value
+            changed = set(bundle.responses) | bundle.discards if move.kind == "blowup" else ()
+            for qid, quest in quests.items():
+                assert (after.quests[qid] is quest) == (qid not in changed), qid
+                shared_closed += move.kind == "blowup" and quest.status != "open"
+            state = after
+    assert shared_closed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.root.status = DISCARDED
 
 
 # ---- copies and pickles ------------------------------------------------------------
