@@ -142,7 +142,7 @@ def _memo(check: Callable, *args):
     # land in the same slot and evict its verdict.
     key = (check, *map(id, others))
     hit = memo.get(key)
-    if hit is not None and all(ref() is x for ref, x in zip(hit[0], others)):
+    if hit is not None and (not others or all(ref() is x for ref, x in zip(hit[0], others))):
         verdict, listed = hit[1], hit[2]
     else:
         verdict = check(*args)

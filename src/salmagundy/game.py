@@ -10,9 +10,12 @@ the relation created by the original call. Each condition is checked once,
 in one place. ``blowup_discards`` alone decides which quests a blowup
 closes: the umpire rejects a bundle whose discards or responses disagree
 with it before it checks any square, so ``transform.commutes`` sees only
-surviving children. Quests are values: ``apply_round`` stores a new ``Quest``
-under the id of each quest it changes, so ``GameState`` is a game's one
-mutable object, and a clone copies the quest dict and shares every quest.
+surviving children. Before any transform or call check, every scenario the
+round brings in must fit its board (``scenario.validate_shape``), because
+the checks read its nodes there. Quests are values: ``apply_round`` stores
+a new ``Quest`` under the id of each quest it changes, so ``GameState`` is a
+game's one mutable object, and a clone copies the quest dict and shares
+every quest.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: a verdict is stored on the object it describes, one slot
@@ -33,6 +36,16 @@ small ``json.dumps`` of the rest of the record. Each text is ``json.dumps``
 of the value's one JSON formula, so the line is byte-identical to encoding
 the record's dict form, and it dies with its value. The mutable ``Bundle``
 owns no text: its line is built from its current fields.
+
+Replay reads each value once, too. ``replay_trace`` holds the JSON that its
+board and each open quest's scenario were read from. A call round changes
+neither, but its line repeats them all, so ``bundle_from_json`` reads a
+target equal to the held board's JSON as the state's board, with no parse
+and no closure, and on it reads a response equal to its quest's held JSON
+as that quest's scenario. Only the child, and every piece of a blowup
+round, is parsed. Verdicts do not change: equal JSON parses to an equal
+value, every check is a pure function of values, and the umpire still runs
+``validate_bundle`` in full on every round.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from .scenario import (
     scenario_from_json,
     scenario_to_json,
     validate_scenario,
+    validate_shape,
 )
 from .transform import (
     commutes,
@@ -211,12 +225,21 @@ def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violat
     the responses (and on a call round's child), keyed by the identity of
     the other inputs. Checking a bundle again costs a lookup per quest;
     an equal but distinct object is checked afresh.
+
+    Before any transform or call check, every scenario the round brings in
+    (a blowup's responses, a call's child) must pass ``validate_shape``;
+    otherwise its shape violations are the verdict, since the checks after
+    them read its nodes on the board. A call round's responses are only
+    compared with the quests' scenarios, which reads no node.
     """
     if move.kind == CALL:
-        return _validate_call(state, move, bundle)
-    if move.kind == BLOWUP_MOVE:
-        return _validate_blowup(state, move, bundle)
-    return [_bundle_violation(f"unknown move kind {move.kind!r}")]
+        check, new = _validate_call, [bundle.child] if bundle.child is not None else []
+    elif move.kind == BLOWUP_MOVE:
+        check, new = _validate_blowup, [bundle.responses[q] for q in sorted(bundle.responses)]
+    else:
+        return [_bundle_violation(f"unknown move kind {move.kind!r}")]
+    misfits = [v for sc in new for v in validate_shape(sc)]
+    return misfits or check(state, move, bundle)
 
 
 def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
@@ -458,11 +481,13 @@ def transform_to_json(bt: BoardTransform) -> dict:
     return out
 
 
-def transform_from_json(data: Mapping, source: Board) -> BoardTransform:
+def transform_from_json(data: Mapping, source: Board, target: Board) -> BoardTransform:
+    """The transform ``data`` records from ``source`` to ``target``, the board
+    that ``data["target"]`` reads as."""
     return BoardTransform(
         kind=data["kind"],
         source=source,
-        target=board_from_json(data["target"]),
+        target=target,
         embed=dict(data["embed"]),
         retract=dict(data["retract"]),
         center=data.get("center"),
@@ -483,12 +508,37 @@ def bundle_to_json(bundle: Bundle) -> dict:
     return out
 
 
-def bundle_from_json(data: Mapping, source: Board) -> Bundle:
-    bt = transform_from_json(data["transform"], source)
-    responses = {
-        int(qid): scenario_from_json(sc, board=bt.target)
-        for qid, sc in data["responses"].items()
-    }
+# What a trace reader holds: the JSON its board was read from, and each open
+# quest's id mapped to the JSON its scenario was read from (response form)
+# and that scenario.
+Held = Tuple[object, Mapping[int, Tuple[object, Scenario]]]
+
+
+def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) -> Bundle:
+    """The bundle a trace line records, on the board ``source``.
+
+    A reader that holds the values it read earlier passes them as ``held``,
+    with ``source`` read from ``held[0]``. When the transform's target JSON
+    equals ``held[0]``, the target is ``source`` itself, neither parsed nor
+    closed again; on it, a response whose JSON equals its quest's held JSON
+    is the held scenario. Everything else is parsed. Equal JSON parses to an
+    equal value, so the bundle equals the one read without ``held``.
+    """
+    t = data["transform"]
+    if held is not None and t["target"] == held[0]:
+        bt = transform_from_json(t, source, source)
+        scenarios = held[1]
+    else:
+        bt = transform_from_json(t, source, board_from_json(t["target"]))
+        scenarios = {}
+    responses = {}
+    for key, sc in data["responses"].items():
+        qid = int(key)
+        known = scenarios.get(qid)
+        if known is not None and known[0] == sc:
+            responses[qid] = known[1]
+        else:
+            responses[qid] = scenario_from_json(sc, board=bt.target)
     child = (
         scenario_from_json(data["child"], board=bt.target)
         if data.get("child") is not None
@@ -549,6 +599,16 @@ def replay_trace(lines: Iterable[str]) -> GameState:
 
     Raises ValueError for a round the umpire rejects, an outcome that does
     not match the replay, and a malformed line (named by its number).
+
+    The reader holds the JSON each value of the state was read from: the
+    board, and each open quest's scenario in its response form (the root's
+    is the header scenario with ``"board": "target"``). A line that repeats
+    a held JSON is read as the held value (``bundle_from_json``): on a call
+    round, the board and every unchanged response, so only the child is
+    parsed. A blowup round brings a new board, so all of it is parsed.
+    Verdicts do not change: equal JSON parses to an equal value, every
+    check is a pure function of values, and the umpire still runs
+    ``validate_bundle`` in full on every round.
     """
     it = iter(lines)
     try:
@@ -556,10 +616,15 @@ def replay_trace(lines: Iterable[str]) -> GameState:
     except StopIteration:
         raise ValueError("empty trace") from None
     try:
-        scenario = scenario_from_json(json.loads(first)["header"]["scenario"])
+        header = json.loads(first)["header"]["scenario"]
+        scenario = scenario_from_json(header)
     except (KeyError, TypeError, AttributeError) as exc:
         raise _malformed(1, exc) from exc
     state = new_game(scenario)
+    board_json = header["board"]
+    scenarios: Dict[int, Tuple[object, Scenario]] = {
+        0: (dict(header, board="target"), state.root.scenario)
+    }
     for lineno, line in enumerate(it, 2):
         line = line.strip()
         if not line:
@@ -567,7 +632,8 @@ def replay_trace(lines: Iterable[str]) -> GameState:
         try:
             record = json.loads(line)
             move = move_from_json(record["move"])
-            bundle = bundle_from_json(record["bundle"], state.board)
+            data = record["bundle"]
+            bundle = bundle_from_json(data, state.board, (board_json, scenarios))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
         applied = apply_round(state, move, bundle)
@@ -577,6 +643,17 @@ def replay_trace(lines: Iterable[str]) -> GameState:
                     f"round {record.get('round')}: recorded {key} {record.get(key)!r} "
                     f"does not match the replay {applied.get(key)!r}"
                 )
+        if move.kind == BLOWUP_MOVE:
+            board_json = data["transform"]["target"]
+        read = {int(key): sc for key, sc in data["responses"].items()}
+        if move.kind == CALL:
+            read[applied["new_quest"]] = data["child"]
+        quests = state.quests
+        scenarios = {
+            qid: (sc, quests[qid].scenario)
+            for qid, sc in read.items()
+            if quests[qid].status == OPEN
+        }
     return state
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "extend_factor",
     "separation_mass",
     "validate_scenario",
+    "validate_shape",
     "heavy_jib_sets",
     "heavy_jib_violations",
     "is_tight",
@@ -248,31 +249,42 @@ def validate_scenario(c: Scenario) -> List[Violation]:
     return _memo(_check_scenario, c)
 
 
-def _check_scenario(c: Scenario) -> List[Violation]:
-    out: List[Violation] = []
+def validate_shape(c: Scenario) -> List[Violation]:
+    """The structure checks on which ``validate_scenario`` stops at once,
+    because every later check would raise rather than report: d or B not an
+    integer with B > 0, a node of H, S or T off the board, an M weight off
+    the board, an ord domain other than S. A scenario that passes may be read
+    node by node. Each instance is checked once; every call returns a fresh
+    list."""
+    return _memo(_check_shape, c)
+
+
+def _check_shape(c: Scenario) -> List[Violation]:
     b = c.board
     rule = "scenario"
-
-    # Structure first: if the pieces do not even fit the board, the numbered
-    # checks would throw rather than report.
     if not (isinstance(c.d, int) and isinstance(c.B, int) and c.B > 0):
-        out.append(Violation(rule, "structure", (), f"bad d/B: d={c.d!r}, B={c.B!r}"))
-        return out
-    if not 0 <= c.d <= b.n:
-        out.append(Violation(rule, "structure", (), f"d = {c.d} outside [0, {b.n}]"))
+        return [Violation(rule, "structure", (), f"bad d/B: d={c.d!r}, B={c.B!r}")]
     for name, part in (("H", c.H), ("S", c.S), ("T", c.T)):
         stray = sorted(x for x in part if x not in b)
         if stray:
-            out.append(Violation(rule, "structure", tuple(stray), f"{name} contains unknown nodes"))
-            return out
+            return [Violation(rule, "structure", tuple(stray), f"{name} contains unknown nodes")]
     stray = sorted({h for g in c.M.generators for h in g.domain if h not in b})
     if stray:
-        out.append(Violation(rule, "structure", tuple(stray), "M has weights at unknown nodes"))
-        return out
+        return [Violation(rule, "structure", tuple(stray), "M has weights at unknown nodes")]
     if set(c.ord) != set(c.S):
         diff = sorted(set(c.ord) ^ set(c.S))
-        out.append(Violation(rule, "structure", tuple(diff), "ord domain differs from S"))
+        return [Violation(rule, "structure", tuple(diff), "ord domain differs from S")]
+    return []
+
+
+def _check_scenario(c: Scenario) -> List[Violation]:
+    out = validate_shape(c)
+    if out:
         return out
+    b = c.board
+    rule = "scenario"
+    if not 0 <= c.d <= b.n:
+        out.append(Violation(rule, "structure", (), f"d = {c.d} outside [0, {b.n}]"))
     for s in sorted(c.S):
         v = c.ord[s]
         if v is INF:

@@ -222,6 +222,37 @@ def test_replay_reports_factor_weights_off_the_board(capsys, tmp_path):
         assert "M has weights at unknown nodes (witness: ghost)" in err
 
 
+def _child_T_off_the_board(record):
+    assert record["move"]["relation"]["kind"] == "relaxation"
+    record["bundle"]["child"]["T"].append("zz")
+
+
+def _response_S_off_the_board(record):
+    assert record["move"]["type"] == "blowup"
+    response = record["bundle"]["responses"]["0"]
+    response["S"].append("zz")
+    response["ord"]["zz"] = "1"
+
+
+@pytest.mark.parametrize(
+    "lineno, mutate, part", [(4, _child_T_off_the_board, "T"), (9, _response_S_off_the_board, "S")]
+)
+def test_replay_rejects_nodes_off_the_board_without_a_traceback(
+    capsys, tmp_path, lineno, mutate, part
+):
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 0, "--trace", trace)[0] == cli.EXIT_OK
+    lines = trace.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    mutate(record)
+    lines[lineno - 1] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "replay", trace)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert err == f"[scenario / issue structure] {part} contains unknown nodes (witness: zz)\n"
+    assert "Traceback" not in err
+
+
 def test_replay_names_the_malformed_line(capsys, tmp_path):
     trace = tmp_path / "game.ndjson"
     assert run(capsys, "play", "--seed", 3, "--trace", trace)[0] == cli.EXIT_OK

@@ -2,13 +2,16 @@
 
 import copy
 import dataclasses
+import functools
 import gc
 import json
 import pickle
+import re
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from salmagundy import board, game, harness, transform
 from salmagundy.board import Board, BoardTransform, blowup_transform, trivial_refinement
@@ -353,6 +356,128 @@ def test_replay_rejects_an_unknown_move_type(chain_scenario):
 def test_replay_rejects_empty_trace():
     with pytest.raises(ValueError):
         replay_trace([])
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_trace(seed):
+    return tuple(play_game(gen_scenario(seed), Policy.parse("canonical")).trace)
+
+
+def _relaxation_child_off_the_board(record):
+    # canonical seed 0, line 4: a relaxation call on quest 2
+    assert record["move"]["relation"]["kind"] == "relaxation"
+    record["bundle"]["child"]["T"].append("zz")
+
+
+def _blowup_response_off_the_board(record):
+    # canonical seed 0, line 9: the first blowup, at v1
+    assert record["move"]["type"] == "blowup"
+    response = record["bundle"]["responses"]["0"]
+    response["S"].append("zz")
+    response["ord"]["zz"] = "1"
+
+
+@pytest.mark.parametrize(
+    "lineno, mutate",
+    [(4, _relaxation_child_off_the_board), (9, _blowup_response_off_the_board)],
+)
+def test_replay_rejects_nodes_off_the_board_before_it_reads_them(lineno, mutate):
+    # the relaxation check reads the child's T on the board, and transform
+    # item 8 reads the retract at every node of a response's S: both raised
+    # KeyError before the umpire checked each new scenario's shape first
+    lines = list(_canonical_trace(0))
+    record = json.loads(lines[lineno - 1])
+    mutate(record)
+    lines[lineno - 1] = round_to_json(record)
+    with pytest.raises(BundleError, match=r"contains unknown nodes \(witness: zz\)"):
+        replay_trace(lines)
+
+
+def _off_the_board(sc, part):
+    """Put the node id "zz", which no board has, into one part of a
+    scenario's JSON."""
+    if part == "S":
+        sc["S"].append("zz")
+        sc["ord"]["zz"] = "1"
+    elif part in ("H", "T"):
+        sc[part].append("zz")
+    elif part == "ord":
+        sc["ord"]["zz"] = "1"
+    else:
+        sc["M"][0]["zz"] = "0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=strategies.integers(0, 7),
+    pick=strategies.integers(0, 10**6),
+    part=strategies.sampled_from(["S", "T", "H", "ord", "M"]),
+)
+def test_replay_rejects_every_node_off_the_board(seed, pick, part):
+    lines = list(_canonical_trace(seed))
+    lineno = 1 + pick % (len(lines) - 1)
+    record = json.loads(lines[lineno])
+    bundle = record["bundle"]
+    targets = sorted(bundle["responses"]) + (["child"] if "child" in bundle else [])
+    target = targets[pick % len(targets)]
+    _off_the_board(bundle["child"] if target == "child" else bundle["responses"][target], part)
+    lines[lineno] = round_to_json(record)
+    with pytest.raises(ValueError) as info:
+        replay_trace(lines)
+    if target == "child" or record["move"]["type"] == "blowup":
+        assert re.fullmatch(r"\[scenario / issue structure\] .* \(witness: zz\)", str(info.value))
+    else:
+        # a call round's response is compared with its quest's scenario
+        assert f"quest {target} changed on a call round" in str(info.value)
+
+
+# ---- what replay reuses ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed, policy", [(0, "canonical"), (4, "random:1")])
+def test_a_call_round_reads_the_held_board_and_responses(monkeypatch, seed, policy):
+    result = play_game(gen_scenario(seed), Policy.parse(policy))
+    apply = game.apply_round
+    calls = []
+
+    def spy(state, move, bundle):
+        if move.kind == "call":
+            calls.append(move)
+            assert bundle.transform.target is state.board
+            for qid, sc in bundle.responses.items():
+                assert sc is state.quests[qid].scenario, qid
+        return apply(state, move, bundle)
+
+    monkeypatch.setattr(game, "apply_round", spy)
+    assert replay_trace(result.trace) == result.state
+    assert len(calls) > 1
+
+
+def test_replay_parses_a_board_per_blowup_round_and_the_header(monkeypatch):
+    lines = _canonical_trace(0)
+    blowups = sum(json.loads(line)["move"]["type"] == "blowup" for line in lines[1:])
+    parse = board.board_from_json
+    parsed = []
+
+    def counted(data):
+        parsed.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(game, "board_from_json", counted)
+    monkeypatch.setattr("salmagundy.scenario.board_from_json", counted)
+    assert replay_trace(lines).round_no == len(lines) - 1
+    assert 0 < blowups < len(lines) - 2
+    assert len(parsed) == blowups + 1
+
+
+def test_a_tampered_response_of_an_unchanged_quest_is_parsed_and_rejected():
+    lines = list(_canonical_trace(0))
+    record = json.loads(lines[3])  # a call on quest 2: quest 1 must not change
+    assert record["move"]["type"] == "call" and record["move"]["quest"] == 2
+    record["bundle"]["responses"]["1"]["d"] += 1
+    lines[3] = round_to_json(record)
+    with pytest.raises(BundleError, match="quest 1 changed on a call round"):
+        replay_trace(lines)
 
 
 def test_trace_header_contents(chain_scenario):
