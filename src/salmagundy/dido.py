@@ -20,15 +20,15 @@ One plan per quest, created lazily when the quest is first reached:
   its win resolves the parent.
 
 All decisions are functions of the visible game state and of the plans,
-so equal seeds on Mephisto's side reproduce equal games. Two things serve
-the explorer, which branches the strategy once per Mephisto answer. A
-strategy copies itself field by field (``DidoStrategy.__deepcopy__``): it
-shares the immutable factors, frozensets and tuples the plans hold, copies
-only the plans and their lists, and points ``_slot`` at the copy's own
-holder. ``_plans_text`` is the canonical text of the plans, the strategy's
-half of the explorer's state key; it leaves out ``measure_log``, which no
-decision reads, and ``_slot``, which ``decide`` sets before it returns any
-call.
+so equal seeds on Mephisto's side reproduce equal games. Plans are frozen
+values: ``decide`` and ``observe`` store a new plan instead of editing one,
+and ``_slot`` is the id of the quest whose plan made the last call. Two
+things serve the explorer, which branches the strategy once per Mephisto
+answer. A copy (``copy.copy``) owns only the plans dict and
+``measure_log`` and shares every plan. ``_plans_text`` is the canonical
+text of the plans, the strategy's half of the explorer's state key; it
+leaves out ``measure_log``, which no decision reads, and ``_slot``, which
+``decide`` sets before it returns any call.
 
 Dido owns no rule formula: the critical sets are ``scenario.heavy_jib_sets``
 under the tracked factor, maximal nodes come from ``Board.maximal_among``,
@@ -40,9 +40,9 @@ of that child's relation factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .board import BoardTransform, NodeId
 from .game import Bundle, CALL, DISCARDED, GameState, Move, OPEN, Quest
@@ -114,26 +114,21 @@ def dms_less(a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]) -> bool:
 # ---- plans -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LoopPlan:
     m: MonomialFactor
     child_id: Optional[int] = None
     monomial: bool = False
-    pending: List[NodeId] = field(default_factory=list)
+    pending: Tuple[NodeId, ...] = ()
 
 
-@dataclass
-class _DriverItem:
-    K: Tuple[NodeId, ...]
-    p_id: Optional[int] = None
-    r_id: Optional[int] = None
-    q_id: Optional[int] = None
-
-
-@dataclass
+@dataclass(frozen=True)
 class _DriverPlan:
     L: FrozenSet[NodeId]
-    items: List[_DriverItem]
+    sets: Tuple[Tuple[NodeId, ...], ...]
+    # the quests created so far, three per set K in order: the
+    # transversality child, its relaxation child, and the descent grandchild
+    made: Tuple[int, ...] = ()
 
 
 def _plans_text(plans: Dict[int, object]) -> str:
@@ -142,8 +137,7 @@ def _plans_text(plans: Dict[int, object]) -> str:
     for qid in sorted(plans):
         plan = plans[qid]
         if isinstance(plan, _DriverPlan):
-            items = [[item.K, item.p_id, item.r_id, item.q_id] for item in plan.items]
-            out.append([qid, "driver", sorted(plan.L), items])
+            out.append([qid, "driver", sorted(plan.L), plan.sets, plan.made])
         else:
             out.append(
                 [qid, "loop", factor_to_json(plan.m), plan.child_id, plan.monomial,
@@ -156,29 +150,17 @@ class DidoStrategy:
     def __init__(self) -> None:
         self.plans: Dict[int, object] = {}
         self.measure_log: List[Tuple[int, Tuple[Fraction, ...]]] = []
-        # the plan or driver item, and its field, that the last call's
-        # quest fills once observed
-        self._slot: Optional[Tuple[object, str]] = None
+        # the quest whose plan made the last call; observe records the
+        # call's new quest in that plan
+        self._slot: Optional[int] = None
 
-    def __deepcopy__(self, memo) -> "DidoStrategy":
-        """A copy whose plans change apart from these. Every plan field but
-        the lists holds an immutable value, which the copy shares."""
-        copied: Dict[int, object] = {}  # id of an original plan or item -> its copy
-        plans: Dict[int, object] = {}
-        for qid, plan in self.plans.items():
-            if isinstance(plan, _DriverPlan):
-                items = [replace(item) for item in plan.items]
-                copied.update(zip(map(id, plan.items), items))
-                new = _DriverPlan(L=plan.L, items=items)
-            else:
-                new = replace(plan, pending=list(plan.pending))
-            plans[qid] = copied[id(plan)] = new
+    def __copy__(self) -> "DidoStrategy":
+        """A copy whose plans change apart from these. Plans are values, so
+        the copy shares every one of them and owns only the dict."""
         out = DidoStrategy()
-        out.plans = plans
+        out.plans = dict(self.plans)
         out.measure_log = list(self.measure_log)
-        # a holder whose quest has closed is never filled again
-        if self._slot is not None and id(self._slot[0]) in copied:
-            out._slot = (copied[id(self._slot[0])], self._slot[1])
+        out._slot = self._slot
         return out
 
     # -- planning --------------------------------------------------------------
@@ -189,28 +171,29 @@ class DidoStrategy:
             return plan
         c = quest.scenario
         if is_tight(c) and c.d >= 1:
-            items = self._driver_items(c)
-            plan = _DriverPlan(L=c.H, items=items)
+            sets = {K for s in c.S for K in _subsets(c.jib_uppers(s))}
+            plan = _DriverPlan(L=c.H, sets=tuple(sorted(sets, key=lambda K: (-len(K), K))))
         else:
             m0 = complete_factor(c)
             plan = _LoopPlan(m=m0 if m0 is not None else zero_factor(c.H))
         self.plans[quest.quest_id] = plan
         return plan
 
-    @staticmethod
-    def _driver_items(c: Scenario) -> List[_DriverItem]:
-        sets = {K for s in c.S for K in _subsets(c.jib_uppers(s))}
-        ordered = sorted(sets, key=lambda K: (-len(K), K))
-        return [_DriverItem(K=K) for K in ordered]
-
     # -- deciding ----------------------------------------------------------------
 
     def decide(self, state: GameState) -> Optional[Move]:
+        """The move for ``state``. A plan may hand the decision on to an
+        open quest it created; the chain is walked here, not by recursion,
+        so however long it grows the game ends at its round cap."""
         if state.root.status != OPEN:
             return None
-        return self._decide_quest(state, 0)
+        step: Union[Move, int] = 0
+        while not isinstance(step, Move):
+            step = self._decide_quest(state, step)
+        return step
 
-    def _decide_quest(self, state: GameState, qid: int) -> Move:
+    def _decide_quest(self, state: GameState, qid: int) -> Union[Move, int]:
+        """The move for quest ``qid``, or the id of the quest it hands on to."""
         quest = state.quests[qid]
         if quest.status != OPEN:
             raise StrategyError(f"deciding on quest {qid} which is {quest.status}")
@@ -219,30 +202,27 @@ class DidoStrategy:
             return self._drive(state, quest, plan)
         return self._loop(state, quest, plan)
 
-    def _drive(self, state: GameState, quest: Quest, plan: _DriverPlan) -> Move:
-        for item in plan.items:
-            if item.p_id is None:
-                self._slot = (item, "p_id")
+    def _drive(self, state: GameState, quest: Quest, plan: _DriverPlan) -> Union[Move, int]:
+        made = plan.made
+        if len(made) < 3 * len(plan.sets):
+            self._slot = quest.quest_id
+            i, step = divmod(len(made), 3)
+            if step == 0:
                 return Move.call(
-                    quest.quest_id, QuestRelation.transversality(frozenset(item.K))
+                    quest.quest_id, QuestRelation.transversality(frozenset(plan.sets[i]))
                 )
-            if item.r_id is None:
-                self._slot = (item, "r_id")
-                return Move.call(item.p_id, QuestRelation.relaxation(plan.L))
-            if item.q_id is None:
-                self._slot = (item, "q_id")
-                return Move.call(item.r_id, QuestRelation.descent())
-        for item in plan.items:
-            sub = state.quests[item.q_id]
+            if step == 1:
+                return Move.call(made[-1], QuestRelation.relaxation(plan.L))
+            return Move.call(made[-1], QuestRelation.descent())
+        for K, qid in zip(plan.sets, made[2::3]):
+            sub = state.quests[qid]
             if sub.status == DISCARDED:
-                raise StrategyError(
-                    f"descent quest {item.q_id} for {item.K} was discarded"
-                )
+                raise StrategyError(f"descent quest {qid} for {K} was discarded")
             if sub.status == OPEN:
-                return self._decide_quest(state, item.q_id)
+                return qid
         raise StrategyError("all descent quests won but the driver quest is open")
 
-    def _loop(self, state: GameState, quest: Quest, plan: _LoopPlan) -> Move:
+    def _loop(self, state: GameState, quest: Quest, plan: _LoopPlan) -> Union[Move, int]:
         c = quest.scenario
         resid: Dict[NodeId, Value] = {}
         for s in c.S:
@@ -257,10 +237,9 @@ class DidoStrategy:
                 if resid[s] < 0:
                     raise StrategyError(f"tracked factor exceeds the order at {s}")
         if plan.monomial or all(r == 0 for r in resid.values()):
-            plan.monomial = True
             return self._elementary(quest, plan)
         if plan.child_id is not None and state.quests[plan.child_id].status == OPEN:
-            return self._decide_quest(state, plan.child_id)
+            return plan.child_id
         infinite = [s for s in resid if not is_finite(resid[s])]
         if infinite:
             tops = c.board.maximal_among(infinite)
@@ -274,7 +253,7 @@ class DidoStrategy:
         q = max(v for v in resid.values())
         if q <= 0:
             raise StrategyError("zero residuals did not enter the monomial phase")
-        self._slot = (plan, "child_id")
+        self._slot = quest.quest_id
         return Move.call(quest.quest_id, QuestRelation.quotient(plan.m, q))
 
     def _elementary(self, quest: Quest, plan: _LoopPlan) -> Move:
@@ -285,27 +264,27 @@ class DidoStrategy:
                     f"tracked factor is not complete at {s}; the response rules "
                     "should have preserved completeness"
                 )
-        plan.pending = [t for t in plan.pending if t in c.S]
-        if plan.pending:
-            return Move.blowup(plan.pending[0])
-        minimal = _minimal_sets(_critical_sets(c, plan.m))
-        if not minimal:
-            raise StrategyError("no critical set although singular nodes remain")
-        K = min(minimal, key=lambda t: (len(t), t))
-        N = c.board.maximal_among(c.S.intersection(*(c.board.down_set(h) for h in K)))
-        if not N:
-            raise StrategyError(f"critical set {K} has no singular node below it")
-        for s in N:
-            if c.board.dim(s) != c.d - len(K):
-                raise StrategyError(
-                    f"singular node {s} below {K} has dimension {c.board.dim(s)}, "
-                    f"expected {c.d - len(K)}"
-                )
-            if s not in c.T:
-                raise StrategyError(f"blowup center {s} is not transversal")
-        self.measure_log.append((quest.quest_id, measure_of(c, plan.m)))
-        plan.pending = N
-        return Move.blowup(plan.pending[0])
+        pending = tuple(t for t in plan.pending if t in c.S)
+        if not pending:
+            minimal = _minimal_sets(_critical_sets(c, plan.m))
+            if not minimal:
+                raise StrategyError("no critical set although singular nodes remain")
+            K = min(minimal, key=lambda t: (len(t), t))
+            N = c.board.maximal_among(c.S.intersection(*(c.board.down_set(h) for h in K)))
+            if not N:
+                raise StrategyError(f"critical set {K} has no singular node below it")
+            for s in N:
+                if c.board.dim(s) != c.d - len(K):
+                    raise StrategyError(
+                        f"singular node {s} below {K} has dimension {c.board.dim(s)}, "
+                        f"expected {c.d - len(K)}"
+                    )
+                if s not in c.T:
+                    raise StrategyError(f"blowup center {s} is not transversal")
+            self.measure_log.append((quest.quest_id, measure_of(c, plan.m)))
+            pending = tuple(N)
+        self.plans[quest.quest_id] = _LoopPlan(plan.m, plan.child_id, True, pending)
+        return Move.blowup(pending[0])
 
     # -- observing ---------------------------------------------------------------
 
@@ -313,8 +292,12 @@ class DidoStrategy:
         self, state: GameState, move: Move, bundle: Bundle, record: dict
     ) -> None:
         if move.kind == CALL:
-            holder, field_name = self._slot
-            setattr(holder, field_name, record["new_quest"])
+            plan, new = self.plans[self._slot], record["new_quest"]
+            if isinstance(plan, _DriverPlan):
+                plan = _DriverPlan(plan.L, plan.sets, plan.made + (new,))
+            else:
+                plan = _LoopPlan(plan.m, new, plan.monomial, plan.pending)
+            self.plans[self._slot] = plan
         else:
             self._observe_blowup(state, bundle.transform)
         for qid in list(self.plans):
@@ -324,12 +307,13 @@ class DidoStrategy:
 
     def _observe_blowup(self, state: GameState, bt: BoardTransform) -> None:
         z = bt.center
-        for qid, plan in self.plans.items():
+        for qid, plan in list(self.plans.items()):
             quest = state.quests.get(qid)
             if quest is None or quest.status == DISCARDED:
                 continue
             if isinstance(plan, _DriverPlan):
-                plan.L = frozenset(bt.embed[h] for h in plan.L)
+                L = frozenset(bt.embed[h] for h in plan.L)
+                self.plans[qid] = _DriverPlan(L, plan.sets, plan.made)
                 continue
             if plan.monomial:
                 ext_z = extend_factor(bt.source, plan.m, z)
@@ -340,19 +324,21 @@ class DidoStrategy:
                     raise StrategyError(
                         f"monomial lift at {z} went negative ({e_weight})"
                     )
-                plan.m = lift_factor(plan.m, bt, e_weight)
+                m = lift_factor(plan.m, bt, e_weight)
             elif plan.child_id is not None:
                 # m rides along as the quotient child's relation factor does.
                 q = state.quests[plan.child_id].relation.scale
-                plan.m = quotient_lifted_factor(plan.m, q, bt)
+                m = quotient_lifted_factor(plan.m, q, bt)
             else:
-                plan.m = lift_factor(plan.m, bt, Fraction(0))
-            plan.pending = [
+                m = lift_factor(plan.m, bt, Fraction(0))
+            pending = tuple(
                 bt.embed[t]
                 for t in plan.pending
                 if t != z and bt.embed[t] in quest.scenario.S
-            ]
-            if plan.child_id is not None:
-                child = state.quests.get(plan.child_id)
+            )
+            child_id = plan.child_id
+            if child_id is not None:
+                child = state.quests.get(child_id)
                 if child is None or child.status != OPEN:
-                    plan.child_id = None
+                    child_id = None
+            self.plans[qid] = _LoopPlan(m, child_id, plan.monomial, pending)

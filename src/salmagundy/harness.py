@@ -338,16 +338,17 @@ def explore(
     earlier in depth-first order, has already recorded every lost leaf,
     truncation reason and ``NoValidBundle`` the subtree holds. A leaf costs
     one ``decide`` and is not stored. The key leaves out what no later
-    round reads: the strategy's ``measure_log`` and ``_slot`` (``decide``
-    sets it before it returns any call), and the scenarios of closed quests,
-    which nothing reads once Dido decides again; with those scenarios in
-    it, few states would ever meet. The key is a digest, so the table keeps
+    round reads: the strategy's ``measure_log`` and ``_slot``, the id of the
+    quest that made the last call (``decide`` sets it before it returns any
+    call), and the scenarios of closed quests, which nothing reads once Dido
+    decides again; with those scenarios in it, few states would ever meet. The key is a digest, so the table keeps
     no scenario or board alive; its memory grows by one entry per stored
     state.
 
-    A branch shares its parent's quests: ``GameState.clone`` copies only the
-    quest dict, and ``apply_round`` stores a new value for each quest it
-    changes. A branch encodes no trace line: the search carries each record
+    A branch shares its parent's quests and Dido's plans: ``GameState.clone``
+    and ``copy.copy`` of the strategy copy only their dicts, and
+    ``apply_round`` and ``observe`` store a new value for each quest or plan
+    they change. A branch encodes no trace line: the search carries each record
     on a (parent, record) chain and encodes the chain only for the first
     lost leaf, as ``counterexample``.
     """
@@ -400,7 +401,7 @@ def explore(
             any_bundle = True
             report.branch_count += 1
             child_state = state.clone()
-            child_strategy = copy.deepcopy(strategy)
+            child_strategy = copy.copy(strategy)
             record = apply_round(child_state, move, bundle)
             child_strategy.observe(child_state, move, bundle, record)
             dfs(child_state, child_strategy, depth + 1, (path, record))

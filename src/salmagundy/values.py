@@ -112,13 +112,17 @@ def parse_value(text: str) -> Value:
         return INF
     # Nonnegative 'a' and 'a/b' in ASCII digits, the texts a trace holds, are
     # read without Fraction's regular expression. Every other text goes to
-    # Fraction, so malformed text raises Fraction's own error.
+    # Fraction, so malformed text raises Fraction's own ValueError; a zero
+    # denominator is malformed text too, not a ZeroDivisionError.
     if text.isascii() and text.isdigit():
         return Fraction(int(text))
     num, slash, den = text.partition("/")
-    if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    try:
+        if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"value {text!r} has a zero denominator") from None
 
 
 def format_value(v: Value) -> str:

@@ -178,6 +178,18 @@ def test_play_caps(capsys, monkeypatch, tmp_path):
     assert "round 1, blowup at v3: stopped after 0 candidates" in err
 
 
+def test_a_runaway_game_exits_at_the_round_cap(capsys, tmp_path):
+    # ord(v1) = 2/3 passes the validator and Dido never wins; decide
+    # recursed once per open quest and raised RecursionError near round 500
+    data = scenario_to_json(harness.gen_scenario(5))
+    data["ord"]["v1"] = "2/3"
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "play", "--scenario", path, "--round-cap", 600)
+    assert (code, out) == (cli.EXIT_CAP, "not won in 600 rounds (0 blowups); strict=true\n")
+    assert err == "round cap 600 reached\n"
+
+
 def test_play_usage_errors(capsys, tmp_path):
     assert run(capsys, "play", "--mephisto", "clairvoyant")[0] == cli.EXIT_USAGE
     assert run(capsys, "play", "--seed", "three")[0] == cli.EXIT_USAGE
@@ -251,6 +263,32 @@ def test_replay_rejects_nodes_off_the_board_without_a_traceback(
     assert (code, out) == (cli.EXIT_VIOLATIONS, "")
     assert err == f"[scenario / issue structure] {part} contains unknown nodes (witness: zz)\n"
     assert "Traceback" not in err
+
+
+def test_an_order_with_a_zero_denominator_is_rejected_without_a_traceback(
+    capsys, tmp_path, chain_scenario
+):
+    data = scenario_to_json(chain_scenario)
+    data["ord"]["p"] = "1/0"
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"error: bad scenario in {path}: ") and "zero denominator" in err
+    assert "Traceback" not in err
+
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 0, "--trace", trace)[0] == cli.EXIT_OK
+    lines = trace.read_text().splitlines()
+    record = json.loads(lines[1])  # line 2: the first call; ord(v1) = 2 at quest 0
+    record["bundle"]["responses"]["0"]["ord"]["v1"] = "1/0"
+    lines[1] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "replay", trace)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert err == (
+        "line 2: malformed trace record (ValueError: value '1/0' has a zero denominator)\n"
+    )
 
 
 def test_replay_names_the_malformed_line(capsys, tmp_path):

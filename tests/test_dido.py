@@ -1,6 +1,7 @@
 """Dido's strategy: the monomial measure, its order, small games and a sweep."""
 
 import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from salmagundy.dido import DidoStrategy, StrategyError, _plans_text, dms_less, 
 from salmagundy.game import CALL, apply_round, new_game, replay_trace
 from salmagundy.harness import gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import Policy, respond
-from salmagundy.scenario import MonomialFactor, Scenario, zero_factor
+from salmagundy.scenario import MonomialFactor, Scenario, validate_scenario, zero_factor
 
 
 def _remake(c, **kw):
@@ -174,14 +175,16 @@ def test_dido_wins_every_generated_game_of_seeds_100_to_399(policy):
 
 
 def test_a_copy_plans_apart_and_fills_its_own_slot():
-    # explore copies the strategy between decide and observe; a copy whose
-    # slot pointed at the original's plan would fill the wrong quest id
+    # explore copies the strategy between decide and observe; the copy
+    # shares every plan, and a round stores new plans in the copy's dict only
     state, strategy = new_game(gen_scenario(16)), DidoStrategy()
     policy = Policy.parse("canonical")
-    calls = 0
+    calls, kinds = 0, set()
     while (move := strategy.decide(state)) is not None:
-        twin = copy.deepcopy(strategy)
-        assert _plans_text(twin.plans) == _plans_text(strategy.plans)
+        twin = copy.copy(strategy)
+        assert twin.plans == strategy.plans and twin.plans is not strategy.plans
+        assert all(twin.plans[qid] is plan for qid, plan in strategy.plans.items())
+        assert twin._slot == strategy._slot
         assert twin.measure_log == strategy.measure_log
         assert twin.measure_log is not strategy.measure_log
         bundle = respond(state, move, policy)
@@ -189,7 +192,45 @@ def test_a_copy_plans_apart_and_fills_its_own_slot():
         branch = state.clone()
         twin.observe(branch, move, bundle, apply_round(branch, move, bundle))
         assert _plans_text(strategy.plans) == untouched
+        if move.kind == CALL:  # only the plan that made the call changes
+            changed = {qid for qid, plan in twin.plans.items() if plan is not strategy.plans[qid]}
+            assert changed == {strategy._slot}
         strategy.observe(state, move, bundle, apply_round(state, move, bundle))
         assert _plans_text(twin.plans) == _plans_text(strategy.plans)
         calls += move.kind == CALL
+        for plan in strategy.plans.values():
+            kinds.add(type(plan).__name__)
+            for f in dataclasses.fields(plan):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(plan, f.name, getattr(plan, f.name))
     assert state.won and calls
+    assert kinds == {"_LoopPlan", "_DriverPlan"}
+
+
+@pytest.mark.parametrize("seed", [0, 16])
+def test_decide_twice_on_one_state_decides_alike(seed):
+    # observe, not decide, records a call's new quest, so a second decide
+    # finds the plans as the first left them
+    state, strategy = new_game(gen_scenario(seed)), DidoStrategy()
+    policy = Policy.parse("canonical")
+    while (move := strategy.decide(state)) is not None:
+        text, slot = _plans_text(strategy.plans), strategy._slot
+        assert strategy.decide(state) == move
+        assert (_plans_text(strategy.plans), strategy._slot) == (text, slot)
+        bundle = respond(state, move, policy)
+        strategy.observe(state, move, bundle, apply_round(state, move, bundle))
+    assert state.won
+
+
+# ---- a start that is not won ----------------------------------------------------------
+
+
+def test_a_runaway_start_ends_at_the_round_cap():
+    # gen_scenario(5) with ord(v1) = 2/3 < 1 passes the validator, and Dido
+    # calls a quotient on the newest quest every round; a decide that
+    # recursed along that chain raised RecursionError near round 500
+    c = _remake(gen_scenario(5), ord={"v1": Fraction(2, 3)})
+    assert c.S == {"v1"} and validate_scenario(c) == []
+    result = play_game(c, Policy.parse("canonical"), round_cap=600)
+    assert not result.won and result.rounds == 600
+    assert result.note == "round cap 600 reached"

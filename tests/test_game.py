@@ -431,6 +431,29 @@ def test_replay_rejects_every_node_off_the_board(seed, pick, part):
         assert f"quest {target} changed on a call round" in str(info.value)
 
 
+def test_replay_rejects_an_order_with_a_zero_denominator():
+    # parse_value raised ZeroDivisionError at "1/0", which replay_trace, and
+    # so the CLI, did not catch
+    lines = play_game(gen_scenario(4), Policy.parse("random:3")).trace
+    changed = 0
+    for lineno in range(2, len(lines) + 1):
+        record = json.loads(lines[lineno - 1])
+        held = [sc for _, sc in sorted(record["bundle"]["responses"].items()) if sc["ord"]]
+        if not held:
+            continue
+        held[0]["ord"][min(held[0]["ord"])] = "1/0"
+        mutated = list(lines)
+        mutated[lineno - 1] = round_to_json(record)
+        with pytest.raises(ValueError) as info:
+            replay_trace(mutated)
+        assert str(info.value) == (
+            f"line {lineno}: malformed trace record "
+            "(ValueError: value '1/0' has a zero denominator)"
+        )
+        changed += 1
+    assert changed > 10
+
+
 # ---- what replay reuses ---------------------------------------------------------------
 
 

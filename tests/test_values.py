@@ -84,7 +84,20 @@ def test_parse_format_roundtrip():
 def test_malformed_text_raises_fractions_own_error(text):
     with pytest.raises((ValueError, ZeroDivisionError)) as want:
         Fraction(text)
+    if want.type is ZeroDivisionError:  # a zero denominator is malformed text too
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_value(text)
+        return
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        parse_value(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "007/000", " 1/0", "-1/0", "+3/00"])
+def test_a_zero_denominator_is_a_value_error(text):
+    # a trace or scenario file that holds one is rejected input; replay and
+    # validate report a ValueError and would print a ZeroDivisionError's
+    # traceback
+    with pytest.raises(ValueError, match=f"value {re.escape(repr(text))} has a zero denominator"):
         parse_value(text)
 
 
