@@ -66,7 +66,6 @@ from .quests import (
     descent_check,
     quotient_bound,
     quotient_response,
-    relaxation_check,
     relaxation_response,
     transversality_response,
 )

@@ -203,6 +203,8 @@ def _cmd_gen(args) -> int:
         _emit(json.dumps(board_to_json(b), indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK
     board = _load(args.board, "board") if args.board else None
+    if board is not None and (violations := validate_board(board)):
+        return _report(violations)
     c = gen_scenario(seed, board=board, d=args.d, B=args.B, jib_count=args.jib_count)
     _emit(json.dumps(scenario_to_json(c), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK

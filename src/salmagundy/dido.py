@@ -72,27 +72,26 @@ class StrategyError(RuntimeError):
 # ---- measures ----------------------------------------------------------------
 
 
-def _critical_sets(c: Scenario, m: MonomialFactor) -> List[Tuple[NodeId, ...]]:
-    """Jib sets with factor mass >= 1 that have a singular node below all of
-    them; these are the obstructions the elementary steps burn down."""
+def _minimal_critical_sets(c: Scenario, m: MonomialFactor) -> List[Tuple[NodeId, ...]]:
+    """The inclusion-minimal critical sets, sorted: jib sets with factor mass
+    >= 1 that have a singular node below all of them. These are the
+    obstructions the elementary steps burn down."""
     weights = [m.as_dict()]
-    return sorted({K for s in c.S for K in heavy_jib_sets(c.jib_uppers(s), weights)})
-
-
-def _minimal_sets(sets: List[Tuple[NodeId, ...]]) -> List[Tuple[NodeId, ...]]:
-    out = []
-    for K in sets:
-        ks = frozenset(K)
-        if not any(frozenset(other) < ks for other in sets):
-            out.append(K)
-    return out
+    sets = sorted({K for s in c.S for K in heavy_jib_sets(c.jib_uppers(s), weights)})
+    as_sets = [frozenset(K) for K in sets]
+    return [K for K, ks in zip(sets, as_sets) if not any(o < ks for o in as_sets)]
 
 
 def measure_of(c: Scenario, m: MonomialFactor) -> Tuple[Fraction, ...]:
     """Multiset (as a sorted tuple, largest first) of the masses of the
     inclusion-minimal critical sets; empty when nothing is critical."""
+    return _measure(m, _minimal_critical_sets(c, m))
+
+
+def _measure(m: MonomialFactor, minimal: List[Tuple[NodeId, ...]]) -> Tuple[Fraction, ...]:
+    """``measure_of`` from the minimal critical sets already worked out."""
     weights = [m.as_dict()]
-    masses = [_max_mass(weights, K) for K in _minimal_sets(_critical_sets(c, m))]
+    masses = [_max_mass(weights, K) for K in minimal]
     if any(not is_finite(x) for x in masses):
         raise StrategyError("infinite factor mass in a monomial measure")
     return tuple(sorted(masses, reverse=True))
@@ -266,7 +265,7 @@ class DidoStrategy:
                 )
         pending = tuple(t for t in plan.pending if t in c.S)
         if not pending:
-            minimal = _minimal_sets(_critical_sets(c, plan.m))
+            minimal = _minimal_critical_sets(c, plan.m)
             if not minimal:
                 raise StrategyError("no critical set although singular nodes remain")
             K = min(minimal, key=lambda t: (len(t), t))
@@ -281,7 +280,7 @@ class DidoStrategy:
                     )
                 if s not in c.T:
                     raise StrategyError(f"blowup center {s} is not transversal")
-            self.measure_log.append((quest.quest_id, measure_of(c, plan.m)))
+            self.measure_log.append((quest.quest_id, _measure(plan.m, minimal)))
             pending = tuple(N)
         self.plans[quest.quest_id] = _LoopPlan(plan.m, plan.child_id, True, pending)
         return Move.blowup(pending[0])

@@ -104,7 +104,8 @@ def gen_scenario(
     B: Optional[int] = None,
     jib_count: Optional[int] = None,
 ) -> Scenario:
-    """A random valid scenario with M = <0>, deterministic in the seed."""
+    """A random valid scenario with M = <0>, deterministic in the seed, on
+    ``board`` (which must be valid) or on a generated one."""
     rng = random.Random(seed)
     if board is None:
         board = gen_board(rng.randrange(1 << 30))
@@ -122,41 +123,38 @@ def gen_scenario(
         raise ValueError(
             f"jib_count={jib_count} exceeds the {len(jib_pool)} dim-(n-1) nodes"
         )
-    last_error: Optional[str] = None
-    for _ in range(20):
-        H = frozenset(rng.sample(jib_pool, k=jib_count))
-        good = _hereditary_candidates(board, d, H)
-        seeds = [s for s in good if rng.random() < 0.6]
-        if not seeds and good:
-            seeds = [rng.choice(good)]
-        S = set()
-        for s in seeds:
-            S |= board.down_set(s)
-        ords: Dict[NodeId, object] = {}
-        for s in sorted(S, key=lambda x: (-board.dim(x), x)):
-            if board.dim(s) == d:
-                ords[s] = INF
-                continue
-            v = Fraction(1) + Fraction(rng.randint(0, 2 * B), B)
-            for t in S:
-                if t != s and board.leq(s, t):
-                    vt = ords[t]
-                    if not is_finite(vt):
-                        v = INF
-                        break
-                    if vt > v:
-                        v = vt
-            ords[s] = v
-        c = Scenario.make(
-            board=board, d=d, B=B, H=H, S=frozenset(S),
-            T=frozenset(board.ids), ord=ords,
-            M=FactorSet.of([zero_factor(H)]),
-        )
-        vs = validate_scenario(c)
-        if not vs:
-            return c
-        last_error = "; ".join(map(str, vs))
-    raise RuntimeError(f"scenario repair failed after 20 attempts: {last_error}")
+    H = frozenset(rng.sample(jib_pool, k=jib_count))
+    good = _hereditary_candidates(board, d, H)
+    seeds = [s for s in good if rng.random() < 0.6]
+    if not seeds and good:
+        seeds = [rng.choice(good)]
+    S = set()
+    for s in seeds:
+        S |= board.down_set(s)
+    ords: Dict[NodeId, object] = {}
+    for s in sorted(S, key=lambda x: (-board.dim(x), x)):
+        if board.dim(s) == d:
+            ords[s] = INF
+            continue
+        v = Fraction(1) + Fraction(rng.randint(0, 2 * B), B)
+        for t in S:
+            if t != s and board.leq(s, t):
+                vt = ords[t]
+                if not is_finite(vt):
+                    v = INF
+                    break
+                if vt > v:
+                    v = vt
+        ords[s] = v
+    c = Scenario.make(
+        board=board, d=d, B=B, H=H, S=frozenset(S),
+        T=frozenset(board.ids), ord=ords,
+        M=FactorSet.of([zero_factor(H)]),
+    )
+    vs = validate_scenario(c)
+    if vs:  # on a valid board every draw is valid by construction
+        raise RuntimeError(f"generated an invalid scenario: {'; '.join(map(str, vs))}")
+    return c
 
 
 _CLUSTER_WEIGHTS = {

@@ -18,15 +18,18 @@ Mephisto owns no rule formula; each lives with the validator that checks
 it. The blown-up board and its fresh node names come from
 ``board.blowup_transform``, and a call's child from ``quests.call_response``
 (descent orders aside). A blowup response takes its handicap and factors
-from ``transform.blowup_jibs``, the orders of the exceptional node and of
-every node off the exceptional locus from ``transform.pinned_orders``
-(items 9-10), the nodes it must clear from ``transform.cleared_nodes`` (item
-13), the transported complete factor its orders must equal from
-``transform.complete_transport`` (item 15), and its discards from
-``game.blowup_discards``. Free orders are floored by
-``scenario.extend_factor`` and ``scenario.separation_mass`` (issues 6 and 8).
-The cap on fresh nodes, ``Policy.max_new_nodes``, is policy, not rule, so
-Mephisto applies it itself.
+from ``transform.blowup_jibs``, the nodes it must clear from
+``transform.cleared_nodes`` (item 13), and its discards from
+``game.blowup_discards``. The orders the rules fix come as one map, which
+``_assign_orders`` reads as data: every order from
+``transform.complete_orders`` when the quest has a complete factor (item
+15), and otherwise those of the exceptional node and of every node off the
+exceptional locus from ``transform.pinned_orders`` (items 9-10). A tight
+quest's orders must all be 1 (item 11), which is checked once they are
+assigned. Free orders are floored by ``scenario.extend_factor`` and
+``scenario.separation_mass`` (issues 6 and 8). The cap on fresh nodes,
+``Policy.max_new_nodes``, is policy, not rule, so Mephisto applies it
+itself.
 
 The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
 shortcut: a keep set whose root response must fail scenario issue 9
@@ -42,13 +45,13 @@ bundle's first score component is its total |S|. On each blown-up board
 every quest q has a ceiling (``_order_ceilings``): a scenario whose S,
 called D_q, holds every node q's response can hold singular there, at
 orders no lower than the response's. The root's ceiling is the largest
-keep at the highest orders ``transform.pinned_orders`` allows. Each child's
-is ``quests.call_response`` of its parent's ceiling, since a call's S and
-orders can only grow as its parent's do; where the call raises (descent,
-which frees the orders, or parameters the ceiling does not admit) the
-child's ceiling is its parent's S at order INF. Each response's S lies
-within the root's keep and within D_q, so UB(keep) = sum over quests of
-|keep & D_q| is admissible. The stream keeps its own incumbent, the largest
+keep at the orders the rules fix, and elsewhere at INF (1 in a tight
+quest). Each child's is ``quests.call_response`` of its parent's ceiling,
+since a call's S and orders can only grow as its parent's do; where the
+call raises (descent, which frees the orders, or parameters the ceiling
+does not admit) the child's ceiling is its parent's S at order INF. Each
+response's S lies within the root's keep and within D_q, so UB(keep) = sum
+over quests of |keep & D_q| is admissible. The stream keeps its own incumbent, the largest
 total |S| it has yielded, and stops before starting a keep once the
 incumbent is strictly greater than UB of every keep not yet started.
 Enumerated keeps start in a fixed order, so the stop reads a suffix
@@ -82,7 +85,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .board import (
     Board,
@@ -117,7 +120,7 @@ from .scenario import (
 from .transform import (
     blowup_jibs,
     cleared_nodes,
-    complete_transport,
+    complete_orders,
     pinned_orders,
     transport_relation,
 )
@@ -229,37 +232,31 @@ def _assign_orders(
     d: int,
     keep: Iterable[NodeId],
     gens: Sequence[MonomialFactor],
-    pinned: Dict[NodeId, Value],
+    fixed: Mapping[NodeId, Value],
     bump: Fraction,
-    force_one: bool = False,
-    override: Optional[MonomialFactor] = None,
 ) -> Optional[Dict[NodeId, Value]]:
     """Choose orders on ``keep`` top-down; None when no legal choice exists.
 
-    Each node's floor is taken once, when it is placed: every node above it
-    has a strictly higher dimension on a valid board, so it is already
-    placed and the floor is final. A pinned or overridden order below its
-    floor has no legal completion.
+    A node takes its ``fixed`` order, the one the transform rules set, if it
+    has one; otherwise INF at dimension d, or else its floor raised to
+    1 + ``bump``. Each node's floor is taken once, when it is placed: every
+    node above it has a strictly higher dimension on a valid board, so it is
+    already placed and the floor is final. A fixed order that is finite at
+    dimension d, or lies below its floor, has no legal completion.
     """
     ords: Dict[NodeId, Value] = {}
     for f in sorted(keep, key=lambda s: (-board.dim(s), s)):
         floor = _order_floor(board, gens, ords, f)
-        if override is not None:
-            v = extend_factor(board, override, f)
-            if f in pinned and pinned[f] != v:
-                return None
+        if f in fixed:
+            v = fixed[f]
             if board.dim(f) == d and is_finite(v):
                 return None
-        elif f in pinned:
-            v = pinned[f]
         elif board.dim(f) == d:
             v = INF
         elif is_finite(floor) and bump:
             v = max(floor, Fraction(1) + bump)
         else:
             v = floor
-        if force_one and v != Fraction(1):
-            return None
         if is_finite(v) and v < floor:  # the floor is at least 1
             return None
         ords[f] = v
@@ -296,9 +293,9 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
 
     keep -= {x for _, hit in cleared_nodes(c, bt, keep) for x in hit}
 
-    cf1 = complete_transport(c, bt)
-    if cf1 is not None:
-        keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
+    complete = complete_orders(c, bt)
+    if complete is not None:
+        keep -= {x for x in keep if complete[x] < 1}
 
     if is_tight(c):
         keep -= {x for x in keep if board1.dim(x) == c.d}
@@ -316,15 +313,14 @@ def _blowup_response(
 ) -> Optional[Scenario]:
     """Carry c through the blowup onto the singular set S1 and transversal
     set T1: handicap i(H) + e, the capped transports of the factors, orders
-    pinned where ``transform.pinned_orders`` pins them and chosen elsewhere,
-    each equal to the transported complete factor's extension if c has one,
-    and each 1 if c is tight."""
+    fixed where the transform rules fix them and chosen elsewhere, and, if c
+    is tight, each 1 (item 11). The rules fix every order when c has a
+    complete factor (``transform.complete_orders``, item 15) and the pinned
+    ones otherwise (``transform.pinned_orders``, items 9-10)."""
     H1, M1 = blowup_jibs(c, bt)
-    ords = _assign_orders(
-        bt.target, c.d, S1, M1.generators, pinned_orders(c, bt), bump,
-        force_one=is_tight(c), override=complete_transport(c, bt),
-    )
-    if ords is None:
+    fixed = complete_orders(c, bt) or pinned_orders(c, bt)
+    ords = _assign_orders(bt.target, c.d, S1, M1.generators, fixed, bump)
+    if ords is None or (is_tight(c) and any(v != 1 for v in ords.values())):
         return None
     return Scenario.make(board=bt.target, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
 
@@ -419,18 +415,13 @@ def _order_ceilings(
     in every bundle there (see the module docstring). T is left empty: no
     call's S or orders depend on it."""
     root = state.root.scenario
-    board1 = bt.target
-    pinned, override = pinned_orders(root, bt), complete_transport(root, bt)
-    ords = {
-        x: extend_factor(board1, override, x) if override is not None
-        else Fraction(1) if is_tight(root)
-        else pinned.get(x, INF)
-        for x in keep_max
-    }
+    fixed = complete_orders(root, bt) or pinned_orders(root, bt)
+    free = Fraction(1) if is_tight(root) else INF
+    ords = {x: fixed.get(x, free) for x in keep_max}
     H1, M1 = blowup_jibs(root, bt)
     ceilings = {
         0: Scenario.make(
-            board=board1, d=root.d, B=root.B, H=H1, S=keep_max, T=(), ord=ords, M=M1
+            board=bt.target, d=root.d, B=root.B, H=H1, S=keep_max, T=(), ord=ords, M=M1
         )
     }
     for qid, rel in relations.items():  # parents come before their children

@@ -5,10 +5,10 @@ its parameters. Transversality and quotient are one-way: the response is a
 deterministic construction from the parent scenario (``*_response``), and
 ``call_check`` compares a claimed response with it item by item. Relaxation
 leaves Mephisto one freedom, enlarging T: ``relaxation_response`` is the
-answer that declines it, and ``relaxation_check`` accepts any legal
-enlargement. Descent leaves him the orders after the dimension drop, so it
-has no fixed response: its relation asks only for d - 1, the same B, and
-the parent's S, H and T.
+answer that declines it, and ``call_check`` accepts any legal enlargement.
+Descent leaves him the orders after the dimension drop, so it has no fixed
+response: its relation asks only for d - 1, the same B, and the parent's S,
+H and T.
 
 ``call_check`` is the one check of all four relations, on the call round
 and again after every blowup (``transform.commutes``); ``call_response`` is
@@ -50,7 +50,6 @@ __all__ = [
     "quotient_bound",
     "quotient_response",
     "relaxation_response",
-    "relaxation_check",
     "descent_check",
 ]
 
@@ -268,21 +267,16 @@ def relaxation_response(c: Scenario, J: Iterable[NodeId]) -> Scenario:
     return Scenario(c.board, c.d, c.B, H1, c.S, c.T, c.ord, M1)
 
 
-def relaxation_check(c: Scenario, J: Iterable[NodeId], c1: Scenario) -> List[Violation]:
-    """Check a response to "release J": jibs of J disappear, T may grow.
+def _check_relaxation(c: Scenario, Js: FrozenSet[NodeId], want: Scenario,
+                      c1: Scenario) -> List[Violation]:
+    """Check a response to "release Js" against ``want``, the response that
+    keeps T (``call_response``): jibs of Js disappear, T may grow.
 
     A node freshly added to T must meet some released jib partially: for at
-    least one h in J it is neither below h nor remote from h. Nodes clean
+    least one h in Js it is neither below h nor remote from h. Nodes clean
     with respect to every released jib gained no transversality from the
     release, so admitting them would smuggle in unearned centers.
     """
-    Js = frozenset(J)
-    return _check_relaxation(c, Js, relaxation_response(c, Js), c1)
-
-
-def _check_relaxation(c: Scenario, Js: FrozenSet[NodeId], want: Scenario,
-                      c1: Scenario) -> List[Violation]:
-    """``relaxation_check`` against ``want``, the response that keeps T."""
     rule = "relaxation"
     out: List[Violation] = []
     b = c.board

@@ -38,6 +38,7 @@ from .board import (
     _state_without_memo,
     board_from_json,
     board_to_json,
+    validate_board,
 )
 from .values import INF, Value, format_value, parse_value
 
@@ -251,16 +252,20 @@ def validate_scenario(c: Scenario) -> List[Violation]:
 
 def validate_shape(c: Scenario) -> List[Violation]:
     """The structure checks on which ``validate_scenario`` stops at once,
-    because every later check would raise rather than report: d or B not an
-    integer with B > 0, a node of H, S or T off the board, an M weight off
-    the board, an ord domain other than S. A scenario that passes may be read
-    node by node. Each instance is checked once; every call returns a fresh
-    list."""
+    because every later check would raise rather than report or read a
+    meaningless input: the board's own violations (``validate_board``), d or
+    B not an integer with B > 0, a node of H, S or T off the board, an M
+    weight off the board, an ord domain other than S. A scenario that passes
+    may be read node by node. Each instance is checked once, and the board's
+    verdict is stored on the board; every call returns a fresh list."""
     return _memo(_check_shape, c)
 
 
 def _check_shape(c: Scenario) -> List[Violation]:
     b = c.board
+    out = validate_board(b)
+    if out:
+        return out
     rule = "scenario"
     if not (isinstance(c.d, int) and isinstance(c.B, int) and c.B > 0):
         return [Violation(rule, "structure", (), f"bad d/B: d={c.d!r}, B={c.B!r}")]

@@ -13,9 +13,10 @@ factor); ``pinned_orders`` is the order every response must give each node
 it keeps singular at the exceptional node (item 9, the cap) or off the
 exceptional locus (item 10, the source's order), ``blowup_jibs`` the
 handicap and factor set of every response (items 12 and 14),
-``complete_transport`` the one transport of a complete factor, which every
-response's orders must equal (item 15), and ``cleared_nodes`` the nodes no
-response may keep singular (item 13). The blown-up board itself is
+``complete_orders`` the order every node of the blown-up board takes when
+the quest has a complete factor, its capped transport's extension (item 15,
+agreeing with every pin), and ``cleared_nodes`` the nodes no response may
+keep singular (item 13). The blown-up board itself is
 ``board.blowup_transform``'s. ``commutes`` checks the square linking a
 parent quest and a child created by an earlier call, for a child that
 survives the blowup: the child's new scenario must simultaneously answer the
@@ -28,10 +29,10 @@ Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: ``validate_blowup_transform`` stores its verdict on the new
 scenario and ``commutes`` on the child's new scenario, one slot per identity
 of the other arguments (``board._memo``), and ``transport_relation``,
-``pinned_orders``, ``blowup_jibs`` and ``complete_transport`` store their
+``pinned_orders``, ``complete_orders`` and ``blowup_jibs`` store their
 results on the blown-up board's transform, so every response of one quest
-shares one pin map, one factor set and with it one issue-9 table
-(``scenario.heavy_jib_violations``).
+shares one pin map, one map of complete orders, and one factor set and with
+it one issue-9 table (``scenario.heavy_jib_violations``).
 Mephisto builds each distinct response once per blown-up board and shares it
 among the candidates, so a response checked for one candidate is a lookup
 for the next; the umpire checks the same bundle objects, so its second look
@@ -72,7 +73,7 @@ __all__ = [
     "pinned_orders",
     "lift_factor",
     "capped_transport",
-    "complete_transport",
+    "complete_orders",
     "cleared_nodes",
     "blowup_jibs",
     "quotient_lifted_factor",
@@ -132,16 +133,21 @@ def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> Mono
     return lift_factor(m, bt, exceptional_cap(c, bt.center))
 
 
-def complete_transport(c: Scenario, bt: BoardTransform) -> Optional[MonomialFactor]:
-    """Item 15: the capped transport of c's complete factor, which every
-    order of a response to the blowup must equal; None when c has none.
-    Stored on ``bt`` for this very ``c``, like ``blowup_jibs``."""
-    return _memo(_complete_transport, c, bt)
+def complete_orders(c: Scenario, bt: BoardTransform) -> Optional[FrozenDict]:
+    """Item 15: the order every response to the blowup must give each node of
+    the blown-up board it keeps singular, the extension of the capped
+    transport of c's complete factor; None when c has none. Where a pin of
+    ``pinned_orders`` falls, it agrees. Stored on ``bt`` for this very ``c``,
+    like ``pinned_orders``."""
+    return _memo(_complete_orders, c, bt)
 
 
-def _complete_transport(c: Scenario, bt: BoardTransform) -> Optional[MonomialFactor]:
+def _complete_orders(c: Scenario, bt: BoardTransform) -> Optional[FrozenDict]:
     m = complete_factor(c)
-    return None if m is None else capped_transport(c, bt, m)
+    if m is None:
+        return None
+    m1 = capped_transport(c, bt, m)
+    return FrozenDict({x: extend_factor(bt.target, m1, x) for x in bt.target.ids})
 
 
 def blowup_jibs(c: Scenario, bt: BoardTransform) -> Tuple[FrozenSet[NodeId], FactorSet]:
@@ -212,7 +218,6 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
 
     z = bt.center
     e = bt.exceptional
-    b1 = bt.target
 
     # Item 7: admissibility of the center.
     if z not in admissible_centers(c):
@@ -302,18 +307,17 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
         out.append(Violation(RULE, 14, (e,), "factor generators are not the capped transports"))
 
     # Item 15: a complete factor stays complete after transport.
-    m1 = None if cap < 0 else complete_transport(c, bt)
-    if m1 is not None:
+    complete = None if cap < 0 else complete_orders(c, bt)
+    if complete is not None:
         for s1 in sorted(c1.S):
-            want = extend_factor(b1, m1, s1)
-            if c1.ord[s1] != want:
+            if c1.ord[s1] != complete[s1]:
                 out.append(
                     Violation(
                         RULE,
                         15,
                         (s1,),
                         f"transported complete factor misses ord({s1}): "
-                        f"{format_value(want)} != {format_value(c1.ord[s1])}",
+                        f"{format_value(complete[s1])} != {format_value(c1.ord[s1])}",
                     )
                 )
     out.extend(validate_scenario(c1))

@@ -37,6 +37,44 @@ def test_gen_writes_json_to_stdout(capsys):
     assert set(json.loads(out)) >= {"board", "d", "B", "H", "S", "T", "ord", "M"}
 
 
+def _board_json(dims, covers):
+    return {"nodes": [{"id": s, "dim": n} for s, n in dims.items()], "covers": covers}
+
+
+# The cover x < h joins two nodes of dimension 1.
+CROSSED = _board_json(
+    {"s": 0, "h": 1, "x": 1, "w": 2}, [["s", "h"], ["h", "w"], ["x", "h"], ["x", "w"]]
+)
+CROSSED_ERR = "[board / issue monotone-dim] cover x < h but dim 1 >= 1 (witness: x, h)\n"
+
+
+def test_gen_scenario_on_an_invalid_board_exits_with_its_violations(capsys, tmp_path):
+    two_tops = _board_json({"s": 0, "a": 1, "b": 1}, [["s", "a"], ["s", "b"]])
+    two_tops_err = (
+        "[board / issue unique-top] expected exactly one maximal node, found 2 (witness: a, b)\n"
+    )
+    path = tmp_path / "board.json"
+    for board, want in ((CROSSED, CROSSED_ERR), (two_tops, two_tops_err)):
+        path.write_text(json.dumps(board))
+        assert run(capsys, "validate", path) == (cli.EXIT_VIOLATIONS, "", want)
+        code, out, err = run(capsys, "gen", "scenario", "--board", path, "--seed", 1)
+        assert (code, out, err) == (cli.EXIT_VIOLATIONS, "", want)
+        assert "Traceback" not in err
+
+
+def test_a_scenario_on_an_invalid_board_is_rejected_before_play(capsys, tmp_path):
+    data = {
+        "board": CROSSED, "d": 0, "B": 6, "H": [], "S": ["s"], "T": ["h", "s", "w", "x"],
+        "ord": {"s": "inf"}, "M": [{}],
+    }
+    path = tmp_path / "crossed.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate"], ["play", "--scenario"], ["explore", "--scenario"]):
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out, err) == (cli.EXIT_VIOLATIONS, "", CROSSED_ERR)
+        assert "Traceback" not in err
+
+
 def test_validate_reports_violations(capsys, tmp_path, chain_scenario):
     data = scenario_to_json(chain_scenario)
     data["ord"]["p"] = "1/2"  # off the 1/B grid, B = 1

@@ -51,6 +51,7 @@ from salmagundy.scenario import (
     MonomialFactor,
     Scenario,
     admissible_centers,
+    complete_factor,
     extend_factor,
     heavy_jib_violations,
     is_tight,
@@ -60,8 +61,8 @@ from salmagundy.scenario import (
 from salmagundy.transform import (
     QuestRelation,
     blowup_jibs,
+    capped_transport,
     cleared_nodes,
-    complete_transport,
     exceptional_cap,
     transport_relation,
     validate_blowup_transform,
@@ -198,21 +199,15 @@ def test_bundle_score_counts_singular_mass(chain_scenario):
 # ---- order assignment ---------------------------------------------------------
 
 
-def _two_pass_assign_orders(
-    board, d, keep, gens, pinned, bump, force_one=False, override=None
-):
+def _two_pass_assign_orders(board, d, keep, gens, fixed, bump):
     """Reference: place every order top-down, then check each placed order
     once more against the floor that all the other placed orders give it."""
     ords = {}
     for f in sorted(keep, key=lambda s: (-board.dim(s), s)):
-        if override is not None:
-            v = extend_factor(board, override, f)
-            if f in pinned and pinned[f] != v:
-                return None
+        if f in fixed:
+            v = fixed[f]
             if board.dim(f) == d and is_finite(v):
                 return None
-        elif f in pinned:
-            v = pinned[f]
         elif board.dim(f) == d:
             v = INF
         else:
@@ -221,8 +216,6 @@ def _two_pass_assign_orders(
                 v = max(floor, Fraction(1) + bump)
             else:
                 v = floor
-        if force_one and v != Fraction(1):
-            return None
         if is_finite(v) and v < 1:
             return None
         ords[f] = v
@@ -234,15 +227,15 @@ def _two_pass_assign_orders(
     return ords
 
 
-def _pinned_variants(pinned, keep):
-    """The pinned orders as given, and with the order of each finite pinned
+def _fixed_variants(fixed, keep):
+    """The fixed orders as given, and with the order of each finite fixed
     node of ``keep`` moved to 1 and up by 1: the first can sink below the
-    node's floor, the second lifts the floor of the pinned nodes below it."""
-    yield pinned
-    for f, v in sorted(pinned.items()):
+    node's floor, the second lifts the floor of the fixed nodes below it."""
+    yield fixed
+    for f, v in sorted(fixed.items()):
         if f in keep and is_finite(v):
             for w in (Fraction(1), v + 1):
-                yield {**pinned, f: w}
+                yield {**fixed, f: w}
 
 
 @pytest.fixture(scope="module")
@@ -265,16 +258,19 @@ def recorded_calls():
 
 
 def test_one_pass_order_assignment_matches_the_two_pass_reference(recorded_calls):
-    shapes = {"override": 0, "pinned": 0, "descent": 0, "none": 0, "orders": 0}
-    for (board, d, keep, gens, pinned, bump, *rest), kwargs in recorded_calls["_assign_orders"]:
-        override = kwargs.get("override")
-        shapes["override"] += override is not None
-        shapes["pinned"] += any(f in pinned for f in keep)
+    shapes = {"complete": 0, "pinned": 0, "descent": 0, "none": 0, "orders": 0}
+    for args, kwargs in recorded_calls["_assign_orders"]:
+        assert not kwargs
+        board, d, keep, gens, fixed, bump = args
+        # transform.complete_orders fixes every node of the board; the pins
+        # never fix the top
+        complete = set(board.ids) <= set(fixed)
+        shapes["complete"] += complete
+        shapes["pinned"] += not complete and any(f in fixed for f in keep)
         shapes["descent"] += not gens[0].weights  # blowup responses have jib e
-        for variant in _pinned_variants(pinned, keep):
-            args = (board, d, keep, gens, variant, bump, *rest)
-            want = _two_pass_assign_orders(*args, **kwargs)
-            assert _assign_orders(*args, **kwargs) == want
+        for variant in _fixed_variants(fixed, keep):
+            want = _two_pass_assign_orders(board, d, keep, gens, variant, bump)
+            assert _assign_orders(board, d, keep, gens, variant, bump) == want
             shapes["none" if want is None else "orders"] += 1
     # every kind of call, and both outcomes, were met
     assert all(shapes.values()), shapes
@@ -297,9 +293,10 @@ def _keep_max_with_tight_floor_pass(c, bt, examined):
             keep.discard(e)
     keep -= {x for x in keep if board1.dim(x) > c.d}
     keep -= {x for _, hit in cleared_nodes(c, bt, keep) for x in hit}
-    cf1 = complete_transport(c, bt)
-    if cf1 is not None:
-        keep -= {x for x in keep if extend_factor(board1, cf1, x) < 1}
+    m = complete_factor(c)
+    if m is not None:
+        m1 = capped_transport(c, bt, m)
+        keep -= {x for x in keep if extend_factor(board1, m1, x) < 1}
     if is_tight(c):
         gens1 = blowup_jibs(c, bt)[1].generators
         ones = {x: Fraction(1) for x in keep}

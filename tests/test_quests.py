@@ -11,12 +11,12 @@ from salmagundy.board import BLOWUP, Board, BoardTransform, blowup_transform, tr
 from salmagundy.game import Bundle, Move, new_game, validate_bundle
 from salmagundy.quests import (
     QuestRelation,
+    _check_relaxation,
     call_check,
     call_response,
     descent_check,
     quotient_bound,
     quotient_response,
-    relaxation_check,
     relaxation_response,
     transversality_response,
 )
@@ -261,42 +261,43 @@ def test_relaxation_accepts_plain_release(forked_scenario):
     c = forked_scenario
     assert validate_scenario(c) == []
     c1 = _remake(c, H=[], M=[zero_factor([])])
-    assert relaxation_check(c, ["h1"], c1) == []
+    assert call_check(c, QuestRelation.relaxation(["h1"]), c1) == []
 
 
 def test_relaxation_accepts_partial_meeting_additions(forked_scenario):
     c = forked_scenario
     c1 = _remake(c, H=[], M=[zero_factor([])], T={"s", "w"})
-    assert relaxation_check(c, ["h1"], c1) == []
+    assert call_check(c, QuestRelation.relaxation(["h1"]), c1) == []
 
 
 def test_relaxation_check_items(forked_scenario):
     c = forked_scenario
+    release = QuestRelation.relaxation(["h1"])
     ok = _remake(c, H=[], M=[zero_factor([])])
     alien = Scenario.make(
         Board({"x": 0}, []), c.d, c.B, [], [], ["x"], {}, [zero_factor([])]
     )
-    assert _tags(relaxation_check(c, ["h1"], alien), "relaxation") == {"structure"}
-    assert _tags(relaxation_check(c, ["h1"], _remake(ok, B=7)), "relaxation") == {1}
+    assert _tags(call_check(c, release, alien), "relaxation") == {"structure"}
+    assert _tags(call_check(c, release, _remake(ok, B=7)), "relaxation") == {1}
     assert _tags(
-        relaxation_check(c, ["h1"], _remake(ok, S=[], ord={})), "relaxation"
+        call_check(c, release, _remake(ok, S=[], ord={})), "relaxation"
     ) == {2}
     assert _tags(
-        relaxation_check(c, ["h1"], _remake(ok, ord={"s": 0})), "relaxation"
+        call_check(c, release, _remake(ok, ord={"s": 0})), "relaxation"
     ) == {2}
-    assert _tags(relaxation_check(c, ["h1"], c), "relaxation") == {3, 5}
+    assert _tags(call_check(c, release, c), "relaxation") == {3, 5}
     assert _tags(
-        relaxation_check(c, ["h1"], _remake(ok, T=[])), "relaxation"
+        call_check(c, release, _remake(ok, T=[])), "relaxation"
     ) == {4}
     # t is remote from the released jib: it earned nothing
     assert _tags(
-        relaxation_check(c, ["h1"], _remake(ok, T={"s", "t"})), "relaxation"
+        call_check(c, release, _remake(ok, T={"s", "t"})), "relaxation"
     ) == {4}
     assert _tags(
-        relaxation_check(c, ["h1"], _remake(ok, M=FactorSet(()))), "relaxation"
+        call_check(c, release, _remake(ok, M=FactorSet(()))), "relaxation"
     ) == {5}
     with pytest.raises(ValueError):
-        relaxation_check(c, ["nope"], c)
+        call_check(c, QuestRelation.relaxation(["nope"]), c)
 
 
 def test_relaxation_response_passes_its_check(
@@ -307,7 +308,7 @@ def test_relaxation_response_passes_its_check(
         for k in range(len(jibs) + 1):
             for J in itertools.combinations(jibs, k):
                 c1 = relaxation_response(c, J)
-                assert relaxation_check(c, J, c1) == []
+                assert call_check(c, QuestRelation.relaxation(J), c1) == []
                 assert (c1.H, c1.T, c1.S) == (c.H - set(J), c.T, c.S)
     with pytest.raises(ValueError):
         relaxation_response(forked_scenario, ["nope"])
@@ -436,7 +437,8 @@ def test_call_response_and_check_are_the_per_kind_functions(
             assert call_check(c, rel, want) == []
             if rel.kind == "relaxation":
                 for claimed in (c, _remake(want, T=[])):
-                    assert call_check(c, rel, claimed) == relaxation_check(c, rel.jibs, claimed)
+                    want_check = _check_relaxation(c, rel.jibs, want, claimed)
+                    assert call_check(c, rel, claimed) == want_check
             kinds.add(rel.kind)
     assert kinds == {"transversality", "relaxation", "quotient"}
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salmagundy.board import Board, Violation, blowup_transform
+from salmagundy.board import Board, Violation, blowup_transform, validate_board
 from salmagundy.harness import gen_scenario
 from salmagundy.mephisto import _down_closed_keeps, _root_keep_max, _root_response
 from salmagundy.scenario import (
@@ -31,6 +31,7 @@ from salmagundy.scenario import (
     scenario_to_json,
     separation_mass,
     validate_scenario,
+    validate_shape,
     zero_factor,
 )
 from salmagundy.transform import blowup_jibs, validate_blowup_transform
@@ -142,6 +143,26 @@ def test_structure_ord_granularity(crossing_scenario):
     assert "structure" in _issues(bad)
     worse = _remake(crossing_scenario, ord={"s": Fraction(-1, 10)})
     assert "structure" in _issues(worse)
+
+
+def _crossed_board():
+    """The cover x < h joins two nodes of dimension 1: not a valid board."""
+    covers = [("s", "h"), ("h", "w"), ("x", "h"), ("x", "w")]
+    return Board({"s": 0, "h": 1, "x": 1, "w": 2}, covers)
+
+
+def test_a_scenario_on_an_invalid_board_reports_the_board_and_stops():
+    b = _crossed_board()
+    c = Scenario.make(b, d=0, B=6, H=[], S={"s"}, T=b.ids, ord={"s": INF}, M=[zero_factor([])])
+    want = validate_board(b)
+    assert [(v.rule, v.issue) for v in want] == [("board", "monotone-dim")]
+    assert validate_shape(c) == want
+    assert validate_scenario(c) == want
+
+
+def test_gen_scenario_hands_out_no_scenario_on_an_invalid_board():
+    with pytest.raises(RuntimeError, match="monotone-dim"):
+        gen_scenario(1, board=_crossed_board())
 
 
 # ---- the nine numbered checks, one targeted mutant each ---------------------

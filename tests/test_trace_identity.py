@@ -2,8 +2,9 @@
 
 The first digest covers the NDJSON traces of a fixed set of games under all
 three policies plus the explorer's tree counts. The second covers games the
-first misses: monomial scenarios, which take the complete-factor override
-path, and more ``random:1`` games, which use every bump level. A change that
+first misses: monomial scenarios, which take every order of a blowup
+response from ``transform.complete_orders``, and more ``random:1`` games,
+which use every bump level. A change that
 alters either digest changes behaviour, and must say why and re-pin it.
 """
 

@@ -1,5 +1,6 @@
 """Scenario transport across blowups, and commutativity."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from salmagundy.game import (
     new_game,
     validate_bundle,
 )
-from salmagundy.harness import gen_scenario
+from salmagundy.harness import gen_monomial_scenario, gen_scenario
 from salmagundy.mephisto import Policy, respond
 from salmagundy.quests import (
     DESCENT,
@@ -31,6 +32,7 @@ from salmagundy.scenario import (
     MonomialFactor,
     Scenario,
     admissible_centers,
+    complete_factor,
     zero_factor,
 )
 from salmagundy.transform import (
@@ -38,6 +40,8 @@ from salmagundy.transform import (
     QuestRelation,
     capped_transport,
     commutes,
+    complete_orders,
+    pinned_orders,
     quotient_lifted_factor,
     transport_relation,
     validate_blowup_transform,
@@ -236,6 +240,39 @@ def test_blowup_item_15_complete_factor_stays_complete(crossing_scenario, crossi
     bt, good = crossing_blowup
     c1 = _remake(good, ord={"q1": Fraction(9, 10), "q2": Fraction(13, 10)})
     assert _rule_tags(validate_blowup_transform(crossing_scenario, bt, c1)) == {15}
+
+
+def _driver_transversality_children(seeds):
+    """Every scenario with a singular node and a complete factor that an
+    open transversality child holds in canonical games on monomial seeds."""
+    found = {}
+    for seed in seeds:
+        st, dido = new_game(gen_monomial_scenario(seed)), DidoStrategy()
+        while (mv := dido.decide(st)) is not None:
+            bundle = respond(st, mv, Policy.parse("canonical"))
+            dido.observe(st, mv, bundle, apply_round(st, mv, bundle))
+            for q in st.open_quests():
+                c = q.scenario
+                if q.relation is not None and q.relation.kind == TRANSVERSALITY:
+                    if c.S and complete_factor(c) is not None:
+                        found[id(c)] = c
+    return list(found.values())
+
+
+def test_complete_orders_agree_with_every_pin():
+    # where items 9-10 pin an order, item 15 gives the same one, so Mephisto
+    # reads one map: the complete orders when there are any, else the pins
+    kids = _driver_transversality_children(range(30))
+    met = Counter()
+    for c in [gen_monomial_scenario(seed) for seed in range(60)] + kids:
+        for z in sorted(admissible_centers(c)):
+            bt = blowup_transform(c.board, z)
+            complete = complete_orders(c, bt)
+            assert set(complete) == set(bt.target.ids)
+            for x, pin in pinned_orders(c, bt).items():
+                assert complete[x] == pin, (z, x)
+                met["e" if x == bt.exceptional else "off the exceptional locus"] += 1
+    assert kids and len(met) == 2, met
 
 
 # ---- transported factors ----------------------------------------------------
