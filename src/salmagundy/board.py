@@ -63,7 +63,7 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        w = ", ".join(self.witness)
+        w = ", ".join(map(str, self.witness))  # a malformed input may hold any id
         return f"[{self.rule} / issue {self.issue}] {self.detail} (witness: {w})"
 
 

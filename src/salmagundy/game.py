@@ -41,10 +41,11 @@ Replay reads each value once, too. ``replay_trace`` holds the JSON that its
 board and each open quest's scenario were read from. A call round changes
 neither, but its line repeats them all, so ``bundle_from_json`` reads a
 target equal to the held board's JSON as the state's board, with no parse
-and no closure, and on it reads a response equal to its quest's held JSON
-as that quest's scenario. Only the child, and every piece of a blowup
-round, is parsed. Verdicts do not change: equal JSON parses to an equal
-value, every check is a pure function of values, and the umpire still runs
+and no closure, and on it reads a response equal to a held JSON as that
+held scenario. Within a line, a response or child equal to one already
+read is that scenario too, as play shares equal responses, so its checks
+run once. Verdicts do not change: equal JSON parses to an equal value,
+every check is a pure function of values, and the umpire still runs
 ``validate_bundle`` in full on every round.
 """
 
@@ -483,14 +484,20 @@ def transform_to_json(bt: BoardTransform) -> dict:
 
 def transform_from_json(data: Mapping, source: Board, target: Board) -> BoardTransform:
     """The transform ``data`` records from ``source`` to ``target``, the board
-    that ``data["target"]`` reads as."""
+    that ``data["target"]`` reads as. Raises ValueError where it maps a node
+    to, or names as its center, something that is not a node id."""
+    embed, retract = dict(data["embed"]), dict(data["retract"])
+    center = data.get("center")
+    ids = [*embed.values(), *retract.values(), *([] if center is None else [center])]
+    if not set(map(type, ids)) <= {str}:
+        raise ValueError("malformed transform JSON: a node id is not a string")
     return BoardTransform(
         kind=data["kind"],
         source=source,
         target=target,
-        embed=dict(data["embed"]),
-        retract=dict(data["retract"]),
-        center=data.get("center"),
+        embed=embed,
+        retract=retract,
+        center=center,
     )
 
 
@@ -520,9 +527,10 @@ def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) 
     A reader that holds the values it read earlier passes them as ``held``,
     with ``source`` read from ``held[0]``. When the transform's target JSON
     equals ``held[0]``, the target is ``source`` itself, neither parsed nor
-    closed again; on it, a response whose JSON equals its quest's held JSON
-    is the held scenario. Everything else is parsed. Equal JSON parses to an
-    equal value, so the bundle equals the one read without ``held``.
+    closed again, and the held scenarios are on it. A response or child
+    whose JSON equals one held there or already read on this line is that
+    scenario; everything else is parsed. Equal JSON parses to an equal
+    value, so the bundle equals the one read without ``held``.
     """
     t = data["transform"]
     if held is not None and t["target"] == held[0]:
@@ -531,19 +539,21 @@ def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) 
     else:
         bt = transform_from_json(t, source, board_from_json(t["target"]))
         scenarios = {}
+    seen = list(scenarios.values())
+
+    def read(sc: object) -> Scenario:
+        for known in seen:
+            if known[0] == sc:
+                return known[1]
+        seen.append((sc, scenario_from_json(sc, board=bt.target)))
+        return seen[-1][1]
+
     responses = {}
     for key, sc in data["responses"].items():
         qid = int(key)
-        known = scenarios.get(qid)
-        if known is not None and known[0] == sc:
-            responses[qid] = known[1]
-        else:
-            responses[qid] = scenario_from_json(sc, board=bt.target)
-    child = (
-        scenario_from_json(data["child"], board=bt.target)
-        if data.get("child") is not None
-        else None
-    )
+        known = scenarios.get(qid)  # most often the quest's own held JSON
+        responses[qid] = known[1] if known is not None and known[0] == sc else read(sc)
+    child = read(data["child"]) if data.get("child") is not None else None
     return Bundle(
         transform=bt,
         responses=responses,
@@ -604,11 +614,11 @@ def replay_trace(lines: Iterable[str]) -> GameState:
     board, and each open quest's scenario in its response form (the root's
     is the header scenario with ``"board": "target"``). A line that repeats
     a held JSON is read as the held value (``bundle_from_json``): on a call
-    round, the board and every unchanged response, so only the child is
-    parsed. A blowup round brings a new board, so all of it is parsed.
-    Verdicts do not change: equal JSON parses to an equal value, every
-    check is a pure function of values, and the umpire still runs
-    ``validate_bundle`` in full on every round.
+    round, the board and every unchanged response, so at most the child is
+    parsed. A blowup round brings a new board, so each distinct response on
+    it is parsed once. Verdicts do not change: equal JSON parses to an
+    equal value, every check is a pure function of values, and the umpire
+    still runs ``validate_bundle`` in full on every round.
     """
     it = iter(lines)
     try:

@@ -45,15 +45,22 @@ bundle's first score component is its total |S|. On each blown-up board
 every quest q has a ceiling (``_order_ceilings``): a scenario whose S,
 called D_q, holds every node q's response can hold singular there, at
 orders no lower than the response's. The root's ceiling is the largest
-keep at the orders the rules fix, and elsewhere at INF (1 in a tight
-quest). Each child's is ``quests.call_response`` of its parent's ceiling,
-since a call's S and orders can only grow as its parent's do; where the
-call raises (descent, which frees the orders, or parameters the ceiling
-does not admit) the child's ceiling is its parent's S at order INF. Each
-response's S lies within the root's keep and within D_q, so UB(keep) = sum
-over quests of |keep & D_q| is admissible. The stream keeps its own incumbent, the largest
-total |S| it has yielded, and stops before starting a keep once the
-incumbent is strictly greater than UB of every keep not yet started.
+keep at the orders the rules fix, INF at dimension d (1 in a tight quest),
+and elsewhere at the largest order any bump level gives: max(floor, 1 +
+L/B) for the policy's top level L, the floor taken top-down over the
+ceiling's own orders above it. A floor only grows with the uppers it meets
+and their orders, so that is finite wherever the floor is, and still no
+lower than any response's. Each child's is ``quests.call_response`` of its
+parent's ceiling, since a call's S and orders can only grow as its
+parent's do; where the call raises (descent, which frees the orders, or
+parameters the ceiling does not admit) the child's ceiling is its parent's
+S at order INF. Each response's S lies within the root's keep and within
+D_q, so UB(keep) = sum over quests of |keep & D_q| is admissible. Lower
+root orders leave fewer nodes to a quotient child, so the finite ceiling
+stops streams that INF orders let run on. The stream keeps its own
+incumbent, the largest total |S| it has yielded, and stops before starting
+a keep once the incumbent is strictly greater than UB of every keep not
+yet started.
 Enumerated keeps start in a fixed order, so the stop reads a suffix
 maximum of their bounds; the repair path reads the maximum over its live
 list, whose later keeps are subsets of keeps in it. A tie does not stop
@@ -68,8 +75,13 @@ board, so equal responses are one object and the checks stored on it
 ``quests.call_response`` of its parent's new response, which stores it on
 that parent: it is built once per parent response object, a repeated root
 reuses its whole subtree, and the umpire's ``quests.call_check`` reads the
-same child instead of building its own. A descent child's orders depend on
-the bump level, so it is built per candidate and interned. Likewise a call's
+same child instead of building its own. A descent quest's response depends
+on the bump level and its parent response's S and T, so it is built once per
+board for each of those and interned. A keep whose nodes all have orders no
+bump level moves, the fixed ones and INF at dimension d, in the root's
+response and in every descent quest's (``_bump_blind_nodes``), gives the
+same bundle at every level: it is built at its first level only, and its
+other levels are still counted against ``_CANDIDATE_CAP``. Likewise a call's
 child equal to an open quest's scenario is that scenario, so the two quests
 share their checks at the next blowup.
 
@@ -304,6 +316,12 @@ def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
 
 
+def _fixed_orders(c: Scenario, bt: BoardTransform) -> Mapping[NodeId, Value]:
+    """The orders the transform rules fix for a response to c: every one when
+    c has a complete factor (item 15), the pins otherwise (items 9-10)."""
+    return complete_orders(c, bt) or pinned_orders(c, bt)
+
+
 def _blowup_response(
     c: Scenario,
     bt: BoardTransform,
@@ -313,13 +331,10 @@ def _blowup_response(
 ) -> Optional[Scenario]:
     """Carry c through the blowup onto the singular set S1 and transversal
     set T1: handicap i(H) + e, the capped transports of the factors, orders
-    fixed where the transform rules fix them and chosen elsewhere, and, if c
-    is tight, each 1 (item 11). The rules fix every order when c has a
-    complete factor (``transform.complete_orders``, item 15) and the pinned
-    ones otherwise (``transform.pinned_orders``, items 9-10)."""
+    fixed where the transform rules fix them (``_fixed_orders``) and chosen
+    elsewhere, and, if c is tight, each 1 (item 11)."""
     H1, M1 = blowup_jibs(c, bt)
-    fixed = complete_orders(c, bt) or pinned_orders(c, bt)
-    ords = _assign_orders(bt.target, c.d, S1, M1.generators, fixed, bump)
+    ords = _assign_orders(bt.target, c.d, S1, M1.generators, _fixed_orders(c, bt), bump)
     if ords is None or (is_tight(c) and any(v != 1 for v in ords.values())):
         return None
     return Scenario.make(board=bt.target, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
@@ -345,19 +360,29 @@ def _assemble_blowup(
     discards: FrozenSet[int],
     relations: Dict[int, QuestRelation],
     interned: Dict[Scenario, Scenario],
+    descents: Dict[tuple, Optional[Scenario]],
 ) -> Optional[Bundle]:
     """The bundle around a root response. ``discards`` is
     ``blowup_discards(state, bt)`` and ``relations`` maps each surviving
     child, in id order, to its call transported onto the new board; both
-    depend on the board alone. ``interned`` is shared by the candidates of
-    one board and maps every response built to the first equal one."""
+    depend on the board alone. ``interned`` and ``descents`` are shared by
+    the candidates of one board: ``interned`` maps every response built to
+    the first equal one, and ``descents`` holds each descent quest's
+    response (None where it has none) under what it is built from, the
+    quest, its parent response's S and T and the bump, so each is built
+    once per board."""
     root_new = interned.setdefault(root_new, root_new)
     responses: Dict[int, Scenario] = {0: root_new}
     for qid, rel_new in relations.items():
         quest = state.quests[qid]
         parent_new = responses[quest.parent_id]
         if rel_new.kind == DESCENT:
-            resp = _blowup_response(quest.scenario, bt, parent_new.S, parent_new.T, bump)
+            key = (qid, parent_new.S, parent_new.T, bump)
+            if key not in descents:
+                descents[key] = _blowup_response(
+                    quest.scenario, bt, parent_new.S, parent_new.T, bump
+                )
+            resp = descents[key]
         else:
             try:
                 resp = call_response(parent_new, rel_new)
@@ -409,16 +434,36 @@ def _order_ceilings(
     bt: BoardTransform,
     keep_max: FrozenSet[NodeId],
     relations: Dict[int, QuestRelation],
+    levels: Sequence[int],
 ) -> Dict[int, Scenario]:
     """The ceiling of the root (quest 0) and of each child in ``relations``
     on ``bt``: a scenario whose S is D_q and whose orders bound q's response
     in every bundle there (see the module docstring). T is left empty: no
-    call's S or orders depend on it."""
+    call's S or orders depend on it.
+
+    The root's ceiling holds keep_max. It keeps the orders the rules fix,
+    INF at dimension d and, in a tight quest, 1; every other node takes the
+    largest order any of the bump ``levels`` gives it, max(floor, 1 + L/B)
+    for the top level L. Its floor is read top-down over the ceiling's own
+    orders above it, as ``_assign_orders`` reads it; a floor only grows with
+    the uppers it meets and their orders, so no keep at any level assigns
+    more."""
     root = state.root.scenario
-    fixed = complete_orders(root, bt) or pinned_orders(root, bt)
-    free = Fraction(1) if is_tight(root) else INF
-    ords = {x: fixed.get(x, free) for x in keep_max}
+    board1 = bt.target
+    fixed = _fixed_orders(root, bt)
     H1, M1 = blowup_jibs(root, bt)
+    tight = is_tight(root)
+    top = 1 + Fraction(max(levels), root.B)
+    ords: Dict[NodeId, Value] = {}
+    for f in sorted(keep_max, key=lambda s: (-board1.dim(s), s)):
+        if f in fixed:
+            ords[f] = fixed[f]
+        elif tight:
+            ords[f] = Fraction(1)
+        elif board1.dim(f) == root.d:
+            ords[f] = INF
+        else:
+            ords[f] = max(_order_floor(board1, M1.generators, ords, f), top)
     ceilings = {
         0: Scenario.make(
             board=bt.target, d=root.d, B=root.B, H=H1, S=keep_max, T=(), ord=ords, M=M1
@@ -431,6 +476,24 @@ def _order_ceilings(
         except ValueError:  # descent, or parameters the ceiling does not admit
             ceilings[qid] = replace(parent, ord=dict.fromkeys(parent.S, INF))
     return ceilings
+
+
+def _bump_blind_nodes(
+    state: GameState, bt: BoardTransform, relations: Dict[int, QuestRelation]
+) -> FrozenSet[NodeId]:
+    """The nodes of ``bt.target`` whose order no bump level changes, in the
+    root's response and in each descent quest's: the orders the rules fix,
+    and INF at dimension d. Every response's S lies within the root's keep,
+    and the call children follow their parents, so a keep within this set
+    gives the same bundle, or none, at every level."""
+    board1 = bt.target
+    blind = frozenset(board1.ids)
+    descents = [state.quests[qid] for qid, rel in relations.items() if rel.kind == DESCENT]
+    for quest in [state.root, *descents]:
+        c = quest.scenario
+        fixed = _fixed_orders(c, bt)
+        blind &= {x for x in board1.ids if x in fixed or board1.dim(x) == c.d}
+    return blind
 
 
 def _keep_bound(ceilings: Dict[int, Scenario], keep: FrozenSet[NodeId]) -> int:
@@ -518,9 +581,12 @@ def enumerate_blowup_bundles(
             if quest.parent_id is not None and quest.quest_id not in discards
         }
         interned: Dict[Scenario, Scenario] = {}
+        descents: Dict[tuple, Optional[Scenario]] = {}
+        # under one level there is no later level to skip
+        blind = _bump_blind_nodes(state, bt, relations) if len(levels) > 1 else frozenset()
         tried = {keep_max}  # read on the repair path only, where keeps == [keep_max]
         if bounded:
-            ceilings = _order_ceilings(state, bt, keep_max, relations)
+            ceilings = _order_ceilings(state, bt, keep_max, relations, levels)
             rest = [0]  # rest[j]: the largest bound among the last j keeps
             for k in reversed(keeps):
                 rest.append(max(rest[-1], _keep_bound(ceilings, k)))
@@ -535,22 +601,26 @@ def enumerate_blowup_bundles(
             # when this holds the sieve would reject each one on scenario
             # issue 9. Its candidates still count, so the cap fires where it did.
             skip = not repair and heavy_jib_violations(bt.target, root.d, H1, keep, M1)
+            # When no order of the keep's responses moves with the bump, every
+            # level builds the first level's bundle again: the later levels
+            # are only counted, so the cap still fires where it did.
+            steady = keep <= blind
             # The root's singular set is the keep, so bundles can only repeat
             # within one keep, when two bump levels settle on the same orders.
             yielded: List[Dict[int, Scenario]] = []
-            for level in levels:
+            for i, level in enumerate(levels):
                 examined += 1
                 if examined > _CANDIDATE_CAP:
                     note(f"stopped after {_CANDIDATE_CAP} candidates")
                     return
-                if skip:
+                if skip or (i and steady):
                     continue
                 bump = Fraction(level, root.B)
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
                 bundle = _assemble_blowup(
-                    state, bt, root_new, bump, discards, relations, interned
+                    state, bt, root_new, bump, discards, relations, interned, descents
                 )
                 if bundle is None or bundle.responses in yielded:
                     continue

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from salmagundy import harness, mephisto
 from salmagundy.dido import DidoStrategy, StrategyError, _plans_text, dms_less, measure_of
-from salmagundy.game import CALL, apply_round, new_game, replay_trace
+from salmagundy.game import CALL, apply_round, new_game, replay_trace, validate_bundle
 from salmagundy.harness import gen_monomial_scenario, gen_scenario, play_game
-from salmagundy.mephisto import Policy, respond
+from salmagundy.mephisto import NoValidBundle, Policy, respond
 from salmagundy.scenario import MonomialFactor, Scenario, validate_scenario, zero_factor
+from salmagundy.transform import transport_relation
 
 
 def _remake(c, **kw):
@@ -234,3 +236,56 @@ def test_a_runaway_start_ends_at_the_round_cap():
     result = play_game(c, Policy.parse("canonical"), round_cap=600)
     assert not result.won and result.rounds == 600
     assert result.note == "round cap 600 reached"
+
+
+def _answering_below_one(monkeypatch, round_no, node, value):
+    """Make canonical Mephisto answer the blowup at ``round_no`` (rounds
+    played before it) with ``node``'s order in the root response set to
+    ``value``, every child built from that response as Mephisto builds
+    them, and the bundle checked by the umpire before it is played."""
+    answer = harness.respond
+
+    def answering(state, move, policy):
+        bundle = answer(state, move, policy)
+        if state.round_no != round_no:
+            return bundle
+        assert move.kind == "blowup" and bundle.responses[0].ord[node] == 1
+        root = bundle.responses[0]
+        root = dataclasses.replace(root, ord={**root.ord, node: value})
+        bt = bundle.transform
+        relations = {
+            q.quest_id: transport_relation(q.relation, bt)
+            for q in sorted(state.open_quests(), key=lambda q: q.quest_id)
+            if q.parent_id is not None and q.quest_id not in bundle.discards
+        }
+        below = mephisto._assemble_blowup(
+            state, bt, root, Fraction(0), bundle.discards, relations, {}, {}
+        )
+        assert validate_bundle(state, move, below) == []
+        return below
+
+    monkeypatch.setattr(harness, "respond", answering)
+
+
+def test_a_mid_game_order_below_1_that_the_umpire_accepts_runs_to_the_round_cap(monkeypatch):
+    # Canonical seed 6 answers its third blowup with ord(q5) = 1; at 2/3 the
+    # umpire accepts the answer, and Dido then calls a quotient on the
+    # newest quest every round. Whether orders below 1 are legal is open.
+    _answering_below_one(monkeypatch, 10, "q5", Fraction(2, 3))
+    result = play_game(gen_scenario(6), Policy.parse("canonical"), round_cap=300)
+    assert not result.won and result.rounds == 300
+    assert result.note == "round cap 300 reached"
+
+
+def test_a_mid_game_order_below_1_leaves_a_quotient_call_without_an_answer(monkeypatch):
+    # Canonical seed 14 answers its third blowup with ord(q3) = 1; at 11/12
+    # the umpire accepts the answer, and Mephisto finds no valid bundle for
+    # Dido's next move, a quotient call on quest 0. The rounds played
+    # before it replay.
+    _answering_below_one(monkeypatch, 16, "q3", Fraction(11, 12))
+    trace = []
+    with pytest.raises(NoValidBundle, match="no valid bundle for call on quest 0"):
+        play_game(gen_scenario(14), Policy.parse("canonical"), trace=trace)
+    record = json.loads(trace[-1])
+    assert record["round"] == 17 and record["move"]["type"] == "blowup"
+    assert replay_trace(trace).round_no == 17

@@ -1,19 +1,24 @@
 """The umpire: bundle validation, round application, traces, replay."""
 
+import contextlib
 import copy
 import dataclasses
 import functools
 import gc
+import io
 import json
+import os
 import pickle
 import re
+import tempfile
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from salmagundy import board, game, harness, transform
+from salmagundy import board, cli, game, harness, transform
 from salmagundy.board import Board, BoardTransform, blowup_transform, trivial_refinement
 from salmagundy.game import (
     DISCARDED,
@@ -359,8 +364,22 @@ def test_replay_rejects_empty_trace():
 
 
 @functools.lru_cache(maxsize=None)
+def _trace(source, seed):
+    """The trace of a game: a generated scenario under the policy named
+    ``source``, or, for "monomial", a scenario owning a complete factor
+    under canonical."""
+    if source == "monomial":
+        scenario, policy = harness.gen_monomial_scenario(seed), "canonical"
+    else:
+        scenario, policy = gen_scenario(seed), source
+    return tuple(play_game(scenario, Policy.parse(policy)).trace)
+
+
 def _canonical_trace(seed):
-    return tuple(play_game(gen_scenario(seed), Policy.parse("canonical")).trace)
+    return _trace("canonical", seed)
+
+
+_TRACE_SOURCES = ["canonical", "random:1", "random:3", "monomial"]
 
 
 def _relaxation_child_off_the_board(record):
@@ -407,14 +426,15 @@ def _off_the_board(sc, part):
         sc["M"][0]["zz"] = "0"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
+    source=strategies.sampled_from(_TRACE_SOURCES),
     seed=strategies.integers(0, 7),
     pick=strategies.integers(0, 10**6),
     part=strategies.sampled_from(["S", "T", "H", "ord", "M"]),
 )
-def test_replay_rejects_every_node_off_the_board(seed, pick, part):
-    lines = list(_canonical_trace(seed))
+def test_replay_rejects_every_node_off_the_board(source, seed, pick, part):
+    lines = list(_trace(source, seed))
     lineno = 1 + pick % (len(lines) - 1)
     record = json.loads(lines[lineno])
     bundle = record["bundle"]
@@ -429,6 +449,91 @@ def test_replay_rejects_every_node_off_the_board(seed, pick, part):
     else:
         # a call round's response is compared with its quest's scenario
         assert f"quest {target} changed on a call round" in str(info.value)
+
+
+_BAD_VALUES = [
+    None, True, 0, -1, 2.5, 10**30, "", "x", "v0", "1/0", "-1", "inf", [], ["v0"], [[]],
+    {}, {"v0": "1"},
+]
+
+
+def _json_paths(value, path=()):
+    """The path to every part of a JSON value, the whole value first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+def _mutated(lines, kind, pick):
+    """``lines`` with one line repeated, two lines swapped, or one part of a
+    line dropped or given a bad value; ``pick`` chooses which."""
+    lines = list(lines)
+    i, pick = pick % len(lines), pick // len(lines)
+    if kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = pick % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        record = json.loads(lines[i])
+        paths = list(_json_paths(record))[1:]
+        path, pick = paths[pick % len(paths)], pick // len(paths)
+        parent = functools.reduce(lambda part, key: part[key], path[:-1], record)
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _BAD_VALUES[pick % len(_BAD_VALUES)]
+        lines[i] = json.dumps(record, sort_keys=True)
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=strategies.sampled_from(_TRACE_SOURCES),
+    seed=strategies.integers(0, 7),
+    kind=strategies.sampled_from(["drop", "bad", "repeat", "swap"]),
+    pick=strategies.integers(0, 10**9),
+)
+def test_replay_accepts_or_rejects_every_mutated_trace(source, seed, kind, pick):
+    # replay_trace either accepts a trace or raises ValueError, which the
+    # command line reports as a rejected trace (exit 1), never a traceback
+    lines = _mutated(_trace(source, seed), kind, pick)
+    try:
+        replay_trace(lines)
+        want = cli.EXIT_OK
+    except ValueError:
+        want = cli.EXIT_VIOLATIONS
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.ndjson")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["replay", path]) == want
+    assert "Traceback" not in err.getvalue()
+
+
+def test_a_malformed_node_id_is_a_rejected_trace():
+    # A witness that is not a string made the violation's text raise
+    # TypeError, and a map value that is not hashable made the board
+    # transform check raise it.
+    header, *rounds = _canonical_trace(0)
+    record = json.loads(header)
+    record["header"]["scenario"]["H"].append(1)
+    with pytest.raises(ValueError, match=r"unknown nodes \(witness: 1\)"):
+        replay_trace([json.dumps(record), *rounds])
+    lines = list(_canonical_trace(0))
+    record = json.loads(lines[8])  # line 9: the first blowup, at v1
+    record["bundle"]["transform"]["retract"]["v1"] = ["v1"]
+    lines[8] = json.dumps(record, sort_keys=True)
+    with pytest.raises(ValueError, match="line 9: malformed trace record .* not a string"):
+        replay_trace(lines)
 
 
 def test_replay_rejects_an_order_with_a_zero_denominator():
@@ -474,6 +579,39 @@ def test_a_call_round_reads_the_held_board_and_responses(monkeypatch, seed, poli
     monkeypatch.setattr(game, "apply_round", spy)
     assert replay_trace(result.trace) == result.state
     assert len(calls) > 1
+
+
+def test_a_line_with_two_equal_responses_reads_one_object():
+    lines = _canonical_trace(0)
+    record = json.loads(lines[8])  # line 9: the first blowup, at v1
+    assert record["move"]["type"] == "blowup"
+    data = record["bundle"]["responses"]
+    assert data["1"] == data["2"] == data["5"] != data["0"]
+    state = replay_trace(lines[:8])
+    bundle = bundle_from_json(record["bundle"], state.board)
+    assert bundle.responses[1] is bundle.responses[2] is bundle.responses[5]
+    assert bundle.responses[0] is not bundle.responses[1]
+
+
+def test_equal_scenarios_on_a_line_are_read_as_one_object(monkeypatch):
+    # Play shares equal responses and children; replay reads a response or
+    # child whose JSON equals one held or already read on its line as that
+    # same scenario, so a check stored on it answers for the others too.
+    apply = game.apply_round
+    shared = Counter()
+
+    def spy(state, move, bundle):
+        scs = [*bundle.responses.values(), *([bundle.child] if bundle.child else [])]
+        first = {}
+        for sc in scs:
+            assert first.setdefault(sc, sc) is sc
+        shared[move.kind] += len(scs) - len(first)
+        return apply(state, move, bundle)
+
+    monkeypatch.setattr(game, "apply_round", spy)
+    for seed in range(8):
+        replay_trace(_canonical_trace(seed))
+    assert shared["blowup"] and shared["call"]
 
 
 def test_replay_parses_a_board_per_blowup_round_and_the_header(monkeypatch):

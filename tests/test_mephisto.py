@@ -38,6 +38,7 @@ from salmagundy.mephisto import (
     _assign_orders,
     _bundle_score,
     _down_closed_keeps,
+    _fixed_orders,
     _keep_bound,
     _order_ceilings,
     _root_keep_max,
@@ -471,7 +472,7 @@ def _per_candidate_blowup_bundles(state, z, policy):
                     if quest.parent_id is not None and quest.quest_id not in discards
                 }
                 bundle = _assemble_blowup(
-                    state, bt, root_new, bump, discards, relations, {}
+                    state, bt, root_new, bump, discards, relations, {}, {}
                 )
                 if bundle is None or bundle.responses in yielded:
                     continue
@@ -730,39 +731,49 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
     # The random: stream has no stop, so every candidate is built. Valid or
     # not, each response holds singular only nodes of its ceiling's S, at
     # orders no higher than the ceiling's, so no total |S| exceeds UB(keep).
+    # The ceilings are built for the policy's own levels; built one level
+    # lower, they fall below some candidate's orders.
     assembled = []
     assemble = mephisto._assemble_blowup
 
-    def recording(state, bt, root_new, bump, discards, relations, interned):
-        bundle = assemble(state, bt, root_new, bump, discards, relations, interned)
+    def recording(state, bt, root_new, bump, discards, relations, *tables):
+        bundle = assemble(state, bt, root_new, bump, discards, relations, *tables)
         if bundle is not None:
             assembled.append((bt, relations, bundle))
         return bundle
 
     monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
-    policy = Policy.parse("random:1")
-    checked = shrunk = 0
-    for state, z in _stop_cases():
-        assembled.clear()
-        list(enumerate_blowup_bundles(state, z, policy))
-        if not assembled:
-            continue
-        bt, relations, _ = assembled[0]
-        keep_max = _root_keep_max(state.root.scenario, bt)
-        ceilings = _order_ceilings(state, bt, keep_max, relations)
-        for _, _, bundle in assembled:
-            for qid, sc in bundle.responses.items():
-                assert sc.S <= ceilings[qid].S
-                assert all(sc.ord[x] <= ceilings[qid].ord[x] for x in sc.S)
-            assert _bundle_score(bundle)[0] <= _keep_bound(ceilings, bundle.responses[0].S)
-            checked += 1
-        # the ceilings bite: some quotient child holds fewer nodes than its parent
-        shrunk += sum(
-            rel.kind == "quotient"
-            and ceilings[qid].S < ceilings[state.quests[qid].parent_id].S
-            for qid, rel in relations.items()
-        )
-    assert checked and shrunk
+    for steps in (0, 2, 4):
+        policy = Policy("random", 1, max_order_steps=steps)
+        checked = shrunk = finite = 0
+        for state, z in _stop_cases():
+            assembled.clear()
+            list(enumerate_blowup_bundles(state, z, policy))
+            if not assembled:
+                continue
+            bt, relations, _ = assembled[0]
+            root = state.root.scenario
+            keep_max = _root_keep_max(root, bt)
+            ceilings = _order_ceilings(state, bt, keep_max, relations, policy.bump_levels())
+            for _, _, bundle in assembled:
+                for qid, sc in bundle.responses.items():
+                    assert sc.S <= ceilings[qid].S
+                    assert all(sc.ord[x] <= ceilings[qid].ord[x] for x in sc.S), steps
+                score = _bundle_score(bundle)[0]
+                assert score <= _keep_bound(ceilings, bundle.responses[0].S)
+                checked += 1
+            # the ceilings bite: some quotient child holds fewer nodes than its
+            # parent, and some free order of a quest that is not tight is finite
+            shrunk += sum(
+                rel.kind == "quotient"
+                and ceilings[qid].S < ceilings[state.quests[qid].parent_id].S
+                for qid, rel in relations.items()
+            )
+            fixed = _fixed_orders(root, bt)
+            finite += not is_tight(root) and any(
+                is_finite(v) for x, v in ceilings[0].ord.items() if x not in fixed
+            )
+        assert checked and shrunk and finite, steps
 
 
 def test_a_ceiling_the_call_does_not_admit_keeps_the_parents_nodes_at_inf():
@@ -782,7 +793,7 @@ def test_a_ceiling_the_call_does_not_admit_keeps_the_parents_nodes_at_inf():
         quests={0: Quest(0, None, None, root), 1: Quest(1, 0, rel, root)},
         next_quest_id=2,
     )
-    ceilings = _order_ceilings(state, bt, frozenset({"s"}), {1: rel})
+    ceilings = _order_ceilings(state, bt, frozenset({"s"}), {1: rel}, (0, 1, 2))
     assert ceilings[0].ord == {"s": 2}
     with pytest.raises(ValueError, match="uncapped below a finite order"):
         quotient_response(ceilings[0], uncapped, Fraction(1))
@@ -861,6 +872,65 @@ def test_adversarial_stop_keeps_the_choice_of_the_whole_window(monkeypatch):
                 assert truncated == repaired
                 fired[bool(repaired)] += 1
     assert fired[False] and fired[True]
+
+
+# ---- the level and descent prunings ----------------------------------------------
+
+
+def _unpruned(patch, pruning):
+    """Switch one pruning of the blowup stream off: a keep whose orders no
+    bump level moves is built at every level (the empty keep, which holds
+    no order at all, stays steady), or each candidate builds its descent
+    responses afresh."""
+    if pruning == "levels":
+        patch.setattr(mephisto, "_bump_blind_nodes", lambda state, bt, relations: frozenset())
+    else:
+        assemble = mephisto._assemble_blowup
+        patch.setattr(mephisto, "_assemble_blowup", lambda *args: assemble(*args[:-1], {}))
+
+
+@pytest.mark.parametrize("pruning", ["levels", "descents"])
+def test_the_level_and_descent_prunings_change_no_stream(monkeypatch, pruning):
+    # Each pruning skips only builds that repeat one an earlier candidate
+    # of the keep or board made, so switched off, the streams yield the
+    # same bundles in the same order, and a candidate cap of 1 to 6 cuts
+    # them at the same candidate with the same reason. Descent responses
+    # are read from the table on candidates that are then assembled all
+    # the same, so every candidate assembled, valid or not, is the same.
+    built = Counter()
+    name = "_root_response" if pruning == "levels" else "_blowup_response"
+    assemble = mephisto._assemble_blowup
+
+    def counting(off, build=getattr(mephisto, name)):
+        def wrapped(*args):
+            built[off] += 1
+            return build(*args)
+
+        return wrapped
+
+    policies = [Policy.parse("random:1"), Policy.parse("adversarial"), Policy(mephisto.EXPLORE)]
+    for state, z in _stop_cases():
+        for policy in policies:
+            for cap in [*range(1, 7), mephisto._CANDIDATE_CAP]:
+                runs = []
+                for off in (False, True):
+                    assembled = []
+
+                    def recording(*args, assembled=assembled):
+                        assembled.append(assemble(*args))
+                        return assembled[-1]
+
+                    with monkeypatch.context() as patch:
+                        patch.setattr(mephisto, "_CANDIDATE_CAP", cap)
+                        patch.setattr(mephisto, name, counting(off))
+                        patch.setattr(mephisto, "_assemble_blowup", recording)
+                        if off:
+                            _unpruned(patch, pruning)
+                        truncated = []
+                        bundles = list(enumerate_blowup_bundles(state, z, policy, truncated))
+                    runs.append((bundles, truncated, assembled if pruning == "descents" else None))
+                assert runs[0] == runs[1], (policy.kind, cap)
+    assert built[False] < built[True]
 
 
 # ---- call responses -----------------------------------------------------------
