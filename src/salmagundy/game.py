@@ -463,10 +463,18 @@ def move_to_json(move: Move) -> dict:
 
 
 def move_from_json(data: Mapping) -> Move:
+    """The move ``data`` records. Raises ValueError where its quest id is not
+    an integer or its center is not a node id."""
     if data["type"] == CALL:
-        return Move.call(data["quest"], relation_from_json(data["relation"]))
+        quest = data["quest"]
+        if type(quest) is not int:
+            raise ValueError(f"malformed move JSON: quest id {quest!r} is not an integer")
+        return Move.call(quest, relation_from_json(data["relation"]))
     if data["type"] == BLOWUP_MOVE:
-        return Move.blowup(data["center"])
+        center = data["center"]
+        if type(center) is not str:
+            raise ValueError(f"malformed move JSON: center {center!r} is not a node id")
+        return Move.blowup(center)
     raise ValueError(f"unknown move type {data['type']!r}")
 
 

@@ -536,6 +536,21 @@ def test_a_malformed_node_id_is_a_rejected_trace():
         replay_trace(lines)
 
 
+def test_a_malformed_move_is_a_rejected_trace():
+    # a quest id that is not hashable made the call check raise TypeError
+    lines = list(_canonical_trace(0))
+    for kind, key, bad in (("call", "quest", []), ("blowup", "center", ["v1"])):
+        lineno = next(
+            n for n, line in enumerate(lines[1:], 2) if json.loads(line)["move"]["type"] == kind
+        )
+        record = json.loads(lines[lineno - 1])
+        record["move"][key] = bad
+        mutated = list(lines)
+        mutated[lineno - 1] = json.dumps(record, sort_keys=True)
+        with pytest.raises(ValueError, match=f"line {lineno}: malformed trace record .* {key}"):
+            replay_trace(mutated)
+
+
 def test_replay_rejects_an_order_with_a_zero_denominator():
     # parse_value raised ZeroDivisionError at "1/0", which replay_trace, and
     # so the CLI, did not catch
