@@ -34,11 +34,13 @@ from .scenario import (
     FactorSet,
     MonomialFactor,
     Scenario,
+    _jib_uppers,
+    assign_orders,
     complete_factor,
     validate_scenario,
     zero_factor,
 )
-from .values import INF, format_value, is_finite
+from .values import format_value
 
 __all__ = [
     "gen_board",
@@ -79,22 +81,14 @@ def gen_board(seed: int, max_nodes: int = 8, n: Optional[int] = None) -> Board:
 
 
 def _hereditary_candidates(board: Board, d: int, H: frozenset) -> List[NodeId]:
-    """Nodes usable in S: every node below them (themselves included) is at
-    dimension <= d with slack d - dim covering its count of jibs above."""
-
-    def base_ok(s: NodeId) -> bool:
-        if board.dim(s) > d:
-            return False
-        if s == board.top:
-            return False
-        ju = sum(1 for h in H if board.leq(s, h))
-        return d - board.dim(s) >= ju
-
-    return [
-        s
-        for s in sorted(board.ids)
-        if all(base_ok(t) for t in board.down_set(s))
-    ]
+    """Nodes usable in S: every node below them (themselves included) is
+    not the top and has slack d - dim covering its count of jibs above, so
+    is at dimension <= d."""
+    ok = {
+        s for s in board.ids
+        if s != board.top and d - board.dim(s) >= len(_jib_uppers(board, H, s))
+    }
+    return [s for s in sorted(board.ids) if board.down_set(s) <= ok]
 
 
 def gen_scenario(
@@ -105,7 +99,9 @@ def gen_scenario(
     jib_count: Optional[int] = None,
 ) -> Scenario:
     """A random valid scenario with M = <0>, deterministic in the seed, on
-    ``board`` (which must be valid) or on a generated one."""
+    ``board`` (which must be valid) or on a generated one. Its orders are
+    placed by ``scenario.assign_orders``, each node of dimension below d
+    raised by a drawn k/B with 0 <= k <= 2B."""
     rng = random.Random(seed)
     if board is None:
         board = gen_board(rng.randrange(1 << 30))
@@ -131,25 +127,15 @@ def gen_scenario(
     S = set()
     for s in seeds:
         S |= board.down_set(s)
-    ords: Dict[NodeId, object] = {}
-    for s in sorted(S, key=lambda x: (-board.dim(x), x)):
-        if board.dim(s) == d:
-            ords[s] = INF
-            continue
-        v = Fraction(1) + Fraction(rng.randint(0, 2 * B), B)
-        for t in S:
-            if t != s and board.leq(s, t):
-                vt = ords[t]
-                if not is_finite(vt):
-                    v = INF
-                    break
-                if vt > v:
-                    v = vt
-        ords[s] = v
+    raises = {
+        s: Fraction(rng.randint(0, 2 * B), B)
+        for s in sorted(S, key=lambda x: (-board.dim(x), x))
+        if board.dim(s) != d
+    }
+    M = FactorSet.of([zero_factor(H)])
     c = Scenario.make(
-        board=board, d=d, B=B, H=H, S=frozenset(S),
-        T=frozenset(board.ids), ord=ords,
-        M=FactorSet.of([zero_factor(H)]),
+        board=board, d=d, B=B, H=H, S=frozenset(S), T=frozenset(board.ids),
+        ord=assign_orders(board, d, S, M.generators, {}, raises), M=M,
     )
     vs = validate_scenario(c)
     if vs:  # on a valid board every draw is valid by construction

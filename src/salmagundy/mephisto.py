@@ -20,14 +20,15 @@ it. The blown-up board and its fresh node names come from
 (descent orders aside). A blowup response takes its handicap and factors
 from ``transform.blowup_jibs``, the nodes it must clear from
 ``transform.cleared_nodes`` (item 13), and its discards from
-``game.blowup_discards``. The orders the rules fix come as one map, which
-``_assign_orders`` reads as data: every order from
-``transform.complete_orders`` when the quest has a complete factor (item
-15), and otherwise those of the exceptional node and of every node off the
-exceptional locus from ``transform.pinned_orders`` (items 9-10). A tight
-quest's orders must all be 1 (item 11), which is checked once they are
-assigned. Free orders are floored by ``scenario.extend_factor`` and
-``scenario.separation_mass`` (issues 6 and 8). The cap on fresh nodes,
+``game.blowup_discards``. Every order is placed by one rule,
+``scenario.assign_orders``: the order the rules fix, INF at dimension d,
+or else the floor (issues 6 and 8) raised by the bump. The orders the
+rules fix come as one map: every order from ``transform.complete_orders``
+when the quest has a complete factor (item 15), and otherwise those of the
+exceptional node and of every node off the exceptional locus from
+``transform.pinned_orders`` (items 9-10). A fixed order finite at
+dimension d or below its floor, or a tight quest's order other than 1
+(item 11), leaves no response. The cap on fresh nodes,
 ``Policy.max_new_nodes``, is policy, not rule, so Mephisto applies it
 itself.
 
@@ -44,29 +45,28 @@ The adversarial search is a branch and bound (Land and Doig, 1960). A
 bundle's first score component is its total |S|. On each blown-up board
 every quest q has a ceiling (``_order_ceilings``): a scenario whose S,
 called D_q, holds every node q's response can hold singular there, at
-orders no lower than the response's. The root's ceiling is the largest
-keep at the orders the rules fix, INF at dimension d (1 in a tight quest),
-and elsewhere at the largest order any bump level gives: max(floor, 1 +
-L/B) for the policy's top level L, the floor taken top-down over the
-ceiling's own orders above it. A floor only grows with the uppers it meets
-and their orders, so that is finite wherever the floor is, and still no
-lower than any response's. Each child's is ``quests.call_response`` of its
-parent's ceiling, since a call's S and orders can only grow as its
-parent's do; where the call raises (descent, which frees the orders, or
-parameters the ceiling does not admit) the child's ceiling is its parent's
-S at order INF. Each response's S lies within the root's keep and within
-D_q, so UB(keep) = sum over quests of |keep & D_q| is admissible. Lower
-root orders leave fewer nodes to a quotient child, so the finite ceiling
-stops streams that INF orders let run on. The stream keeps its own
-incumbent, the largest total |S| it has yielded, and stops before starting
-a keep once the incumbent is strictly greater than UB of every keep not
-yet started.
-Enumerated keeps start in a fixed order, so the stop reads a suffix
-maximum of their bounds; the repair path reads the maximum over its live
-list, whose later keeps are subsets of keeps in it. A tie does not stop
-the stream, because the mass can break the tie. The stop is exact: the
-chosen bundle, and so every trace, is the one the whole window of leading
-valid bundles gives, and it adds no reason to ``truncated``.
+orders no lower than the response's. The root's ceiling is
+``scenario.assign_orders`` on the largest keep at the policy's top level
+L, which raises each free node to max(floor, 1 + L/B); a tight quest's
+free floors are 1, and it raises none. A floor only grows with the uppers
+it meets and their orders, so that is finite wherever the floor is, and
+still no lower than any response's. Each child's is
+``quests.call_response`` of its parent's ceiling, since a call's S and
+orders can only grow as its parent's do; where the call raises (descent,
+which frees the orders, or parameters the ceiling does not admit) the
+child's ceiling is its parent's S at order INF. Each response's S lies
+within the root's keep and within D_q, so UB(keep) = sum over quests of
+|keep & D_q| is admissible. Lower root orders leave fewer nodes to a
+quotient child, so the finite ceiling stops streams that INF orders let
+run on. The stream keeps its own incumbent, the largest total |S| it has
+yielded, and stops before starting a keep once the incumbent is strictly
+greater than UB of every keep not yet started. Enumerated keeps start in
+a fixed order, so the stop reads a suffix maximum of their bounds; the
+repair path reads the maximum over its live list, whose later keeps are
+subsets of keeps in it. A tie does not stop the stream, because the mass
+can break the tie. The stop is exact: the chosen bundle, and so every
+trace, is the one the whole window of leading valid bundles gives, and it
+adds no reason to ``truncated``.
 
 Candidates on one blown-up board share their responses. Each response built
 there is interned: it is replaced by the first equal response built on that
@@ -97,7 +97,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, islice
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .board import (
     Board,
@@ -121,12 +121,11 @@ from .game import (
 from .quests import DESCENT, QuestRelation, call_response
 from .scenario import (
     FactorSet,
-    MonomialFactor,
     Scenario,
-    extend_factor,
+    assign_orders,
     heavy_jib_violations,
     is_tight,
-    separation_mass,
+    order_floor,
     zero_factor,
 )
 from .transform import (
@@ -214,67 +213,6 @@ class Policy:
         return tuple(range(self.max_order_steps + 1))
 
 
-# ---- free order assignment ---------------------------------------------------
-
-
-def _order_floor(
-    board: Board,
-    gens: Sequence[MonomialFactor],
-    assigned: Dict[NodeId, Value],
-    f: NodeId,
-) -> Value:
-    """Least order for f: at least 1, at least every factor extension
-    (scenario issue 6), and at least ord(t) plus the factor mass separating f
-    from each assigned upper t (issue 8).
-    """
-    floor: Value = Fraction(1)
-    for g in gens:
-        floor = max(floor, extend_factor(board, g, f))
-    above = board.up_set(f)
-    for t, vt in assigned.items():
-        if t == f or t not in above:
-            continue
-        for g in gens:
-            floor = max(floor, vt + separation_mass(board, g, f, t))
-    return floor
-
-
-def _assign_orders(
-    board: Board,
-    d: int,
-    keep: Iterable[NodeId],
-    gens: Sequence[MonomialFactor],
-    fixed: Mapping[NodeId, Value],
-    bump: Fraction,
-) -> Optional[Dict[NodeId, Value]]:
-    """Choose orders on ``keep`` top-down; None when no legal choice exists.
-
-    A node takes its ``fixed`` order, the one the transform rules set, if it
-    has one; otherwise INF at dimension d, or else its floor raised to
-    1 + ``bump``. Each node's floor is taken once, when it is placed: every
-    node above it has a strictly higher dimension on a valid board, so it is
-    already placed and the floor is final. A fixed order that is finite at
-    dimension d, or lies below its floor, has no legal completion.
-    """
-    ords: Dict[NodeId, Value] = {}
-    for f in sorted(keep, key=lambda s: (-board.dim(s), s)):
-        floor = _order_floor(board, gens, ords, f)
-        if f in fixed:
-            v = fixed[f]
-            if board.dim(f) == d and is_finite(v):
-                return None
-        elif board.dim(f) == d:
-            v = INF
-        elif is_finite(floor) and bump:
-            v = max(floor, Fraction(1) + bump)
-        else:
-            v = floor
-        if is_finite(v) and v < floor:  # the floor is at least 1
-            return None
-        ords[f] = v
-    return ords
-
-
 # ---- blowup responses ------------------------------------------------------------
 
 
@@ -331,13 +269,20 @@ def _blowup_response(
 ) -> Optional[Scenario]:
     """Carry c through the blowup onto the singular set S1 and transversal
     set T1: handicap i(H) + e, the capped transports of the factors, orders
-    fixed where the transform rules fix them (``_fixed_orders``) and chosen
-    elsewhere, and, if c is tight, each 1 (item 11)."""
+    fixed where the transform rules fix them (``_fixed_orders``) and placed
+    elsewhere by ``scenario.assign_orders`` at ``bump``, and, if c is tight,
+    each 1 (item 11). None when no legal choice exists: a fixed order is
+    finite at dimension d or below its floor, or a tight quest's is not 1."""
     H1, M1 = blowup_jibs(c, bt)
-    ords = _assign_orders(bt.target, c.d, S1, M1.generators, _fixed_orders(c, bt), bump)
-    if ords is None or (is_tight(c) and any(v != 1 for v in ords.values())):
+    board1, gens, fixed = bt.target, M1.generators, _fixed_orders(c, bt)
+    ords = assign_orders(board1, c.d, S1, gens, fixed, dict.fromkeys(S1, bump))
+    for f, v in ords.items():
+        if f in fixed and is_finite(v):
+            if board1.dim(f) == c.d or v < order_floor(board1, gens, ords, f):
+                return None
+    if is_tight(c) and any(v != 1 for v in ords.values()):
         return None
-    return Scenario.make(board=bt.target, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
+    return Scenario.make(board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
 
 
 def _root_response(
@@ -441,29 +386,20 @@ def _order_ceilings(
     in every bundle there (see the module docstring). T is left empty: no
     call's S or orders depend on it.
 
-    The root's ceiling holds keep_max. It keeps the orders the rules fix,
-    INF at dimension d and, in a tight quest, 1; every other node takes the
-    largest order any of the bump ``levels`` gives it, max(floor, 1 + L/B)
-    for the top level L. Its floor is read top-down over the ceiling's own
-    orders above it, as ``_assign_orders`` reads it; a floor only grows with
-    the uppers it meets and their orders, so no keep at any level assigns
-    more."""
+    The root's ceiling holds keep_max at the orders
+    ``scenario.assign_orders`` places at the top of the bump ``levels``:
+    the orders the rules fix, INF at dimension d, and elsewhere max(floor,
+    1 + L/B) for the top level L, the largest order any level gives. A
+    tight quest's free nodes have floor 1 and must stay at 1, so there the
+    raise is 0. A floor only grows with the uppers it meets and their
+    orders, so no keep at any level assigns more."""
     root = state.root.scenario
-    board1 = bt.target
-    fixed = _fixed_orders(root, bt)
     H1, M1 = blowup_jibs(root, bt)
-    tight = is_tight(root)
-    top = 1 + Fraction(max(levels), root.B)
-    ords: Dict[NodeId, Value] = {}
-    for f in sorted(keep_max, key=lambda s: (-board1.dim(s), s)):
-        if f in fixed:
-            ords[f] = fixed[f]
-        elif tight:
-            ords[f] = Fraction(1)
-        elif board1.dim(f) == root.d:
-            ords[f] = INF
-        else:
-            ords[f] = max(_order_floor(board1, M1.generators, ords, f), top)
+    top = 0 if is_tight(root) else Fraction(max(levels), root.B)
+    ords = assign_orders(
+        bt.target, root.d, keep_max, M1.generators, _fixed_orders(root, bt),
+        dict.fromkeys(keep_max, top),
+    )
     ceilings = {
         0: Scenario.make(
             board=bt.target, d=root.d, B=root.B, H=H1, S=keep_max, T=(), ord=ords, M=M1
@@ -640,10 +576,11 @@ def enumerate_blowup_bundles(
 
 
 def _descent_call_child(c: Scenario, bump: Fraction) -> Scenario:
-    """The descent child at level ``bump``. Nothing is pinned or forced, so
-    every order is INF, the floor or above it, and one always exists."""
+    """The descent child at level ``bump``, its orders placed by
+    ``scenario.assign_orders``. Nothing is fixed, so every order is INF, the
+    floor or above it, and one always exists."""
     gens = (zero_factor(frozenset()),)
-    ords = _assign_orders(c.board, c.d - 1, c.S, gens, {}, bump)
+    ords = assign_orders(c.board, c.d - 1, c.S, gens, {}, dict.fromkeys(c.S, bump))
     return Scenario.make(
         board=c.board, d=c.d - 1, B=c.B, H=frozenset(), S=c.S, T=c.T,
         ord=ords, M=FactorSet.of(gens),

@@ -12,6 +12,12 @@ infinite order produces an unbounded family of factors, and the infinite
 coordinate encodes the missing cap. All checks quantified over members of
 ``M`` are evaluated exactly against this representation.
 
+Orders are bounded from below by the factors (issues 6 and 8), and
+``order_floor`` is that bound for one node under the orders of its uppers.
+``assign_orders`` places the orders of a set of nodes top-down under it:
+the one rule by which Mephisto's blowup responses, descent children and
+adversarial ceilings, and ``harness.gen_scenario``, all get their orders.
+
 Issue 9 does not read the orders and reads S only to count singular nodes in
 fixed candidate sets, so its per-node part (the heavy jib sets over a node,
 each with the nodes that could witness it) is a table of the board, d, H and
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .board import (
     Board,
@@ -49,6 +55,8 @@ __all__ = [
     "zero_factor",
     "extend_factor",
     "separation_mass",
+    "order_floor",
+    "assign_orders",
     "validate_scenario",
     "validate_shape",
     "heavy_jib_sets",
@@ -229,6 +237,55 @@ def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Va
     return total
 
 
+def order_floor(
+    board: Board,
+    gens: Sequence[MonomialFactor],
+    placed: Mapping[NodeId, Value],
+    f: NodeId,
+) -> Value:
+    """The least order f may take under the orders ``placed`` on its uppers:
+    at least 1, at least every factor's extension at f (issue 6), and at
+    least ord(t) plus the factor mass separating f from each placed upper t
+    (issue 8). Only the strict uppers of f in ``placed`` are read."""
+    floor: Value = Fraction(1)
+    for g in gens:
+        floor = max(floor, extend_factor(board, g, f))
+    above = board.up_set(f)
+    for t, vt in placed.items():
+        if t == f or t not in above:
+            continue
+        for g in gens:
+            floor = max(floor, vt + separation_mass(board, g, f, t))
+    return floor
+
+
+def assign_orders(
+    board: Board,
+    d: int,
+    nodes: Iterable[NodeId],
+    gens: Sequence[MonomialFactor],
+    fixed: Mapping[NodeId, Value],
+    raises: Mapping[NodeId, Value],
+) -> Dict[NodeId, Value]:
+    """Orders on ``nodes``, placed top-down. A node takes its ``fixed``
+    order if it has one, INF at dimension d, and otherwise the larger of its
+    floor (``order_floor``) and 1 + ``raises.get(f, 0)``. Every upper of a
+    node has a strictly higher dimension on a valid board, so it is placed
+    first and the floor is final. The fixed orders are taken as they are:
+    a caller that needs them legal compares each with its ``order_floor``
+    over the result, which reads only the node's uppers."""
+    ords: Dict[NodeId, Value] = {}
+    for f in sorted(nodes, key=lambda s: (-board.dim(s), s)):
+        if f in fixed:
+            ords[f] = fixed[f]
+        elif board.dim(f) == d:
+            ords[f] = INF
+        else:
+            floor, r = order_floor(board, gens, ords, f), raises.get(f)
+            ords[f] = max(floor, 1 + r) if r else floor  # the floor is at least 1
+    return ords
+
+
 def _subsets(items: Tuple[NodeId, ...]):
     n = len(items)
     for mask in range(1 << n):
@@ -254,9 +311,9 @@ def validate_shape(c: Scenario) -> List[Violation]:
     """The structure checks on which ``validate_scenario`` stops at once,
     because every later check would raise rather than report or read a
     meaningless input: the board's own violations (``validate_board``), d or
-    B not an integer with B > 0, a node of H, S or T off the board, an M
-    weight off the board, an ord domain other than S. A scenario that passes
-    may be read node by node. Each instance is checked once, and the board's
+    B not an integer (a bool is not one) with B > 0, a node of H, S or T off
+    the board, an M weight off the board, an ord domain other than S. A
+    scenario that passes may be read node by node. Each instance is checked once, and the board's
     verdict is stored on the board; every call returns a fresh list."""
     return _memo(_check_shape, c)
 
@@ -267,7 +324,7 @@ def _check_shape(c: Scenario) -> List[Violation]:
     if out:
         return out
     rule = "scenario"
-    if not (isinstance(c.d, int) and isinstance(c.B, int) and c.B > 0):
+    if not (type(c.d) is int and type(c.B) is int and c.B > 0):
         return [Violation(rule, "structure", (), f"bad d/B: d={c.d!r}, B={c.B!r}")]
     for name, part in (("H", c.H), ("S", c.S), ("T", c.T)):
         stray = sorted(x for x in part if x not in b)

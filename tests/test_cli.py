@@ -95,6 +95,30 @@ def test_validate_reports_factor_weight_off_the_board(capsys, tmp_path, chain_sc
     assert "M has weights at unknown nodes (witness: ghost)" in err
 
 
+def test_a_boolean_d_or_B_is_rejected_without_a_traceback(capsys, tmp_path):
+    # bool is a subclass of int, so a JSON true once passed as d or B
+    scen = tmp_path / "s.json"
+    assert run(capsys, "--seed", 3, "gen", "scenario", "--out", scen)[0] == cli.EXIT_OK
+    data = json.loads(scen.read_text())
+    for key in ("d", "B"):
+        bad = tmp_path / f"{key}.json"
+        bad.write_text(json.dumps({**data, key: True}))
+        for argv in (("validate", bad), ("play", "--scenario", bad)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (cli.EXIT_VIOLATIONS, ""), argv
+            assert err.startswith("[scenario / issue structure] bad d/B") and "Traceback" not in err
+
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--scenario", scen, "--trace", trace)[0] == cli.EXIT_OK
+    header, *rounds = trace.read_text().splitlines()
+    record = json.loads(header)
+    record["header"]["scenario"]["B"] = True
+    trace.write_text("\n".join([json.dumps(record), *rounds]) + "\n")
+    code, out, err = run(capsys, "replay", trace)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert "bad d/B" in err and "Traceback" not in err
+
+
 def test_validate_usage_errors(capsys, tmp_path):
     assert run(capsys, "validate", tmp_path / "missing.json")[0] == cli.EXIT_USAGE
     garbled = tmp_path / "garbled.json"

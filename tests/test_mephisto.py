@@ -35,7 +35,6 @@ from salmagundy.mephisto import (
     NoValidBundle,
     Policy,
     _assemble_blowup,
-    _assign_orders,
     _bundle_score,
     _down_closed_keeps,
     _fixed_orders,
@@ -52,10 +51,12 @@ from salmagundy.scenario import (
     MonomialFactor,
     Scenario,
     admissible_centers,
+    assign_orders,
     complete_factor,
     extend_factor,
     heavy_jib_violations,
     is_tight,
+    order_floor,
     validate_scenario,
     zero_factor,
 )
@@ -212,7 +213,7 @@ def _two_pass_assign_orders(board, d, keep, gens, fixed, bump):
         elif board.dim(f) == d:
             v = INF
         else:
-            floor = mephisto._order_floor(board, gens, ords, f)
+            floor = order_floor(board, gens, ords, f)
             if is_finite(floor) and bump:
                 v = max(floor, Fraction(1) + bump)
             else:
@@ -222,28 +223,30 @@ def _two_pass_assign_orders(board, d, keep, gens, fixed, bump):
         ords[f] = v
     for f, v in ords.items():
         others = {t: w for t, w in ords.items() if t != f}
-        floor = mephisto._order_floor(board, gens, others, f)
+        floor = order_floor(board, gens, others, f)
         if is_finite(v) and (not is_finite(floor) or v < floor):
             return None
     return ords
 
 
 def _fixed_variants(fixed, keep):
-    """The fixed orders as given, and with the order of each finite fixed
-    node of ``keep`` moved to 1 and up by 1: the first can sink below the
-    node's floor, the second lifts the floor of the fixed nodes below it."""
+    """The fixed orders as given, and with the order of each fixed node of
+    ``keep`` moved to 1 and, when finite, up by 1: the first can sink below
+    the node's floor or be finite at dimension d, the second lifts the floor
+    of the fixed nodes below it."""
     yield fixed
     for f, v in sorted(fixed.items()):
-        if f in keep and is_finite(v):
-            for w in (Fraction(1), v + 1):
+        if f in keep:
+            for w in (Fraction(1), v + 1) if is_finite(v) else (Fraction(1),):
                 yield {**fixed, f: w}
 
 
 @pytest.fixture(scope="module")
 def recorded_calls():
-    """The arguments of every ``_assign_orders`` and ``_root_keep_max`` call
-    that canonical, adversarial and random:1 games make."""
-    calls = {"_assign_orders": [], "_root_keep_max": []}
+    """The arguments of every ``assign_orders``, ``_blowup_response`` and
+    ``_root_keep_max`` call that canonical, adversarial and random:1 games
+    make."""
+    calls = {"assign_orders": [], "_blowup_response": [], "_root_keep_max": []}
     with pytest.MonkeyPatch.context() as mp:
         for name, calls_of in calls.items():
             def record(*args, _real=getattr(mephisto, name), _calls=calls_of, **kwargs):
@@ -258,20 +261,39 @@ def recorded_calls():
     return calls
 
 
-def test_one_pass_order_assignment_matches_the_two_pass_reference(recorded_calls):
+def test_one_pass_order_assignment_matches_the_two_pass_reference(recorded_calls, monkeypatch):
+    # Where the reference places orders, assign_orders places the same ones.
+    # Where it finds no legal choice, _blowup_response answers None; and
+    # where _blowup_response answers None, the reference found none, or its
+    # orders break a tight quest's 1 (item 11).
     shapes = {"complete": 0, "pinned": 0, "descent": 0, "none": 0, "orders": 0}
-    for args, kwargs in recorded_calls["_assign_orders"]:
+    for args, kwargs in recorded_calls["assign_orders"]:
         assert not kwargs
-        board, d, keep, gens, fixed, bump = args
+        board, d, nodes, gens, fixed, raises = args
+        (bump,) = set(raises.values()) or {0}  # every caller raises all nodes alike
+        shapes["descent"] += not gens[0].weights  # blowup responses have jib e
+        for variant in _fixed_variants(fixed, nodes):
+            want = _two_pass_assign_orders(board, d, nodes, gens, variant, bump)
+            if want is not None:
+                assert assign_orders(board, d, nodes, gens, variant, raises) == want
+    for args, kwargs in recorded_calls["_blowup_response"]:
+        assert not kwargs
+        c, bt, S1, T1, bump = args
+        board1, gens1 = bt.target, blowup_jibs(c, bt)[1].generators
+        fixed = _fixed_orders(c, bt)
         # transform.complete_orders fixes every node of the board; the pins
         # never fix the top
-        complete = set(board.ids) <= set(fixed)
+        complete = set(board1.ids) <= set(fixed)
         shapes["complete"] += complete
-        shapes["pinned"] += not complete and any(f in fixed for f in keep)
-        shapes["descent"] += not gens[0].weights  # blowup responses have jib e
-        for variant in _fixed_variants(fixed, keep):
-            want = _two_pass_assign_orders(board, d, keep, gens, variant, bump)
-            assert _assign_orders(board, d, keep, gens, variant, bump) == want
+        shapes["pinned"] += not complete and any(f in fixed for f in S1)
+        for variant in _fixed_variants(fixed, S1):
+            monkeypatch.setattr(mephisto, "_fixed_orders", lambda c, bt, v=variant: v)
+            got = mephisto._blowup_response(c, bt, S1, T1, bump)
+            want = _two_pass_assign_orders(board1, c.d, S1, gens1, variant, bump)
+            if want is None or (is_tight(c) and any(v != 1 for v in want.values())):
+                assert got is None
+            else:
+                assert got is not None and got.ord == want
             shapes["none" if want is None else "orders"] += 1
     # every kind of call, and both outcomes, were met
     assert all(shapes.values()), shapes
@@ -307,7 +329,7 @@ def _keep_max_with_tight_floor_pass(c, bt, examined):
                 continue
             examined.append(x)
             rest = {t: w for t, w in ones.items() if t != x}
-            if mephisto._order_floor(board1, gens1, rest, x) != Fraction(1):
+            if order_floor(board1, gens1, rest, x) != Fraction(1):
                 keep.discard(x)
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
 
@@ -774,6 +796,46 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
                 is_finite(v) for x, v in ceilings[0].ord.items() if x not in fixed
             )
         assert checked and shrunk and finite, steps
+
+
+def _root_ceiling_loop(root, bt, keep_max, levels):
+    """Reference: the root ceiling's orders as a loop of their own placed
+    them, top-down: the fixed order, else 1 in a tight quest, else INF at
+    dimension d, else max(floor, 1 + L/B) for the top level L."""
+    board1 = bt.target
+    fixed = _fixed_orders(root, bt)
+    gens1 = blowup_jibs(root, bt)[1].generators
+    top = 1 + Fraction(max(levels), root.B)
+    ords = {}
+    for f in sorted(keep_max, key=lambda s: (-board1.dim(s), s)):
+        if f in fixed:
+            ords[f] = fixed[f]
+        elif is_tight(root):
+            ords[f] = Fraction(1)
+        elif board1.dim(f) == root.d:
+            ords[f] = INF
+        else:
+            ords[f] = max(order_floor(board1, gens1, ords, f), top)
+    return ords
+
+
+def test_the_root_ceiling_places_its_orders_as_its_own_loop_did():
+    met = Counter()
+    for state, z in _stop_cases():
+        root = state.root.scenario
+        bt = blowup_transform(state.board, z)
+        keep_max = _root_keep_max(root, bt)
+        fixed = _fixed_orders(root, bt)
+        for steps in (0, 2, 4):
+            levels = Policy("adversarial", max_order_steps=steps).bump_levels()
+            ords = _order_ceilings(state, bt, keep_max, {}, levels)[0].ord
+            assert ords == _root_ceiling_loop(root, bt, keep_max, levels), (z, steps)
+            free = [v for x, v in ords.items() if x not in fixed]
+            met["tight"] += is_tight(root) and bool(free)
+            met["raised"] += any(v == 1 + Fraction(steps, root.B) > 1 for v in free)
+            met["floor"] += any(is_finite(v) and v > 1 + Fraction(steps, root.B) for v in free)
+    # free nodes in a tight quest, at the top level and above it were all met
+    assert met["tight"] and met["raised"] and met["floor"], met
 
 
 def test_a_ceiling_the_call_does_not_admit_keeps_the_parents_nodes_at_inf():

@@ -20,6 +20,7 @@ from salmagundy.scenario import (
     Scenario,
     _max_mass,
     admissible_centers,
+    assign_orders,
     complete_factor,
     extend_factor,
     factor_from_json,
@@ -117,6 +118,14 @@ def test_fixture_scenarios_are_valid(chain_scenario, crossing_scenario, blown_ch
 
 def test_structure_bad_budget(chain_scenario):
     assert _issues(_remake(chain_scenario, B=0)) == {"structure"}
+
+
+def test_structure_boolean_d_or_B(chain_scenario):
+    # bool is a subclass of int; a JSON true is not a dimension or a bound
+    for bad in (_remake(chain_scenario, B=True), _remake(chain_scenario, d=True)):
+        (v,) = validate_shape(bad)
+        assert (v.issue, v.detail.startswith("bad d/B")) == ("structure", True)
+        assert validate_scenario(bad) == [v]
 
 
 def test_structure_d_out_of_range(chain_scenario):
@@ -481,6 +490,25 @@ def test_admissible_centers_remote_nodes(crossing_board):
         ord={}, M=[zero_factor({"h1", "h2"})],
     )
     assert admissible_centers(c) == frozenset({"s", "h1", "h2"})
+
+
+# ---- order placement --------------------------------------------------------
+
+
+def test_assign_orders_raises_each_free_node_by_its_own_amount():
+    board = Board({"a": 0, "b": 0, "h": 1, "w": 2}, [("a", "h"), ("b", "h"), ("h", "w")])
+    gens = (MonomialFactor.of({"h": Fraction(1, 2)}),)
+    raises = {"h": Fraction(1, 2), "a": Fraction(2)}  # b is missing: 0
+    # h: floor 1, raised to 3/2. a and b: floor 3/2, the order of h, since
+    # the one jib lies above h as well and separates nothing; a is raised to 3
+    assert assign_orders(board, 2, {"a", "b", "h"}, gens, {}, raises) == {
+        "h": Fraction(3, 2), "a": Fraction(3), "b": Fraction(3, 2)
+    }
+    # a fixed order is taken as it is, even below its floor; below an order
+    # INF at dimension d, the floor is INF
+    assert assign_orders(board, 1, {"a", "b", "h"}, gens, {"b": Fraction(1)}, raises) == {
+        "h": INF, "a": INF, "b": Fraction(1)
+    }
 
 
 # ---- generated scenarios stay valid -----------------------------------------
