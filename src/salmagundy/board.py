@@ -271,14 +271,6 @@ class Board:
         except KeyError:
             raise KeyError(f"unknown node id {s!r}") from None
 
-    def leq(self, s: NodeId, t: NodeId) -> bool:
-        """True iff s <= t in the order generated by the covers."""
-        if s not in self._dims:
-            raise KeyError(f"unknown node id {s!r}")
-        if t not in self._dims:
-            raise KeyError(f"unknown node id {t!r}")
-        return s in self._down[t]
-
     def down_set(self, s: NodeId) -> FrozenSet[NodeId]:
         """All nodes <= s (including s)."""
         if s not in self._dims:

@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
         "explore", parents=common, help="try every capped bundle against the strategy"
     )
     e.add_argument("--scenario", help="scenario file (default: generated from --seed)")
-    e.add_argument("--depth-cap", type=int, default=50)
+    e.add_argument("--depth-cap", type=int)
 
     x = sub.add_parser("export", parents=common, help="export DOT")
     x.add_argument("what", choices=["dot"])
@@ -148,14 +148,20 @@ def _load(path: str, kind: str):
     return _parse(path, kind, _load_json(path))
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` that the command line or the config set;
+    the others are left to the defaults of the function they are passed to."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _policy(args: argparse.Namespace, text: str) -> Policy:
     """The policy ``text`` names with the options' caps; a bad value is a
     usage error. ``explore`` is no policy to play against: ``parse`` refuses it."""
-    steps = args.max_order_steps if args.max_order_steps is not None else 2
+    caps = _given(args, "max_new_nodes", "max_order_steps")
     try:
         if text == EXPLORE:
-            return Policy(EXPLORE, max_new_nodes=args.max_new_nodes, max_order_steps=steps)
-        return Policy.parse(text, max_new_nodes=args.max_new_nodes, max_order_steps=steps)
+            return Policy(EXPLORE, **caps)
+        return Policy.parse(text, **caps)
     except ValueError as exc:
         raise SystemExit(_usage(str(exc)))
 
@@ -213,10 +219,9 @@ def _cmd_gen(args) -> int:
 def _cmd_play(args) -> int:
     scenario = _game_scenario(args)
     policy = _policy(args, args.mephisto or "canonical")
-    round_cap = args.round_cap if args.round_cap is not None else 10_000
     trace: List[str] = []
     try:
-        result = play_game(scenario, policy, round_cap=round_cap, trace=trace)
+        result = play_game(scenario, policy, trace=trace, **_given(args, "round_cap"))
     finally:  # a game stopped by a cap still leaves the rounds it played
         if args.trace:
             with open(args.trace, "w") as fh:
@@ -239,7 +244,7 @@ def _cmd_explore(args) -> int:
         scenario,
         max_new_nodes=policy.max_new_nodes,
         max_order_steps=policy.max_order_steps,
-        depth_cap=args.depth_cap,
+        **_given(args, "depth_cap"),
     )
     print(
         f"all_won={str(report.all_won).lower()} branches={report.branch_count} "
@@ -251,7 +256,7 @@ def _cmd_explore(args) -> int:
     if report.counterexample is None:  # no leaf was lost
         return EXIT_CAP if report.truncated else EXIT_OK
     sys.stderr.write("\n".join(report.counterexample) + "\n")
-    return EXIT_CAP if report.max_depth >= args.depth_cap else EXIT_VIOLATIONS
+    return EXIT_CAP if report.max_depth >= report.depth_cap else EXIT_VIOLATIONS
 
 
 def _cmd_export(args) -> int:

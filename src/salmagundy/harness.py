@@ -260,6 +260,7 @@ class ExploreReport:
     leaf_count: int
     win_count: int
     max_depth: int
+    depth_cap: int  # a state this deep is a leaf, lost if the game goes on
     counterexample: Optional[List[str]] = None  # trace of the first bad leaf
     # Why the search was not exhaustive: one reason per capped or repaired
     # blowup enumeration. Empty when every bundle in the capped space was tried.
@@ -294,13 +295,10 @@ def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
     return sha256("\n".join(parts).encode()).digest()
 
 
-def explore(
-    scenario: Scenario,
-    max_new_nodes: Optional[int] = None,
-    max_order_steps: int = 2,
-    depth_cap: int = 50,
-) -> ExploreReport:
-    """Play Dido against every bundle the capped choice space allows.
+def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
+    """Play Dido against every bundle the capped choice space allows: the
+    ``EXPLORE`` policy with the caps (``max_new_nodes``,
+    ``max_order_steps``) given in ``caps``, on a tree cut at ``depth_cap``.
 
     Dido's move is a function of the state, so each tree node has one move
     and branches only on Mephisto's answer. The ``EXPLORE`` policy makes
@@ -336,11 +334,10 @@ def explore(
     on a (parent, record) chain and encodes the chain only for the first
     lost leaf, as ``counterexample``.
     """
-    policy = Policy(
-        kind=EXPLORE, max_new_nodes=max_new_nodes, max_order_steps=max_order_steps
-    )
+    policy = Policy(kind=EXPLORE, **caps)
     report = ExploreReport(
-        all_won=True, branch_count=0, leaf_count=0, win_count=0, max_depth=0
+        all_won=True, branch_count=0, leaf_count=0, win_count=0, max_depth=0,
+        depth_cap=depth_cap,
     )
     table: Dict[object, Tuple[int, int, int]] = {}
 

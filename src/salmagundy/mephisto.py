@@ -75,15 +75,16 @@ board, so equal responses are one object and the checks stored on it
 ``quests.call_response`` of its parent's new response, which stores it on
 that parent: it is built once per parent response object, a repeated root
 reuses its whole subtree, and the umpire's ``quests.call_check`` reads the
-same child instead of building its own. A descent quest's response depends
-on the bump level and its parent response's S and T, so it is built once per
-board for each of those and interned. A keep whose nodes all have orders no
-bump level moves, the fixed ones and INF at dimension d, in the root's
-response and in every descent quest's (``_bump_blind_nodes``), gives the
-same bundle at every level: it is built at its first level only, and its
-other levels are still counted against ``_CANDIDATE_CAP``. Likewise a call's
-child equal to an open quest's scenario is that scenario, so the two quests
-share their checks at the next blowup.
+same child instead of building its own. A descent quest's response is built
+for each candidate, by ``_blowup_response`` from the quest's own scenario,
+and interned like every other, so its checks too run once per value. A keep
+whose nodes all have orders no bump level moves, the fixed ones and INF at
+dimension d, in the root's response and in every descent quest's
+(``_bump_blind_nodes``), gives the same bundle at every level: it is built
+at its first level only, and its other levels are still counted against
+``_CANDIDATE_CAP``. Likewise a call's child equal to an open quest's
+scenario is that scenario, so the two quests share their checks at the next
+blowup.
 
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
@@ -190,18 +191,18 @@ class Policy:
             raise ValueError(f"max_order_steps must be at least 0, got {self.max_order_steps}")
 
     @classmethod
-    def parse(cls, text: str, max_new_nodes: Optional[int] = None,
-              max_order_steps: int = 2) -> "Policy":
-        if text == CANONICAL or text == ADVERSARIAL:
-            return cls(text, 0, max_new_nodes, max_order_steps)
-        if text == RANDOM:
-            return cls(RANDOM, 0, max_new_nodes, max_order_steps)
+    def parse(cls, text: str, **caps) -> "Policy":
+        """The policy ``text`` names, with the caps (``max_new_nodes``,
+        ``max_order_steps``) given in ``caps`` and the others at their
+        defaults."""
+        if text in (CANONICAL, RANDOM, ADVERSARIAL):
+            return cls(text, **caps)
         if text.startswith(RANDOM + ":"):
             try:
                 seed = int(text.split(":", 1)[1])
             except ValueError:
                 raise ValueError(f"bad policy seed in {text!r}") from None
-            return cls(RANDOM, seed, max_new_nodes, max_order_steps)
+            return cls(RANDOM, seed, **caps)
         raise ValueError(f"unknown policy {text!r}")
 
     def rng(self, round_no: int) -> random.Random:
@@ -305,29 +306,22 @@ def _assemble_blowup(
     discards: FrozenSet[int],
     relations: Dict[int, QuestRelation],
     interned: Dict[Scenario, Scenario],
-    descents: Dict[tuple, Optional[Scenario]],
 ) -> Optional[Bundle]:
     """The bundle around a root response. ``discards`` is
     ``blowup_discards(state, bt)`` and ``relations`` maps each surviving
     child, in id order, to its call transported onto the new board; both
-    depend on the board alone. ``interned`` and ``descents`` are shared by
-    the candidates of one board: ``interned`` maps every response built to
-    the first equal one, and ``descents`` holds each descent quest's
-    response (None where it has none) under what it is built from, the
-    quest, its parent response's S and T and the bump, so each is built
-    once per board."""
+    depend on the board alone. ``interned``, shared by the candidates of
+    one board, maps every response built to the first equal one. A descent
+    quest's response carries its own scenario through the blowup onto its
+    parent response's S and T at ``bump``; every other child's is
+    ``quests.call_response`` of its parent's."""
     root_new = interned.setdefault(root_new, root_new)
     responses: Dict[int, Scenario] = {0: root_new}
     for qid, rel_new in relations.items():
         quest = state.quests[qid]
         parent_new = responses[quest.parent_id]
         if rel_new.kind == DESCENT:
-            key = (qid, parent_new.S, parent_new.T, bump)
-            if key not in descents:
-                descents[key] = _blowup_response(
-                    quest.scenario, bt, parent_new.S, parent_new.T, bump
-                )
-            resp = descents[key]
+            resp = _blowup_response(quest.scenario, bt, parent_new.S, parent_new.T, bump)
         else:
             try:
                 resp = call_response(parent_new, rel_new)
@@ -517,7 +511,6 @@ def enumerate_blowup_bundles(
             if quest.parent_id is not None and quest.quest_id not in discards
         }
         interned: Dict[Scenario, Scenario] = {}
-        descents: Dict[tuple, Optional[Scenario]] = {}
         # under one level there is no later level to skip
         blind = _bump_blind_nodes(state, bt, relations) if len(levels) > 1 else frozenset()
         tried = {keep_max}  # read on the repair path only, where keeps == [keep_max]
@@ -555,9 +548,7 @@ def enumerate_blowup_bundles(
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
-                bundle = _assemble_blowup(
-                    state, bt, root_new, bump, discards, relations, interned, descents
-                )
+                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations, interned)
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)

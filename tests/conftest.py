@@ -3,7 +3,8 @@
 ``chain_*`` is the three-node chain p < a < w with an order-2 point at the
 bottom; its canonical blowup response is frozen in ``blown_chain_*``.
 ``crossing_*`` is the two-jib diamond with a complete factor (a monomial
-scenario). Both are small enough to check by hand.
+scenario). Both are small enough to check by hand. ``remake`` is a helper
+that test modules import.
 """
 
 from fractions import Fraction
@@ -17,6 +18,15 @@ from salmagundy import (
     Scenario,
     zero_factor,
 )
+
+
+def remake(c: Scenario, **kw) -> Scenario:
+    """c with the fields in ``kw`` replaced, built afresh by ``Scenario.make``."""
+    fields = dict(
+        board=c.board, d=c.d, B=c.B, H=c.H, S=c.S, T=c.T, ord=dict(c.ord), M=c.M
+    )
+    fields.update(kw)
+    return Scenario.make(**fields)
 
 
 @pytest.fixture

@@ -15,16 +15,9 @@ from salmagundy.dido import DidoStrategy, StrategyError, _plans_text, dms_less, 
 from salmagundy.game import CALL, apply_round, new_game, replay_trace, validate_bundle
 from salmagundy.harness import gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import NoValidBundle, Policy, respond
-from salmagundy.scenario import MonomialFactor, Scenario, validate_scenario, zero_factor
+from salmagundy.scenario import MonomialFactor, validate_scenario, zero_factor
 from salmagundy.transform import transport_relation
-
-
-def _remake(c, **kw):
-    fields = dict(
-        board=c.board, d=c.d, B=c.B, H=c.H, S=c.S, T=c.T, ord=dict(c.ord), M=c.M
-    )
-    fields.update(kw)
-    return Scenario.make(**fields)
+from conftest import remake
 
 
 # ---- the monomial measure -----------------------------------------------------
@@ -43,7 +36,7 @@ def test_measure_takes_minimal_critical_sets(crossing_scenario):
     # each jib alone reaches mass 1 with s below it, so the singletons are
     # the minimal critical sets and the heavier pair does not count
     m = MonomialFactor.of({"h1": 1, "h2": 1})
-    c = _remake(crossing_scenario, ord={"s": 2}, M=[m])
+    c = remake(crossing_scenario, ord={"s": 2}, M=[m])
     assert measure_of(c, m) == (Fraction(1), Fraction(1))
 
 
@@ -231,7 +224,7 @@ def test_a_runaway_start_ends_at_the_round_cap():
     # gen_scenario(5) with ord(v1) = 2/3 < 1 passes the validator, and Dido
     # calls a quotient on the newest quest every round; a decide that
     # recursed along that chain raised RecursionError near round 500
-    c = _remake(gen_scenario(5), ord={"v1": Fraction(2, 3)})
+    c = remake(gen_scenario(5), ord={"v1": Fraction(2, 3)})
     assert c.S == {"v1"} and validate_scenario(c) == []
     result = play_game(c, Policy.parse("canonical"), round_cap=600)
     assert not result.won and result.rounds == 600
@@ -259,7 +252,7 @@ def _answering_below_one(monkeypatch, round_no, node, value):
             if q.parent_id is not None and q.quest_id not in bundle.discards
         }
         below = mephisto._assemble_blowup(
-            state, bt, root, Fraction(0), bundle.discards, relations, {}, {}
+            state, bt, root, Fraction(0), bundle.discards, relations, {}
         )
         assert validate_bundle(state, move, below) == []
         return below

@@ -380,7 +380,7 @@ def _mask_scan_keeps(board1, keep_max):
     out = []
     for mask in range(1 << len(elems)):
         sub = frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        if all(y in sub for x in sub for y in keep_max if board1.leq(y, x)):
+        if all(y in sub for x in sub for y in keep_max if y in board1.down_set(x)):
             out.append(sub)
     out.sort(key=lambda s: (-len(s), tuple(sorted(s))))
     return out
@@ -493,9 +493,7 @@ def _per_candidate_blowup_bundles(state, z, policy):
                     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
                     if quest.parent_id is not None and quest.quest_id not in discards
                 }
-                bundle = _assemble_blowup(
-                    state, bt, root_new, bump, discards, relations, {}, {}
-                )
+                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations, {})
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)
@@ -595,6 +593,46 @@ def test_equal_responses_in_one_stream_are_one_object(kind):
             seen += 1
             assert first.setdefault(sc, sc) is sc
     assert seen > len(first)  # responses do repeat across candidates
+
+
+@pytest.mark.parametrize("kind", ["random", mephisto.EXPLORE])
+def test_equal_descent_responses_are_one_object_checked_once(monkeypatch, kind):
+    # Seed 24 after round 11 is a stop case whose blowup leaves three
+    # descent quests open. Each candidate builds its descent responses afresh;
+    # over every candidate assembled, valid or not, equal ones are one
+    # object, so the umpire checks each value's blowup transform once.
+    state, move = _adversarial_state(24, 11)
+    descents = {
+        q.quest_id for q in state.open_quests() if q.relation and q.relation.kind == "descent"
+    }
+    assert len(descents) == 3
+    assembled = []
+    assemble = mephisto._assemble_blowup
+
+    def recording(*args):
+        assembled.append(assemble(*args))
+        return assembled[-1]
+
+    checked = Counter()
+    check = transform._check_blowup_transform
+
+    def counting(c, bt, c1):
+        checked[c, bt, c1] += 1
+        return check(c, bt, c1)
+
+    monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
+    monkeypatch.setattr(transform, "_check_blowup_transform", counting)
+    list(enumerate_blowup_bundles(state, move.center, Policy(kind=kind, seed=1)))
+    first = {}
+    seen = 0
+    for bundle in filter(None, assembled):
+        for qid in descents & bundle.responses.keys():
+            sc = bundle.responses[qid]
+            seen += 1
+            assert first.setdefault(sc, sc) is sc
+            assert checked[state.quests[qid].scenario, bundle.transform, sc] == 1
+    assert seen > len(first)  # descent responses do repeat across candidates
+    assert max(checked.values()) == 1
 
 
 def test_the_umpire_builds_no_child_that_mephisto_built(monkeypatch):
@@ -936,34 +974,19 @@ def test_adversarial_stop_keeps_the_choice_of_the_whole_window(monkeypatch):
     assert fired[False] and fired[True]
 
 
-# ---- the level and descent prunings ----------------------------------------------
+# ---- the level pruning ----------------------------------------------------------
 
 
-def _unpruned(patch, pruning):
-    """Switch one pruning of the blowup stream off: a keep whose orders no
-    bump level moves is built at every level (the empty keep, which holds
-    no order at all, stays steady), or each candidate builds its descent
-    responses afresh."""
-    if pruning == "levels":
-        patch.setattr(mephisto, "_bump_blind_nodes", lambda state, bt, relations: frozenset())
-    else:
-        assemble = mephisto._assemble_blowup
-        patch.setattr(mephisto, "_assemble_blowup", lambda *args: assemble(*args[:-1], {}))
-
-
-@pytest.mark.parametrize("pruning", ["levels", "descents"])
-def test_the_level_and_descent_prunings_change_no_stream(monkeypatch, pruning):
-    # Each pruning skips only builds that repeat one an earlier candidate
-    # of the keep or board made, so switched off, the streams yield the
-    # same bundles in the same order, and a candidate cap of 1 to 6 cuts
-    # them at the same candidate with the same reason. Descent responses
-    # are read from the table on candidates that are then assembled all
-    # the same, so every candidate assembled, valid or not, is the same.
+def test_the_level_pruning_changes_no_stream(monkeypatch):
+    # A keep whose orders no bump level moves is built at its first level
+    # only: its other levels would repeat that build. Switched off, so that
+    # every keep is built at every level (the empty keep, which holds no
+    # order at all, stays steady), the streams yield the same bundles in
+    # the same order, and a candidate cap of 1 to 6 cuts them at the same
+    # candidate with the same reason.
     built = Counter()
-    name = "_root_response" if pruning == "levels" else "_blowup_response"
-    assemble = mephisto._assemble_blowup
 
-    def counting(off, build=getattr(mephisto, name)):
+    def counting(off, build=mephisto._root_response):
         def wrapped(*args):
             built[off] += 1
             return build(*args)
@@ -976,21 +999,14 @@ def test_the_level_and_descent_prunings_change_no_stream(monkeypatch, pruning):
             for cap in [*range(1, 7), mephisto._CANDIDATE_CAP]:
                 runs = []
                 for off in (False, True):
-                    assembled = []
-
-                    def recording(*args, assembled=assembled):
-                        assembled.append(assemble(*args))
-                        return assembled[-1]
-
                     with monkeypatch.context() as patch:
                         patch.setattr(mephisto, "_CANDIDATE_CAP", cap)
-                        patch.setattr(mephisto, name, counting(off))
-                        patch.setattr(mephisto, "_assemble_blowup", recording)
+                        patch.setattr(mephisto, "_root_response", counting(off))
                         if off:
-                            _unpruned(patch, pruning)
+                            patch.setattr(mephisto, "_bump_blind_nodes", lambda *args: frozenset())
                         truncated = []
                         bundles = list(enumerate_blowup_bundles(state, z, policy, truncated))
-                    runs.append((bundles, truncated, assembled if pruning == "descents" else None))
+                    runs.append((bundles, truncated))
                 assert runs[0] == runs[1], (policy.kind, cap)
     assert built[False] < built[True]
 

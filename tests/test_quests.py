@@ -29,14 +29,7 @@ from salmagundy.scenario import (
     zero_factor,
 )
 from salmagundy.values import INF
-
-
-def _remake(c, **kw):
-    fields = dict(
-        board=c.board, d=c.d, B=c.B, H=c.H, S=c.S, T=c.T, ord=dict(c.ord), M=c.M
-    )
-    fields.update(kw)
-    return Scenario.make(**fields)
+from conftest import remake
 
 
 def _tags(violations, rule):
@@ -135,7 +128,7 @@ def test_quotient_rejects_bad_arguments(crossing_scenario):
     # its residual finite - INF is undefined.
     uncapped = MonomialFactor.of({"h1": INF, "h2": 0})
     with pytest.raises(ValueError, match="uncapped below a finite order"):
-        quotient_response(_remake(c, M=[uncapped]), uncapped, Fraction(1))
+        quotient_response(remake(c, M=[uncapped]), uncapped, Fraction(1))
 
 
 def test_quotient_check_items(crossing_scenario):
@@ -150,22 +143,22 @@ def test_quotient_check_items(crossing_scenario):
         other_board, want.d, want.B, [], [], ["w"], {}, [zero_factor([])]
     )
     assert _tags(call_check(c, rel, alien), "quotient") == {"structure"}
-    assert _tags(call_check(c, rel, _remake(want, d=0)), "quotient") == {1}
-    assert _tags(call_check(c, rel, _remake(want, B=1)), "quotient") == {1}
+    assert _tags(call_check(c, rel, remake(want, d=0)), "quotient") == {1}
+    assert _tags(call_check(c, rel, remake(want, B=1)), "quotient") == {1}
     assert _tags(
-        call_check(c, rel, _remake(want, H=["h1"])), "quotient"
+        call_check(c, rel, remake(want, H=["h1"])), "quotient"
     ) == {2}
     assert _tags(
-        call_check(c, rel, _remake(want, S=[], ord={})), "quotient"
+        call_check(c, rel, remake(want, S=[], ord={})), "quotient"
     ) == {3}
     assert _tags(
-        call_check(c, rel, _remake(want, ord={"s": 2})), "quotient"
+        call_check(c, rel, remake(want, ord={"s": 2})), "quotient"
     ) == {4}
     assert _tags(
-        call_check(c, rel, _remake(want, T=want.T - {"w"})), "quotient"
+        call_check(c, rel, remake(want, T=want.T - {"w"})), "quotient"
     ) == {5}
     assert _tags(
-        call_check(c, rel, _remake(want, M=[zero_factor(want.H)])), "quotient"
+        call_check(c, rel, remake(want, M=[zero_factor(want.H)])), "quotient"
     ) == {6}
 
 
@@ -223,22 +216,22 @@ def test_transversality_check_items(crossing_scenario):
     want = transversality_response(c, K)
     assert call_check(c, rel, want) == []
     assert _tags(
-        call_check(c, rel, _remake(want, d=1)), "transversality"
+        call_check(c, rel, remake(want, d=1)), "transversality"
     ) == {1}
     assert _tags(
-        call_check(c, rel, _remake(want, H=[])), "transversality"
+        call_check(c, rel, remake(want, H=[])), "transversality"
     ) == {2}
-    got = call_check(c, rel, _remake(want, S=[], ord={}))
+    got = call_check(c, rel, remake(want, S=[], ord={}))
     assert _tags(got, "transversality") == {3}
     assert _tags(
-        call_check(c, rel, _remake(want, ord={"s": 2})), "transversality"
+        call_check(c, rel, remake(want, ord={"s": 2})), "transversality"
     ) == {4}
     assert _tags(
-        call_check(c, rel, _remake(want, T=["s", "w"])), "transversality"
+        call_check(c, rel, remake(want, T=["s", "w"])), "transversality"
     ) == {5}
     assert _tags(
         call_check(
-            c, rel, _remake(want, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
+            c, rel, remake(want, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
         ),
         "transversality",
     ) == {6}
@@ -260,41 +253,41 @@ def forked_scenario():
 def test_relaxation_accepts_plain_release(forked_scenario):
     c = forked_scenario
     assert validate_scenario(c) == []
-    c1 = _remake(c, H=[], M=[zero_factor([])])
+    c1 = remake(c, H=[], M=[zero_factor([])])
     assert call_check(c, QuestRelation.relaxation(["h1"]), c1) == []
 
 
 def test_relaxation_accepts_partial_meeting_additions(forked_scenario):
     c = forked_scenario
-    c1 = _remake(c, H=[], M=[zero_factor([])], T={"s", "w"})
+    c1 = remake(c, H=[], M=[zero_factor([])], T={"s", "w"})
     assert call_check(c, QuestRelation.relaxation(["h1"]), c1) == []
 
 
 def test_relaxation_check_items(forked_scenario):
     c = forked_scenario
     release = QuestRelation.relaxation(["h1"])
-    ok = _remake(c, H=[], M=[zero_factor([])])
+    ok = remake(c, H=[], M=[zero_factor([])])
     alien = Scenario.make(
         Board({"x": 0}, []), c.d, c.B, [], [], ["x"], {}, [zero_factor([])]
     )
     assert _tags(call_check(c, release, alien), "relaxation") == {"structure"}
-    assert _tags(call_check(c, release, _remake(ok, B=7)), "relaxation") == {1}
+    assert _tags(call_check(c, release, remake(ok, B=7)), "relaxation") == {1}
     assert _tags(
-        call_check(c, release, _remake(ok, S=[], ord={})), "relaxation"
+        call_check(c, release, remake(ok, S=[], ord={})), "relaxation"
     ) == {2}
     assert _tags(
-        call_check(c, release, _remake(ok, ord={"s": 0})), "relaxation"
+        call_check(c, release, remake(ok, ord={"s": 0})), "relaxation"
     ) == {2}
     assert _tags(call_check(c, release, c), "relaxation") == {3, 5}
     assert _tags(
-        call_check(c, release, _remake(ok, T=[])), "relaxation"
+        call_check(c, release, remake(ok, T=[])), "relaxation"
     ) == {4}
     # t is remote from the released jib: it earned nothing
     assert _tags(
-        call_check(c, release, _remake(ok, T={"s", "t"})), "relaxation"
+        call_check(c, release, remake(ok, T={"s", "t"})), "relaxation"
     ) == {4}
     assert _tags(
-        call_check(c, release, _remake(ok, M=FactorSet(()))), "relaxation"
+        call_check(c, release, remake(ok, M=FactorSet(()))), "relaxation"
     ) == {5}
     with pytest.raises(ValueError):
         call_check(c, QuestRelation.relaxation(["nope"]), c)
@@ -318,7 +311,7 @@ def test_relaxation_response_restricts_factors(crossing_scenario):
     c1 = relaxation_response(crossing_scenario, ["h1"])
     assert c1.M == FactorSet.of([MonomialFactor.of({"h2": Fraction(7, 10)})])
     assert validate_scenario(c1) == validate_scenario(
-        _remake(crossing_scenario, H={"h2"}, M=c1.M)
+        remake(crossing_scenario, H={"h2"}, M=c1.M)
     )
 
 
@@ -346,7 +339,7 @@ def test_descent_happy_path(tight_bare_scenario, chain_board):
 def test_descent_preconditions_raise(chain_scenario, crossing_scenario, chain_board):
     with pytest.raises(ValueError):
         descent_check(chain_scenario, chain_scenario)  # not tight
-    jibbed = _remake(crossing_scenario, ord={"s": 1})
+    jibbed = remake(crossing_scenario, ord={"s": 1})
     with pytest.raises(ValueError):
         descent_check(jibbed, jibbed)  # H nonempty
     floor = Scenario.make(
@@ -385,11 +378,11 @@ def test_descent_check_items(tight_bare_scenario, chain_board):
     other = Board({"x": 0, "w": 1}, [("x", "w")])
     alien = Scenario.make(other, 0, 1, [], [], ["w"], {}, [zero_factor([])])
     assert descent_tags(alien) == {"structure"}
-    assert descent_tags(_remake(good, d=1)) == {1}
-    assert descent_tags(_remake(good, S=["p", "a"], ord={"p": INF, "a": INF})) == {2}
-    assert descent_tags(_remake(good, T=["a", "w"])) == {2}
+    assert descent_tags(remake(good, d=1)) == {1}
+    assert descent_tags(remake(good, S=["p", "a"], ord={"p": INF, "a": INF})) == {2}
+    assert descent_tags(remake(good, T=["a", "w"])) == {2}
     # the restriction to the empty handicap is the only legal factor set
-    assert descent_tags(_remake(good, M=FactorSet(()))) == {2}
+    assert descent_tags(remake(good, M=FactorSet(()))) == {2}
 
 
 def test_descent_response_must_be_valid_scenario(tight_bare_scenario, chain_board):
@@ -436,7 +429,7 @@ def test_call_response_and_check_are_the_per_kind_functions(
             assert call_response(c, rel) == want
             assert call_check(c, rel, want) == []
             if rel.kind == "relaxation":
-                for claimed in (c, _remake(want, T=[])):
+                for claimed in (c, remake(want, T=[])):
                     want_check = _check_relaxation(c, rel.jibs, want, claimed)
                     assert call_check(c, rel, claimed) == want_check
             kinds.add(rel.kind)
@@ -448,9 +441,9 @@ def test_call_dispatch_checks_descent_and_rejects_unknown_kinds(crossing_scenari
     descent = QuestRelation.descent()
     with pytest.raises(ValueError):
         call_response(c, descent)  # the orders are Mephisto's choice
-    assert call_check(c, descent, _remake(c, d=c.d - 1, ord={"s": INF})) == []
+    assert call_check(c, descent, remake(c, d=c.d - 1, ord={"s": INF})) == []
     assert {v.issue for v in call_check(c, descent, c)} == {1}
-    assert {v.issue for v in call_check(c, descent, _remake(c, d=c.d - 1, H=["h1"]))} == {2}
+    assert {v.issue for v in call_check(c, descent, remake(c, d=c.d - 1, H=["h1"]))} == {2}
     shuffle = QuestRelation("shuffle")
     with pytest.raises(ValueError):
         call_response(c, shuffle)

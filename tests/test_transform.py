@@ -47,14 +47,7 @@ from salmagundy.transform import (
     validate_blowup_transform,
 )
 from salmagundy.values import INF
-
-
-def _remake(c, **kw):
-    fields = dict(
-        board=c.board, d=c.d, B=c.B, H=c.H, S=c.S, T=c.T, ord=dict(c.ord), M=c.M
-    )
-    fields.update(kw)
-    return Scenario.make(**fields)
+from conftest import remake
 
 
 def _rule_tags(violations):
@@ -111,7 +104,7 @@ def test_crossing_blowup_full_response_is_accepted(crossing_scenario, crossing_b
 def test_blowup_item_1_dimension_changed(chain_scenario, blown_chain_response):
     bt = blowup_transform(chain_scenario.board, "p")
     got = validate_blowup_transform(
-        chain_scenario, bt, _remake(blown_chain_response, d=2)
+        chain_scenario, bt, remake(blown_chain_response, d=2)
     )
     assert 1 in _rule_tags(got)
 
@@ -119,21 +112,21 @@ def test_blowup_item_1_dimension_changed(chain_scenario, blown_chain_response):
 def test_blowup_item_2_transversality_not_mirrored(chain_scenario, blown_chain_response):
     bt = blowup_transform(chain_scenario.board, "p")
     got = validate_blowup_transform(
-        chain_scenario, bt, _remake(blown_chain_response, T={"e0", "q1", "w"})
+        chain_scenario, bt, remake(blown_chain_response, T={"e0", "q1", "w"})
     )
     assert 2 in _rule_tags(got)
 
 
 def test_blowup_item_7_center_must_be_admissible(chain_scenario, blown_chain_response):
-    shy = _remake(chain_scenario, T={"a", "w"})
+    shy = remake(chain_scenario, T={"a", "w"})
     bt = blowup_transform(shy.board, "p")
-    c1 = _remake(blown_chain_response, T={"a", "w", "q1"})
+    c1 = remake(blown_chain_response, T={"a", "w", "q1"})
     assert _rule_tags(validate_blowup_transform(shy, bt, c1)) == {7}
 
 
 def test_blowup_item_8_singular_outside_fiber(chain_scenario, blown_chain_response):
     bt = blowup_transform(chain_scenario.board, "p")
-    c1 = _remake(
+    c1 = remake(
         blown_chain_response,
         S={"q1", "a"},
         ord={"q1": Fraction(1), "a": INF},
@@ -143,7 +136,7 @@ def test_blowup_item_8_singular_outside_fiber(chain_scenario, blown_chain_respon
 
 def test_blowup_item_9_exceptional_order_pinned(chain_scenario, blown_chain_response):
     bt = blowup_transform(chain_scenario.board, "p")
-    c1 = _remake(
+    c1 = remake(
         blown_chain_response,
         S={"q1", "e0"},
         ord={"q1": Fraction(1), "e0": Fraction(2)},
@@ -195,7 +188,7 @@ def test_blowup_item_11_tightness_is_hereditary(chain_board):
 
 def test_blowup_item_12_handicap_gains_exceptional(chain_scenario, blown_chain_response):
     bt = blowup_transform(chain_scenario.board, "p")
-    c1 = _remake(blown_chain_response, H=[])
+    c1 = remake(blown_chain_response, H=[])
     assert _rule_tags(validate_blowup_transform(chain_scenario, bt, c1)) == {12}
 
 
@@ -232,13 +225,13 @@ def test_blowup_item_14_generators_must_be_capped_transports(
     chain_scenario, blown_chain_response
 ):
     bt = blowup_transform(chain_scenario.board, "p")
-    c1 = _remake(blown_chain_response, M=[MonomialFactor.of({"e0": 0})])
+    c1 = remake(blown_chain_response, M=[MonomialFactor.of({"e0": 0})])
     assert _rule_tags(validate_blowup_transform(chain_scenario, bt, c1)) == {14}
 
 
 def test_blowup_item_15_complete_factor_stays_complete(crossing_scenario, crossing_blowup):
     bt, good = crossing_blowup
-    c1 = _remake(good, ord={"q1": Fraction(9, 10), "q2": Fraction(13, 10)})
+    c1 = remake(good, ord={"q1": Fraction(9, 10), "q2": Fraction(13, 10)})
     assert _rule_tags(validate_blowup_transform(crossing_scenario, bt, c1)) == {15}
 
 
@@ -341,7 +334,7 @@ def _children_of_root(root, *children):
 
 def test_child_survival_requires_admissible_center(chain_scenario):
     bt = blowup_transform(chain_scenario.board, "p")
-    shy_child = _remake(chain_scenario, T={"a", "w"})
+    shy_child = remake(chain_scenario, T={"a", "w"})
     rel = QuestRelation.descent()
     st = _children_of_root(chain_scenario, (rel, chain_scenario), (rel, shy_child))
     assert blowup_discards(st, bt) == {2}
@@ -438,7 +431,7 @@ def test_commutes_relaxation(squares):
     c, rel, child, center = squares[RELAXATION]
     bt, cp, c1p = _square(c, rel, child, center)
     assert commutes(rel, c, child, cp, c1p, bt) == []
-    warped = _remake(c1p, H=c1p.H | {"h1"}, M=cp.M)
+    warped = remake(c1p, H=c1p.H | {"h1"}, M=cp.M)
     assert 1 in _comm_tags(commutes(rel, c, child, cp, warped, bt))
 
 
@@ -447,7 +440,7 @@ def test_commutes_descent(squares):
     bt, cp, c1p = _square(parent, rel, child, center)
     assert commutes(rel, parent, child, cp, c1p, bt) == []
     assert 2 in _comm_tags(
-        commutes(rel, parent, child, cp, _remake(c1p, d=cp.d), bt)
+        commutes(rel, parent, child, cp, remake(c1p, d=cp.d), bt)
     )
 
 
@@ -456,7 +449,7 @@ def test_commutes_transversality(squares):
     bt, cp, c1p = _square(c, rel, child, center)
     assert commutes(rel, c, child, cp, c1p, bt) == []
     assert 3 in _comm_tags(
-        commutes(rel, c, child, cp, _remake(c1p, T=c1p.T - {"w"}), bt)
+        commutes(rel, c, child, cp, remake(c1p, T=c1p.T - {"w"}), bt)
     )
 
 
@@ -466,7 +459,7 @@ def test_commutes_quotient(squares):
     assert commutes(rel, c, child, cp, c1p, bt) == []
     bad_ord = {s: v + 1 for s, v in c1p.ord.items()}
     assert 4 in _comm_tags(
-        commutes(rel, c, child, cp, _remake(c1p, ord=bad_ord), bt)
+        commutes(rel, c, child, cp, remake(c1p, ord=bad_ord), bt)
     )
 
 
@@ -481,7 +474,7 @@ def test_umpire_rejects_responses_that_disagree_with_the_discards(squares, kind)
     missing = Bundle(bundle.transform, {0: bundle.responses[0]})
     assert _bundle_structure(validate_bundle(st, mv, missing))
     # without the center among its transversal nodes the child is discarded
-    st = _two_quests(c, rel, _remake(child, T=child.T - {center}))
+    st = _two_quests(c, rel, remake(child, T=child.T - {center}))
     bundle = respond(st, mv, Policy.parse("canonical"))
     assert bundle.discards == {1} and set(bundle.responses) == {0}
     for discards in (bundle.discards, frozenset()):
@@ -501,7 +494,7 @@ def test_commutes_discarded_child_must_stay_closed(crossing_scenario):
     bundle = respond(st, mv, Policy.parse("canonical"))
     assert bundle.discards == {1} and 1 not in bundle.responses
     assert validate_bundle(st, mv, bundle) == []
-    ghost = _remake(bundle.responses[0], B=child.B)
+    ghost = remake(bundle.responses[0], B=child.B)
     for discards in (bundle.discards, frozenset()):
         kept = Bundle(bundle.transform, {**bundle.responses, 1: ghost}, discards)
         assert _bundle_structure(validate_bundle(st, mv, kept))
@@ -537,7 +530,7 @@ def test_commutes_reports_a_call_the_new_parent_does_not_admit():
     assert child.relation.kind == TRANSVERSALITY
     bt = bundle.transform
     root = bundle.responses[0]
-    crafted = _remake(root, H=root.H - {bt.exceptional})
+    crafted = remake(root, H=root.H - {bt.exceptional})
     got = validate_bundle(st, mv, Bundle(bt, {**bundle.responses, 0: crafted}, bundle.discards))
     assert any(
         v.rule == "commutativity" and v.issue == 3 and v.witness == (bt.exceptional,)
