@@ -15,7 +15,7 @@ from .board import board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
 from .harness import explore, gen_board, gen_scenario, play_game, scenario_to_dot
 from .mephisto import EXPLORE, CapError, NoValidBundle, Policy
-from .scenario import scenario_from_json, scenario_to_json, validate_scenario
+from .scenario import scenario_from_json, scenario_to_json, validate_scenario, validate_shape
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -204,15 +204,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    if args.what == "board":
-        b = gen_board(seed, max_nodes=args.max_nodes, n=args.n)
-        _emit(json.dumps(board_to_json(b), indent=2, sort_keys=True) + "\n", args.out)
-        return EXIT_OK
-    board = _load(args.board, "board") if args.board else None
+    board = _load(args.board, "board") if args.what == "scenario" and args.board else None
     if board is not None and (violations := validate_board(board)):
         return _report(violations)
-    c = gen_scenario(seed, board=board, d=args.d, B=args.B, jib_count=args.jib_count)
-    _emit(json.dumps(scenario_to_json(c), indent=2, sort_keys=True) + "\n", args.out)
+    try:
+        if args.what == "board":
+            data = board_to_json(gen_board(seed, max_nodes=args.max_nodes, n=args.n))
+        else:
+            data = scenario_to_json(
+                gen_scenario(seed, board=board, d=args.d, B=args.B, jib_count=args.jib_count)
+            )
+    except ValueError as exc:  # an argument out of range
+        return _usage(str(exc))
+    _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -262,6 +266,9 @@ def _cmd_explore(args) -> int:
 def _cmd_export(args) -> int:
     if args.scenario:
         c = _load(args.scenario, "scenario")
+        violations = validate_shape(c)  # the exporter reads c's nodes on its board
+        if violations:
+            return _report(violations)
         sys.stdout.write(scenario_to_dot(c))
         return EXIT_OK
     if args.board:

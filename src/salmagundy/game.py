@@ -12,22 +12,25 @@ closes: the umpire rejects a bundle whose discards or responses disagree
 with it before it checks any square, so ``transform.commutes`` sees only
 surviving children. Before any transform or call check, every scenario the
 round brings in must fit its board (``scenario.validate_shape``), because
-the checks read its nodes there. Quests are values: ``apply_round`` stores
-a new ``Quest`` under the id of each quest it changes, so ``GameState`` is a
-game's one mutable object, and a clone copies the quest dict and shares
-every quest.
+the checks read its nodes there.
+
+A position is a value, as every quest in it is: ``apply_round`` returns
+the next ``GameState`` and leaves the one it is given as it was, so the
+explorer answers one position many ways and a verdict about it can be stored.
 
 Checks are pure functions of immutable objects, and each is answered once per
 identical inputs: a verdict is stored on the object it describes, one slot
 per check and identity of the other inputs (``board._memo``). Mephisto
 sieves candidates with ``validate_bundle`` and shares each distinct response
 among the candidates of one blown-up board, so a response is checked once
-under each parent response it meets, not once per candidate. ``apply_round``
-always checks the chosen bundle again, with the very same scenario and
-transform objects; the second check finds every verdict stored. Values are
-stored too: a call's child sits on its parent scenario
-(``quests.call_response``). A slot lives as long as its owner, so the game
-owns its root scenario: ``new_game`` plays a copy of the caller's.
+under each parent response it meets, not once per candidate, and the
+quests a blowup closes are worked out once per state and blown-up board
+(``blowup_discards``). ``apply_round`` always checks the chosen bundle
+again, with the very same scenario and transform objects; the second check
+finds every verdict stored. Values are stored too: a call's child sits on
+its parent scenario (``quests.call_response``). A slot lives as long as its
+owner, so the game owns its root scenario: ``new_game`` plays a copy of the
+caller's.
 
 The trace encodes each value once, too. A response scenario and a transform
 store their JSON text on themselves (``board._json_text``), and
@@ -35,18 +38,8 @@ store their JSON text on themselves (``board._json_text``), and
 small ``json.dumps`` of the rest of the record. Each text is ``json.dumps``
 of the value's one JSON formula, so the line is byte-identical to encoding
 the record's dict form, and it dies with its value. The mutable ``Bundle``
-owns no text: its line is built from its current fields.
-
-Replay reads each value once, too. ``replay_trace`` holds the JSON that its
-board and each open quest's scenario were read from. A call round changes
-neither, but its line repeats them all, so ``bundle_from_json`` reads a
-target equal to the held board's JSON as the state's board, with no parse
-and no closure, and on it reads a response equal to a held JSON as that
-held scenario. Within a line, a response or child equal to one already
-read is that scenario too, as play shares equal responses, so its checks
-run once. Verdicts do not change: equal JSON parses to an equal value,
-every check is a pure function of values, and the umpire still runs
-``validate_bundle`` in full on every round.
+owns no text: its line is built from its current fields. Replay reads each
+value once, too (``replay_trace``).
 """
 
 from __future__ import annotations
@@ -60,6 +53,7 @@ from .board import (
     BLOWUP,
     Board,
     BoardTransform,
+    FrozenDict,
     NodeId,
     Violation,
     _json_text,
@@ -87,6 +81,7 @@ from .transform import (
     transport_relation,
     validate_blowup_transform,
 )
+from .values import INF, parse_value
 
 __all__ = [
     "OPEN",
@@ -127,16 +122,31 @@ class Quest:
     status: str = OPEN
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameState:
-    board: Board
-    quests: Dict[int, Quest]
+    """A position: the quests, by id, after ``round_no`` rounds. A given
+    dict is frozen into a ``FrozenDict``, so a state never changes."""
+
+    quests: Mapping[int, Quest]
     round_no: int = 0
-    next_quest_id: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.quests, FrozenDict):
+            object.__setattr__(self, "quests", FrozenDict(self.quests))
 
     @property
     def root(self) -> Quest:
         return self.quests[0]
+
+    @property
+    def board(self) -> Board:
+        """The main quest's board, which every blowup answers while it is open."""
+        return self.root.scenario.board
+
+    @property
+    def next_quest_id(self) -> int:
+        """Ids are handed out in order and no quest leaves the tree."""
+        return len(self.quests)
 
     def open_quests(self) -> List[Quest]:
         return [q for q in self.quests.values() if q.status == OPEN]
@@ -151,12 +161,9 @@ class GameState:
         return all(q.status != DISCARDED for q in self.quests.values())
 
     def clone(self) -> "GameState":
-        return GameState(
-            board=self.board,
-            quests=dict(self.quests),
-            round_no=self.round_no,
-            next_quest_id=self.next_quest_id,
-        )
+        """The state itself, as ``Board.__copy__`` returns the board. No package
+        code calls it; it stays because ``bench/tracer.py`` wraps it by name."""
+        return self
 
 
 def new_game(scenario: Scenario) -> GameState:
@@ -167,7 +174,7 @@ def new_game(scenario: Scenario) -> GameState:
     if vs:
         raise ValueError("initial scenario is invalid: " + "; ".join(map(str, vs)))
     root = Quest(0, None, None, scenario, OPEN if scenario.S else WON)
-    return GameState(board=scenario.board, quests={0: root})
+    return GameState({0: root})
 
 
 # ---- moves and bundles -----------------------------------------------------
@@ -244,42 +251,29 @@ def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violat
 
 
 def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
-    out: List[Violation] = []
     quest = state.quests.get(move.quest_id)
     if quest is None or quest.status != OPEN:
         return [_bundle_violation(f"call target {move.quest_id} is not an open quest")]
-    rel = move.relation
-    if rel is None:
+    if move.relation is None:
         return [_bundle_violation("call move without a relation")]
-    bt = bundle.transform
-    if bt != trivial_refinement(state.board):
-        out.append(_bundle_violation("call rounds ride on the identity refinement"))
-        return out
+    if bundle.transform != trivial_refinement(state.board):
+        return [_bundle_violation("call rounds ride on the identity refinement")]
     open_ids = {q.quest_id for q in state.open_quests()}
     if set(bundle.responses) != open_ids:
-        out.append(
+        return [
             _bundle_violation(
                 f"responses cover {sorted(bundle.responses)}, open quests are {sorted(open_ids)}"
             )
-        )
-        return out
-    if bundle.discards:
-        out.append(_bundle_violation("call rounds cannot discard quests"))
-    for qid in sorted(open_ids):
-        if bundle.responses[qid] != state.quests[qid].scenario:
-            out.append(
-                _bundle_violation(
-                    f"quest {qid} changed on a call round", (str(qid),)
-                )
-            )
+        ]
+    out = [_bundle_violation("call rounds cannot discard quests")] if bundle.discards else []
+    out += [
+        _bundle_violation(f"quest {qid} changed on a call round", (str(qid),))
+        for qid in sorted(open_ids)
+        if bundle.responses[qid] != state.quests[qid].scenario
+    ]
     if bundle.child is None:
-        out.append(_bundle_violation("call round without a child scenario"))
-        return out
-
-    parent_sc = quest.scenario
-    child_sc = bundle.child
-    out.extend(_memo(_check_call_child, parent_sc, rel, child_sc))
-    return out
+        return out + [_bundle_violation("call round without a child scenario")]
+    return out + _memo(_check_call_child, quest.scenario, move.relation, bundle.child)
 
 
 def _check_call_child(
@@ -298,61 +292,34 @@ def _check_call_child(
 
 
 def _validate_blowup(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
-    out: List[Violation] = []
-    bt = bundle.transform
-    z = move.center
+    bt, z, root = bundle.transform, move.center, state.root
+    if root.status != OPEN:  # the board lives on the main quest's scenario
+        return [_bundle_violation("the main quest is closed: the game is over")]
     if bt.kind != BLOWUP or bt.source != state.board or bt.center != z:
         return [_bundle_violation("transform does not blow up the named center")]
-    out.extend(validate_board(bt.target))
-    out.extend(validate_board_transform(bt))
+    out = validate_board(bt.target) + validate_board_transform(bt)
     if out:
         return out
     if bundle.child is not None:
         out.append(_bundle_violation("blowup rounds do not create quests"))
-
-    root = state.root
     if z not in admissible_centers(root.scenario):
-        out.append(
-            _bundle_violation(f"center {z} is not admissible for the main quest", (z,))
-        )
-        return out
-
+        return out + [_bundle_violation(f"center {z} is not admissible for the main quest", (z,))]
     want_discards = blowup_discards(state, bt)
     if frozenset(bundle.discards) != want_discards:
-        out.append(
-            _bundle_violation(
-                f"discards {sorted(bundle.discards)} do not match the closed quests "
-                f"{sorted(want_discards)}"
-            )
-        )
-        return out
+        detail = f"do not match the closed quests {sorted(want_discards)}"
+        return out + [_bundle_violation(f"discards {sorted(bundle.discards)} {detail}")]
     want_responses = {q.quest_id for q in state.open_quests()} - want_discards
     if set(bundle.responses) != want_responses:
-        out.append(
-            _bundle_violation(
-                f"responses cover {sorted(bundle.responses)}, surviving quests are "
-                f"{sorted(want_responses)}"
-            )
-        )
-        return out
-
+        detail = f"surviving quests are {sorted(want_responses)}"
+        return out + [_bundle_violation(f"responses cover {sorted(bundle.responses)}, {detail}")]
     for qid in sorted(want_responses):
-        quest = state.quests[qid]
-        new_sc = bundle.responses[qid]
+        quest, new_sc = state.quests[qid], bundle.responses[qid]
         if quest.parent_id is None:
-            out.extend(validate_blowup_transform(quest.scenario, bt, new_sc))
+            out += validate_blowup_transform(quest.scenario, bt, new_sc)
         else:
             parent = state.quests[quest.parent_id]
-            out.extend(
-                commutes(
-                    quest.relation,
-                    parent.scenario,
-                    quest.scenario,
-                    bundle.responses[parent.quest_id],
-                    new_sc,
-                    bt,
-                )
-            )
+            new_parent = bundle.responses[parent.quest_id]
+            out += commutes(quest.relation, parent.scenario, quest.scenario, new_parent, new_sc, bt)
     return out
 
 
@@ -366,7 +333,14 @@ def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
     the exceptional node than the cap every response family enforces there
     (a corner only reachable at centers outside the child's singular set).
     The main quest is never closed.
+
+    The verdict is stored on ``bt`` for ``state`` (``board._memo``), so
+    Mephisto and the umpire's check of each candidate read one computation.
     """
+    return _memo(_blowup_discards, state, bt)
+
+
+def _blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
     z = bt.center
     closed = set()
     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
@@ -388,46 +362,45 @@ def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
     return frozenset(closed)
 
 
-def apply_round(state: GameState, move: Move, bundle: Bundle) -> dict:
-    """Validate and apply one round in place; returns the trace record.
+def apply_round(state: GameState, move: Move, bundle: Bundle) -> Tuple[GameState, dict]:
+    """Validate one round; returns the state after it and the trace record.
 
-    The record holds the ``Bundle`` itself under ``"bundle"``, not its dict
-    form: only ``round_to_json`` encodes it, so the umpire and
+    ``state`` stays as it was: the next state shares every quest the round
+    leaves alone. The record holds the ``Bundle`` itself under ``"bundle"``,
+    not its dict form: only ``round_to_json`` encodes it, so the umpire and
     ``replay_trace`` encode nothing."""
     vs = validate_bundle(state, move, bundle)
     if vs:
         raise BundleError(vs)
-    record: dict = {
+    quests = dict(state.quests)
+    newly_won: List[int] = []
+    new_quest = None
+    if move.kind == CALL:
+        new_quest = state.next_quest_id
+        status = OPEN if bundle.child.S else WON
+        quests[new_quest] = Quest(new_quest, move.quest_id, move.relation, bundle.child, status)
+        if status == WON:
+            newly_won.append(new_quest)
+    else:
+        bt = bundle.transform
+        for qid in bundle.discards:
+            quests[qid] = replace(quests[qid], status=DISCARDED)
+        for qid, new_sc in bundle.responses.items():  # the gate admits open quests only
+            quest = quests[qid]
+            rel = quest.relation and transport_relation(quest.relation, bt)
+            status = OPEN if new_sc.S else WON
+            quests[qid] = Quest(qid, quest.parent_id, rel, new_sc, status)
+            if status == WON:
+                newly_won.append(qid)
+    record = {
         "round": state.round_no + 1,
         "move": move_to_json(move),
         "bundle": bundle,
+        "new_quest": new_quest,
+        "won": sorted(newly_won),
+        "discarded": sorted(bundle.discards),
     }
-    newly_won: List[int] = []
-    if move.kind == CALL:
-        child_id = state.next_quest_id
-        status = OPEN if bundle.child.S else WON
-        state.quests[child_id] = Quest(child_id, move.quest_id, move.relation, bundle.child, status)
-        state.next_quest_id += 1
-        record["new_quest"] = child_id
-        if status == WON:
-            newly_won.append(child_id)
-    else:
-        bt = bundle.transform
-        for qid in sorted(bundle.discards):
-            state.quests[qid] = replace(state.quests[qid], status=DISCARDED)
-        for qid, new_sc in bundle.responses.items():  # the gate admits open quests only
-            quest = state.quests[qid]
-            rel = quest.relation and transport_relation(quest.relation, bt)
-            status = OPEN if new_sc.S else WON
-            state.quests[qid] = Quest(qid, quest.parent_id, rel, new_sc, status)
-            if status == WON:
-                newly_won.append(qid)
-        state.board = bt.target
-        record["new_quest"] = None
-    state.round_no += 1
-    record["won"] = sorted(newly_won)
-    record["discarded"] = sorted(bundle.discards)
-    return record
+    return GameState(quests, state.round_no + 1), record
 
 
 # ---- serialization ---------------------------------------------------------
@@ -445,10 +418,16 @@ def relation_to_json(rel: QuestRelation) -> dict:
 
 
 def relation_from_json(data: Mapping) -> QuestRelation:
+    """The call relation ``data`` records. Raises ValueError where its scale
+    is not the text of a finite number (``values.parse_value``)."""
     kind = data["kind"]
     jibs = frozenset(data.get("jibs", ()))
     factor = factor_from_json(data["factor"]) if "factor" in data else None
-    scale = Fraction(data["scale"]) if "scale" in data else None
+    scale = None
+    if "scale" in data:
+        text = data["scale"]
+        if type(text) is not str or (scale := parse_value(text)) is INF:
+            raise ValueError(f"malformed relation JSON: scale {text!r} is not a finite number")
     return QuestRelation(kind, jibs=jibs, factor=factor, scale=scale)
 
 
@@ -654,7 +633,7 @@ def replay_trace(lines: Iterable[str]) -> GameState:
             bundle = bundle_from_json(data, state.board, (board_json, scenarios))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
-        applied = apply_round(state, move, bundle)
+        state, applied = apply_round(state, move, bundle)
         for key in ("round", "new_quest", "won", "discarded"):
             if applied.get(key) != record.get(key):
                 raise ValueError(

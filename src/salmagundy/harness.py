@@ -58,9 +58,14 @@ __all__ = [
 
 
 def gen_board(seed: int, max_nodes: int = 8, n: Optional[int] = None) -> Board:
-    """A random valid board, deterministic in the seed."""
+    """A random valid board, deterministic in the seed. Raises ValueError
+    where ``max_nodes`` is below 1 or the top dimension ``n`` leaves no
+    room for the nodes below the top."""
     if max_nodes < 1:
-        raise ValueError("max_nodes must be at least 1")
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
+    least = 0 if max_nodes == 1 else 1  # no node fits below a top of dimension 0
+    if n is not None and n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
     rng = random.Random(seed)
     if n is None:
         n = rng.randint(1, 3)
@@ -101,23 +106,27 @@ def gen_scenario(
     """A random valid scenario with M = <0>, deterministic in the seed, on
     ``board`` (which must be valid) or on a generated one. Its orders are
     placed by ``scenario.assign_orders``, each node of dimension below d
-    raised by a drawn k/B with 0 <= k <= 2B."""
+    raised by a drawn k/B with 0 <= k <= 2B. Raises ValueError where d is
+    outside 0..n, B is below 1, or jib_count is outside 0 and the number of
+    nodes of dimension n - 1."""
     rng = random.Random(seed)
     if board is None:
         board = gen_board(rng.randrange(1 << 30))
     n = board.n
     if d is None:
         d = rng.randint(0, min(n, 2))
-    if d > n:
-        raise ValueError(f"d={d} exceeds the board dimension {n}")
+    if not 0 <= d <= n:
+        raise ValueError(f"d={d} is outside 0..{n}, the board dimension")
     if B is None:
         B = rng.choice([1, 2, 3, 4, 6, 12])
+    if B < 1:
+        raise ValueError(f"B must be at least 1, got {B}")
     jib_pool = sorted(s for s in board.ids if board.dim(s) == n - 1)
     if jib_count is None:
         jib_count = rng.randint(0, min(len(jib_pool), 3))
-    if jib_count > len(jib_pool):
+    if not 0 <= jib_count <= len(jib_pool):
         raise ValueError(
-            f"jib_count={jib_count} exceeds the {len(jib_pool)} dim-(n-1) nodes"
+            f"jib_count={jib_count} is outside 0..{len(jib_pool)}, the dim-(n-1) nodes"
         )
     H = frozenset(rng.sample(jib_pool, k=jib_count))
     good = _hereditary_candidates(board, d, H)
@@ -245,7 +254,7 @@ def play_game(
             if move.center not in state.root.scenario.S:
                 singular_centers = False
         bundle = respond(state, move, policy)
-        record = apply_round(state, move, bundle)
+        state, record = apply_round(state, move, bundle)
         strategy.observe(state, move, bundle, record)
         lines.append(round_to_json(record))
 
@@ -272,9 +281,9 @@ class ExploreReport:
 
 def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
     """The SHA-256 digest of what the rest of the game reads of ``state`` and
-    ``strategy``: the board, the round and next quest id, each quest's id,
-    parent, status and relation, each open quest's scenario, and Dido's
-    plans. Every text but the plans' is stored on its value."""
+    ``strategy``: the board, the round, each quest's id, parent, status and
+    relation, each open quest's scenario, and Dido's plans. Every text but
+    the plans' is stored on its value."""
     # imported here, not at the top: hashlib loads OpenSSL, which raised the
     # peak RSS of a process that never explores by 3.6 MB (CPython 3.11, Linux)
     from hashlib import sha256
@@ -282,7 +291,6 @@ def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
     parts = [
         _json_text(state.board, board_to_json),
         str(state.round_no),
-        str(state.next_quest_id),
     ]
     for qid, quest in sorted(state.quests.items()):
         rel = quest.relation
@@ -327,10 +335,12 @@ def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
     no scenario or board alive; its memory grows by one entry per stored
     state.
 
-    A branch shares its parent's quests and Dido's plans: ``GameState.clone``
-    and ``copy.copy`` of the strategy copy only their dicts, and
-    ``apply_round`` and ``observe`` store a new value for each quest or plan
-    they change. A branch encodes no trace line: the search carries each record
+    Each branch applies its bundle to the parent state itself, which
+    ``apply_round`` leaves as it was, so the branches of a blowup share the
+    parent, every quest the round leaves alone, and the discards stored for
+    the parent on each blown-up board. ``copy.copy`` of the strategy copies
+    only its plans dict, and ``observe`` stores a new plan for each one it
+    changes. A branch encodes no trace line: the search carries each record
     on a (parent, record) chain and encodes the chain only for the first
     lost leaf, as ``counterexample``.
     """
@@ -381,9 +391,8 @@ def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
         for bundle in variants:
             any_bundle = True
             report.branch_count += 1
-            child_state = state.clone()
+            child_state, record = apply_round(state, move, bundle)
             child_strategy = copy.copy(strategy)
-            record = apply_round(child_state, move, bundle)
             child_strategy.observe(child_state, move, bundle, record)
             dfs(child_state, child_strategy, depth + 1, (path, record))
         report.truncated += [r for r in cut if r not in report.truncated]

@@ -303,18 +303,18 @@ def _assemble_blowup(
     bt: BoardTransform,
     root_new: Scenario,
     bump: Fraction,
-    discards: FrozenSet[int],
     relations: Dict[int, QuestRelation],
     interned: Dict[Scenario, Scenario],
 ) -> Optional[Bundle]:
-    """The bundle around a root response. ``discards`` is
-    ``blowup_discards(state, bt)`` and ``relations`` maps each surviving
-    child, in id order, to its call transported onto the new board; both
-    depend on the board alone. ``interned``, shared by the candidates of
-    one board, maps every response built to the first equal one. A descent
-    quest's response carries its own scenario through the blowup onto its
-    parent response's S and T at ``bump``; every other child's is
-    ``quests.call_response`` of its parent's."""
+    """The bundle around a root response. Its discards are
+    ``blowup_discards(state, bt)``, stored on ``bt`` for ``state``, and
+    ``relations`` maps each surviving child, in id order, to its call
+    transported onto the new board; both depend on the board alone.
+    ``interned``, shared by the candidates of one board, maps every response
+    built to the first equal one. A descent quest's response carries its own
+    scenario through the blowup onto its parent response's S and T at
+    ``bump``; every other child's is ``quests.call_response`` of its
+    parent's."""
     root_new = interned.setdefault(root_new, root_new)
     responses: Dict[int, Scenario] = {0: root_new}
     for qid, rel_new in relations.items():
@@ -330,7 +330,7 @@ def _assemble_blowup(
         if resp is None:
             return None
         responses[qid] = interned.setdefault(resp, resp)
-    return Bundle(transform=bt, responses=responses, discards=discards)
+    return Bundle(transform=bt, responses=responses, discards=blowup_discards(state, bt))
 
 
 def _down_closed_keeps(board1: Board, keep_max: FrozenSet[NodeId]) -> List[FrozenSet[NodeId]]:
@@ -548,7 +548,7 @@ def enumerate_blowup_bundles(
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
-                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations, interned)
+                bundle = _assemble_blowup(state, bt, root_new, bump, relations, interned)
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)

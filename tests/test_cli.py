@@ -37,6 +37,22 @@ def test_gen_writes_json_to_stdout(capsys):
     assert set(json.loads(out)) >= {"board", "d", "B", "H", "S", "T", "ord", "M"}
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["board", "--max-nodes", 0], "max_nodes must be at least 1, got 0"),
+        (["board", "--n", -1], "n must be at least 1, got -1"),
+        (["scenario", "--d", 7], "d=7 is outside 0..3, the board dimension"),
+        (["scenario", "--B", 0], "B must be at least 1, got 0"),
+        (["scenario", "--jib-count", 9], "jib_count=9 is outside 0..2, the dim-(n-1) nodes"),
+    ],
+)
+def test_gen_reports_an_argument_out_of_range_as_a_usage_error(capsys, argv, error):
+    # each of these ended in a traceback (exit 1) inside gen_board or gen_scenario
+    code, out, err = run(capsys, "gen", *argv, "--seed", 0)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {error}\n")
+
+
 def _board_json(dims, covers):
     return {"nodes": [{"id": s, "dim": n} for s, n in dims.items()], "covers": covers}
 
@@ -474,5 +490,16 @@ def test_export_dot(capsys, tmp_path):
         code, out, _ = run(capsys, "export", "dot", flag, path)
         assert code == cli.EXIT_OK
         assert out.startswith("digraph")
+    # a scenario whose ord domain differs from S reports it, as validate does
+    data = json.loads(scen.read_text())
+    missing = min(data["ord"])
+    del data["ord"][missing]  # the exporter read it: a KeyError traceback
+    scen.write_text(json.dumps(data))
+    code, out, err = run(capsys, "export", "dot", "--scenario", scen)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert err == (
+        f"[scenario / issue structure] ord domain differs from S (witness: {missing})\n"
+    )
+    assert run(capsys, "validate", scen)[::2] == (cli.EXIT_VIOLATIONS, err)
     assert run(capsys, "export", "dot")[0] == cli.EXIT_USAGE
     assert run(capsys, "export", "svg", "--board", board)[0] == cli.EXIT_USAGE

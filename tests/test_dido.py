@@ -184,13 +184,14 @@ def test_a_copy_plans_apart_and_fills_its_own_slot():
         assert twin.measure_log is not strategy.measure_log
         bundle = respond(state, move, policy)
         untouched = _plans_text(strategy.plans)
-        branch = state.clone()
-        twin.observe(branch, move, bundle, apply_round(branch, move, bundle))
+        branch, record = apply_round(state, move, bundle)
+        twin.observe(branch, move, bundle, record)
         assert _plans_text(strategy.plans) == untouched
         if move.kind == CALL:  # only the plan that made the call changes
             changed = {qid for qid, plan in twin.plans.items() if plan is not strategy.plans[qid]}
             assert changed == {strategy._slot}
-        strategy.observe(state, move, bundle, apply_round(state, move, bundle))
+        state, record = apply_round(state, move, bundle)
+        strategy.observe(state, move, bundle, record)
         assert _plans_text(twin.plans) == _plans_text(strategy.plans)
         calls += move.kind == CALL
         for plan in strategy.plans.values():
@@ -213,7 +214,8 @@ def test_decide_twice_on_one_state_decides_alike(seed):
         assert strategy.decide(state) == move
         assert (_plans_text(strategy.plans), strategy._slot) == (text, slot)
         bundle = respond(state, move, policy)
-        strategy.observe(state, move, bundle, apply_round(state, move, bundle))
+        state, record = apply_round(state, move, bundle)
+        strategy.observe(state, move, bundle, record)
     assert state.won
 
 
@@ -251,9 +253,7 @@ def _answering_below_one(monkeypatch, round_no, node, value):
             for q in sorted(state.open_quests(), key=lambda q: q.quest_id)
             if q.parent_id is not None and q.quest_id not in bundle.discards
         }
-        below = mephisto._assemble_blowup(
-            state, bt, root, Fraction(0), bundle.discards, relations, {}
-        )
+        below = mephisto._assemble_blowup(state, bt, root, Fraction(0), relations, {})
         assert validate_bundle(state, move, below) == []
         return below
 

@@ -50,16 +50,21 @@ def test_the_table_changes_no_report(monkeypatch, seed, depth_cap, cap):
 
 
 def _forget_closed_scenarios(monkeypatch):
-    """Before every decision, drop the scenario of every closed quest."""
-    decide = DidoStrategy.decide
+    """After every round, drop the scenario of every closed quest but the
+    main one, whose scenario holds the state's board: ``observe``, every
+    decision and every later round see the state without them."""
+    apply = harness.apply_round
 
-    def forgetting(self, state):
-        for qid, quest in state.quests.items():
-            if quest.status != OPEN:
-                state.quests[qid] = dataclasses.replace(quest, scenario=None)
-        return decide(self, state)
+    def forgetting(state, move, bundle):
+        after, record = apply(state, move, bundle)
+        quests = {
+            qid: quest if quest.status == OPEN or qid == 0
+            else dataclasses.replace(quest, scenario=None)
+            for qid, quest in after.quests.items()
+        }
+        return dataclasses.replace(after, quests=quests), record
 
-    monkeypatch.setattr(DidoStrategy, "decide", forgetting)
+    monkeypatch.setattr(harness, "apply_round", forgetting)
 
 
 def test_no_round_reads_a_closed_quests_scenario(monkeypatch):
@@ -82,7 +87,9 @@ def test_no_round_reads_a_closed_quests_scenario(monkeypatch):
     _forget_closed_scenarios(monkeypatch)
     *after, played = run()
     assert after == before
-    closed = [q for r in played for q in r.state.quests.values() if q.status != OPEN]
+    closed = [
+        q for r in played for q in r.state.quests.values() if q.status != OPEN and q.quest_id
+    ]
     assert closed and all(q.scenario is None for q in closed)
 
 

@@ -54,6 +54,7 @@ from salmagundy.quests import transversality_response
 from salmagundy.scenario import (
     MonomialFactor,
     Scenario,
+    admissible_centers,
     scenario_from_json,
     validate_scenario,
     zero_factor,
@@ -89,6 +90,12 @@ def test_new_game_on_resolved_scenario(crossing_scenario):
     )
     st = new_game(done)
     assert st.won
+    # the game is over: a blowup would move the board off the main quest's
+    z = min(admissible_centers(done))
+    bundle = Bundle(transform=blowup_transform(st.board, z), responses={})
+    assert [v.detail for v in validate_bundle(st, Move.blowup(z), bundle)] == [
+        "the main quest is closed: the game is over"
+    ]
 
 
 # ---- call rounds ---------------------------------------------------------------
@@ -99,7 +106,7 @@ def test_apply_call_round(crossing_scenario):
     rel = QuestRelation.transversality({"h1", "h2"})
     mv = Move.call(0, rel)
     bundle = respond(st, mv, Policy.parse("canonical"))
-    record = apply_round(st, mv, bundle)
+    st, record = apply_round(st, mv, bundle)
     assert record["new_quest"] == 1
     assert st.round_no == 1
     assert st.quests[1].scenario == transversality_response(
@@ -176,7 +183,7 @@ def test_apply_blowup_round(chain_scenario, blown_chain_response):
     st = new_game(chain_scenario)
     mv = Move.blowup("p")
     bundle = respond(st, mv, Policy.parse("canonical"))
-    record = apply_round(st, mv, bundle)
+    st, record = apply_round(st, mv, bundle)
     assert st.board == bundle.transform.target
     assert st.root.scenario == blown_chain_response
     assert record["new_quest"] is None
@@ -229,13 +236,13 @@ def test_quest_wins_when_singularities_vanish(crossing_scenario):
     rel = QuestRelation.transversality({"h1"})
     mv = Move.call(0, rel)
     bundle = respond(st, mv, Policy.parse("canonical"))
-    record = apply_round(st, mv, bundle)
+    st, record = apply_round(st, mv, bundle)
     # the response restricted S to nodes under h1 only: s survives, so the
     # child stays open; a full flattening closes it instead
     rel2 = QuestRelation.quotient(zero_factor(crossing_scenario.H), Fraction(2))
     mv2 = Move.call(0, rel2)
     bundle2 = respond(st, mv2, Policy.parse("canonical"))
-    record2 = apply_round(st, mv2, bundle2)
+    st, record2 = apply_round(st, mv2, bundle2)
     assert bundle2.child.S == frozenset()
     assert record2["won"] == [2]
     assert st.quests[2].status == "won"
@@ -572,6 +579,27 @@ def test_replay_rejects_an_order_with_a_zero_denominator():
         )
         changed += 1
     assert changed > 10
+
+
+@pytest.mark.parametrize(
+    "scale, error",
+    [
+        ("1/0", "ValueError: value '1/0' has a zero denominator"),
+        ("inf", "ValueError: malformed relation JSON: scale 'inf' is not a finite number"),
+        (2, "ValueError: malformed relation JSON: scale 2 is not a finite number"),
+    ],
+)
+def test_replay_rejects_a_quotient_scale_that_is_not_a_finite_number(scale, error):
+    # relation_from_json read the scale with Fraction, which raised
+    # ZeroDivisionError at "1/0"; it reads it as orders are read
+    lines = list(_canonical_trace(0))
+    record = json.loads(lines[1])  # line 2: the first call, a quotient of scale "2"
+    assert record["move"]["relation"]["scale"] == "2"
+    record["move"]["relation"]["scale"] = scale
+    lines[1] = round_to_json(record)
+    with pytest.raises(ValueError) as info:
+        replay_trace(lines)
+    assert str(info.value) == f"line 2: malformed trace record ({error})"
 
 
 # ---- what replay reuses ---------------------------------------------------------------
@@ -972,9 +1000,9 @@ def test_no_scenario_stores_the_callers_scenario_or_itself(monkeypatch, play):
     played = []
 
     def recording(state, move, bundle):
-        record = apply_round(state, move, bundle)
-        played.extend(q.scenario for q in state.quests.values())
-        return record
+        after, record = apply_round(state, move, bundle)
+        played.extend(q.scenario for q in after.quests.values())
+        return after, record
 
     monkeypatch.setattr(harness, "apply_round", recording)
     scenario = gen_scenario(0)
@@ -1008,7 +1036,8 @@ def layered_game():
         Move.call(0, QuestRelation.quotient(zero_factor(()), 2)),
         Move.call(1, QuestRelation.transversality(())),
     ):
-        lines.append(round_to_json(apply_round(st, move, respond(st, move, Policy()))))
+        st, record = apply_round(st, move, respond(st, move, Policy()))
+        lines.append(round_to_json(record))
     assert st.quests[1].scenario.S == {"p"}
     return st, lines
 
@@ -1018,18 +1047,25 @@ def layered_state(layered_game):
     return layered_game[0]
 
 
+def _with_quests(state, *quests):
+    """The state with ``quests`` stored under their ids."""
+    return dataclasses.replace(state, quests={**state.quests, **{q.quest_id: q for q in quests}})
+
+
 def test_blowup_discards_close_the_subtree_of_a_closed_quest(layered_state):
     st = layered_state
     c = st.root.scenario
     bt = blowup_transform(st.board, "a")
     # quest 2 survives the center on its own, but its parent does not
-    st.quests[2] = dataclasses.replace(st.quests[2], scenario=c)
-    alone = st.clone()
-    alone.quests[2] = dataclasses.replace(alone.quests[2], parent_id=0)
+    st = _with_quests(st, dataclasses.replace(st.quests[2], scenario=c))
+    alone = _with_quests(st, dataclasses.replace(st.quests[2], parent_id=0))
     assert 2 not in blowup_discards(alone, bt)
     # quest 4 would survive too, but its parent (quest 3) is no longer open
-    st.quests[3] = Quest(3, 0, QuestRelation.transversality(()), c, status=WON)
-    st.quests[4] = Quest(4, 3, QuestRelation.transversality(()), c)
+    st = _with_quests(
+        st,
+        Quest(3, 0, QuestRelation.transversality(()), c, status=WON),
+        Quest(4, 3, QuestRelation.transversality(()), c),
+    )
     assert blowup_discards(st, bt) == {1, 2, 4}
 
 
@@ -1041,26 +1077,28 @@ def test_respond_discards_what_the_umpire_closes(layered_game, policy):
     assert bundle.discards == blowup_discards(st, bundle.transform) == {1, 2}
     assert validate_bundle(st, move, bundle) == []
     # the round closes both quests, and its trace replays
-    played = st.clone()
-    record = apply_round(played, move, bundle)
+    played, record = apply_round(st, move, bundle)
     assert played.quests[1].status == played.quests[2].status == DISCARDED
     assert not played.strict and st.strict
     assert record["discarded"] == [1, 2]
     lines.append(round_to_json(record))
     assert replay_trace(lines) == played
     # a quest whose parent is closed is discarded, not answered
-    st.quests[1] = dataclasses.replace(st.quests[1], status=WON)
-    st.quests[2] = dataclasses.replace(st.quests[2], scenario=st.root.scenario)
+    st = _with_quests(
+        st,
+        dataclasses.replace(st.quests[1], status=WON),
+        dataclasses.replace(st.quests[2], scenario=st.root.scenario),
+    )
     bundle = respond(st, move, Policy.parse(policy))
     assert bundle.discards == blowup_discards(st, bundle.transform) == {2}
     assert set(bundle.responses) == {0}
     assert validate_bundle(st, move, bundle) == []
 
 
-def test_a_round_on_a_clone_replaces_only_the_quests_it_changes(layered_game):
+def test_a_round_replaces_only_the_quests_it_changes(layered_game):
     st, lines = layered_game
     move = Move.blowup("a")
-    lines = lines + [round_to_json(apply_round(st.clone(), move, respond(st, move, Policy())))]
+    lines = lines + [round_to_json(apply_round(st, move, respond(st, move, Policy()))[1])]
     games = [lines, play_game(gen_scenario(11), Policy.parse("canonical")).trace]
     shared_closed = 0
     for trace in games:
@@ -1071,12 +1109,11 @@ def test_a_round_on_a_clone_replaces_only_the_quests_it_changes(layered_game):
             bundle = bundle_from_json(record["bundle"], state.board)
             before = {qid: dict(vars(q)) for qid, q in state.quests.items()}
             quests = dict(state.quests)
-            after = state.clone()
-            apply_round(after, move, bundle)
+            after, _ = apply_round(state, move, bundle)
             # the original state's quests are as they were
             assert {qid: dict(vars(q)) for qid, q in state.quests.items()} == before
-            # a blowup replaces each quest it answers or discards; the clone
-            # shares every other quest value
+            # a blowup replaces each quest it answers or discards; the next
+            # state shares every other quest value
             changed = set(bundle.responses) | bundle.discards if move.kind == "blowup" else ()
             for qid, quest in quests.items():
                 assert (after.quests[qid] is quest) == (qid not in changed), qid
@@ -1085,6 +1122,46 @@ def test_a_round_on_a_clone_replaces_only_the_quests_it_changes(layered_game):
     assert shared_closed
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.root.status = DISCARDED
+
+
+def test_apply_round_leaves_the_state_it_is_given_as_it_was(layered_game):
+    st, _ = layered_game
+    move = Move.blowup("a")
+    bundle = respond(st, move, Policy())
+    before = copy.deepcopy(st)
+    quests = st.quests
+    after, _ = apply_round(st, move, bundle)
+    assert st == before and st.quests is quests and after != st
+    with pytest.raises(BundleError):
+        apply_round(st, move, dataclasses.replace(bundle, discards=frozenset()))
+    assert st == before and st.quests is quests
+    for field in dataclasses.fields(st):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(st, field.name, getattr(st, field.name))
+    with pytest.raises(TypeError):
+        st.quests[0] = st.root
+
+
+@pytest.mark.parametrize("play", ["canonical", "adversarial", "explore"])
+def test_the_discards_are_worked_out_once_per_state_and_board(monkeypatch, play):
+    # Mephisto asks for each blown-up board's discards, and the umpire asks
+    # again for every candidate and for the chosen bundle; all of them read
+    # the verdict stored on the board's transform for the state.
+    work = game._blowup_discards
+    computed, alive = Counter(), []
+
+    def counting(state, bt):
+        alive.append((state, bt))  # no id is reused while the test runs
+        computed[id(state), id(bt)] += 1
+        return work(state, bt)
+
+    monkeypatch.setattr(game, "_blowup_discards", counting)
+    scenario = gen_scenario(0)
+    if play == "explore":
+        assert harness.explore(scenario).all_won
+    else:
+        assert play_game(scenario, Policy.parse(play)).won
+    assert computed and max(computed.values()) == 1
 
 
 # ---- copies and pickles ------------------------------------------------------------

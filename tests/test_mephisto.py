@@ -74,11 +74,7 @@ from test_scenario import _walk_blowups
 
 
 def _root_state(scenario):
-    return GameState(
-        board=scenario.board,
-        quests={0: Quest(0, None, None, scenario)},
-        next_quest_id=1,
-    )
+    return GameState({0: Quest(0, None, None, scenario)})
 
 
 # ---- policies ---------------------------------------------------------------
@@ -493,7 +489,7 @@ def _per_candidate_blowup_bundles(state, z, policy):
                     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
                     if quest.parent_id is not None and quest.quest_id not in discards
                 }
-                bundle = _assemble_blowup(state, bt, root_new, bump, discards, relations, {})
+                bundle = _assemble_blowup(state, bt, root_new, bump, relations, {})
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)
@@ -516,7 +512,8 @@ def _adversarial_state(seed, rounds):
     while state.round_no < rounds:
         move = dido.decide(state)
         bundle = respond(state, move, policy)
-        dido.observe(state, move, bundle, apply_round(state, move, bundle))
+        state, record = apply_round(state, move, bundle)
+        dido.observe(state, move, bundle, record)
     return state, dido.decide(state)
 
 
@@ -673,7 +670,8 @@ def test_the_umpire_builds_no_child_that_mephisto_built(monkeypatch):
         else:
             rounds["call", move.relation.kind, bool(move.relation.jibs)] += 1
         bundle = respond(state, move, policy)
-        dido.observe(state, move, bundle, umpire(apply_round)(state, move, bundle))
+        state, record = umpire(apply_round)(state, move, bundle)
+        dido.observe(state, move, bundle, record)
     assert state.won
     assert rounds["blowup", frozenset(kinds)]
     assert rounds["call", "transversality", True] and rounds["call", "quotient", False]
@@ -767,7 +765,8 @@ def _adversarial_blowups(seed, rounds):
         bundle = respond(state, move, policy)
         if move.kind == "blowup":
             yield state, move, bundle
-        dido.observe(state, move, bundle, apply_round(state, move, bundle))
+        state, record = apply_round(state, move, bundle)
+        dido.observe(state, move, bundle, record)
 
 
 def _stop_cases():
@@ -796,8 +795,8 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
     assembled = []
     assemble = mephisto._assemble_blowup
 
-    def recording(state, bt, root_new, bump, discards, relations, *tables):
-        bundle = assemble(state, bt, root_new, bump, discards, relations, *tables)
+    def recording(state, bt, root_new, bump, relations, *tables):
+        bundle = assemble(state, bt, root_new, bump, relations, *tables)
         if bundle is not None:
             assembled.append((bt, relations, bundle))
         return bundle
@@ -888,11 +887,7 @@ def test_a_ceiling_the_call_does_not_admit_keeps_the_parents_nodes_at_inf():
     bt = blowup_transform(board, "u")
     (uncapped,) = blowup_jibs(root, bt)[1].generators  # h at INF, e at 0
     rel = QuestRelation.quotient(uncapped, Fraction(1))
-    state = GameState(
-        board=board,
-        quests={0: Quest(0, None, None, root), 1: Quest(1, 0, rel, root)},
-        next_quest_id=2,
-    )
+    state = GameState({0: Quest(0, None, None, root), 1: Quest(1, 0, rel, root)})
     ceilings = _order_ceilings(state, bt, frozenset({"s"}), {1: rel}, (0, 1, 2))
     assert ceilings[0].ord == {"s": 2}
     with pytest.raises(ValueError, match="uncapped below a finite order"):

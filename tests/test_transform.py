@@ -243,7 +243,8 @@ def _driver_transversality_children(seeds):
         st, dido = new_game(gen_monomial_scenario(seed)), DidoStrategy()
         while (mv := dido.decide(st)) is not None:
             bundle = respond(st, mv, Policy.parse("canonical"))
-            dido.observe(st, mv, bundle, apply_round(st, mv, bundle))
+            st, record = apply_round(st, mv, bundle)
+            dido.observe(st, mv, bundle, record)
             for q in st.open_quests():
                 c = q.scenario
                 if q.relation is not None and q.relation.kind == TRANSVERSALITY:
@@ -329,7 +330,7 @@ def _children_of_root(root, *children):
     quests = {0: Quest(0, None, None, root)}
     for qid, (rel, c1) in enumerate(children, 1):
         quests[qid] = Quest(qid, 0, rel, c1)
-    return GameState(board=root.board, quests=quests)
+    return GameState(quests)
 
 
 def test_child_survival_requires_admissible_center(chain_scenario):
@@ -402,14 +403,7 @@ def squares(crossing_scenario, chain_board):
 
 
 def _two_quests(parent, rel, child):
-    return GameState(
-        board=parent.board,
-        quests={
-            0: Quest(0, None, None, parent),
-            1: Quest(1, 0, rel, child),
-        },
-        next_quest_id=2,
-    )
+    return GameState({0: Quest(0, None, None, parent), 1: Quest(1, 0, rel, child)})
 
 
 def _square(parent, rel, child, center):
@@ -526,7 +520,8 @@ def test_commutes_reports_a_call_the_new_parent_does_not_admit():
             child = st.quests.get(1)
             if child is not None and mv.center in child.relation.jibs and 1 in bundle.responses:
                 break
-        dido.observe(st, mv, bundle, apply_round(st, mv, bundle))
+        st, record = apply_round(st, mv, bundle)
+        dido.observe(st, mv, bundle, record)
     assert child.relation.kind == TRANSVERSALITY
     bt = bundle.transform
     root = bundle.responses[0]
