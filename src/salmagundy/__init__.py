@@ -89,6 +89,6 @@ from .transform import (
     transport_relation,
     validate_blowup_transform,
 )
-from .values import INF, Value, format_value, is_finite, parse_value
+from .values import INF, ONE, Q, ZERO, Value, format_value, is_finite, parse_value
 
 __version__ = "0.1.0"

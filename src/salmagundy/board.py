@@ -70,12 +70,15 @@ class Violation:
 class FrozenDict(dict):
     """A dict that refuses every change after construction.
 
-    It hashes like the frozenset of its items, so it agrees with ``==``.
-    ``copy`` and ``deepcopy`` share it instead of rebuilding it, which also
-    keeps the identity of the ``INF`` values it holds.
+    It hashes like the frozenset of its items, so it agrees with ``==``. The
+    hash is worked out on first use and kept in a slot: a scenario's hash,
+    and every lookup that interns one, reads the slot instead of rehashing
+    the whole order map. ``copy`` and ``deepcopy`` share it instead of
+    rebuilding it, which also keeps the identity of the ``INF`` values it
+    holds; a pickle rebuilds it from its items and hashes afresh.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is immutable")
@@ -84,7 +87,11 @@ class FrozenDict(dict):
     clear = pop = popitem = setdefault = update = _refuse
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.items()))
+        try:
+            return self._hash
+        except AttributeError:  # the first hash of this instance
+            h = self._hash = hash(frozenset(self.items()))
+            return h
 
     def __copy__(self) -> "FrozenDict":
         return self

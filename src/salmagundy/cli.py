@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from .board import board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
-from .harness import explore, gen_board, gen_scenario, play_game, scenario_to_dot
+from .harness import check_caps, explore, gen_board, gen_scenario, play_game, scenario_to_dot
 from .mephisto import EXPLORE, CapError, NoValidBundle, Policy
 from .scenario import scenario_from_json, scenario_to_json, validate_scenario, validate_shape
 
@@ -154,6 +154,17 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
+def _caps(args: argparse.Namespace, *names: str) -> dict:
+    """``_given`` for the caps of ``play_game`` and ``explore``; a negative
+    one is a usage error, checked before the game starts."""
+    caps = _given(args, *names)
+    try:
+        check_caps(**caps)
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc)))
+    return caps
+
+
 def _policy(args: argparse.Namespace, text: str) -> Policy:
     """The policy ``text`` names with the options' caps; a bad value is a
     usage error. ``explore`` is no policy to play against: ``parse`` refuses it."""
@@ -223,9 +234,10 @@ def _cmd_gen(args) -> int:
 def _cmd_play(args) -> int:
     scenario = _game_scenario(args)
     policy = _policy(args, args.mephisto or "canonical")
+    caps = _caps(args, "round_cap")
     trace: List[str] = []
     try:
-        result = play_game(scenario, policy, trace=trace, **_given(args, "round_cap"))
+        result = play_game(scenario, policy, trace=trace, **caps)
     finally:  # a game stopped by a cap still leaves the rounds it played
         if args.trace:
             with open(args.trace, "w") as fh:
@@ -248,7 +260,7 @@ def _cmd_explore(args) -> int:
         scenario,
         max_new_nodes=policy.max_new_nodes,
         max_order_steps=policy.max_order_steps,
-        **_given(args, "depth_cap"),
+        **_caps(args, "depth_cap"),
     )
     print(
         f"all_won={str(report.all_won).lower()} branches={report.branch_count} "

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .board import BoardTransform, NodeId
@@ -60,7 +59,7 @@ from .scenario import (
     zero_factor,
 )
 from .transform import lift_factor, quotient_lifted_factor
-from .values import INF, Value, is_finite
+from .values import INF, Q, ZERO, Value, is_finite
 
 __all__ = ["DidoStrategy", "StrategyError", "measure_of", "dms_less"]
 
@@ -82,13 +81,13 @@ def _minimal_critical_sets(c: Scenario, m: MonomialFactor) -> List[Tuple[NodeId,
     return [K for K, ks in zip(sets, as_sets) if not any(o < ks for o in as_sets)]
 
 
-def measure_of(c: Scenario, m: MonomialFactor) -> Tuple[Fraction, ...]:
+def measure_of(c: Scenario, m: MonomialFactor) -> Tuple[Q, ...]:
     """Multiset (as a sorted tuple, largest first) of the masses of the
     inclusion-minimal critical sets; empty when nothing is critical."""
     return _measure(m, _minimal_critical_sets(c, m))
 
 
-def _measure(m: MonomialFactor, minimal: List[Tuple[NodeId, ...]]) -> Tuple[Fraction, ...]:
+def _measure(m: MonomialFactor, minimal: List[Tuple[NodeId, ...]]) -> Tuple[Q, ...]:
     """``measure_of`` from the minimal critical sets already worked out."""
     weights = [m.as_dict()]
     masses = [_max_mass(weights, K) for K in minimal]
@@ -97,7 +96,7 @@ def _measure(m: MonomialFactor, minimal: List[Tuple[NodeId, ...]]) -> Tuple[Frac
     return tuple(sorted(masses, reverse=True))
 
 
-def dms_less(a: Tuple[Fraction, ...], b: Tuple[Fraction, ...]) -> bool:
+def dms_less(a: Tuple[Q, ...], b: Tuple[Q, ...]) -> bool:
     """Dershowitz-Manna multiset order: a < b iff replacing some elements of
     b produced a, every newcomer strictly below some departed element."""
     from collections import Counter
@@ -148,7 +147,7 @@ def _plans_text(plans: Dict[int, object]) -> str:
 class DidoStrategy:
     def __init__(self) -> None:
         self.plans: Dict[int, object] = {}
-        self.measure_log: List[Tuple[int, Tuple[Fraction, ...]]] = []
+        self.measure_log: List[Tuple[int, Tuple[Q, ...]]] = []
         # the quest whose plan made the last call; observe records the
         # call's new quest in that plan
         self._slot: Optional[int] = None
@@ -329,7 +328,7 @@ class DidoStrategy:
                 q = state.quests[plan.child_id].relation.scale
                 m = quotient_lifted_factor(plan.m, q, bt)
             else:
-                m = lift_factor(plan.m, bt, Fraction(0))
+                m = lift_factor(plan.m, bt, ZERO)
             pending = tuple(
                 bt.embed[t]
                 for t in plan.pending

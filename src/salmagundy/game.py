@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .board import (
@@ -81,7 +80,7 @@ from .transform import (
     transport_relation,
     validate_blowup_transform,
 )
-from .values import INF, parse_value
+from .values import INF, format_value, parse_value
 
 __all__ = [
     "OPEN",
@@ -413,7 +412,7 @@ def relation_to_json(rel: QuestRelation) -> dict:
     if rel.factor is not None:
         out["factor"] = factor_to_json(rel.factor)
     if rel.scale is not None:
-        out["scale"] = str(Fraction(rel.scale))
+        out["scale"] = format_value(rel.scale)
     return out
 
 

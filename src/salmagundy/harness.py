@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .board import Board, NodeId, _json_text, board_to_json
@@ -40,13 +39,14 @@ from .scenario import (
     validate_scenario,
     zero_factor,
 )
-from .values import format_value
+from .values import Q, ZERO, format_value
 
 __all__ = [
     "gen_board",
     "gen_scenario",
     "gen_monomial_scenario",
     "GameResult",
+    "check_caps",
     "play_game",
     "ExploreReport",
     "explore",
@@ -137,7 +137,7 @@ def gen_scenario(
     for s in seeds:
         S |= board.down_set(s)
     raises = {
-        s: Fraction(rng.randint(0, 2 * B), B)
+        s: Q(rng.randint(0, 2 * B), B)
         for s in sorted(S, key=lambda x: (-board.dim(x), x))
         if board.dim(s) != d
     }
@@ -153,9 +153,9 @@ def gen_scenario(
 
 
 _CLUSTER_WEIGHTS = {
-    1: [Fraction(1), Fraction(13, 12), Fraction(7, 6), Fraction(3, 2)],
-    2: [Fraction(1, 2), Fraction(7, 12), Fraction(2, 3), Fraction(3, 4)],
-    3: [Fraction(1, 3), Fraction(5, 12)],
+    1: [Q(1), Q(13, 12), Q(7, 6), Q(3, 2)],
+    2: [Q(1, 2), Q(7, 12), Q(2, 3), Q(3, 4)],
+    3: [Q(1, 3), Q(5, 12)],
 }
 
 
@@ -172,14 +172,14 @@ def gen_monomial_scenario(seed: int) -> Scenario:
     d = n - 1
     dims: Dict[NodeId, int] = {"w": n}
     covers = []
-    weights: Dict[NodeId, Fraction] = {}
-    ords: Dict[NodeId, Fraction] = {}
+    weights: Dict[NodeId, Q] = {}
+    ords: Dict[NodeId, Q] = {}
     S = []
     for i, k in enumerate(sizes):
         s = f"s{i}"
         dims[s] = d - k
         S.append(s)
-        total = Fraction(0)
+        total = ZERO
         for j in range(k):
             h = f"h{i}{j}"
             dims[h] = n - 1
@@ -215,8 +215,16 @@ class GameResult:
     no_discards: bool
     state: GameState
     trace: List[str]
-    measure_log: List[Tuple[int, Tuple[Fraction, ...]]]
+    measure_log: List[Tuple[int, Tuple[Q, ...]]]
     note: str = ""
+
+
+def check_caps(**caps: int) -> None:
+    """Raise ValueError, naming the argument, for a negative cap among
+    ``caps`` (``round_cap`` of ``play_game``, ``depth_cap`` of ``explore``)."""
+    for name, value in caps.items():
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
 
 
 def play_game(
@@ -228,7 +236,9 @@ def play_game(
     """Play Dido against ``policy`` on ``scenario``. The NDJSON lines of the
     game are appended to ``trace`` (a fresh list if not given) as they are
     played, so a caller holds the rounds already played even when a
-    CapError stops the game; the result's ``trace`` is that list."""
+    CapError stops the game; the result's ``trace`` is that list. Raises
+    ValueError for a negative ``round_cap``."""
+    check_caps(round_cap=round_cap)
     state = new_game(scenario)
     strategy = DidoStrategy()
     lines = [] if trace is None else trace
@@ -335,6 +345,9 @@ def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
     no scenario or board alive; its memory grows by one entry per stored
     state.
 
+    Raises ValueError for a negative ``depth_cap``, and as ``Policy`` does
+    for a negative cap in ``caps``.
+
     Each branch applies its bundle to the parent state itself, which
     ``apply_round`` leaves as it was, so the branches of a blowup share the
     parent, every quest the round leaves alone, and the discards stored for
@@ -344,6 +357,7 @@ def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
     on a (parent, record) chain and encodes the chain only for the first
     lost leaf, as ``counterexample``.
     """
+    check_caps(depth_cap=depth_cap)
     policy = Policy(kind=EXPLORE, **caps)
     report = ExploreReport(
         all_won=True, branch_count=0, leaf_count=0, win_count=0, max_depth=0,

@@ -96,7 +96,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations, islice
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -136,7 +135,7 @@ from .transform import (
     pinned_orders,
     transport_relation,
 )
-from .values import INF, Value, is_finite
+from .values import INF, Q, ZERO, Value, is_finite
 
 __all__ = [
     "CANONICAL",
@@ -187,6 +186,8 @@ class Policy:
     max_order_steps: int = 2
 
     def __post_init__(self) -> None:
+        if self.max_new_nodes is not None and self.max_new_nodes < 0:
+            raise ValueError(f"max_new_nodes must be at least 0, got {self.max_new_nodes}")
         if self.max_order_steps < 0:
             raise ValueError(f"max_order_steps must be at least 0, got {self.max_order_steps}")
 
@@ -266,7 +267,7 @@ def _blowup_response(
     bt: BoardTransform,
     S1: FrozenSet[NodeId],
     T1: FrozenSet[NodeId],
-    bump: Fraction,
+    bump: Q,
 ) -> Optional[Scenario]:
     """Carry c through the blowup onto the singular set S1 and transversal
     set T1: handicap i(H) + e, the capped transports of the factors, orders
@@ -287,7 +288,7 @@ def _blowup_response(
 
 
 def _root_response(
-    c: Scenario, bt: BoardTransform, keep: FrozenSet[NodeId], bump: Fraction
+    c: Scenario, bt: BoardTransform, keep: FrozenSet[NodeId], bump: Q
 ) -> Optional[Scenario]:
     """The main quest keeps ``keep`` singular; every fresh node is transversal."""
     fresh = frozenset(bt.target.ids) - frozenset(bt.embed.values())
@@ -302,7 +303,7 @@ def _assemble_blowup(
     state: GameState,
     bt: BoardTransform,
     root_new: Scenario,
-    bump: Fraction,
+    bump: Q,
     relations: Dict[int, QuestRelation],
     interned: Dict[Scenario, Scenario],
 ) -> Optional[Bundle]:
@@ -389,7 +390,7 @@ def _order_ceilings(
     orders, so no keep at any level assigns more."""
     root = state.root.scenario
     H1, M1 = blowup_jibs(root, bt)
-    top = 0 if is_tight(root) else Fraction(max(levels), root.B)
+    top = 0 if is_tight(root) else Q(max(levels), root.B)
     ords = assign_orders(
         bt.target, root.d, keep_max, M1.generators, _fixed_orders(root, bt),
         dict.fromkeys(keep_max, top),
@@ -544,7 +545,7 @@ def enumerate_blowup_bundles(
                     return
                 if skip or (i and steady):
                     continue
-                bump = Fraction(level, root.B)
+                bump = Q(level, root.B)
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
@@ -566,7 +567,7 @@ def enumerate_blowup_bundles(
                         keeps.append(smaller)
 
 
-def _descent_call_child(c: Scenario, bump: Fraction) -> Scenario:
+def _descent_call_child(c: Scenario, bump: Q) -> Scenario:
     """The descent child at level ``bump``, its orders placed by
     ``scenario.assign_orders``. Nothing is fixed, so every order is INF, the
     floor or above it, and one always exists."""
@@ -591,7 +592,7 @@ def enumerate_call_bundles(
 
     if rel.kind == DESCENT:
         children = (
-            _descent_call_child(parent, Fraction(level, parent.B))
+            _descent_call_child(parent, Q(level, parent.B))
             for level in policy.bump_levels()
         )
     else:
@@ -640,9 +641,9 @@ def _choose(
     return pool[0] if policy.kind == CANONICAL else max(pool, key=_bundle_score)
 
 
-def _bundle_score(bundle: Bundle) -> Tuple[int, Fraction]:
+def _bundle_score(bundle: Bundle) -> Tuple[int, Q]:
     total_s = 0
-    mass = Fraction(0)
+    mass = ZERO
     scs = list(bundle.responses.values())
     if bundle.child is not None:
         scs.append(bundle.child)

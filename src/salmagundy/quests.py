@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional
 
 from .board import NodeId, Violation, _memo, _state_without_memo
@@ -36,7 +35,7 @@ from .scenario import (
     validate_scenario,
     zero_factor,
 )
-from .values import INF, format_value
+from .values import INF, ONE, Q, ZERO, format_value
 
 __all__ = [
     "QuestRelation",
@@ -72,7 +71,7 @@ class QuestRelation:
     kind: str
     jibs: FrozenSet[NodeId] = frozenset()
     factor: Optional[MonomialFactor] = None
-    scale: Optional[Fraction] = None
+    scale: Optional[Q] = None
 
     __getstate__ = _state_without_memo  # not its stored JSON text (``board._json_text``)
 
@@ -89,8 +88,8 @@ class QuestRelation:
         return cls(TRANSVERSALITY, jibs=frozenset(K))
 
     @classmethod
-    def quotient(cls, m: MonomialFactor, q: Fraction) -> "QuestRelation":
-        return cls(QUOTIENT, factor=m, scale=Fraction(q))
+    def quotient(cls, m: MonomialFactor, q: Q) -> "QuestRelation":
+        return cls(QUOTIENT, factor=m, scale=Q(q))
 
 
 def call_response(c: Scenario, rel: QuestRelation) -> Scenario:
@@ -148,11 +147,11 @@ def transversality_response(c: Scenario, K: Iterable[NodeId]) -> Scenario:
         return c
     b = c.board
     S1 = c.S.intersection(*(b.down_set(h) for h in Ks))
-    ord1 = {s: Fraction(1) for s in S1}
+    ord1 = {s: ONE for s in S1}
     if len(Ks) == 1:
         (h,) = Ks
         candidate = MonomialFactor.of(
-            {hh: (Fraction(1) if hh == h else Fraction(0)) for hh in c.H}
+            {hh: (ONE if hh == h else ZERO) for hh in c.H}
         )
         M1 = FactorSet.of([candidate]) if c.M.contains(candidate) else FactorSet.of([zero_factor(c.H)])
     else:
@@ -163,25 +162,25 @@ def transversality_response(c: Scenario, K: Iterable[NodeId]) -> Scenario:
 # ---- quotient ------------------------------------------------------------
 
 
-def quotient_bound(B: int, q: Fraction) -> int:
+def quotient_bound(B: int, q: Q) -> int:
     """The positive generator of the grid refinement: Z intersect (B/q) Z.
 
     For q = a/b in lowest terms this is B*b / gcd(a, B*b).
     """
     if q <= 0:
         raise ValueError(f"scale must be positive, got {q}")
-    q = Fraction(q)
+    q = Q(q)
     a, b = q.numerator, q.denominator
     return B * b // math.gcd(a, B * b)
 
 
-def quotient_response(c: Scenario, m: MonomialFactor, q: Fraction) -> Scenario:
+def quotient_response(c: Scenario, m: MonomialFactor, q: Q) -> Scenario:
     """Divide the residual order ord - m by the scale q.
 
     Keeps exactly the nodes whose residual order is at least q; their new
     order is min(ord, (ord - m)/q). Factors shrink accordingly, clipped at 0.
     """
-    q = Fraction(q)
+    q = Q(q)
     if q <= 0:
         raise ValueError(f"scale must be positive, got {q}")
     if not c.M.contains(m):
@@ -206,8 +205,8 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Fraction) -> Scenario:
             if w is INF:
                 new[h] = INF
             else:
-                v = (w - mw.get(h, Fraction(0))) / q
-                new[h] = v if v > 0 else Fraction(0)
+                v = (w - mw.get(h, ZERO)) / q
+                new[h] = v if v > 0 else ZERO
         gens1.append(MonomialFactor.of(new))
     return Scenario(
         c.board, c.d, quotient_bound(c.B, q), c.H, S1, c.T, ord1, FactorSet.of(gens1)

@@ -31,7 +31,6 @@ after a blowup, every response of a quest shares one M
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .board import (
@@ -46,7 +45,7 @@ from .board import (
     board_to_json,
     validate_board,
 )
-from .values import INF, Value, format_value, parse_value
+from .values import INF, ONE, Q, ZERO, Value, format_value, parse_value
 
 __all__ = [
     "MonomialFactor",
@@ -84,8 +83,8 @@ class MonomialFactor:
         items = []
         for h in sorted(mapping):
             w = mapping[h]
-            if w is not INF and not isinstance(w, Fraction):
-                w = Fraction(w)
+            if w is not INF and type(w) is not Q:
+                w = Q(w)
             items.append((h, w))
         return cls(tuple(items))
 
@@ -112,7 +111,7 @@ class MonomialFactor:
 
 
 def zero_factor(H: Iterable[NodeId]) -> MonomialFactor:
-    return MonomialFactor.of({h: Fraction(0) for h in H})
+    return MonomialFactor.of({h: ZERO for h in H})
 
 
 @dataclass(frozen=True)
@@ -146,11 +145,11 @@ class FactorSet:
 
 def _max_mass(weights: List[Dict[NodeId, Value]], K: Iterable[NodeId]) -> Value:
     """max over the weight maps of their total on K (0 when K is empty)."""
-    best: Value = Fraction(0)
+    best: Value = ZERO
     for w in weights:
-        total: Value = Fraction(0)
+        total: Value = ZERO
         for h in K:
-            total = total + w.get(h, Fraction(0))
+            total = total + w.get(h, ZERO)
         if total > best:
             best = total
     return best
@@ -189,8 +188,8 @@ class Scenario:
             M = FactorSet.of(M)
         fixed = {}
         for s, v in ord.items():
-            if v is not INF and not isinstance(v, Fraction):
-                v = Fraction(v)
+            if v is not INF and type(v) is not Q:
+                v = Q(v)
             fixed[s] = v
         return cls(board, d, B, frozenset(H), frozenset(S), frozenset(T), FrozenDict(fixed), M)
 
@@ -214,7 +213,7 @@ def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
     """The factor's value at an arbitrary node: the sum of its weights at the
     jibs above s, INF as soon as one of them is uncapped."""
     up = board.up_set(s)
-    total = Fraction(0)
+    total = ZERO
     for h, w in m.weights:
         if h in up:
             if w is INF:
@@ -228,7 +227,7 @@ def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Va
     weights at the jibs above s but not above t, INF as soon as one of them
     is uncapped (scenario issue 8)."""
     up_s, up_t = board.up_set(s), board.up_set(t)
-    total = Fraction(0)
+    total = ZERO
     for h, w in m.weights:
         if h in up_s and h not in up_t:
             if w is INF:
@@ -247,7 +246,7 @@ def order_floor(
     at least 1, at least every factor's extension at f (issue 6), and at
     least ord(t) plus the factor mass separating f from each placed upper t
     (issue 8). Only the strict uppers of f in ``placed`` are read."""
-    floor: Value = Fraction(1)
+    floor: Value = ONE
     for g in gens:
         floor = max(floor, extend_factor(board, g, f))
     above = board.up_set(f)
@@ -547,8 +546,7 @@ def _heavy_row(
 
 def is_tight(c: Scenario) -> bool:
     """Order constantly 1 on S (vacuously for empty S)."""
-    one = Fraction(1)
-    return all(v == one for v in c.ord.values())
+    return all(v == ONE for v in c.ord.values())
 
 
 def complete_factor(c: Scenario) -> Optional[MonomialFactor]:

@@ -41,7 +41,6 @@ is a lookup too.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -64,7 +63,7 @@ from .scenario import (
     is_tight,
     validate_scenario,
 )
-from .values import Value, format_value
+from .values import Q, ZERO, Value, format_value
 
 __all__ = [
     "QuestRelation",
@@ -94,7 +93,7 @@ def exceptional_cap(c: Scenario, z: NodeId) -> Value:
     """The weight every factor takes at the exceptional node of a blowup at
     z: ord(z) - 1, or 0 for a center outside S. For a singular center it is
     also the order item 9 pins on the exceptional node."""
-    return c.ord[z] - 1 if z in c.S else Fraction(0)
+    return c.ord[z] - 1 if z in c.S else ZERO
 
 
 def pinned_orders(c: Scenario, bt: BoardTransform) -> FrozenDict:
@@ -327,7 +326,7 @@ def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> Li
 # ---- commutativity across a blowup ---------------------------------------
 
 
-def quotient_lifted_factor(m: MonomialFactor, q: Fraction, bt: BoardTransform) -> MonomialFactor:
+def quotient_lifted_factor(m: MonomialFactor, q: Q, bt: BoardTransform) -> MonomialFactor:
     """How a quotient call's factor rides through the blowup ``bt`` at z.
 
     The exceptional coordinate is m(z) + q - 1, evaluated via the factor's
@@ -339,7 +338,7 @@ def quotient_lifted_factor(m: MonomialFactor, q: Fraction, bt: BoardTransform) -
     all, and the scale would stop shrinking between quotient calls.
     """
     ext_z = extend_factor(bt.source, m, bt.center)
-    return lift_factor(m, bt, max(Fraction(0), ext_z + q - 1))
+    return lift_factor(m, bt, max(ZERO, ext_z + q - 1))
 
 
 def transport_relation(rel: QuestRelation, bt: BoardTransform) -> QuestRelation:

@@ -1,10 +1,23 @@
 """Exact order values: rationals extended with one infinity.
 
-Finite orders live on a grid (1/B) * Z and are represented by
-:class:`fractions.Fraction`. The sentinel ``INF`` extends the line: the
-order of a node that can never be resolved by finitely many steps, and the
-weight of an uncapped factor coordinate. It is the only infinite value;
-nothing in the game is negatively infinite.
+Finite orders live on a grid (1/B) * Z and are represented by :class:`Q`,
+a subclass of :class:`fractions.Fraction`. The sentinel ``INF`` extends the
+line: the order of a node that can never be resolved by finitely many steps,
+and the weight of an uncapped factor coordinate. It is the only infinite
+value; nothing in the game is negatively infinite.
+
+``Q`` is a ``Fraction`` that is cheaper to compute with. Its ``+ - * /`` and
+comparisons read the numerator and denominator slots directly when the
+other operand is a ``Q`` or an ``int``, and build the result with one
+``math.gcd``. With any other operand (a plain ``Fraction``, a float, ``INF``)
+they defer to ``Fraction``'s own operator, so a mixed expression gives what
+it gives with ``Fraction``. A ``Q`` computes its hash once and keeps it; the
+hash is ``Fraction``'s, so a ``Q`` equals, hashes and prints like the
+``Fraction`` of the same value, and sets and dicts of either iterate alike.
+``copy`` and ``deepcopy`` return the value itself. ``ZERO`` and ``ONE`` are
+shared constants. Every finite value the package builds is a ``Q``:
+``parse_value``, ``MonomialFactor.of`` and ``Scenario.make`` convert any
+other finite value, and only this module imports ``fractions``.
 
 Arithmetic follows the conventions the order checks need:
 
@@ -21,11 +34,168 @@ Every other operation is undefined: ``finite - INF`` and ``INF / q`` for
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
-__all__ = ["INF", "Value", "is_finite", "parse_value", "format_value"]
+__all__ = ["INF", "ONE", "Q", "Value", "ZERO", "is_finite", "parse_value", "format_value"]
 
-_FINITE = (int, Fraction)
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> "Q":
+    """The Q n/d of coprime n and d > 0, built without normalising."""
+    out = _new(Q)
+    out._numerator = n
+    out._denominator = d
+    out._hash = None
+    return out
+
+
+def _reduced(n: int, d: int) -> "Q":
+    """The Q n/d in lowest terms, for d > 0. It builds the value itself, not
+    through ``_q``: this is the path of every sum and product."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    out = _new(Q)
+    out._numerator = n
+    out._denominator = d
+    out._hash = None
+    return out
+
+
+def _divided(n: int, d: int) -> "Q":
+    """The Q n/d in lowest terms, for any d; raises ZeroDivisionError for 0
+    as ``Fraction`` does."""
+    if d > 0:
+        return _reduced(n, d)
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _reduced(-n, -d)
+
+
+class Q(Fraction):
+    """A ``Fraction`` with fast operators against ``Q`` and ``int`` and a
+    stored hash (see the module docstring)."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        if type(numerator) is int:
+            if denominator is None:
+                return _q(numerator, 1)
+            if type(denominator) is int:
+                return _divided(numerator, denominator)
+        elif type(numerator) is Q and denominator is None:
+            return numerator
+        out = super().__new__(cls, numerator, denominator)
+        out._hash = None
+        return out
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = Fraction.__hash__(self)
+        return h
+
+    def __copy__(self) -> "Q":
+        return self
+
+    def __deepcopy__(self, memo) -> "Q":
+        return self
+
+    def __add__(a, b):
+        if type(b) is Q:
+            da, db = a._denominator, b._denominator
+            return _reduced(a._numerator * db + b._numerator * da, da * db)
+        if type(b) is int:
+            # n/d in lowest terms: n + b*d is coprime to d as well
+            return _q(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(b, a):
+        if type(a) is int:
+            return _q(a * b._denominator + b._numerator, b._denominator)
+        return Fraction.__radd__(b, a)
+
+    def __sub__(a, b):
+        if type(b) is Q:
+            da, db = a._denominator, b._denominator
+            return _reduced(a._numerator * db - b._numerator * da, da * db)
+        if type(b) is int:
+            return _q(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(b, a):
+        if type(a) is int:
+            return _q(a * b._denominator - b._numerator, b._denominator)
+        return Fraction.__rsub__(b, a)
+
+    def __mul__(a, b):
+        if type(b) is Q:
+            return _reduced(a._numerator * b._numerator, a._denominator * b._denominator)
+        if type(b) is int:
+            return _reduced(a._numerator * b, a._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(b, a):
+        if type(a) is int:
+            return _reduced(a * b._numerator, b._denominator)
+        return Fraction.__rmul__(b, a)
+
+    def __truediv__(a, b):
+        if type(b) is Q:
+            return _divided(a._numerator * b._denominator, a._denominator * b._numerator)
+        if type(b) is int:
+            return _divided(a._numerator, a._denominator * b)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(b, a):
+        if type(a) is int:
+            return _divided(a * b._denominator, b._numerator)
+        return Fraction.__rtruediv__(b, a)
+
+    def __eq__(a, b):
+        if type(b) is Q:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        if type(b) is Q:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator < b * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        if type(b) is Q:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator <= b * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        if type(b) is Q:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator > b * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        if type(b) is Q:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator >= b * a._denominator
+        return Fraction.__ge__(a, b)
+
+
+ZERO = Q(0)
+ONE = Q(1)
+# Q before Fraction: an exact type match skips Fraction's ABC instance check.
+_FINITE = (int, Q, Fraction)
 
 
 class _Infinity:
@@ -99,7 +269,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-Value = Union[Fraction, _Infinity]
+Value = Union[Q, _Infinity]
 
 
 def is_finite(v: Value) -> bool:
@@ -115,12 +285,12 @@ def parse_value(text: str) -> Value:
     # Fraction, so malformed text raises Fraction's own ValueError; a zero
     # denominator is malformed text too, not a ZeroDivisionError.
     if text.isascii() and text.isdigit():
-        return Fraction(int(text))
+        return _q(int(text), 1)
     num, slash, den = text.partition("/")
     try:
         if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-            return Fraction(int(num), int(den))
-        return Fraction(text)
+            return Q(int(num), int(den))
+        return Q(text)
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
 
@@ -129,6 +299,4 @@ def format_value(v: Value) -> str:
     """Inverse of parse_value. Lowest terms; integers without the '/1'."""
     if v is INF:
         return "inf"
-    if not isinstance(v, Fraction):
-        v = Fraction(v)
-    return str(v)
+    return str(Q(v))

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from salmagundy import cli, harness, mephisto, scenario_to_json
+from salmagundy.mephisto import Policy
 
 
 def run(capsys, *argv):
@@ -230,13 +231,29 @@ def test_a_config_that_is_not_an_object_of_the_right_types_is_a_usage_error(
 
 
 def test_a_negative_max_order_steps_is_a_usage_error(capsys):
-    for argv in (
-        ("play", "--seed", 1, "--mephisto", "adversarial", "--max-order-steps", -1),
-        ("explore", "--seed", 1, "--max-order-steps", -1),
+    # every cap: Policy, play_game and explore raise a ValueError naming it
+    for argv, name in (
+        (("play", "--seed", 1, "--mephisto", "adversarial", "--max-order-steps", -1),
+         "max_order_steps"),
+        (("explore", "--seed", 1, "--max-order-steps", -1), "max_order_steps"),
+        (("play", "--seed", 1, "--max-new-nodes", -1), "max_new_nodes"),
+        (("explore", "--seed", 1, "--max-new-nodes", -1), "max_new_nodes"),
+        (("play", "--seed", 1, "--round-cap", -1), "round_cap"),
+        (("explore", "--seed", 1, "--depth-cap", -1), "depth_cap"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (cli.EXIT_USAGE, "")
-        assert err == "error: max_order_steps must be at least 0, got -1\n"
+        assert err == f"error: {name} must be at least 0, got -1\n"
+    for call, name in (
+        (lambda: Policy(max_new_nodes=-1), "max_new_nodes"),
+        (lambda: harness.play_game(harness.gen_scenario(1), Policy(), round_cap=-1), "round_cap"),
+        (lambda: harness.explore(harness.gen_scenario(1), depth_cap=-1), "depth_cap"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0, got -1$"):
+            call()
+    # a cap of 0 is no usage error: the round cap stops the game at once
+    code, _, err = run(capsys, "play", "--seed", 1, "--round-cap", 0)
+    assert (code, err) == (cli.EXIT_CAP, "round cap 0 reached\n")
 
 
 def test_play_caps(capsys, monkeypatch, tmp_path):

@@ -1,12 +1,21 @@
 """Extended order values: ordering, arithmetic conventions, serialization."""
 
+import collections
+import copy
+import operator
+import pickle
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from salmagundy import INF, format_value, is_finite, parse_value
+from salmagundy import INF, ONE, ZERO, Q, format_value, harness, is_finite, parse_value
+from salmagundy.dido import DidoStrategy
+from salmagundy.harness import explore, gen_monomial_scenario, gen_scenario, play_game
+from salmagundy.mephisto import Policy
 
 
 def test_identity_and_equality():
@@ -105,4 +114,137 @@ def test_parse_value_reads_every_text_fraction_reads():
     texts = ["0", "3", "007", "4/6", "10/4", "-3", "+3", "-3/4", " 7/2 ", "0.5", "1e2"]
     for text in texts + ["\u0663", "\u0663/\u0664"]:  # Arabic-Indic 3 and 3/4
         got = parse_value(text)
-        assert got == Fraction(text) and type(got) is Fraction
+        assert got == Fraction(text) and type(got) is Q
+
+
+# ---- Q against fractions.Fraction -------------------------------------------
+
+_SMALL = st.integers(-40, 40)
+_OPERAND = st.one_of(
+    st.tuples(st.just("int"), _SMALL, st.just(1)),
+    st.tuples(st.sampled_from(["Q", "Fraction"]), _SMALL, st.integers(1, 24)),
+    st.just(("INF", 0, 1)),
+)
+_OPERATORS = [
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne,
+]
+
+
+def _operand(kind, n, d):
+    """The operand and its reference, in which a Q is the Fraction of its value."""
+    if kind == "INF":
+        return INF, INF
+    if kind == "int":
+        return n, n
+    return (Q if kind == "Q" else Fraction)(n, d), Fraction(n, d)
+
+
+def _outcome(op, x, y):
+    try:
+        return op(x, y)
+    except Exception as exc:  # the reference may raise; Q must raise alike
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_OPERAND, _OPERAND)
+def test_q_computes_what_fraction_computes(a, b):
+    (x, rx), (y, ry) = _operand(*a), _operand(*b)
+    for op in _OPERATORS:
+        got, want = _outcome(op, x, y), _outcome(op, rx, ry)
+        if isinstance(want, type):  # the reference raised
+            assert got is want, (op, x, y)
+        elif isinstance(want, Fraction):
+            assert isinstance(got, Fraction) and got == want, (op, x, y)
+            assert hash(got) == hash(got) == hash(want)  # the second hash is the stored one
+            assert str(got) == str(want) and format_value(got) == format_value(want)
+            # a Q and an int or a Q give a Q
+            if {type(x), type(y)} <= {Q, int} and Q in (type(x), type(y)):
+                assert type(got) is Q, (op, x, y)
+        else:  # a bool, a float or INF
+            assert got == want and type(got) is type(want), (op, x, y)
+    assert hash(x) == hash(rx) and str(x) == str(rx) and format_value(x) == format_value(rx)
+
+
+@given(_SMALL, st.integers(-24, 24).filter(bool))
+def test_q_is_built_like_fraction_and_copies_as_itself(n, d):
+    q, want = Q(n, d), Fraction(n, d)
+    assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
+    assert Q(q) is q and Q(want) == q and type(Q(want)) is Q
+    assert Q(str(want)) == q and type(Q(str(want))) is Q
+    assert copy.copy(q) is q and copy.deepcopy(q) is q
+    for back in (pickle.loads(pickle.dumps(q)), copy.deepcopy([q])[0]):
+        assert back == q and type(back) is Q and hash(back) == hash(want)
+    with pytest.raises(ZeroDivisionError):
+        Q(n, 0)
+
+
+def test_zero_and_one_are_shared_qs():
+    assert type(ZERO) is type(ONE) is Q
+    assert ZERO == 0 and ONE == 1 and not ZERO and ONE
+
+
+# ---- no value of a game falls back to Fraction ---------------------------------
+
+
+def _finite_values(scenario):
+    yield from scenario.ord.values()
+    for g in scenario.M.generators:
+        yield from (w for _, w in g.weights)
+
+
+def _relation_values(rel):
+    if rel is None:
+        return
+    if rel.factor is not None:
+        yield from (w for _, w in rel.factor.weights)
+    if rel.scale is not None:
+        yield rel.scale
+
+
+def test_every_order_weight_and_scale_of_a_game_is_a_q(monkeypatch):
+    """A stray ``Fraction`` would compute right but take Fraction's slow
+    operators. Every value of every state, move and Dido plan must be a Q."""
+    seen = collections.Counter()
+
+    def check(values, what):
+        for v in values:
+            if v is not INF:
+                assert type(v) is Q, (what, v, type(v))
+                seen[what] += 1
+
+    apply = harness.apply_round
+
+    def checked_apply(state, move, bundle):
+        after, record = apply(state, move, bundle)
+        check(_relation_values(move.relation), "scale or factor of a call")
+        for quest in after.quests.values():
+            check(_finite_values(quest.scenario), "order or weight")
+            check(_relation_values(quest.relation), "scale or factor of a call")
+        return after, record
+
+    observe = DidoStrategy.observe
+
+    def checked_observe(self, *args):
+        observe(self, *args)
+        for plan in self.plans.values():
+            if hasattr(plan, "m"):
+                check((w for _, w in plan.m.weights), "Dido's factor")
+        for _, masses in self.measure_log:
+            check(masses, "Dido's measure")
+
+    monkeypatch.setattr(harness, "apply_round", checked_apply)
+    monkeypatch.setattr(DidoStrategy, "observe", checked_observe)
+    for scenario, policy in (
+        [(gen_scenario(seed), "canonical") for seed in (4, 6)]
+        + [(gen_scenario(seed), "adversarial") for seed in (6, 14)]
+        + [(gen_scenario(seed), "random:1") for seed in (4, 16)]
+        + [(gen_monomial_scenario(seed), "canonical") for seed in (2, 7)]
+    ):
+        check(_finite_values(scenario), "order or weight")
+        assert play_game(scenario, Policy.parse(policy)).won
+    assert explore(gen_scenario(4)).all_won
+    assert all(seen[what] for what in (
+        "scale or factor of a call", "order or weight", "Dido's factor", "Dido's measure"
+    )), seen
