@@ -13,21 +13,23 @@ checks no further.
 
 Everything here is immutable after construction and safe to share. That is
 what lets a check be answered once: ``_memo(check, *args)`` stores the
-verdict on the last argument, the value the check describes, keyed by the
-check and the identities of the other arguments. Every rule check of the
-package, ``validate_board`` included, is stored that way and no other. A
-check that reuses part of its work across inputs (the issue-9 table of
-``scenario.heavy_jib_violations``) keeps it in the same per-value dict,
-``_memo_of``. Unlike a ``_memo`` verdict, such a table may hold its other
-inputs strongly (see ``_memo_of``). The same dict holds a value's JSON text
-(``_json_text``) and a board's identity transform (``trivial_refinement``).
+result on the last argument, its owner, keyed by the check and the
+identities of the other arguments, which the slot holds. A slot lives as
+long as its owner, so one rule picks owners that keep no value of a round
+from storing anything of an earlier round: a result about one value is
+stored on that value (its checks, its JSON text ``_json_text``, a board's
+identity transform ``trivial_refinement``); a result about a blowup round
+on the round's transform, which dies with the round (every ``transform``
+result and ``game.blowup_discards``); a call's child on its parent scenario
+(``quests.call_response``). A check that reuses part of its work across
+inputs (the issue-9 table of ``scenario.heavy_jib_violations``) keeps it in
+the same per-value dict, ``_memo_of``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -105,16 +107,9 @@ class FrozenDict(dict):
 
 def _memo_of(owner) -> dict:
     """The dict in which ``owner``, an immutable value, holds what has been
-    worked out about it: the verdicts of ``_memo`` and any table a check
+    worked out about it: the results of ``_memo`` and any table a check
     fills in as it goes. It is never part of the owner's equality, hash,
-    pickle or deep copy (``_state_without_memo``).
-
-    A ``_memo`` verdict holds its other inputs weakly; a table need not. The
-    issue-9 table on a ``FactorSet`` M is keyed by its board and jib set H by
-    value, so it keeps them alive as long as M lives. Package code asks M
-    only about the board of the scenarios M belongs to, so the table keeps
-    alive nothing those scenarios do not; a caller that asks one M about
-    other boards keeps each of them alive with M."""
+    pickle or deep copy (``_state_without_memo``)."""
     # object.__setattr__, not owner.__dict__: reading __dict__ would turn the
     # instance's inline attribute values into a dict and slow every later
     # attribute read of the scenario.
@@ -128,55 +123,39 @@ def _memo_of(owner) -> dict:
 def _memo(check: Callable, *args):
     """``check(*args)``, evaluated once per identical ``args``.
 
-    The verdict is stored on the last argument, an immutable value the check
-    describes, in one slot per ``check`` and identity of the other arguments:
-    a slot answers only a call with those very objects, so an equal but
-    distinct input is checked afresh, while one value checked against several
-    others (a response under two parents, say) keeps every verdict. The
-    other arguments are held by weak reference, so a memo never keeps
-    another object (say, the scenario of an earlier round) alive, and a slot
-    whose other arguments have died never answers, even for a new object at
-    the same address. A list verdict (of violations) is stored as a tuple
-    and every call gets a fresh list; any other verdict (a tuple, a call's
-    child) must be immutable and is returned as it is. A slot lives as long
-    as its owner, so a stored value must sit on an owner the game owns, and
-    no owner may store itself.
+    The result is stored on the last argument, its owner by the module's
+    rule: the value it is about, a blowup round's transform, or a call's
+    parent. There is one slot per ``check`` and identity of the other
+    arguments. The slot holds those arguments, so while it lives none of
+    them dies and no new object takes its address: it answers only a call
+    with those very objects. An equal but distinct input is checked afresh,
+    and one value checked against several others (a response under two
+    parents, say) keeps every result. The result is returned as stored and
+    must not be changed; a validator returns a copy of its stored list.
     """
-    others = args[:-1]
     memo = _memo_of(args[-1])
-    # Keyed by id, not by the weak references: a live weak reference hashes
-    # and compares like its referent, so an equal but distinct input would
-    # land in the same slot and evict its verdict.
-    key = (check, *map(id, others))
+    key = (check, *map(id, args[:-1]))
     hit = memo.get(key)
-    if hit is not None and (not others or all(ref() is x for ref, x in zip(hit[0], others))):
-        verdict, listed = hit[1], hit[2]
-    else:
-        verdict = check(*args)
-        listed = isinstance(verdict, list)
-        if listed:
-            verdict = tuple(verdict)
-        memo[key] = (tuple(map(weakref.ref, others)), verdict, listed)
-    return list(verdict) if listed else verdict
+    if hit is None:
+        hit = memo[key] = (check(*args), args[:-1])
+    return hit[0]
+
+
+def _dumps(to_json: Callable[[object], dict], owner) -> str:
+    return json.dumps(to_json(owner), sort_keys=True)
 
 
 def _json_text(owner, to_json: Callable[[object], dict]) -> str:
     """``json.dumps(to_json(owner), sort_keys=True)``, encoded once per
-    immutable ``owner`` and stored in its ``_memo_of`` dict, so the text dies
-    with its value. ``to_json`` must be the one formula of the owner's JSON
-    form; an owner stores one text."""
-    memo = _memo_of(owner)
-    text = memo.get(_json_text)
-    if text is None:
-        text = memo[_json_text] = json.dumps(to_json(owner), sort_keys=True)
-    return text
+    immutable ``owner`` and stored on it, so the text dies with its value.
+    ``to_json`` must be the one formula of the owner's JSON form."""
+    return _memo(_dumps, to_json, owner)
 
 
 def _state_without_memo(owner) -> dict:
     """``__getstate__`` of a ``_memo`` owner: its fields without its
-    ``_memo_of`` dict, whose verdicts hold weak references and describe this
-    very instance, so that nothing stored there crosses a pickle or a deep
-    copy."""
+    ``_memo_of`` dict, whose keys are the ids of other objects, so that
+    nothing stored there crosses a pickle or a deep copy."""
     state = dict(owner.__dict__)
     state.pop("_memo", None)
     return state
@@ -334,7 +313,7 @@ def validate_board(b: Board) -> List[Violation]:
 
     The verdict is stored on ``b``; every call returns a fresh list.
     """
-    return _memo(_check_board, b)
+    return list(_memo(_check_board, b))
 
 
 def _check_board(b: Board) -> List[Violation]:
@@ -406,15 +385,15 @@ class BoardTransform:
 
 
 def trivial_refinement(b: Board) -> BoardTransform:
-    """The identity transform on b: one instance per board, stored on b
-    (``_memo_of``), so every call round on one board rides on the same
-    transform and shares its checks and its stored JSON text."""
-    memo = _memo_of(b)
-    t = memo.get(REFINEMENT)
-    if t is None:
-        ident = FrozenDict((s, s) for s in b.ids)
-        t = memo[REFINEMENT] = BoardTransform(REFINEMENT, b, b, ident, ident)
-    return t
+    """The identity transform on b: one instance per board, stored on b, so
+    every call round on one board rides on the same transform and shares its
+    checks and its stored JSON text."""
+    return _memo(_identity, b)
+
+
+def _identity(b: Board) -> BoardTransform:
+    ident = FrozenDict((s, s) for s in b.ids)
+    return BoardTransform(REFINEMENT, b, b, ident, ident)
 
 
 # ---- blowups -------------------------------------------------------------
@@ -494,7 +473,7 @@ def validate_board_transform(t: BoardTransform) -> List[Violation]:
     the same transform. ``dataclasses.replace`` builds a new instance, which
     is checked afresh. Every call returns a fresh list.
     """
-    return _memo(_check_board_transform, t)
+    return list(_memo(_check_board_transform, t))
 
 
 def _check_board_transform(t: BoardTransform) -> List[Violation]:
@@ -621,14 +600,20 @@ def board_from_json(data: dict) -> Board:
     return Board(dims, covers)
 
 
+def _dot_escape(text: str) -> str:
+    """``text`` as the inside of a quoted DOT string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def board_to_dot(b: Board, highlight: Iterable[NodeId] = ()) -> str:
     """GraphViz rendering; edges point upward (covered node -> covering node)."""
     hi = set(highlight)
     lines = ["digraph board {", "  rankdir=BT;", '  node [shape=ellipse, fontname="Helvetica"];']
     for s in b.ids:
         style = ', style=filled, fillcolor="lightblue"' if s in hi else ""
-        lines.append(f'  "{s}" [label="{s}\\ndim {b.dim(s)}"{style}];')
+        q = _dot_escape(s)
+        lines.append(f'  "{q}" [label="{q}\\ndim {b.dim(s)}"{style}];')
     for a, c in sorted(b.covers):
-        lines.append(f'  "{a}" -> "{c}";')
+        lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(c)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,19 +18,21 @@ A position is a value, as every quest in it is: ``apply_round`` returns
 the next ``GameState`` and leaves the one it is given as it was, so the
 explorer answers one position many ways and a verdict about it can be stored.
 
-Checks are pure functions of immutable objects, and each is answered once per
-identical inputs: a verdict is stored on the object it describes, one slot
-per check and identity of the other inputs (``board._memo``). Mephisto
-sieves candidates with ``validate_bundle`` and shares each distinct response
-among the candidates of one blown-up board, so a response is checked once
-under each parent response it meets, not once per candidate, and the
-quests a blowup closes are worked out once per state and blown-up board
+Checks are pure functions of immutable objects, and each is answered once
+per identical inputs: a verdict is stored on its owner under ``board``'s
+rule, which for a blowup round is the round's transform, one slot per check
+and identity of the other inputs (``board._memo``). Mephisto sieves
+candidates with ``validate_bundle`` and shares each distinct response among
+the candidates of one blown-up board, so a response is checked once under
+each parent response it meets, not once per candidate, and the quests a
+blowup closes are worked out once per state and blown-up board
 (``blowup_discards``). ``apply_round`` always checks the chosen bundle
 again, with the very same scenario and transform objects; the second check
-finds every verdict stored. Values are stored too: a call's child sits on
-its parent scenario (``quests.call_response``). A slot lives as long as its
-owner, so the game owns its root scenario: ``new_game`` plays a copy of the
-caller's.
+finds every verdict stored. A call round's check compares the child with its
+call's response, which is cheap, and reads the child's stored validity.
+Values are stored too: a call's child sits on its parent scenario
+(``quests.call_response``). A slot lives as long as its owner, so the game
+owns its root scenario: ``new_game`` plays a copy of the caller's.
 
 The trace encodes each value once, too. A response scenario and a transform
 store their JSON text on themselves (``board._json_text``), and
@@ -228,10 +230,10 @@ def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violat
     """All violations of the bundle, empty when it is legal.
 
     Every rule check behind this gate is a pure function of immutable
-    objects, answered once per identical inputs: the verdicts are stored on
-    the responses (and on a call round's child), keyed by the identity of
-    the other inputs. Checking a bundle again costs a lookup per quest;
-    an equal but distinct object is checked afresh.
+    objects, answered once per identical inputs: a blowup round's verdicts
+    are stored on its transform, keyed by the identity of the other inputs.
+    Checking a bundle again costs a lookup per quest; an equal but distinct
+    object is checked afresh.
 
     Before any transform or call check, every scenario the round brings in
     (a blowup's responses, a call's child) must pass ``validate_shape``;
@@ -272,7 +274,7 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
     ]
     if bundle.child is None:
         return out + [_bundle_violation("call round without a child scenario")]
-    return out + _memo(_check_call_child, quest.scenario, move.relation, bundle.child)
+    return out + _check_call_child(quest.scenario, move.relation, bundle.child)
 
 
 def _check_call_child(

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .board import Board, NodeId, _json_text, board_to_json
+from .board import Board, NodeId, _dot_escape, _json_text, board_to_json
 from .dido import DidoStrategy, _plans_text
 from .game import (
     BLOWUP_MOVE,
@@ -341,9 +341,9 @@ def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
     round reads: the strategy's ``measure_log`` and ``_slot``, the id of the
     quest that made the last call (``decide`` sets it before it returns any
     call), and the scenarios of closed quests, which nothing reads once Dido
-    decides again; with those scenarios in it, few states would ever meet. The key is a digest, so the table keeps
-    no scenario or board alive; its memory grows by one entry per stored
-    state.
+    decides again; with those scenarios in it, few states would ever meet.
+    The key is a digest, so the table keeps no scenario or board alive; its
+    memory grows by one entry per stored state.
 
     Raises ValueError for a negative ``depth_cap``, and as ``Policy`` does
     for a negative cap in ``caps``.
@@ -434,7 +434,8 @@ def scenario_to_dot(c: Scenario) -> str:
     b = c.board
     lines = ["digraph scenario {", "  rankdir=BT;"]
     for s in sorted(b.ids):
-        label = f"{s}\\ndim {b.dim(s)}"
+        q = _dot_escape(s)
+        label = f"{q}\\ndim {b.dim(s)}"
         attrs = []
         if s in c.S:
             label += f"\\nord {format_value(c.ord[s])}"
@@ -444,8 +445,8 @@ def scenario_to_dot(c: Scenario) -> str:
         if s in c.T:
             attrs.append("peripheries=2")
         attrs.append(f'label="{label}"')
-        lines.append(f"  \"{s}\" [{', '.join(attrs)}];")
+        lines.append(f"  \"{q}\" [{', '.join(attrs)}];")
     for a, t in sorted(b.covers):
-        lines.append(f'  "{a}" -> "{t}";')
+        lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -70,7 +70,7 @@ adds no reason to ``truncated``.
 
 Candidates on one blown-up board share their responses. Each response built
 there is interned: it is replaced by the first equal response built on that
-board, so equal responses are one object and the checks stored on it
+board, so equal responses are one object and the checks stored for it
 (``board._memo``) answer every later candidate. A fixed call's child is
 ``quests.call_response`` of its parent's new response, which stores it on
 that parent: it is built once per parent response object, a repeated root
@@ -122,6 +122,7 @@ from .quests import DESCENT, QuestRelation, call_response
 from .scenario import (
     FactorSet,
     Scenario,
+    admissible_centers,
     assign_orders,
     heavy_jib_violations,
     is_tight,
@@ -454,6 +455,9 @@ def enumerate_blowup_bundles(
     come can beat the largest total |S| it has yielded (see the module
     docstring).
 
+    A center the main quest does not admit has no valid bundle, whatever
+    the keep: the stream raises NoValidBundle before it builds any board.
+
     Each keep is sieved once on scenario issue 9 before any orders are
     assigned. That check reads only the root response's board, d, H, S and M;
     S is the keep, and H and M are fixed by the blowup, so a keep that fails
@@ -469,6 +473,8 @@ def enumerate_blowup_bundles(
     """
     board = state.board
     root = state.root.scenario
+    if z not in admissible_centers(root):
+        raise NoValidBundle(f"center {z} is not admissible for the main quest")
     ts = blowup_uppers(board, z)
     cap = policy.max_new_nodes
     if policy.kind == EXPLORE:

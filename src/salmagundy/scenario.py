@@ -303,7 +303,7 @@ def validate_scenario(c: Scenario) -> List[Violation]:
     The checks read only the scenario, so each instance is checked once.
     Every call returns a fresh list.
     """
-    return _memo(_check_scenario, c)
+    return list(_memo(_check_scenario, c))
 
 
 def validate_shape(c: Scenario) -> List[Violation]:
@@ -312,9 +312,10 @@ def validate_shape(c: Scenario) -> List[Violation]:
     meaningless input: the board's own violations (``validate_board``), d or
     B not an integer (a bool is not one) with B > 0, a node of H, S or T off
     the board, an M weight off the board, an ord domain other than S. A
-    scenario that passes may be read node by node. Each instance is checked once, and the board's
-    verdict is stored on the board; every call returns a fresh list."""
-    return _memo(_check_shape, c)
+    scenario that passes may be read node by node. Each instance is checked
+    once, and the board's verdict is stored on the board; every call returns
+    a fresh list."""
+    return list(_memo(_check_shape, c))
 
 
 def _check_shape(c: Scenario) -> List[Violation]:
@@ -506,8 +507,9 @@ def heavy_jib_violations(
     table is stored on M (``board._memo_of``), so it dies with M and never
     crosses a pickle or a deep copy of it. M keeps one table per value of
     board, d and H; equal boards have the same order and dimensions, so they
-    may share one. The key holds the board and H strongly (see
-    ``board._memo_of``).
+    may share one. The key holds the board and H, which package code takes
+    from the scenarios that share M, so the table keeps alive nothing they
+    do not.
     """
     out: List[Violation] = []
     rows = _memo_of(M).setdefault((heavy_jib_violations, board, d, H), {})

@@ -26,13 +26,13 @@ scenario. Which children survive is ``game.blowup_discards``'s decision
 alone.
 
 Checks are pure functions of immutable objects, and each is answered once per
-identical inputs: ``validate_blowup_transform`` stores its verdict on the new
-scenario and ``commutes`` on the child's new scenario, one slot per identity
-of the other arguments (``board._memo``), and ``transport_relation``,
-``pinned_orders``, ``complete_orders`` and ``blowup_jibs`` store their
-results on the blown-up board's transform, so every response of one quest
-shares one pin map, one map of complete orders, and one factor set and with
-it one issue-9 table (``scenario.heavy_jib_violations``).
+identical inputs. Every result about a blowup is stored on its transform
+``bt``, one slot per identity of the other arguments (``board._memo``):
+``validate_blowup_transform`` and ``commutes`` verdicts, and the
+``transport_relation``, ``pinned_orders``, ``complete_orders`` and
+``blowup_jibs`` results, so every response of one quest shares one pin map,
+one map of complete orders, and one factor set and with it one issue-9 table
+(``scenario.heavy_jib_violations``).
 Mephisto builds each distinct response once per blown-up board and shares it
 among the candidates, so a response checked for one candidate is a lookup
 for the next; the umpire checks the same bundle objects, so its second look
@@ -188,15 +188,15 @@ def cleared_nodes(
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
     """Items 1-2 and 7-15, plus validity of the result.
 
-    The verdict is stored on ``c1`` for this very ``c`` and ``bt``; every
+    The verdict is stored on ``bt`` for this very ``c`` and ``c1``; every
     call returns a fresh list.
     """
     if bt.kind != BLOWUP:
         raise ValueError("expected a blowup transform")
-    return _memo(_check_blowup_transform, c, bt, c1)
+    return list(_memo(_check_blowup_transform, c, c1, bt))
 
 
-def _check_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
+def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> List[Violation]:
     out: List[Violation] = []
     if c.board != bt.source or c1.board != bt.target:
         out.append(Violation(RULE, "structure", (), "scenario boards do not match the transform"))
@@ -388,10 +388,10 @@ def commutes(
     tags. Boards that do not line up, and a new parent scenario that does
     not admit the transported call, are reported, not raised.
 
-    The verdict is stored on ``c1_prime`` for these very other arguments;
-    every call returns a fresh list.
+    The verdict is stored on ``bt`` for these very other arguments; every
+    call returns a fresh list.
     """
-    return _memo(_check_commutes, rel, c, c1, c_prime, bt, c1_prime)
+    return list(_memo(_check_commutes, rel, c, c1, c_prime, c1_prime, bt))
 
 
 def _check_commutes(
@@ -399,8 +399,8 @@ def _check_commutes(
     c: Scenario,
     c1: Scenario,
     c_prime: Scenario,
-    bt: BoardTransform,
     c1_prime: Scenario,
+    bt: BoardTransform,
 ) -> List[Violation]:
     if c.board != bt.source or c1.board != bt.source or c_prime.board != bt.target:
         detail = "boards do not line up with the blowup"

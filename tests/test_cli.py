@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 violations, 2 a cap was hit, 3 usage errors.
 """
 
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,22 @@ def test_a_scenario_on_an_invalid_board_is_rejected_before_play(capsys, tmp_path
         code, out, err = run(capsys, *argv, path)
         assert (code, out, err) == (cli.EXIT_VIOLATIONS, "", CROSSED_ERR)
         assert "Traceback" not in err
+
+
+def test_a_singular_top_is_a_valid_start_that_no_bundle_answers(capsys, tmp_path):
+    # Dido names the top, the one singular node left with a transversal
+    # center; no blowup there is legal, so Mephisto has no bundle to offer.
+    data = {
+        "board": _board_json({"w": 1, "v": 0}, [["v", "w"]]), "d": 1, "B": 1, "H": [],
+        "S": ["v", "w"], "T": ["v", "w"], "ord": {"v": "inf", "w": "inf"}, "M": [{}],
+    }
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "validate", path) == (cli.EXIT_OK, "scenario ok\n", "")
+    for argv in (["play", "--scenario"], ["explore", "--scenario"]):
+        code, out, err = run(capsys, *argv, path)
+        assert code == cli.EXIT_VIOLATIONS
+        assert "center w is not admissible" in err and "Traceback" not in err
 
 
 def test_validate_reports_violations(capsys, tmp_path, chain_scenario):
@@ -520,3 +537,23 @@ def test_export_dot(capsys, tmp_path):
     assert run(capsys, "validate", scen)[::2] == (cli.EXIT_VIOLATIONS, err)
     assert run(capsys, "export", "dot")[0] == cli.EXIT_USAGE
     assert run(capsys, "export", "svg", "--board", board)[0] == cli.EXIT_USAGE
+    # ids holding a quote or a backslash are escaped in every quoted string
+    odd = {
+        "board": {
+            "nodes": [{"id": "w\\", "dim": 1}, {"id": 'a"b', "dim": 0}],
+            "covers": [['a"b', "w\\"]],
+        },
+        "d": 1, "B": 1, "H": [], "S": ['a"b'], "T": ['a"b'], "ord": {'a"b': "1"}, "M": [{}],
+    }
+    board.write_text(json.dumps(odd["board"]))
+    scen.write_text(json.dumps(odd))
+    for flag, path in (("--board", board), ("--scenario", scen)):
+        code, out, _ = run(capsys, "export", "dot", flag, path)
+        assert code == cli.EXIT_OK
+        assert '  "a\\"b" -> "w\\\\";' in out.splitlines()
+        assert 'label="a\\"b\\ndim 0' in out and 'label="w\\\\\\ndim 1' in out
+        for line in out.splitlines():
+            # what is left outside the well-formed quoted strings holds no quote
+            # and no backslash
+            rest = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
+            assert '"' not in rest and "\\" not in rest, line

@@ -820,17 +820,23 @@ def test_stored_texts_stay_out_of_equality_hash_repr_pickle_and_copies(crossing_
     assert copy.deepcopy(b) is b  # a board copies as itself
 
 
-def test_stored_texts_die_with_their_values(crossing_scenario):
+def test_stored_texts_die_with_their_values(crossing_scenario, monkeypatch):
     record = _crafted_records(crossing_scenario)[1]
     bundle = record["bundle"]
     line = round_to_json(record)
-    texts = [v._memo for v in (bundle.responses[0], bundle.transform)]
-    assert all(any(isinstance(t, str) and t in line for t in m.values()) for m in texts)
-    refs = [weakref.ref(v) for v in (bundle.responses[0], bundle.transform)]
-    del record, bundle, texts
+    owners = (
+        (bundle.responses[0], game._response_to_json),
+        (bundle.transform, game.transform_to_json),
+    )
+    with monkeypatch.context() as patched:
+        patched.setattr(json, "dumps", None)  # the texts are read, not encoded again
+        assert all(board._json_text(v, to_json) in line for v, to_json in owners)
+    refs = [weakref.ref(v) for v, _ in owners]
+    del record, bundle, owners
     gc.collect()
     assert all(ref() is None for ref in refs)
-    # a board takes no weak reference; its identity transform holds a text
+    # a board takes no weak reference, so look for it among the live objects;
+    # its identity transform holds a text
     assert not [o for o in gc.get_objects() if isinstance(o, Board) and 'a"b' in o]
 
 
@@ -949,21 +955,41 @@ def test_mutating_a_returned_verdict_changes_nothing():
     assert validate_bundle(st, mv, bundle) == []
 
 
+def _watching(scenarios, transforms):
+    """``apply_round`` that first records a weak reference to each scenario
+    a round brings in and to a blowup round's transform."""
+
+    def recording(state, move, bundle):
+        scenarios.extend(weakref.ref(sc) for sc in bundle.responses.values())
+        if bundle.child is not None:
+            scenarios.append(weakref.ref(bundle.child))
+        if bundle.transform.kind == "blowup":
+            transforms.append(weakref.ref(bundle.transform))
+        return apply_round(state, move, bundle)
+
+    return recording
+
+
 def test_memos_do_not_keep_earlier_rounds_alive(monkeypatch):
-    first_round = []
-
-    def respond_and_watch(state, move, policy):
-        bundle = respond(state, move, policy)
-        if state.round_no == 0:
-            first_round.extend(weakref.ref(sc) for sc in bundle.responses.values())
-        return bundle
-
-    monkeypatch.setattr(harness, "respond", respond_and_watch)
-    result = play_game(gen_scenario(9), Policy())
-    assert result.won and result.rounds > 2 and first_round
-    gc.collect()
-    assert all(ref() is None for ref in first_round)
-    assert result.state.root.scenario is not None
+    # A slot holds its inputs, so no value may store one of an earlier round.
+    # Once a game is played, or replayed, every scenario it brought in is dead
+    # unless the final state holds it, and so is every blowup transform. Seed
+    # 16 blows up at least three times under each policy.
+    for policy in ("canonical", "random:1", "adversarial"):
+        played, replayed = ([], []), ([], [])
+        monkeypatch.setattr(harness, "apply_round", _watching(*played))
+        result = play_game(gen_scenario(16), Policy.parse(policy))
+        assert result.won and len(played[1]) > 2
+        monkeypatch.setattr(game, "apply_round", _watching(*replayed))
+        state = replay_trace(result.trace)
+        assert state.won and len(replayed[1]) == len(played[1])
+        gc.collect()
+        for (scenarios, transforms), final in ((played, result.state), (replayed, state)):
+            held = [q.scenario for q in final.quests.values()]
+            alive = [sc for sc in (ref() for ref in scenarios) if sc is not None]
+            assert all(any(sc is h for h in held) for sc in alive), policy
+            assert len(alive) < len(scenarios)
+            assert all(ref() is None for ref in transforms), policy
 
 
 def test_finished_games_leave_no_board_alive():
@@ -978,8 +1004,8 @@ def test_finished_games_leave_no_board_alive():
 
 
 def _stored_scenarios(owner):
-    """The scenarios ``owner``'s memo holds as values; the weak references a
-    verdict keeps to its other inputs do not count."""
+    """The scenarios ``owner``'s memo holds, as results or as the other
+    inputs of a slot."""
     todo = list(getattr(owner, "_memo", {}).values())
     out = []
     while todo:

@@ -137,6 +137,27 @@ def test_blowup_at_inadmissible_center_has_no_bundle(chain_scenario):
         respond(st, Move.blowup("a"), Policy.parse("canonical"))
 
 
+@pytest.mark.parametrize("kind", ["canonical", "random", "adversarial", "explore"])
+def test_an_inadmissible_center_builds_no_board(monkeypatch, chain_scenario, kind):
+    # The top of a wholly singular board, and a node above a singular one:
+    # the rule reads only the main quest's scenario, so no board is built.
+    b = Board({"w": 1, "v": 0}, [("v", "w")])
+    top = Scenario.make(
+        board=b, d=1, B=1, H=(), S=b.ids, T=b.ids, ord=dict.fromkeys(b.ids, INF),
+        M=[zero_factor(())],
+    )
+    assert validate_scenario(top) == []
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built a board for an inadmissible center")
+
+    monkeypatch.setattr(mephisto, "blowup_transform", boom)
+    for sc, z in ((top, "w"), (chain_scenario, "a")):
+        stream = enumerate_blowup_bundles(_root_state(sc), z, Policy(kind=kind))
+        with pytest.raises(NoValidBundle, match=f"center {z} is not admissible"):
+            next(stream)
+
+
 def test_blowup_cap_raises(chain_scenario):
     st = _root_state(chain_scenario)
     tight_cap = Policy.parse("canonical", max_new_nodes=1)
@@ -613,9 +634,9 @@ def test_equal_descent_responses_are_one_object_checked_once(monkeypatch, kind):
     checked = Counter()
     check = transform._check_blowup_transform
 
-    def counting(c, bt, c1):
+    def counting(c, c1, bt):
         checked[c, bt, c1] += 1
-        return check(c, bt, c1)
+        return check(c, c1, bt)
 
     monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
     monkeypatch.setattr(transform, "_check_blowup_transform", counting)
@@ -688,9 +709,9 @@ def test_each_blowup_transform_is_checked_once_per_value(monkeypatch, seed, roun
     checked = Counter()
     check = transform._check_blowup_transform
 
-    def counting(c, bt, c1):
+    def counting(c, c1, bt):
         checked[c, bt, c1] += 1
-        return check(c, bt, c1)
+        return check(c, c1, bt)
 
     monkeypatch.setattr(transform, "_check_blowup_transform", counting)
     policy = Policy.parse("adversarial")
