@@ -605,14 +605,12 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def board_to_dot(b: Board, highlight: Iterable[NodeId] = ()) -> str:
+def board_to_dot(b: Board) -> str:
     """GraphViz rendering; edges point upward (covered node -> covering node)."""
-    hi = set(highlight)
     lines = ["digraph board {", "  rankdir=BT;", '  node [shape=ellipse, fontname="Helvetica"];']
     for s in b.ids:
-        style = ', style=filled, fillcolor="lightblue"' if s in hi else ""
         q = _dot_escape(s)
-        lines.append(f'  "{q}" [label="{q}\\ndim {b.dim(s)}"{style}];')
+        lines.append(f'  "{q}" [label="{q}\\ndim {b.dim(s)}"];')
     for a, c in sorted(b.covers):
         lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(c)}";')
     lines.append("}")

@@ -53,6 +53,7 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("validate", parents=common, help="validate a board or scenario file")
     v.add_argument("file")
+    v.set_defaults(run=_cmd_validate)
 
     g = sub.add_parser("gen", parents=common, help="generate a board or scenario")
     g.add_argument("what", choices=["board", "scenario"])
@@ -63,24 +64,29 @@ def _build_parser() -> _Parser:
     g.add_argument("--B", type=int, default=None)
     g.add_argument("--jib-count", type=int, default=None)
     g.add_argument("--out", help="write here instead of stdout")
+    g.set_defaults(run=_cmd_gen)
 
     pl = sub.add_parser("play", parents=common, help="play one game on a scenario")
     pl.add_argument("--scenario", help="scenario file (default: generated from --seed)")
     pl.add_argument("--trace", help="write the NDJSON trace here")
+    pl.set_defaults(run=_cmd_play)
 
     e = sub.add_parser(
         "explore", parents=common, help="try every capped bundle against the strategy"
     )
     e.add_argument("--scenario", help="scenario file (default: generated from --seed)")
     e.add_argument("--depth-cap", type=int)
+    e.set_defaults(run=_cmd_explore)
 
     x = sub.add_parser("export", parents=common, help="export DOT")
     x.add_argument("what", choices=["dot"])
     x.add_argument("--scenario", help="scenario file")
     x.add_argument("--board", help="board file")
+    x.set_defaults(run=_cmd_export)
 
     r = sub.add_parser("replay", parents=common, help="re-validate a recorded trace")
     r.add_argument("file")
+    r.set_defaults(run=_cmd_replay)
     return p
 
 
@@ -310,19 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _apply_config(args)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "play":
-            return _cmd_play(args)
-        if args.command == "explore":
-            return _cmd_explore(args)
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _usage(f"unknown command {args.command!r}")
+        return args.run(args)
     except CapError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CAP

@@ -21,14 +21,14 @@ it. The blown-up board and its fresh node names come from
 from ``transform.blowup_jibs``, the nodes it must clear from
 ``transform.cleared_nodes`` (item 13), and its discards from
 ``game.blowup_discards``. Every order is placed by one rule,
-``scenario.assign_orders``: the order the rules fix, INF at dimension d,
-or else the floor (issues 6 and 8) raised by the bump. The orders the
-rules fix come as one map: every order from ``transform.complete_orders``
-when the quest has a complete factor (item 15), and otherwise those of the
-exceptional node and of every node off the exceptional locus from
-``transform.pinned_orders`` (items 9-10). A fixed order finite at
-dimension d or below its floor, or a tight quest's order other than 1
-(item 11), leaves no response. The cap on fresh nodes,
+``scenario.assign_orders``: the order the rules fix, or else the floor
+(``scenario.order_floor``: at least 1, INF at dimension d, and issues 6
+and 8) raised by the bump. The orders the rules fix come as one map: every
+order from ``transform.complete_orders`` when the quest has a complete
+factor (item 15), and otherwise those of the exceptional node and of every
+node off the exceptional locus from ``transform.pinned_orders`` (items
+9-10). A fixed order below its floor, so any finite one at dimension d,
+or a tight quest's order other than 1 (item 11), leaves no response. The cap on fresh nodes,
 ``Policy.max_new_nodes``, is policy, not rule, so Mephisto applies it
 itself.
 
@@ -88,8 +88,7 @@ blowup.
 
 Order choices use a uniform bump level: level k raises every non-forced free
 order to at least 1 + k/B. Optional additions to the transversal set are
-never made, and orders below 1 are never chosen (nodes are dropped instead),
-so every policy stays inside the regime the strategy layer relies on.
+never made.
 """
 
 from __future__ import annotations
@@ -275,14 +274,13 @@ def _blowup_response(
     fixed where the transform rules fix them (``_fixed_orders``) and placed
     elsewhere by ``scenario.assign_orders`` at ``bump``, and, if c is tight,
     each 1 (item 11). None when no legal choice exists: a fixed order is
-    finite at dimension d or below its floor, or a tight quest's is not 1."""
+    below its floor (INF at dimension d), or a tight quest's is not 1."""
     H1, M1 = blowup_jibs(c, bt)
     board1, gens, fixed = bt.target, M1.generators, _fixed_orders(c, bt)
     ords = assign_orders(board1, c.d, S1, gens, fixed, dict.fromkeys(S1, bump))
     for f, v in ords.items():
-        if f in fixed and is_finite(v):
-            if board1.dim(f) == c.d or v < order_floor(board1, gens, ords, f):
-                return None
+        if f in fixed and is_finite(v) and v < order_floor(board1, c.d, gens, ords, f):
+            return None
     if is_tight(c) and any(v != 1 for v in ords.values()):
         return None
     return Scenario.make(board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
@@ -384,11 +382,11 @@ def _order_ceilings(
 
     The root's ceiling holds keep_max at the orders
     ``scenario.assign_orders`` places at the top of the bump ``levels``:
-    the orders the rules fix, INF at dimension d, and elsewhere max(floor,
-    1 + L/B) for the top level L, the largest order any level gives. A
-    tight quest's free nodes have floor 1 and must stay at 1, so there the
-    raise is 0. A floor only grows with the uppers it meets and their
-    orders, so no keep at any level assigns more."""
+    the orders the rules fix, and elsewhere max(floor, 1 + L/B) for the top
+    level L, the largest order any level gives (the floor is INF at
+    dimension d). A tight quest's free nodes have floor 1 and must stay at
+    1, so there the raise is 0. A floor only grows with the uppers it meets
+    and their orders, so no keep at any level assigns more."""
     root = state.root.scenario
     H1, M1 = blowup_jibs(root, bt)
     top = 0 if is_tight(root) else Q(max(levels), root.B)
@@ -415,9 +413,10 @@ def _bump_blind_nodes(
 ) -> FrozenSet[NodeId]:
     """The nodes of ``bt.target`` whose order no bump level changes, in the
     root's response and in each descent quest's: the orders the rules fix,
-    and INF at dimension d. Every response's S lies within the root's keep,
-    and the call children follow their parents, so a keep within this set
-    gives the same bundle, or none, at every level."""
+    and the nodes of dimension d, whose floor is INF. Every response's S
+    lies within the root's keep, and the call children follow their
+    parents, so a keep within this set gives the same bundle, or none, at
+    every level."""
     board1 = bt.target
     blind = frozenset(board1.ids)
     descents = [state.quests[qid] for qid, rel in relations.items() if rel.kind == DESCENT]

@@ -12,11 +12,14 @@ infinite order produces an unbounded family of factors, and the infinite
 coordinate encodes the missing cap. All checks quantified over members of
 ``M`` are evaluated exactly against this representation.
 
-Orders are bounded from below by the factors (issues 6 and 8), and
-``order_floor`` is that bound for one node under the orders of its uppers.
-``assign_orders`` places the orders of a set of nodes top-down under it:
-the one rule by which Mephisto's blowup responses, descent children and
-adversarial ceilings, and ``harness.gen_scenario``, all get their orders.
+Every order has a floor under the orders of its node's uppers: 1, INF at
+dimension d (issue 4), every factor's extension (issue 6), and each upper's
+order plus the factor mass separating the two (issue 8). ``_floor_terms``
+lists these bounds, which the umpire checks every order of S against;
+``order_floor`` is the largest, and ``assign_orders`` places the orders of
+a set of nodes top-down at their floors: the one rule by which Mephisto's
+blowup responses, descent children and adversarial ceilings, and
+``harness.gen_scenario``, all get their orders.
 
 Issue 9 does not read the orders and reads S only to count singular nodes in
 fixed candidate sets, so its per-node part (the heavy jib sets over a node,
@@ -236,25 +239,41 @@ def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Va
     return total
 
 
-def order_floor(
-    board: Board,
-    gens: Sequence[MonomialFactor],
-    placed: Mapping[NodeId, Value],
-    f: NodeId,
-) -> Value:
-    """The least order f may take under the orders ``placed`` on its uppers:
-    at least 1, at least every factor's extension at f (issue 6), and at
-    least ord(t) plus the factor mass separating f from each placed upper t
-    (issue 8). Only the strict uppers of f in ``placed`` are read."""
-    floor: Value = ONE
+def _floor_terms(
+    board: Board, d: int, gens: Sequence[MonomialFactor], placed: Mapping[NodeId, Value], f: NodeId
+) -> Iterator[Tuple[int, Optional[NodeId], Value, Value]]:
+    """Every lower bound the rules put on f's order, as (issue, upper, mass,
+    bound): 1 and, at dimension d, INF (issue 4, upper and mass None); each
+    factor's extension at f (issue 6, the mass is the bound); and, for each
+    strict upper t of f in ``placed``, in sorted order, and each factor, ord(t)
+    plus the factor mass separating f from t (issue 8)."""
+    yield 4, None, None, ONE
+    if board.dim(f) == d:
+        yield 4, None, None, INF
     for g in gens:
-        floor = max(floor, extend_factor(board, g, f))
-    above = board.up_set(f)
-    for t, vt in placed.items():
-        if t == f or t not in above:
-            continue
-        for g in gens:
-            floor = max(floor, vt + separation_mass(board, g, f, t))
+        ext = extend_factor(board, g, f)
+        yield 6, None, ext, ext
+    for t in sorted(board.up_set(f).intersection(placed)):
+        if t != f:
+            for g in gens:
+                spent = separation_mass(board, g, f, t)
+                yield 8, t, spent, placed[t] + spent
+
+
+def order_floor(
+    board: Board, d: int, gens: Sequence[MonomialFactor], placed: Mapping[NodeId, Value], f: NodeId
+) -> Value:
+    """The least order f may take under the orders ``placed`` on its uppers,
+    the largest ``_floor_terms`` bound: at least 1, INF at dimension d
+    (issue 4), at least every factor's extension at f (issue 6), and at
+    least ord(t) plus the factor mass separating f from each placed upper t
+    (issue 8). Only the strict uppers of f in ``placed`` are read, and the
+    terms are read up to the first INF."""
+    floor: Value = ZERO
+    for *_, bound in _floor_terms(board, d, gens, placed, f):
+        if bound is INF:
+            return INF
+        floor = max(floor, bound)
     return floor
 
 
@@ -267,21 +286,20 @@ def assign_orders(
     raises: Mapping[NodeId, Value],
 ) -> Dict[NodeId, Value]:
     """Orders on ``nodes``, placed top-down. A node takes its ``fixed``
-    order if it has one, INF at dimension d, and otherwise the larger of its
-    floor (``order_floor``) and 1 + ``raises.get(f, 0)``. Every upper of a
-    node has a strictly higher dimension on a valid board, so it is placed
-    first and the floor is final. The fixed orders are taken as they are:
-    a caller that needs them legal compares each with its ``order_floor``
-    over the result, which reads only the node's uppers."""
+    order if it has one, and otherwise the larger of its floor
+    (``order_floor``: INF at dimension d, at least 1 everywhere) and
+    1 + ``raises.get(f, 0)``. Every upper of a node has a strictly higher
+    dimension on a valid board, so it is placed first and the floor is
+    final. The fixed orders are taken as they are: a caller that needs them
+    legal compares each with its ``order_floor`` over the result, which
+    reads only the node's uppers."""
     ords: Dict[NodeId, Value] = {}
     for f in sorted(nodes, key=lambda s: (-board.dim(s), s)):
         if f in fixed:
             ords[f] = fixed[f]
-        elif board.dim(f) == d:
-            ords[f] = INF
         else:
-            floor, r = order_floor(board, gens, ords, f), raises.get(f)
-            ords[f] = max(floor, 1 + r) if r else floor  # the floor is at least 1
+            floor, r = order_floor(board, d, gens, ords, f), raises.get(f)
+            ords[f] = max(floor, 1 + r) if r else floor
     return ords
 
 
@@ -295,10 +313,12 @@ def validate_scenario(c: Scenario) -> List[Violation]:
     """All nine scenario checks plus structural well-formedness.
 
     Issue map: 1 jib dimension, 2 S downward closed, 3 maximal
-    infinite-order nodes, 4 dimension/order bound on S, 5 joint dimension
-    drop below jib sets (with forced transversality at equality), 6 orders
+    infinite-order nodes, 4 dimension/order bound on S (dimension at most
+    d, every order at least 1, INF at dimension d), 5 joint dimension drop
+    below jib sets (with forced transversality at equality), 6 orders
     dominate factors, 7 factor-set representation, 8 residual order weakly
-    decreasing, 9 unique maximal node under heavy jib sets.
+    decreasing, 9 unique maximal node under heavy jib sets. The order
+    bounds of issues 4, 6 and 8 are the terms of ``order_floor``.
 
     The checks read only the scenario, so each instance is checked once.
     Every call returns a fresh list.
@@ -401,14 +421,10 @@ def _check_scenario(c: Scenario) -> List[Violation]:
                 Violation(rule, 3, (s,), f"jib-free scenario: maximal infinite-order node {s} not in T")
             )
 
-    # Issue 4: dimension bound on S; top-dimensional singular nodes have order INF.
+    # Issue 4: dimension bound on S (its order bounds are checked below).
     for s in sorted(c.S):
         if b.dim(s) > c.d:
             out.append(Violation(rule, 4, (s,), f"singular node {s} has dim {b.dim(s)} > d = {c.d}"))
-        elif b.dim(s) == c.d and c.ord[s] is not INF:
-            out.append(
-                Violation(rule, 4, (s,), f"dim({s}) = d but ord({s}) = {format_value(c.ord[s])}")
-            )
 
     # Issue 5: below a size-k jib set the dimension drops by k; at equality
     # the node must be transversal. Only the count of jibs above s matters.
@@ -436,41 +452,32 @@ def _check_scenario(c: Scenario) -> List[Violation]:
                 )
             )
 
-    # Issue 6: orders dominate every factor of M (generators suffice).
+    # Issues 4, 6 and 8: every order of S is at least each term of its
+    # floor. Issue 8 asks that residual orders ord - m weakly decrease
+    # upward for every member m of M. Per generator g only weights at jibs
+    # above s but not above t fail to cancel, so for s <= t the exact bound
+    # is ord(t) + separation_mass(g, s, t), INF for an uncapped weight; each
+    # pair (s, t) is reported once, at its first failing generator.
     for s in sorted(c.S):
-        for g in gens:
-            ext = extend_factor(b, g, s)
-            if not c.ord[s] >= ext:
-                out.append(
-                    Violation(
-                        rule,
-                        6,
-                        (s,),
-                        f"ord({s}) = {format_value(c.ord[s])} < factor value {format_value(ext)}",
-                    )
-                )
-
-    # Issue 8: residual orders ord - m weakly decrease upward, for every
-    # member m of M. Evaluated per generator g over the member supremum:
-    # only weights at jibs above s but not above t fail to cancel, so the
-    # exact condition for s <= t is ord(s) - separation_mass(g, s, t) >=
-    # ord(t), with an infinite separating weight forcing ord(s) = INF.
-    for s in sorted(c.S):
-        for t in sorted((b.up_set(s) & c.S) - {s}):
-            for g in gens:
-                spent = separation_mass(b, g, s, t)
-                if spent is INF:
-                    ok = c.ord[s] is INF
-                    detail = f"uncapped factor weight between {s} and {t} but ord({s}) finite"
-                else:
-                    ok = c.ord[s] - spent >= c.ord[t]
+        v, reported = c.ord[s], set()
+        for issue, t, mass, bound in _floor_terms(b, c.d, gens, c.ord, s):
+            if v >= bound or t in reported:
+                continue
+            if issue == 4 and bound is INF:
+                detail = f"dim({s}) = d but ord({s}) = {format_value(v)}"
+            elif issue == 4:
+                detail = f"ord({s}) = {format_value(v)} < 1"
+            elif issue == 6:
+                detail = f"ord({s}) = {format_value(v)} < factor value {format_value(mass)}"
+            else:
+                reported.add(t)
+                detail = f"uncapped factor weight between {s} and {t} but ord({s}) finite"
+                if mass is not INF:
                     detail = (
                         f"residual order increases from {s} to {t}: "
-                        f"{format_value(c.ord[s])} - {format_value(spent)} < {format_value(c.ord[t])}"
+                        f"{format_value(v)} - {format_value(mass)} < {format_value(c.ord[t])}"
                     )
-                if not ok:
-                    out.append(Violation(rule, 8, (s, t), detail))
-                    break
+            out.append(Violation(rule, issue, (s,) if t is None else (s, t), detail))
 
     out.extend(heavy_jib_violations(b, c.d, c.H, c.S, c.M))
     return out

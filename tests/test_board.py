@@ -600,7 +600,7 @@ def test_board_json_rejects_malformed():
 
 
 def test_board_to_dot_mentions_every_node(crossing_board):
-    dot = board_to_dot(crossing_board, highlight=["s"])
+    dot = board_to_dot(crossing_board)
     assert dot.startswith("digraph")
     for s in crossing_board.ids:
         assert s in dot

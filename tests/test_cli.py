@@ -291,15 +291,20 @@ def test_play_caps(capsys, monkeypatch, tmp_path):
 
 
 def test_a_runaway_game_exits_at_the_round_cap(capsys, tmp_path):
-    # ord(v1) = 2/3 passes the validator and Dido never wins; decide
-    # recursed once per open quest and raised RecursionError near round 500
+    # ord(v1) = 2/3 once passed the validator and Dido never won; an order
+    # below 1 is now scenario issue 4, so the start exits 1 with it
     data = scenario_to_json(harness.gen_scenario(5))
     data["ord"]["v1"] = "2/3"
     path = tmp_path / "runaway.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "play", "--scenario", path, "--round-cap", 600)
-    assert (code, out) == (cli.EXIT_CAP, "not won in 600 rounds (0 blowups); strict=true\n")
-    assert err == "round cap 600 reached\n"
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert "[scenario / issue 4] ord(v1) = 2/3 < 1 (witness: v1)" in err
+    assert "Traceback" not in err
+    # the round cap still ends a game that is not yet won: seed 6 takes 21 rounds
+    code, out, err = run(capsys, "play", "--seed", 6, "--round-cap", 5)
+    assert (code, out) == (cli.EXIT_CAP, "not won in 5 rounds (1 blowups); strict=true\n")
+    assert err == "round cap 5 reached\n"
 
 
 def test_play_usage_errors(capsys, tmp_path):

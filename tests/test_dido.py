@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from salmagundy import harness, mephisto
 from salmagundy.dido import DidoStrategy, StrategyError, _plans_text, dms_less, measure_of
-from salmagundy.game import CALL, apply_round, new_game, replay_trace, validate_bundle
+from salmagundy.game import CALL, BundleError, apply_round, new_game, replay_trace
 from salmagundy.harness import gen_monomial_scenario, gen_scenario, play_game
-from salmagundy.mephisto import NoValidBundle, Policy, respond
+from salmagundy.mephisto import Policy, respond
 from salmagundy.scenario import MonomialFactor, validate_scenario, zero_factor
 from salmagundy.transform import transport_relation
 from conftest import remake
@@ -223,21 +223,26 @@ def test_decide_twice_on_one_state_decides_alike(seed):
 
 
 def test_a_runaway_start_ends_at_the_round_cap():
-    # gen_scenario(5) with ord(v1) = 2/3 < 1 passes the validator, and Dido
-    # calls a quotient on the newest quest every round; a decide that
-    # recursed along that chain raised RecursionError near round 500
+    # gen_scenario(5) with ord(v1) = 2/3 < 1 once passed the validator, and
+    # Dido called a quotient on the newest quest every round until the cap.
+    # An order below 1 is now scenario issue 4, so that start is refused.
     c = remake(gen_scenario(5), ord={"v1": Fraction(2, 3)})
-    assert c.S == {"v1"} and validate_scenario(c) == []
-    result = play_game(c, Policy.parse("canonical"), round_cap=600)
-    assert not result.won and result.rounds == 600
-    assert result.note == "round cap 600 reached"
+    assert [(v.rule, v.issue, v.witness) for v in validate_scenario(c)] == [
+        ("scenario", 4, ("v1",))
+    ]
+    with pytest.raises(ValueError, match="issue 4"):
+        new_game(c)
+    # the round cap still ends a game that is not yet won: seed 6 takes 21 rounds
+    result = play_game(gen_scenario(6), Policy(), round_cap=5)
+    assert not result.won and result.rounds == 5
+    assert result.note == "round cap 5 reached"
 
 
 def _answering_below_one(monkeypatch, round_no, node, value):
     """Make canonical Mephisto answer the blowup at ``round_no`` (rounds
     played before it) with ``node``'s order in the root response set to
     ``value``, every child built from that response as Mephisto builds
-    them, and the bundle checked by the umpire before it is played."""
+    them."""
     answer = harness.respond
 
     def answering(state, move, policy):
@@ -253,32 +258,34 @@ def _answering_below_one(monkeypatch, round_no, node, value):
             for q in sorted(state.open_quests(), key=lambda q: q.quest_id)
             if q.parent_id is not None and q.quest_id not in bundle.discards
         }
-        below = mephisto._assemble_blowup(state, bt, root, Fraction(0), relations, {})
-        assert validate_bundle(state, move, below) == []
-        return below
+        return mephisto._assemble_blowup(state, bt, root, Fraction(0), relations, {})
 
     monkeypatch.setattr(harness, "respond", answering)
 
 
-def test_a_mid_game_order_below_1_that_the_umpire_accepts_runs_to_the_round_cap(monkeypatch):
-    # Canonical seed 6 answers its third blowup with ord(q5) = 1; at 2/3 the
-    # umpire accepts the answer, and Dido then calls a quotient on the
-    # newest quest every round. Whether orders below 1 are legal is open.
-    _answering_below_one(monkeypatch, 10, "q5", Fraction(2, 3))
-    result = play_game(gen_scenario(6), Policy.parse("canonical"), round_cap=300)
-    assert not result.won and result.rounds == 300
-    assert result.note == "round cap 300 reached"
-
-
-def test_a_mid_game_order_below_1_leaves_a_quotient_call_without_an_answer(monkeypatch):
-    # Canonical seed 14 answers its third blowup with ord(q3) = 1; at 11/12
-    # the umpire accepts the answer, and Mephisto finds no valid bundle for
-    # Dido's next move, a quotient call on quest 0. The rounds played
-    # before it replay.
-    _answering_below_one(monkeypatch, 16, "q3", Fraction(11, 12))
+def _rejected_below_one(monkeypatch, seed, round_no, node, value):
+    """The violations the umpire names when canonical seed ``seed`` is
+    answered as ``_answering_below_one`` makes it; the rounds played before
+    the answer replay."""
+    _answering_below_one(monkeypatch, round_no, node, value)
     trace = []
-    with pytest.raises(NoValidBundle, match="no valid bundle for call on quest 0"):
-        play_game(gen_scenario(14), Policy.parse("canonical"), trace=trace)
-    record = json.loads(trace[-1])
-    assert record["round"] == 17 and record["move"]["type"] == "blowup"
-    assert replay_trace(trace).round_no == 17
+    with pytest.raises(BundleError) as info:
+        play_game(gen_scenario(seed), Policy.parse("canonical"), trace=trace)
+    assert replay_trace(trace).round_no == round_no
+    return [(v.rule, v.issue, v.witness) for v in info.value.violations]
+
+
+def test_a_mid_game_order_below_1_is_rejected_as_issue_4_at_seed_6(monkeypatch):
+    # Canonical seed 6 answers its third blowup with ord(q5) = 1. At 2/3 the
+    # umpire once accepted the answer, and Dido then called a quotient on
+    # the newest quest every round until the round cap.
+    got = _rejected_below_one(monkeypatch, 6, 10, "q5", Fraction(2, 3))
+    assert got == [("scenario", 4, ("q5",))]
+
+
+def test_a_mid_game_order_below_1_is_rejected_as_issue_4_at_seed_14(monkeypatch):
+    # Canonical seed 14 answers its third blowup with ord(q3) = 1. At 11/12
+    # the umpire once accepted the answer, and Mephisto then found no valid
+    # bundle for Dido's next move, a quotient call on quest 0.
+    got = _rejected_below_one(monkeypatch, 14, 16, "q3", Fraction(11, 12))
+    assert got == [("scenario", 4, ("q3",))]

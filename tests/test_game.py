@@ -419,6 +419,23 @@ def test_replay_rejects_nodes_off_the_board_before_it_reads_them(lineno, mutate)
         replay_trace(lines)
 
 
+def test_replay_rejects_a_response_order_below_1_as_issue_4():
+    # canonical seed 6, line 11: its third blowup answers with ord(q5) = 1,
+    # a free order at its floor; 2/3 is on the grid but below 1
+    lines = list(_canonical_trace(6))
+    record = json.loads(lines[11])
+    response = record["bundle"]["responses"]["0"]
+    assert record["move"]["type"] == "blowup" and response["ord"]["q5"] == "1"
+    response["ord"]["q5"] = "2/3"
+    lines[11] = round_to_json(record)
+    with pytest.raises(BundleError) as info:
+        replay_trace(lines)
+    assert [(v.rule, v.issue, v.witness) for v in info.value.violations] == [
+        ("scenario", 4, ("q5",))
+    ]
+    assert str(info.value) == "[scenario / issue 4] ord(q5) = 2/3 < 1 (witness: q5)"
+
+
 def _off_the_board(sc, part):
     """Put the node id "zz", which no board has, into one part of a
     scenario's JSON."""

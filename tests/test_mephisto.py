@@ -230,7 +230,7 @@ def _two_pass_assign_orders(board, d, keep, gens, fixed, bump):
         elif board.dim(f) == d:
             v = INF
         else:
-            floor = order_floor(board, gens, ords, f)
+            floor = order_floor(board, d, gens, ords, f)
             if is_finite(floor) and bump:
                 v = max(floor, Fraction(1) + bump)
             else:
@@ -240,7 +240,7 @@ def _two_pass_assign_orders(board, d, keep, gens, fixed, bump):
         ords[f] = v
     for f, v in ords.items():
         others = {t: w for t, w in ords.items() if t != f}
-        floor = order_floor(board, gens, others, f)
+        floor = order_floor(board, d, gens, others, f)
         if is_finite(v) and (not is_finite(floor) or v < floor):
             return None
     return ords
@@ -346,7 +346,7 @@ def _keep_max_with_tight_floor_pass(c, bt, examined):
                 continue
             examined.append(x)
             rest = {t: w for t, w in ones.items() if t != x}
-            if order_floor(board1, gens1, rest, x) != Fraction(1):
+            if order_floor(board1, c.d, gens1, rest, x) != Fraction(1):
                 keep.discard(x)
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
 
@@ -873,7 +873,7 @@ def _root_ceiling_loop(root, bt, keep_max, levels):
         elif board1.dim(f) == root.d:
             ords[f] = INF
         else:
-            ords[f] = max(order_floor(board1, gens1, ords, f), top)
+            ords[f] = max(order_floor(board1, root.d, gens1, ords, f), top)
     return ords
 
 

@@ -5,6 +5,7 @@ import gc
 import pickle
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salmagundy.board import Board, Violation, blowup_transform, validate_board
-from salmagundy.harness import gen_scenario
+from salmagundy.harness import gen_monomial_scenario, gen_scenario
 from salmagundy.mephisto import _down_closed_keeps, _root_keep_max, _root_response
 from salmagundy.scenario import (
     FactorSet,
@@ -36,7 +37,7 @@ from salmagundy.scenario import (
     zero_factor,
 )
 from salmagundy.transform import blowup_jibs, validate_blowup_transform
-from salmagundy.values import INF
+from salmagundy.values import INF, format_value
 from conftest import remake
 
 
@@ -220,7 +221,8 @@ def test_issue_5_forced_transversality(crossing_scenario):
 
 
 def test_issue_6_order_below_factor(crossing_scenario):
-    c = remake(crossing_scenario, ord={"s": Fraction(1, 2)})
+    # 6/5 is at least 1 (issue 4) and below the factor's 13/10 at s
+    c = remake(crossing_scenario, ord={"s": Fraction(6, 5)})
     assert _issues(c) == {6}
 
 
@@ -275,6 +277,107 @@ def test_issue_8_reads_the_weights_issue_7_rejects_off_the_handicap():
         (7, ("b",)),
         (8, ("p", "a")),
     ]
+
+
+def _reference_order_checks(c):
+    """Reference: issue 4 and the order checks of issues 6 and 8 as loops of
+    their own, as ``validate_scenario`` once ran them, before an order below
+    1 was an issue-4 finding."""
+    b, gens, out = c.board, c.M.generators, []
+    for s in sorted(c.S):
+        if b.dim(s) > c.d:
+            out.append((4, (s,), f"singular node {s} has dim {b.dim(s)} > d = {c.d}"))
+        elif b.dim(s) == c.d and c.ord[s] is not INF:
+            out.append((4, (s,), f"dim({s}) = d but ord({s}) = {format_value(c.ord[s])}"))
+    for s in sorted(c.S):
+        for g in gens:
+            ext = extend_factor(b, g, s)
+            if not c.ord[s] >= ext:
+                detail = f"ord({s}) = {format_value(c.ord[s])} < factor value {format_value(ext)}"
+                out.append((6, (s,), detail))
+    for s in sorted(c.S):
+        for t in sorted((b.up_set(s) & c.S) - {s}):
+            for g in gens:
+                spent = separation_mass(b, g, s, t)
+                if spent is INF:
+                    ok = c.ord[s] is INF
+                    detail = f"uncapped factor weight between {s} and {t} but ord({s}) finite"
+                else:
+                    ok = c.ord[s] - spent >= c.ord[t]
+                    detail = (
+                        f"residual order increases from {s} to {t}: "
+                        f"{format_value(c.ord[s])} - {format_value(spent)} < {format_value(c.ord[t])}"
+                    )
+                if not ok:
+                    out.append((8, (s, t), detail))
+                    break
+    return out
+
+
+def _reference_floor(c, s):
+    """Reference: the least order s may take under the orders of its uppers,
+    at least 1, INF at dimension d, and the largest order the reference
+    checks of issues 6 and 8 ask for."""
+    b, gens = c.board, c.M.generators
+    if b.dim(s) == c.d:
+        return INF
+    bounds = [Fraction(1)] + [extend_factor(b, g, s) for g in gens]
+    for t in (b.up_set(s) & c.S) - {s}:
+        bounds += [c.ord[t] + separation_mass(b, g, s, t) for g in gens]
+    return INF if INF in bounds else max(bounds)
+
+
+def _order_mutants(c):
+    """c, and c with one order of S moved to 1, to INF, up by 1/B, and to
+    its floor minus 1/B where that floor is finite."""
+    yield c
+    step = Fraction(1, c.B)
+    for s in sorted(c.S):
+        floor = _reference_floor(c, s)
+        moves = [Fraction(1), INF, c.ord[s] + step] + [floor - step] * (floor is not INF)
+        for v in moves:
+            yield remake(c, ord={**c.ord, s: v})
+
+
+def _separated_pairs():
+    """Scenarios in which issue 8 reads a positive separating mass: S holds
+    p < a, the jib h lies above p but not above a, and the one generator
+    weighs h at k/B or INF."""
+    board = Board(
+        {"p": 0, "a": 1, "h": 1, "w": 2}, [("p", "a"), ("p", "h"), ("a", "w"), ("h", "w")]
+    )
+    for B in (1, 2, 3):
+        for weight in [Fraction(k, B) for k in range(2 * B + 1)] + [INF]:
+            yield Scenario.make(
+                board, d=2, B=B, H={"h"}, S={"p", "a"}, T=board.ids,
+                ord={"p": INF, "a": 2}, M=[MonomialFactor.of({"h": weight})],
+            )
+
+
+def test_order_checks_match_their_own_loops_apart_from_orders_below_1():
+    # Issues 4, 6 and 8 read the terms of order_floor; they must report
+    # what the loops of their own reported, plus issue 4 at every finite
+    # order below 1. Generated starts weigh no jib and seldom hold two
+    # comparable singular nodes, so issue 8's masses come from the blowup
+    # walks' responses and from _separated_pairs.
+    starts = [gen_scenario(seed) for seed in range(60)]
+    starts += [gen_monomial_scenario(seed) for seed in range(30)]
+    starts += dict.fromkeys(c for seed in range(12) for c in _blowup_walk(seed))
+    starts += _separated_pairs()
+    met = Counter()
+    for c in (m for start in starts for m in _order_mutants(start)):
+        got = validate_scenario(c)
+        below_one = [
+            (4, (s,), f"ord({s}) = {format_value(v)} < 1")
+            for s, v in sorted(c.ord.items()) if v is not INF and v < 1
+        ]
+        want = Counter(_reference_order_checks(c)) + Counter(below_one)
+        assert Counter((v.issue, v.witness, v.detail) for v in got if v.issue in (4, 6, 8)) == want
+        met["compared"] += 1
+        met["below 1"] += len(below_one)
+        met.update(issue for issue, _, _ in want.elements())
+    # every order issue, and the new finding, was met many times
+    assert met["compared"] > 1000 and all(met[k] > 20 for k in (4, 6, 8, "below 1")), met
 
 
 def test_issue_9_heavy_jib_set_without_witness(crossing_scenario):

@@ -80,12 +80,14 @@ def test_blowup_rejects_scenarios_on_other_boards(chain_scenario, blown_chain_re
 
 @pytest.fixture
 def crossing_blowup(crossing_scenario):
-    """Blowup of the crossing at its singular bottom, with a full response."""
+    """Blowup of the crossing at its singular bottom, with a full response.
+    Item 15 prices q1 at 3/5 + 3/10 = 9/10 < 1, so q1 leaves S, as under
+    canonical Mephisto."""
     bt = blowup_transform(crossing_scenario.board, "s")
     c1 = Scenario.make(
-        bt.target, d=2, B=10, H={"h1", "h2", "e0"}, S={"q1", "q2"},
+        bt.target, d=2, B=10, H={"h1", "h2", "e0"}, S={"q2"},
         T=set(bt.target.ids),
-        ord={"q1": Fraction(9, 10), "q2": Fraction(1)},
+        ord={"q2": Fraction(1)},
         M=[MonomialFactor.of(
             {"h1": Fraction(3, 5), "h2": Fraction(7, 10), "e0": Fraction(3, 10)}
         )],
