@@ -13,14 +13,15 @@ checks no further.
 
 Everything here is immutable after construction and safe to share. That is
 what lets a check be answered once: ``_memo(check, *args)`` stores the
-result on the last argument, its owner, keyed by the check and the
-identities of the other arguments, which the slot holds. A slot lives as
-long as its owner, so one rule picks owners that keep no value of a round
-from storing anything of an earlier round: a result about one value is
-stored on that value (its checks, its JSON text ``_json_text``, a board's
-identity transform ``trivial_refinement``); a result about a blowup round
-on the round's transform, which dies with the round (every ``transform``
-result and ``game.blowup_discards``); a call's child on its parent scenario
+result on the last argument, its owner, keyed by the check alone when the
+owner is its only argument, and otherwise by the check and the identities
+of the other arguments, which the slot holds. A slot lives as long as its
+owner, so one rule picks owners that keep no value of a round from storing
+anything of an earlier round: a result about one value is stored on that
+value (its checks, its JSON text ``_json_text``, a board's identity
+transform ``trivial_refinement``); a result about a blowup round on the
+round's transform, which dies with the round (every ``transform`` result
+and ``game.blowup_discards``); a call's child on its parent scenario
 (``quests.call_response``). A check that reuses part of its work across
 inputs (the issue-9 table of ``scenario.heavy_jib_violations``) keeps it in
 the same per-value dict, ``_memo_of``.
@@ -125,15 +126,26 @@ def _memo(check: Callable, *args):
 
     The result is stored on the last argument, its owner by the module's
     rule: the value it is about, a blowup round's transform, or a call's
-    parent. There is one slot per ``check`` and identity of the other
-    arguments. The slot holds those arguments, so while it lives none of
+    parent. A one-argument check has one slot per owner, keyed by the check
+    alone, which holds the result. Any other has one slot per ``check`` and
+    identity of the other arguments, keyed by the tuple of the check and
+    those ids. The slot holds those arguments, so while it lives none of
     them dies and no new object takes its address: it answers only a call
     with those very objects. An equal but distinct input is checked afresh,
     and one value checked against several others (a response under two
     parents, say) keeps every result. The result is returned as stored and
     must not be changed; a validator returns a copy of its stored list.
     """
-    memo = _memo_of(args[-1])
+    owner = args[-1]
+    memo = getattr(owner, "_memo", None)  # ``_memo_of``, read inline: every check passes here
+    if memo is None:
+        memo = {}
+        object.__setattr__(owner, "_memo", memo)
+    if len(args) == 1:
+        if check in memo:
+            return memo[check]
+        out = memo[check] = check(owner)
+        return out
     key = (check, *map(id, args[:-1]))
     hit = memo.get(key)
     if hit is None:
@@ -141,8 +153,13 @@ def _memo(check: Callable, *args):
     return hit[0]
 
 
+# json.dumps(obj, sort_keys=True) without building an encoder per call: the
+# one encoding of every trace text.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _dumps(to_json: Callable[[object], dict], owner) -> str:
-    return json.dumps(to_json(owner), sort_keys=True)
+    return _encode(to_json(owner))
 
 
 def _json_text(owner, to_json: Callable[[object], dict]) -> str:
@@ -297,6 +314,8 @@ class Board:
     # ---- equality / hashing -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Board):
             return NotImplemented
         return self._dims == other._dims and self._covers == other._covers

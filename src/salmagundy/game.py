@@ -37,11 +37,12 @@ owns its root scenario: ``new_game`` plays a copy of the caller's.
 The trace encodes each value once, too. A response scenario and a transform
 store their JSON text on themselves (``board._json_text``), and
 ``round_to_json`` builds a played round's line from those texts plus one
-small ``json.dumps`` of the rest of the record. Each text is ``json.dumps``
-of the value's one JSON formula, so the line is byte-identical to encoding
-the record's dict form, and it dies with its value. The mutable ``Bundle``
-owns no text: its line is built from its current fields. Replay reads each
-value once, too (``replay_trace``).
+small encoding of the rest of the record. Every text is encoded by one
+module-level encoder, ``board._encode``, which gives ``json.dumps`` with
+sorted keys, from the value's one JSON formula, so the line is
+byte-identical to encoding the record's dict form, and it dies with its
+value. The mutable ``Bundle`` owns no text: its line is built from its
+current fields. Replay reads each value once, too (``replay_trace``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .board import (
     FrozenDict,
     NodeId,
     Violation,
+    _encode,
     _json_text,
     board_from_json,
     board_to_json,
@@ -65,7 +67,15 @@ from .board import (
     validate_board_transform,
     _memo,
 )
-from .quests import DESCENT, QUOTIENT, QuestRelation, call_check, descent_check
+from .quests import (
+    DESCENT,
+    QUOTIENT,
+    RELAXATION,
+    TRANSVERSALITY,
+    QuestRelation,
+    call_check,
+    descent_check,
+)
 from .scenario import (
     Scenario,
     admissible_centers,
@@ -257,7 +267,8 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
         return [_bundle_violation(f"call target {move.quest_id} is not an open quest")]
     if move.relation is None:
         return [_bundle_violation("call move without a relation")]
-    if bundle.transform != trivial_refinement(state.board):
+    ident = trivial_refinement(state.board)
+    if bundle.transform is not ident and bundle.transform != ident:
         return [_bundle_violation("call rounds ride on the identity refinement")]
     open_ids = {q.quest_id for q in state.open_quests()}
     if set(bundle.responses) != open_ids:
@@ -267,11 +278,10 @@ def _validate_call(state: GameState, move: Move, bundle: Bundle) -> List[Violati
             )
         ]
     out = [_bundle_violation("call rounds cannot discard quests")] if bundle.discards else []
-    out += [
-        _bundle_violation(f"quest {qid} changed on a call round", (str(qid),))
-        for qid in sorted(open_ids)
-        if bundle.responses[qid] != state.quests[qid].scenario
-    ]
+    for qid in sorted(open_ids):
+        sc, was = bundle.responses[qid], state.quests[qid].scenario
+        if sc is not was and sc != was:
+            out.append(_bundle_violation(f"quest {qid} changed on a call round", (str(qid),)))
     if bundle.child is None:
         return out + [_bundle_violation("call round without a child scenario")]
     return out + _check_call_child(quest.scenario, move.relation, bundle.child)
@@ -418,10 +428,42 @@ def relation_to_json(rel: QuestRelation) -> dict:
     return out
 
 
+# The parameters each call kind records: (required, optional).
+_RELATION_PARAMS = {
+    RELAXATION: (frozenset(), frozenset({"jibs"})),
+    TRANSVERSALITY: (frozenset(), frozenset({"jibs"})),
+    QUOTIENT: (frozenset({"factor", "scale"}), frozenset()),
+    DESCENT: (frozenset(), frozenset()),
+}
+
+
 def relation_from_json(data: Mapping) -> QuestRelation:
-    """The call relation ``data`` records. Raises ValueError where its scale
-    is not the text of a finite number (``values.parse_value``)."""
+    """The call relation ``data`` records. Each kind takes exactly the
+    parameters ``relation_to_json`` writes for it: a relaxation and a
+    transversality an optional ``"jibs"``, a list of node ids; a quotient a
+    ``"factor"``, an object of weight texts, and a ``"scale"``, the text of a
+    finite number (``values.parse_value``), both required; a descent none.
+    Raises ValueError for every other form. A relation of an unknown kind is
+    read as it stands, and the umpire rejects its call."""
     kind = data["kind"]
+    if kind in _RELATION_PARAMS:
+        required, optional = _RELATION_PARAMS[kind]
+        given = data.keys() - {"kind"}
+        if given - optional != required:
+            want = " and ".join(
+                [*sorted(required), *(f"an optional {k}" for k in sorted(optional))]
+            ) or "no parameter"
+            raise ValueError(
+                f"malformed relation JSON: a {kind} call takes {want}, got {sorted(given)}"
+            )
+        jibs = data.get("jibs", [])
+        if type(jibs) is not list or not all(type(h) is str for h in jibs):
+            raise ValueError(f"malformed relation JSON: jibs {jibs!r} is not a list of node ids")
+        factor = data.get("factor", {})
+        if type(factor) is not dict or not all(type(w) is str for w in factor.values()):
+            raise ValueError(
+                f"malformed relation JSON: factor {factor!r} is not an object of weights"
+            )
     jibs = frozenset(data.get("jibs", ()))
     factor = factor_from_json(data["factor"]) if "factor" in data else None
     scale = None
@@ -518,7 +560,8 @@ def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) 
     closed again, and the held scenarios are on it. A response or child
     whose JSON equals one held there or already read on this line is that
     scenario; everything else is parsed. Equal JSON parses to an equal
-    value, so the bundle equals the one read without ``held``.
+    value, so the bundle equals the one read without ``held``. Raises
+    ValueError where its discards are not a list.
     """
     t = data["transform"]
     if held is not None and t["target"] == held[0]:
@@ -542,12 +585,10 @@ def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) 
         known = scenarios.get(qid)  # most often the quest's own held JSON
         responses[qid] = known[1] if known is not None and known[0] == sc else read(sc)
     child = read(data["child"]) if data.get("child") is not None else None
-    return Bundle(
-        transform=bt,
-        responses=responses,
-        discards=frozenset(data.get("discards", ())),
-        child=child,
-    )
+    discards = data.get("discards", [])
+    if type(discards) is not list:
+        raise ValueError(f"malformed bundle JSON: discards {discards!r} is not a list")
+    return Bundle(transform=bt, responses=responses, discards=frozenset(discards), child=child)
 
 
 def _response_to_json(sc: Scenario) -> dict:
@@ -561,7 +602,7 @@ def _bundle_text(bundle: Bundle) -> str:
     parts = []
     if bundle.child is not None:
         parts.append('"child": ' + _json_text(bundle.child, _response_to_json))
-    parts.append('"discards": ' + json.dumps(sorted(bundle.discards)))
+    parts.append('"discards": ' + _encode(sorted(bundle.discards)))
     responses = sorted((str(qid), sc) for qid, sc in bundle.responses.items())
     parts.append(
         '"responses": {'
@@ -579,9 +620,9 @@ def round_to_json(record: dict) -> str:
     before every other key of a round record, so it leads the line."""
     bundle = record.get("bundle")
     if not isinstance(bundle, Bundle):
-        return json.dumps(record, sort_keys=True)
+        return _encode(record)
     rest = {k: v for k, v in record.items() if k != "bundle"}
-    tail = ", " + json.dumps(rest, sort_keys=True)[1:] if rest else "}"
+    tail = ", " + _encode(rest)[1:] if rest else "}"
     return '{"bundle": ' + _bundle_text(bundle) + tail
 
 

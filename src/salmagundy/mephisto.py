@@ -32,6 +32,15 @@ or a tight quest's order other than 1 (item 11), leaves no response. The cap on 
 ``Policy.max_new_nodes``, is policy, not rule, so Mephisto applies it
 itself.
 
+Keeps start largest first (``_down_closed_keeps``), so every stream starts
+at keep_max (``_root_keep_max``). The policies without a bound (canonical,
+``random:`` and explore) start it before any other keep is listed, and list
+the rest only once the stream is read past keep_max's bundles; a canonical
+game plays the first valid bundle, which keep_max gives in most blowups.
+The adversarial bound reads every keep's bound before it starts one, so it
+lists them all first. Either way the keeps start in one order, and the
+candidates they count against ``_CANDIDATE_CAP`` are the same.
+
 The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
 shortcut: a keep set whose root response must fail scenario issue 9
 (``scenario.heavy_jib_violations``) is skipped before any bundle is built.
@@ -452,7 +461,9 @@ def enumerate_blowup_bundles(
 
     Under the adversarial policy the stream stops once no keep still to
     come can beat the largest total |S| it has yielded (see the module
-    docstring).
+    docstring). Every other policy starts keep_max first and lists the
+    other keeps only when it is read past keep_max's bundles, so a
+    canonical answer that keep_max gives lists none of them.
 
     A center the main quest does not admit has no valid bundle, whatever
     the keep: the stream raises NoValidBundle before it builds any board.
@@ -502,8 +513,12 @@ def enumerate_blowup_bundles(
     for sub in subsets:
         bt = blowup_transform(board, z, sub)
         keep_max = _root_keep_max(root, bt)
-        keeps = _down_closed_keeps(bt.target, keep_max)
         repair = len(keep_max) > _KEEP_ENUM_LIMIT
+        # keep_max is the first keep of every list. The bound reads them all
+        # before it starts one; otherwise the rest are listed only once the
+        # stream is read past keep_max, which a canonical game seldom does.
+        listed = bounded or repair
+        keeps = _down_closed_keeps(bt.target, keep_max) if listed else [keep_max]
         if repair:
             note(
                 f"{len(keep_max)} keepable nodes exceed {_KEEP_ENUM_LIMIT}; keep sets "
@@ -570,6 +585,9 @@ def enumerate_blowup_bundles(
                     if smaller is not None and smaller not in tried:
                         tried.add(smaller)
                         keeps.append(smaller)
+            if not listed:
+                keeps = _down_closed_keeps(bt.target, keep_max)[1:]
+                listed = True
 
 
 def _descent_call_child(c: Scenario, bump: Q) -> Scenario:

@@ -346,15 +346,20 @@ def _check_shape(c: Scenario) -> List[Violation]:
     rule = "scenario"
     if not (type(c.d) is int and type(c.B) is int and c.B > 0):
         return [Violation(rule, "structure", (), f"bad d/B: d={c.d!r}, B={c.B!r}")]
+    # Each part is tested against the board's node map whole; only the
+    # witnesses of a failing test are sorted.
+    dims = b._dims
     for name, part in (("H", c.H), ("S", c.S), ("T", c.T)):
-        stray = sorted(x for x in part if x not in b)
+        stray = part.difference(dims)
         if stray:
-            return [Violation(rule, "structure", tuple(stray), f"{name} contains unknown nodes")]
-    stray = sorted({h for g in c.M.generators for h in g.domain if h not in b})
+            detail = f"{name} contains unknown nodes"
+            return [Violation(rule, "structure", tuple(sorted(stray)), detail)]
+    stray = {h for g in c.M.generators for h, _ in g.weights if h not in dims}
     if stray:
-        return [Violation(rule, "structure", tuple(stray), "M has weights at unknown nodes")]
-    if set(c.ord) != set(c.S):
-        diff = sorted(set(c.ord) ^ set(c.S))
+        detail = "M has weights at unknown nodes"
+        return [Violation(rule, "structure", tuple(sorted(stray)), detail)]
+    if c.ord.keys() != c.S:
+        diff = sorted(c.ord.keys() ^ c.S)
         return [Violation(rule, "structure", tuple(diff), "ord domain differs from S")]
     return []
 
@@ -365,15 +370,16 @@ def _check_scenario(c: Scenario) -> List[Violation]:
         return out
     b = c.board
     rule = "scenario"
+    S, H = sorted(c.S), sorted(c.H)
     if not 0 <= c.d <= b.n:
         out.append(Violation(rule, "structure", (), f"d = {c.d} outside [0, {b.n}]"))
-    for s in sorted(c.S):
+    for s in S:
         v = c.ord[s]
         if v is INF:
             continue
         if v < 0:
             out.append(Violation(rule, "structure", (s,), f"ord({s}) = {v} is negative"))
-        elif (v * c.B).denominator != 1:
+        elif c.B % v.denominator:  # in lowest terms, v is on the 1/B grid iff this is 0
             out.append(
                 Violation(rule, "structure", (s,), f"ord({s}) = {v} is not a multiple of 1/{c.B}")
             )
@@ -398,15 +404,14 @@ def _check_scenario(c: Scenario) -> List[Violation]:
         return out  # numbered checks below assume clean structure
 
     # Issue 1: jibs are hypersurface-dimensional.
-    for h in sorted(c.H):
+    for h in H:
         if b.dim(h) != b.n - 1:
             out.append(Violation(rule, 1, (h,), f"jib {h} has dim {b.dim(h)}, expected {b.n - 1}"))
 
     # Issue 2: S downward closed.
-    for s in sorted(c.S):
-        for t in sorted(b.down_set(s)):
-            if t not in c.S:
-                out.append(Violation(rule, 2, (t, s), f"{t} <= {s} in S but {t} not in S"))
+    for s in S:
+        for t in sorted(b.down_set(s) - c.S):
+            out.append(Violation(rule, 2, (t, s), f"{t} <= {s} in S but {t} not in S"))
 
     # Issue 3: maximal infinite-order nodes.
     for s in b.maximal_among(s for s in c.S if c.ord[s] is INF):
@@ -422,14 +427,15 @@ def _check_scenario(c: Scenario) -> List[Violation]:
             )
 
     # Issue 4: dimension bound on S (its order bounds are checked below).
-    for s in sorted(c.S):
+    for s in S:
         if b.dim(s) > c.d:
             out.append(Violation(rule, 4, (s,), f"singular node {s} has dim {b.dim(s)} > d = {c.d}"))
 
     # Issue 5: below a size-k jib set the dimension drops by k; at equality
     # the node must be transversal. Only the count of jibs above s matters.
-    for s in sorted(c.S):
-        uppers = c.jib_uppers(s)
+    for s in S:
+        up = b.up_set(s)
+        uppers = tuple(h for h in H if h in up)
         J = len(uppers)
         k = c.d - b.dim(s)
         if k < J:
@@ -458,7 +464,7 @@ def _check_scenario(c: Scenario) -> List[Violation]:
     # above s but not above t fail to cancel, so for s <= t the exact bound
     # is ord(t) + separation_mass(g, s, t), INF for an uncapped weight; each
     # pair (s, t) is reported once, at its first failing generator.
-    for s in sorted(c.S):
+    for s in S:
         v, reported = c.ord[s], set()
         for issue, t, mass, bound in _floor_terms(b, c.d, gens, c.ord, s):
             if v >= bound or t in reported:
@@ -577,20 +583,20 @@ def admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
     and either singular or remote from everything singular.
 
     Validation asks for the same scenario's centers once per candidate
-    bundle, so each instance computes them once."""
+    bundle, so each instance computes them once. S and T must lie on the
+    board (``validate_shape``): the down-set of every node of S and of every
+    candidate center is read."""
     return _memo(_admissible_centers, c)
 
 
 def _admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
-    b = c.board
+    # z is remote from every singular node iff nothing below z lies below one
+    b, S = c.board, c.S
     top = b.top
-    out = set()
-    for z in c.T:
-        if z == top:
-            continue
-        if z in c.S or all(b.remote(z, s) for s in c.S):
-            out.add(z)
-    return frozenset(out)
+    below_S = frozenset().union(*map(b.down_set, S))
+    return frozenset(
+        z for z in c.T if z != top and (z in S or b.down_set(z).isdisjoint(below_S))
+    )
 
 
 # ---- serialization -----------------------------------------------------

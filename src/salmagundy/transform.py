@@ -217,6 +217,7 @@ def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> Li
 
     z = bt.center
     e = bt.exceptional
+    S1 = sorted(c1.S)
 
     # Item 7: admissibility of the center.
     if z not in admissible_centers(c):
@@ -227,7 +228,7 @@ def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> Li
         )
 
     # Item 8: only fibers of singular nodes stay singular.
-    stray = tuple(s for s in sorted(c1.S) if bt.retract[s] not in c.S)
+    stray = tuple(s for s in S1 if bt.retract[s] not in c.S)
     if stray:
         out.append(Violation(RULE, 8, stray, "singular nodes outside u^{-1}(S)"))
 
@@ -255,7 +256,7 @@ def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> Li
             )
 
     # Item 10: orders are carried over outside the exceptional locus.
-    for s1 in sorted(c1.S):
+    for s1 in S1:
         if s1 != e and s1 in pins and c1.ord[s1] != pins[s1]:
             out.append(
                 Violation(
@@ -269,7 +270,7 @@ def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> Li
 
     # Item 11: tightness is hereditary.
     if is_tight(c) and not is_tight(c1):
-        bad = tuple(s for s in sorted(c1.S) if c1.ord[s] != 1)
+        bad = tuple(s for s in S1 if c1.ord[s] != 1)
         out.append(Violation(RULE, 11, bad, "tight scenario transformed into a non-tight one"))
 
     # Item 12: the handicap picks up the exceptional node.
@@ -308,7 +309,7 @@ def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> Li
     # Item 15: a complete factor stays complete after transport.
     complete = None if cap < 0 else complete_orders(c, bt)
     if complete is not None:
-        for s1 in sorted(c1.S):
+        for s1 in S1:
             if c1.ord[s1] != complete[s1]:
                 out.append(
                     Violation(

@@ -202,6 +202,29 @@ def test_memo_keeps_one_slot_per_identity_of_the_other_inputs():
     assert len(calls) == 3 and calls[2] is twin
 
 
+def test_memo_keeps_one_argument_and_two_argument_checks_apart():
+    # A one-argument check is keyed by the check alone, a two-argument one by
+    # the check and the other input's id: on one owner they are two slots.
+    owner, calls = _Owner(), []
+
+    def check(*args):
+        calls.append(args)
+        return len(args) if len(args) > 1 else None  # None is a stored result too
+
+    a = _Input(1)
+    for _ in range(3):
+        assert _memo(check, owner) is None
+        assert _memo(check, a, owner) == 2
+    assert calls == [(owner,), (a, owner)]
+    # an equal but distinct input is checked afresh, the other input and the owner alike
+    twin = _Input(1)
+    assert _memo(check, twin, owner) == 2 and calls[-1] == (twin, owner)
+    first, second = _Input(7), _Input(7)
+    assert _memo(check, first) is None and _memo(check, second) is None
+    assert calls[-2:] == [(first,), (second,)] and calls[-1][0] is second
+    assert _memo(check, first) is None and len(calls) == 5
+
+
 def test_memo_slot_holds_its_other_inputs_while_its_owner_lives():
     owner, calls = _Owner(), []
     check = _counting_check(calls)

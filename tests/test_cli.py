@@ -432,6 +432,38 @@ def test_replay_names_the_malformed_line(capsys, tmp_path):
         assert err.startswith(f"line {lineno}: malformed trace record")
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("quotient", "scale", None), ("quotient", "factor", None), ("relaxation", "factor", {})],
+)
+def test_replay_rejects_a_call_with_parameters_of_another_kind_without_a_traceback(
+    capsys, tmp_path, kind, key, value
+):
+    # a quotient without "scale" or "factor" exited 1 with a traceback, and a
+    # relaxation with a "factor" replayed as a won game (exit 0)
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 6, "--trace", trace)[0] == cli.EXIT_OK
+    lines = trace.read_text().splitlines()
+    lineno = next(
+        n for n, line in enumerate(lines[1:], 2)
+        if json.loads(line)["move"].get("relation", {}).get("kind") == kind
+    )
+    record = json.loads(lines[lineno - 1])
+    rel = record["move"]["relation"]
+    if value is None:
+        del rel[key]
+    else:
+        rel[key] = value
+    lines[lineno - 1] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "replay", trace)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert err.startswith(
+        f"line {lineno}: malformed trace record (ValueError: malformed relation JSON: a {kind} call"
+    )
+    assert "Traceback" not in err
+
+
 def test_replay_usage_error(capsys, tmp_path):
     assert run(capsys, "replay", tmp_path / "missing.ndjson")[0] == cli.EXIT_USAGE
 

@@ -619,6 +619,98 @@ def test_replay_rejects_a_quotient_scale_that_is_not_a_finite_number(scale, erro
     assert str(info.value) == f"line 2: malformed trace record ({error})"
 
 
+def _first_call(lines, kind):
+    """The line number of the trace's first call of ``kind``, and its record."""
+    for lineno, line in enumerate(lines[1:], 2):
+        record = json.loads(line)
+        if record["move"].get("relation", {}).get("kind") == kind:
+            return lineno, record
+    raise AssertionError(f"the trace has no {kind} call")
+
+
+@pytest.mark.parametrize(
+    "kind, change, error",
+    [
+        ("quotient", {"scale": None}, "a quotient call takes factor and scale, got ['factor']"),
+        ("quotient", {"factor": None}, "a quotient call takes factor and scale, got ['scale']"),
+        (
+            "quotient",
+            {"jibs": ["zz"]},
+            "a quotient call takes factor and scale, got ['factor', 'jibs', 'scale']",
+        ),
+        ("quotient", {"factor": []}, "factor [] is not an object of weights"),
+        ("quotient", {"factor": {"e0": 0}}, "factor {'e0': 0} is not an object of weights"),
+        (
+            "relaxation",
+            {"factor": {"e0": "0"}},
+            "a relaxation call takes an optional jibs, got ['factor', 'jibs']",
+        ),
+        (
+            "relaxation",
+            {"scale": "1"},
+            "a relaxation call takes an optional jibs, got ['jibs', 'scale']",
+        ),
+        ("relaxation", {"jibs": "e0"}, "jibs 'e0' is not a list of node ids"),
+        ("relaxation", {"jibs": [0]}, "jibs [0] is not a list of node ids"),
+        (
+            "transversality",
+            {"scale": "1"},
+            "a transversality call takes an optional jibs, got ['scale']",
+        ),
+        ("descent", {"jibs": ["e0"]}, "a descent call takes no parameter, got ['jibs']"),
+        ("descent", {"factor": {}}, "a descent call takes no parameter, got ['factor']"),
+    ],
+)
+def test_replay_reads_exactly_the_parameters_of_each_call_kind(kind, change, error):
+    # A quotient without "scale" raised TypeError and one without "factor"
+    # AttributeError; a parameter of another kind was ignored, and "jibs": "e0"
+    # read as the jibs {"0", "e"}. Each is a malformed record now.
+    lines = list(_canonical_trace(6))
+    lineno, record = _first_call(lines, kind)
+    rel = record["move"]["relation"]
+    for key, value in change.items():
+        if value is None:
+            del rel[key]
+        else:
+            rel[key] = value
+    lines[lineno - 1] = round_to_json(record)
+    with pytest.raises(ValueError) as info:
+        replay_trace(lines)
+    assert str(info.value) == (
+        f"line {lineno}: malformed trace record (ValueError: malformed relation JSON: {error})"
+    )
+
+
+def test_every_relation_written_is_read_back_and_an_unknown_kind_is_the_umpires():
+    lines = list(_canonical_trace(6))
+    for kind in ("quotient", "transversality", "relaxation", "descent"):
+        _, record = _first_call(lines, kind)
+        data = record["move"]["relation"]
+        assert relation_to_json(relation_from_json(data)) == data
+    # an unknown kind is read as it stands, and the umpire rejects its call
+    lineno, record = _first_call(lines, "relaxation")
+    record["move"]["relation"]["kind"] = "bogus"
+    lines[lineno - 1] = round_to_json(record)
+    with pytest.raises(BundleError, match="illegal call: no fixed response to a 'bogus' call"):
+        replay_trace(lines)
+
+
+def test_replay_reads_discards_only_as_a_list():
+    # "discards": "ab" was read as the quests ["a", "b"]
+    lines = list(_canonical_trace(6))
+    record = json.loads(lines[1])
+    assert record["bundle"]["discards"] == []
+    for bad in ("ab", {}, 0):
+        record["bundle"]["discards"] = bad
+        mutated = [*lines[:1], round_to_json(record), *lines[2:]]
+        with pytest.raises(ValueError) as info:
+            replay_trace(mutated)
+        assert str(info.value) == (
+            "line 2: malformed trace record "
+            f"(ValueError: malformed bundle JSON: discards {bad!r} is not a list)"
+        )
+
+
 # ---- what replay reuses ---------------------------------------------------------------
 
 

@@ -524,10 +524,10 @@ def _per_candidate_blowup_bundles(state, z, policy):
                         keeps.append(smaller)
 
 
-def _adversarial_state(seed, rounds):
-    """The state of an adversarial game after ``rounds`` rounds, and Dido's
-    next move there."""
-    policy = Policy.parse("adversarial")
+def _adversarial_state(seed, rounds, policy="adversarial"):
+    """The state of an adversarial game (or one under ``policy``) after
+    ``rounds`` rounds, and Dido's next move there."""
+    policy = Policy.parse(policy)
     state = new_game(gen_scenario(seed))
     dido = DidoStrategy()
     while state.round_no < rounds:
@@ -595,6 +595,54 @@ def test_a_node_cap_stops_the_stream_as_it_stops_the_reference(kind):
             assert isinstance(got, str) and str(cap) in got, cap
         else:
             assert got and not isinstance(got, str), cap
+
+
+# ---- keep_max first, the other keeps on demand ------------------------------------
+
+# Canonical states whose blowup's keep_max yields no valid bundle (the stream
+# falls through to smaller keeps), and one whose keep_max does.
+_FALL_THROUGH = [(0, 7), (6, 18), (14, 34)]
+_KEEP_MAX_VALID = (6, 5)
+
+
+def _canonical_blowup(seed, rounds):
+    state, move = _adversarial_state(seed, rounds, "canonical")
+    assert move.kind == "blowup"
+    bt = blowup_transform(state.board, move.center)
+    return state, move.center, _root_keep_max(state.root.scenario, bt)
+
+
+@pytest.mark.parametrize("seed, rounds", [*_FALL_THROUGH, _KEEP_MAX_VALID])
+@pytest.mark.parametrize("kind", ["canonical", mephisto.EXPLORE])
+def test_streams_started_at_keep_max_are_the_eager_streams(monkeypatch, kind, seed, rounds):
+    state, z, keep_max = _canonical_blowup(seed, rounds)
+    first = next(enumerate_blowup_bundles(state, z, Policy()))
+    assert (first.responses[0].S == keep_max) == ((seed, rounds) == _KEEP_MAX_VALID)
+    policy = Policy(kind=kind)
+    levels = len(policy.bump_levels())
+    # caps inside keep_max's levels, at its edge and past the next keep
+    for cap in [*range(3 * levels + 2), 10**6]:
+        monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", cap)
+        got = list(enumerate_blowup_bundles(state, z, policy))
+        want = list(_per_candidate_blowup_bundles(state, z, policy))
+        assert got == want, cap
+
+
+@pytest.mark.parametrize("seed, rounds", [*_FALL_THROUGH, _KEEP_MAX_VALID])
+def test_the_other_keeps_are_listed_only_past_keep_max(monkeypatch, seed, rounds):
+    state, z, keep_max = _canonical_blowup(seed, rounds)
+    listed = []
+    keeps = mephisto._down_closed_keeps
+    monkeypatch.setattr(
+        mephisto, "_down_closed_keeps", lambda b, k: listed.append(k) or keeps(b, k)
+    )
+    bundle = respond(state, Move.blowup(z), Policy())
+    assert (bundle.responses[0].S == keep_max) == (not listed)
+    assert listed in ([], [keep_max])
+    # the bound reads every keep before it starts one
+    listed.clear()
+    respond(state, Move.blowup(z), Policy.parse("adversarial"))
+    assert listed == [keep_max]
 
 
 # ---- responses shared within one blown-up board -------------------------------
