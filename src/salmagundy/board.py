@@ -11,20 +11,22 @@ such id already on the board. A call round rides on the board's identity
 transform (``trivial_refinement``), which the umpire compares by value and
 checks no further.
 
-Everything here is immutable after construction and safe to share. That is
-what lets a check be answered once: ``_memo(check, *args)`` stores the
-result on the last argument, its owner, keyed by the check alone when the
-owner is its only argument, and otherwise by the check and the identities
-of the other arguments, which the slot holds. A slot lives as long as its
-owner, so one rule picks owners that keep no value of a round from storing
-anything of an earlier round: a result about one value is stored on that
-value (its checks, its JSON text ``_json_text``, a board's identity
-transform ``trivial_refinement``); a result about a blowup round on the
-round's transform, which dies with the round (every ``transform`` result
-and ``game.blowup_discards``); a call's child on its parent scenario
-(``quests.call_response``). A check that reuses part of its work across
-inputs (the issue-9 table of ``scenario.heavy_jib_violations``) keeps it in
-the same per-value dict, ``_memo_of``.
+Everything here is immutable after construction and safe to share, so
+nothing copies or pickles these values: a deep copy or a pickle round trip
+of a board raises. Immutability is what lets a check be answered once:
+``_memo(check, *args)`` stores the result on the last argument, its owner,
+keyed by the check alone when the owner is its only argument, and otherwise
+by the check and the identities of the other arguments, which the slot
+holds. A slot lives as long as its owner, so one rule picks owners that
+keep no value of a round from storing anything of an earlier round: a
+result about one value is stored on that value (its checks, its JSON text
+``_json_text``, a board's identity transform ``trivial_refinement``); a
+result about a blowup round on the round's transform, which dies with the
+round (every ``transform`` result and ``game.blowup_discards``); a call's
+child on its parent scenario (``quests.call_response``). A check that
+reuses part of its work across inputs (the issue-9 table of
+``scenario.heavy_jib_violations``) keeps it in the same per-value dict,
+``_memo_of``.
 """
 
 from __future__ import annotations
@@ -76,9 +78,7 @@ class FrozenDict(dict):
     It hashes like the frozenset of its items, so it agrees with ``==``. The
     hash is worked out on first use and kept in a slot: a scenario's hash,
     and every lookup that interns one, reads the slot instead of rehashing
-    the whole order map. ``copy`` and ``deepcopy`` share it instead of
-    rebuilding it, which also keeps the identity of the ``INF`` values it
-    holds; a pickle rebuilds it from its items and hashes afresh.
+    the whole order map.
     """
 
     __slots__ = ("_hash",)
@@ -96,21 +96,12 @@ class FrozenDict(dict):
             h = self._hash = hash(frozenset(self.items()))
             return h
 
-    def __copy__(self) -> "FrozenDict":
-        return self
-
-    def __deepcopy__(self, memo) -> "FrozenDict":
-        return self
-
-    def __reduce__(self):
-        return (FrozenDict, (dict(self),))
-
 
 def _memo_of(owner) -> dict:
     """The dict in which ``owner``, an immutable value, holds what has been
     worked out about it: the results of ``_memo`` and any table a check
-    fills in as it goes. It is never part of the owner's equality, hash,
-    pickle or deep copy (``_state_without_memo``)."""
+    fills in as it goes. It is never part of the owner's equality or
+    hash."""
     # object.__setattr__, not owner.__dict__: reading __dict__ would turn the
     # instance's inline attribute values into a dict and slow every later
     # attribute read of the scenario.
@@ -167,15 +158,6 @@ def _json_text(owner, to_json: Callable[[object], dict]) -> str:
     immutable ``owner`` and stored on it, so the text dies with its value.
     ``to_json`` must be the one formula of the owner's JSON form."""
     return _memo(_dumps, to_json, owner)
-
-
-def _state_without_memo(owner) -> dict:
-    """``__getstate__`` of a ``_memo`` owner: its fields without its
-    ``_memo_of`` dict, whose keys are the ids of other objects, so that
-    nothing stored there crosses a pickle or a deep copy."""
-    state = dict(owner.__dict__)
-    state.pop("_memo", None)
-    return state
 
 
 class Board:
@@ -241,16 +223,6 @@ class Board:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Board is immutable")
-
-    # Immutable: a copy is the board itself, a pickle rebuilds it from dims and covers.
-    def __copy__(self) -> "Board":
-        return self
-
-    def __deepcopy__(self, memo) -> "Board":
-        return self
-
-    def __reduce__(self):
-        return (Board, (self._dims, self._covers))
 
     # ---- basic queries -------------------------------------------------
 
@@ -393,8 +365,6 @@ class BoardTransform:
             m = getattr(self, name)
             if not isinstance(m, FrozenDict):
                 object.__setattr__(self, name, FrozenDict(m))
-
-    __getstate__ = _state_without_memo
 
     @property
     def exceptional(self) -> NodeId:

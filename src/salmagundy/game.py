@@ -172,7 +172,7 @@ class GameState:
         return all(q.status != DISCARDED for q in self.quests.values())
 
     def clone(self) -> "GameState":
-        """The state itself, as ``Board.__copy__`` returns the board. No package
+        """The state itself, which is a value that nothing changes. No package
         code calls it; it stays because ``bench/tracer.py`` wraps it by name."""
         return self
 

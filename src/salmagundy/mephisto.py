@@ -230,34 +230,20 @@ class Policy:
 def _root_keep_max(c: Scenario, bt: BoardTransform) -> FrozenSet[NodeId]:
     """The largest singular set any policy will offer after the blowup.
 
-    Forced removals: nodes above the target dimension, the exceptional node
-    when its pinned order leaves the regime, the sets item 13 clears, nodes a
-    complete factor prices below 1, and (in a tight quest) nodes of dimension
-    d, whose order INF breaks tightness. Every other node of a tight quest
-    has floor 1 (issues 6 and 8 carry over from the source, and the cap 0
-    has removed e), so none goes for its floor. Removals cascade upward to
-    keep the set down-closed.
+    Forced removals: nodes above the target dimension, nodes the transform
+    rules fix (``_fixed_orders``) below issue 4's floor (1, or INF at
+    dimension d: ``scenario.order_floor`` with no factors and no uppers),
+    such as e when its pin leaves the regime or a node a complete factor
+    prices below 1, the sets item 13 clears, and (in a tight quest) nodes of
+    dimension d, whose order INF breaks tightness. Every other node of a
+    tight quest has floor 1 (issues 6 and 8 carry over from the source, and
+    the cap 0 has removed e), so none goes for its floor. Each removal tests
+    one node alone; removals cascade upward to keep the set down-closed.
     """
-    board0, board1 = c.board, bt.target
-    e = bt.exceptional
-    keep = {x for x in board1.ids if bt.retract[x] in c.S}
-
-    if e in keep:
-        pe = pinned_orders(c, bt)[e]
-        d_ok = (c.d == board0.n and is_finite(pe) and pe >= 1) or (
-            c.d == board0.n - 1 and not is_finite(pe)
-        )
-        if not d_ok:
-            keep.discard(e)
-
-    keep -= {x for x in keep if board1.dim(x) > c.d}
-
+    board1, fixed = bt.target, _fixed_orders(c, bt)
+    keep = {x for x in board1.ids if bt.retract[x] in c.S and board1.dim(x) <= c.d}
+    keep -= {x for x in keep if x in fixed and fixed[x] < order_floor(board1, c.d, (), {}, x)}
     keep -= {x for _, hit in cleared_nodes(c, bt, keep) for x in hit}
-
-    complete = complete_orders(c, bt)
-    if complete is not None:
-        keep -= {x for x in keep if complete[x] < 1}
-
     if is_tight(c):
         keep -= {x for x in keep if board1.dim(x) == c.d}
 

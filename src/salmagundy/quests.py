@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional
 
-from .board import NodeId, Violation, _memo, _state_without_memo
+from .board import NodeId, Violation, _memo
 from .scenario import (
     FactorSet,
     MonomialFactor,
@@ -72,8 +72,6 @@ class QuestRelation:
     jibs: FrozenSet[NodeId] = frozenset()
     factor: Optional[MonomialFactor] = None
     scale: Optional[Q] = None
-
-    __getstate__ = _state_without_memo  # not its stored JSON text (``board._json_text``)
 
     @classmethod
     def relaxation(cls, J) -> "QuestRelation":

@@ -25,8 +25,8 @@ Issue 9 does not read the orders and reads S only to count singular nodes in
 fixed candidate sets, so its per-node part (the heavy jib sets over a node,
 each with the nodes that could witness it) is a table of the board, d, H and
 M. The table is stored on M (``board._memo_of``) and filled node by node as
-nodes are asked about. It dies with M, never enters its equality, hash,
-pickle or deep copy, and serves every scenario and keep set that shares M:
+nodes are asked about. It dies with M, never enters its equality or hash,
+and serves every scenario and keep set that shares M:
 after a blowup, every response of a quest shares one M
 (``transform.blowup_jibs``).
 """
@@ -43,7 +43,6 @@ from .board import (
     Violation,
     _memo,
     _memo_of,
-    _state_without_memo,
     board_from_json,
     board_to_json,
     validate_board,
@@ -140,8 +139,6 @@ class FactorSet:
         keep.sort(key=lambda m: m._sort_key())
         return cls(tuple(keep))
 
-    __getstate__ = _state_without_memo
-
     def contains(self, m: MonomialFactor) -> bool:
         return any(g.dominates(m) for g in self.generators)
 
@@ -199,8 +196,6 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.ord, FrozenDict):
             object.__setattr__(self, "ord", FrozenDict(self.ord))
-
-    __getstate__ = _state_without_memo
 
     def jib_uppers(self, s: NodeId) -> Tuple[NodeId, ...]:
         """The jibs lying above s, sorted."""
@@ -517,12 +512,11 @@ def heavy_jib_violations(
     the rest is a table of (board, d, H, M), node -> its row (``_heavy_row``),
     filled as nodes are asked about: every keep set Mephisto sieves on one
     blown-up board, and every response built there, reads the same rows. The
-    table is stored on M (``board._memo_of``), so it dies with M and never
-    crosses a pickle or a deep copy of it. M keeps one table per value of
-    board, d and H; equal boards have the same order and dimensions, so they
-    may share one. The key holds the board and H, which package code takes
-    from the scenarios that share M, so the table keeps alive nothing they
-    do not.
+    table is stored on M (``board._memo_of``), so it dies with M. M keeps one
+    table per value of board, d and H; equal boards have the same order and
+    dimensions, so they may share one. The key holds the board and H, which
+    package code takes from the scenarios that share M, so the table keeps
+    alive nothing they do not.
     """
     out: List[Violation] = []
     rows = _memo_of(M).setdefault((heavy_jib_violations, board, d, H), {})

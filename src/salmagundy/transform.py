@@ -62,6 +62,7 @@ from .scenario import (
     extend_factor,
     is_tight,
     validate_scenario,
+    validate_shape,
 )
 from .values import Q, ZERO, Value, format_value
 
@@ -186,7 +187,9 @@ def cleared_nodes(
 
 
 def validate_blowup_transform(c: Scenario, bt: BoardTransform, c1: Scenario) -> List[Violation]:
-    """Items 1-2 and 7-15, plus validity of the result.
+    """Items 1-2 and 7-15, plus validity of the result. A result that fails
+    ``scenario.validate_shape``, a node off the target board say, gets
+    exactly that list: the items read it node by node.
 
     The verdict is stored on ``bt`` for this very ``c`` and ``c1``; every
     call returns a fresh list.
@@ -201,6 +204,9 @@ def _check_blowup_transform(c: Scenario, c1: Scenario, bt: BoardTransform) -> Li
     if c.board != bt.source or c1.board != bt.target:
         out.append(Violation(RULE, "structure", (), "scenario boards do not match the transform"))
         return out
+    shape = validate_shape(c1)
+    if shape:
+        return shape
 
     # Items 1-2: d, B and transversality ride along unchanged.
     if (c1.d, c1.B) != (c.d, c.B):
@@ -386,8 +392,10 @@ def commutes(
     ``quests.call_check`` of the transported relation between the two new
     scenarios; its failures are reported under rule "commutativity" with the
     call kind's issue number. Transform-side failures keep their own rule
-    tags. Boards that do not line up, and a new parent scenario that does
-    not admit the transported call, are reported, not raised.
+    tags. Boards that do not line up, new scenarios that fail
+    ``scenario.validate_shape`` (their list alone), and a new parent
+    scenario that does not admit the transported call, are reported, not
+    raised.
 
     The verdict is stored on ``bt`` for these very other arguments; every
     call returns a fresh list.
@@ -406,6 +414,9 @@ def _check_commutes(
     if c.board != bt.source or c1.board != bt.source or c_prime.board != bt.target:
         detail = "boards do not line up with the blowup"
         return [Violation("commutativity", "structure", (), detail)]
+    shape = validate_shape(c_prime) + validate_shape(c1_prime)
+    if shape:
+        return shape
     try:
         sub = call_check(c_prime, transport_relation(rel, bt), c1_prime)
     except ValueError as exc:  # parameters the parent's new scenario does not admit

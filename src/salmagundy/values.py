@@ -14,7 +14,8 @@ they defer to ``Fraction``'s own operator, so a mixed expression gives what
 it gives with ``Fraction``. A ``Q`` computes its hash once and keeps it; the
 hash is ``Fraction``'s, so a ``Q`` equals, hashes and prints like the
 ``Fraction`` of the same value, and sets and dicts of either iterate alike.
-``copy`` and ``deepcopy`` return the value itself. ``ZERO`` and ``ONE`` are
+A copy or a pickle is an equal ``Q``, built by ``Fraction``'s own methods;
+``INF`` copies and pickles as itself. ``ZERO`` and ``ONE`` are
 shared constants. Every finite value the package builds is a ``Q``:
 ``parse_value``, ``MonomialFactor.of`` and ``Scenario.make`` convert any
 other finite value, and only this module imports ``fractions``.
@@ -98,12 +99,6 @@ class Q(Fraction):
         if h is None:
             h = self._hash = Fraction.__hash__(self)
         return h
-
-    def __copy__(self) -> "Q":
-        return self
-
-    def __deepcopy__(self, memo) -> "Q":
-        return self
 
     def __add__(a, b):
         if type(b) is Q:

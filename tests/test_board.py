@@ -15,7 +15,6 @@ from salmagundy.board import (
     REFINEMENT,
     Board,
     BoardTransform,
-    FrozenDict,
     Violation,
     _memo,
     board_from_json,
@@ -27,7 +26,9 @@ from salmagundy.board import (
     validate_board,
     validate_board_transform,
 )
-from salmagundy.harness import gen_board
+from salmagundy.harness import gen_board, gen_scenario, play_game
+from salmagundy.mephisto import Policy
+from salmagundy.values import INF, Q
 
 
 # ---- construction -----------------------------------------------------------
@@ -159,10 +160,6 @@ def test_board_check_is_memoized_per_instance(monkeypatch):
     twin = Board(dims, covers)
     assert twin == b and validate_board(twin) == want
     assert len(seen) == 2 and seen[1] is twin
-    # a pickle rebuilds the board without the verdict
-    loaded = pickle.loads(pickle.dumps(b))
-    assert not hasattr(loaded, "_memo")
-    assert validate_board(loaded) == want and len(seen) == 3
 
 
 class _Owner:
@@ -401,24 +398,30 @@ def test_transform_maps_are_read_only_and_hashable():
     assert plain == t and hash(plain) == hash(t)
     with pytest.raises(TypeError):
         plain.embed[z] = "zzz"
-    # copies share the frozen maps rather than rebuilding them
-    assert copy.deepcopy(t.embed) is t.embed and copy.copy(t.retract) is t.retract
-    assert copy.deepcopy({"plan": [t.embed]})["plan"][0] is t.embed
 
 
-def test_boards_copy_as_themselves_and_pickle_by_value():
-    board = gen_board(1)
-    assert copy.copy(board) is board and copy.deepcopy(board) is board
-    loaded = pickle.loads(pickle.dumps(board))
-    assert loaded == board and hash(loaded) == hash(board)
-    assert loaded.covers == board.covers and validate_board(loaded) == []
+def test_nothing_that_holds_a_board_copies_or_pickles():
+    # Values are shared, never copied: a deep copy or a pickle round trip of
+    # anything that holds a board fails on the board, which refuses its fields.
+    start = gen_scenario(3)  # its orders hold INF
+    state = play_game(start, Policy.parse("canonical")).state
+    assert state.round_no > 0
+    board = state.board
     z = next(s for s in board.ids if s != board.top)
     t = blowup_transform(board, z)
     assert validate_board_transform(t) == []  # leaves a verdict on t
-    loaded = pickle.loads(pickle.dumps(t))
-    assert loaded == t and "_memo" not in vars(loaded)
-    assert isinstance(loaded.embed, FrozenDict) and validate_board_transform(loaded) == []
-    assert "_memo" not in vars(copy.deepcopy(t))
+    for value in (board, t, start, state):
+        with pytest.raises(AttributeError, match="Board is immutable"):
+            copy.deepcopy(value)
+        with pytest.raises(AttributeError, match="Board is immutable"):
+            pickle.loads(pickle.dumps(value))
+    # the numbers copy and pickle by value, and INF stays the one INF
+    q = Q(3, 2)
+    assert INF in start.ord.values()
+    for back in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert back == q and type(back) is Q and hash(back) == hash(q)
+    for back in (copy.copy(INF), copy.deepcopy(INF), pickle.loads(pickle.dumps(INF))):
+        assert back is INF
 
 
 def test_transform_issue_1_retract_disagrees(chain_board):

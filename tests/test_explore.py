@@ -5,14 +5,11 @@ The reports must not depend on whether the table is used, and the key may
 leave out closed quests' scenarios only while no later round reads them.
 """
 
-import copy
 import dataclasses
-import pickle
 
 import pytest
 
 from salmagundy import harness, mephisto
-from salmagundy.dido import DidoStrategy
 from salmagundy.game import OPEN
 from salmagundy.harness import explore, gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import Policy
@@ -91,13 +88,3 @@ def test_no_round_reads_a_closed_quests_scenario(monkeypatch):
         q for r in played for q in r.state.quests.values() if q.status != OPEN and q.quest_id
     ]
     assert closed and all(q.scenario is None for q in closed)
-
-
-def test_keyed_relations_pickle_and_copy_without_their_texts():
-    state = play_game(gen_scenario(16), Policy.parse("canonical")).state
-    harness._state_key(state, DidoStrategy())  # stores each relation's text
-    rels = [q.relation for q in state.quests.values() if q.relation is not None]
-    assert rels and all(hasattr(rel, "_memo") for rel in rels)
-    for rel in rels:
-        for copied in (copy.deepcopy(rel), pickle.loads(pickle.dumps(rel))):
-            assert copied == rel and "_memo" not in vars(copied)

@@ -1,14 +1,12 @@
 """The umpire: bundle validation, round application, traces, replay."""
 
 import contextlib
-import copy
 import dataclasses
 import functools
 import gc
 import io
 import json
 import os
-import pickle
 import re
 import tempfile
 import weakref
@@ -56,6 +54,7 @@ from salmagundy.scenario import (
     Scenario,
     admissible_centers,
     scenario_from_json,
+    scenario_to_json,
     validate_scenario,
     zero_factor,
 )
@@ -908,7 +907,7 @@ def test_crafted_lines_equal_their_dict_form(crossing_scenario):
     assert round_to_json(alone) == _dict_line(alone)
 
 
-def test_stored_texts_stay_out_of_equality_hash_repr_pickle_and_copies(crossing_scenario):
+def test_stored_texts_stay_out_of_equality_hash_and_repr(crossing_scenario):
     record = _crafted_records(crossing_scenario)[1]
     round_to_json(record)  # stores the texts
     bundle = record["bundle"]
@@ -922,11 +921,6 @@ def test_stored_texts_stay_out_of_equality_hash_repr_pickle_and_copies(crossing_
     for stored, fresh in ((sc, fresh_sc), (bt, fresh_bt), (ident, trivial_refinement(fresh_b)), (b, fresh_b)):
         assert stored is not fresh
         assert stored == fresh and hash(stored) == hash(fresh) and repr(stored) == repr(fresh)
-        assert pickle.dumps(stored) == pickle.dumps(fresh)
-        assert getattr(pickle.loads(pickle.dumps(stored)), "_memo", None) is None
-    for stored in (sc, bt, ident):
-        assert "_memo" not in vars(copy.deepcopy(stored))
-    assert copy.deepcopy(b) is b  # a board copies as itself
 
 
 def test_stored_texts_die_with_their_values(crossing_scenario, monkeypatch):
@@ -1259,17 +1253,33 @@ def test_a_round_replaces_only_the_quests_it_changes(layered_game):
         state.root.status = DISCARDED
 
 
+def _quest_texts(state):
+    """Each quest of ``state`` as a JSON text of every field."""
+    return {
+        qid: json.dumps(
+            [
+                q.parent_id,
+                q.relation and relation_to_json(q.relation),
+                scenario_to_json(q.scenario),
+                q.status,
+            ],
+            sort_keys=True,
+        )
+        for qid, q in state.quests.items()
+    }
+
+
 def test_apply_round_leaves_the_state_it_is_given_as_it_was(layered_game):
     st, _ = layered_game
     move = Move.blowup("a")
     bundle = respond(st, move, Policy())
-    before = copy.deepcopy(st)
+    before = _quest_texts(st)
     quests = st.quests
     after, _ = apply_round(st, move, bundle)
-    assert st == before and st.quests is quests and after != st
+    assert _quest_texts(st) == before and st.quests is quests and after != st
     with pytest.raises(BundleError):
         apply_round(st, move, dataclasses.replace(bundle, discards=frozenset()))
-    assert st == before and st.quests is quests
+    assert _quest_texts(st) == before and st.quests is quests
     for field in dataclasses.fields(st):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(st, field.name, getattr(st, field.name))
@@ -1297,20 +1307,3 @@ def test_the_discards_are_worked_out_once_per_state_and_board(monkeypatch, play)
     else:
         assert play_game(scenario, Policy.parse(play)).won
     assert computed and max(computed.values()) == 1
-
-
-# ---- copies and pickles ------------------------------------------------------------
-
-
-def test_played_state_survives_a_pickle_round_trip():
-    start = gen_scenario(3)  # its orders hold INF
-    state = play_game(start, Policy.parse("canonical")).state
-    assert state.round_no > 0 and hasattr(start, "_memo")
-    loaded, loaded_start = pickle.loads(pickle.dumps((state, start)))
-    assert loaded == state and loaded_start == start
-    assert copy.deepcopy(state) == state and copy.deepcopy(start) == start
-    for sc in [loaded_start] + [q.scenario for q in loaded.quests.values()]:
-        assert not hasattr(sc, "_memo")
-        assert validate_scenario(sc) == []
-    assert INF in loaded_start.ord.values()
-    assert all(v is INF for v in loaded_start.ord.values() if not is_finite(v))

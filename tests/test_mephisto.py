@@ -28,7 +28,7 @@ from salmagundy.game import (
     new_game,
     validate_bundle,
 )
-from salmagundy.harness import gen_board, gen_monomial_scenario, gen_scenario, play_game
+from salmagundy.harness import explore, gen_board, gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import (
     _KEEP_ENUM_LIMIT,
     CapError,
@@ -316,11 +316,12 @@ def test_one_pass_order_assignment_matches_the_two_pass_reference(recorded_calls
     assert all(shapes.values()), shapes
 
 
-def _keep_max_with_tight_floor_pass(c, bt, examined):
-    """Reference: the largest keep as ``_root_keep_max`` once worked it out,
-    with a last pass in a tight quest that also dropped each node whose floor
-    exceeds 1 while every other kept node sits at order 1. Each node that
-    pass weighs is appended to ``examined``."""
+def _keep_with_issue_4_by_hand(c, bt):
+    """The first removals of ``_root_keep_max`` as it once worked them out,
+    with issue 4 stated twice by hand: the exceptional node's pin must stay
+    in the regime (a finite pin of at least 1 when d = n, INF when d =
+    n - 1), and a complete factor must price no node below 1. Not yet
+    down-closed, and without a tight quest's removals."""
     board0, board1 = c.board, bt.target
     z, e = bt.center, bt.exceptional
     keep = {x for x in board1.ids if bt.retract[x] in c.S}
@@ -337,6 +338,25 @@ def _keep_max_with_tight_floor_pass(c, bt, examined):
     if m is not None:
         m1 = capped_transport(c, bt, m)
         keep -= {x for x in keep if extend_factor(board1, m1, x) < 1}
+    return keep
+
+
+def _keep_max_with_issue_4_by_hand(c, bt):
+    """Reference: ``_root_keep_max`` before it read issue 4 from the order
+    floor."""
+    keep = _keep_with_issue_4_by_hand(c, bt)
+    if is_tight(c):
+        keep -= {x for x in keep if bt.target.dim(x) == c.d}
+    return frozenset(x for x in keep if bt.target.down_set(x) <= keep)
+
+
+def _keep_max_with_tight_floor_pass(c, bt, examined):
+    """Reference: the largest keep as ``_root_keep_max`` once worked it out,
+    with a last pass in a tight quest that also dropped each node whose floor
+    exceeds 1 while every other kept node sits at order 1. Each node that
+    pass weighs is appended to ``examined``."""
+    board1 = bt.target
+    keep = _keep_with_issue_4_by_hand(c, bt)
     if is_tight(c):
         gens1 = blowup_jibs(c, bt)[1].generators
         ones = {x: Fraction(1) for x in keep}
@@ -349,6 +369,33 @@ def _keep_max_with_tight_floor_pass(c, bt, examined):
             if order_floor(board1, c.d, gens1, rest, x) != Fraction(1):
                 keep.discard(x)
     return frozenset(x for x in keep if board1.down_set(x) <= keep)
+
+
+def test_keep_max_reads_issue_4_from_the_order_floor():
+    # One test of every fixed order against issue 4's floor drops what the
+    # two hand-written tests dropped, on every blowup of games under each
+    # policy. Adversarial and canonical 68 blow up to keeps wider than the
+    # enumeration limit; seed 6 meets complete factors that price nodes
+    # below 1.
+    real, seen = mephisto._root_keep_max, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mephisto, "_root_keep_max", lambda c, bt: seen.append((c, bt)) or real(c, bt))
+        for seed in (6, 68):
+            for kind in ("canonical", "random:1", "adversarial"):
+                play_game(gen_scenario(seed), Policy.parse(kind))
+        for seed in (0, 6):
+            explore(gen_scenario(seed))
+    kinds = Counter()
+    for c, bt in seen:
+        keep_max = real(c, bt)
+        assert keep_max == _keep_max_with_issue_4_by_hand(c, bt)
+        e, fixed = bt.exceptional, _fixed_orders(c, bt)
+        singular = [x for x in bt.target.ids if bt.retract[x] in c.S]
+        kinds["wide"] += len(keep_max) > _KEEP_ENUM_LIMIT
+        kinds["e kept"] += e in keep_max
+        kinds["e dropped"] += e in singular and e not in keep_max
+        kinds["below 1"] += any(x != e and x in fixed and fixed[x] < 1 for x in singular)
+    assert len(kinds) == 4 and all(kinds.values()), kinds
 
 
 def _tight_valid_roots(seeds):

@@ -1,8 +1,6 @@
 """Scenarios: factors, the nine validity checks, predicates, JSON."""
 
-import copy
 import gc
-import pickle
 import random
 import weakref
 from collections import Counter
@@ -494,7 +492,7 @@ def test_heavy_jib_table_matches_the_per_node_formula_on_every_keep(seed):
             # every keep of the board reads the one table on M1 ...
             assert heavy_jib_violations(b1, c.d, H1, keep, M1) == want
             # ... and equal but fresh objects build their own
-            fresh_board = pickle.loads(pickle.dumps(b1))
+            fresh_board = Board({s: b1.dim(s) for s in b1.ids}, b1.covers)
             fresh_M = FactorSet.of(M1.generators)
             assert fresh_board is not b1 and fresh_M is not M1
             got = heavy_jib_violations(fresh_board, c.d, frozenset(set(H1)), keep, fresh_M)
@@ -533,19 +531,14 @@ def test_heavy_jib_table_is_keyed_by_board_d_and_H():
     assert witnesses == [[("s", "h1")], [], [("s", "h1", "h2")], [], [], [("s", "h1")]]
 
 
-def test_heavy_jib_table_stays_off_equality_copies_and_pickles(crossing_scenario):
+def test_heavy_jib_table_stays_off_equality_and_hash(crossing_scenario):
     c = remake(crossing_scenario, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
     twin = remake(c)
     before = (hash(c), hash(c.M), repr(c))
     assert _issue_9(c)
-    assert vars(c.M).get("_memo")  # the table is there to lose
+    assert vars(c.M).get("_memo")  # the table is stored on M
     assert (hash(c), hash(c.M), repr(c)) == before
     assert c == twin and c.M == twin.M and hash(c.M) == hash(twin.M)
-    for copied in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
-        assert copied == c and "_memo" not in vars(copied.M)
-        assert _issue_9(copied) == _issue_9(c)
-    for copied in (copy.deepcopy(c.M), pickle.loads(pickle.dumps(c.M))):
-        assert copied == c.M and "_memo" not in vars(copied)
     # the table dies with its factor set
     M = FactorSet.of([MonomialFactor.of({"h1": 1, "h2": 0})])
     assert heavy_jib_violations(c.board, c.d, c.H, c.S, M)

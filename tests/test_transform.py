@@ -33,6 +33,7 @@ from salmagundy.scenario import (
     Scenario,
     admissible_centers,
     complete_factor,
+    validate_shape,
     zero_factor,
 )
 from salmagundy.transform import (
@@ -233,7 +234,7 @@ def test_blowup_item_14_generators_must_be_capped_transports(
 
 def test_blowup_item_15_complete_factor_stays_complete(crossing_scenario, crossing_blowup):
     bt, good = crossing_blowup
-    c1 = remake(good, ord={"q1": Fraction(9, 10), "q2": Fraction(13, 10)})
+    c1 = remake(good, ord={"q2": Fraction(13, 10)})
     assert _rule_tags(validate_blowup_transform(crossing_scenario, bt, c1)) == {15}
 
 
@@ -507,6 +508,22 @@ def test_commutes_requires_aligned_boards(squares, chain_scenario):
     stale_root = Bundle(bt, {0: c, 1: c1p})
     got = validate_bundle(_two_quests(c, rel, child), Move.blowup(center), stale_root)
     assert ("commutativity", "structure") in {(v.rule, v.issue) for v in got}
+
+
+@pytest.mark.parametrize("kind", [RELAXATION, DESCENT, TRANSVERSALITY, QUOTIENT])
+def test_blowup_checks_report_a_node_off_the_board(squares, kind):
+    # a new scenario singular at a node off the blown-up board has no
+    # retract there: both public checks report its shape list, not a KeyError
+    c, rel, child, center = squares[kind]
+    bt, cp, c1p = _square(c, rel, child, center)
+    strays = [remake(x, S=x.S | {"zz"}, ord={**x.ord, "zz": INF}) for x in (cp, c1p)]
+    shapes = [validate_shape(x) for x in strays]
+    assert all(v.witness == ("zz",) for shape in shapes for v in shape) and all(shapes)
+    assert validate_blowup_transform(c, bt, strays[0]) == shapes[0]
+    assert validate_blowup_transform(child, bt, strays[1]) == shapes[1]
+    assert commutes(rel, c, child, strays[0], c1p, bt) == shapes[0]
+    assert commutes(rel, c, child, cp, strays[1], bt) == shapes[1]
+    assert commutes(rel, c, child, *strays, bt) == shapes[0] + shapes[1]
 
 
 def test_commutes_reports_a_call_the_new_parent_does_not_admit():

