@@ -201,9 +201,16 @@ def _report(violations) -> int:
     return EXIT_VIOLATIONS
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:  # like an input that cannot be read, a usage error
+        raise SystemExit(_usage(f"cannot write {path}: {exc}"))
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -241,13 +248,14 @@ def _cmd_play(args) -> int:
     scenario = _game_scenario(args)
     policy = _policy(args, args.mephisto or "canonical")
     caps = _caps(args, "round_cap")
+    out = _open_out(args.trace) if args.trace else None  # before any round is played
     trace: List[str] = []
     try:
         result = play_game(scenario, policy, trace=trace, **caps)
     finally:  # a game stopped by a cap still leaves the rounds it played
-        if args.trace:
-            with open(args.trace, "w") as fh:
-                fh.write("\n".join(trace) + "\n")
+        if out is not None:
+            with out:
+                out.write("\n".join(trace) + "\n")
     print(
         f"{'won' if result.won else 'not won'} in {result.rounds} rounds "
         f"({result.blowups} blowups); strict={str(result.singular_centers).lower()}"

@@ -20,15 +20,14 @@ One plan per quest, created lazily when the quest is first reached:
   its win resolves the parent.
 
 All decisions are functions of the visible game state and of the plans,
-so equal seeds on Mephisto's side reproduce equal games. Plans are frozen
-values: ``decide`` and ``observe`` store a new plan instead of editing one,
-and ``_slot`` is the id of the quest whose plan made the last call. Two
-things serve the explorer, which branches the strategy once per Mephisto
-answer. A copy (``copy.copy``) owns only the plans dict and
-``measure_log`` and shares every plan. ``_plans_text`` is the canonical
-text of the plans, the strategy's half of the explorer's state key; it
-leaves out ``measure_log``, which no decision reads, and ``_slot``, which
-``decide`` sets before it returns any call.
+so equal seeds on Mephisto's side reproduce equal games. The strategy is a
+value, as the game state is: ``decide`` returns the move and the next
+strategy, ``observe`` returns the strategy after a round, and neither
+changes the strategy it is called on. So the explorer, which branches once
+per Mephisto answer, hands each branch the same strategy, and the branches
+share every plan they do not change. ``_plans_text`` is the canonical text
+of the plans, the strategy's half of the explorer's state key; it leaves
+out ``measure_log``, which no decision reads.
 
 Dido owns no rule formula: the critical sets are ``scenario.heavy_jib_sets``
 under the tracked factor, maximal nodes come from ``Board.maximal_among``,
@@ -40,10 +39,10 @@ of that child's relation factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .board import BoardTransform, NodeId
+from .board import BoardTransform, FrozenDict, NodeId
 from .game import Bundle, CALL, DISCARDED, GameState, Move, OPEN, Quest
 from .quests import QuestRelation
 from .scenario import (
@@ -122,20 +121,19 @@ class _LoopPlan:
 
 @dataclass(frozen=True)
 class _DriverPlan:
-    L: FrozenSet[NodeId]
     sets: Tuple[Tuple[NodeId, ...], ...]
     # the quests created so far, three per set K in order: the
     # transversality child, its relaxation child, and the descent grandchild
     made: Tuple[int, ...] = ()
 
 
-def _plans_text(plans: Dict[int, object]) -> str:
+def _plans_text(plans: Mapping[int, object]) -> str:
     """The plans as one canonical text: equal plans, equal text."""
     out = []
     for qid in sorted(plans):
         plan = plans[qid]
         if isinstance(plan, _DriverPlan):
-            out.append([qid, "driver", sorted(plan.L), plan.sets, plan.made])
+            out.append([qid, "driver", plan.sets, plan.made])
         else:
             out.append(
                 [qid, "loop", factor_to_json(plan.m), plan.child_id, plan.monomial,
@@ -144,199 +142,191 @@ def _plans_text(plans: Dict[int, object]) -> str:
     return json.dumps(out)
 
 
+@dataclass(frozen=True)
 class DidoStrategy:
-    def __init__(self) -> None:
-        self.plans: Dict[int, object] = {}
-        self.measure_log: List[Tuple[int, Tuple[Q, ...]]] = []
-        # the quest whose plan made the last call; observe records the
-        # call's new quest in that plan
-        self._slot: Optional[int] = None
+    """Dido's plans, by quest id, and the (quest id, measure) of every
+    elementary step so far; ``decide`` and ``observe`` leave it as it was."""
 
-    def __copy__(self) -> "DidoStrategy":
-        """A copy whose plans change apart from these. Plans are values, so
-        the copy shares every one of them and owns only the dict."""
-        out = DidoStrategy()
-        out.plans = dict(self.plans)
-        out.measure_log = list(self.measure_log)
-        out._slot = self._slot
-        return out
+    plans: Mapping[int, object] = field(default_factory=FrozenDict)
+    measure_log: Tuple[Tuple[int, Tuple[Q, ...]], ...] = ()
 
-    # -- planning --------------------------------------------------------------
-
-    def _ensure_plan(self, quest: Quest):
-        plan = self.plans.get(quest.quest_id)
-        if plan is not None:
-            return plan
-        c = quest.scenario
-        if is_tight(c) and c.d >= 1:
-            sets = {K for s in c.S for K in _subsets(c.jib_uppers(s))}
-            plan = _DriverPlan(L=c.H, sets=tuple(sorted(sets, key=lambda K: (-len(K), K))))
-        else:
-            m0 = complete_factor(c)
-            plan = _LoopPlan(m=m0 if m0 is not None else zero_factor(c.H))
-        self.plans[quest.quest_id] = plan
-        return plan
-
-    # -- deciding ----------------------------------------------------------------
-
-    def decide(self, state: GameState) -> Optional[Move]:
-        """The move for ``state``. A plan may hand the decision on to an
-        open quest it created; the chain is walked here, not by recursion,
-        so however long it grows the game ends at its round cap."""
+    def decide(self, state: GameState) -> Tuple[Optional[Move], "DidoStrategy"]:
+        """The move for ``state`` (None once the main quest is closed) and
+        the strategy that has planned it. A plan may hand the decision on to
+        an open quest it created; the chain is walked here, not by
+        recursion, so however long it grows the game ends at its round cap."""
         if state.root.status != OPEN:
-            return None
+            return None, self
+        plans, log = dict(self.plans), list(self.measure_log)
         step: Union[Move, int] = 0
-        while not isinstance(step, Move):
-            step = self._decide_quest(state, step)
-        return step
-
-    def _decide_quest(self, state: GameState, qid: int) -> Union[Move, int]:
-        """The move for quest ``qid``, or the id of the quest it hands on to."""
-        quest = state.quests[qid]
-        if quest.status != OPEN:
-            raise StrategyError(f"deciding on quest {qid} which is {quest.status}")
-        plan = self._ensure_plan(quest)
-        if isinstance(plan, _DriverPlan):
-            return self._drive(state, quest, plan)
-        return self._loop(state, quest, plan)
-
-    def _drive(self, state: GameState, quest: Quest, plan: _DriverPlan) -> Union[Move, int]:
-        made = plan.made
-        if len(made) < 3 * len(plan.sets):
-            self._slot = quest.quest_id
-            i, step = divmod(len(made), 3)
-            if step == 0:
-                return Move.call(
-                    quest.quest_id, QuestRelation.transversality(frozenset(plan.sets[i]))
-                )
-            if step == 1:
-                return Move.call(made[-1], QuestRelation.relaxation(plan.L))
-            return Move.call(made[-1], QuestRelation.descent())
-        for K, qid in zip(plan.sets, made[2::3]):
-            sub = state.quests[qid]
-            if sub.status == DISCARDED:
-                raise StrategyError(f"descent quest {qid} for {K} was discarded")
-            if sub.status == OPEN:
-                return qid
-        raise StrategyError("all descent quests won but the driver quest is open")
-
-    def _loop(self, state: GameState, quest: Quest, plan: _LoopPlan) -> Union[Move, int]:
-        c = quest.scenario
-        resid: Dict[NodeId, Value] = {}
-        for s in c.S:
-            ext = extend_factor(c.board, plan.m, s)
-            v = c.ord[s]
-            if not is_finite(v):
-                resid[s] = INF
+        while not isinstance(step, Move):  # step: the id of the quest to decide on
+            quest = state.quests[step]
+            if quest.status != OPEN:
+                raise StrategyError(f"deciding on quest {step} which is {quest.status}")
+            plan = _ensure_plan(quest, plans)
+            if isinstance(plan, _DriverPlan):
+                step = _drive(state, quest, plan)
             else:
-                if not is_finite(ext):
-                    raise StrategyError(f"tracked factor infinite at finite node {s}")
-                resid[s] = v - ext
-                if resid[s] < 0:
-                    raise StrategyError(f"tracked factor exceeds the order at {s}")
-        if plan.monomial or all(r == 0 for r in resid.values()):
-            return self._elementary(quest, plan)
-        if plan.child_id is not None and state.quests[plan.child_id].status == OPEN:
-            return plan.child_id
-        infinite = [s for s in resid if not is_finite(resid[s])]
-        if infinite:
-            tops = c.board.maximal_among(infinite)
-            for s in tops:
-                if c.board.dim(s) != c.d:
-                    raise StrategyError(
-                        f"maximal infinite node {s} has dimension "
-                        f"{c.board.dim(s)}, expected {c.d}"
-                    )
-            return Move.blowup(min(tops))
-        q = max(v for v in resid.values())
-        if q <= 0:
-            raise StrategyError("zero residuals did not enter the monomial phase")
-        self._slot = quest.quest_id
-        return Move.call(quest.quest_id, QuestRelation.quotient(plan.m, q))
+                step = _loop(state, quest, plan, plans, log)
+        return step, DidoStrategy(FrozenDict(plans), tuple(log))
 
-    def _elementary(self, quest: Quest, plan: _LoopPlan) -> Move:
-        c = quest.scenario
-        for s in c.S:
-            if extend_factor(c.board, plan.m, s) != c.ord[s]:
-                raise StrategyError(
-                    f"tracked factor is not complete at {s}; the response rules "
-                    "should have preserved completeness"
-                )
-        pending = tuple(t for t in plan.pending if t in c.S)
-        if not pending:
-            minimal = _minimal_critical_sets(c, plan.m)
-            if not minimal:
-                raise StrategyError("no critical set although singular nodes remain")
-            K = min(minimal, key=lambda t: (len(t), t))
-            N = c.board.maximal_among(c.S.intersection(*(c.board.down_set(h) for h in K)))
-            if not N:
-                raise StrategyError(f"critical set {K} has no singular node below it")
-            for s in N:
-                if c.board.dim(s) != c.d - len(K):
-                    raise StrategyError(
-                        f"singular node {s} below {K} has dimension {c.board.dim(s)}, "
-                        f"expected {c.d - len(K)}"
-                    )
-                if s not in c.T:
-                    raise StrategyError(f"blowup center {s} is not transversal")
-            self.measure_log.append((quest.quest_id, _measure(plan.m, minimal)))
-            pending = tuple(N)
-        self.plans[quest.quest_id] = _LoopPlan(plan.m, plan.child_id, True, pending)
-        return Move.blowup(pending[0])
-
-    # -- observing ---------------------------------------------------------------
-
-    def observe(
-        self, state: GameState, move: Move, bundle: Bundle, record: dict
-    ) -> None:
+    def observe(self, state: GameState, move: Move, bundle: Bundle) -> "DidoStrategy":
+        """The strategy after the round that left ``state``. The call's new
+        quest goes to the nearest plan at or above the called quest: a loop
+        plan calls on its own quest and a driver plan on itself or on a
+        quest it made, and those quests never get a plan."""
+        plans = dict(self.plans)
         if move.kind == CALL:
-            plan, new = self.plans[self._slot], record["new_quest"]
+            qid, new = move.quest_id, state.next_quest_id - 1
+            while qid not in plans:
+                qid = state.quests[qid].parent_id
+            plan = plans[qid]
             if isinstance(plan, _DriverPlan):
-                plan = _DriverPlan(plan.L, plan.sets, plan.made + (new,))
+                plans[qid] = _DriverPlan(plan.sets, plan.made + (new,))
             else:
-                plan = _LoopPlan(plan.m, new, plan.monomial, plan.pending)
-            self.plans[self._slot] = plan
+                plans[qid] = _LoopPlan(plan.m, new, plan.monomial, plan.pending)
         else:
-            self._observe_blowup(state, bundle.transform)
-        for qid in list(self.plans):
-            quest = state.quests.get(qid)
-            if quest is None or quest.status != OPEN:
-                del self.plans[qid]
+            _observe_blowup(state, bundle.transform, plans)
+        live = {qid: plan for qid, plan in plans.items() if state.quests[qid].status == OPEN}
+        return DidoStrategy(FrozenDict(live), self.measure_log)
 
-    def _observe_blowup(self, state: GameState, bt: BoardTransform) -> None:
-        z = bt.center
-        for qid, plan in list(self.plans.items()):
-            quest = state.quests.get(qid)
-            if quest is None or quest.status == DISCARDED:
-                continue
-            if isinstance(plan, _DriverPlan):
-                L = frozenset(bt.embed[h] for h in plan.L)
-                self.plans[qid] = _DriverPlan(L, plan.sets, plan.made)
-                continue
-            if plan.monomial:
-                ext_z = extend_factor(bt.source, plan.m, z)
-                if not is_finite(ext_z):
-                    raise StrategyError("infinite tracked weight in the monomial phase")
-                e_weight = ext_z - 1
-                if e_weight < 0:
-                    raise StrategyError(
-                        f"monomial lift at {z} went negative ({e_weight})"
-                    )
-                m = lift_factor(plan.m, bt, e_weight)
-            elif plan.child_id is not None:
-                # m rides along as the quotient child's relation factor does.
-                q = state.quests[plan.child_id].relation.scale
-                m = quotient_lifted_factor(plan.m, q, bt)
-            else:
-                m = lift_factor(plan.m, bt, ZERO)
-            pending = tuple(
-                bt.embed[t]
-                for t in plan.pending
-                if t != z and bt.embed[t] in quest.scenario.S
+
+# ---- planning: ``plans`` and ``log`` are the caller's drafts of the next strategy
+
+
+def _ensure_plan(quest: Quest, plans: dict):
+    plan = plans.get(quest.quest_id)
+    if plan is not None:
+        return plan
+    c = quest.scenario
+    if is_tight(c) and c.d >= 1:
+        sets = {K for s in c.S for K in _subsets(c.jib_uppers(s))}
+        plan = _DriverPlan(sets=tuple(sorted(sets, key=lambda K: (-len(K), K))))
+    else:
+        m0 = complete_factor(c)
+        plan = _LoopPlan(m=m0 if m0 is not None else zero_factor(c.H))
+    plans[quest.quest_id] = plan
+    return plan
+
+
+def _drive(state: GameState, quest: Quest, plan: _DriverPlan) -> Union[Move, int]:
+    made = plan.made
+    if len(made) < 3 * len(plan.sets):
+        i, step = divmod(len(made), 3)
+        if step == 0:
+            return Move.call(
+                quest.quest_id, QuestRelation.transversality(frozenset(plan.sets[i]))
             )
-            child_id = plan.child_id
-            if child_id is not None:
-                child = state.quests.get(child_id)
-                if child is None or child.status != OPEN:
-                    child_id = None
-            self.plans[qid] = _LoopPlan(m, child_id, plan.monomial, pending)
+        if step == 1:  # release the driver's H, which its transversality child keeps
+            return Move.call(made[-1], QuestRelation.relaxation(state.quests[made[-1]].scenario.H))
+        return Move.call(made[-1], QuestRelation.descent())
+    for K, qid in zip(plan.sets, made[2::3]):
+        sub = state.quests[qid]
+        if sub.status == DISCARDED:
+            raise StrategyError(f"descent quest {qid} for {K} was discarded")
+        if sub.status == OPEN:
+            return qid
+    raise StrategyError("all descent quests won but the driver quest is open")
+
+
+def _loop(
+    state: GameState, quest: Quest, plan: _LoopPlan, plans: dict, log: list
+) -> Union[Move, int]:
+    c = quest.scenario
+    resid: Dict[NodeId, Value] = {}
+    for s in c.S:
+        ext = extend_factor(c.board, plan.m, s)
+        v = c.ord[s]
+        if not is_finite(v):
+            resid[s] = INF
+        else:
+            if not is_finite(ext):
+                raise StrategyError(f"tracked factor infinite at finite node {s}")
+            resid[s] = v - ext
+            if resid[s] < 0:
+                raise StrategyError(f"tracked factor exceeds the order at {s}")
+    if plan.monomial or all(r == 0 for r in resid.values()):
+        return _elementary(quest, plan, plans, log)
+    if plan.child_id is not None and state.quests[plan.child_id].status == OPEN:
+        return plan.child_id
+    infinite = [s for s in resid if not is_finite(resid[s])]
+    if infinite:
+        tops = c.board.maximal_among(infinite)
+        for s in tops:
+            if c.board.dim(s) != c.d:
+                raise StrategyError(
+                    f"maximal infinite node {s} has dimension "
+                    f"{c.board.dim(s)}, expected {c.d}"
+                )
+        return Move.blowup(min(tops))
+    q = max(v for v in resid.values())
+    if q <= 0:
+        raise StrategyError("zero residuals did not enter the monomial phase")
+    return Move.call(quest.quest_id, QuestRelation.quotient(plan.m, q))
+
+
+def _elementary(quest: Quest, plan: _LoopPlan, plans: dict, log: list) -> Move:
+    c = quest.scenario
+    for s in c.S:
+        if extend_factor(c.board, plan.m, s) != c.ord[s]:
+            raise StrategyError(
+                f"tracked factor is not complete at {s}; the response rules "
+                "should have preserved completeness"
+            )
+    pending = tuple(t for t in plan.pending if t in c.S)
+    if not pending:
+        minimal = _minimal_critical_sets(c, plan.m)
+        if not minimal:
+            raise StrategyError("no critical set although singular nodes remain")
+        K = min(minimal, key=lambda t: (len(t), t))
+        N = c.board.maximal_among(c.S.intersection(*(c.board.down_set(h) for h in K)))
+        if not N:
+            raise StrategyError(f"critical set {K} has no singular node below it")
+        for s in N:
+            if c.board.dim(s) != c.d - len(K):
+                raise StrategyError(
+                    f"singular node {s} below {K} has dimension {c.board.dim(s)}, "
+                    f"expected {c.d - len(K)}"
+                )
+            if s not in c.T:
+                raise StrategyError(f"blowup center {s} is not transversal")
+        log.append((quest.quest_id, _measure(plan.m, minimal)))
+        pending = tuple(N)
+    plans[quest.quest_id] = _LoopPlan(plan.m, plan.child_id, True, pending)
+    return Move.blowup(pending[0])
+
+
+def _observe_blowup(state: GameState, bt: BoardTransform, plans: dict) -> None:
+    """Carry the loop plan of every live quest onto the blown-up board."""
+    z = bt.center
+    for qid, plan in list(plans.items()):
+        quest = state.quests.get(qid)
+        if quest is None or quest.status == DISCARDED or isinstance(plan, _DriverPlan):
+            continue
+        if plan.monomial:
+            ext_z = extend_factor(bt.source, plan.m, z)
+            if not is_finite(ext_z):
+                raise StrategyError("infinite tracked weight in the monomial phase")
+            e_weight = ext_z - 1
+            if e_weight < 0:
+                raise StrategyError(
+                    f"monomial lift at {z} went negative ({e_weight})"
+                )
+            m = lift_factor(plan.m, bt, e_weight)
+        elif plan.child_id is not None:
+            # m rides along as the quotient child's relation factor does.
+            q = state.quests[plan.child_id].relation.scale
+            m = quotient_lifted_factor(plan.m, q, bt)
+        else:
+            m = lift_factor(plan.m, bt, ZERO)
+        pending = tuple(
+            bt.embed[t]
+            for t in plan.pending
+            if t != z and bt.embed[t] in quest.scenario.S
+        )
+        child_id = plan.child_id
+        if child_id is not None:
+            child = state.quests.get(child_id)
+            if child is None or child.status != OPEN:
+                child_id = None
+        plans[qid] = _LoopPlan(m, child_id, plan.monomial, pending)

@@ -290,6 +290,24 @@ def test_play_caps(capsys, monkeypatch, tmp_path):
     assert "round 1, blowup at v3: stopped after 0 candidates" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "board", "--out"], ["gen", "scenario", "--out"], ["play", "--seed", 3, "--trace"]],
+)
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, argv
+):
+    # each ended in a FileNotFoundError traceback (exit 1), play's only after
+    # the whole game; play now opens its trace before the first round
+    played = []
+    monkeypatch.setattr(cli, "play_game", lambda *args, **kw: played.append(args))
+    path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, path)
+    no_file = f"[Errno 2] No such file or directory: '{path}'"
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: cannot write {path}: {no_file}\n")
+    assert played == [] and not path.parent.exists()
+
+
 def test_a_runaway_game_exits_at_the_round_cap(capsys, tmp_path):
     # ord(v1) = 2/3 once passed the validator and Dido never won; an order
     # below 1 is now scenario issue 4, so the start exits 1 with it

@@ -1,6 +1,5 @@
 """Dido's strategy: the monomial measure, its order, small games and a sweep."""
 
-import copy
 import dataclasses
 import json
 import random
@@ -11,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salmagundy import harness, mephisto
+from salmagundy.board import Board, FrozenDict
 from salmagundy.dido import DidoStrategy, StrategyError, _plans_text, dms_less, measure_of
 from salmagundy.game import CALL, BundleError, apply_round, new_game, replay_trace
 from salmagundy.harness import gen_monomial_scenario, gen_scenario, play_game
 from salmagundy.mephisto import Policy, respond
-from salmagundy.scenario import MonomialFactor, validate_scenario, zero_factor
+from salmagundy.scenario import MonomialFactor, Scenario, validate_scenario, zero_factor
 from salmagundy.transform import transport_relation
+from salmagundy.values import INF
 from conftest import remake
 
 
@@ -166,34 +167,50 @@ def test_dido_wins_every_generated_game_of_seeds_100_to_399(policy):
     assert lost == []
 
 
-# ---- copies --------------------------------------------------------------------
+# ---- the strategy as a value ------------------------------------------------------
 
 
-def test_a_copy_plans_apart_and_fills_its_own_slot():
-    # explore copies the strategy between decide and observe; the copy
-    # shares every plan, and a round stores new plans in the copy's dict only
+def test_the_next_strategy_shares_every_plan_it_does_not_change():
+    # decide and observe return the next strategy and leave their own as it
+    # was, so explore hands every branch the strategy that decided the move
     state, strategy = new_game(gen_scenario(16)), DidoStrategy()
     policy = Policy.parse("canonical")
     calls, kinds = 0, set()
-    while (move := strategy.decide(state)) is not None:
-        twin = copy.copy(strategy)
-        assert twin.plans == strategy.plans and twin.plans is not strategy.plans
-        assert all(twin.plans[qid] is plan for qid, plan in strategy.plans.items())
-        assert twin._slot == strategy._slot
-        assert twin.measure_log == strategy.measure_log
-        assert twin.measure_log is not strategy.measure_log
+    while True:
+        text, log = _plans_text(strategy.plans), strategy.measure_log
+        twin = DidoStrategy(FrozenDict(strategy.plans), log)
+        move, decided = strategy.decide(state)
+        assert strategy == twin and _plans_text(strategy.plans) == text
+        assert strategy.measure_log is log
+        if move is None:
+            break
+        # decide adds plans, and changes none but the one that blows up
+        assert decided.plans.keys() >= strategy.plans.keys()
+        for qid, plan in strategy.plans.items():
+            if decided.plans[qid] is not plan:
+                assert move.kind != CALL and decided.plans[qid].pending[0] == move.center
         bundle = respond(state, move, policy)
-        untouched = _plans_text(strategy.plans)
-        branch, record = apply_round(state, move, bundle)
-        twin.observe(branch, move, bundle, record)
-        assert _plans_text(strategy.plans) == untouched
-        if move.kind == CALL:  # only the plan that made the call changes
-            changed = {qid for qid, plan in twin.plans.items() if plan is not strategy.plans[qid]}
-            assert changed == {strategy._slot}
-        state, record = apply_round(state, move, bundle)
-        strategy.observe(state, move, bundle, record)
-        assert _plans_text(twin.plans) == _plans_text(strategy.plans)
-        calls += move.kind == CALL
+        state, _ = apply_round(state, move, bundle)
+        text = _plans_text(decided.plans)
+        observed = decided.observe(state, move, bundle)
+        assert _plans_text(decided.plans) == text
+        assert observed.measure_log is decided.measure_log
+        changed = {qid for qid, plan in observed.plans.items() if plan is not decided.plans[qid]}
+        if move.kind == CALL:  # only the plan that made the call changes, and records the quest
+            new = state.next_quest_id - 1
+            assert changed == {
+                qid for qid, plan in observed.plans.items()
+                if new in getattr(plan, "made", ()) or getattr(plan, "child_id", None) == new
+            }
+            assert len(changed) == 1
+            calls += 1
+        else:  # a driver plan holds no node, so a blowup leaves it as it was
+            assert all(type(observed.plans[qid]).__name__ == "_LoopPlan" for qid in changed)
+        strategy = observed
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            strategy.plans = {}
+        with pytest.raises(TypeError):
+            strategy.plans[-1] = None
         for plan in strategy.plans.values():
             kinds.add(type(plan).__name__)
             for f in dataclasses.fields(plan):
@@ -209,14 +226,90 @@ def test_decide_twice_on_one_state_decides_alike(seed):
     # finds the plans as the first left them
     state, strategy = new_game(gen_scenario(seed)), DidoStrategy()
     policy = Policy.parse("canonical")
-    while (move := strategy.decide(state)) is not None:
-        text, slot = _plans_text(strategy.plans), strategy._slot
-        assert strategy.decide(state) == move
-        assert (_plans_text(strategy.plans), strategy._slot) == (text, slot)
+    while True:
+        move, decided = strategy.decide(state)
+        again = strategy.decide(state)
+        assert again == (move, decided)
+        assert _plans_text(again[1].plans) == _plans_text(decided.plans)
+        if move is None:
+            break
         bundle = respond(state, move, policy)
-        state, record = apply_round(state, move, bundle)
-        strategy.observe(state, move, bundle, record)
+        state, _ = apply_round(state, move, bundle)
+        strategy = decided.observe(state, move, bundle)
     assert state.won
+
+
+# ---- issue 8 with a positive separating mass ----------------------------------------
+
+
+def _separated_start(B=2, ord_s=Fraction(3, 2), weight=Fraction(1, 2)):
+    """A start in which issue 8 reads a positive mass: S holds s < t, and
+    the jib h lies above s but not above t; with ord(s) = 1 it breaks issue
+    8 (1 - 1/2 < 1)."""
+    board = Board(
+        {"s": 0, "t": 1, "h": 2, "w": 3}, [("s", "h"), ("s", "t"), ("t", "w"), ("h", "w")]
+    )
+    return Scenario.make(
+        board, d=2, B=B, H={"h"}, S={"s", "t"}, T=board.ids,
+        ord={"s": ord_s, "t": 1}, M=[MonomialFactor.of({"h": weight})],
+    )
+
+
+def _positive_separations(c):
+    """Issue 8, stated here: for every generator g and singular s < t,
+    ord(s) >= ord(t) + the sum of g's weights at the jibs above s but not
+    above t, INF absorbing. Returns how many of those masses are positive
+    and finite."""
+    positive = 0
+    for s in c.S:
+        for t in (c.board.up_set(s) & c.S) - {s}:
+            for g in c.M.generators:
+                between = c.board.up_set(s) - c.board.up_set(t)
+                weights = [w for h, w in g.weights if h in between]
+                mass = INF if INF in weights else sum(weights, Fraction(0))
+                if mass is INF or c.ord[t] is INF:
+                    assert c.ord[s] is INF, (s, t)
+                else:
+                    assert c.ord[s] >= c.ord[t] + mass, (s, t)
+                positive += mass is not INF and mass > 0
+    return positive
+
+
+def test_a_rejected_order_shows_the_start_meets_issue_8():
+    assert validate_scenario(_separated_start()) == []
+    [v] = validate_scenario(_separated_start(ord_s=1))
+    detail = "residual order increases from s to t: 1 - 1/2 < 1"
+    assert (v.issue, v.witness, v.detail) == (8, ("s", "t"), detail)
+
+
+@pytest.mark.parametrize(
+    "B, ord_s, weight",
+    [(2, Fraction(3, 2), Fraction(1, 2)), (2, Fraction(5, 2), Fraction(1, 2)),
+     (3, Fraction(5, 3), Fraction(2, 3)), (4, Fraction(5, 4), Fraction(1, 4)),
+     (4, Fraction(7, 4), Fraction(3, 4))],
+)
+@pytest.mark.parametrize("policy", ["canonical", "random:1", "adversarial"])
+def test_games_that_meet_issue_8_with_a_positive_mass_are_won(B, ord_s, weight, policy):
+    start = _separated_start(B, ord_s, weight)
+    assert validate_scenario(start) == []
+    state, strategy, policy = new_game(start), DidoStrategy(), Policy.parse(policy)
+    met = {}  # every scenario of every state with a positive separating mass
+    while True:
+        for quest in state.quests.values():
+            if _positive_separations(quest.scenario):
+                met[quest.scenario] = quest.quest_id
+        move, strategy = strategy.decide(state)
+        if move is None:
+            break
+        bundle = respond(state, move, policy)
+        state, _ = apply_round(state, move, bundle)
+        strategy = strategy.observe(state, move, bundle)
+    assert state.won and start in met
+    played = play_game(start, policy)
+    assert played.won and played.rounds == state.round_no
+    assert replay_trace(played.trace).won
+    if (B, ord_s, policy.kind) == (2, Fraction(3, 2), "canonical"):
+        assert len(met) > 1  # a blowup response holds a positive mass too
 
 
 # ---- a start that is not won ----------------------------------------------------------

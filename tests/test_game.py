@@ -995,7 +995,7 @@ def _seed9_first_blowup():
     """Seed 9 opens with a blowup whose canonical root response has a finite
     order pinned by transform item 10."""
     st = new_game(gen_scenario(9))
-    mv = DidoStrategy().decide(st)
+    mv, _ = DidoStrategy().decide(st)
     assert mv.kind == "blowup"
     bundle = next(enumerate_blowup_bundles(st, mv.center, Policy()))
     return st, mv, bundle

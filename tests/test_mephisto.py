@@ -578,11 +578,11 @@ def _adversarial_state(seed, rounds, policy="adversarial"):
     state = new_game(gen_scenario(seed))
     dido = DidoStrategy()
     while state.round_no < rounds:
-        move = dido.decide(state)
+        move, dido = dido.decide(state)
         bundle = respond(state, move, policy)
-        state, record = apply_round(state, move, bundle)
-        dido.observe(state, move, bundle, record)
-    return state, dido.decide(state)
+        state, _ = apply_round(state, move, bundle)
+        dido = dido.observe(state, move, bundle)
+    return state, dido.decide(state)[0]
 
 
 def _issue_9_keeps(state, z):
@@ -779,15 +779,18 @@ def test_the_umpire_builds_no_child_that_mephisto_built(monkeypatch):
 
     monkeypatch.setattr(mephisto, "validate_bundle", umpire(validate_bundle))
     rounds = Counter()
-    while (move := dido.decide(state)) is not None:
+    while True:
+        move, dido = dido.decide(state)
+        if move is None:
+            break
         open_calls = {q.relation.kind for q in state.open_quests() if q.relation}
         if move.kind == "blowup":
             rounds["blowup", frozenset(open_calls.intersection(kinds))] += 1
         else:
             rounds["call", move.relation.kind, bool(move.relation.jibs)] += 1
         bundle = respond(state, move, policy)
-        state, record = umpire(apply_round)(state, move, bundle)
-        dido.observe(state, move, bundle, record)
+        state, _ = umpire(apply_round)(state, move, bundle)
+        dido = dido.observe(state, move, bundle)
     assert state.won
     assert rounds["blowup", frozenset(kinds)]
     assert rounds["call", "transversality", True] and rounds["call", "quotient", False]
@@ -877,12 +880,15 @@ def _adversarial_blowups(seed, rounds):
     policy = Policy.parse("adversarial")
     state = new_game(gen_scenario(seed))
     dido = DidoStrategy()
-    while state.round_no < rounds and (move := dido.decide(state)) is not None:
+    while state.round_no < rounds:
+        move, dido = dido.decide(state)
+        if move is None:
+            return
         bundle = respond(state, move, policy)
         if move.kind == "blowup":
             yield state, move, bundle
-        state, record = apply_round(state, move, bundle)
-        dido.observe(state, move, bundle, record)
+        state, _ = apply_round(state, move, bundle)
+        dido = dido.observe(state, move, bundle)
 
 
 def _stop_cases():

@@ -244,10 +244,13 @@ def _driver_transversality_children(seeds):
     found = {}
     for seed in seeds:
         st, dido = new_game(gen_monomial_scenario(seed)), DidoStrategy()
-        while (mv := dido.decide(st)) is not None:
+        while True:
+            mv, dido = dido.decide(st)
+            if mv is None:
+                break
             bundle = respond(st, mv, Policy.parse("canonical"))
-            st, record = apply_round(st, mv, bundle)
-            dido.observe(st, mv, bundle, record)
+            st, _ = apply_round(st, mv, bundle)
+            dido = dido.observe(st, mv, bundle)
             for q in st.open_quests():
                 c = q.scenario
                 if q.relation is not None and q.relation.kind == TRANSVERSALITY:
@@ -533,14 +536,14 @@ def test_commutes_reports_a_call_the_new_parent_does_not_admit():
     st = new_game(gen_scenario(5))
     dido, policy = DidoStrategy(), Policy.parse("canonical")
     while True:
-        mv = dido.decide(st)
+        mv, dido = dido.decide(st)
         bundle = respond(st, mv, policy)
         if mv.kind == "blowup":
             child = st.quests.get(1)
             if child is not None and mv.center in child.relation.jibs and 1 in bundle.responses:
                 break
-        st, record = apply_round(st, mv, bundle)
-        dido.observe(st, mv, bundle, record)
+        st, _ = apply_round(st, mv, bundle)
+        dido = dido.observe(st, mv, bundle)
     assert child.relation.kind == TRANSVERSALITY
     bt = bundle.transform
     root = bundle.responses[0]

@@ -228,12 +228,13 @@ def test_every_order_weight_and_scale_of_a_game_is_a_q(monkeypatch):
     observe = DidoStrategy.observe
 
     def checked_observe(self, *args):
-        observe(self, *args)
-        for plan in self.plans.values():
+        after = observe(self, *args)
+        for plan in after.plans.values():
             if hasattr(plan, "m"):
                 check((w for _, w in plan.m.weights), "Dido's factor")
-        for _, masses in self.measure_log:
+        for _, masses in after.measure_log:
             check(masses, "Dido's measure")
+        return after
 
     monkeypatch.setattr(harness, "apply_round", checked_apply)
     monkeypatch.setattr(DidoStrategy, "observe", checked_observe)
