@@ -579,12 +579,22 @@ def board_to_json(b: Board) -> dict:
 
 
 def board_from_json(data: dict) -> Board:
+    """The board ``data`` records: ``"nodes"``, a list of objects with an
+    ``"id"`` and a ``"dim"``, and ``"covers"``, a list of [lower, upper] node
+    id pairs. Raises ValueError for any other form and a duplicate id."""
     try:
-        dims = {node["id"]: node["dim"] for node in data["nodes"]}
-        covers = [(a, c) for a, c in data["covers"]]
+        nodes, covers = data["nodes"], data["covers"]
+        if type(nodes) is not list or not all(type(node) is dict for node in nodes):
+            raise ValueError(f"malformed board JSON: nodes {nodes!r} is not a list of objects")
+        dims = {node["id"]: node["dim"] for node in nodes}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed board JSON: {exc}") from exc
-    if len(dims) != len(data["nodes"]):
+    if type(covers) is not list or not all(
+        type(cover) is list and len(cover) == 2 and type(cover[0]) is type(cover[1]) is str
+        for cover in covers
+    ):
+        raise ValueError(f"malformed board JSON: covers {covers!r} is not a list of id pairs")
+    if len(dims) != len(nodes):
         raise ValueError("malformed board JSON: duplicate node id")
     return Board(dims, covers)
 

@@ -74,8 +74,7 @@ def _minimal_critical_sets(c: Scenario, m: MonomialFactor) -> List[Tuple[NodeId,
     """The inclusion-minimal critical sets, sorted: jib sets with factor mass
     >= 1 that have a singular node below all of them. These are the
     obstructions the elementary steps burn down."""
-    weights = [m.as_dict()]
-    sets = sorted({K for s in c.S for K in heavy_jib_sets(c.jib_uppers(s), weights)})
+    sets = sorted({K for s in c.S for K in heavy_jib_sets(c.jib_uppers(s), (m,))})
     as_sets = [frozenset(K) for K in sets]
     return [K for K, ks in zip(sets, as_sets) if not any(o < ks for o in as_sets)]
 
@@ -88,8 +87,7 @@ def measure_of(c: Scenario, m: MonomialFactor) -> Tuple[Q, ...]:
 
 def _measure(m: MonomialFactor, minimal: List[Tuple[NodeId, ...]]) -> Tuple[Q, ...]:
     """``measure_of`` from the minimal critical sets already worked out."""
-    weights = [m.as_dict()]
-    masses = [_max_mass(weights, K) for K in minimal]
+    masses = [_max_mass((m,), K) for K in minimal]
     if any(not is_finite(x) for x in masses):
         raise StrategyError("infinite factor mass in a monomial measure")
     return tuple(sorted(masses, reverse=True))

@@ -135,15 +135,15 @@ class Quest:
 
 @dataclass(frozen=True)
 class GameState:
-    """A position: the quests, by id, after ``round_no`` rounds. A given
-    dict is frozen into a ``FrozenDict``, so a state never changes."""
+    """A position: the quests, by id, after ``round_no`` rounds. The given
+    map is frozen into a ``FrozenDict`` in id order, so a state never
+    changes and its quests come parent first: ids are handed out in order."""
 
     quests: Mapping[int, Quest]
     round_no: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.quests, FrozenDict):
-            object.__setattr__(self, "quests", FrozenDict(self.quests))
+        object.__setattr__(self, "quests", FrozenDict(sorted(self.quests.items())))
 
     @property
     def root(self) -> Quest:
@@ -354,7 +354,7 @@ def blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
 def _blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
     z = bt.center
     closed = set()
-    for quest in sorted(state.open_quests(), key=lambda q: q.quest_id):
+    for quest in state.open_quests():
         if quest.parent_id is None:
             continue
         parent = state.quests[quest.parent_id]
@@ -365,7 +365,7 @@ def _blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
             or z not in admissible_centers(quest.scenario)
             or (
                 rel.kind == QUOTIENT
-                and transport_relation(rel, bt).factor.weight(bt.exceptional)
+                and transport_relation(rel, bt).factor[bt.exceptional]
                 > exceptional_cap(parent.scenario, z)
             )
         ):
@@ -514,10 +514,12 @@ def transform_to_json(bt: BoardTransform) -> dict:
 
 def transform_from_json(data: Mapping, source: Board, target: Board) -> BoardTransform:
     """The transform ``data`` records from ``source`` to ``target``, the board
-    that ``data["target"]`` reads as. Raises ValueError where it maps a node
-    to, or names as its center, something that is not a node id."""
-    embed, retract = dict(data["embed"]), dict(data["retract"])
-    center = data.get("center")
+    that ``data["target"]`` reads as: its ``"kind"``, ``"embed"`` and
+    ``"retract"``, objects that map node ids to node ids, and an optional
+    ``"center"``, a node id. Raises ValueError for every other form."""
+    embed, retract, center = data["embed"], data["retract"], data.get("center")
+    if type(embed) is not dict or type(retract) is not dict:
+        raise ValueError("malformed transform JSON: embed or retract is not an object")
     ids = [*embed.values(), *retract.values(), *([] if center is None else [center])]
     if not set(map(type, ids)) <= {str}:
         raise ValueError("malformed transform JSON: a node id is not a string")
@@ -552,7 +554,9 @@ Held = Tuple[object, Mapping[int, Tuple[object, Scenario]]]
 
 
 def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) -> Bundle:
-    """The bundle a trace line records, on the board ``source``.
+    """The bundle a trace line records, on the board ``source``: a
+    ``"transform"``, ``"responses"``, an object of scenarios by quest id, a
+    ``"discards"`` list of quest ids and, on a call round, a ``"child"``.
 
     A reader that holds the values it read earlier passes them as ``held``,
     with ``source`` read from ``held[0]``. When the transform's target JSON
@@ -657,7 +661,7 @@ def replay_trace(lines: Iterable[str]) -> GameState:
     try:
         header = json.loads(first)["header"]["scenario"]
         scenario = scenario_from_json(header)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise _malformed(1, exc) from exc
     state = new_game(scenario)
     board_json = header["board"]

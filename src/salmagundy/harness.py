@@ -141,8 +141,8 @@ def gen_scenario(
         if board.dim(s) != d
     }
     M = FactorSet.of([zero_factor(H)])
-    c = Scenario.make(
-        board=board, d=d, B=B, H=H, S=frozenset(S), T=frozenset(board.ids),
+    c = Scenario(
+        board=board, d=d, B=B, H=H, S=S, T=board.ids,
         ord=assign_orders(board, d, S, M.generators, {}, raises), M=M,
     )
     vs = validate_scenario(c)
@@ -189,10 +189,9 @@ def gen_monomial_scenario(seed: int) -> Scenario:
             covers.append((h, "w"))
         ords[s] = total
     board = Board(dims, covers)
-    c = Scenario.make(
-        board=board, d=d, B=12, H=frozenset(weights),
-        S=frozenset(S), T=frozenset(board.ids), ord=ords,
-        M=FactorSet.of([MonomialFactor.of(weights)]),
+    c = Scenario(
+        board=board, d=d, B=12, H=weights.keys(), S=S, T=board.ids, ord=ords,
+        M=[MonomialFactor(weights)],
     )
     vs = validate_scenario(c)
     if vs:
@@ -304,7 +303,7 @@ def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
         _json_text(state.board, board_to_json),
         str(state.round_no),
     ]
-    for qid, quest in sorted(state.quests.items()):
+    for qid, quest in state.quests.items():
         rel = quest.relation
         parts.append(f"{qid} {quest.parent_id} {quest.status}")
         parts.append("" if rel is None else _json_text(rel, relation_to_json))

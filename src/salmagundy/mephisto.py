@@ -128,7 +128,6 @@ from .game import (
 )
 from .quests import DESCENT, QuestRelation, call_response
 from .scenario import (
-    FactorSet,
     Scenario,
     admissible_centers,
     assign_orders,
@@ -278,7 +277,7 @@ def _blowup_response(
             return None
     if is_tight(c) and any(v != 1 for v in ords.values()):
         return None
-    return Scenario.make(board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
+    return Scenario(board=board1, d=c.d, B=c.B, H=H1, S=S1, T=T1, ord=ords, M=M1)
 
 
 def _root_response(
@@ -390,7 +389,7 @@ def _order_ceilings(
         dict.fromkeys(keep_max, top),
     )
     ceilings = {
-        0: Scenario.make(
+        0: Scenario(
             board=bt.target, d=root.d, B=root.B, H=H1, S=keep_max, T=(), ord=ords, M=M1
         )
     }
@@ -514,7 +513,7 @@ def enumerate_blowup_bundles(
         discards = blowup_discards(state, bt)
         relations = {
             quest.quest_id: transport_relation(quest.relation, bt)
-            for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
+            for quest in state.open_quests()
             if quest.parent_id is not None and quest.quest_id not in discards
         }
         interned: Dict[Scenario, Scenario] = {}
@@ -582,9 +581,8 @@ def _descent_call_child(c: Scenario, bump: Q) -> Scenario:
     floor or above it, and one always exists."""
     gens = (zero_factor(frozenset()),)
     ords = assign_orders(c.board, c.d - 1, c.S, gens, {}, dict.fromkeys(c.S, bump))
-    return Scenario.make(
-        board=c.board, d=c.d - 1, B=c.B, H=frozenset(), S=c.S, T=c.T,
-        ord=ords, M=FactorSet.of(gens),
+    return Scenario(
+        board=c.board, d=c.d - 1, B=c.B, H=(), S=c.S, T=c.T, ord=ords, M=gens,
     )
 
 

@@ -146,14 +146,12 @@ def transversality_response(c: Scenario, K: Iterable[NodeId]) -> Scenario:
     b = c.board
     S1 = c.S.intersection(*(b.down_set(h) for h in Ks))
     ord1 = {s: ONE for s in S1}
+    M1 = [zero_factor(c.H)]
     if len(Ks) == 1:
         (h,) = Ks
-        candidate = MonomialFactor.of(
-            {hh: (ONE if hh == h else ZERO) for hh in c.H}
-        )
-        M1 = FactorSet.of([candidate]) if c.M.contains(candidate) else FactorSet.of([zero_factor(c.H)])
-    else:
-        M1 = FactorSet.of([zero_factor(c.H)])
+        candidate = MonomialFactor({hh: (ONE if hh == h else ZERO) for hh in c.H})
+        if c.M.contains(candidate):
+            M1 = [candidate]
     return Scenario(c.board, c.d, c.B, c.H, S1, c.T, ord1, M1)
 
 
@@ -183,7 +181,7 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Q) -> Scenario:
         raise ValueError(f"scale must be positive, got {q}")
     if not c.M.contains(m):
         raise ValueError("quotient factor is not a member of the scenario's factor set")
-    if any(h not in c.board for h in m.domain):
+    if any(h not in c.board for h in m):
         raise ValueError("quotient factor has weights at unknown nodes")
     ext = {s: extend_factor(c.board, m, s) for s in c.S}
     if any(ext[s] is INF and c.ord[s] is not INF for s in c.S):
@@ -195,17 +193,16 @@ def quotient_response(c: Scenario, m: MonomialFactor, q: Q) -> Scenario:
     for s in S1:
         scaled = resid[s] / q
         ord1[s] = c.ord[s] if c.ord[s] <= scaled else scaled
-    mw = m.as_dict()
     gens1 = []
     for g in c.M.generators:
         new = {}
-        for h, w in g.weights:
+        for h, w in g.items():
             if w is INF:
                 new[h] = INF
             else:
-                v = (w - mw.get(h, ZERO)) / q
+                v = (w - m.get(h, ZERO)) / q
                 new[h] = v if v > 0 else ZERO
-        gens1.append(MonomialFactor.of(new))
+        gens1.append(MonomialFactor(new))
     return Scenario(
         c.board, c.d, quotient_bound(c.B, q), c.H, S1, c.T, ord1, FactorSet.of(gens1)
     )
@@ -259,7 +256,7 @@ def relaxation_response(c: Scenario, J: Iterable[NodeId]) -> Scenario:
         raise ValueError(f"released jibs {sorted(Js - c.H)} are not jibs of the scenario")
     H1 = c.H - Js
     M1 = FactorSet.of(
-        MonomialFactor.of({h: w for h, w in g.weights if h in H1}) for g in c.M.generators
+        MonomialFactor({h: w for h, w in g.items() if h in H1}) for g in c.M.generators
     )
     return Scenario(c.board, c.d, c.B, H1, c.S, c.T, c.ord, M1)
 

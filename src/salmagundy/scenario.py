@@ -12,6 +12,11 @@ infinite order produces an unbounded family of factors, and the infinite
 coordinate encodes the missing cap. All checks quantified over members of
 ``M`` are evaluated exactly against this representation.
 
+Each value has one constructor, which normalises its input: a factor is a
+``board.FrozenDict`` from jib to weight, and a ``Scenario`` freezes its parts
+however it is built. ``FactorSet.of`` prunes generators to their antichain;
+the raw ``FactorSet`` keeps them, so that a file's set can be judged.
+
 Every order has a floor under the orders of its node's uppers: 1, INF at
 dimension d (issue 4), every factor's extension (issue 6), and each upper's
 order plus the factor mass separating the two (issue 8). ``_floor_terms``
@@ -70,59 +75,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonomialFactor:
-    """A weight function on the jib set, stored as a sorted tuple of pairs.
+class MonomialFactor(FrozenDict):
+    """A weight function on the jib set: an immutable map from jib to weight,
+    built from any such map, with the jibs in sorted order and every finite
+    weight a ``Q``. Weights are non-negative rationals or INF (an uncapped
+    coordinate of a generator). The domain must equal the owning scenario's
+    handicap. Equality and hash are the map's, whatever the order given."""
 
-    Weights are non-negative rationals or INF (an uncapped coordinate of a
-    generator). The domain must equal the owning scenario's handicap.
-    """
+    __slots__ = ()
 
-    weights: Tuple[Tuple[NodeId, Value], ...]
-
-    @classmethod
-    def of(cls, mapping: Mapping[NodeId, Value]) -> "MonomialFactor":
+    def __init__(self, weights: Mapping[NodeId, Value]) -> None:
         items = []
-        for h in sorted(mapping):
-            w = mapping[h]
+        for h in sorted(weights):
+            w = weights[h]
             if w is not INF and type(w) is not Q:
                 w = Q(w)
             items.append((h, w))
-        return cls(tuple(items))
-
-    @property
-    def domain(self) -> FrozenSet[NodeId]:
-        return frozenset(h for h, _ in self.weights)
-
-    def weight(self, h: NodeId) -> Value:
-        for hh, w in self.weights:
-            if hh == h:
-                return w
-        raise KeyError(f"jib {h!r} not in factor domain")
-
-    def as_dict(self) -> Dict[NodeId, Value]:
-        return dict(self.weights)
+        dict.__init__(self, items)
 
     def dominates(self, other: "MonomialFactor") -> bool:
         """Pointwise >= on a shared domain."""
-        mine = self.as_dict()
-        return all(mine.get(h, 0) >= w for h, w in other.weights)
+        return all(self.get(h, 0) >= w for h, w in other.items())
 
     def _sort_key(self):
-        return tuple((h, w is INF, w if w is not INF else 0) for h, w in self.weights)
+        return tuple((h, w is INF, w if w is not INF else 0) for h, w in self.items())
 
 
 def zero_factor(H: Iterable[NodeId]) -> MonomialFactor:
-    return MonomialFactor.of({h: ZERO for h in H})
+    return MonomialFactor(dict.fromkeys(H, ZERO))
 
 
 @dataclass(frozen=True)
 class FactorSet:
-    """Downward closure of finitely many generators; stores the antichain.
+    """Downward closure of finitely many generators, stored as an antichain.
 
     A factor m belongs to the set iff m <= g pointwise for some generator g.
-    The constructor prunes dominated generators and duplicates so that
-    structural equality of FactorSets means equality of the families.
+    ``of`` prunes dominated and duplicate generators and sorts the rest by
+    ``_sort_key``, so that equal families build equal sets. The raw
+    constructor keeps what it is given, so that a set that is not an
+    antichain, read from a file, is there for issue 7 to report.
     """
 
     generators: Tuple[MonomialFactor, ...]
@@ -136,17 +127,17 @@ class FactorSet:
                 continue
             if g not in keep:
                 keep.append(g)
-        keep.sort(key=lambda m: m._sort_key())
+        keep.sort(key=MonomialFactor._sort_key)
         return cls(tuple(keep))
 
     def contains(self, m: MonomialFactor) -> bool:
         return any(g.dominates(m) for g in self.generators)
 
 
-def _max_mass(weights: List[Dict[NodeId, Value]], K: Iterable[NodeId]) -> Value:
+def _max_mass(factors: Iterable[Mapping[NodeId, Value]], K: Iterable[NodeId]) -> Value:
     """max over the weight maps of their total on K (0 when K is empty)."""
     best: Value = ZERO
-    for w in weights:
+    for w in factors:
         total: Value = ZERO
         for h in K:
             total = total + w.get(h, ZERO)
@@ -159,8 +150,11 @@ def _max_mass(weights: List[Dict[NodeId, Value]], K: Iterable[NodeId]) -> Value:
 class Scenario:
     """One quest's state: (d, B, H, S, T, ord, M) on a board.
 
-    ``ord`` is frozen on construction, so a scenario is a hashable value that
-    never changes, and checks may memoize their verdicts on it.
+    The constructor (``dataclasses.replace`` too) makes H, S and T
+    frozensets, ``ord`` a ``FrozenDict`` of ``Q`` and INF orders, and M, if
+    it is not a ``FactorSet``, ``FactorSet.of`` it; a part already so is
+    kept. So a scenario is a hashable value that never changes, and checks
+    may store their verdicts on it.
     """
 
     board: Board
@@ -172,30 +166,21 @@ class Scenario:
     ord: Mapping[NodeId, Value]
     M: FactorSet
 
-    @classmethod
-    def make(
-        cls,
-        board: Board,
-        d: int,
-        B: int,
-        H: Iterable[NodeId],
-        S: Iterable[NodeId],
-        T: Iterable[NodeId],
-        ord: Mapping[NodeId, Value],
-        M: FactorSet | Iterable[MonomialFactor],
-    ) -> "Scenario":
-        if not isinstance(M, FactorSet):
-            M = FactorSet.of(M)
-        fixed = {}
-        for s, v in ord.items():
-            if v is not INF and type(v) is not Q:
-                v = Q(v)
-            fixed[s] = v
-        return cls(board, d, B, frozenset(H), frozenset(S), frozenset(T), FrozenDict(fixed), M)
-
     def __post_init__(self) -> None:
-        if not isinstance(self.ord, FrozenDict):
-            object.__setattr__(self, "ord", FrozenDict(self.ord))
+        for name in ("H", "S", "T"):
+            part = getattr(self, name)
+            if type(part) is not frozenset:
+                object.__setattr__(self, name, frozenset(part))
+        ords = self.ord
+        if type(ords) is not FrozenDict or not all(v is INF or type(v) is Q for v in ords.values()):
+            fixed = {}
+            for s, v in ords.items():
+                if v is not INF and type(v) is not Q:
+                    v = Q(v)
+                fixed[s] = v
+            object.__setattr__(self, "ord", FrozenDict(fixed))
+        if not isinstance(self.M, FactorSet):
+            object.__setattr__(self, "M", FactorSet.of(self.M))
 
     def jib_uppers(self, s: NodeId) -> Tuple[NodeId, ...]:
         """The jibs lying above s, sorted."""
@@ -212,7 +197,7 @@ def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
     jibs above s, INF as soon as one of them is uncapped."""
     up = board.up_set(s)
     total = ZERO
-    for h, w in m.weights:
+    for h, w in m.items():
         if h in up:
             if w is INF:
                 return INF
@@ -226,7 +211,7 @@ def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Va
     is uncapped (scenario issue 8)."""
     up_s, up_t = board.up_set(s), board.up_set(t)
     total = ZERO
-    for h, w in m.weights:
+    for h, w in m.items():
         if h in up_s and h not in up_t:
             if w is INF:
                 return INF
@@ -349,7 +334,7 @@ def _check_shape(c: Scenario) -> List[Violation]:
         if stray:
             detail = f"{name} contains unknown nodes"
             return [Violation(rule, "structure", tuple(sorted(stray)), detail)]
-    stray = {h for g in c.M.generators for h, _ in g.weights if h not in dims}
+    stray = {h for g in c.M.generators for h in g if h not in dims}
     if stray:
         detail = "M has weights at unknown nodes"
         return [Violation(rule, "structure", tuple(sorted(stray)), detail)]
@@ -383,17 +368,17 @@ def _check_scenario(c: Scenario) -> List[Violation]:
     if not c.M.generators:
         out.append(Violation(rule, 7, (), "factor set has no generators (must contain 0)"))
     for g in c.M.generators:
-        if g.domain != c.H:
+        if g.keys() != c.H:
             out.append(
-                Violation(rule, 7, tuple(sorted(g.domain ^ c.H)), "factor domain differs from H")
+                Violation(rule, 7, tuple(sorted(g.keys() ^ c.H)), "factor domain differs from H")
             )
-        for h, w in g.weights:
+        for h, w in g.items():
             if w is not INF and w < 0:
                 out.append(Violation(rule, 7, (h,), f"negative factor weight {w} at {h}"))
     gens = c.M.generators
     for i, g in enumerate(gens):
         for gg in gens[i + 1 :]:
-            if g.domain == gg.domain and (g.dominates(gg) or gg.dominates(g)):
+            if g.keys() == gg.keys() and (g.dominates(gg) or gg.dominates(g)):
                 out.append(Violation(rule, 7, (), "generators are not an antichain"))
     if any(v.issue == "structure" for v in out):
         return out  # numbered checks below assume clean structure
@@ -485,16 +470,16 @@ def _check_scenario(c: Scenario) -> List[Violation]:
 
 
 def heavy_jib_sets(
-    uppers: Tuple[NodeId, ...], weights: List[Dict[NodeId, Value]]
+    uppers: Tuple[NodeId, ...], factors: Sequence[MonomialFactor]
 ) -> Iterator[Tuple[NodeId, ...]]:
     """The heavy jib sets over one node: the non-empty subsets K of its jib
-    uppers on which some weight map has mass >= 1, in ``_subsets`` order."""
+    uppers on which some factor has mass >= 1, in ``_subsets`` order."""
     # Weights are nonnegative, so no subset can reach mass 1 unless the
     # whole upper set does; skip the exponential scan when it cannot.
-    if not _max_mass(weights, uppers) >= 1:
+    if not _max_mass(factors, uppers) >= 1:
         return
     for K in _subsets(uppers):
-        if K and _max_mass(weights, K) >= 1:
+        if K and _max_mass(factors, K) >= 1:
             yield K
 
 
@@ -545,9 +530,8 @@ def _heavy_row(
     """Issue 9's row of s: each heavy jib set K over s, in ``heavy_jib_sets``
     order, with its candidates, the nodes t with s <= t <= every h in K and
     dim t = d - |K|."""
-    weights = [g.as_dict() for g in M.generators]
     row = []
-    for K in heavy_jib_sets(_jib_uppers(board, H, s), weights):
+    for K in heavy_jib_sets(_jib_uppers(board, H, s), M.generators):
         cands = board.up_set(s).intersection(*(board.down_set(h) for h in K))
         row.append((K, frozenset(t for t in cands if board.dim(t) == d - len(K))))
     return tuple(row)
@@ -597,11 +581,13 @@ def _admissible_centers(c: Scenario) -> FrozenSet[NodeId]:
 
 
 def factor_to_json(m: MonomialFactor) -> dict:
-    return {h: format_value(w) for h, w in m.weights}
+    return {h: format_value(w) for h, w in m.items()}
 
 
 def factor_from_json(data: Mapping[str, str]) -> MonomialFactor:
-    return MonomialFactor.of({h: parse_value(w) for h, w in data.items()})
+    """The factor ``data`` records: an object of weight texts
+    (``values.parse_value``) by jib."""
+    return MonomialFactor({h: parse_value(w) for h, w in data.items()})
 
 
 def scenario_to_json(c: Scenario, board: object = None) -> dict:
@@ -619,18 +605,20 @@ def scenario_to_json(c: Scenario, board: object = None) -> dict:
 
 
 def scenario_from_json(data: dict, board: Optional[Board] = None) -> Scenario:
+    """The scenario ``data`` records: a ``"board"`` (``board_from_json``),
+    unless ``board`` is given; ``"d"`` and ``"B"`` as they are; ``"H"``,
+    ``"S"`` and ``"T"``, lists of node ids; ``"ord"``, an object of order
+    texts; ``"M"``, a list of factors (``factor_from_json``), kept as
+    written in ``_sort_key`` order. Raises ValueError for any other form."""
     try:
         if board is None:
             board = board_from_json(data["board"])
-        return Scenario.make(
-            board=board,
-            d=data["d"],
-            B=data["B"],
-            H=data["H"],
-            S=data["S"],
-            T=data["T"],
-            ord={s: parse_value(v) for s, v in data["ord"].items()},
-            M=FactorSet.of(factor_from_json(g) for g in data["M"]),
-        )
+        parts = [data["H"], data["S"], data["T"]]
+        for name, part in zip("HST", parts):
+            if type(part) is not list or not all(type(s) is str for s in part):
+                raise ValueError(f"malformed scenario JSON: {name} {part!r} is not a list of node ids")
+        ords = {s: parse_value(v) for s, v in data["ord"].items()}
+        gens = sorted(map(factor_from_json, data["M"]), key=MonomialFactor._sort_key)
+        return Scenario(board, data["d"], data["B"], *parts, ords, FactorSet(tuple(gens)))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed scenario JSON: {exc}") from exc

@@ -122,9 +122,9 @@ def lift_factor(m: MonomialFactor, bt: BoardTransform, e_weight: Value) -> Monom
     """Carry a factor through the blowup ``bt``: weights ride along the
     embedding and the exceptional node takes ``e_weight`` (a blown-up jib's
     own weight gives way to it)."""
-    weights: Dict[NodeId, Value] = {bt.embed[h]: w for h, w in m.weights}
+    weights: Dict[NodeId, Value] = {bt.embed[h]: w for h, w in m.items()}
     weights[bt.exceptional] = e_weight
-    return MonomialFactor.of(weights)
+    return MonomialFactor(weights)
 
 
 def capped_transport(c: Scenario, bt: BoardTransform, m: MonomialFactor) -> MonomialFactor:

@@ -17,8 +17,8 @@ hash is ``Fraction``'s, so a ``Q`` equals, hashes and prints like the
 A copy or a pickle is an equal ``Q``, built by ``Fraction``'s own methods;
 ``INF`` copies and pickles as itself. ``ZERO`` and ``ONE`` are
 shared constants. Every finite value the package builds is a ``Q``:
-``parse_value``, ``MonomialFactor.of`` and ``Scenario.make`` convert any
-other finite value, and only this module imports ``fractions``.
+``parse_value`` and the constructors of ``MonomialFactor`` and ``Scenario``
+convert any other finite value, and only this module imports ``fractions``.
 
 Arithmetic follows the conventions the order checks need:
 

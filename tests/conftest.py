@@ -7,6 +7,7 @@ scenario). Both are small enough to check by hand. ``remake`` is a helper
 that test modules import.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,9 @@ from salmagundy import (
 
 
 def remake(c: Scenario, **kw) -> Scenario:
-    """c with the fields in ``kw`` replaced, built afresh by ``Scenario.make``."""
-    fields = dict(
-        board=c.board, d=c.d, B=c.B, H=c.H, S=c.S, T=c.T, ord=dict(c.ord), M=c.M
-    )
-    fields.update(kw)
-    return Scenario.make(**fields)
+    """c with the fields in ``kw`` replaced: a new scenario, normalised by its
+    constructor, with nothing stored on it."""
+    return replace(c, **kw)
 
 
 @pytest.fixture
@@ -36,7 +34,7 @@ def chain_board() -> Board:
 
 @pytest.fixture
 def chain_scenario(chain_board) -> Scenario:
-    return Scenario.make(
+    return Scenario(
         board=chain_board,
         d=1,
         B=1,
@@ -61,7 +59,7 @@ def blown_chain_board() -> Board:
 @pytest.fixture
 def blown_chain_response(blown_chain_board) -> Scenario:
     """The frozen canonical root response to blowing up the chain at p."""
-    return Scenario.make(
+    return Scenario(
         board=blown_chain_board,
         d=1,
         B=1,
@@ -69,7 +67,7 @@ def blown_chain_response(blown_chain_board) -> Scenario:
         S={"q1"},
         T=blown_chain_board.ids,
         ord={"q1": 1},
-        M=FactorSet.of([MonomialFactor.of({"e0": Fraction(1)})]),
+        M=FactorSet.of([MonomialFactor({"e0": Fraction(1)})]),
     )
 
 
@@ -84,7 +82,7 @@ def crossing_board() -> Board:
 @pytest.fixture
 def crossing_scenario(crossing_board) -> Scenario:
     """Monomial: the complete factor (3/5, 7/10) carries the whole order."""
-    return Scenario.make(
+    return Scenario(
         board=crossing_board,
         d=2,
         B=10,
@@ -93,6 +91,6 @@ def crossing_scenario(crossing_board) -> Scenario:
         T=crossing_board.ids,
         ord={"s": Fraction(13, 10)},
         M=FactorSet.of(
-            [MonomialFactor.of({"h1": Fraction(3, 5), "h2": Fraction(7, 10)})]
+            [MonomialFactor({"h1": Fraction(3, 5), "h2": Fraction(7, 10)})]
         ),
     )

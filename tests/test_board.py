@@ -625,6 +625,24 @@ def test_board_json_rejects_malformed():
         )
 
 
+@pytest.mark.parametrize(
+    "nodes, covers, what",
+    [
+        ([{"id": "a", "dim": 0}, {"id": "b", "dim": 1}], ["ab"], "covers"),
+        ([{"id": "a", "dim": 0}, {"id": "b", "dim": 1}], [["a", "b", "b"]], "covers"),
+        ([{"id": "a", "dim": 0}, {"id": "b", "dim": 1}], [["a", 1]], "covers"),
+        ([{"id": "a", "dim": 0}, {"id": "b", "dim": 1}], {"a": "b"}, "covers"),
+        ({"a": {"id": "a", "dim": 0}}, [], "nodes"),
+        (["a"], [], "nodes"),
+    ],
+    ids=["string-cover", "three-ids", "int-id", "covers-object", "nodes-object", "string-node"],
+)
+def test_board_json_takes_its_own_forms_only(nodes, covers, what):
+    # a cover "ab" was unpacked as the cover a < b
+    with pytest.raises(ValueError, match=f"^malformed board JSON: {what} "):
+        board_from_json({"nodes": nodes, "covers": covers})
+
+
 def test_board_to_dot_mentions_every_node(crossing_board):
     dot = board_to_dot(crossing_board)
     assert dot.startswith("digraph")

@@ -55,7 +55,7 @@ def _ref_check_shape(c):
         stray = sorted(x for x in part if x not in b)
         if stray:
             return [Violation(rule, "structure", tuple(stray), f"{name} contains unknown nodes")]
-    stray = sorted({h for g in c.M.generators for h in g.domain if h not in b})
+    stray = sorted({h for g in c.M.generators for h in g if h not in b})
     if stray:
         return [Violation(rule, "structure", tuple(stray), "M has weights at unknown nodes")]
     if set(c.ord) != set(c.S):
@@ -85,17 +85,17 @@ def _ref_check_scenario(c):
     if not c.M.generators:
         out.append(Violation(rule, 7, (), "factor set has no generators (must contain 0)"))
     for g in c.M.generators:
-        if g.domain != c.H:
+        if g.keys() != c.H:
             out.append(
-                Violation(rule, 7, tuple(sorted(g.domain ^ c.H)), "factor domain differs from H")
+                Violation(rule, 7, tuple(sorted(g.keys() ^ c.H)), "factor domain differs from H")
             )
-        for h, w in g.weights:
+        for h, w in g.items():
             if w is not INF and w < 0:
                 out.append(Violation(rule, 7, (h,), f"negative factor weight {w} at {h}"))
     gens = c.M.generators
     for i, g in enumerate(gens):
         for gg in gens[i + 1 :]:
-            if g.domain == gg.domain and (g.dominates(gg) or gg.dominates(g)):
+            if g.keys() == gg.keys() and (g.dominates(gg) or gg.dominates(g)):
                 out.append(Violation(rule, 7, (), "generators are not an antichain"))
     if any(v.issue == "structure" for v in out):
         return out
@@ -283,7 +283,7 @@ def _mutants(c):
     yield remake(c, S=c.S | {"zz"}, ord={**c.ord, "zz": INF})
     yield remake(c, T=c.T | {"zz"})
     first, *rest = c.M.generators
-    yield remake(c, M=[MonomialFactor.of({**first.as_dict(), "zz": Q(1)}), *rest])
+    yield remake(c, M=[MonomialFactor({**first, "zz": Q(1)}), *rest])
     yield remake(c, ord={**c.ord, "zz": Q(1)})
     if not S:
         return

@@ -177,6 +177,20 @@ def test_scenario_entries_that_are_not_objects_are_usage_errors(
         assert code == cli.EXIT_USAGE and "malformed scenario JSON" in err
 
 
+def test_a_scenario_file_is_read_as_written(capsys, tmp_path, chain_scenario):
+    # A string for H read as its characters, and a repeated generator was
+    # dropped, so the file validated clean.
+    path = tmp_path / "scenario.json"
+    data = scenario_to_json(chain_scenario)
+    path.write_text(json.dumps({**data, "H": ""}))
+    code, _, err = run(capsys, "validate", path)
+    assert code == cli.EXIT_USAGE and "malformed scenario JSON: H '' is not a list" in err
+    path.write_text(json.dumps({**data, "M": data["M"] * 2}))
+    code, _, err = run(capsys, "validate", path)
+    assert code == cli.EXIT_VIOLATIONS and "[scenario / issue 7] generators are not" in err
+    assert "Traceback" not in err
+
+
 def test_every_command_reports_a_file_that_does_not_parse_alike(capsys, tmp_path, chain_scenario):
     # validate, gen, play and export read a board or scenario file through
     # one path, so the message and exit code of a bad file are the same.

@@ -36,7 +36,7 @@ def test_measure_of_zero_factor_is_empty(crossing_scenario):
 def test_measure_takes_minimal_critical_sets(crossing_scenario):
     # each jib alone reaches mass 1 with s below it, so the singletons are
     # the minimal critical sets and the heavier pair does not count
-    m = MonomialFactor.of({"h1": 1, "h2": 1})
+    m = MonomialFactor({"h1": 1, "h2": 1})
     c = remake(crossing_scenario, ord={"s": 2}, M=[m])
     assert measure_of(c, m) == (Fraction(1), Fraction(1))
 
@@ -44,7 +44,7 @@ def test_measure_takes_minimal_critical_sets(crossing_scenario):
 def test_measure_rejects_infinite_mass(crossing_scenario):
     from salmagundy.values import INF
 
-    m = MonomialFactor.of({"h1": INF, "h2": 0})
+    m = MonomialFactor({"h1": INF, "h2": 0})
     with pytest.raises(StrategyError):
         measure_of(crossing_scenario, m)
 
@@ -249,9 +249,9 @@ def _separated_start(B=2, ord_s=Fraction(3, 2), weight=Fraction(1, 2)):
     board = Board(
         {"s": 0, "t": 1, "h": 2, "w": 3}, [("s", "h"), ("s", "t"), ("t", "w"), ("h", "w")]
     )
-    return Scenario.make(
+    return Scenario(
         board, d=2, B=B, H={"h"}, S={"s", "t"}, T=board.ids,
-        ord={"s": ord_s, "t": 1}, M=[MonomialFactor.of({"h": weight})],
+        ord={"s": ord_s, "t": 1}, M=[MonomialFactor({"h": weight})],
     )
 
 
@@ -265,7 +265,7 @@ def _positive_separations(c):
         for t in (c.board.up_set(s) & c.S) - {s}:
             for g in c.M.generators:
                 between = c.board.up_set(s) - c.board.up_set(t)
-                weights = [w for h, w in g.weights if h in between]
+                weights = [w for h, w in g.items() if h in between]
                 mass = INF if INF in weights else sum(weights, Fraction(0))
                 if mass is INF or c.ord[t] is INF:
                     assert c.ord[s] is INF, (s, t)

@@ -83,7 +83,7 @@ def test_new_game_shape(chain_scenario):
 def test_new_game_on_resolved_scenario(crossing_scenario):
     from salmagundy.scenario import Scenario
 
-    done = Scenario.make(
+    done = Scenario(
         crossing_scenario.board, 2, 10, crossing_scenario.H, [],
         crossing_scenario.T, {}, crossing_scenario.M,
     )
@@ -545,17 +545,46 @@ def test_replay_accepts_or_rejects_every_mutated_trace(source, seed, kind, pick)
 def test_a_malformed_node_id_is_a_rejected_trace():
     # A witness that is not a string made the violation's text raise
     # TypeError, and a map value that is not hashable made the board
-    # transform check raise it.
+    # transform check raise it. A trace's H holds node ids only, and a
+    # scenario built with another id reports it.
     header, *rounds = _canonical_trace(0)
     record = json.loads(header)
     record["header"]["scenario"]["H"].append(1)
-    with pytest.raises(ValueError, match=r"unknown nodes \(witness: 1\)"):
+    with pytest.raises(ValueError, match=r"^line 1: malformed trace record .* is not a list of"):
         replay_trace([json.dumps(record), *rounds])
+    c = scenario_from_json(json.loads(header)["header"]["scenario"])
+    (v,) = validate_scenario(dataclasses.replace(c, H=c.H | {1}))
+    assert str(v).endswith("unknown nodes (witness: 1)")
     lines = list(_canonical_trace(0))
     record = json.loads(lines[8])  # line 9: the first blowup, at v1
     record["bundle"]["transform"]["retract"]["v1"] = ["v1"]
     lines[8] = json.dumps(record, sort_keys=True)
     with pytest.raises(ValueError, match="line 9: malformed trace record .* not a string"):
+        replay_trace(lines)
+
+
+@pytest.mark.parametrize("case", ["H-empty", "S-object", "embed-pairs"])
+def test_a_value_in_another_json_form_is_a_rejected_trace(case):
+    # Each edit replayed as won: a string was read as its characters, an
+    # object as its keys, and a list of pairs as a map.
+    lines = list(_canonical_trace(6))
+    for i, line in enumerate(lines[1:], 1):
+        record = json.loads(line)
+        bundle = record["bundle"]
+        if case == "H-empty":
+            empty = [sc for _, sc in sorted(bundle["responses"].items()) if sc["H"] == []]
+            if not empty:
+                continue
+            empty[0]["H"] = ""
+        elif case == "S-object":
+            response = bundle["responses"]["0"]
+            response["S"] = dict.fromkeys(response["S"], 1)
+        else:
+            bundle["transform"]["embed"] = sorted(bundle["transform"]["embed"].items())
+        lines[i] = json.dumps(record, sort_keys=True)
+        break
+    what = "transform" if case == "embed-pairs" else "scenario"
+    with pytest.raises(ValueError, match=f"^line {i + 1}: malformed trace record .*malformed {what} JSON"):
         replay_trace(lines)
 
 
@@ -861,9 +890,9 @@ def _crafted_records(crossing_scenario):
     c = crossing_scenario
     other = dataclasses.replace(c, S=frozenset({"h1"}), ord={"h1": Fraction(1, 2)})
     b = _id_board()
-    odd = Scenario.make(
+    odd = Scenario(
         board=b, d=1, B=2, H={"c\\d"}, S={'a"b'}, T=b.ids, ord={'a"b': Fraction(3, 2)},
-        M=[MonomialFactor.of({"c\\d": INF})],
+        M=[MonomialFactor({"c\\d": INF})],
     )
     ident = trivial_refinement(b)
     blowup = BoardTransform("blowup", b, b, ident.embed, ident.retract, center='a"b')
@@ -1155,7 +1184,7 @@ def layered_game():
     a, so a blowup at a, admissible for the main quest, closes it; quest 2 is
     a call on quest 1. The state, and the trace of its two rounds."""
     b = Board({"p": 0, "a": 1, "w": 2}, [("p", "a"), ("a", "w")])
-    c = Scenario.make(
+    c = Scenario(
         board=b, d=2, B=1, H=(), S={"p", "a"}, T=b.ids, ord={"p": 2, "a": 1},
         M=[zero_factor(())],
     )
@@ -1196,6 +1225,19 @@ def test_blowup_discards_close_the_subtree_of_a_closed_quest(layered_state):
         Quest(4, 3, QuestRelation.transversality(()), c),
     )
     assert blowup_discards(st, bt) == {1, 2, 4}
+
+
+def test_a_state_keeps_its_quests_in_id_order(layered_state):
+    # A blowup at a closes quest 1, and so quest 2, its child: the discards
+    # must meet a parent before its children, and a state built from a dict
+    # in reverse id order stores its quests in id order all the same.
+    st = layered_state
+    backwards = GameState(dict(reversed(st.quests.items())), st.round_no)
+    assert list(backwards.quests) == list(st.quests) == [0, 1, 2]
+    bt = blowup_transform(st.board, "a")
+    assert game._blowup_discards(backwards, bt) == game._blowup_discards(st, bt) == {1, 2}
+    strategy = DidoStrategy()
+    assert harness._state_key(backwards, strategy) == harness._state_key(st, strategy)
 
 
 @pytest.mark.parametrize("policy", ["canonical", "random:3", "adversarial"])

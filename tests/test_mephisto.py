@@ -142,7 +142,7 @@ def test_an_inadmissible_center_builds_no_board(monkeypatch, chain_scenario, kin
     # The top of a wholly singular board, and a node above a singular one:
     # the rule reads only the main quest's scenario, so no board is built.
     b = Board({"w": 1, "v": 0}, [("v", "w")])
-    top = Scenario.make(
+    top = Scenario(
         board=b, d=1, B=1, H=(), S=b.ids, T=b.ids, ord=dict.fromkeys(b.ids, INF),
         M=[zero_factor(())],
     )
@@ -288,7 +288,7 @@ def test_one_pass_order_assignment_matches_the_two_pass_reference(recorded_calls
         assert not kwargs
         board, d, nodes, gens, fixed, raises = args
         (bump,) = set(raises.values()) or {0}  # every caller raises all nodes alike
-        shapes["descent"] += not gens[0].weights  # blowup responses have jib e
+        shapes["descent"] += not gens[0]  # blowup responses have jib e
         for variant in _fixed_variants(fixed, nodes):
             want = _two_pass_assign_orders(board, d, nodes, gens, variant, bump)
             if want is not None:
@@ -1002,9 +1002,9 @@ def test_a_ceiling_the_call_does_not_admit_keeps_the_parents_nodes_at_inf():
     # order is finite, so the quotient of the root's ceiling raises, and the
     # child's ceiling is the root's S at order INF.
     board = Board({"s": 0, "u": 0, "h": 1, "w": 2}, [("s", "h"), ("u", "h"), ("h", "w")])
-    root = Scenario.make(
+    root = Scenario(
         board=board, d=2, B=1, H={"h"}, S={"s"}, T=board.ids, ord={"s": 2},
-        M=[MonomialFactor.of({"h": INF})],
+        M=[MonomialFactor({"h": INF})],
     )
     bt = blowup_transform(board, "u")
     (uncapped,) = blowup_jibs(root, bt)[1].generators  # h at INF, e at 0

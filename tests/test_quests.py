@@ -81,7 +81,7 @@ def test_quotient_rescales_orders_and_factors(crossing_scenario):
     assert is_tight(c1)
     assert c1.B == 100
     assert c1.M.generators == (
-        MonomialFactor.of({"h1": Fraction(6, 13), "h2": Fraction(7, 13)}),
+        MonomialFactor({"h1": Fraction(6, 13), "h2": Fraction(7, 13)}),
     )
     assert validate_scenario(c1) == []
 
@@ -96,7 +96,7 @@ def test_quotient_by_complete_factor_resolves(crossing_scenario):
 
 def test_quotient_drops_shallow_nodes():
     b = Board({"p": 0, "a": 1, "w": 2}, [("p", "a"), ("a", "w")])
-    c = Scenario.make(
+    c = Scenario(
         b, d=1, B=2, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": Fraction(1, 2)}, M=[zero_factor([])],
     )
@@ -105,7 +105,7 @@ def test_quotient_drops_shallow_nodes():
 
 
 def test_quotient_keeps_uncapped_orders_and_weights(chain_board):
-    c = Scenario.make(
+    c = Scenario(
         chain_board, d=1, B=1, H=[], S={"p", "a"}, T={"p", "a", "w"},
         ord={"p": INF, "a": INF}, M=[zero_factor([])],
     )
@@ -120,13 +120,13 @@ def test_quotient_rejects_bad_arguments(crossing_scenario):
     with pytest.raises(ValueError):
         quotient_response(c, zero_factor(c.H), Fraction(0))
     with pytest.raises(ValueError):
-        quotient_response(c, MonomialFactor.of({"h1": 2, "h2": 0}), Fraction(1))
+        quotient_response(c, MonomialFactor({"h1": 2, "h2": 0}), Fraction(1))
     with pytest.raises(ValueError, match="unknown nodes"):
         # A zero weight off the board still passes membership.
-        quotient_response(c, MonomialFactor.of({"h1": 0, "h2": 0, "ghost": 0}), Fraction(1))
+        quotient_response(c, MonomialFactor({"h1": 0, "h2": 0, "ghost": 0}), Fraction(1))
     # A member uncapped above a finite order (the scenario fails issue 6):
     # its residual finite - INF is undefined.
-    uncapped = MonomialFactor.of({"h1": INF, "h2": 0})
+    uncapped = MonomialFactor({"h1": INF, "h2": 0})
     with pytest.raises(ValueError, match="uncapped below a finite order"):
         quotient_response(remake(c, M=[uncapped]), uncapped, Fraction(1))
 
@@ -139,7 +139,7 @@ def test_quotient_check_items(crossing_scenario):
     want = quotient_response(c, m, q)
     assert call_check(c, rel, want) == []
     other_board = Board({"x": 0, "w": 1}, [("x", "w")])
-    alien = Scenario.make(
+    alien = Scenario(
         other_board, want.d, want.B, [], [], ["w"], {}, [zero_factor([])]
     )
     assert _tags(call_check(c, rel, alien), "quotient") == {"structure"}
@@ -168,10 +168,10 @@ def test_quotient_check_items(crossing_scenario):
 @pytest.fixture
 def jib_heavy_scenario(crossing_board):
     """A valid scenario whose factor set admits the single-jib factor at h1."""
-    return Scenario.make(
+    return Scenario(
         crossing_board, d=2, B=10, H={"h1", "h2"}, S={"s", "h1"},
         T={"s", "h1", "h2", "w"}, ord={"s": 2, "h1": 1},
-        M=[MonomialFactor.of({"h1": 1, "h2": Fraction(7, 10)})],
+        M=[MonomialFactor({"h1": 1, "h2": Fraction(7, 10)})],
     )
 
 
@@ -194,7 +194,7 @@ def test_transversality_single_jib_keeps_unit_factor(jib_heavy_scenario):
     c1 = transversality_response(c, ["h1"])
     assert c1.S == {"s", "h1"}
     assert all(v == 1 for v in c1.ord.values())
-    assert c1.M == FactorSet.of([MonomialFactor.of({"h1": 1, "h2": 0})])
+    assert c1.M == FactorSet.of([MonomialFactor({"h1": 1, "h2": 0})])
     assert validate_scenario(c1) == []
 
 
@@ -231,7 +231,7 @@ def test_transversality_check_items(crossing_scenario):
     ) == {5}
     assert _tags(
         call_check(
-            c, rel, remake(want, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
+            c, rel, remake(want, M=[MonomialFactor({"h1": 1, "h2": 0})])
         ),
         "transversality",
     ) == {6}
@@ -244,7 +244,7 @@ def test_transversality_check_items(crossing_scenario):
 def forked_scenario():
     """A jib branch and a bare branch; t is remote from the only jib."""
     b = Board({"s": 0, "h1": 1, "t": 0, "w": 2}, [("s", "h1"), ("h1", "w"), ("t", "w")])
-    return Scenario.make(
+    return Scenario(
         b, d=1, B=1, H={"h1"}, S={"s"}, T={"s"},
         ord={"s": 1}, M=[zero_factor({"h1"})],
     )
@@ -267,7 +267,7 @@ def test_relaxation_check_items(forked_scenario):
     c = forked_scenario
     release = QuestRelation.relaxation(["h1"])
     ok = remake(c, H=[], M=[zero_factor([])])
-    alien = Scenario.make(
+    alien = Scenario(
         Board({"x": 0}, []), c.d, c.B, [], [], ["x"], {}, [zero_factor([])]
     )
     assert _tags(call_check(c, release, alien), "relaxation") == {"structure"}
@@ -309,7 +309,7 @@ def test_relaxation_response_passes_its_check(
 
 def test_relaxation_response_restricts_factors(crossing_scenario):
     c1 = relaxation_response(crossing_scenario, ["h1"])
-    assert c1.M == FactorSet.of([MonomialFactor.of({"h2": Fraction(7, 10)})])
+    assert c1.M == FactorSet.of([MonomialFactor({"h2": Fraction(7, 10)})])
     assert validate_scenario(c1) == validate_scenario(
         remake(crossing_scenario, H={"h2"}, M=c1.M)
     )
@@ -320,7 +320,7 @@ def test_relaxation_response_restricts_factors(crossing_scenario):
 
 @pytest.fixture
 def tight_bare_scenario(chain_board):
-    return Scenario.make(
+    return Scenario(
         chain_board, d=1, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": 1}, M=[zero_factor([])],
     )
@@ -329,7 +329,7 @@ def tight_bare_scenario(chain_board):
 def test_descent_happy_path(tight_bare_scenario, chain_board):
     c = tight_bare_scenario
     assert validate_scenario(c) == []
-    c1 = Scenario.make(
+    c1 = Scenario(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": INF}, M=[zero_factor([])],
     )
@@ -342,7 +342,7 @@ def test_descent_preconditions_raise(chain_scenario, crossing_scenario, chain_bo
     jibbed = remake(crossing_scenario, ord={"s": 1})
     with pytest.raises(ValueError):
         descent_check(jibbed, jibbed)  # H nonempty
-    floor = Scenario.make(
+    floor = Scenario(
         chain_board, d=0, B=1, H=[], S=[], T={"w"}, ord={}, M=[zero_factor([])]
     )
     with pytest.raises(ValueError):
@@ -354,7 +354,7 @@ def test_descent_call_on_a_blowup_is_a_bundle_violation(tight_bare_scenario, cha
     c = tight_bare_scenario
     st = new_game(c)
     move = Move.call(0, QuestRelation.descent())
-    child = Scenario.make(
+    child = Scenario(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": INF}, M=[zero_factor([])],
     )
@@ -367,7 +367,7 @@ def test_descent_call_on_a_blowup_is_a_bundle_violation(tight_bare_scenario, cha
 
 def test_descent_check_items(tight_bare_scenario, chain_board):
     c = tight_bare_scenario
-    good = Scenario.make(
+    good = Scenario(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": INF}, M=[zero_factor([])],
     )
@@ -376,7 +376,7 @@ def test_descent_check_items(tight_bare_scenario, chain_board):
         return {v.issue for v in descent_check(c, c1) if v.rule == "descent"}
 
     other = Board({"x": 0, "w": 1}, [("x", "w")])
-    alien = Scenario.make(other, 0, 1, [], [], ["w"], {}, [zero_factor([])])
+    alien = Scenario(other, 0, 1, [], [], ["w"], {}, [zero_factor([])])
     assert descent_tags(alien) == {"structure"}
     assert descent_tags(remake(good, d=1)) == {1}
     assert descent_tags(remake(good, S=["p", "a"], ord={"p": INF, "a": INF})) == {2}
@@ -389,7 +389,7 @@ def test_descent_response_must_be_valid_scenario(tight_bare_scenario, chain_boar
     # keeping a finite order at the new top dimension breaks scenario rules,
     # and the check surfaces those violations alongside its own items
     c = tight_bare_scenario
-    sloppy = Scenario.make(
+    sloppy = Scenario(
         chain_board, d=0, B=1, H=[], S={"p"}, T={"p", "a", "w"},
         ord={"p": 1}, M=[zero_factor([])],
     )

@@ -1,5 +1,6 @@
 """Scenarios: factors, the nine validity checks, predicates, JSON."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from salmagundy.board import Board, Violation, blowup_transform, validate_board
+from salmagundy.board import Board, FrozenDict, Violation, blowup_transform, validate_board
 from salmagundy.harness import gen_monomial_scenario, gen_scenario
 from salmagundy.mephisto import _down_closed_keeps, _root_keep_max, _root_response
 from salmagundy.scenario import (
@@ -35,7 +36,7 @@ from salmagundy.scenario import (
     zero_factor,
 )
 from salmagundy.transform import blowup_jibs, validate_blowup_transform
-from salmagundy.values import INF, format_value
+from salmagundy.values import INF, Q, format_value
 from conftest import remake
 
 
@@ -46,35 +47,49 @@ def _issues(c):
 # ---- factors ----------------------------------------------------------------
 
 
-def test_factor_of_normalizes_and_sorts():
-    m = MonomialFactor.of({"b": 1, "a": Fraction(1, 2)})
-    assert m.weights == (("a", Fraction(1, 2)), ("b", Fraction(1)))
-    assert m.domain == frozenset({"a", "b"})
-    assert m.weight("b") == 1
+def test_factor_normalizes_and_sorts():
+    m = MonomialFactor({"b": 1, "a": Fraction(1, 2)})
+    assert list(m.items()) == [("a", Fraction(1, 2)), ("b", Fraction(1))]
+    assert m.keys() == {"a", "b"}
+    assert m["b"] == 1
     with pytest.raises(KeyError):
-        m.weight("c")
-    assert m.as_dict() == {"a": Fraction(1, 2), "b": Fraction(1)}
+        m["c"]
+    assert m == {"a": Fraction(1, 2), "b": Fraction(1)}
+
+
+def test_factor_is_an_immutable_map_in_jib_order():
+    m = MonomialFactor({"c": 2, "a": 0, "b": 1})
+    assert isinstance(m, FrozenDict)
+    assert list(m) == ["a", "b", "c"]
+    assert [type(w) for w in m.values()] == [Q, Q, Q]
+    with pytest.raises(TypeError):
+        m["a"] = Q(1)
+    with pytest.raises(TypeError):
+        del m["a"]
+    other = MonomialFactor({"b": Q(1), "c": Fraction(2), "a": 0})
+    assert m == other and hash(m) == hash(other)
+    assert len({m, other}) == 1
 
 
 def test_factor_dominates_pointwise():
-    lo = MonomialFactor.of({"a": 1, "b": 0})
-    hi = MonomialFactor.of({"a": 1, "b": 2})
-    top = MonomialFactor.of({"a": INF, "b": 2})
+    lo = MonomialFactor({"a": 1, "b": 0})
+    hi = MonomialFactor({"a": 1, "b": 2})
+    top = MonomialFactor({"a": INF, "b": 2})
     assert hi.dominates(lo) and not lo.dominates(hi)
     assert top.dominates(hi) and not hi.dominates(top)
     assert hi.dominates(hi)
-    assert zero_factor(["a", "b"]) == MonomialFactor.of({"a": 0, "b": 0})
+    assert zero_factor(["a", "b"]) == MonomialFactor({"a": 0, "b": 0})
 
 
 def test_factor_set_prunes_to_antichain():
-    lo = MonomialFactor.of({"a": 1, "b": 0})
-    hi = MonomialFactor.of({"a": 1, "b": 2})
-    side = MonomialFactor.of({"a": 0, "b": 3})
+    lo = MonomialFactor({"a": 1, "b": 0})
+    hi = MonomialFactor({"a": 1, "b": 2})
+    side = MonomialFactor({"a": 0, "b": 3})
     fs = FactorSet.of([lo, hi, hi, side])
     assert set(fs.generators) == {hi, side}
     assert fs.contains(lo)
-    assert fs.contains(MonomialFactor.of({"a": 0, "b": 1}))
-    assert not fs.contains(MonomialFactor.of({"a": 2, "b": 0}))
+    assert fs.contains(MonomialFactor({"a": 0, "b": 1}))
+    assert not fs.contains(MonomialFactor({"a": 2, "b": 0}))
 
 
 def test_max_mass_over_weight_maps():
@@ -94,7 +109,7 @@ def test_extend_factor_sums_jibs_above(crossing_scenario):
     assert extend_factor(b, g, "w") == 0
     with pytest.raises(KeyError):
         extend_factor(b, g, "nope")
-    uncapped = MonomialFactor.of({"h1": INF, "h2": Fraction(7, 10)})
+    uncapped = MonomialFactor({"h1": INF, "h2": Fraction(7, 10)})
     assert extend_factor(b, uncapped, "s") is INF
     assert extend_factor(b, uncapped, "h2") == Fraction(7, 10)
 
@@ -130,7 +145,7 @@ def test_structure_unknown_nodes(chain_scenario):
 
 
 def test_structure_factor_weight_at_unknown_node(crossing_scenario):
-    ghost = MonomialFactor.of({"h1": Fraction(3, 5), "h2": Fraction(7, 10), "ghost": 1})
+    ghost = MonomialFactor({"h1": Fraction(3, 5), "h2": Fraction(7, 10), "ghost": 1})
     vs = validate_scenario(remake(crossing_scenario, M=FactorSet((ghost,))))
     assert [(v.issue, v.witness) for v in vs] == [("structure", ("ghost",))]
 
@@ -154,7 +169,7 @@ def _crossed_board():
 
 def test_a_scenario_on_an_invalid_board_reports_the_board_and_stops():
     b = _crossed_board()
-    c = Scenario.make(b, d=0, B=6, H=[], S={"s"}, T=b.ids, ord={"s": INF}, M=[zero_factor([])])
+    c = Scenario(b, d=0, B=6, H=[], S={"s"}, T=b.ids, ord={"s": INF}, M=[zero_factor([])])
     want = validate_board(b)
     assert [(v.rule, v.issue) for v in want] == [("board", "monotone-dim")]
     assert validate_shape(c) == want
@@ -170,7 +185,7 @@ def test_gen_scenario_hands_out_no_scenario_on_an_invalid_board():
 
 
 def test_issue_1_jib_dimension(crossing_board):
-    c = Scenario.make(
+    c = Scenario(
         crossing_board, d=2, B=1, H={"s"}, S=[], T={"w"},
         ord={}, M=[zero_factor({"s"})],
     )
@@ -178,7 +193,7 @@ def test_issue_1_jib_dimension(crossing_board):
 
 
 def test_issue_2_singular_set_not_down_closed(chain_board):
-    c = Scenario.make(
+    c = Scenario(
         chain_board, d=1, B=1, H=[], S={"a"}, T={"p", "a", "w"},
         ord={"a": INF}, M=[zero_factor([])],
     )
@@ -196,7 +211,7 @@ def test_issue_3_jib_free_needs_transversal(chain_scenario):
 
 
 def test_issue_4_dim_exceeds_d(chain_board):
-    c = Scenario.make(
+    c = Scenario(
         chain_board, d=0, B=1, H=[], S={"p", "a"}, T={"p", "a", "w"},
         ord={"p": INF, "a": 1}, M=[zero_factor([])],
     )
@@ -236,20 +251,20 @@ def test_issue_7_domain_mismatch(crossing_scenario):
 
 def test_issue_7_negative_weight(crossing_scenario):
     c = remake(crossing_scenario, M=FactorSet((
-        MonomialFactor.of({"h1": Fraction(-1), "h2": 0}),
+        MonomialFactor({"h1": Fraction(-1), "h2": 0}),
     )))
     assert _issues(c) == {7}
 
 
 def test_issue_7_generators_not_an_antichain(crossing_scenario):
-    g1 = MonomialFactor.of({"h1": Fraction(1, 10), "h2": 0})
+    g1 = MonomialFactor({"h1": Fraction(1, 10), "h2": 0})
     g2 = zero_factor({"h1", "h2"})
     c = remake(crossing_scenario, M=FactorSet((g1, g2)))
     assert _issues(c) == {7}
 
 
 def test_issue_8_residual_order_increases(chain_board):
-    good = Scenario.make(
+    good = Scenario(
         chain_board, d=1, B=1, H=[], S={"p", "a"}, T={"p", "a", "w"},
         ord={"p": INF, "a": INF}, M=[zero_factor([])],
     )
@@ -264,9 +279,9 @@ def test_issue_8_reads_the_weights_issue_7_rejects_off_the_handicap():
         {"p": 0, "a": 1, "b": 1, "w": 2},
         [("p", "a"), ("p", "b"), ("a", "w"), ("b", "w")],
     )
-    c = Scenario.make(
+    c = Scenario(
         board, d=2, B=1, H=[], S={"p", "a"}, T=board.ids,
-        ord={"p": 2, "a": 1}, M=[MonomialFactor.of({"b": 2})],
+        ord={"p": 2, "a": 1}, M=[MonomialFactor({"b": 2})],
     )
     # Issue 8 sums the generator's own weights separating p from a, as
     # issue 6 extends them: 2 - 2 < 1. Any such input already fails issue 7.
@@ -346,9 +361,9 @@ def _separated_pairs():
     )
     for B in (1, 2, 3):
         for weight in [Fraction(k, B) for k in range(2 * B + 1)] + [INF]:
-            yield Scenario.make(
+            yield Scenario(
                 board, d=2, B=B, H={"h"}, S={"p", "a"}, T=board.ids,
-                ord={"p": INF, "a": 2}, M=[MonomialFactor.of({"h": weight})],
+                ord={"p": INF, "a": 2}, M=[MonomialFactor({"h": weight})],
             )
 
 
@@ -379,7 +394,7 @@ def test_order_checks_match_their_own_loops_apart_from_orders_below_1():
 
 
 def test_issue_9_heavy_jib_set_without_witness(crossing_scenario):
-    c = remake(crossing_scenario, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
+    c = remake(crossing_scenario, M=[MonomialFactor({"h1": 1, "h2": 0})])
     assert _issues(c) == {9}
 
 
@@ -452,9 +467,9 @@ def _reference_heavy_jib_violations(board, d, H, S, M):
     ``heavy_jib_violations``."""
     out = []
     singular = sorted(S)
-    weights = [g.as_dict() for g in M.generators]
     for s in singular:
-        for K in heavy_jib_sets(tuple(h for h in sorted(H) if s in board.down_set(h)), weights):
+        uppers = tuple(h for h in sorted(H) if s in board.down_set(h))
+        for K in heavy_jib_sets(uppers, M.generators):
             hits = [
                 t
                 for t in singular
@@ -511,7 +526,7 @@ def test_heavy_jib_table_is_keyed_by_board_d_and_H():
         {"s": 0, "h1": 1, "h2": 1, "w": 2},
         [("s", "h2"), ("h1", "w"), ("h2", "w")],
     )
-    M = FactorSet.of([MonomialFactor.of({"h1": 1, "h2": 0})])
+    M = FactorSet.of([MonomialFactor({"h1": 1, "h2": 0})])
     H = frozenset({"h1", "h2"})
     asks = [
         (board, 2, H, frozenset({"s"})),
@@ -532,7 +547,7 @@ def test_heavy_jib_table_is_keyed_by_board_d_and_H():
 
 
 def test_heavy_jib_table_stays_off_equality_and_hash(crossing_scenario):
-    c = remake(crossing_scenario, M=[MonomialFactor.of({"h1": 1, "h2": 0})])
+    c = remake(crossing_scenario, M=[MonomialFactor({"h1": 1, "h2": 0})])
     twin = remake(c)
     before = (hash(c), hash(c.M), repr(c))
     assert _issue_9(c)
@@ -540,7 +555,7 @@ def test_heavy_jib_table_stays_off_equality_and_hash(crossing_scenario):
     assert (hash(c), hash(c.M), repr(c)) == before
     assert c == twin and c.M == twin.M and hash(c.M) == hash(twin.M)
     # the table dies with its factor set
-    M = FactorSet.of([MonomialFactor.of({"h1": 1, "h2": 0})])
+    M = FactorSet.of([MonomialFactor({"h1": 1, "h2": 0})])
     assert heavy_jib_violations(c.board, c.d, c.H, c.S, M)
     dead = weakref.ref(M)
     del M
@@ -574,7 +589,7 @@ def test_admissible_centers(chain_scenario, crossing_scenario):
 
 def test_admissible_centers_remote_nodes(crossing_board):
     # With nothing singular below them, side nodes become legal centers.
-    c = Scenario.make(
+    c = Scenario(
         crossing_board, d=2, B=1, H={"h1", "h2"}, S=[], T={"s", "h1", "h2", "w"},
         ord={}, M=[zero_factor({"h1", "h2"})],
     )
@@ -586,7 +601,7 @@ def test_admissible_centers_remote_nodes(crossing_board):
 
 def test_assign_orders_raises_each_free_node_by_its_own_amount():
     board = Board({"a": 0, "b": 0, "h": 1, "w": 2}, [("a", "h"), ("b", "h"), ("h", "w")])
-    gens = (MonomialFactor.of({"h": Fraction(1, 2)}),)
+    gens = (MonomialFactor({"h": Fraction(1, 2)}),)
     raises = {"h": Fraction(1, 2), "a": Fraction(2)}  # b is missing: 0
     # h: floor 1, raised to 3/2. a and b: floor 3/2, the order of h, since
     # the one jib lies above h as well and separates nothing; a is raised to 3
@@ -617,6 +632,32 @@ def test_equal_scenarios_hash_alike():
     assert len({c, swapped, remake(c, ord={s: Fraction(7) for s in c.S})}) == 2
 
 
+def test_scenario_normalises_its_input(crossing_board):
+    b = crossing_board
+    loose = Scenario(
+        b, 2, 10, ["h2", "h1"], {"s"}, list(b.ids), {"s": 2},
+        [MonomialFactor({"h2": Fraction(7, 10), "h1": 1})],
+    )
+    exact = Scenario(
+        b, 2, 10, frozenset({"h1", "h2"}), frozenset({"s"}), frozenset(b.ids),
+        FrozenDict({"s": Q(2)}), FactorSet((MonomialFactor({"h1": Q(1), "h2": Q(7, 10)}),)),
+    )
+    assert loose == exact and hash(loose) == hash(exact)
+    assert [type(part) for part in (loose.H, loose.S, loose.T)] == [frozenset] * 3
+    assert type(loose.ord) is FrozenDict and type(loose.M) is FactorSet
+    assert [type(v) for v in loose.ord.values()] == [Q]
+    assert [type(w) for g in loose.M.generators for w in g.values()] == [Q, Q]
+    # a frozen map of other numbers is converted too
+    frozen = dataclasses.replace(exact, ord=FrozenDict({"s": Fraction(2)}))
+    assert frozen == exact and type(frozen.ord["s"]) is Q
+
+
+def test_replace_gives_q_orders(chain_scenario):
+    c = dataclasses.replace(chain_scenario, ord={"p": Fraction(3), "a": INF})
+    assert type(c.ord) is FrozenDict
+    assert type(c.ord["p"]) is Q and c.ord["a"] is INF
+
+
 def test_scenario_orders_are_read_only(chain_scenario):
     c = chain_scenario
     for change in (
@@ -642,7 +683,7 @@ def test_scenario_orders_are_read_only(chain_scenario):
 
 
 def test_factor_json_roundtrip():
-    m = MonomialFactor.of({"a": Fraction(3, 7), "b": INF, "c": 0})
+    m = MonomialFactor({"a": Fraction(3, 7), "b": INF, "c": 0})
     assert factor_from_json(factor_to_json(m)) == m
 
 
@@ -663,3 +704,28 @@ def test_scenario_json_board_override(crossing_scenario):
 def test_scenario_json_rejects_malformed():
     with pytest.raises(ValueError):
         scenario_from_json({"d": 1})
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("H", ""), ("H", "h1"), ("S", {"s": "1"}), ("T", ["w", 1]), ("T", None)]
+)
+def test_scenario_json_takes_node_ids_in_lists_only(crossing_scenario, key, bad):
+    # a string was split into its characters and an object read as its keys
+    data = scenario_to_json(crossing_scenario)
+    data[key] = bad
+    with pytest.raises(ValueError, match=f"^malformed scenario JSON: {key} .* not a list of node ids"):
+        scenario_from_json(data)
+
+
+@pytest.mark.parametrize("extra", ["duplicate", "dominated"])
+def test_scenario_json_keeps_the_generators_as_written(crossing_scenario, extra):
+    # the reader pruned them, so a set that is not an antichain read clean
+    data = scenario_to_json(crossing_scenario)
+    (g,) = data["M"]
+    data["M"] = [g, g] if extra == "duplicate" else [{h: "0" for h in g}, g]
+    c = scenario_from_json(data)
+    assert len(c.M.generators) == 2
+    assert [g._sort_key() for g in c.M.generators] == sorted(g._sort_key() for g in c.M.generators)
+    assert [(v.issue, v.detail) for v in validate_scenario(c)] == [
+        (7, "generators are not an antichain")
+    ]

@@ -192,14 +192,14 @@ def test_zero_and_one_are_shared_qs():
 def _finite_values(scenario):
     yield from scenario.ord.values()
     for g in scenario.M.generators:
-        yield from (w for _, w in g.weights)
+        yield from g.values()
 
 
 def _relation_values(rel):
     if rel is None:
         return
     if rel.factor is not None:
-        yield from (w for _, w in rel.factor.weights)
+        yield from rel.factor.values()
     if rel.scale is not None:
         yield rel.scale
 
@@ -231,7 +231,7 @@ def test_every_order_weight_and_scale_of_a_game_is_a_q(monkeypatch):
         after = observe(self, *args)
         for plan in after.plans.values():
             if hasattr(plan, "m"):
-                check((w for _, w in plan.m.weights), "Dido's factor")
+                check(plan.m.values(), "Dido's factor")
         for _, masses in after.measure_log:
             check(masses, "Dido's measure")
         return after
