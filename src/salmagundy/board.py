@@ -23,7 +23,9 @@ result about one value is stored on that value (its checks, its JSON text
 ``_json_text``, a board's identity transform ``trivial_refinement``); a
 result about a blowup round on the round's transform, which dies with the
 round (every ``transform`` result and ``game.blowup_discards``); a call's
-child on its parent scenario (``quests.call_response``). A check that
+child on its parent scenario (``quests.call_response``); a bundle's verdict
+on the bundle, which only its round's record holds
+(``game.validate_bundle``). A check that
 reuses part of its work across inputs (the issue-9 table of
 ``scenario.heavy_jib_violations``) keeps it in the same per-value dict,
 ``_memo_of``.
@@ -76,12 +78,15 @@ class FrozenDict(dict):
     """A dict that refuses every change after construction.
 
     It hashes like the frozenset of its items, so it agrees with ``==``. The
-    hash is worked out on first use and kept in a slot: a scenario's hash,
-    and every lookup that interns one, reads the slot instead of rehashing
-    the whole order map.
+    hash is worked out on first use and kept on the instance: a scenario's
+    hash, and every lookup that interns one, reads it instead of rehashing
+    the whole order map. Until then the class's ``_hash``, None, answers,
+    so the first hash raises nothing, and an instance never hashed carries
+    no attribute dict.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__dict__",)
+    _hash = None
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is immutable")
@@ -90,11 +95,10 @@ class FrozenDict(dict):
     clear = pop = popitem = setdefault = update = _refuse
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # the first hash of this instance
+        h = self._hash
+        if h is None:
             h = self._hash = hash(frozenset(self.items()))
-            return h
+        return h
 
 
 def _memo_of(owner) -> dict:
@@ -168,7 +172,7 @@ class Board:
     the transitive closure, precomputed here since boards stay small.
     """
 
-    __slots__ = ("_dims", "_covers", "_ids", "_down", "_up", "_maximal", "_hash", "_memo")
+    __slots__ = ("_dims", "_covers", "_ids", "_down", "_up", "_maximal", "_n", "_hash", "_memo")
 
     def __init__(self, dims: Mapping[NodeId, int], covers: Iterable[Tuple[NodeId, NodeId]]):
         dims = dict(dims)
@@ -201,9 +205,10 @@ class Board:
         up = {s: self._reach(s, parents) for s in dims}
         object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_up", up)
-        object.__setattr__(
-            self, "_maximal", tuple(s for s in self._ids if len(up[s]) == 1)
-        )
+        maximal = tuple(s for s in self._ids if len(up[s]) == 1)
+        object.__setattr__(self, "_maximal", maximal)
+        # the dimension of the top, or None without a unique top
+        object.__setattr__(self, "_n", dims[maximal[0]] if len(maximal) == 1 else None)
 
         object.__setattr__(
             self, "_hash", hash((tuple(sorted(dims.items())), self._covers))
@@ -280,8 +285,10 @@ class Board:
 
     @property
     def n(self) -> int:
-        """The board dimension: the dimension of the top node."""
-        return self.dim(self.top)
+        """The board dimension: the dimension of the top node. Raises as
+        ``top`` does if the board does not have one."""
+        n = self._n
+        return self.dim(self.top) if n is None else n
 
     # ---- equality / hashing -------------------------------------------
 

@@ -29,6 +29,11 @@ share every plan they do not change. ``_plans_text`` is the canonical text
 of the plans, the strategy's half of the explorer's state key; it leaves
 out ``measure_log``, which no decision reads.
 
+Each loop plan's residuals, ord - ext_m on its quest's singular set, are
+stored on the quest's scenario for the plan's factor (``_residuals``), so
+``decide``, which walks the chain of delegations from the main quest every
+round, works them out once per scenario and factor, not once per round.
+
 Dido owns no rule formula: the critical sets are ``scenario.heavy_jib_sets``
 under the tracked factor, maximal nodes come from ``Board.maximal_among``,
 and m rides through a blowup by ``transform.lift_factor``, or, while a
@@ -42,7 +47,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .board import BoardTransform, FrozenDict, NodeId
+from .board import BoardTransform, FrozenDict, NodeId, _memo
 from .game import Bundle, CALL, DISCARDED, GameState, Move, OPEN, Quest
 from .quests import QuestRelation
 from .scenario import (
@@ -231,18 +236,7 @@ def _loop(
     state: GameState, quest: Quest, plan: _LoopPlan, plans: dict, log: list
 ) -> Union[Move, int]:
     c = quest.scenario
-    resid: Dict[NodeId, Value] = {}
-    for s in c.S:
-        ext = extend_factor(c.board, plan.m, s)
-        v = c.ord[s]
-        if not is_finite(v):
-            resid[s] = INF
-        else:
-            if not is_finite(ext):
-                raise StrategyError(f"tracked factor infinite at finite node {s}")
-            resid[s] = v - ext
-            if resid[s] < 0:
-                raise StrategyError(f"tracked factor exceeds the order at {s}")
+    resid = _memo(_residuals, plan.m, c)
     if plan.monomial or all(r == 0 for r in resid.values()):
         return _elementary(quest, plan, plans, log)
     if plan.child_id is not None and state.quests[plan.child_id].status == OPEN:
@@ -261,6 +255,26 @@ def _loop(
     if q <= 0:
         raise StrategyError("zero residuals did not enter the monomial phase")
     return Move.call(quest.quest_id, QuestRelation.quotient(plan.m, q))
+
+
+def _residuals(m: MonomialFactor, c: Scenario) -> Mapping[NodeId, Value]:
+    """ord - ext_m at every singular node of c: INF at an infinite order.
+    Stored on c for this very m (``board._memo``), so a quest the round left
+    alone, whose plan kept its factor, is read, not worked out again, each
+    time ``decide`` walks the chain through it. The map must not be changed."""
+    resid: Dict[NodeId, Value] = {}
+    for s in c.S:
+        ext = extend_factor(c.board, m, s)
+        v = c.ord[s]
+        if not is_finite(v):
+            resid[s] = INF
+        else:
+            if not is_finite(ext):
+                raise StrategyError(f"tracked factor infinite at finite node {s}")
+            resid[s] = v - ext
+            if resid[s] < 0:
+                raise StrategyError(f"tracked factor exceeds the order at {s}")
+    return resid
 
 
 def _elementary(quest: Quest, plan: _LoopPlan, plans: dict, log: list) -> Move:

@@ -26,10 +26,12 @@ candidates with ``validate_bundle`` and shares each distinct response among
 the candidates of one blown-up board, so a response is checked once under
 each parent response it meets, not once per candidate, and the quests a
 blowup closes are worked out once per state and blown-up board
-(``blowup_discards``). ``apply_round`` always checks the chosen bundle
-again, with the very same scenario and transform objects; the second check
-finds every verdict stored. A call round's check compares the child with its
-call's response, which is cheap, and reads the child's stored validity.
+(``blowup_discards``). A bundle is a value too, and its own verdict is
+stored on it for the state and the move it was judged against, so
+``apply_round`` reads the verdict the sieve reached for the chosen bundle
+instead of judging it again; a bundle no sieve judged, such as one read from
+a trace, is checked in full. A call round's check compares the child with
+its call's response, which is cheap, and reads the child's stored validity.
 Values are stored too: a call's child sits on its parent scenario
 (``quests.call_response``). A slot lives as long as its owner, so the game
 owns its root scenario: ``new_game`` plays a copy of the caller's.
@@ -41,15 +43,16 @@ small encoding of the rest of the record. Every text is encoded by one
 module-level encoder, ``board._encode``, which gives ``json.dumps`` with
 sorted keys, from the value's one JSON formula, so the line is
 byte-identical to encoding the record's dict form, and it dies with its
-value. The mutable ``Bundle`` owns no text: its line is built from its
-current fields. Replay reads each value once, too (``replay_trace``).
+value. A ``Bundle`` stores its verdict but no text: its line is built from
+the texts stored on its fields. Replay reads each value once, too
+(``replay_trace``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .board import (
     BLOWUP,
@@ -60,6 +63,7 @@ from .board import (
     Violation,
     _encode,
     _json_text,
+    _memo_of,
     board_from_json,
     board_to_json,
     trivial_refinement,
@@ -211,19 +215,28 @@ class Move:
         return cls(BLOWUP_MOVE, center=center)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
-    """Mephisto's answer to one move.
+    """Mephisto's answer to one move, a value like ``GameState``.
 
     ``responses`` maps every surviving open quest to its next scenario; on a
     call round that is all open quests (unchanged) and ``child`` holds the
-    new quest's scenario. ``discards`` lists the quests the center closed.
+    new quest's scenario. ``discards`` is the set of quests the center
+    closed. The constructor (``dataclasses.replace`` too) makes the
+    responses a ``FrozenDict`` and the discards a frozenset, so a bundle
+    never changes and its verdict can be stored on it (``validate_bundle``).
     """
 
     transform: BoardTransform
-    responses: Dict[int, Scenario]
-    discards: frozenset = frozenset()
+    responses: Mapping[int, Scenario]
+    discards: FrozenSet[int] = frozenset()
     child: Optional[Scenario] = None
+
+    def __post_init__(self) -> None:
+        if type(self.responses) is not FrozenDict:
+            object.__setattr__(self, "responses", FrozenDict(self.responses))
+        if type(self.discards) is not frozenset:
+            object.__setattr__(self, "discards", frozenset(self.discards))
 
 
 class BundleError(ValueError):
@@ -239,18 +252,35 @@ def _bundle_violation(detail: str, witness: Tuple = ()) -> Violation:
 def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
     """All violations of the bundle, empty when it is legal.
 
+    The verdict is stored on the bundle, with the state it was judged
+    against and the move: a bundle judged for this very state and a move
+    equal to this one gets its stored verdict, so Mephisto's sieve, which
+    judges every candidate against a move of its own, reaches each verdict
+    once and ``apply_round`` only reads it. A bundle never judged, or judged
+    for another state or an unequal move (one read from a trace, one built
+    by hand), is checked in full. The slot holds the state, as ``board``'s
+    rule for stored results asks, and a bundle lives only as long as its
+    round's record.
+
     Every rule check behind this gate is a pure function of immutable
     objects, answered once per identical inputs: a blowup round's verdicts
     are stored on its transform, keyed by the identity of the other inputs.
-    Checking a bundle again costs a lookup per quest; an equal but distinct
-    object is checked afresh.
 
     Before any transform or call check, every scenario the round brings in
     (a blowup's responses, a call's child) must pass ``validate_shape``;
     otherwise its shape violations are the verdict, since the checks after
     them read its nodes on the board. A call round's responses are only
-    compared with the quests' scenarios, which reads no node.
+    compared with the quests' scenarios, which reads no node. Every call
+    returns a fresh list.
     """
+    memo = _memo_of(bundle)
+    judged = memo.get(_judge)
+    if judged is None or judged[0] is not state or judged[1] != move:
+        judged = memo[_judge] = (state, move, _judge(state, move, bundle))
+    return list(judged[2])
+
+
+def _judge(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
     if move.kind == CALL:
         check, new = _validate_call, [bundle.child] if bundle.child is not None else []
     elif move.kind == BLOWUP_MOVE:
@@ -375,6 +405,8 @@ def _blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
 
 def apply_round(state: GameState, move: Move, bundle: Bundle) -> Tuple[GameState, dict]:
     """Validate one round; returns the state after it and the trace record.
+    The verdict is ``validate_bundle``'s, read from the bundle when the
+    sieve judged it for this state and move.
 
     ``state`` stays as it was: the next state shares every quest the round
     leaves alone. The record holds the ``Bundle`` itself under ``"bundle"``,

@@ -41,9 +41,12 @@ The adversarial bound reads every keep's bound before it starts one, so it
 lists them all first. Either way the keeps start in one order, and the
 candidates they count against ``_CANDIDATE_CAP`` are the same.
 
-The sieve is the umpire's own gate, ``game.validate_bundle``, plus one exact
-shortcut: a keep set whose root response must fail scenario issue 9
-(``scenario.heavy_jib_violations``) is skipped before any bundle is built.
+The sieve is the umpire's own gate, ``game.validate_bundle``, which stores
+each verdict on its bundle for the state and the move it judged, so the
+umpire reads the chosen bundle's verdict instead of reaching it again. The
+sieve adds one exact shortcut: a keep set whose root response must fail
+scenario issue 9 (``scenario.heavy_jib_violations``) is skipped before any
+bundle is built.
 Issue 9 reads one table per blown-up board: ``transform.blowup_jibs`` gives
 every keep the same handicap H1 and factor set M1, and M1 holds each node's
 heavy jib sets with their candidate nodes, so each keep costs set lookups.
@@ -110,6 +113,7 @@ from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence,
 from .board import (
     Board,
     BoardTransform,
+    FrozenDict,
     NodeId,
     Violation,
     blowup_transform,
@@ -486,6 +490,7 @@ def enumerate_blowup_bundles(
     else:
         subsets = [ts]
     levels = policy.bump_levels()
+    move = Move.blowup(z)  # equal to Dido's move, so the umpire reads the verdicts
     examined = 0
     bounded = policy.kind == ADVERSARIAL
     best = -1  # the incumbent: the largest total |S| yielded so far
@@ -557,7 +562,7 @@ def enumerate_blowup_bundles(
                 bundle = _assemble_blowup(state, bt, root_new, bump, relations, interned)
                 if bundle is None or bundle.responses in yielded:
                     continue
-                violations = validate_bundle(state, Move.blowup(z), bundle)
+                violations = validate_bundle(state, move, bundle)
                 if not violations:
                     yielded.append(bundle.responses)
                     if bounded:
@@ -589,13 +594,19 @@ def _descent_call_child(c: Scenario, bump: Q) -> Scenario:
 def enumerate_call_bundles(
     state: GameState, move: Move, policy: Policy
 ) -> Iterator[Bundle]:
+    """Valid bundles for a call: every open quest unchanged, plus the child.
+
+    A descent child's orders are free, so it is built at each bump level of
+    the policy. Every other call fixes its child (``quests.call_response``),
+    so it has one candidate; when that one is illegal, the stream raises
+    NoValidBundle naming the first violation of its verdict."""
     quest = state.quests.get(move.quest_id)
     if quest is None or quest.status != OPEN:
         raise NoValidBundle(f"quest {move.quest_id} is not open")
     rel = move.relation
     parent = quest.scenario
     bt = trivial_refinement(state.board)
-    responses = {q.quest_id: q.scenario for q in state.open_quests()}
+    responses = FrozenDict((q.quest_id, q.scenario) for q in state.open_quests())
 
     if rel.kind == DESCENT:
         children = (
@@ -615,9 +626,12 @@ def enumerate_call_bundles(
         # A child equal to an open quest's scenario is that object, so at the
         # next blowup the two quests share their checks as well.
         child = next((sc for sc in responses.values() if sc == child), child)
-        bundle = Bundle(transform=bt, responses=dict(responses), child=child)
-        if not validate_bundle(state, move, bundle):
+        bundle = Bundle(transform=bt, responses=responses, child=child)
+        violations = validate_bundle(state, move, bundle)
+        if not violations:
             yield bundle
+        elif rel.kind != DESCENT:
+            raise NoValidBundle(f"illegal call on quest {move.quest_id}: {violations[0]}")
 
 
 # ---- the policy front door -----------------------------------------------------

@@ -193,9 +193,9 @@ def _jib_uppers(board: Board, H: Iterable[NodeId], s: NodeId) -> Tuple[NodeId, .
 
 
 def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
-    """The factor's value at an arbitrary node: the sum of its weights at the
-    jibs above s, INF as soon as one of them is uncapped."""
-    up = board.up_set(s)
+    """The factor's value at a node s of the board: the sum of its weights at
+    the jibs above s, INF as soon as one of them is uncapped."""
+    up = board._up[s]
     total = ZERO
     for h, w in m.items():
         if h in up:
@@ -208,8 +208,8 @@ def extend_factor(board: Board, m: MonomialFactor, s: NodeId) -> Value:
 def separation_mass(board: Board, m: MonomialFactor, s: NodeId, t: NodeId) -> Value:
     """The factor's weight that separates s from an upper t: the sum of its
     weights at the jibs above s but not above t, INF as soon as one of them
-    is uncapped (scenario issue 8)."""
-    up_s, up_t = board.up_set(s), board.up_set(t)
+    is uncapped (scenario issue 8). Both nodes lie on the board."""
+    up_s, up_t = board._up[s], board._up[t]
     total = ZERO
     for h, w in m.items():
         if h in up_s and h not in up_t:
@@ -226,14 +226,15 @@ def _floor_terms(
     bound): 1 and, at dimension d, INF (issue 4, upper and mass None); each
     factor's extension at f (issue 6, the mass is the bound); and, for each
     strict upper t of f in ``placed``, in sorted order, and each factor, ord(t)
-    plus the factor mass separating f from t (issue 8)."""
+    plus the factor mass separating f from t (issue 8). f and every node of
+    ``placed`` lie on the board."""
     yield 4, None, None, ONE
-    if board.dim(f) == d:
+    if board._dims[f] == d:
         yield 4, None, None, INF
     for g in gens:
         ext = extend_factor(board, g, f)
         yield 6, None, ext, ext
-    for t in sorted(board.up_set(f).intersection(placed)):
+    for t in sorted(board._up[f].intersection(placed)):
         if t != f:
             for g in gens:
                 spent = separation_mass(board, g, f, t)
@@ -348,11 +349,14 @@ def _check_scenario(c: Scenario) -> List[Violation]:
     out = validate_shape(c)
     if out:
         return out
+    # The shape holds, so every node read below lies on the board: its
+    # tables are read directly.
     b = c.board
+    n, dims, up_sets = b.n, b._dims, b._up
     rule = "scenario"
     S, H = sorted(c.S), sorted(c.H)
-    if not 0 <= c.d <= b.n:
-        out.append(Violation(rule, "structure", (), f"d = {c.d} outside [0, {b.n}]"))
+    if not 0 <= c.d <= n:
+        out.append(Violation(rule, "structure", (), f"d = {c.d} outside [0, {n}]"))
     for s in S:
         v = c.ord[s]
         if v is INF:
@@ -385,20 +389,20 @@ def _check_scenario(c: Scenario) -> List[Violation]:
 
     # Issue 1: jibs are hypersurface-dimensional.
     for h in H:
-        if b.dim(h) != b.n - 1:
-            out.append(Violation(rule, 1, (h,), f"jib {h} has dim {b.dim(h)}, expected {b.n - 1}"))
+        if dims[h] != n - 1:
+            out.append(Violation(rule, 1, (h,), f"jib {h} has dim {dims[h]}, expected {n - 1}"))
 
     # Issue 2: S downward closed.
     for s in S:
-        for t in sorted(b.down_set(s) - c.S):
+        for t in sorted(b._down[s] - c.S):
             out.append(Violation(rule, 2, (t, s), f"{t} <= {s} in S but {t} not in S"))
 
     # Issue 3: maximal infinite-order nodes.
     for s in b.maximal_among(s for s in c.S if c.ord[s] is INF):
-        if b.dim(s) != c.d:
+        if dims[s] != c.d:
             out.append(
                 Violation(
-                    rule, 3, (s,), f"maximal infinite-order node {s} has dim {b.dim(s)}, expected {c.d}"
+                    rule, 3, (s,), f"maximal infinite-order node {s} has dim {dims[s]}, expected {c.d}"
                 )
             )
         if not c.H and s not in c.T:
@@ -408,23 +412,23 @@ def _check_scenario(c: Scenario) -> List[Violation]:
 
     # Issue 4: dimension bound on S (its order bounds are checked below).
     for s in S:
-        if b.dim(s) > c.d:
-            out.append(Violation(rule, 4, (s,), f"singular node {s} has dim {b.dim(s)} > d = {c.d}"))
+        if dims[s] > c.d:
+            out.append(Violation(rule, 4, (s,), f"singular node {s} has dim {dims[s]} > d = {c.d}"))
 
     # Issue 5: below a size-k jib set the dimension drops by k; at equality
     # the node must be transversal. Only the count of jibs above s matters.
     for s in S:
-        up = b.up_set(s)
+        up = up_sets[s]
         uppers = tuple(h for h in H if h in up)
         J = len(uppers)
-        k = c.d - b.dim(s)
+        k = c.d - dims[s]
         if k < J:
             out.append(
                 Violation(
                     rule,
                     5,
                     (s,) + uppers,
-                    f"{s} lies below {J} jibs but dim({s}) = {b.dim(s)} > d - {J}",
+                    f"{s} lies below {J} jibs but dim({s}) = {dims[s]} > d - {J}",
                 )
             )
         if 0 <= k <= J and s not in c.T:

@@ -107,7 +107,7 @@ def pinned_orders(c: Scenario, bt: BoardTransform) -> FrozenDict:
 
 
 def _pinned_orders(c: Scenario, bt: BoardTransform) -> FrozenDict:
-    below_e = bt.target.down_set(bt.exceptional)
+    below_e = bt.target._down[bt.exceptional]
     pins = {
         x: c.ord[src]
         for x, src in bt.retract.items()
@@ -175,14 +175,13 @@ def cleared_nodes(
     dim(z), the pair (K, the members of ``nodes`` over z below every i(h),
     h in K, sorted). No node of a response may be singular there."""
     z = bt.center
-    b1 = bt.target
-    k = c.d - c.board.dim(z)
+    k = c.d - c.board._dims[z]
     if k < 0:
         return
-    below_z = c.board.down_set(z)
+    below_z = c.board._down[z]
     over_z = sorted(x for x in nodes if bt.retract[x] in below_z)
     for K in combinations(c.jib_uppers(z), k):
-        rows = [b1.down_set(bt.embed[h]) for h in K]
+        rows = [bt.target._down[bt.embed[h]] for h in K]
         yield K, tuple(x for x in over_z if all(x in row for row in rows))
 
 

@@ -272,26 +272,41 @@ def is_finite(v: Value) -> bool:
 
 
 def parse_value(text: str) -> Value:
-    """Parse an order or factor weight: 'a/b', an integer string, or 'inf'."""
+    """Parse an order or factor weight in the one form ``format_value``
+    writes: 'inf', an integer, or 'a/b' in lowest terms with b > 1, in ASCII
+    digits without a leading zero, a '-' the only sign, and no space.
+    Raises ValueError for every other text: for text ``Fraction`` cannot
+    read, its own error (a zero denominator is malformed text too, not a
+    ZeroDivisionError); for another spelling of a value, such as '+1',
+    '1e0', '0.5', '2/4' or '01', an error naming the written form."""
     if text == "inf":
         return INF
     # Nonnegative 'a' and 'a/b' in ASCII digits, the texts a trace holds, are
-    # read without Fraction's regular expression. Every other text goes to
-    # Fraction, so malformed text raises Fraction's own ValueError; a zero
-    # denominator is malformed text too, not a ZeroDivisionError.
-    if text.isascii() and text.isdigit():
-        return _q(int(text), 1)
+    # read without Fraction's regular expression, and checked against the
+    # written form without writing it: no leading zero, and a/b in lowest
+    # terms (its denominator stays b) with b > 1. Every other text goes to
+    # Fraction, so malformed text raises Fraction's own ValueError.
     num, slash, den = text.partition("/")
     try:
-        if slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-            return Q(int(num), int(den))
-        return Q(text)
+        if text.isascii() and text.isdigit():
+            v = _q(int(text), 1)
+            written = text[0] != "0" or len(text) == 1
+        elif slash and num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            d = int(den)
+            v = Q(int(num), d)
+            written = num[0] != "0" and den[0] != "0" and v._denominator == d > 1
+        else:
+            v = Q(text)
+            written = format_value(v) == text
     except ZeroDivisionError:
         raise ValueError(f"value {text!r} has a zero denominator") from None
+    if not written:
+        raise ValueError(f"value {text!r} is not written as {format_value(v)!r}")
+    return v
 
 
 def format_value(v: Value) -> str:
     """Inverse of parse_value. Lowest terms; integers without the '/1'."""
     if v is INF:
         return "inf"
-    return str(Q(v))
+    return str(v if type(v) is Q else Q(v))

@@ -109,6 +109,26 @@ def test_a_singular_top_is_a_valid_start_that_no_bundle_answers(capsys, tmp_path
         assert "center w is not admissible" in err and "Traceback" not in err
 
 
+def test_an_illegal_fixed_child_call_names_its_violation(capsys, tmp_path):
+    # The chain a < b < w with d = 2, H = {b}, S = {a}, ord(a) = 3/2 and
+    # M = <b: 1/2>. Under canonical, Dido's quotient call after 11 rounds has
+    # one child, which scenario issue 9 rejects; the error names that
+    # violation, not only the missing bundle. random:1 wins the same start.
+    data = {
+        "board": _board_json({"a": 0, "b": 1, "w": 2}, [["a", "b"], ["b", "w"]]),
+        "d": 2, "B": 2, "H": ["b"], "S": ["a"], "T": ["a", "b", "w"], "ord": {"a": "3/2"},
+        "M": [{"b": "1/2"}],
+    }
+    path, trace = tmp_path / "chain.json", tmp_path / "chain.ndjson"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "play", "--scenario", path, "--trace", trace)
+    assert code == cli.EXIT_VIOLATIONS and "Traceback" not in err
+    assert len(trace.read_text().splitlines()) == 1 + 11
+    assert re.search(r"illegal call on quest \d+: \[scenario / issue 9\]", err)
+    code, out, err = run(capsys, "play", "--scenario", path, "--mephisto", "random:1")
+    assert code == cli.EXIT_OK and out.startswith("won in 12 rounds")
+
+
 def test_validate_reports_violations(capsys, tmp_path, chain_scenario):
     data = scenario_to_json(chain_scenario)
     data["ord"]["p"] = "1/2"  # off the 1/B grid, B = 1
@@ -411,6 +431,25 @@ def test_replay_rejects_nodes_off_the_board_without_a_traceback(
     code, out, err = run(capsys, "replay", trace)
     assert (code, out) == (cli.EXIT_VIOLATIONS, "")
     assert err == f"[scenario / issue structure] {part} contains unknown nodes (witness: zz)\n"
+    assert "Traceback" not in err
+
+
+def test_replay_rejects_an_order_in_another_spelling(capsys, tmp_path):
+    # "4/3" written as "8/6" is the same value, but no writer spells it so:
+    # the trace is tampered with, not a won game.
+    trace = tmp_path / "game.ndjson"
+    assert run(capsys, "play", "--seed", 6, "--trace", trace)[0] == cli.EXIT_OK
+    lines = trace.read_text().splitlines()
+    record = json.loads(lines[1])
+    ords = record["bundle"]["responses"]["0"]["ord"]
+    s = min(s for s, v in ords.items() if "/" in v)
+    num, den = ords[s].split("/")
+    ords[s] = f"{2 * int(num)}/{2 * int(den)}"
+    lines[1] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "replay", trace)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "")
+    assert "line 2: malformed trace record" in err and "is not written as" in err
     assert "Traceback" not in err
 
 

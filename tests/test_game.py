@@ -973,16 +973,27 @@ def test_stored_texts_die_with_their_values(crossing_scenario, monkeypatch):
 
 
 def test_a_bundle_owns_no_text(crossing_scenario):
+    # A bundle stores its verdict, with the state and the move it judged,
+    # and no text: its line is built from the texts of its fields, so a
+    # bundle built from it by dataclasses.replace has its own line.
     record = _crafted_records(crossing_scenario)[0]
     bundle = record["bundle"]
     before = round_to_json(record)
     assert "_memo" not in vars(bundle)
-    bundle.responses[4] = bundle.responses.pop(10)
-    bundle.discards = frozenset()
+    state = new_game(crossing_scenario)
+    move = move_from_json(record["move"])
+    verdict = validate_bundle(state, move, bundle)
+    assert verdict  # quest 2 is not a quest of the state
+    assert round_to_json(record) == before
+    assert list(vars(bundle)["_memo"].values()) == [(state, move, verdict)]
+    responses = dict(bundle.responses)
+    responses[4] = responses.pop(10)
+    changed = dataclasses.replace(bundle, responses=responses, discards=())
+    record = dict(record, bundle=changed)
     after = round_to_json(record)
     assert after != before and after == _dict_line(record)
     assert sorted(json.loads(after)["bundle"]["responses"]) == ["0", "2", "4"]
-    assert "_memo" not in vars(bundle)
+    assert "_memo" not in vars(changed)
 
 
 def test_apply_round_and_replay_encode_nothing(monkeypatch):
@@ -1085,6 +1096,80 @@ def test_mutating_a_returned_verdict_changes_nothing():
     ok = validate_bundle(st, mv, bundle)
     ok.append(want[0])
     assert validate_bundle(st, mv, bundle) == []
+
+
+def test_a_bundle_refuses_changes():
+    st, mv, bundle = _seed9_first_blowup()
+    assert type(bundle.responses) is board.FrozenDict and type(bundle.discards) is frozenset
+    for field in dataclasses.fields(bundle):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(bundle, field.name, getattr(bundle, field.name))
+    with pytest.raises(TypeError):
+        bundle.responses[0] = st.root.scenario
+    built = Bundle(transform=bundle.transform, responses=dict(bundle.responses), discards=[])
+    assert built == bundle and type(built.responses) is board.FrozenDict
+    assert type(built.discards) is frozenset
+
+
+def _counting_checks(monkeypatch):
+    """Count the calls of the umpire's per-quest checks."""
+    calls = Counter()
+    for name in ("_validate_blowup", "_validate_call"):
+        check = getattr(game, name)
+
+        def counted(*args, check=check, name=name):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(game, name, counted)
+    return calls
+
+
+def test_apply_round_reads_the_verdict_the_sieve_stored(monkeypatch):
+    # Once Mephisto's sieve has judged the chosen bundle, apply_round runs
+    # no per-quest check: it reads the verdict. Seed 9 plays both kinds of
+    # round under canonical, and the sieve meets the same move by value.
+    state, strategy, kinds = new_game(gen_scenario(9)), DidoStrategy(), Counter()
+    while True:
+        move, strategy = strategy.decide(state)
+        if move is None:
+            break
+        bundle = respond(state, move, Policy())
+        with monkeypatch.context() as patched:
+            for name in ("_validate_blowup", "_validate_call"):
+                patched.setattr(game, name, functools.partial(pytest.fail, "checked again"))
+            state, _ = apply_round(state, move, bundle)
+        strategy = strategy.observe(state, move, bundle)
+        kinds[move.kind] += 1
+    assert state.won and kinds["blowup"] and kinds["call"]
+
+
+def test_a_stored_verdict_answers_only_its_state_and_an_equal_move(monkeypatch):
+    st, mv, bundle = _seed9_first_blowup()
+    calls = _counting_checks(monkeypatch)
+    assert validate_bundle(st, Move.blowup(mv.center), bundle) == []
+    assert calls["_validate_blowup"] == 0  # an equal move reads the sieve's verdict
+    twin = GameState(st.quests, st.round_no)
+    assert twin == st and twin is not st
+    assert validate_bundle(twin, mv, bundle) == []
+    assert calls["_validate_blowup"] == 1
+    other = next(z for z in admissible_centers(st.root.scenario) if z != mv.center)
+    assert validate_bundle(st, Move.blowup(other), bundle) != []
+    assert calls["_validate_blowup"] == 2
+    # the slot holds the last verdict only: the first state is judged again
+    assert validate_bundle(st, mv, bundle) == []
+    assert calls["_validate_blowup"] == 3
+    assert validate_bundle(st, mv, bundle) == []
+    assert calls["_validate_blowup"] == 3
+
+
+def test_replay_runs_the_umpire_in_full(monkeypatch):
+    result = play_game(gen_scenario(9), Policy())
+    calls = _counting_checks(monkeypatch)
+    state = replay_trace(result.trace)
+    assert state.won and state.round_no == result.rounds
+    assert calls["_validate_blowup"] and calls["_validate_call"]
+    assert calls["_validate_blowup"] + calls["_validate_call"] == result.rounds
 
 
 def _watching(scenarios, transforms):

@@ -114,11 +114,21 @@ def test_a_zero_denominator_is_a_value_error(text):
         parse_value(text)
 
 
-def test_parse_value_reads_every_text_fraction_reads():
-    texts = ["0", "3", "007", "4/6", "10/4", "-3", "+3", "-3/4", " 7/2 ", "0.5", "1e2"]
-    for text in texts + ["\u0663", "\u0663/\u0664"]:  # Arabic-Indic 3 and 3/4
+def test_parse_value_reads_only_what_format_value_writes():
+    # A text parses only if format_value of its value gives it back, so a
+    # trace or scenario file has one spelling of each value.
+    for text in ["0", "3", "12", "-3", "3/4", "-3/4", "10/3", "inf"]:
         got = parse_value(text)
-        assert got == Fraction(text) and type(got) is Q
+        assert format_value(got) == text and (got is INF or type(got) is Q)
+    other = [" 1", "+1", "1e0", "1_0", "0.5", "2/4", "2/2", "01", "007", "4/6", "10/4"]
+    other += ["+3", " 7/2 ", "1e2", "-0", "0/3", "00", "3/1", "1/02", "-2/4", "-01"]
+    other += ["\u0663", "\u0663/\u0664"]  # Arabic-Indic 3 and 3/4
+    for text in other:
+        written = format_value(Fraction(text))
+        assert written != text
+        with pytest.raises(ValueError, match=f"^value {re.escape(repr(text))} is not written as "
+                           f"{re.escape(repr(written))}$"):
+            parse_value(text)
 
 
 # ---- Q against fractions.Fraction -------------------------------------------
