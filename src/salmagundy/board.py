@@ -24,7 +24,8 @@ result about one value is stored on that value (its checks, its JSON text
 result about a blowup round on the round's transform, which dies with the
 round (every ``transform`` result and ``game.blowup_discards``); a call's
 child on its parent scenario (``quests.call_response``); a bundle's verdict
-on the bundle, which only its round's record holds
+on the bundle, in one slot per identity of the state and the move it was
+judged against, and only the bundle's round record holds the bundle
 (``game.validate_bundle``). A check that
 reuses part of its work across inputs (the issue-9 table of
 ``scenario.heavy_jib_violations``) keeps it in the same per-value dict,

@@ -14,7 +14,7 @@ from typing import List, Optional
 from .board import board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
 from .harness import check_caps, explore, gen_board, gen_scenario, play_game, scenario_to_dot
-from .mephisto import EXPLORE, CapError, NoValidBundle, Policy
+from .mephisto import CapError, NoValidBundle, Policy
 from .scenario import scenario_from_json, scenario_to_json, validate_scenario, validate_shape
 
 EXIT_OK = 0
@@ -176,8 +176,6 @@ def _policy(args: argparse.Namespace, text: str) -> Policy:
     usage error. ``explore`` is no policy to play against: ``parse`` refuses it."""
     caps = _given(args, "max_new_nodes", "max_order_steps")
     try:
-        if text == EXPLORE:
-            return Policy(EXPLORE, **caps)
         return Policy.parse(text, **caps)
     except ValueError as exc:
         raise SystemExit(_usage(str(exc)))
@@ -269,13 +267,7 @@ def _cmd_play(args) -> int:
 
 def _cmd_explore(args) -> int:
     scenario = _game_scenario(args)
-    policy = _policy(args, EXPLORE)
-    report = explore(
-        scenario,
-        max_new_nodes=policy.max_new_nodes,
-        max_order_steps=policy.max_order_steps,
-        **_caps(args, "depth_cap"),
-    )
+    report = explore(scenario, **_caps(args, "depth_cap", "max_new_nodes", "max_order_steps"))
     print(
         f"all_won={str(report.all_won).lower()} branches={report.branch_count} "
         f"leaves={report.leaf_count} wins={report.win_count} "

@@ -26,8 +26,9 @@ candidates with ``validate_bundle`` and shares each distinct response among
 the candidates of one blown-up board, so a response is checked once under
 each parent response it meets, not once per candidate, and the quests a
 blowup closes are worked out once per state and blown-up board
-(``blowup_discards``). A bundle is a value too, and its own verdict is
-stored on it for the state and the move it was judged against, so
+(``blowup_discards``). A bundle is a value too, and its own verdict is a
+``_memo`` slot on it, keyed by the identities of the state and the move it
+was judged against. The sieve judges against Dido's own move, so
 ``apply_round`` reads the verdict the sieve reached for the chosen bundle
 instead of judging it again; a bundle no sieve judged, such as one read from
 a trace, is checked in full. A call round's check compares the child with
@@ -63,13 +64,12 @@ from .board import (
     Violation,
     _encode,
     _json_text,
-    _memo_of,
+    _memo,
     board_from_json,
     board_to_json,
     trivial_refinement,
     validate_board,
     validate_board_transform,
-    _memo,
 )
 from .quests import (
     DESCENT,
@@ -252,15 +252,13 @@ def _bundle_violation(detail: str, witness: Tuple = ()) -> Violation:
 def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
     """All violations of the bundle, empty when it is legal.
 
-    The verdict is stored on the bundle, with the state it was judged
-    against and the move: a bundle judged for this very state and a move
-    equal to this one gets its stored verdict, so Mephisto's sieve, which
-    judges every candidate against a move of its own, reaches each verdict
-    once and ``apply_round`` only reads it. A bundle never judged, or judged
-    for another state or an unequal move (one read from a trace, one built
-    by hand), is checked in full. The slot holds the state, as ``board``'s
-    rule for stored results asks, and a bundle lives only as long as its
-    round's record.
+    The verdict is a ``board._memo`` slot on the bundle, keyed by the
+    identities of the state and the move, which the slot holds. Mephisto's
+    sieve judges each candidate against Dido's own move, so it reaches each
+    verdict once and ``apply_round`` only reads it. A bundle never judged
+    for this very state and move (one read from a trace, one built by hand,
+    one judged against an equal but distinct move) is checked in full. A
+    bundle lives only as long as its round's record.
 
     Every rule check behind this gate is a pure function of immutable
     objects, answered once per identical inputs: a blowup round's verdicts
@@ -273,11 +271,7 @@ def validate_bundle(state: GameState, move: Move, bundle: Bundle) -> List[Violat
     compared with the quests' scenarios, which reads no node. Every call
     returns a fresh list.
     """
-    memo = _memo_of(bundle)
-    judged = memo.get(_judge)
-    if judged is None or judged[0] is not state or judged[1] != move:
-        judged = memo[_judge] = (state, move, _judge(state, move, bundle))
-    return list(judged[2])
+    return list(_memo(_judge, state, move, bundle))
 
 
 def _judge(state: GameState, move: Move, bundle: Bundle) -> List[Violation]:
@@ -405,8 +399,8 @@ def _blowup_discards(state: GameState, bt: BoardTransform) -> frozenset:
 
 def apply_round(state: GameState, move: Move, bundle: Bundle) -> Tuple[GameState, dict]:
     """Validate one round; returns the state after it and the trace record.
-    The verdict is ``validate_bundle``'s, read from the bundle when the
-    sieve judged it for this state and move.
+    The verdict is ``validate_bundle``'s, read from the bundle's slot for
+    this very state and move when the sieve judged it.
 
     ``state`` stays as it was: the next state shares every quest the round
     leaves alone. The record holds the ``Bundle`` itself under ``"bundle"``,

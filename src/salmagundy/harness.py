@@ -219,7 +219,9 @@ class GameResult:
 
 def check_caps(**caps: int) -> None:
     """Raise ValueError, naming the argument, for a negative cap among
-    ``caps`` (``round_cap`` of ``play_game``, ``depth_cap`` of ``explore``)."""
+    ``caps``: ``round_cap`` of ``play_game``, and ``depth_cap``,
+    ``max_new_nodes`` and ``max_order_steps`` of ``explore``, each worded
+    as ``Policy`` words its own."""
     for name, value in caps.items():
         if value < 0:
             raise ValueError(f"{name} must be at least 0, got {value}")
@@ -401,7 +403,7 @@ def explore(scenario: Scenario, depth_cap: int = 50, **caps) -> ExploreReport:
         if move.kind == CALL:
             variants = enumerate_call_bundles(state, move, policy)
         else:
-            variants = enumerate_blowup_bundles(state, move.center, policy, cut)
+            variants = enumerate_blowup_bundles(state, move, policy, cut)
         any_bundle = False
         for bundle in variants:
             any_bundle = True

@@ -41,12 +41,13 @@ The adversarial bound reads every keep's bound before it starts one, so it
 lists them all first. Either way the keeps start in one order, and the
 candidates they count against ``_CANDIDATE_CAP`` are the same.
 
-The sieve is the umpire's own gate, ``game.validate_bundle``, which stores
-each verdict on its bundle for the state and the move it judged, so the
-umpire reads the chosen bundle's verdict instead of reaching it again. The
-sieve adds one exact shortcut: a keep set whose root response must fail
-scenario issue 9 (``scenario.heavy_jib_violations``) is skipped before any
-bundle is built.
+The sieve is the umpire's own gate, ``game.validate_bundle``, and both
+streams judge each candidate against Dido's own move. The verdict is a
+``board._memo`` slot on the bundle, keyed by the identities of the state
+and the move, so the umpire reads the chosen bundle's verdict instead of
+reaching it again. The sieve adds one exact shortcut: a keep set whose
+root response must fail scenario issue 9 (``scenario.heavy_jib_violations``)
+is skipped before any bundle is built.
 Issue 9 reads one table per blown-up board: ``transform.blowup_jibs`` gives
 every keep the same handicap H1 and factor set M1, and M1 holds each node's
 heavy jib sets with their candidate nodes, so each keep costs set lookups.
@@ -432,16 +433,19 @@ def _keep_bound(ceilings: Dict[int, Scenario], keep: FrozenSet[NodeId]) -> int:
 
 def enumerate_blowup_bundles(
     state: GameState,
-    z: NodeId,
+    move: Move,
     policy: Policy,
     truncated: Optional[List[str]] = None,
 ) -> Iterator[Bundle]:
-    """Valid bundles for a blowup at z, largest-keep and lowest-orders first.
+    """Valid bundles for Dido's blowup ``move`` at its center z,
+    largest-keep and lowest-orders first. Each candidate is judged against
+    ``move`` itself, so its verdict is the ``board._memo`` slot the umpire
+    reads when it applies the bundle for the same state and move.
 
     The policy decides which boards are enumerated. The choosing policies
     answer on the full blowup board (raising CapError when it busts
-    max_new_nodes); under ``EXPLORE`` every fitting subset of fresh nodes is
-    tried, largest first, which is how the explorer branches.
+    max_new_nodes); under ``EXPLORE`` every subset of fresh nodes that fits
+    is built, largest first, which is how the explorer branches.
 
     The stream is not exhaustive when it stops at ``_CANDIDATE_CAP`` or when
     a keep set is too wide to enumerate and is repaired instead. When that
@@ -472,17 +476,18 @@ def enumerate_blowup_bundles(
     """
     board = state.board
     root = state.root.scenario
+    z = move.center
     if z not in admissible_centers(root):
         raise NoValidBundle(f"center {z} is not admissible for the main quest")
     ts = blowup_uppers(board, z)
     cap = policy.max_new_nodes
     if policy.kind == EXPLORE:
+        largest = len(ts) if cap is None else min(len(ts), cap - 1)  # e is fresh too
         subsets = [
             list(sub)
-            for size in range(len(ts), -1, -1)
+            for size in range(largest, -1, -1)
             for sub in combinations(ts, size)
         ]
-        subsets = [sub for sub in subsets if cap is None or 1 + len(sub) <= cap]
         if not subsets:
             raise CapError(f"no blowup at {z} fits inside max_new_nodes={cap}")
     elif cap is not None and 1 + len(ts) > cap:
@@ -490,7 +495,6 @@ def enumerate_blowup_bundles(
     else:
         subsets = [ts]
     levels = policy.bump_levels()
-    move = Move.blowup(z)  # equal to Dido's move, so the umpire reads the verdicts
     examined = 0
     bounded = policy.kind == ADVERSARIAL
     best = -1  # the incumbent: the largest total |S| yielded so far
@@ -681,15 +685,15 @@ def respond_call(state: GameState, move: Move, policy: Policy) -> Bundle:
     return _choose(state, policy, stream, f"call on quest {move.quest_id}")
 
 
-def respond_blowup(state: GameState, z: NodeId, policy: Policy) -> Bundle:
+def respond_blowup(state: GameState, move: Move, policy: Policy) -> Bundle:
     truncated: List[str] = []
-    stream = enumerate_blowup_bundles(state, z, policy, truncated)
-    return _choose(state, policy, stream, f"blowup at {z}", truncated)
+    stream = enumerate_blowup_bundles(state, move, policy, truncated)
+    return _choose(state, policy, stream, f"blowup at {move.center}", truncated)
 
 
 def respond(state: GameState, move: Move, policy: Policy) -> Bundle:
     if move.kind == CALL:
         return respond_call(state, move, policy)
     if move.kind == BLOWUP_MOVE:
-        return respond_blowup(state, move.center, policy)
+        return respond_blowup(state, move, policy)
     raise ValueError(f"unknown move kind {move.kind!r}")

@@ -113,7 +113,8 @@ def test_an_illegal_fixed_child_call_names_its_violation(capsys, tmp_path):
     # The chain a < b < w with d = 2, H = {b}, S = {a}, ord(a) = 3/2 and
     # M = <b: 1/2>. Under canonical, Dido's quotient call after 11 rounds has
     # one child, which scenario issue 9 rejects; the error names that
-    # violation, not only the missing bundle. random:1 wins the same start.
+    # violation, not only the missing bundle. random:1 wins the same start,
+    # and explore meets the same call and names the same violation.
     data = {
         "board": _board_json({"a": 0, "b": 1, "w": 2}, [["a", "b"], ["b", "w"]]),
         "d": 2, "B": 2, "H": ["b"], "S": ["a"], "T": ["a", "b", "w"], "ord": {"a": "3/2"},
@@ -127,6 +128,9 @@ def test_an_illegal_fixed_child_call_names_its_violation(capsys, tmp_path):
     assert re.search(r"illegal call on quest \d+: \[scenario / issue 9\]", err)
     code, out, err = run(capsys, "play", "--scenario", path, "--mephisto", "random:1")
     assert code == cli.EXIT_OK and out.startswith("won in 12 rounds")
+    code, out, err = run(capsys, "explore", "--scenario", path)
+    assert (code, out) == (cli.EXIT_VIOLATIONS, "") and "Traceback" not in err
+    assert re.search(r"illegal call on quest \d+: \[scenario / issue 9\]", err)
 
 
 def test_validate_reports_violations(capsys, tmp_path, chain_scenario):
@@ -357,6 +361,17 @@ def test_a_runaway_game_exits_at_the_round_cap(capsys, tmp_path):
     code, out, err = run(capsys, "play", "--seed", 6, "--round-cap", 5)
     assert (code, out) == (cli.EXIT_CAP, "not won in 5 rounds (1 blowups); strict=true\n")
     assert err == "round cap 5 reached\n"
+
+
+def test_explore_is_no_policy_to_play_against(capsys, tmp_path):
+    # explore walks every bundle and chooses none, so play refuses it, from
+    # the command line or the config, as it refuses any unknown policy.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mephisto": "explore"}))
+    for argv in (("--mephisto", "explore"), ("--config", config)):
+        code, out, err = run(capsys, "play", "--seed", 1, *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: unknown policy 'explore'\n"
 
 
 def test_play_usage_errors(capsys, tmp_path):

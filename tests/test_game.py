@@ -973,9 +973,10 @@ def test_stored_texts_die_with_their_values(crossing_scenario, monkeypatch):
 
 
 def test_a_bundle_owns_no_text(crossing_scenario):
-    # A bundle stores its verdict, with the state and the move it judged,
-    # and no text: its line is built from the texts of its fields, so a
-    # bundle built from it by dataclasses.replace has its own line.
+    # A bundle stores its verdict, in a slot that holds the state and the
+    # move it judged, and no text: its line is built from the texts of its
+    # fields, so a bundle built from it by dataclasses.replace has its own
+    # line.
     record = _crafted_records(crossing_scenario)[0]
     bundle = record["bundle"]
     before = round_to_json(record)
@@ -985,7 +986,7 @@ def test_a_bundle_owns_no_text(crossing_scenario):
     verdict = validate_bundle(state, move, bundle)
     assert verdict  # quest 2 is not a quest of the state
     assert round_to_json(record) == before
-    assert list(vars(bundle)["_memo"].values()) == [(state, move, verdict)]
+    assert list(vars(bundle)["_memo"].values()) == [(verdict, (state, move))]
     responses = dict(bundle.responses)
     responses[4] = responses.pop(10)
     changed = dataclasses.replace(bundle, responses=responses, discards=())
@@ -1037,7 +1038,7 @@ def _seed9_first_blowup():
     st = new_game(gen_scenario(9))
     mv, _ = DidoStrategy().decide(st)
     assert mv.kind == "blowup"
-    bundle = next(enumerate_blowup_bundles(st, mv.center, Policy()))
+    bundle = next(enumerate_blowup_bundles(st, mv, Policy()))
     return st, mv, bundle
 
 
@@ -1144,22 +1145,51 @@ def test_apply_round_reads_the_verdict_the_sieve_stored(monkeypatch):
     assert state.won and kinds["blowup"] and kinds["call"]
 
 
-def test_a_stored_verdict_answers_only_its_state_and_an_equal_move(monkeypatch):
+def test_explore_applies_the_verdicts_its_streams_stored(monkeypatch):
+    # explore hands both streams Dido's own move, so apply_round reads each
+    # branch's verdict: with every per-quest check failing inside it, the
+    # search gives the same report. Seed 6 branches on both kinds of round.
+    scenario = gen_scenario(6)
+    want = harness.explore(scenario)
+    kinds = Counter()
+
+    def reading(state, move, bundle):
+        kinds[move.kind] += 1
+        with monkeypatch.context() as patched:
+            for name in ("_validate_blowup", "_validate_call"):
+                patched.setattr(game, name, functools.partial(pytest.fail, "checked again"))
+            return apply_round(state, move, bundle)
+
+    monkeypatch.setattr(harness, "apply_round", reading)
+    assert harness.explore(scenario) == want
+    assert kinds["blowup"] and kinds["call"]
+
+
+def test_a_verdict_has_one_slot_per_identity_of_state_and_move(monkeypatch):
+    # The sieve judged the bundle against Dido's own move. An equal but
+    # distinct move, or an equal but distinct state, is judged afresh; each
+    # (state, move) pair keeps its own slot, and a repeat of any pair already
+    # judged, the sieve's included, reads its verdict.
     st, mv, bundle = _seed9_first_blowup()
     calls = _counting_checks(monkeypatch)
-    assert validate_bundle(st, Move.blowup(mv.center), bundle) == []
-    assert calls["_validate_blowup"] == 0  # an equal move reads the sieve's verdict
+    assert validate_bundle(st, mv, bundle) == []
+    assert calls["_validate_blowup"] == 0  # the sieve's verdict
+    equal_move = Move.blowup(mv.center)
+    assert equal_move == mv and equal_move is not mv
+    assert validate_bundle(st, equal_move, bundle) == []
+    assert calls["_validate_blowup"] == 1
     twin = GameState(st.quests, st.round_no)
     assert twin == st and twin is not st
     assert validate_bundle(twin, mv, bundle) == []
-    assert calls["_validate_blowup"] == 1
-    other = next(z for z in admissible_centers(st.root.scenario) if z != mv.center)
-    assert validate_bundle(st, Move.blowup(other), bundle) != []
     assert calls["_validate_blowup"] == 2
-    # the slot holds the last verdict only: the first state is judged again
-    assert validate_bundle(st, mv, bundle) == []
+    other = Move.blowup(next(z for z in admissible_centers(st.root.scenario) if z != mv.center))
+    assert validate_bundle(st, other, bundle) != []
     assert calls["_validate_blowup"] == 3
-    assert validate_bundle(st, mv, bundle) == []
+    pairs = [(st, mv), (st, equal_move), (twin, mv), (st, other)]
+    held = [args for _, args in vars(bundle)["_memo"].values()]
+    assert [tuple(map(id, h)) for h in held] == [tuple(map(id, p)) for p in pairs]
+    for state, move in pairs:
+        assert (validate_bundle(state, move, bundle) == []) == (move is not other)
     assert calls["_validate_blowup"] == 3
 
 

@@ -101,7 +101,7 @@ def test_explore_mode_enumerates_but_never_chooses(crossing_scenario):
     explore = Policy(kind=mephisto.EXPLORE)
     call = Move.call(0, QuestRelation.transversality({"h1"}))
     assert list(mephisto.enumerate_call_bundles(st, call, explore))
-    assert list(enumerate_blowup_bundles(st, "s", explore))
+    assert list(enumerate_blowup_bundles(st, Move.blowup("s"), explore))
     for move in (call, Move.blowup("s")):
         with pytest.raises(ValueError, match="does not choose"):
             respond(st, move, explore)
@@ -153,7 +153,7 @@ def test_an_inadmissible_center_builds_no_board(monkeypatch, chain_scenario, kin
 
     monkeypatch.setattr(mephisto, "blowup_transform", boom)
     for sc, z in ((top, "w"), (chain_scenario, "a")):
-        stream = enumerate_blowup_bundles(_root_state(sc), z, Policy(kind=kind))
+        stream = enumerate_blowup_bundles(_root_state(sc), Move.blowup(z), Policy(kind=kind))
         with pytest.raises(NoValidBundle, match=f"center {z} is not admissible"):
             next(stream)
 
@@ -175,7 +175,7 @@ def test_a_candidate_cap_before_the_first_bundle_is_a_cap(monkeypatch, chain_sce
 def test_enumerate_boards_respects_cap(crossing_scenario):
     st = _root_state(crossing_scenario)
     pol = Policy(kind=mephisto.EXPLORE, max_new_nodes=2)
-    bundles = list(enumerate_blowup_bundles(st, "s", pol))
+    bundles = list(enumerate_blowup_bundles(st, Move.blowup("s"), pol))
     assert bundles
     for b in bundles:
         fresh = set(b.transform.target.ids) - set(crossing_scenario.board.ids)
@@ -199,7 +199,7 @@ def test_adversarial_maximizes_bundle_score(crossing_scenario):
     got = respond(_root_state(crossing_scenario), mv, pol)
     pool = list(
         itertools.islice(
-            enumerate_blowup_bundles(_root_state(crossing_scenario), "s", pol), 64
+            enumerate_blowup_bundles(_root_state(crossing_scenario), mv, pol), 64
         )
     )
     want = max(pool, key=_bundle_score)
@@ -615,7 +615,7 @@ def test_keep_sieve_matches_per_candidate_loop_under_every_cap(
         caps |= set(range(levels * i - 1, levels * (i + 1) + 2))
     for cap in sorted(c for c in caps if c >= 0):
         monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", cap)
-        got = list(enumerate_blowup_bundles(state, z, policy))
+        got = list(enumerate_blowup_bundles(state, move, policy))
         want = list(_per_candidate_blowup_bundles(state, z, policy))
         assert got == want, cap
 
@@ -635,7 +635,7 @@ def test_a_node_cap_stops_the_stream_as_it_stops_the_reference(kind):
     assert width > 2
     for cap in (0, 1, width - 1, width):
         policy = Policy(kind=kind, max_new_nodes=cap)
-        got = _outcome(enumerate_blowup_bundles(state, z, policy))
+        got = _outcome(enumerate_blowup_bundles(state, move, policy))
         want = _outcome(_per_candidate_blowup_bundles(state, z, policy))
         assert got == want, cap
         if cap < (1 if kind == mephisto.EXPLORE else width):
@@ -663,14 +663,14 @@ def _canonical_blowup(seed, rounds):
 @pytest.mark.parametrize("kind", ["canonical", mephisto.EXPLORE])
 def test_streams_started_at_keep_max_are_the_eager_streams(monkeypatch, kind, seed, rounds):
     state, z, keep_max = _canonical_blowup(seed, rounds)
-    first = next(enumerate_blowup_bundles(state, z, Policy()))
+    first = next(enumerate_blowup_bundles(state, Move.blowup(z), Policy()))
     assert (first.responses[0].S == keep_max) == ((seed, rounds) == _KEEP_MAX_VALID)
     policy = Policy(kind=kind)
     levels = len(policy.bump_levels())
     # caps inside keep_max's levels, at its edge and past the next keep
     for cap in [*range(3 * levels + 2), 10**6]:
         monkeypatch.setattr(mephisto, "_CANDIDATE_CAP", cap)
-        got = list(enumerate_blowup_bundles(state, z, policy))
+        got = list(enumerate_blowup_bundles(state, Move.blowup(z), policy))
         want = list(_per_candidate_blowup_bundles(state, z, policy))
         assert got == want, cap
 
@@ -698,7 +698,7 @@ def test_the_other_keeps_are_listed_only_past_keep_max(monkeypatch, seed, rounds
 @pytest.mark.parametrize("kind", ["adversarial", mephisto.EXPLORE])
 def test_equal_responses_in_one_stream_are_one_object(kind):
     state, move = _adversarial_state(0, 7)
-    stream = enumerate_blowup_bundles(state, move.center, Policy(kind=kind))
+    stream = enumerate_blowup_bundles(state, move, Policy(kind=kind))
     first = {}
     seen = 0
     for bundle in stream:
@@ -735,7 +735,7 @@ def test_equal_descent_responses_are_one_object_checked_once(monkeypatch, kind):
 
     monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
     monkeypatch.setattr(transform, "_check_blowup_transform", counting)
-    list(enumerate_blowup_bundles(state, move.center, Policy(kind=kind, seed=1)))
+    list(enumerate_blowup_bundles(state, move, Policy(kind=kind, seed=1)))
     first = {}
     seen = 0
     for bundle in filter(None, assembled):
@@ -929,7 +929,7 @@ def test_order_ceilings_bound_every_assembled_candidate(monkeypatch):
         checked = shrunk = finite = 0
         for state, z in _stop_cases():
             assembled.clear()
-            list(enumerate_blowup_bundles(state, z, policy))
+            list(enumerate_blowup_bundles(state, Move.blowup(z), policy))
             if not assembled:
                 continue
             bt, relations, _ = assembled[0]
@@ -1035,8 +1035,8 @@ def test_the_stop_cuts_only_bundles_below_the_incumbent(monkeypatch, limit):
     for state, z in _stop_cases():
         with monkeypatch.context() as patch:
             patch.setattr(mephisto, "_KEEP_ENUM_LIMIT", limit)
-            whole = list(enumerate_blowup_bundles(state, z, Policy.parse("random:1")))
-            got = list(enumerate_blowup_bundles(state, z, adversarial))
+            whole = list(enumerate_blowup_bundles(state, Move.blowup(z), Policy.parse("random:1")))
+            got = list(enumerate_blowup_bundles(state, Move.blowup(z), adversarial))
             runs = [(got, max((_bundle_score(b)[0] for b in got), default=None))]
             reach = Counter()
             for b in whole:
@@ -1047,7 +1047,7 @@ def test_the_stop_cuts_only_bundles_below_the_incumbent(monkeypatch, limit):
                 patch.setattr(mephisto, "_keep_bound", bound)
                 for v in sorted(totals | {t + 1 for t in totals}):
                     patch.setattr(mephisto, "_bundle_score", lambda bundle, v=v: (v, 0))
-                    stopped = list(enumerate_blowup_bundles(state, z, adversarial))
+                    stopped = list(enumerate_blowup_bundles(state, Move.blowup(z), adversarial))
                     runs.append((stopped, v if stopped else None))
         for stopped, best in runs:
             assert stopped == whole[: len(stopped)]
@@ -1079,7 +1079,7 @@ def test_adversarial_stop_keeps_the_choice_of_the_whole_window(monkeypatch):
     games = [(seed, 10**4) for seed in range(20)] + [(361, 40), (68, 123)]
     for seed, rounds in games:
         for state, move, bundle in _adversarial_blowups(seed, rounds):
-            stream = enumerate_blowup_bundles(state, move.center, unstopped)
+            stream = enumerate_blowup_bundles(state, move, unstopped)
             window = list(itertools.islice(stream, 64))
             assert bundle == max(window, key=_bundle_score)
             pool, truncated = taken[-1]
@@ -1122,7 +1122,8 @@ def test_the_level_pruning_changes_no_stream(monkeypatch):
                         if off:
                             patch.setattr(mephisto, "_bump_blind_nodes", lambda *args: frozenset())
                         truncated = []
-                        bundles = list(enumerate_blowup_bundles(state, z, policy, truncated))
+                        stream = enumerate_blowup_bundles(state, Move.blowup(z), policy, truncated)
+                        bundles = list(stream)
                     runs.append((bundles, truncated))
                 assert runs[0] == runs[1], (policy.kind, cap)
     assert built[False] < built[True]
