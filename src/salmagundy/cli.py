@@ -13,8 +13,8 @@ from typing import List, Optional
 
 from .board import board_from_json, board_to_dot, board_to_json, validate_board
 from .game import replay_trace
-from .harness import check_caps, explore, gen_board, gen_scenario, play_game, scenario_to_dot
-from .mephisto import CapError, NoValidBundle, Policy
+from .harness import explore, gen_board, gen_scenario, play_game, scenario_to_dot
+from .mephisto import CapError, NoValidBundle, Policy, check_caps
 from .scenario import scenario_from_json, scenario_to_json, validate_scenario, validate_shape
 
 EXIT_OK = 0

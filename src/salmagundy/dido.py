@@ -25,9 +25,9 @@ value, as the game state is: ``decide`` returns the move and the next
 strategy, ``observe`` returns the strategy after a round, and neither
 changes the strategy it is called on. So the explorer, which branches once
 per Mephisto answer, hands each branch the same strategy, and the branches
-share every plan they do not change. ``_plans_text`` is the canonical text
-of the plans, the strategy's half of the explorer's state key; it leaves
-out ``measure_log``, which no decision reads.
+share every plan they do not change. The plans are frozen values, so the
+explorer's state key reads their ``repr``; it leaves out ``measure_log``,
+which no decision reads.
 
 Each loop plan's residuals, ord - ext_m on its quest's singular set, are
 stored on the quest's scenario for the plan's factor (``_residuals``), so
@@ -43,7 +43,6 @@ of that child's relation factor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -57,7 +56,6 @@ from .scenario import (
     _subsets,
     complete_factor,
     extend_factor,
-    factor_to_json,
     heavy_jib_sets,
     is_tight,
     zero_factor,
@@ -128,21 +126,6 @@ class _DriverPlan:
     # the quests created so far, three per set K in order: the
     # transversality child, its relaxation child, and the descent grandchild
     made: Tuple[int, ...] = ()
-
-
-def _plans_text(plans: Mapping[int, object]) -> str:
-    """The plans as one canonical text: equal plans, equal text."""
-    out = []
-    for qid in sorted(plans):
-        plan = plans[qid]
-        if isinstance(plan, _DriverPlan):
-            out.append([qid, "driver", plan.sets, plan.made])
-        else:
-            out.append(
-                [qid, "loop", factor_to_json(plan.m), plan.child_id, plan.monomial,
-                 plan.pending]
-            )
-    return json.dumps(out)
 
 
 @dataclass(frozen=True)

@@ -45,15 +45,16 @@ module-level encoder, ``board._encode``, which gives ``json.dumps`` with
 sorted keys, from the value's one JSON formula, so the line is
 byte-identical to encoding the record's dict form, and it dies with its
 value. A ``Bundle`` stores its verdict but no text: its line is built from
-the texts stored on its fields. Replay reads each value once, too
-(``replay_trace``).
+the texts stored on its fields. Replay parses each value once per board:
+the reader keeps what it read on the current board in one list, which dies
+with the replay (``replay_trace``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .board import (
     BLOWUP,
@@ -573,47 +574,50 @@ def bundle_to_json(bundle: Bundle) -> dict:
     return out
 
 
-# What a trace reader holds: the JSON its board was read from, and each open
-# quest's id mapped to the JSON its scenario was read from (response form)
-# and that scenario.
-Held = Tuple[object, Mapping[int, Tuple[object, Scenario]]]
-
-
-def bundle_from_json(data: Mapping, source: Board, held: Optional[Held] = None) -> Bundle:
+def bundle_from_json(data: Mapping, source: Board, held: Optional[list] = None) -> Bundle:
     """The bundle a trace line records, on the board ``source``: a
     ``"transform"``, ``"responses"``, an object of scenarios by quest id, a
     ``"discards"`` list of quest ids and, on a call round, a ``"child"``.
+    Each response and the child is written on ``"board": "target"``.
 
-    A reader that holds the values it read earlier passes them as ``held``,
-    with ``source`` read from ``held[0]``. When the transform's target JSON
-    equals ``held[0]``, the target is ``source`` itself, neither parsed nor
-    closed again, and the held scenarios are on it. A response or child
-    whose JSON equals one held there or already read on this line is that
-    scenario; everything else is parsed. Equal JSON parses to an equal
-    value, so the bundle equals the one read without ``held``. Raises
-    ValueError where its discards are not a list.
+    A reader keeps what it read in ``held``: ``[board JSON, list of (JSON,
+    scenario) pairs read on that board]``, with ``source`` read from
+    ``held[0]``. When the transform's target JSON equals ``held[0]``, the
+    target is ``source`` itself, neither parsed nor closed again. Otherwise
+    the target is parsed and ``held`` is reset to it with an empty list.
+    A response or child whose JSON is in the list is that scenario; every
+    other one is parsed and appended. Without ``held``, the list holds what
+    this line reads. Equal JSON parses to an equal value, so the bundle
+    equals the one read without ``held``. Raises ValueError where a response
+    id is not an integer as ``str`` writes it, a response or the child is
+    not on ``"target"``, or the discards are not a list.
     """
     t = data["transform"]
     if held is not None and t["target"] == held[0]:
         bt = transform_from_json(t, source, source)
-        scenarios = held[1]
     else:
         bt = transform_from_json(t, source, board_from_json(t["target"]))
-        scenarios = {}
-    seen = list(scenarios.values())
+        held = [] if held is None else held
+        held[:] = [t["target"], []]
+    pairs = held[1]
 
     def read(sc: object) -> Scenario:
-        for known in seen:
+        for known in pairs:
             if known[0] == sc:
                 return known[1]
-        seen.append((sc, scenario_from_json(sc, board=bt.target)))
-        return seen[-1][1]
+        if type(sc) is not dict or sc.get("board") != "target":
+            raise ValueError('malformed bundle JSON: a response or the child is not on "target"')
+        pairs.append((sc, scenario_from_json(sc, board=bt.target)))
+        return pairs[-1][1]
 
     responses = {}
     for key, sc in data["responses"].items():
         qid = int(key)
-        known = scenarios.get(qid)  # most often the quest's own held JSON
-        responses[qid] = known[1] if known is not None and known[0] == sc else read(sc)
+        if str(qid) != key:
+            raise ValueError(
+                f"malformed bundle JSON: response id {key!r} is not written {str(qid)!r}"
+            )
+        responses[qid] = read(sc)
     child = read(data["child"]) if data.get("child") is not None else None
     discards = data.get("discards", [])
     if type(discards) is not list:
@@ -669,15 +673,19 @@ def replay_trace(lines: Iterable[str]) -> GameState:
     Raises ValueError for a round the umpire rejects, an outcome that does
     not match the replay, and a malformed line (named by its number).
 
-    The reader holds the JSON each value of the state was read from: the
-    board, and each open quest's scenario in its response form (the root's
-    is the header scenario with ``"board": "target"``). A line that repeats
-    a held JSON is read as the held value (``bundle_from_json``): on a call
-    round, the board and every unchanged response, so at most the child is
-    parsed. A blowup round brings a new board, so each distinct response on
-    it is parsed once. Verdicts do not change: equal JSON parses to an
-    equal value, every check is a pure function of values, and the umpire
-    still runs ``validate_bundle`` in full on every round.
+    The reader holds what it read on the current board in one list,
+    ``held`` (``bundle_from_json``), built from the header (the root's
+    scenario in its response form, ``"board": "target"``) and passed on
+    every line. A line whose target is the held board reads on ``state``'s
+    board, and a response or child whose JSON is held is read as that
+    scenario: on a call round every unchanged response, so at most the
+    child is parsed. A blowup round brings a new board, and each distinct
+    scenario on it is parsed once. ``held`` dies with the replay. Verdicts
+    do not change: equal JSON parses to an equal value, every check is a
+    pure function of values, and the umpire still runs ``validate_bundle``
+    in full on every round. A recorded outcome must match the replay's in
+    type as well as value (their ``repr``s are compared): ``true`` is no
+    quest id.
     """
     it = iter(lines)
     try:
@@ -690,10 +698,7 @@ def replay_trace(lines: Iterable[str]) -> GameState:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise _malformed(1, exc) from exc
     state = new_game(scenario)
-    board_json = header["board"]
-    scenarios: Dict[int, Tuple[object, Scenario]] = {
-        0: (dict(header, board="target"), state.root.scenario)
-    }
+    held = [header["board"], [(dict(header, board="target"), state.root.scenario)]]
     for lineno, line in enumerate(it, 2):
         line = line.strip()
         if not line:
@@ -701,28 +706,17 @@ def replay_trace(lines: Iterable[str]) -> GameState:
         try:
             record = json.loads(line)
             move = move_from_json(record["move"])
-            data = record["bundle"]
-            bundle = bundle_from_json(data, state.board, (board_json, scenarios))
+            bundle = bundle_from_json(record["bundle"], state.board, held)
+            outcome = [(key, record[key]) for key in ("round", "new_quest", "won", "discarded")]
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise _malformed(lineno, exc) from exc
         state, applied = apply_round(state, move, bundle)
-        for key in ("round", "new_quest", "won", "discarded"):
-            if applied.get(key) != record.get(key):
+        for key, value in outcome:
+            if repr(applied[key]) != repr(value):
                 raise ValueError(
-                    f"round {record.get('round')}: recorded {key} {record.get(key)!r} "
-                    f"does not match the replay {applied.get(key)!r}"
+                    f"round {record['round']}: recorded {key} {value!r} "
+                    f"does not match the replay {applied[key]!r}"
                 )
-        if move.kind == BLOWUP_MOVE:
-            board_json = data["transform"]["target"]
-        read = {int(key): sc for key, sc in data["responses"].items()}
-        if move.kind == CALL:
-            read[applied["new_quest"]] = data["child"]
-        quests = state.quests
-        scenarios = {
-            qid: (sc, quests[qid].scenario)
-            for qid, sc in read.items()
-            if quests[qid].status == OPEN
-        }
     return state
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .board import Board, NodeId, _dot_escape, _json_text, board_to_json
-from .dido import DidoStrategy, _plans_text
+from .dido import DidoStrategy
 from .game import (
     BLOWUP_MOVE,
     CALL,
@@ -24,6 +24,7 @@ from .mephisto import (
     EXPLORE,
     NoValidBundle,
     Policy,
+    check_caps,
     enumerate_blowup_bundles,
     enumerate_call_bundles,
     respond,
@@ -217,16 +218,6 @@ class GameResult:
     note: str = ""
 
 
-def check_caps(**caps: int) -> None:
-    """Raise ValueError, naming the argument, for a negative cap among
-    ``caps``: ``round_cap`` of ``play_game``, and ``depth_cap``,
-    ``max_new_nodes`` and ``max_order_steps`` of ``explore``, each worded
-    as ``Policy`` words its own."""
-    for name, value in caps.items():
-        if value < 0:
-            raise ValueError(f"{name} must be at least 0, got {value}")
-
-
 def play_game(
     scenario: Scenario,
     policy: Policy,
@@ -294,9 +285,12 @@ def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
     """The SHA-256 digest of what the rest of the game reads of ``state`` and
     ``strategy``: the board, the round, each quest's id, parent, status and
     relation, each open quest's scenario, and Dido's plans. Every text but
-    the plans' is stored on its value. The key holds the plans' text in the
-    digest, not the plans: a key that held the plan values kept them all
-    alive, and explore seed 14 peaked at 37.4 MB of RSS instead of 25.3."""
+    the plans' is stored on its value. The plans' text is their ``repr`` in
+    quest id order: a plan is a frozen value whose factors are in jib order,
+    whose orders are ``Q`` or INF and whose sequences are tuples, so equal
+    plans give equal text. The key holds that text in the digest, not the
+    plans: a key that held the plan values kept them all alive, and explore
+    seed 14 peaked at 37.4 MB of RSS instead of 25.3."""
     # imported here, not at the top: hashlib loads OpenSSL, which raised the
     # peak RSS of a process that never explores by 3.6 MB (CPython 3.11, Linux)
     from hashlib import sha256
@@ -312,7 +306,7 @@ def _state_key(state: GameState, strategy: DidoStrategy) -> bytes:
         parts.append(
             _json_text(quest.scenario, _response_to_json) if quest.status == OPEN else ""
         )
-    parts.append(_plans_text(strategy.plans))
+    parts.append(repr(sorted(strategy.plans.items())))
     return sha256("\n".join(parts).encode()).digest()
 
 

@@ -191,6 +191,17 @@ class NoValidBundle(RuntimeError):
     """No valid bundle answers a move."""
 
 
+def check_caps(**caps: Optional[int]) -> None:
+    """Raise ValueError, naming the argument, for a negative cap among
+    ``caps``; None is no cap. ``Policy`` checks its ``max_new_nodes`` and
+    ``max_order_steps`` here, and ``harness`` the ``round_cap`` of
+    ``play_game`` and the ``depth_cap`` of ``explore``, so every cap's error
+    is worded alike."""
+    for name, value in caps.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Policy:
     kind: str = CANONICAL
@@ -199,10 +210,7 @@ class Policy:
     max_order_steps: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_new_nodes is not None and self.max_new_nodes < 0:
-            raise ValueError(f"max_new_nodes must be at least 0, got {self.max_new_nodes}")
-        if self.max_order_steps < 0:
-            raise ValueError(f"max_order_steps must be at least 0, got {self.max_order_steps}")
+        check_caps(max_new_nodes=self.max_new_nodes, max_order_steps=self.max_order_steps)
 
     @classmethod
     def parse(cls, text: str, **caps) -> "Policy":

@@ -10,9 +10,12 @@ import dataclasses
 import pytest
 
 from salmagundy import harness, mephisto
-from salmagundy.game import OPEN
+from salmagundy.board import FrozenDict
+from salmagundy.dido import DidoStrategy
+from salmagundy.game import OPEN, apply_round, new_game
 from salmagundy.harness import explore, gen_monomial_scenario, gen_scenario, play_game
-from salmagundy.mephisto import Policy
+from salmagundy.mephisto import Policy, respond
+from salmagundy.scenario import MonomialFactor
 
 # (seed, depth_cap, _CANDIDATE_CAP); None keeps the default
 EXPLORES = (
@@ -88,3 +91,30 @@ def test_no_round_reads_a_closed_quests_scenario(monkeypatch):
         q for r in played for q in r.state.quests.values() if q.status != OPEN and q.quest_id
     ]
     assert closed and all(q.scenario is None for q in closed)
+
+
+def test_equal_plans_in_any_order_give_one_key():
+    # The key reads the plans' repr in quest id order. Plans rebuilt as equal
+    # values, inserted in reverse and with each factor given in reverse jib
+    # order, are the same plans, and must meet the same table entry.
+    state, strategy = new_game(gen_scenario(16)), DidoStrategy()
+    policy = Policy.parse("canonical")
+    while True:  # until there are three plans and a loop plan's factor has two jibs
+        factors = [getattr(plan, "m", {}) for plan in strategy.plans.values()]
+        if len(factors) > 2 and max(map(len, factors)) > 1:
+            break
+        move, decided = strategy.decide(state)
+        bundle = respond(state, move, policy)
+        state, _ = apply_round(state, move, bundle)
+        strategy = decided.observe(state, move, bundle)
+
+    def rebuilt(plan):
+        if not hasattr(plan, "m"):
+            return dataclasses.replace(plan)
+        return dataclasses.replace(plan, m=MonomialFactor(dict(reversed(plan.m.items()))))
+
+    plans = FrozenDict((qid, rebuilt(plan)) for qid, plan in reversed(strategy.plans.items()))
+    twin = DidoStrategy(plans, strategy.measure_log)
+    assert list(twin.plans) != list(strategy.plans) and twin == strategy
+    assert all(twin.plans[qid] is not plan for qid, plan in strategy.plans.items())
+    assert harness._state_key(state, twin) == harness._state_key(state, strategy)

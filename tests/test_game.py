@@ -603,6 +603,90 @@ def test_a_malformed_move_is_a_rejected_trace():
             replay_trace(mutated)
 
 
+def _respell_response_id(text):
+    def edit(record):
+        responses = record["bundle"]["responses"]
+        responses[text] = responses.pop("0")
+    return edit
+
+
+def _set(kind, *path, value):
+    """An edit of the first record whose move is of ``kind`` (None: any):
+    the value at ``path`` becomes ``value``, or goes if ``value`` is None."""
+    def edit(record):
+        if kind is not None and record["move"]["type"] != kind:
+            return False
+        *parents, last = path
+        for key in parents:
+            record = record[key]
+        if value is None:
+            del record[last]
+        else:
+            record[last] = value
+    return edit
+
+
+_NOT_ON_TARGET = 'malformed bundle JSON: a response or the child is not on "target"'
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        *[
+            pytest.param(
+                _respell_response_id(text),
+                "line 2: malformed trace record (ValueError: "
+                f"malformed bundle JSON: response id {text!r} is not written '0')",
+                id=f"response-id-{name}",
+            )
+            for text, name in (
+                ("00", "00"), ("+0", "plus-0"), (" 0", "space-0"), ("٠", "arabic-0")
+            )
+        ],
+        *[
+            pytest.param(
+                _set(kind, "bundle", *part, "board", value=board),
+                f"line {lineno}: malformed trace record (ValueError: {_NOT_ON_TARGET})",
+                id=f"{part[0]}-board-{board}",
+            )
+            for kind, part, lineno in (("blowup", ("responses", "0"), 9), ("call", ("child",), 2))
+            for board in ("source", 0, None)
+        ],
+        pytest.param(
+            _set(None, "new_quest", value=True),
+            "round 1: recorded new_quest True does not match the replay 1",
+            id="new_quest-true",
+        ),
+        pytest.param(
+            _set(None, "round", value=1.0),
+            "round 1.0: recorded round 1.0 does not match the replay 1",
+            id="round-float",
+        ),
+        *[
+            pytest.param(
+                _set(None, key, value=None),
+                f"line 2: malformed trace record (KeyError: '{key}')",
+                id=f"no-{key}",
+            )
+            for key in ("round", "new_quest", "won", "discarded")
+        ],
+    ],
+)
+def test_replay_takes_only_the_writers_form_of_a_record(edit, error):
+    # Each edit once replayed as a won game: a response id is the quest id as str
+    # writes it, every response and child is on "target", and a recorded
+    # outcome is there and has the replay's type (true is not quest 1).
+    lines = list(_canonical_trace(0))
+    for i, line in enumerate(lines[1:], 1):
+        record = json.loads(line)
+        if edit(record) is not False:
+            lines[i] = json.dumps(record, sort_keys=True)
+            break
+    with pytest.raises(ValueError) as info:
+        replay_trace(lines)
+    assert str(info.value) == error
+
+
 def test_replay_rejects_an_order_with_a_zero_denominator():
     # parse_value raised ZeroDivisionError at "1/0", which replay_trace, and
     # so the CLI, did not catch
@@ -809,6 +893,40 @@ def test_replay_parses_a_board_per_blowup_round_and_the_header(monkeypatch):
     assert replay_trace(lines).round_no == len(lines) - 1
     assert 0 < blowups < len(lines) - 2
     assert len(parsed) == blowups + 1
+
+
+@pytest.mark.parametrize("seed, policy", [(0, "canonical"), (4, "random:1")])
+def test_replay_parses_each_scenario_once_per_board(monkeypatch, seed, policy):
+    # The reader holds every scenario it read on the current board, the
+    # header's root among them, so a response or child is parsed on the
+    # first line that brings it to its board and never again there.
+    lines = play_game(gen_scenario(seed), Policy.parse(policy)).trace
+    parse = game.scenario_from_json
+    parsed = []
+
+    def counted(data, board=None):
+        parsed.append(json.dumps(data, sort_keys=True))
+        return parse(data, board)
+
+    monkeypatch.setattr(game, "scenario_from_json", counted)
+    replay_trace(lines)
+    header = json.loads(lines[0])["header"]["scenario"]
+    on_board = json.dumps(header["board"], sort_keys=True)
+    read = {(on_board, json.dumps(dict(header, board="target"), sort_keys=True))}
+    want, brought, kinds = [json.dumps(header, sort_keys=True)], 0, set()
+    for line in lines[1:]:
+        record = json.loads(line)
+        kinds.add(record["move"]["type"])
+        bundle = record["bundle"]
+        on_board = json.dumps(bundle["transform"]["target"], sort_keys=True)
+        for sc in [*bundle["responses"].values(), *filter(None, [bundle.get("child")])]:
+            text = json.dumps(sc, sort_keys=True)
+            brought += 1
+            if (on_board, text) not in read:
+                read.add((on_board, text))
+                want.append(text)
+    assert kinds == {"call", "blowup"} and brought > 2 * len(want)
+    assert parsed == want
 
 
 def test_a_tampered_response_of_an_unchanged_quest_is_parsed_and_rejected():
