@@ -588,25 +588,40 @@ def bundle_from_json(data: Mapping, source: Board, held: Optional[list] = None) 
     A response or child whose JSON is in the list is that scenario; every
     other one is parsed and appended. Without ``held``, the list holds what
     this line reads. Equal JSON parses to an equal value, so the bundle
-    equals the one read without ``held``. Raises ValueError where a response
+    equals the one read without ``held``. Integers are integers, though
+    ``==`` takes ``1``, ``1.0`` and ``true`` as equal: the held target
+    matches only where each node's ``"dim"`` is a JSON integer (any other
+    target is parsed, which rejects it). Raises ValueError where a response
     id is not an integer as ``str`` writes it, a response or the child is
-    not on ``"target"``, or the discards are not a list.
+    not on ``"target"`` or writes its ``"d"`` or ``"B"`` as no JSON
+    integer, or the discards are not a list.
     """
     t = data["transform"]
-    if held is not None and t["target"] == held[0]:
+    target = t["target"]
+    if (
+        held is not None
+        and target == held[0]
+        and all(type(node["dim"]) is int for node in target["nodes"])
+    ):
         bt = transform_from_json(t, source, source)
     else:
-        bt = transform_from_json(t, source, board_from_json(t["target"]))
+        bt = transform_from_json(t, source, board_from_json(target))
         held = [] if held is None else held
-        held[:] = [t["target"], []]
+        held[:] = [target, []]
     pairs = held[1]
 
     def read(sc: object) -> Scenario:
+        if type(sc) is not dict or sc.get("board") != "target":
+            raise ValueError('malformed bundle JSON: a response or the child is not on "target"')
+        d, B = sc.get("d"), sc.get("B")
+        if type(d) is not int or type(B) is not int:
+            raise ValueError(
+                f"malformed bundle JSON: a response or the child has d={d!r}, B={B!r}, "
+                "not integers"
+            )
         for known in pairs:
             if known[0] == sc:
                 return known[1]
-        if type(sc) is not dict or sc.get("board") != "target":
-            raise ValueError('malformed bundle JSON: a response or the child is not on "target"')
         pairs.append((sc, scenario_from_json(sc, board=bt.target)))
         return pairs[-1][1]
 

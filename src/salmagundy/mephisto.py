@@ -45,9 +45,17 @@ The sieve is the umpire's own gate, ``game.validate_bundle``, and both
 streams judge each candidate against Dido's own move. The verdict is a
 ``board._memo`` slot on the bundle, keyed by the identities of the state
 and the move, so the umpire reads the chosen bundle's verdict instead of
-reaching it again. The sieve adds one exact shortcut: a keep set whose
+reaching it again. The sieve adds two exact shortcuts, each a rule the
+umpire would apply to every bump level of the candidate. A keep set whose
 root response must fail scenario issue 9 (``scenario.heavy_jib_violations``)
-is skipped before any bundle is built.
+is skipped before any bundle is built. And a candidate whose descent quest's
+response would keep a node that transform item 13 clears
+(``transform.cleared_nodes`` on the parent response's S, which that
+response keeps) is dropped during assembly, before the descent response is
+built. Both still count against ``_CANDIDATE_CAP``. The repair path (keeps
+wider than ``_KEEP_ENUM_LIMIT``) takes neither: it builds and judges every
+candidate, since it learns from the violations' witnesses which nodes to
+shed.
 Issue 9 reads one table per blown-up board: ``transform.blowup_jibs`` gives
 every keep the same handicap H1 and factor set M1, and M1 holds each node's
 heavy jib sets with their candidate nodes, so each keep costs set lookups.
@@ -312,6 +320,7 @@ def _assemble_blowup(
     bump: Q,
     relations: Dict[int, QuestRelation],
     interned: Dict[Scenario, Scenario],
+    prune: bool,
 ) -> Optional[Bundle]:
     """The bundle around a root response. Its discards are
     ``blowup_discards(state, bt)``, stored on ``bt`` for ``state``, and
@@ -321,13 +330,20 @@ def _assemble_blowup(
     built to the first equal one. A descent quest's response carries its own
     scenario through the blowup onto its parent response's S and T at
     ``bump``; every other child's is ``quests.call_response`` of its
-    parent's."""
+    parent's.
+
+    None when a response cannot be built, or, with ``prune``, when a
+    descent quest's response would keep a node item 13 clears
+    (``transform.cleared_nodes`` of the quest's scenario on its parent
+    response's S): the umpire rejects such a bundle at every bump level."""
     root_new = interned.setdefault(root_new, root_new)
     responses: Dict[int, Scenario] = {0: root_new}
     for qid, rel_new in relations.items():
         quest = state.quests[qid]
         parent_new = responses[quest.parent_id]
         if rel_new.kind == DESCENT:
+            if prune and any(hit for _, hit in cleared_nodes(quest.scenario, bt, parent_new.S)):
+                return None
             resp = _blowup_response(quest.scenario, bt, parent_new.S, parent_new.T, bump)
         else:
             try:
@@ -475,12 +491,14 @@ def enumerate_blowup_bundles(
     it fails at every bump level and is skipped whole. H1 and M1 are the one
     pair ``blowup_jibs`` stores on ``bt``, so the heavy jib sets of each node
     are worked out once, in M1's table, for all keeps and for the umpire's
-    check of every root response built here. The skip is exact: it
-    drops only candidates the per-candidate sieve would reject, and still
-    counts them against ``_CANDIDATE_CAP``, so the yield sequence and the
-    point where the cap stops the search are unchanged. The repair path
-    (keeps wider than ``_KEEP_ENUM_LIMIT``) keeps the full check, because it
-    learns which nodes to shed from the issue-9 witnesses.
+    check of every root response built here. Assembly likewise drops a
+    candidate whose descent quest's response would keep a node item 13
+    clears (``_assemble_blowup``). Both are exact: they drop only
+    candidates the per-candidate sieve would reject, and still count them
+    against ``_CANDIDATE_CAP``, so the yield sequence and the point where
+    the cap stops the search are unchanged. The repair path (keeps wider
+    than ``_KEEP_ENUM_LIMIT``) keeps the full build and check for both,
+    because it learns which nodes to shed from the violations' witnesses.
     """
     board = state.board
     root = state.root.scenario
@@ -571,7 +589,9 @@ def enumerate_blowup_bundles(
                 root_new = _root_response(root, bt, keep, bump)
                 if root_new is None:
                     continue
-                bundle = _assemble_blowup(state, bt, root_new, bump, relations, interned)
+                bundle = _assemble_blowup(
+                    state, bt, root_new, bump, relations, interned, not repair
+                )
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, move, bundle)

@@ -350,7 +350,9 @@ def _answering_below_one(monkeypatch, round_no, node, value):
             for q in sorted(state.open_quests(), key=lambda q: q.quest_id)
             if q.parent_id is not None and q.quest_id not in bundle.discards
         }
-        return mephisto._assemble_blowup(state, bt, root, Fraction(0), relations, {})
+        return mephisto._assemble_blowup(
+            state, bt, root, Fraction(0), relations, {}, prune=False
+        )
 
     monkeypatch.setattr(harness, "respond", answering)
 

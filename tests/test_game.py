@@ -612,7 +612,9 @@ def _respell_response_id(text):
 
 def _set(kind, *path, value):
     """An edit of the first record whose move is of ``kind`` (None: any):
-    the value at ``path`` becomes ``value``, or goes if ``value`` is None."""
+    the value at ``path`` becomes ``value``, or goes if ``value`` is None,
+    or is passed through ``value`` if that is a type (``float``: 2 becomes
+    2.0)."""
     def edit(record):
         if kind is not None and record["move"]["type"] != kind:
             return False
@@ -621,6 +623,8 @@ def _set(kind, *path, value):
             record = record[key]
         if value is None:
             del record[last]
+        elif isinstance(value, type):
+            record[last] = value(record[last])
         else:
             record[last] = value
     return edit
@@ -662,6 +666,22 @@ _NOT_ON_TARGET = 'malformed bundle JSON: a response or the child is not on "targ
             "round 1.0: recorded round 1.0 does not match the replay 1",
             id="round-float",
         ),
+        pytest.param(
+            _set("call", "bundle", "transform", "target", "nodes", 0, "dim", value=float),
+            "line 2: malformed trace record (ValueError: dim of 'v0' must be an integer, got 2.0)",
+            id="target-dim-float",
+        ),
+        *[
+            pytest.param(
+                _set("call", "bundle", "responses", "0", key, value=to),
+                "line 2: malformed trace record (ValueError: malformed bundle JSON: a response "
+                f"or the child has {spelling}, not integers)",
+                id=f"response-{key}-{to.__name__}",
+            )
+            for key, to, spelling in (
+                ("d", float, "d=1.0, B=1"), ("d", bool, "d=True, B=1"), ("B", float, "d=1, B=1.0")
+            )
+        ],
         *[
             pytest.param(
                 _set(None, key, value=None),
@@ -674,8 +694,10 @@ _NOT_ON_TARGET = 'malformed bundle JSON: a response or the child is not on "targ
 )
 def test_replay_takes_only_the_writers_form_of_a_record(edit, error):
     # Each edit once replayed as a won game: a response id is the quest id as str
-    # writes it, every response and child is on "target", and a recorded
-    # outcome is there and has the replay's type (true is not quest 1).
+    # writes it, every response and child is on "target", a recorded
+    # outcome is there and has the replay's type (true is not quest 1), and
+    # on a call round a target's dim or a response's d or B written as 2.0,
+    # 1.0 or true is no held value, though Python's == takes it for one.
     lines = list(_canonical_trace(0))
     for i, line in enumerate(lines[1:], 1):
         record = json.loads(line)

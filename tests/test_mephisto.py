@@ -1,6 +1,7 @@
 """Response policies: enumeration, selection, caps, and determinism."""
 
 import dataclasses
+import hashlib
 import itertools
 import sys
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salmagundy import mephisto, quests, scenario, transform
+from salmagundy import harness, mephisto, quests, scenario, transform
 from salmagundy.board import (
     Board,
     Violation,
@@ -557,7 +558,7 @@ def _per_candidate_blowup_bundles(state, z, policy):
                     for quest in sorted(state.open_quests(), key=lambda q: q.quest_id)
                     if quest.parent_id is not None and quest.quest_id not in discards
                 }
-                bundle = _assemble_blowup(state, bt, root_new, bump, relations, {})
+                bundle = _assemble_blowup(state, bt, root_new, bump, relations, {}, prune=False)
                 if bundle is None or bundle.responses in yielded:
                     continue
                 violations = validate_bundle(state, Move.blowup(z), bundle)
@@ -1127,6 +1128,116 @@ def test_the_level_pruning_changes_no_stream(monkeypatch):
                     runs.append((bundles, truncated))
                 assert runs[0] == runs[1], (policy.kind, cap)
     assert built[False] < built[True]
+
+
+# ---- the item-13 prune at descent quests ------------------------------------------
+
+
+def _blowups_met(monkeypatch, policy, seed):
+    """The state and move of every blowup Mephisto answers in ``seed``'s game
+    under ``policy``, or, under ``EXPLORE``, in its explorer tree."""
+    met = []
+    if policy.kind == mephisto.EXPLORE:
+        stream = harness.enumerate_blowup_bundles
+
+        def recording(state, move, policy, truncated=None):
+            met.append((state, move))
+            return stream(state, move, policy, truncated)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "enumerate_blowup_bundles", recording)
+            assert explore(gen_scenario(seed)).all_won
+        return met
+    answer = harness.respond
+
+    def answering(state, move, policy):
+        if move.kind == "blowup":
+            met.append((state, move))
+        return answer(state, move, policy)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "respond", answering)
+        assert play_game(gen_scenario(seed), policy).won
+    return met
+
+
+@pytest.mark.parametrize(
+    "policy, seed",
+    [
+        (Policy.parse("canonical"), 6),
+        (Policy.parse("random:1"), 28),
+        (Policy.parse("adversarial"), 6),
+        (Policy(mephisto.EXPLORE), 6),
+    ],
+    ids=["canonical", "random", "adversarial", "explore"],
+)
+def test_the_descent_prune_drops_only_what_the_umpire_rejects(monkeypatch, policy, seed):
+    # A descent quest's response keeps its parent response's S, so where
+    # item 13 clears a node of that S the umpire rejects the bundle at every
+    # bump level, and the stream stops building it. On every blowup of a
+    # seed that reaches the prune (random:1's game on seed 6 does not): each
+    # dropped candidate, built in full, is rejected with item 13 among its
+    # violations; the stream yields what it yields when it builds every
+    # candidate in full, with the same truncation; and each dropped
+    # candidate is one sieve call fewer.
+    assemble, sieve = mephisto._assemble_blowup, mephisto.validate_bundle
+    dropped = []
+    sieved = Counter()
+
+    def pruning(state, bt, root_new, bump, relations, interned, prune):
+        bundle = assemble(state, bt, root_new, bump, relations, interned, prune)
+        if bundle is None and prune:
+            full = assemble(state, bt, root_new, bump, relations, {}, False)
+            if full is not None:
+                dropped.append((state, full))
+        return bundle
+
+    def whole(*args):
+        return assemble(*args[:-1], False)
+
+    for state, move in _blowups_met(monkeypatch, policy, seed):
+        runs = []
+        for build in (whole, pruning):
+
+            def counting(*args, build=build):
+                sieved[build] += 1
+                return sieve(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mephisto, "_assemble_blowup", build)
+                patch.setattr(mephisto, "validate_bundle", counting)
+                truncated = []
+                bundles = list(enumerate_blowup_bundles(state, move, policy, truncated))
+            runs.append((bundles, truncated))
+        assert runs[0] == runs[1]
+    assert dropped
+    for state, bundle in dropped:
+        verdict = validate_bundle(state, Move.blowup(bundle.transform.center), bundle)
+        assert (transform.RULE, 13) in {(v.rule, v.issue) for v in verdict}
+    assert sieved[whole] - sieved[pruning] == len(dropped)
+
+
+def test_the_repair_path_builds_and_judges_every_candidate(monkeypatch):
+    # Keeps wider than _KEEP_ENUM_LIMIT are repaired: the stream sheds the
+    # witnesses of a rejected bundle's violations, item 13's among them, so
+    # it builds and judges every candidate in full. Canonical seeds 68 and
+    # 817 take that path; a stream that pruned there too ended both games
+    # in a CapError.
+    assemble = mephisto._assemble_blowup
+    pruned = set()
+
+    def recording(*args):
+        pruned.add(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(mephisto, "_assemble_blowup", recording)
+    h = hashlib.sha256()
+    for seed in (68, 817):
+        pruned.clear()
+        trace = play_game(gen_scenario(seed), Policy.parse("canonical")).trace
+        assert False in pruned, seed
+        h.update(("\n".join(trace) + "\n").encode())
+    assert h.hexdigest() == "5ebedcc4ec60ee0a006e5170bd830c00760d7cb575ab9710bb8547743b4edcb7"
 
 
 # ---- call responses -----------------------------------------------------------
